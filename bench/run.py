@@ -10,7 +10,8 @@ With --trace 0 the metrics are the end-to-end ones; with --trace 1 a child
 process first makes the untraced run, then this process makes one pass with
 every layer boundary traced and prints the per-layer metrics of that pass.
 The two lines before it record the environment and the raw run details.
-Times are CPU seconds of the measuring process (see workloads.Timer);
+End-to-end times are CPU seconds scaled by the machine's speed as a fixed
+kernel measured it while the run went on (calibrate.py); raw CPU and
 wall-clock figures are in the details.  See bench/README.md.
 """
 
@@ -48,6 +49,7 @@ def _import_gwinv():
 
 _import_gwinv()
 
+import calibrate  # noqa: E402
 import reference  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
@@ -58,11 +60,14 @@ import workloads  # noqa: E402
 
 
 class Op:
-    __slots__ = ("cpu", "wall", "ok", "label", "cases")
+    __slots__ = ("cpu", "wall", "c0", "c1", "norm", "ok", "label", "cases")
 
     def __init__(self, timer, ok: bool, label: str, cases: int = 1):
         self.cpu = timer.cpu
         self.wall = timer.wall
+        self.c0, self.c1 = timer.c0, timer.c1
+        # CPU time at the reference speed; set by normalise()
+        self.norm = timer.cpu
         self.ok = ok
         self.label = label
         self.cases = cases
@@ -144,40 +149,54 @@ def run_op(wl, i: int, tracer) -> Op:
     return Op(timer, ok, label, cases)
 
 
-def measure(wl, seconds: float, passes: int | None = None, tracer=None) -> list[list[Op]]:
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def measure(wl, seconds: float, passes: int | None = None, tracer=None, peaks: list | None = None) -> list[list[Op]]:
     """Whole passes over the workload's operations: exactly `passes`, or as
-    many as fit in `seconds` of wall time (at least one)."""
-    start = time.perf_counter()
+    many as fit in `seconds` of timed wall time (at least one).  Appends the
+    peak RSS so far to `peaks` after each pass."""
     out = []
     while True:
         out.append([run_op(wl, i, tracer) for i in range(len(wl.ops))])
+        if peaks is not None:
+            peaks.append(peak_rss_mb())
         if passes is not None:
             if len(out) == passes:
                 return out
-        elif not wl.repeatable or time.perf_counter() - start + sum(op.wall for op in out[-1]) > seconds:
+        elif not wl.repeatable or sum(op.wall for p in out for op in p) + sum(op.wall for op in out[-1]) > seconds:
             return out
+
+
+def normalise(passes: list[list[Op]], speed) -> None:
+    """Scale each operation's CPU time by the kernel samples taken while
+    it ran."""
+    for p in passes:
+        for op in p:
+            op.norm = op.cpu * speed.scale(op.c0, op.c1)
 
 
 # ---------------------------------------------------------------------------
 # metrics
 
 
-def per_op_median(passes: list[list[Op]]) -> list[Op]:
-    """Each operation at its median CPU time over the run's passes."""
-    return [sorted(runs, key=lambda op: op.cpu)[(len(runs) - 1) // 2] for runs in zip(*passes)]
+def per_op_median(passes: list[list[Op]]) -> list[float]:
+    """Each operation's normalised time at its median over the run's passes."""
+    return [statistics.median(op.norm for op in runs) for runs in zip(*passes)]
 
 
-def end_to_end(passes: list[list[Op]], setup_cpu: list[float]) -> dict:
+def end_to_end(passes: list[list[Op]], setup_s: list[float], peak_mb: float) -> dict:
     typical = per_op_median(passes)
-    pass_s = sum(op.cpu for op in typical)
-    ms = [op.cpu * 1e3 for op in typical]
+    pass_s = sum(typical)
+    ms = [t * 1e3 for t in typical]
     return {
-        "setup_s": (statistics.median(setup_cpu), "s"),
+        "setup_s": (statistics.median(setup_s), "s"),
         "pass_s": (pass_s, "s"),
-        "per_s": (sum(op.cases for op in typical) / pass_s, "1/s"),
+        "per_s": (sum(op.cases for op in passes[0]) / pass_s, "1/s"),
         "p50_ms": (statistics.median(ms), "ms"),
         "p99_ms": (statistics.quantiles(ms, n=100, method="inclusive")[98], "ms"),
-        "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
+        "peak_rss_mb": (peak_mb, "MB"),
     }
 
 
@@ -187,19 +206,20 @@ def details(wl, passes: list[list[Op]]) -> dict:
         "passes": len(passes),
         "ops_per_pass": len(wl.ops),
         "pass_cpu_s": [sum(op.cpu for op in p) for p in passes],
+        "pass_norm_s": [sum(op.norm for op in p) for p in passes],
         "pass_wall_s": [sum(op.wall for op in p) for p in passes],
         "measured_cpu_s": sum(op.cpu for op in ops),
         "measured_wall_s": sum(op.wall for op in ops),
     }
-    typical = per_op_median(passes)
+    typical = list(zip(passes[0], per_op_median(passes)))
     if isinstance(wl, Eval):
         for mode in "WH":
-            out[f"{mode}_p50_ms"] = statistics.median(op.cpu * 1e3 for op in typical if op.label == mode)
-            out[f"{mode}_samples"] = sum(op.label == mode for op in typical)
+            out[f"{mode}_p50_ms"] = statistics.median(t * 1e3 for op, t in typical if op.label == mode)
+            out[f"{mode}_samples"] = sum(op.label == mode for op, _ in typical)
     if isinstance(wl, Verify):
         out["report_sha256"] = wl.digests
-        out["suite_s"] = {name: sum(op.cpu for op in typical if op.label == name) for name in workloads.VERIFY_SUITES}
-        out["suite_cases"] = {name: sum(op.cases for op in typical if op.label == name) for name in workloads.VERIFY_SUITES}
+        out["suite_s"] = {name: sum(t for op, t in typical if op.label == name) for name in workloads.VERIFY_SUITES}
+        out["suite_cases"] = {name: sum(op.cases for op, _ in typical if op.label == name) for name in workloads.VERIFY_SUITES}
     return out
 
 
@@ -349,15 +369,40 @@ def emit(args, detail: dict, ok: bool, attempted: int, failed: int, metrics: dic
     print(json.dumps(result), flush=True)
 
 
+def probe_setups(args) -> tuple[list[tuple[float, float]], float]:
+    """SETUP_PROBES set-up probes, each after a burst of kernel samples,
+    and the speed scale those samples give."""
+    speed, setup = calibrate.Speed(), []
+    for _ in range(SETUP_PROBES):
+        speed.burst(calibrate.MIN_NEAR)
+        setup.append(probe_setup(args))
+    return setup, speed.overall()
+
+
+def speed_detail(speed) -> dict:
+    return {
+        "kernel_ms_mean": statistics.fmean(speed.took) * 1e3,
+        "kernel_samples": len(speed.took),
+        "kernel_cpu_s": sum(speed.took),
+    }
+
+
 def run_untraced(args) -> None:
-    setup = [] if args.no_setup_probe else [probe_setup(args) for _ in range(SETUP_PROBES)]
+    setup, setup_scale = probe_setups(args) if not args.no_setup_probe else ([], 1.0)
     wl = WORKLOADS[args.workload](args.seed)
-    passes = measure(wl, args.seconds)
+    peaks: list[float] = []
+    with calibrate.Speed() as speed:
+        passes = measure(wl, args.seconds, peaks=peaks)
+    normalise(passes, speed)
     failed = sum(not op.ok for p in passes for op in p)
     detail = details(wl, passes)
+    detail["speed"] = speed_detail(speed)
     detail["setup_cpu_s"] = [cpu for cpu, _ in setup]
     detail["setup_wall_s"] = [wall for _, wall in setup]
-    metrics = end_to_end(passes, detail["setup_cpu_s"]) if setup else {}
+    detail["setup_scale"] = setup_scale
+    detail["peak_rss_mb"] = peaks
+    # the first pass's peak: later passes add only the benchmark's own records
+    metrics = end_to_end(passes, [cpu * setup_scale for cpu in detail["setup_cpu_s"]], peaks[0]) if setup else {}
     emit(args, detail, failed == 0, len(wl.ops) * len(passes), failed, metrics)
 
 

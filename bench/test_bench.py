@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 import unittest
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import run  # noqa: E402  (puts the checkout's src first on sys.path)
+import calibrate  # noqa: E402
 import reference  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
@@ -44,9 +46,23 @@ class SeedTests(unittest.TestCase):
 
     def test_eval_design_is_full_factorial(self):
         ops = workloads.eval_ops(3)
-        cells = sorted((r.mode, r.base, r.depth, r.n) for r in ops)
+        inside = [r for r in ops if r.outside is None]
+        cells = sorted((r.mode, r.base, r.depth, r.n) for r in inside)
         self.assertEqual(cells, sorted((m, b, d, n) for m, b, _, d, n in workloads.CELLS * workloads.EVAL_REPLICATES))
-        self.assertEqual(sum(r.outside is not None for r in ops), len(ops) // workloads.OUTSIDE_EVERY)
+        self.assertEqual(len(ops) - len(inside), len(workloads.CELLS) // workloads.OUTSIDE_EVERY * workloads.EVAL_REPLICATES)
+
+    def test_eval_mix_is_the_same_for_every_seed(self):
+        def mix(seed, key):
+            return sorted(key(r) for r in workloads.eval_ops(seed) if r.outside is None)
+
+        def top(r):
+            return (r.mode, r.base, r.depth, r.n, max(sum(degs) for _, _, degs in r.inv))
+
+        def terms(r):
+            return (r.mode, r.base, r.depth, r.n, len(r.pfs))
+
+        for key in (top, terms):
+            self.assertEqual(mix(3, key), mix(4, key))
 
     def test_series_pairs_are_distinct(self):
         ops = workloads.series_ops(3)
@@ -177,10 +193,31 @@ class RunOpTests(unittest.TestCase):
             self.assertGreater(sum(tracer.calls.values()), 0)
 
 
+class CalibrationTests(unittest.TestCase):
+    def test_timer_leaves_out_kernel_samples(self):
+        with calibrate.Speed() as speed:
+            with workloads.Timer() as timer:
+                end = time.thread_time() + 0.3
+                while time.thread_time() < end:
+                    pass
+        inside = [t for at, t in zip(speed.at, speed.took) if timer.c0 <= at <= timer.c1]
+        self.assertGreater(len(inside), 0)
+        self.assertAlmostEqual(timer.cpu, timer.c1 - timer.c0 - sum(inside), delta=1e-3)
+
+    def test_scale_uses_samples_near_the_operation(self):
+        speed = calibrate.Speed()
+        speed.at = [0.1 * k for k in range(100)]
+        speed.took = [calibrate.REF_S] * 50 + [2 * calibrate.REF_S] * 50
+        self.assertAlmostEqual(speed.scale(1.0, 1.5), 1.0)
+        self.assertAlmostEqual(speed.scale(8.0, 8.5), 0.5)
+        self.assertAlmostEqual(speed.scale(-5.0, -4.0), 1.0)  # widened to MIN_NEAR
+        self.assertAlmostEqual(speed.scale(4.0, 5.9), 2 / 3)  # half fast, half slow
+
+
 class MetricNameTests(unittest.TestCase):
     def test_end_to_end_names(self):
-        timer = SimpleNamespace(cpu=0.01, wall=0.02)
-        metrics = run.end_to_end([[run.Op(timer, True, "W")] * 10], [0.2, 0.3])
+        timer = SimpleNamespace(cpu=0.01, wall=0.02, c0=0.0, c1=0.01)
+        metrics = run.end_to_end([[run.Op(timer, True, "W")] * 10], [0.2, 0.3], 25.0)
         self.assertEqual({k: u for k, (_, u) in metrics.items()}, _declared("end_to_end"))
 
     def test_per_layer_names(self):

@@ -13,7 +13,10 @@ import io
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
+
+import calibrate
 
 # The run_suite calls of tests/test_acceptance.py at their exact configs
 # (criterion 12 runs two suites), then `lambda` at the default RunConfig.
@@ -46,9 +49,11 @@ SHAPES = ("single", "combo", "single", "combo", "product")
 DEPTHS = range(5)
 LEVELS = range(1, 4)
 # The stream replicates a full factorial over mode x base x shape x depth x
-# level, so the mix, and with it most of a pass's cost, is the same for every
-# seed; degrees, forms and coefficients are drawn.  In each replicate one
-# cell in OUTSIDE_EVERY, drawn, gets a form outside I^n and must exit 3.
+# level, and within each cell the top degrees and Pfister term counts take
+# fixed shares, so the mix, and with it most of a pass's cost and its tail,
+# is the same for every seed; forms and coefficients are drawn.  For every
+# OUTSIDE_EVERY requests of the design one more, on a drawn cell, has a form
+# outside I^n and must exit 3.
 CELLS = [
     (mode, base, shape, depth, n)
     for mode in MODES
@@ -57,9 +62,13 @@ CELLS = [
     for depth in DEPTHS
     for n in LEVELS
 ]
-EVAL_REPLICATES = 2
+# Six replicates (3600 requests in the design) give each cell's 12 single
+# and 12 combination requests every top degree equally often, and leave 38
+# of the 3780 requests beyond the 99th percentile.
+EVAL_REPLICATES = 6
 OUTSIDE_EVERY = 20
 MAX_DEGREE = 6
+PF_TERMS = range(1, 5)
 # Over a real-closed base a W-mode value of total degree n*d has leaf
 # signatures of order 2^(n*d), and the CLI prints one entry per unit of
 # signature.  Capping n*d there keeps a single answer interactive in size;
@@ -67,9 +76,9 @@ MAX_DEGREE = 6
 REAL_W_MAX_ND = 6
 
 SERIES_LEVELS = range(1, 7)
-# Cold cost grows as roughly prec^4.4, so the seed only moves each rung by
-# 0 or 1; every (n, prec) pair is distinct, so the lru_cache never hits.
-# Rungs 4 apart keep the costs dense around the median dump.
+# Cold cost grows as roughly prec^4.4, so the seed only moves each rung but
+# the top one by 0 or 1; every (n, prec) pair is distinct, so the lru_cache
+# never hits.  Rungs 4 apart keep the costs dense around the median dump.
 SERIES_RUNGS = range(24, 72, 4)
 
 
@@ -168,28 +177,41 @@ class EvalRequest:
         return 3 if self.outside else 0
 
 
-def _eval_request(rng: random.Random, cell: tuple, outside: bool) -> EvalRequest:
-    mode, base, shape, depth, n = cell
+def _degrees(cell: tuple) -> range:
+    """The top degrees a request of this cell can have: that of its
+    highest f-term, or s + t for a product f[n,s]*f[n,t]."""
+    mode, base, shape, _, n = cell
     real_w = base == "R" and mode == "W"
     max_deg = min(MAX_DEGREE, REAL_W_MAX_ND // n) if real_w else MAX_DEGREE
+    return range(2 if shape == "product" else 1, max_deg + 1)
+
+
+def _even(levels, count: int) -> list:
+    """`count` values that take the levels as evenly as they go, the lowest
+    levels first when they cannot all take the same share."""
+    return [levels[j * len(levels) // count] for j in range(count)]
+
+
+def _eval_request(rng: random.Random, cell: tuple, top: int, terms: int, outside: bool) -> EvalRequest:
+    mode, base, shape, depth, n = cell
     gens = (0 if base == "C" else 1) + depth
     pfs = tuple(
         (rng.choice((1, -1)), tuple(rng.randrange(1 << gens) for _ in range(n)))
-        for _ in range(rng.randint(1, 4))
+        for _ in range(terms)
     )
     if shape == "single":
-        inv = ((1, 0, (rng.randint(1, max_deg),)),)
+        inv = ((1, 0, (top,)),)
     elif shape == "product":
-        s = rng.randint(1, max_deg - 1)
-        inv = ((1, 0, (s, rng.randint(1, max_deg - s))),)
+        s = rng.randint(1, top - 1)
+        inv = ((1, 0, (s, top - s)),)
     else:
-        terms = [
-            (rng.choice((1, -1)) * rng.randint(1, 3), rng.randint(0, 2), (rng.randint(1, max_deg),))
-            for _ in range(rng.randint(1, 3))
-        ]
+        combo = [(1, rng.randint(0, 2), (top,))]
+        combo += [(1, rng.randint(0, 2), (rng.randint(1, top),)) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(combo)
+        combo = [(rng.choice((1, -1)) * rng.randint(1, 3), j, degs) for _, j, degs in combo]
         if rng.random() < 1 / 3:
-            terms.append((rng.choice((1, -1)) * rng.randint(1, 3), 0, ()))
-        inv = tuple(terms)
+            combo.append((rng.choice((1, -1)) * rng.randint(1, 3), 0, ()))
+        inv = tuple(combo)
     kind = None
     if outside:
         kind = "low" if n >= 2 and depth >= n - 1 else "odd"
@@ -197,12 +219,23 @@ def _eval_request(rng: random.Random, cell: tuple, outside: bool) -> EvalRequest
 
 
 def eval_ops(seed: int, replicates: int = EVAL_REPLICATES) -> list[EvalRequest]:
-    """Every cell of the design `replicates` times, in seeded order."""
+    """Every cell of the design `replicates` times, then the requests
+    outside I^n, in seeded order.  Across a cell's requests the top degrees
+    and the numbers of Pfister terms, the main drivers of a request's cost,
+    take fixed shares, so only their pairing, the forms and the
+    coefficients are drawn."""
     rng = random.Random(seed)
-    out = []
-    for _ in range(replicates):
-        outside = set(rng.sample(range(len(CELLS)), len(CELLS) // OUTSIDE_EVERY))
-        out += [_eval_request(rng, cell, i in outside) for i, cell in enumerate(CELLS)]
+    slots = {}
+    for cell, k in Counter(CELLS).items():
+        tops = _even(_degrees(cell), k * replicates)
+        terms = _even(PF_TERMS, k * replicates)
+        rng.shuffle(tops)
+        rng.shuffle(terms)
+        slots[cell] = list(zip(tops, terms))
+    out = [_eval_request(rng, cell, *slots[cell].pop(), False) for _ in range(replicates) for cell in CELLS]
+    for _ in range(len(CELLS) // OUTSIDE_EVERY * replicates):
+        cell = rng.choice(CELLS)
+        out.append(_eval_request(rng, cell, rng.choice(_degrees(cell)), rng.choice(PF_TERMS), True))
     rng.shuffle(out)
     return out
 
@@ -212,9 +245,12 @@ def eval_ops(seed: int, replicates: int = EVAL_REPLICATES) -> list[EvalRequest]:
 
 
 def series_ops(seed: int) -> list[tuple[int, int]]:
-    """Distinct (n, prec) pairs, one per level and rung, in seeded order."""
+    """Distinct (n, prec) pairs, one per level and rung, in seeded order.
+    The top rung stays put: its dumps are the slowest, so they set the 99th
+    percentile, and one step up costs them 7%."""
     rng = random.Random(seed)
-    out = [(n, rung + rng.randint(0, 1)) for n in SERIES_LEVELS for rung in SERIES_RUNGS]
+    top = SERIES_RUNGS[-1]
+    out = [(n, rung + (rng.randint(0, 1) if rung < top else 0)) for n in SERIES_LEVELS for rung in SERIES_RUNGS]
     rng.shuffle(out)
     return out
 
@@ -228,21 +264,26 @@ def series_argv(n: int, prec: int) -> list[str]:
 
 
 class Timer:
-    """CPU and wall seconds of one call.  The benchmark reports CPU time: the
-    calls are single-threaded and do no I/O, so on an idle machine the two
-    agree, while on a shared VM wall time also counts the time the vCPU was
+    """CPU and wall seconds of one call, less the calibration kernel samples
+    that interrupted it (calibrate.py), and the thread CPU times it started
+    and ended at.  The benchmark reports CPU time: the calls are
+    single-threaded and do no I/O, so on an idle machine the two agree,
+    while on a shared VM wall time also counts the time the vCPU was
     preempted."""
 
-    __slots__ = ("cpu", "wall", "_c0", "_w0")
+    __slots__ = ("cpu", "wall", "c0", "c1", "_w0", "_k0")
 
     def __enter__(self):
+        self._k0 = calibrate.spent()
         self._w0 = time.perf_counter()
-        self._c0 = time.process_time()
+        self.c0 = time.thread_time()
         return self
 
     def __exit__(self, *exc):
-        self.cpu = time.process_time() - self._c0
-        self.wall = time.perf_counter() - self._w0
+        self.c1 = time.thread_time()
+        kernel = calibrate.spent() - self._k0
+        self.cpu = self.c1 - self.c0 - kernel
+        self.wall = time.perf_counter() - self._w0 - kernel
 
 
 def call_cli(argv: list[str]) -> tuple[Timer, int, str, str]:
