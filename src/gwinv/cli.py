@@ -114,6 +114,9 @@ def cmd_verify(args) -> int:
         mode=args.mode,
     )
     report = run_suite(args.suite, cfg)
+    if report["cases_total"] == 0:
+        print(f"suite {args.suite!r} has no case for this config", file=sys.stderr)
+        return EXIT_PARSE
     if args.format == "json":
         print(json.dumps(report, sort_keys=True))
     elif args.format == "csv":
@@ -189,6 +192,9 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_PARSE
     if args.command == "series" and args.n < 1:
         print("error: --n must be >= 1", file=sys.stderr)
+        return EXIT_PARSE
+    if args.command == "series" and args.prec < 0:
+        print("error: --prec must be >= 0", file=sys.stderr)
         return EXIT_PARSE
     return args.func(args)
 

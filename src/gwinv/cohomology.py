@@ -21,7 +21,7 @@ from .fields import (
     SquareClass,
     minus_one,
 )
-from .witt import MembershipError, WittClass, is_in_In
+from .witt import MembershipError, WittClass, _base_add, _base_neg, is_in_In
 
 
 @dataclass(frozen=True)
@@ -162,13 +162,6 @@ def coh_residue(x: CohClass) -> CohClass:
     return CohClass(sub, monos)
 
 
-def embed(x: CohClass, field: FieldDescriptor) -> CohClass:
-    """Push a class from a sub-tower into a taller tower (same monomials)."""
-    if x.field != field.parent():
-        raise FieldMismatchError("can only embed from the immediate sub-tower")
-    return CohClass(field, x.monos)
-
-
 def e_n(q: WittClass, n: int) -> CohClass:
     """The degree-n cohomological invariant of a class in I^n."""
     if not is_in_In(q, n):
@@ -177,45 +170,45 @@ def e_n(q: WittClass, n: int) -> CohClass:
 
 
 def _e_unchecked(q: WittClass, n: int) -> CohClass:
-    """Springer recursion for e_n, assuming q is in I^n.
+    """Springer recursion for e_n on the leaves of q, assuming q is in I^n.
 
-    With canonical data q = u + <t> r, the splitting q = a + <<t>> b has
-    a = u + r and b = -r (from <t> r = r - <<t>> r), so
-    e_n(q) = e_n(a) + (t) cup e_{n-1}(b).
+    With the top variable t splitting the leaves as q = u + <t> r, the
+    splitting q = a + <<t>> b has a = u + r and b = -r (from
+    <t> r = r - <<t>> r), so e_n(q) = e_n(a) + (t) cup e_{n-1}(b).  The cup
+    with (t) only sets t's bit, which no monomial of e_{n-1}(b) carries.
     """
     field = q.field
-    if n == 0:
-        return (
-            CohClass.one(field) if q.dim_parity else CohClass.zero(field)
-        )
-    if q.base is None:
-        a = q.unram + q.ram
-        b = -q.ram
-        out = embed(_e_unchecked(a, n), field)
-        t_class = CohClass(field, frozenset({(0, 1 << (field.depth - 1))}))
-        return out + t_class * embed(_e_unchecked(b, n - 1), field)
-    if field.kind == QUAD_CLOSED:
-        if not q.is_zero:
-            raise MembershipError("nontrivial class over a quadratically closed base")
-        return CohClass.zero(field)
-    if field.kind == REAL_CLOSED:
-        sig = q.base[0]
-        if sig % (1 << n) != 0:
-            raise MembershipError(f"signature {sig} not divisible by 2^{n}")
-        if (sig >> n) % 2:
-            return CohClass(field, frozenset({(n, 0)}))
-        return CohClass.zero(field)
-    # finite base: degree 1 is the signed discriminant, degree >= 2 vanishes
-    parity, disc = q.base
-    if n == 1:
-        if parity:
-            raise MembershipError("odd-dimensional class is not in I")
-        if disc:
-            return CohClass(field, frozenset({(1, 0)}))
-        return CohClass.zero(field)
-    if not q.is_zero:
-        raise MembershipError(f"nontrivial class over a finite base is not in I^{n}")
-    return CohClass.zero(field)
+
+    def monos(leaves: tuple, n: int) -> frozenset:
+        if n == 0:
+            return frozenset({(0, 0)} if sum(p[0] for p in leaves) % 2 else ())
+        half = len(leaves) // 2
+        if half:
+            u, r = leaves[:half], leaves[half:]
+            a = tuple(_base_add(field, x, y) for x, y in zip(u, r))
+            b = tuple(_base_neg(field, y) for y in r)
+            return monos(a, n) | {(e, v | half) for e, v in monos(b, n - 1)}
+        p = leaves[0]
+        if field.kind == QUAD_CLOSED:
+            if any(p):
+                raise MembershipError("nontrivial class over a quadratically closed base")
+            return frozenset()
+        if field.kind == REAL_CLOSED:
+            sig = p[0]
+            if sig % (1 << n) != 0:
+                raise MembershipError(f"signature {sig} not divisible by 2^{n}")
+            return frozenset({(n, 0)} if (sig >> n) % 2 else ())
+        # finite base: degree 1 is the signed discriminant, degree >= 2 vanishes
+        parity, disc = p
+        if n == 1:
+            if parity:
+                raise MembershipError("odd-dimensional class is not in I")
+            return frozenset({(1, 0)} if disc else ())
+        if any(p):
+            raise MembershipError(f"nontrivial class over a finite base is not in I^{n}")
+        return frozenset()
+
+    return CohClass(field, monos(q.leaves, n))
 
 
 def render_coh(x: CohClass) -> str:

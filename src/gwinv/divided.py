@@ -49,10 +49,6 @@ W_TARGET = InvariantTarget("W")
 H_TARGET = InvariantTarget("H")
 
 
-def target_from(mode: str) -> InvariantTarget:
-    return InvariantTarget(mode.upper())
-
-
 # -- value-side helpers (A(K) arithmetic uniform over the two modes)
 
 

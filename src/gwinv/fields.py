@@ -32,12 +32,14 @@ class FieldSyntaxError(ValueError):
 def _is_odd_prime_power(q: int) -> bool:
     if q < 3 or q % 2 == 0:
         return False
-    for p in range(3, q + 1, 2):
+    p = 3
+    while p * p <= q:
         if q % p == 0:
             while q % p == 0:
                 q //= p
             return q == 1
-    return False
+        p += 2
+    return True  # no odd divisor up to sqrt(q): q is prime
 
 
 @dataclass(frozen=True)

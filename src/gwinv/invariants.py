@@ -494,6 +494,8 @@ def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
     if len(levels) > 1:
         raise InvariantSyntaxError(f"mixed levels {sorted(levels)} in one invariant")
     n = levels.pop()
+    if n < 1:
+        raise InvariantSyntaxError(f"the level n must be >= 1, got {n}")
     bases = {b for _, gens in terms for b, _, _ in gens}
     basis = "g" if bases == {"g"} else "f"
     total = SymbolicInvariant.zero(n, mode, basis)

@@ -137,6 +137,12 @@ def _fields(cfg: RunConfig, max_depth: int = 2):
     return standard_fields(max_depth)
 
 
+def _cycle(fields: list, count: int) -> list:
+    """``count`` (case index, field) pairs cycling through ``fields``; none
+    when no field applies, so that the family is skipped."""
+    return [(i, fields[i % len(fields)]) for i in range(count)] if fields else []
+
+
 # ---------------------------------------------------------------------------
 # series
 
@@ -464,8 +470,7 @@ def verify_g_bounds(cfg: RunConfig) -> dict:
     # ... and holds over quadratically closed towers, where f = g
     cf = [F for F in fields if F.kind == "C"]
     for target in cfg.targets():
-        for i in range(max(1, cfg.samples // 4)):
-            F = cf[i % len(cf)]
+        for i, F in _cycle(cf, max(1, cfg.samples // 4)):
             n = rng.randint(1, cfg.n_max)
             s = rng.randint(0, 2)
             t = rng.randint(0, 2)
@@ -576,8 +581,7 @@ def verify_classify(cfg: RunConfig) -> dict:
     # signed-discriminant class over non-real towers
     rng3 = Random(cfg.seed + 2)
     disc_fields = [F for F in fields if F.kind in ("C", "F")]
-    for i in range(max(1, cfg.samples // 4)):
-        F = disc_fields[i % len(disc_fields)]
+    for i, F in _cycle(disc_fields, max(1, cfg.samples // 4)):
         m = rng3.choice((2, 4, 6))
         x = rand_diag(rng3, F, m)
         q = witt_canonical(x)
@@ -812,8 +816,7 @@ def verify_ram(cfg: RunConfig) -> dict:
     rng = Random(cfg.seed)
     fields = [F for F in _fields(cfg) if F.depth >= 1]
     for target in cfg.targets():
-        for i in range(cfg.samples):
-            F = fields[i % len(fields)]
+        for i, F in _cycle(fields, cfg.samples):
             n = rng.randint(1, min(cfg.n_max, 2))
             d = rng.randint(0, min(cfg.d_max, 4))
             pos = rng.randint(0, 2)
@@ -830,8 +833,7 @@ def verify_ram(cfg: RunConfig) -> dict:
                     f"{fam}_{n}^{d} stays unramified over {F} ({target.mode}, case {i})",
                     res.is_zero,
                 )
-    for i in range(cfg.samples):
-        F = fields[i % len(fields)]
+    for i, F in _cycle(fields, cfg.samples):
         d = rng.randint(1, 3)
         q = rand_in_In(rng, F, d, max_terms=2)
         run.check(

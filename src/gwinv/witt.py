@@ -2,9 +2,11 @@
 
 A ``GwElement`` is a formal ZZ-combination of one-dimensional diagonal
 forms <a> with square-class entries.  A ``WittClass`` is the canonical form
-of its image in the Witt ring: recursively, the pair (unramified part,
-ramified part) of the top-variable splitting, bottoming out in base-field
-data (dimension parity / signature / parity plus signed discriminant).
+of its image in the Witt ring.  Iterating Springer's theorem,
+W(K((t))) = W(K) + <t> W(K), over a tower K0((t1))...((tk)) makes the Witt
+ring the group ring W(K0)[(Z/2)^k]; a class is stored flat as its 2^k
+leaves, one base payload (dimension parity / signature / parity plus signed
+discriminant) per variable mask.
 Equality in GW is decided through the pair (dimension, Witt class), which
 determines an element uniquely.
 """
@@ -177,72 +179,70 @@ def gpfister(classes: list[SquareClass] | tuple[SquareClass, ...]) -> GwElement:
 
 @dataclass(frozen=True)
 class WittClass:
-    """Canonical form of a Witt class; structural equality is Witt equality."""
+    """Canonical form of a Witt class; structural equality is Witt equality.
+
+    ``leaves[v]`` is the base payload of the Springer component at variable
+    mask v, for 0 <= v < 2^depth, with the top variable as the top bit.
+    """
 
     field: FieldDescriptor
-    base: tuple | None = None
-    unram: "WittClass | None" = None
-    ram: "WittClass | None" = None
+    leaves: tuple
 
     @property
     def is_zero(self) -> bool:
-        if self.base is not None:
-            return all(v == 0 for v in self.base)
-        return self.unram.is_zero and self.ram.is_zero
+        return all(x == 0 for p in self.leaves for x in p)
 
     @property
     def dim_parity(self) -> int:
-        if self.base is not None:
-            if self.field.kind == REAL_CLOSED:
-                return self.base[0] % 2
-            return self.base[0]
-        return (self.unram.dim_parity + self.ram.dim_parity) % 2
+        return sum(p[0] for p in self.leaves) % 2
 
-    def __add__(self, other: "WittClass") -> "WittClass":
+    def _check(self, other: "WittClass") -> None:
         if self.field != other.field:
             raise FieldMismatchError("Witt classes over different fields")
-        if self.base is not None:
-            return WittClass(self.field, _base_add(self.field, self.base, other.base))
+
+    def __add__(self, other: "WittClass") -> "WittClass":
+        self._check(other)
+        f = self.field
         return WittClass(
-            self.field,
-            unram=self.unram + other.unram,
-            ram=self.ram + other.ram,
+            f, tuple(_base_add(f, p1, p2) for p1, p2 in zip(self.leaves, other.leaves))
         )
 
     def __sub__(self, other: "WittClass") -> "WittClass":
         return self + (-other)
 
     def __neg__(self) -> "WittClass":
-        if self.base is not None:
-            return WittClass(self.field, _base_neg(self.field, self.base))
-        return WittClass(self.field, unram=-self.unram, ram=-self.ram)
+        f = self.field
+        return WittClass(f, tuple(_base_neg(f, p) for p in self.leaves))
 
     def __mul__(self, other: "WittClass") -> "WittClass":
-        if self.field != other.field:
-            raise FieldMismatchError("Witt classes over different fields")
-        if self.base is not None:
-            return WittClass(self.field, _base_mul(self.field, self.base, other.base))
-        u1, r1, u2, r2 = self.unram, self.ram, other.unram, other.ram
-        return WittClass(self.field, unram=u1 * u2 + r1 * r2, ram=u1 * r2 + r1 * u2)
+        """XOR convolution of the leaves, since <t><t> = <1>."""
+        self._check(other)
+        f = self.field
+        out = [_base_payload(f, {})] * len(self.leaves)
+        for v1, p1 in enumerate(self.leaves):
+            for v2, p2 in enumerate(other.leaves):
+                out[v1 ^ v2] = _base_add(f, out[v1 ^ v2], _base_mul(f, p1, p2))
+        return WittClass(f, tuple(out))
 
     def int_mul(self, n: int) -> "WittClass":
-        out = witt_zero(self.field)
-        step = self if n >= 0 else -self
-        for _ in range(abs(n)):
-            out = out + step
+        f = self.field
+        if f.kind == REAL_CLOSED:
+            return WittClass(f, tuple((n * p[0],) for p in self.leaves))
+        # W(C) and W(F_q) have exponent 2 or 4, so n acts as n mod 4
+        out = witt_zero(f)
+        for _ in range(n % 4):
+            out = out + self
         return out
 
     def scale_sq(self, a: SquareClass) -> "WittClass":
-        """Pointwise multiplication by the scalar a."""
+        """Pointwise multiplication by the scalar a: its variable part
+        permutes the leaves, its base part scales each of them."""
         if self.field != a.field:
             raise FieldMismatchError("scalar over a different field")
-        if self.base is not None:
-            return WittClass(self.field, _base_scale(self.field, self.base, a.mask))
-        sub = SquareClass(self.field.parent(), a.mask & (self.field.top_bit - 1))
-        u, r = self.unram.scale_sq(sub), self.ram.scale_sq(sub)
-        if a.mask & self.field.top_bit:
-            u, r = r, u
-        return WittClass(self.field, unram=u, ram=r)
+        f, v, b = self.field, a.var_mask, a.base_mask
+        return WittClass(
+            f, tuple(_base_scale(f, self.leaves[w ^ v], b) for w in range(len(self.leaves)))
+        )
 
     def diag_rep(self) -> list[SquareClass]:
         """A small diagonal form with this Witt class."""
@@ -253,6 +253,10 @@ class WittClass:
         if not rep:
             return "0"
         return "<" + ",".join(str(a) for a in rep) + ">"
+
+
+# Base payloads, the leaves of a WittClass.  Only ``field.kind`` and the mask
+# of -1 are read, so any tower over the base may be passed as ``field``.
 
 
 def _base_add(field: FieldDescriptor, p1: tuple, p2: tuple) -> tuple:
@@ -333,21 +337,15 @@ def _base_rep_masks(field: FieldDescriptor, p: tuple) -> list[int]:
 
 
 def _rep_masks(w: WittClass) -> list[int]:
-    if w.base is not None:
-        return _base_rep_masks(w.field, w.base)
-    top = w.field.top_bit
-    return _rep_masks(w.unram) + [m | top for m in _rep_masks(w.ram)]
+    """Diagonal entries of ``diag_rep``, leaf by leaf in ascending mask order."""
+    bits = w.field.base_bits
+    return [
+        m | v << bits for v, p in enumerate(w.leaves) for m in _base_rep_masks(w.field, p)
+    ]
 
 
 def witt_zero(field: FieldDescriptor) -> WittClass:
-    if field.depth == 0:
-        if field.kind == QUAD_CLOSED:
-            return WittClass(field, (0,))
-        if field.kind == REAL_CLOSED:
-            return WittClass(field, (0,))
-        return WittClass(field, (0, 0))
-    sub = witt_zero(field.parent())
-    return WittClass(field, unram=sub, ram=sub)
+    return WittClass(field, (_base_payload(field, {}),) * (1 << field.depth))
 
 
 def witt_one(field: FieldDescriptor) -> WittClass:
@@ -355,25 +353,14 @@ def witt_one(field: FieldDescriptor) -> WittClass:
 
 
 def witt_canonical(x: GwElement) -> WittClass:
-    """Springer normal form: split entries by the parity of the top
-    variable's exponent and recurse, reducing to base data at depth 0."""
+    """Springer normal form: bucket the entries by their variable mask and
+    reduce each bucket to base data."""
     field = x.field
-    if field.depth == 0:
-        return WittClass(field, _base_payload(field, x.terms))
-    top = field.top_bit
-    sub = field.parent()
-    unram: dict[int, int] = {}
-    ram: dict[int, int] = {}
+    bits = field.base_bits
+    buckets: list[dict[int, int]] = [{} for _ in range(1 << field.depth)]
     for m, c in x.terms.items():
-        if m & top:
-            ram[m ^ top] = ram.get(m ^ top, 0) + c
-        else:
-            unram[m] = unram.get(m, 0) + c
-    return WittClass(
-        field,
-        unram=witt_canonical(GwElement(sub, unram)),
-        ram=witt_canonical(GwElement(sub, ram)),
-    )
+        buckets[m >> bits][m & ((1 << bits) - 1)] = c
+    return WittClass(field, tuple(_base_payload(field, b) for b in buckets))
 
 
 def gw_equal(x: GwElement, y: GwElement) -> bool:
@@ -385,16 +372,17 @@ def gw_equal(x: GwElement, y: GwElement) -> bool:
 
 def second_residue(q: WittClass) -> WittClass:
     """The ramified component of the Springer splitting for the top
-    variable; vanishes exactly on unramified classes."""
-    if q.base is not None:
+    variable (the upper half of the leaves); vanishes exactly on
+    unramified classes."""
+    if q.field.depth == 0:
         raise ValueError("second residue needs a tower of depth >= 1")
-    return q.ram
+    return WittClass(q.field.parent(), q.leaves[len(q.leaves) // 2 :])
 
 
 def unramified_part(q: WittClass) -> WittClass:
-    if q.base is not None:
+    if q.field.depth == 0:
         raise ValueError("unramified part needs a tower of depth >= 1")
-    return q.unram
+    return WittClass(q.field.parent(), q.leaves[: len(q.leaves) // 2])
 
 
 def hat_lift(q: WittClass) -> GwElement:

@@ -44,6 +44,11 @@ class TestSeries:
         code, _, err = run(capsys, "series", "--n", "0", "--prec", "4")
         assert code == EXIT_PARSE
 
+    def test_negative_precision(self, capsys):
+        code, _, err = run(capsys, "series", "--n", "1", "--prec", "-1")
+        assert code == EXIT_PARSE
+        assert "--prec" in err
+
 
 class TestEval:
     def test_two_pfister_sum(self, capsys):
@@ -98,6 +103,17 @@ class TestEval:
             capsys,
             "eval",
             "--inv", "f[1,1",
+            "--form", "pf(t1)",
+            "--field", "R((t1))",
+        )
+        assert code == EXIT_PARSE
+        assert "parse error" in err
+
+    def test_level_zero_exit_2(self, capsys):
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--inv", "f[0,1]",
             "--form", "pf(t1)",
             "--field", "R((t1))",
         )
@@ -163,6 +179,30 @@ class TestVerify:
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == EXIT_OK
         assert out1 == out2
+
+    def test_suite_without_applicable_case_exits_2(self, capsys):
+        # the ramification identities need a tower of depth >= 1
+        code, out, err = run(
+            capsys, "verify", "--suite", "ram", "--field", "C", "--samples", "4",
+        )
+        assert code == EXIT_PARSE
+        assert out == "" and "no case" in err
+
+    def test_g_bounds_over_R_skips_quad_closed_family(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "g-bounds", "--field", "R",
+            "--samples", "4", "--n-max", "2", "--d-max", "3", "--format", "json",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["cases_total"] > 0
+
+    def test_classify_over_R_skips_disc_family(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "classify", "--field", "R",
+            "--samples", "4", "--n-max", "2", "--d-max", "3", "--format", "json",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["cases_total"] > 0
 
     def test_text_report(self, capsys):
         code, out, _ = run(

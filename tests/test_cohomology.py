@@ -16,7 +16,13 @@ from gwinv.cohomology import (
     symbol,
 )
 from gwinv.fields import enumerate_sc, minus_one, parse_field, parse_sc, sc_gen, sc_one
-from gwinv.sampling import rand_in_In, rand_pfister_slots, rand_sc, standard_fields
+from gwinv.sampling import (
+    rand_in_In,
+    rand_in_In_data,
+    rand_pfister_slots,
+    rand_sc,
+    standard_fields,
+)
 from gwinv.witt import (
     GwElement,
     MembershipError,
@@ -105,6 +111,18 @@ class TestEn:
                 slots = rand_pfister_slots(rng, F, n)
                 q = witt_canonical(pfister(slots))
                 assert e_n(q, n) == symbol(list(slots))
+
+    def test_pfister_sums_on_deep_towers(self):
+        rng = random.Random(41)
+        fields = standard_fields(4)
+        for F in [F for F in fields if F.depth >= 3]:
+            for n in (1, 2, 3):
+                pos = rng.randint(1, 3)
+                q, data = rand_in_In_data(rng, F, n, pos, 3 - pos)
+                want = CohClass.zero(F)
+                for _, slots in data:
+                    want = want + symbol(list(slots))
+                assert e_n(q, n) == want
 
     def test_e2_of_quaternionic_class_over_R(self):
         m1 = minus_one(R)

@@ -44,6 +44,17 @@ class TestFieldDescriptor:
     def test_prime_power_accepted(self):
         assert parse_field("F9").q == 9
 
+    @pytest.mark.parametrize("q", [25, 27, 1000000007])
+    def test_order_accepted(self, q):
+        # a prime this large is only accepted quickly when trial division
+        # stops at sqrt(q)
+        assert parse_field(f"F{q}").q == q
+
+    @pytest.mark.parametrize("q", [1, 21])
+    def test_order_rejected(self, q):
+        with pytest.raises(FieldSyntaxError):
+            parse_field(f"F{q}")
+
     def test_duplicate_vars_rejected(self):
         with pytest.raises(ValueError):
             FieldDescriptor("R", None, ("t", "t"))

@@ -52,7 +52,7 @@ class TestCanonical:
         two = GwElement.diag(sc_one(R), sc_one(R))
         w = witt_canonical(two)
         assert not w.is_zero
-        assert w.base == (2,)
+        assert w.leaves == ((2,),)
 
     def test_fixpoint(self):
         rng = random.Random(7)
@@ -266,6 +266,17 @@ class TestWittRingOps:
                 assert witt_canonical(mul_forms(GwElement.diag(a), x)) == (
                     witt_canonical(x).scale_sq(a)
                 )
+
+    def test_int_mul_is_repeated_addition(self):
+        rng = random.Random(37)
+        for F in standard_fields(2):
+            for _ in range(3):
+                q = witt_canonical(rand_gw(rng, F, rng.randint(1, 5)))
+                for n in range(-9, 10):
+                    want = witt_zero(F)
+                    for _ in range(abs(n)):
+                        want = want + (q if n > 0 else -q)
+                    assert q.int_mul(n) == want
 
     def test_two_q_is_minus_one_pfister_times_q(self):
         rng = random.Random(31)
