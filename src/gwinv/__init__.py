@@ -3,7 +3,7 @@ computable field towers: Grothendieck-Witt arithmetic, mod-2 cohomology,
 the f/g invariant families, a symbolic invariant algebra, and identity
 verification suites."""
 
-from .cohomology import CohClass, coh_residue, cup, e_n, symbol
+from .cohomology import CohClass, coh_residue, e_n, symbol
 from .divided import (
     H_TARGET,
     InvariantTarget,
@@ -30,7 +30,6 @@ from .fields import (
     parse_sc,
     represented_by_binary,
     sc_gen,
-    sc_mul,
     sc_one,
 )
 from .invariants import (
@@ -49,11 +48,8 @@ from .series import (
     build_h,
     build_x,
     catalan,
-    comp_inverse,
-    compose,
     even_odd_split,
     ext_binom,
-    mul,
     multinomial_C,
 )
 from .verify import RunConfig, SUITES, run_suite
@@ -65,7 +61,6 @@ from .witt import (
     hat_lift,
     is_in_In,
     lambda_power,
-    mul_forms,
     parse_form,
     pfister,
     second_residue,

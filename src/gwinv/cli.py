@@ -25,6 +25,17 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_MEMBERSHIP = 3
 
+# The smallest accepted value of each integer flag, per command.
+_MINIMUMS = {
+    "series": (("n", "--n", 1), ("prec", "--prec", 0)),
+    "verify": (
+        ("n_max", "--n-max", 1),
+        ("d_max", "--d-max", 1),
+        ("prec", "--prec", 1),
+        ("samples", "--samples", 0),
+    ),
+}
+
 
 def _series_rows(n: int, prec: int) -> list[tuple[str, list[int]]]:
     x = build_x(n, prec)
@@ -104,6 +115,12 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_PARSE
+    if args.field is not None:
+        try:
+            parse_field(args.field)
+        except FieldSyntaxError as exc:
+            print(f"parse error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     cfg = RunConfig(
         field=args.field,
         prec=args.prec,
@@ -190,12 +207,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_PARSE
-    if args.command == "series" and args.n < 1:
-        print("error: --n must be >= 1", file=sys.stderr)
-        return EXIT_PARSE
-    if args.command == "series" and args.prec < 0:
-        print("error: --prec must be >= 0", file=sys.stderr)
-        return EXIT_PARSE
+    for attr, flag, low in _MINIMUMS.get(args.command, ()):
+        if getattr(args, attr) < low:
+            print(f"error: {flag} must be >= {low}", file=sys.stderr)
+            return EXIT_PARSE
     return args.func(args)
 
 

@@ -133,10 +133,6 @@ def symbol(classes: list[SquareClass] | tuple[SquareClass, ...]) -> CohClass:
     return out
 
 
-def cup(x: CohClass, y: CohClass) -> CohClass:
-    return x * y
-
-
 def minus_one_class(field: FieldDescriptor) -> CohClass:
     return degree1(minus_one(field))
 
@@ -227,25 +223,3 @@ def render_coh(x: CohClass) -> str:
                 factors.append(f"({name})")
         rendered.append(".".join(factors) if factors else "1")
     return " + ".join(rendered)
-
-
-@dataclass(frozen=True)
-class CohRing:
-    """Coefficient adapter for series with cohomology coefficients."""
-
-    field: FieldDescriptor
-
-    @property
-    def zero(self) -> CohClass:
-        return CohClass.zero(self.field)
-
-    @property
-    def one(self) -> CohClass:
-        return CohClass.one(self.field)
-
-    def from_int(self, n: int) -> CohClass:
-        return self.one if n % 2 else self.zero
-
-    @staticmethod
-    def is_zero(x: CohClass) -> bool:
-        return not x.monos

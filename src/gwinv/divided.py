@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import CohClass, CohRing, e_n, minus_one_power
-from .fields import FieldDescriptor, minus_one
-from .series import TruncSeries, ext_binom
+from .cohomology import CohClass, e_n, minus_one_power, symbol
+from .fields import FieldDescriptor, SquareClass
+from .series import TruncSeries, build_h, ext_binom, group_law
 from .witt import (
     GwElement,
     GwRing,
@@ -32,7 +32,7 @@ from .witt import (
 
 @dataclass(frozen=True)
 class InvariantTarget:
-    """The value functor: Witt classes (delta = 1) or cohomology (delta = 0)."""
+    """The value functor: Witt classes (mode W) or cohomology (mode H)."""
 
     mode: str
 
@@ -40,51 +40,63 @@ class InvariantTarget:
         if self.mode not in ("W", "H"):
             raise ValueError("target mode must be 'W' or 'H'")
 
-    @property
-    def delta(self) -> int:
-        return 1 if self.mode == "W" else 0
+    def ring(self, field: FieldDescriptor) -> "ValueRing":
+        return ValueRing(field, self.mode)
 
 
 W_TARGET = InvariantTarget("W")
 H_TARGET = InvariantTarget("H")
 
 
-# -- value-side helpers (A(K) arithmetic uniform over the two modes)
+@dataclass(frozen=True)
+class ValueRing:
+    """The value ring A(K) over one field: W(K) in mode W, H*(K, Z/2) in
+    mode H.  Besides the series-ring protocol (``zero``, ``one``,
+    ``from_int``, ``is_zero``) it sends the universal scalar ring in:
+    ``eps_pow(j)`` is the image of eps^j = {-1}^j, ``symbol`` the image of
+    {a_1,...,a_t}, and ``times(x, c)`` is c.x for a universal coefficient c
+    (an integer in mode W, an F2-polynomial in eps in mode H)."""
 
+    field: FieldDescriptor
+    mode: str
 
-def unit_value(field: FieldDescriptor, target: InvariantTarget):
-    return witt_one(field) if target.mode == "W" else CohClass.one(field)
+    @property
+    def zero(self):
+        return witt_zero(self.field) if self.mode == "W" else CohClass.zero(self.field)
 
+    @property
+    def one(self):
+        return witt_one(self.field) if self.mode == "W" else CohClass.one(self.field)
 
-def zero_value(field: FieldDescriptor, target: InvariantTarget):
-    return witt_zero(field) if target.mode == "W" else CohClass.zero(field)
+    def from_int(self, n: int):
+        if self.mode == "W":
+            return self.one.int_mul(n)
+        return self.one if n % 2 else self.zero
 
+    @staticmethod
+    def is_zero(x) -> bool:
+        return x.is_zero
 
-def int_times(value, c: int, target: InvariantTarget):
-    if target.mode == "W":
-        return value.int_mul(c)
-    return value if c % 2 else CohClass.zero(value.field)
+    def eps_pow(self, j: int):
+        """{-1}^j; in W this is 2^j, since <<-1>> = <1,1> = 2."""
+        if self.mode == "W":
+            return self.from_int(1 << j)
+        return minus_one_power(self.field, j)
 
+    def symbol(self, classes: list[SquareClass] | tuple[SquareClass, ...]):
+        """{a_1,...,a_t}: the Pfister Witt class or the Galois symbol."""
+        if self.mode == "W":
+            return witt_canonical(pfister(classes))
+        return symbol(classes)
 
-def eps_value(field: FieldDescriptor, j: int, target: InvariantTarget):
-    """{-1}^j in the target: a (-1)-Pfister power, or a power of (-1)."""
-    if target.mode == "H":
-        return minus_one_power(field, j)
-    out = witt_one(field)
-    if j:
-        e = witt_canonical(pfister([minus_one(field)]))
-        for _ in range(j):
-            out = out * e
-    return out
-
-
-def f1_of(classes, target: InvariantTarget):
-    """{a_1,...,a_t}: the Pfister Witt class or the Galois symbol."""
-    from .cohomology import symbol
-
-    if target.mode == "W":
-        return witt_canonical(pfister(list(classes)))
-    return symbol(list(classes))
+    def times(self, x, c):
+        if self.mode == "W":
+            return x.int_mul(c)
+        out = self.zero
+        for j in range(c.bits.bit_length()):
+            if c.bits >> j & 1:
+                out = out + self.eps_pow(j) * x
+        return out
 
 
 # -- the divided powers themselves
@@ -100,8 +112,6 @@ def eval_pi_series(n: int, precision: int, x: GwElement) -> TruncSeries:
     if precision == 0:
         return TruncSeries.one(ring, 0)
     lam = lambda_series(x, precision)
-    from .series import build_h
-
     h = build_h(n, precision)
     h_lift = TruncSeries(ring, [ring.from_int(c) for c in h.coeffs])
     return lam.compose(h_lift)
@@ -119,7 +129,7 @@ def eval_f_all(
     n: int, q: WittClass, target: InvariantTarget, d_max: int
 ) -> list:
     """Values of the degree-0..d_max f-family members on q, sharing one
-    divided-power series."""
+    divided-power series; the one membership check of an evaluation."""
     if not is_in_In(q, n):
         raise MembershipError(f"class is not in I^{n}")
     series = eval_pi_series(n, d_max, hat_lift(q)) if d_max else None
@@ -158,15 +168,11 @@ def g_transition_terms(n: int, d: int) -> list[tuple[int, int, int]]:
 
 def eval_g(n: int, d: int, q: WittClass, target: InvariantTarget):
     """The balanced invariant family, through the f-basis rebasing."""
-    if not is_in_In(q, n):
-        raise MembershipError(f"class is not in I^{n}")
-    if d == 0:
-        return unit_value(q.field, target)
     fvals = eval_f_all(n, q, target, d)
-    out = zero_value(q.field, target)
+    ring = target.ring(q.field)
+    out = ring.zero
     for c, j, k in g_transition_terms(n, d):
-        term = int_times(eps_value(q.field, j, target) * fvals[k], c, target)
-        out = out + term
+        out = out + ring.from_int(c) * ring.eps_pow(j) * fvals[k]
     return out
 
 
@@ -176,28 +182,13 @@ def eval_g(n: int, d: int, q: WittClass, target: InvariantTarget):
 def sw_series(x: GwElement, precision: int, target: InvariantTarget) -> TruncSeries:
     """The unique group morphism GW -> 1 + t A[[t]] sending <a> to
     1 + {a} t, truncated."""
-    field = x.field
-    ring = _value_ring(field, target)
-    if precision == 0:
-        return TruncSeries.one(ring, 0)
-    num = TruncSeries.one(ring, precision)
-    den = TruncSeries.one(ring, precision)
-    for a, c in x.entries():
-        binom = TruncSeries(
-            ring, [ring.one, f1_of([a], target)], precision=precision
-        )
-        if c > 0:
-            num = num * binom.pow(c)
-        else:
-            den = den * binom.pow(-c)
-    return num * den.mul_inverse()
+    ring = target.ring(x.field)
+    return group_law(ring, ((ring.symbol([a]), c) for a, c in x.entries()), precision)
 
 
 def eval_sw(d: int, x: GwElement, target: InvariantTarget):
     """Degree-d coefficient of ``sw_series``; over cohomology this is the
     d-th Stiefel-Whitney class of a diagonal form."""
-    if d == 0:
-        return unit_value(x.field, target)
     return sw_series(x, d, target).coeff(d)
 
 
@@ -232,9 +223,9 @@ def eval_fixed_dim(
     if m % 2:
         raise ValueError("fixed-dimension evaluation needs even dimension")
     r = m // 2
-    field = x.field
-    sw = sw_series(x, d, target) if d else None
-    out = zero_value(field, target)
+    ring = target.ring(x.field)
+    sw = sw_series(x, d, target)
+    out = ring.zero
     for i in range(d + 1):
         if basis == "f":
             c = ext_binom(r - i, d - i)
@@ -242,33 +233,6 @@ def eval_fixed_dim(
             c = ext_binom(r - i - 1 + (d + 1) // 2, d - i)
         if c == 0:
             continue
-        h_i = sw.coeff(i) if i else unit_value(field, target)
-        term = eps_value(field, d - i, target) * h_i
-        out = out + int_times(term, c if i % 2 == 0 else -c, target)
+        sign = c if i % 2 == 0 else -c
+        out = out + ring.from_int(sign) * ring.eps_pow(d - i) * sw.coeff(i)
     return out
-
-
-def _value_ring(field: FieldDescriptor, target: InvariantTarget):
-    return WittRing(field) if target.mode == "W" else CohRing(field)
-
-
-@dataclass(frozen=True)
-class WittRing:
-    """Coefficient adapter for series with Witt-class coefficients."""
-
-    field: FieldDescriptor
-
-    @property
-    def zero(self) -> WittClass:
-        return witt_zero(self.field)
-
-    @property
-    def one(self) -> WittClass:
-        return witt_one(self.field)
-
-    def from_int(self, n: int) -> WittClass:
-        return witt_one(self.field).int_mul(n)
-
-    @staticmethod
-    def is_zero(x: WittClass) -> bool:
-        return x.is_zero

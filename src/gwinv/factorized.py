@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .divided import InvariantTarget, f1_of
+from .divided import InvariantTarget
 from .fields import SquareClass, enumerate_sc, represented_by_binary, sc_one
 from .invariants import SymbolicInvariant, evaluate, is_normalized
 from .series import ConsistencyError
@@ -88,13 +88,13 @@ def delta_t_eval(
         raise ValueError("descent is only defined for normalized invariants")
     if alpha.n != x.n - t:
         raise ValueError(f"invariant level {alpha.n} does not match I^{x.n - t}")
-    target = InvariantTarget(alpha.mode)
     rest = x.cofactor
     if x.r > t:
         rest = witt_canonical(pfister(list(x.factor[t:]))) * rest
     if t == 0:
         return evaluate(alpha, rest)
-    return f1_of(x.factor[:t], target) * evaluate(alpha, rest)
+    ring = InvariantTarget(alpha.mode).ring(x.field)
+    return ring.symbol(x.factor[:t]) * evaluate(alpha, rest)
 
 
 def _certified_scalars(a: SquareClass) -> list[SquareClass]:

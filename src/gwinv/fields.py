@@ -164,10 +164,6 @@ def sc_gen(field: FieldDescriptor, name: str) -> SquareClass:
     return SquareClass(field, field.var_bit(name))
 
 
-def sc_mul(a: SquareClass, b: SquareClass) -> SquareClass:
-    return a * b
-
-
 def minus_one(field: FieldDescriptor) -> SquareClass:
     """The class of -1: trivial, the sign flip, or u when q = 3 mod 4."""
     if field.kind == REAL_CLOSED:

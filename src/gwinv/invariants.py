@@ -14,17 +14,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .cohomology import minus_one_power
-from .divided import (
-    InvariantTarget,
-    eval_f_all,
-    g_transition_terms,
-    int_times,
-    unit_value,
-    zero_value,
-)
-from .series import ext_binom, multinomial_C
-from .witt import MembershipError, WittClass, is_in_In
+from .divided import InvariantTarget, eval_f_all, g_transition_terms
+from .series import ZZ, ext_binom, multinomial_C
+from .witt import WittClass
 
 
 class InvariantSyntaxError(ValueError):
@@ -68,29 +60,6 @@ class F2Poly:
         return "+".join(parts)
 
 
-class _IntOps:
-    """Universal coefficients in Witt mode: integers, with eps = 2."""
-
-    zero = 0
-    one = 1
-
-    @staticmethod
-    def from_int(c: int) -> int:
-        return c
-
-    @staticmethod
-    def eps_pow(j: int) -> int:
-        return 1 << j
-
-    @staticmethod
-    def is_zero(c: int) -> bool:
-        return c == 0
-
-    @staticmethod
-    def render(c: int) -> str:
-        return str(c)
-
-
 class _F2Ops:
     """Universal coefficients in cohomology mode: F2[eps]."""
 
@@ -109,14 +78,10 @@ class _F2Ops:
     def is_zero(c: F2Poly) -> bool:
         return c.is_zero
 
-    @staticmethod
-    def render(c: F2Poly) -> str:
-        return str(c)
-
 
 def coeff_ops(mode: str):
     if mode == "W":
-        return _IntOps
+        return ZZ
     if mode == "H":
         return _F2Ops
     raise ValueError("mode must be 'W' or 'H'")
@@ -423,36 +388,15 @@ def omega_t(alpha: SymbolicInvariant, t: int) -> SymbolicInvariant:
     return SymbolicInvariant(f.n - t, f.mode, "f", out)
 
 
-def coeff_value(coeff, mode: str, field, target: InvariantTarget):
-    """Image of a universal coefficient in a concrete value ring."""
-    if mode == "W":
-        return unit_value(field, target).int_mul(coeff)
-    out = zero_value(field, target)
-    for j in range(coeff.bits.bit_length()):
-        if coeff.bits >> j & 1:
-            out = out + minus_one_power(field, j)
-    return out
-
-
 def evaluate(alpha: SymbolicInvariant, q: WittClass):
     """Value of a symbolic invariant on a concrete Witt class in I^n."""
     target = InvariantTarget(alpha.mode)
-    if not is_in_In(q, alpha.n):
-        raise MembershipError(f"class is not in I^{alpha.n}")
     f = to_basis(alpha, "f")
-    field = q.field
-    if not f.coeffs:
-        return zero_value(field, target)
-    d_max = max(f.coeffs)
-    fvals = eval_f_all(f.n, q, target, d_max)
-    out = zero_value(field, target)
+    fvals = eval_f_all(f.n, q, target, max(f.coeffs, default=0))
+    ring = target.ring(q.field)
+    out = ring.zero
     for d, coeff in f.coeffs.items():
-        if alpha.mode == "W":
-            out = out + int_times(fvals[d], coeff, target)
-        else:
-            for j in range(coeff.bits.bit_length()):
-                if coeff.bits >> j & 1:
-                    out = out + minus_one_power(field, j) * fvals[d]
+        out = out + ring.times(fvals[d], coeff)
     return out
 
 
@@ -536,12 +480,11 @@ def _split_sum(text: str) -> list[tuple[int, str]]:
 
 
 def render_invariant(alpha: SymbolicInvariant) -> str:
-    ops = alpha.ops
     if not alpha.coeffs:
         return "0"
     parts = []
     for d in alpha.support:
-        c = ops.render(alpha.coeffs[d])
+        c = str(alpha.coeffs[d])
         gen = f"{alpha.basis}[{alpha.n},{d}]"
         parts.append(gen if c == "1" else f"({c})*{gen}")
     return " + ".join(parts)

@@ -1,8 +1,12 @@
 """Exact truncated formal power series over a commutative coefficient ring.
 
 Coefficients are plain Python objects supporting ``+``, ``-`` (unary and
-binary), ``*`` and ``==``; a small ring adapter supplies the constants
-``zero``/``one`` and the embedding ``from_int``.  Everything is exact: no
+binary), ``*`` and ``==``.  Every coefficient ring (``ZZ`` here,
+``witt.GwRing``, ``divided.ValueRing``) follows one small protocol: the
+constants ``zero``/``one``, the embedding ``from_int`` and the test
+``is_zero``.  ``group_law`` is the one routine for series of the form
+prod (1 + a t)^c: the exterior-power series of a form and its
+Stiefel-Whitney-style images both come from it.  Everything is exact: no
 floats, no coercion, and every series carries an explicit truncation order.
 """
 
@@ -30,7 +34,8 @@ class ConsistencyError(RuntimeError):
 
 
 class IntRing:
-    """Coefficient adapter for plain Python integers."""
+    """Coefficient adapter for plain Python integers; also the universal
+    scalar ring of Witt-mode invariants, where eps = {-1} acts as 2."""
 
     zero = 0
     one = 1
@@ -38,6 +43,10 @@ class IntRing:
     @staticmethod
     def from_int(n: int) -> int:
         return n
+
+    @staticmethod
+    def eps_pow(j: int) -> int:
+        return 1 << j
 
     @staticmethod
     def is_zero(x) -> bool:
@@ -257,22 +266,28 @@ class TruncSeries:
         return f"TruncSeries({self.ring!r}, {self.coeffs!r})"
 
 
-def mul(s1: TruncSeries, s2: TruncSeries) -> TruncSeries:
-    """Cauchy product truncated at the minimum precision."""
-    return s1 * s2
-
-
-def compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
-    return outer.compose(inner)
-
-
-def comp_inverse(f: TruncSeries) -> TruncSeries:
-    return f.comp_inverse()
-
-
 def even_odd_split(f: TruncSeries) -> tuple[TruncSeries, TruncSeries]:
     """(even part, odd part); the two add back to the input."""
     return f.even_part(), f.odd_part()
+
+
+def group_law(ring, atoms, precision: int) -> TruncSeries:
+    """The product of (1 + a t)^c over the pairs (a, c) of ``atoms``,
+    truncated: the group morphism from formal sums of atoms to
+    1 + t ring[[t]].  Positive and negative multiplicities are multiplied
+    up separately, in the order given, and the negative part is inverted
+    once at the end.  ``atoms`` is not read at precision 0."""
+    if precision == 0:
+        return TruncSeries.one(ring, 0)
+    num = TruncSeries.one(ring, precision)
+    den = TruncSeries.one(ring, precision)
+    for a, c in atoms:
+        binomial = TruncSeries(ring, [ring.one, a], precision=precision)
+        if c > 0:
+            num = num * binomial.pow(c)
+        else:
+            den = den * binomial.pow(-c)
+    return num * den.mul_inverse()
 
 
 @lru_cache(maxsize=None)

@@ -16,21 +16,17 @@ from itertools import combinations, combinations_with_replacement
 from random import Random
 
 from . import invariants as inv
-from .cohomology import coh_residue, e_n, minus_one_power, symbol
+from .cohomology import CohClass, coh_residue, e_n, minus_one_power, symbol
 from .divided import (
     H_TARGET,
     W_TARGET,
-    eps_value,
     eval_f,
     eval_f_all,
     eval_fixed_dim,
     eval_g,
     eval_pi_series,
     eval_sw,
-    f1_of,
     p_fixed,
-    unit_value,
-    zero_value,
 )
 from .factorized import alt_factorizations, delta_t_eval, lemma_factor_check, make_factorized
 from .fields import SquareClass, enumerate_sc, minus_one, parse_field, sc_gen, sc_one
@@ -356,13 +352,14 @@ def verify_f_axioms(cfg: RunConfig) -> dict:
     for target in cfg.targets():
         for i in range(cfg.samples):
             F = fields[i % len(fields)]
+            ring = target.ring(F)
             n = rng.randint(1, cfg.n_max)
             d = rng.randint(0, cfg.d_max)
             q1 = rand_in_In(rng, F, n)
             q2 = rand_in_In(rng, F, n)
             f1 = eval_f_all(n, q1, target, d)
             f2 = eval_f_all(n, q2, target, d)
-            total = zero_value(F, target)
+            total = ring.zero
             for k in range(d + 1):
                 total = total + f1[k] * f2[d - k]
             run.check(
@@ -375,11 +372,11 @@ def verify_f_axioms(cfg: RunConfig) -> dict:
             d2 = rng.randint(2, max(2, cfg.d_max))
             run.check(
                 f"f_{n}^{d2} kills pf({','.join(map(str, slots))}) ({target.mode})",
-                zero_value(F, target),
+                ring.zero,
                 eval_f(n, d2, phi_w, target),
             )
             d3 = rng.randint(1, cfg.d_max)
-            want = eps_value(F, n * (d3 - 1), target) * f1_of(slots, target)
+            want = ring.eps_pow(n * (d3 - 1)) * ring.symbol(slots)
             if d3 % 2 and target.mode == "W":
                 want = -want
             run.check(
@@ -396,12 +393,13 @@ def verify_f_axioms(cfg: RunConfig) -> dict:
             total = witt_zero(F)
             for slots in tuples:
                 total = total + witt_canonical(pfister(slots))
+            ring = target.ring(F)
             for d in range(1, min(cfg.d_max, 3) + 1):
-                brute = zero_value(F, target)
+                brute = ring.zero
                 for combo in combinations(range(r), d):
-                    term = unit_value(F, target)
+                    term = ring.one
                     for j in combo:
-                        term = term * f1_of(tuples[j], target)
+                        term = term * ring.symbol(tuples[j])
                     brute = brute + term
                 run.check(
                     f"Pfister-sum expansion n={n} d={d} r={r} over {F} "
@@ -432,7 +430,7 @@ def verify_g_bounds(cfg: RunConfig) -> dict:
                 run.check(
                     f"g_{n}^{d} = 0 beyond 2max(s,t)={bound} over {F} "
                     f"({target.mode}, case {i})",
-                    zero_value(F, target),
+                    target.ring(F).zero,
                     eval_g(n, d, q, target),
                 )
     # the bound is attained over real-closed towers (depth 0 and 1)
@@ -458,7 +456,7 @@ def verify_g_bounds(cfg: RunConfig) -> dict:
             for d in (m + 1, m + 2):
                 run.check(
                     f"g_1^{d} = 0 on a dim-{m} class over {F} ({target.mode})",
-                    zero_value(F, target),
+                    target.ring(F).zero,
                     eval_g(1, d, q, target),
                 )
     # f-boundedness fails over a real-closed base ...
@@ -478,7 +476,7 @@ def verify_g_bounds(cfg: RunConfig) -> dict:
             for d in (2 * max(s, t) + 1, 2 * max(s, t) + 2):
                 run.check(
                     f"f bounded over {F}: f_{n}^{d} = 0 ({target.mode})",
-                    zero_value(F, target),
+                    target.ring(F).zero,
                     eval_f(n, d, q, target),
                 )
             d = rng.randint(0, cfg.d_max)
@@ -498,9 +496,10 @@ def verify_classify(cfg: RunConfig) -> dict:
     run = _Run("classify", cfg)
     rng = Random(cfg.seed)
     faithful = {"W": parse_field("R"), "H": parse_field("R((t1))")}
-    for mode in [t.mode for t in cfg.targets()]:
+    for target in cfg.targets():
+        mode = target.mode
         F = faithful[mode]
-        target = W_TARGET if mode == "W" else H_TARGET
+        ring = target.ring(F)
         for i in range(cfg.samples):
             n = rng.randint(1, cfg.n_max)
             alpha = rand_symbolic(rng, n, mode, "g", min(cfg.d_max, 6), 4)
@@ -516,7 +515,7 @@ def verify_classify(cfg: RunConfig) -> dict:
             shifted = inv.shift(alpha, plus=m + d % 2, minus=m)
             run.check(
                 f"pointwise read-out at 0, d={d} ({mode}, case {i})",
-                inv.coeff_value(coeffs[d], mode, F, target),
+                ring.times(ring.one, coeffs[d]),
                 inv.evaluate(shifted, witt_zero(F)),
             )
         for i in range(10):
@@ -569,7 +568,7 @@ def verify_classify(cfg: RunConfig) -> dict:
             phi_w = witt_canonical(pfister(slots))
             for sign in (1, -1):
                 q_shift = q + phi_w if sign == 1 else q - phi_w
-                correction = f1_of(slots, target) * inv.evaluate(inv.phi(alpha, sign), q)
+                correction = target.ring(F).symbol(slots) * inv.evaluate(inv.phi(alpha, sign), q)
                 rhs = inv.evaluate(alpha, q)
                 rhs = rhs + correction if (sign == 1 or target.mode == "H") else rhs - correction
                 run.check(
@@ -674,7 +673,7 @@ def verify_product(cfg: RunConfig) -> dict:
             want = (
                 eval_f(n, s + t, q, target)
                 if s & t == 0
-                else zero_value(F, target)
+                else target.ring(F).zero
             )
             run.check(
                 f"eps=0 product over {F}: s={s} t={t} ({target.mode})",
@@ -752,7 +751,7 @@ def verify_simil(cfg: RunConfig) -> dict:
             alpha = inv.SymbolicInvariant.generator(n, target.mode, "g", d)
             q = rand_in_In(rng, F, n, max_terms=1)
             lam = rand_sc(rng, F)
-            rhs = inv.evaluate(alpha, q) + f1_of([lam], target) * inv.evaluate(
+            rhs = inv.evaluate(alpha, q) + target.ring(F).symbol([lam]) * inv.evaluate(
                 inv.psi_tilde(alpha), q
             )
             run.check(
@@ -792,11 +791,8 @@ def verify_simil(cfg: RunConfig) -> dict:
             slots = rand_pfister_slots(rng, F, n)
             lam = rand_sc(rng, F)
             q = witt_canonical(pfister(slots)).scale_sq(lam)
-            want = (
-                eps_value(F, n * (d - 1) - 1, target)
-                * f1_of([lam], target)
-                * f1_of(slots, target)
-            )
+            ring = target.ring(F)
+            want = ring.eps_pow(n * (d - 1) - 1) * ring.symbol([lam]) * ring.symbol(slots)
             if d % 2 and target.mode == "W":
                 want = -want
             run.check(
@@ -881,9 +877,9 @@ def verify_fixed_dim(cfg: RunConfig) -> dict:
             witt_canonical(p_fixed(d, x)),
         )
         masks = [mk for mk, c in sorted(x.terms.items()) for _ in range(c)]
-        want = zero_value(F, H_TARGET)
+        want = CohClass.zero(F)
         for combo in combinations(range(len(masks)), d):
-            term = unit_value(F, H_TARGET)
+            term = CohClass.one(F)
             for j in combo:
                 term = term * symbol([SquareClass(F, masks[j])])
             want = want + term
@@ -898,7 +894,7 @@ def verify_fixed_dim(cfg: RunConfig) -> dict:
         for d in range(1, 5):
             run.check(
                 f"normalized on hyperbolic d={d} ({target.mode})",
-                zero_value(F, target),
+                target.ring(F).zero,
                 eval_f(1, d, witt_canonical(hyp), target),
             )
     return run.report()
@@ -953,12 +949,12 @@ def verify_coh_ops(cfg: RunConfig) -> dict:
             u_sub = SquareClass(F.parent(), u.mask & ~F.top_bit)
             run.check(
                 f"residue of (t).(u) over {F}",
-                symbol([u_sub]) if not u.is_one else zero_value(F.parent(), H_TARGET),
+                symbol([u_sub]) if not u.is_one else CohClass.zero(F.parent()),
                 coh_residue(t_sym * symbol([u])),
             )
             run.check(
                 f"residue kills unramified over {F}",
-                zero_value(F.parent(), H_TARGET),
+                CohClass.zero(F.parent()),
                 coh_residue(symbol([u])),
             )
     # adding a level-(n+1) Pfister class changes a level-n value by
@@ -1055,11 +1051,8 @@ def verify_delta1(cfg: RunConfig) -> dict:
             q = witt_canonical(pfister(slots)) * qp
             if not is_in_In(q, n):
                 continue
-            want = (
-                eps_value(F, t * (d - 1), target)
-                * f1_of(slots, target)
-                * eval_f(n - t, d, qp, target)
-            )
+            ring = target.ring(F)
+            want = ring.eps_pow(t * (d - 1)) * ring.symbol(slots) * eval_f(n - t, d, qp, target)
             run.check(
                 f"divisibility n={n} t={t} d={d} over {F} ({target.mode}, case {i})",
                 want,
@@ -1083,6 +1076,7 @@ def verify_delta1(cfg: RunConfig) -> dict:
     for target in cfg.targets():
         for i in range(max(1, cfg.samples // 2)):
             F = fields[i % len(fields)]
+            ring = target.ring(F)
             n = rng.randint(2, max(2, min(cfg.n_max, 3)))
             d = rng.randint(1, min(cfg.d_max, 4))
             alpha = inv.SymbolicInvariant.generator(n, target.mode, "f", d)
@@ -1090,13 +1084,13 @@ def verify_delta1(cfg: RunConfig) -> dict:
             q = rand_in_In(rng, F, n, max_terms=1)
             x_w = witt_canonical(pfister([c])) * q
             direct = inv.evaluate(alpha, x_w)
-            via_desc = f1_of([c], target) * inv.evaluate(inv.omega_t(alpha, 1), q)
+            via_desc = ring.symbol([c]) * inv.evaluate(inv.omega_t(alpha, 1), q)
             run.check(
                 f"descent route n={n} d={d} over {F} ({target.mode}, case {i})",
                 direct,
                 via_desc,
             )
-            via_restr = f1_of([c], target) * inv.evaluate(
+            via_restr = ring.symbol([c]) * inv.evaluate(
                 inv.omega_t(inv.restrict(alpha), 1), q
             )
             run.check(
@@ -1116,8 +1110,8 @@ def verify_delta1(cfg: RunConfig) -> dict:
                 alpha, x_w
             )
             via = (
-                f1_of([lam], target)
-                * f1_of([c], target)
+                ring.symbol([lam])
+                * ring.symbol([c])
                 * inv.evaluate(inv.omega_t(inv.psi_tilde(alpha), 1), q)
             )
             run.check(

@@ -28,7 +28,7 @@ from .fields import (
     parse_sc,
     sc_one,
 )
-from .series import TruncSeries
+from .series import TruncSeries, group_law
 
 
 class MembershipError(ValueError):
@@ -145,11 +145,6 @@ class GwElement:
 
     def __repr__(self) -> str:
         return f"GwElement({self.field}, {self.terms!r})"
-
-
-def mul_forms(x: GwElement, y: GwElement) -> GwElement:
-    """Bilinear product of diagonal forms."""
-    return x * y
 
 
 def pfister(classes: list[SquareClass] | tuple[SquareClass, ...]) -> GwElement:
@@ -438,27 +433,10 @@ class GwRing:
 
 
 def lambda_series(x: GwElement, precision: int) -> TruncSeries:
-    """The exterior-power generating series of x, truncated.
-
-    Computed through the group law: the series of a sum of generators is the
-    product of the binomials 1 + <a> t, and negative multiplicities invert.
-    """
-    ring = GwRing(x.field)
-    if precision == 0:
-        return TruncSeries.one(ring, 0)
-    num = TruncSeries.one(ring, precision)
-    den = TruncSeries.one(ring, precision)
-    for m, c in sorted(x.terms.items()):
-        binomial = TruncSeries(
-            ring,
-            [ring.one, GwElement(x.field, {m: 1})],
-            precision=precision,
-        )
-        if c > 0:
-            num = num * binomial.pow(c)
-        else:
-            den = den * binomial.pow(-c)
-    return num * den.mul_inverse()
+    """The exterior-power generating series of x, truncated: the group law
+    sends each generator <a> to 1 + <a> t."""
+    atoms = ((GwElement(x.field, {m: 1}), c) for m, c in sorted(x.terms.items()))
+    return group_law(GwRing(x.field), atoms, precision)
 
 
 def lambda_power(d: int, x: GwElement) -> GwElement:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from gwinv.cli import EXIT_MEMBERSHIP, EXIT_OK, EXIT_PARSE, main
 
 
@@ -211,3 +213,36 @@ class TestVerify:
         )
         assert code == EXIT_OK
         assert "suite=restrict" in out and "PASS" in out
+
+    @pytest.mark.parametrize(
+        "suite, flag, value",
+        [
+            ("pi", "--n-max", "0"),
+            ("restrict", "--n-max", "0"),
+            ("pi", "--d-max", "0"),
+            ("f-axioms", "--d-max", "0"),
+            ("delta1", "--d-max", "0"),
+            ("simil", "--d-max", "-2"),
+            ("series", "--prec", "0"),
+            ("pi", "--samples", "-1"),
+        ],
+    )
+    def test_flag_below_minimum_exits_2(self, capsys, suite, flag, value):
+        code, out, err = run(capsys, "verify", "--suite", suite, flag, value)
+        assert code == EXIT_PARSE
+        assert out == "" and err.startswith(f"error: {flag} must be >=")
+
+    @pytest.mark.parametrize("field", ["Q", "R((t))((t))"])
+    def test_bad_field_exits_2(self, capsys, field):
+        code, out, err = run(capsys, "verify", "--suite", "pi", "--field", field)
+        assert code == EXIT_PARSE
+        assert out == "" and err.startswith("parse error: ")
+
+    @pytest.mark.parametrize("suite", ["series", "pi", "f-axioms", "restrict", "simil", "delta1"])
+    def test_flag_minimums_run(self, capsys, suite):
+        code, out, _ = run(
+            capsys, "verify", "--suite", suite, "--n-max", "1", "--d-max", "1",
+            "--prec", "1", "--samples", "0",
+        )
+        assert code == EXIT_OK
+        assert "PASS" in out

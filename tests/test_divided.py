@@ -5,11 +5,10 @@ from itertools import combinations
 
 import pytest
 
-from gwinv.cohomology import symbol
+from gwinv.cohomology import minus_one_power, symbol
 from gwinv.divided import (
     H_TARGET,
     W_TARGET,
-    eps_value,
     eval_f,
     eval_f_all,
     eval_fixed_dim,
@@ -17,22 +16,23 @@ from gwinv.divided import (
     eval_pi,
     eval_pi_series,
     eval_sw,
-    f1_of,
     p_fixed,
-    unit_value,
-    zero_value,
 )
 from gwinv.fields import minus_one, parse_field, parse_sc, sc_one
+from gwinv.invariants import F2Poly
 from gwinv.sampling import (
     rand_diag,
+    rand_gw,
     rand_in_In,
     rand_in_In_data,
     rand_pfister_slots,
     rand_sc,
     standard_fields,
 )
+from gwinv.series import TruncSeries, ZZ, group_law
 from gwinv.witt import (
     GwElement,
+    GwRing,
     MembershipError,
     gpfister,
     gw_equal,
@@ -114,7 +114,7 @@ class TestEvalF:
                 q = witt_canonical(pfister(slots))
                 for d in range(1, 5):
                     for target in BOTH:
-                        want = eps_value(F, n * (d - 1), target) * f1_of(slots, target)
+                        want = target.ring(F).eps_pow(n * (d - 1)) * target.ring(F).symbol(slots)
                         if d % 2 and target.mode == "W":
                             want = -want
                         assert eval_f(n, d, -q, target) == want
@@ -126,7 +126,7 @@ class TestEvalF:
     def test_degree_zero_unit(self):
         q = witt_zero(RTT)
         assert eval_f(2, 0, q, W_TARGET) == witt_one(RTT)
-        assert eval_f(2, 0, q, H_TARGET) == unit_value(RTT, H_TARGET)
+        assert eval_f(2, 0, q, H_TARGET) == H_TARGET.ring(RTT).one
 
     def test_membership_guard(self):
         with pytest.raises(MembershipError):
@@ -142,7 +142,7 @@ class TestEvalF:
                 q2 = rand_in_In(rng, F, n)
                 f1 = eval_f_all(n, q1, target, d)
                 f2 = eval_f_all(n, q2, target, d)
-                want = zero_value(F, target)
+                want = target.ring(F).zero
                 for k in range(d + 1):
                     want = want + f1[k] * f2[d - k]
                 assert eval_f(n, d, q1 + q2, target) == want
@@ -190,9 +190,9 @@ class TestStiefelWhitney:
             entries = [rand_sc(rng, F) for _ in range(4)]
             x = GwElement.diag(*entries)
             for d in range(5):
-                want = zero_value(F, H_TARGET)
+                want = H_TARGET.ring(F).zero
                 for combo in combinations(range(4), d):
-                    term = unit_value(F, H_TARGET)
+                    term = H_TARGET.ring(F).one
                     for i in combo:
                         term = term * symbol([entries[i]])
                     want = want + term
@@ -260,3 +260,46 @@ class TestFixedDim:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
             eval_fixed_dim(1, GwElement.diag(T1), W_TARGET)
+
+
+def _group_law_cases(rng):
+    """(ring, atoms) pairs over ZZ, GW and both value rings."""
+    yield ZZ, [rng.randint(-5, 5) for _ in range(4)]
+    for F in standard_fields(1):
+        yield GwRing(F), [rand_gw(rng, F, rng.randint(1, 3)) for _ in range(3)]
+        for target in BOTH:
+            ring = target.ring(F)
+            yield ring, [ring.symbol([rand_sc(rng, F)]) for _ in range(3)]
+
+
+class TestValueRing:
+    def test_witt_eps_pow_is_minus_one_pfister_power(self):
+        # <<-1>> = <1,1> = 2 in W; F3 (-1 a non-square) and F5 are included
+        for F in standard_fields(2):
+            ring = W_TARGET.ring(F)
+            e = witt_canonical(pfister([minus_one(F)]))
+            want = witt_one(F)
+            for j in range(7):
+                assert ring.eps_pow(j) == want
+                want = want * e
+
+    def test_cohomology_times_is_per_bit_sum(self):
+        rng = random.Random(12)
+        for F in standard_fields(2):
+            ring = H_TARGET.ring(F)
+            for _ in range(5):
+                x = symbol([rand_sc(rng, F), rand_sc(rng, F)]) + symbol([rand_sc(rng, F)])
+                c = F2Poly(rng.getrandbits(6))
+                want = ring.zero
+                for j in range(c.bits.bit_length()):
+                    if c.bits >> j & 1:
+                        want = want + minus_one_power(F, j) * x
+                assert ring.times(x, c) == want
+
+    def test_group_law_of_negated_atoms_inverts(self):
+        rng = random.Random(13)
+        for ring, atoms in _group_law_cases(rng):
+            pairs = [(a, rng.choice((-3, -2, -1, 1, 2, 3))) for a in atoms]
+            negated = [(a, -c) for a, c in pairs]
+            got = group_law(ring, pairs, 5) * group_law(ring, negated, 5)
+            assert got == TruncSeries.one(ring, 5)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gwinv.divided import H_TARGET, W_TARGET, f1_of
+from gwinv.divided import H_TARGET, W_TARGET
 from gwinv.factorized import (
     FactorizedForm,
     alt_factorizations,
@@ -66,7 +66,7 @@ class TestDeltaEval:
                 x = make_factorized([c], q, 2)
                 alpha = gen(1, target.mode, 2)
                 got = delta_t_eval(x, alpha, 1)
-                assert got == f1_of([c], target) * evaluate(alpha, q)
+                assert got == target.ring(F).symbol([c]) * evaluate(alpha, q)
 
     def test_zero_cofactor_gives_zero(self):
         x = make_factorized([T1], witt_zero(RTT), 2)
@@ -188,15 +188,16 @@ class TestDivisibility:
                 qp = rand_in_In(rng, F, n - t, max_terms=1)
                 q = witt_canonical(pfister(slots)) * qp
                 alpha = gen(n, target.mode, d)
-                from gwinv.divided import eval_f, eps_value
+                from gwinv.divided import eval_f
 
+                ring = target.ring(F)
                 want = (
-                    eps_value(F, t * (d - 1), target)
-                    * f1_of(slots, target)
+                    ring.eps_pow(t * (d - 1))
+                    * ring.symbol(slots)
                     * eval_f(n - t, d, qp, target)
                 )
                 assert eval_f(n, d, q, target) == want
                 # the symbolic descent operator computes the same thing
-                assert f1_of(slots, target) * evaluate(
+                assert ring.symbol(slots) * evaluate(
                     omega_t(alpha, t), qp
                 ) == eval_f(n, d, q, target)

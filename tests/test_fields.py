@@ -14,7 +14,6 @@ from gwinv.fields import (
     parse_sc,
     represented_by_binary,
     sc_gen,
-    sc_mul,
     sc_one,
 )
 
@@ -68,22 +67,22 @@ class TestSquareClassGroup:
     def test_squares_collapse(self):
         F = parse_field("C((t1))")
         t = sc_gen(F, "t1")
-        assert sc_mul(t, t).is_one
+        assert (t * t).is_one
 
     def test_minus_one_squares(self):
         F = parse_field("R")
         m = minus_one(F)
-        assert sc_mul(m, m).is_one
+        assert (m * m).is_one
 
     def test_exponent_addition(self):
         F = parse_field("R((t1))((t2))")
         a = parse_sc("-t1", F)
         b = parse_sc("t2", F)
-        assert sc_mul(a, b) == parse_sc("-t1*t2", F)
+        assert a * b == parse_sc("-t1*t2", F)
 
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatchError):
-            sc_mul(sc_one(parse_field("R")), sc_one(parse_field("C")))
+            sc_one(parse_field("R")) * sc_one(parse_field("C"))
 
     @pytest.mark.parametrize("head", ["C", "R", "F3", "F5"])
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
@@ -91,11 +90,11 @@ class TestSquareClassGroup:
         F = parse_field(head + "".join(f"((t{i}))" for i in range(1, depth + 1)))
         classes = enumerate_sc(F)
         for a in classes:
-            assert sc_mul(a, a).is_one
+            assert (a * a).is_one
             for b in classes:
-                assert sc_mul(a, b) == sc_mul(b, a)
+                assert a * b == b * a
                 for c in classes:
-                    assert sc_mul(sc_mul(a, b), c) == sc_mul(a, sc_mul(b, c))
+                    assert (a * b) * c == a * (b * c)
 
 
 class TestMinusOne:
@@ -164,7 +163,7 @@ class TestRepresentedByBinary:
     def test_minus_ab_always(self):
         F = parse_field("R((t1))")
         a, b = parse_sc("t1", F), parse_sc("-1", F)
-        assert represented_by_binary(-sc_mul(a, b), a, b)
+        assert represented_by_binary(-(a * b), a, b)
 
     def test_finite_base_universal(self):
         F = parse_field("F5")
@@ -194,7 +193,7 @@ class TestRepresentedByBinary:
         t = sc_gen(F, "t1")
         u = sc_gen(F, "u")
         assert not represented_by_binary(u, t, sc_one(F))
-        assert represented_by_binary(-sc_mul(t, sc_one(F)), t, sc_one(F))
+        assert represented_by_binary(-(t * sc_one(F)), t, sc_one(F))
 
 
 class TestLiterals:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gwinv.divided import H_TARGET, W_TARGET, eval_f, eval_g, f1_of
+from gwinv.divided import H_TARGET, W_TARGET, eval_f, eval_g
 from gwinv.fields import parse_field, parse_sc
 from gwinv.invariants import (
     F2Poly,
@@ -14,7 +14,6 @@ from gwinv.invariants import (
     change_basis,
     coeff_at_zero,
     coeff_ops,
-    coeff_value,
     evaluate,
     extract_coeffs,
     is_normalized,
@@ -173,7 +172,7 @@ class TestPhi:
                 pw = witt_canonical(pfister(slots))
                 for sign in (1, -1):
                     shifted_q = q + pw if sign == 1 else q - pw
-                    corr = f1_of(slots, target) * evaluate(phi(alpha, sign), q)
+                    corr = target.ring(F).symbol(slots) * evaluate(phi(alpha, sign), q)
                     want = evaluate(alpha, q)
                     want = (
                         want + corr
@@ -203,8 +202,9 @@ class TestClassification:
                 d = rng.randint(0, 5)
                 m = d // 2
                 shifted = shift(alpha, plus=m + d % 2, minus=m)
-                assert evaluate(shifted, witt_zero(F)) == coeff_value(
-                    coeff_at_zero(shifted), mode, F, target
+                ring = target.ring(F)
+                assert evaluate(shifted, witt_zero(F)) == ring.times(
+                    ring.one, coeff_at_zero(shifted)
                 )
 
     def test_normalization_split(self):
@@ -282,7 +282,7 @@ class TestPsiTilde:
                 alpha = gen(n, target.mode, "g", d)
                 q = rand_in_In(rng, F, n, max_terms=1)
                 lam = rand_sc(rng, F)
-                want = evaluate(alpha, q) + f1_of([lam], target) * evaluate(
+                want = evaluate(alpha, q) + target.ring(F).symbol([lam]) * evaluate(
                     psi_tilde(alpha), q
                 )
                 assert evaluate(alpha, q.scale_sq(lam)) == want
@@ -351,10 +351,8 @@ class TestOmega:
 
 class TestEvaluate:
     def test_unit_invariant(self):
-        from gwinv.divided import unit_value
-
         q = witt_zero(RTT)
-        assert evaluate(gen(2, "W", "f", 0), q) == unit_value(RTT, W_TARGET)
+        assert evaluate(gen(2, "W", "f", 0), q) == W_TARGET.ring(RTT).one
 
     def test_matches_direct_family_values(self):
         rng = random.Random(11)

@@ -22,7 +22,6 @@ from gwinv.witt import (
     is_in_In,
     lambda_power,
     lambda_power_direct,
-    mul_forms,
     parse_form,
     pfister,
     second_residue,
@@ -104,7 +103,7 @@ class TestPfister:
     def test_square_is_double(self):
         a = parse_sc("-t1", RT)
         p = pfister([a])
-        assert witt_canonical(mul_forms(p, p)) == witt_canonical(p.scale(2))
+        assert witt_canonical(p * p) == witt_canonical(p.scale(2))
 
     def test_dimension(self):
         a, b = parse_sc("t1", RT), parse_sc("-1", RT)
@@ -147,7 +146,7 @@ class TestLambdaPower:
             for d in range(5):
                 rhs = GwElement.zero(RT)
                 for k in range(d + 1):
-                    rhs = rhs + mul_forms(lambda_power(k, x), lambda_power(d - k, y))
+                    rhs = rhs + lambda_power(k, x) * lambda_power(d - k, y)
                 assert gw_equal(lambda_power(d, x + y), rhs)
 
 
@@ -221,7 +220,7 @@ class TestSecondResidue:
         for _ in range(20):
             q_unram = rand_diag(rng, R, 3)
             lifted = GwElement(RT, {m: c for m, c in q_unram.terms.items()})
-            prod = mul_forms(pfister([t]), lifted)
+            prod = pfister([t]) * lifted
             got = second_residue(witt_canonical(prod))
             assert got == -witt_canonical(q_unram)
 
@@ -239,8 +238,8 @@ class TestSecondResidue:
             ramified = (
                 GwElement.diag(*r.diag_rep()) if r.diag_rep() else GwElement.zero(R)
             )
-            total = GwElement(RT, dict(back.terms)) + mul_forms(
-                GwElement.diag(t), GwElement(RT, dict(ramified.terms))
+            total = GwElement(RT, dict(back.terms)) + GwElement.diag(t) * GwElement(
+                RT, dict(ramified.terms)
             )
             assert witt_canonical(total) == q
 
@@ -252,9 +251,7 @@ class TestWittRingOps:
             for _ in range(15):
                 x = rand_gw(rng, F, rng.randint(0, 4))
                 y = rand_gw(rng, F, rng.randint(0, 4))
-                assert witt_canonical(mul_forms(x, y)) == witt_canonical(
-                    x
-                ) * witt_canonical(y)
+                assert witt_canonical(x * y) == witt_canonical(x) * witt_canonical(y)
 
     def test_scale_sq_matches(self):
         rng = random.Random(29)
@@ -263,7 +260,7 @@ class TestWittRingOps:
             for _ in range(15):
                 x = rand_gw(rng, F, rng.randint(0, 4))
                 a = rng.choice(classes)
-                assert witt_canonical(mul_forms(GwElement.diag(a), x)) == (
+                assert witt_canonical(GwElement.diag(a) * x) == (
                     witt_canonical(x).scale_sq(a)
                 )
 
@@ -284,7 +281,7 @@ class TestWittRingOps:
             for _ in range(10):
                 q = rand_gw(rng, F, rng.randint(0, 5))
                 assert witt_canonical(q.scale(2)) == witt_canonical(
-                    mul_forms(pfister([minus_one(F)]), q)
+                    pfister([minus_one(F)]) * q
                 )
 
 
