@@ -190,7 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run an identity suite")
     p_verify.add_argument("--suite", required=True)
     p_verify.add_argument("--field", default=None)
-    p_verify.add_argument("--prec", type=int, default=32)
+    p_verify.add_argument(
+        "--prec", type=int, default=32, help="series truncation order (series suite only)"
+    )
     p_verify.add_argument("--n-max", dest="n_max", type=int, default=3)
     p_verify.add_argument("--d-max", dest="d_max", type=int, default=6)
     p_verify.add_argument("--samples", type=int, default=100)

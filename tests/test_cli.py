@@ -5,6 +5,7 @@ import json
 import pytest
 
 from gwinv.cli import EXIT_MEMBERSHIP, EXIT_OK, EXIT_PARSE, main
+from gwinv.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -237,6 +238,17 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--suite", "pi", "--field", field)
         assert code == EXIT_PARSE
         assert out == "" and err.startswith("parse error: ")
+
+    @pytest.mark.parametrize("field", ["C", "R", "F3", "F5((t1))", "R((t1))"])
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_every_suite_runs_on_one_field(self, capsys, suite, field):
+        # a family that needs a field kind absent from --field is skipped
+        code, _, _ = run(
+            capsys, "verify", "--suite", suite, "--field", field, "--samples", "2",
+            "--n-max", "1", "--d-max", "2", "--prec", "4",
+        )
+        depth0 = "((" not in field
+        assert code == (EXIT_PARSE if suite == "ram" and depth0 else EXIT_OK)
 
     @pytest.mark.parametrize("suite", ["series", "pi", "f-axioms", "restrict", "simil", "delta1"])
     def test_flag_minimums_run(self, capsys, suite):
