@@ -6,8 +6,11 @@ binary), ``*`` and ``==``.  Every coefficient ring (``ZZ`` here,
 constants ``zero``/``one``, the embedding ``from_int`` and the test
 ``is_zero``.  ``group_law`` is the one routine for series of the form
 prod (1 + a t)^c: the exterior-power series of a form and its
-Stiefel-Whitney-style images both come from it.  Everything is exact: no
-floats, no coercion, and every series carries an explicit truncation order.
+Stiefel-Whitney-style images both come from it.  The level series x_n
+comes from the quadratic recursion x_{k+1} = x_k + 2^(k-1) x_k^2, and its
+inverse h_n from the Catalan chain that inverts each step in closed form.
+Everything is exact: no floats, no coercion, and every series carries an
+explicit truncation order.
 """
 
 from __future__ import annotations
@@ -217,37 +220,6 @@ class TruncSeries:
             acc = (acc * inner).add_const(self.coeffs[d])
         return acc
 
-    def comp_inverse(self) -> "TruncSeries":
-        """Inverse for composition, by degree-by-degree coefficient solving.
-
-        Requires zero constant coefficient and a linear coefficient u with
-        u*u == 1 (for integer coefficients: u = +-1), so no division is ever
-        performed outside the ring.
-        """
-        ring = self.ring
-        if self.precision < 1:
-            raise SeriesInversionError("need precision >= 1 to invert composition")
-        if not ring.is_zero(self.coeffs[0]):
-            raise SeriesInversionError("compositional inverse needs zero constant term")
-        u = self.coeffs[1]
-        if not u * u == ring.one:
-            raise SeriesInversionError(
-                "compositional inverse needs a unit linear coefficient (u*u == 1)"
-            )
-        prec = self.precision
-        g = [ring.zero, u]
-        for d in range(2, prec + 1):
-            # coefficient of t^d in self(g) with g_d still 0; the correction
-            # enters only through the linear coefficient, as u * g_d.
-            g.append(ring.zero)
-            err = (
-                TruncSeries(ring, self.coeffs[: d + 1])
-                .compose(TruncSeries(ring, g))
-                .coeffs[d]
-            )
-            g[d] = -(u * err)
-        return TruncSeries(ring, g, precision=prec)
-
     def even_part(self) -> "TruncSeries":
         ring = self.ring
         return TruncSeries(
@@ -299,9 +271,6 @@ def _x_coeffs(n: int, precision: int) -> tuple[int, ...]:
         x = x + (x * x).scale(2 ** (k - 1))
     return tuple(x.coeffs)
 
-# The level-(n+1) series is p_n(level-n series) with p_n(t) = t + 2^(n-1) t^2;
-# the squared term is what makes the inverse land in ZZ[[t]].
-
 
 def build_x(n: int, precision: int) -> TruncSeries:
     """Integer series whose level-n exterior-power transform of a generator
@@ -314,13 +283,18 @@ def _h_coeffs(n: int, precision: int) -> tuple[int, ...]:
     x = build_x(n, precision)
     if precision == 0:
         return (0,)
-    h = x.comp_inverse()
-    if precision >= 1:
-        t = TruncSeries.identity(ZZ, precision)
-        if not (x.compose(h) == t and h.compose(x) == t):
-            raise ConsistencyError(
-                f"substitution series round trip failed at level {n}"
-            )
+    # h_1 = t/(1+t) inverts x_1, and p_k(t) = t + 2^(k-1) t^2 inverts in
+    # closed form to t C(-2^(k-1) t), so h_{k+1} = h_k o t C(-2^(k-1) t).
+    h = TruncSeries(ZZ, [0] + [(-1) ** (d - 1) for d in range(1, precision + 1)])
+    cat = catalan(precision).coeffs
+    for k in range(1, n):
+        s = -(2 ** (k - 1))
+        h = h.compose(
+            TruncSeries(ZZ, [0] + [c * s**d for d, c in enumerate(cat)], precision)
+        )
+    t = TruncSeries.identity(ZZ, precision)
+    if not (x.compose(h) == t and h.compose(x) == t):
+        raise ConsistencyError(f"substitution series round trip failed at level {n}")
     for c in h.coeffs:
         if not isinstance(c, int):
             raise ConsistencyError("substitution series has a non-integer coefficient")
@@ -328,8 +302,10 @@ def _h_coeffs(n: int, precision: int) -> tuple[int, ...]:
 
 
 def build_h(n: int, precision: int) -> TruncSeries:
-    """Compositional inverse of ``build_x(n, .)``; integral by construction,
-    and the round trip with ``build_x`` is verified before returning."""
+    """Compositional inverse of ``build_x(n, .)``, composed from the closed-form
+    inverses of the quadratic steps: t/(1+t), then t C(-2^(k-1) t) for
+    k = 1..n-1 with C the Catalan series.  Integral by construction; the
+    round trip with ``build_x`` is verified before returning."""
     return TruncSeries(ZZ, list(_h_coeffs(n, precision)))
 
 

@@ -497,7 +497,7 @@ def parse_form(text: str, field: FieldDescriptor) -> GwElement:
     if text[0] in "+-":
         sign = -1 if text[0] == "-" else 1
         pos = 1
-    while pos <= len(text) - 1:
+    while True:
         depth = 0
         end = pos
         while end < len(text):
@@ -509,12 +509,14 @@ def parse_form(text: str, field: FieldDescriptor) -> GwElement:
             elif ch in "+-" and depth == 0:
                 break
             end += 1
-        out = out + _parse_term(text[pos:end].strip(), field).scale(sign)
-        if end >= len(text):
-            break
+        term = text[pos:end].strip()
+        if not term:
+            raise FieldSyntaxError("empty term in form expression")
+        out = out + _parse_term(term, field).scale(sign)
+        if end == len(text):
+            return out
         sign = -1 if text[end] == "-" else 1
         pos = end + 1
-    return out
 
 
 def _parse_term(text: str, field: FieldDescriptor) -> GwElement:

@@ -146,6 +146,25 @@ class TestEval:
         assert code == EXIT_OK
         assert json.loads(out)["value"] == "(t1)"
 
+    @pytest.mark.parametrize("form", ["-", "H-", "pf(t1)+"])
+    def test_trailing_sign_exit_2(self, capsys, form):
+        code, out, err = run(
+            capsys, "eval", "--inv=f[1,1]", f"--form={form}", "--field=R((t1))"
+        )
+        assert code == EXIT_PARSE
+        assert out == "" and "empty term" in err
+
+    def test_field_order_bound_exit_2(self, capsys):
+        code, out, err = run(
+            capsys,
+            "eval",
+            "--inv", "f[1,1]",
+            "--form", "pf(u)",
+            "--field", "F100000000000000000039",
+        )
+        assert code == EXIT_PARSE
+        assert out == "" and "below 2^40" in err
+
 
 class TestVerify:
     def test_vacuous_pass(self, capsys):
@@ -233,7 +252,7 @@ class TestVerify:
         assert code == EXIT_PARSE
         assert out == "" and err.startswith(f"error: {flag} must be >=")
 
-    @pytest.mark.parametrize("field", ["Q", "R((t))((t))"])
+    @pytest.mark.parametrize("field", ["Q", "R((t))((t))", "F100000000000000000039"])
     def test_bad_field_exits_2(self, capsys, field):
         code, out, err = run(capsys, "verify", "--suite", "pi", "--field", field)
         assert code == EXIT_PARSE

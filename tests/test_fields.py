@@ -1,9 +1,12 @@
 """Square-class groups of the field towers and the certified
 representation test."""
 
+import time
+
 import pytest
 
 from gwinv.fields import (
+    MAX_FINITE_ORDER,
     FieldDescriptor,
     FieldMismatchError,
     FieldSyntaxError,
@@ -53,6 +56,16 @@ class TestFieldDescriptor:
     def test_order_rejected(self, q):
         with pytest.raises(FieldSyntaxError):
             parse_field(f"F{q}")
+
+    def test_order_bound(self):
+        # the largest prime below the bound is accepted; a 20-digit prime is
+        # rejected at once, where trial division would run for minutes
+        assert MAX_FINITE_ORDER == 2**40
+        assert parse_field(f"F{2**40 - 87}").q == 2**40 - 87
+        start = time.perf_counter()
+        with pytest.raises(FieldSyntaxError, match="below 2"):
+            parse_field("F100000000000000000039")
+        assert time.perf_counter() - start < 0.5
 
     def test_duplicate_vars_rejected(self):
         with pytest.raises(ValueError):

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gwinv import series
 from gwinv.series import (
     CompositionDomainError,
+    ConsistencyError,
     RingMismatchError,
     SeriesInversionError,
     TruncSeries,
@@ -47,6 +49,12 @@ class TestMul:
     def test_one_is_identity(self):
         s = S([3, -1, 4, 1, -5])
         assert (s * TruncSeries.one(ZZ, 4)).coeffs == s.coeffs
+
+    def test_inverse_needs_unit_constant(self):
+        assert S([1, 1, 0, 0]).mul_inverse().coeffs == [1, -1, 1, -1]
+        for const in (0, 2, -1):
+            with pytest.raises(SeriesInversionError):
+                S([const, 1, 1]).mul_inverse()
 
     def test_min_precision(self):
         assert (S([1, 1, 1]) * S([1, 1])).precision == 1
@@ -99,31 +107,6 @@ def brute_comp_inverse(coeffs, prec):
     return g
 
 
-class TestCompInverse:
-    def test_geometric(self):
-        # t/(1-t) inverts to t/(1+t)
-        assert S([0, 1, 1, 1, 1]).comp_inverse().coeffs == [0, 1, -1, 1, -1]
-
-    def test_identity(self):
-        t = TruncSeries.identity(ZZ, 4)
-        assert t.comp_inverse().coeffs == t.coeffs
-
-    def test_level_two_matches_rational_oracle(self):
-        x2 = build_x(2, 8)
-        oracle = brute_comp_inverse(x2.coeffs, 8)
-        assert all(f.denominator == 1 for f in oracle)
-        got = x2.comp_inverse()
-        assert got.coeffs == [int(f) for f in oracle]
-        # signed Catalan numbers
-        assert got.coeffs[:5] == [0, 1, -2, 5, -14]
-
-    def test_nonunit_linear_rejected(self):
-        with pytest.raises(SeriesInversionError):
-            S([0, 2, 1]).comp_inverse()
-        with pytest.raises(SeriesInversionError):
-            S([1, 1, 1]).comp_inverse()
-
-
 class TestLevelSeries:
     def test_level_one_is_geometric(self):
         assert build_x(1, 4).coeffs == [0, 1, 1, 1, 1]
@@ -143,14 +126,44 @@ class TestLevelSeries:
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):
             build_x(0, 3)
+        with pytest.raises(ValueError):
+            build_h(0, 0)
 
 
 class TestSubstitutionSeries:
     def test_level_one(self):
         assert build_h(1, 4).coeffs == [0, 1, -1, 1, -1]
 
-    def test_level_two_from_inverse(self):
-        assert build_h(2, 4).coeffs == build_x(2, 4).comp_inverse().coeffs
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_rational_oracle(self, n):
+        for prec in range(1, 11):
+            oracle = brute_comp_inverse(build_x(n, prec).coeffs, prec)
+            assert all(f.denominator == 1 for f in oracle)
+            assert build_h(n, prec).coeffs == [int(f) for f in oracle]
+
+    def test_level_two_is_signed_catalan(self):
+        assert build_h(2, 4).coeffs == [0, 1, -2, 5, -14]
+
+    def test_precision_zero(self):
+        assert build_h(3, 0).coeffs == [0]
+
+    @pytest.mark.parametrize("tamper", ["off_by_one", "not_int"])
+    def test_checks_guard_the_chain(self, monkeypatch, tamper):
+        # a wrong Catalan coefficient breaks the round trip; exact values
+        # of the wrong type pass it and must be caught by the integer check
+        def bad_catalan(prec):
+            c = catalan(prec).coeffs
+            if tamper == "off_by_one":
+                return S(c[:2] + [c[2] + 1] + c[3:])
+            return S([Fraction(v) for v in c])
+
+        monkeypatch.setattr(series, "catalan", bad_catalan)
+        series._h_coeffs.cache_clear()
+        try:
+            with pytest.raises(ConsistencyError):
+                build_h(3, 6)
+        finally:
+            series._h_coeffs.cache_clear()
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_round_trip_high_precision(self, n):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from gwinv.fields import (
+    FieldSyntaxError,
     enumerate_sc,
     minus_one,
     parse_field,
@@ -317,3 +318,13 @@ class TestFormGrammar:
     def test_pf_multi_slot(self):
         got = parse_form("pf(t1,-1)", RT)
         assert got.dim == 4
+
+    def test_leading_sign(self):
+        got = parse_form("-pf(t1)+H", RT)
+        want = parse_form("H", RT) - pfister([parse_sc("t1", RT)])
+        assert got.terms == want.terms
+
+    @pytest.mark.parametrize("text", ["-", "+", " - ", "H-", "H+", "pf(t1) + ", "pf(1)+-H"])
+    def test_empty_term_rejected(self, text):
+        with pytest.raises(FieldSyntaxError):
+            parse_form(text, RT)
