@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -163,6 +164,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["cases_failed"] == 0 else EXIT_FAIL
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gwinv",

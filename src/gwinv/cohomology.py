@@ -5,7 +5,8 @@ Classes are F2-sets of basis monomials.  A monomial is a pair
 real-closed base, at most one factor (u) over a finite base, and trivial
 over a quadratically closed base; the variable part is a squarefree product
 of degree-1 classes of tower variables.  The grade of a monomial is the
-base exponent plus the number of variables.
+base exponent plus the number of variables.  ``e_n`` takes the filtration
+level and the monomials of e at that level from ``witt.filtration_level``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .fields import (
     SquareClass,
     minus_one,
 )
-from .witt import MembershipError, WittClass, _base_add, _base_neg, is_in_In
+from .witt import MembershipError, WittClass, filtration_level
 
 
 @dataclass(frozen=True)
@@ -159,52 +160,12 @@ def coh_residue(x: CohClass) -> CohClass:
 
 
 def e_n(q: WittClass, n: int) -> CohClass:
-    """The degree-n cohomological invariant of a class in I^n."""
-    if not is_in_In(q, n):
+    """The degree-n cohomological invariant of a class in I^n; zero on
+    I^(n+1)."""
+    level, monos = filtration_level(q)
+    if level is not None and level < n:
         raise MembershipError(f"class is not in I^{n}")
-    return _e_unchecked(q, n)
-
-
-def _e_unchecked(q: WittClass, n: int) -> CohClass:
-    """Springer recursion for e_n on the leaves of q, assuming q is in I^n.
-
-    With the top variable t splitting the leaves as q = u + <t> r, the
-    splitting q = a + <<t>> b has a = u + r and b = -r (from
-    <t> r = r - <<t>> r), so e_n(q) = e_n(a) + (t) cup e_{n-1}(b).  The cup
-    with (t) only sets t's bit, which no monomial of e_{n-1}(b) carries.
-    """
-    field = q.field
-
-    def monos(leaves: tuple, n: int) -> frozenset:
-        if n == 0:
-            return frozenset({(0, 0)} if sum(p[0] for p in leaves) % 2 else ())
-        half = len(leaves) // 2
-        if half:
-            u, r = leaves[:half], leaves[half:]
-            a = tuple(_base_add(field, x, y) for x, y in zip(u, r))
-            b = tuple(_base_neg(field, y) for y in r)
-            return monos(a, n) | {(e, v | half) for e, v in monos(b, n - 1)}
-        p = leaves[0]
-        if field.kind == QUAD_CLOSED:
-            if any(p):
-                raise MembershipError("nontrivial class over a quadratically closed base")
-            return frozenset()
-        if field.kind == REAL_CLOSED:
-            sig = p[0]
-            if sig % (1 << n) != 0:
-                raise MembershipError(f"signature {sig} not divisible by 2^{n}")
-            return frozenset({(n, 0)} if (sig >> n) % 2 else ())
-        # finite base: degree 1 is the signed discriminant, degree >= 2 vanishes
-        parity, disc = p
-        if n == 1:
-            if parity:
-                raise MembershipError("odd-dimensional class is not in I")
-            return frozenset({(1, 0)} if disc else ())
-        if any(p):
-            raise MembershipError(f"nontrivial class over a finite base is not in I^{n}")
-        return frozenset()
-
-    return CohClass(field, monos(q.leaves, n))
+    return CohClass(q.field, monos if level == n else frozenset())
 
 
 def render_coh(x: CohClass) -> str:

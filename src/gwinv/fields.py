@@ -96,9 +96,6 @@ class FieldDescriptor:
             raise ValueError("base field has no parent tower")
         return FieldDescriptor(self.kind, self.q, self.vars[:-1])
 
-    def extend(self, var: str) -> "FieldDescriptor":
-        return FieldDescriptor(self.kind, self.q, self.vars + (var,))
-
     def var_bit(self, name: str) -> int:
         return 1 << (self.base_bits + self.vars.index(name))
 
@@ -138,9 +135,6 @@ class SquareClass:
     def base_mask(self) -> int:
         return self.mask & ((1 << self.field.base_bits) - 1)
 
-    def has_var(self, name: str) -> bool:
-        return bool(self.mask & self.field.var_bit(name))
-
     def __str__(self) -> str:
         F = self.field
         parts = []
@@ -171,13 +165,15 @@ def sc_gen(field: FieldDescriptor, name: str) -> SquareClass:
     return SquareClass(field, field.var_bit(name))
 
 
+def minus_one_mask(field: FieldDescriptor) -> int:
+    """Mask of the class of -1: trivial, the sign flip, or u when q = 3 mod 4."""
+    if field.kind == REAL_CLOSED or (field.kind == FINITE_ODD and field.q % 4 == 3):
+        return 1
+    return 0
+
+
 def minus_one(field: FieldDescriptor) -> SquareClass:
-    """The class of -1: trivial, the sign flip, or u when q = 3 mod 4."""
-    if field.kind == REAL_CLOSED:
-        return SquareClass(field, 1)
-    if field.kind == FINITE_ODD and field.q % 4 == 3:
-        return SquareClass(field, 1)
-    return SquareClass(field, 0)
+    return SquareClass(field, minus_one_mask(field))
 
 
 def represented_by_binary(c: SquareClass, a: SquareClass, b: SquareClass) -> bool:

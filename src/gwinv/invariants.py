@@ -38,12 +38,14 @@ class F2Poly:
         return self
 
     def __mul__(self, other: "F2Poly") -> "F2Poly":
+        """Shift-and-add over the set bits of the sparser operand."""
         a, b, out = self.bits, other.bits, 0
+        if a.bit_count() > b.bit_count():
+            a, b = b, a
         while a:
-            if a & 1:
-                out ^= b
-            a >>= 1
-            b <<= 1
+            low = a & -a
+            out ^= b << (low.bit_length() - 1)
+            a ^= low
         return F2Poly(out)
 
     @property

@@ -6,7 +6,9 @@ of its image in the Witt ring.  Iterating Springer's theorem,
 W(K((t))) = W(K) + <t> W(K), over a tower K0((t1))...((tk)) makes the Witt
 ring the group ring W(K0)[(Z/2)^k]; a class is stored flat as its 2^k
 leaves, one base payload (dimension parity / signature / parity plus signed
-discriminant) per variable mask.
+discriminant) per variable mask.  ``filtration_level`` reads the
+filtration level and the invariant e at that level off the leaves in one
+Springer pass; this module alone knows the payload format.
 Equality in GW is decided through the pair (dimension, Witt class), which
 determines an element uniquely.
 """
@@ -24,7 +26,7 @@ from .fields import (
     FieldMismatchError,
     FieldSyntaxError,
     SquareClass,
-    minus_one,
+    minus_one_mask,
     parse_sc,
     sc_one,
 )
@@ -261,7 +263,7 @@ def _base_add(field: FieldDescriptor, p1: tuple, p2: tuple) -> tuple:
         return (p1[0] + p2[0],)
     par1, d1 = p1
     par2, d2 = p2
-    m1 = minus_one(field).mask
+    m1 = minus_one_mask(field)
     disc = d1 ^ d2 ^ (m1 if par1 and par2 else 0)
     return ((par1 + par2) % 2, disc)
 
@@ -272,8 +274,7 @@ def _base_neg(field: FieldDescriptor, p: tuple) -> tuple:
     if field.kind == REAL_CLOSED:
         return (-p[0],)
     par, d = p
-    m1 = minus_one(field).mask
-    return (par, d ^ (m1 if par else 0))
+    return (par, d ^ (minus_one_mask(field) if par else 0))
 
 
 def _base_scale(field: FieldDescriptor, p: tuple, mask: int) -> tuple:
@@ -304,7 +305,7 @@ def _base_payload(field: FieldDescriptor, counts: dict[int, int]) -> tuple:
         return (sum(counts.values()) % 2,)
     if field.kind == REAL_CLOSED:
         return (sum(c if m == 0 else -c for m, c in counts.items()),)
-    m1 = minus_one(field).mask
+    m1 = minus_one_mask(field)
     dim = 0
     det = 0
     for m, c in counts.items():
@@ -328,7 +329,7 @@ def _base_rep_masks(field: FieldDescriptor, p: tuple) -> list[int]:
         return [d]
     if d == 0:
         return []
-    return [0, d ^ minus_one(field).mask]
+    return [0, d ^ minus_one_mask(field)]
 
 
 def _rep_masks(w: WittClass) -> list[int]:
@@ -395,15 +396,43 @@ def hat_lift(q: WittClass) -> GwElement:
     return x - hyp
 
 
-def is_in_In(q: WittClass, n: int) -> bool:
-    """Membership in the n-th power of the fundamental ideal, decided by the
-    vanishing of the degree-m cohomological invariants for m < n."""
-    from . import cohomology
+def filtration_level(q: WittClass) -> tuple[int | None, frozenset]:
+    """The largest n with q in I^n, None for the zero class (in every I^n),
+    and the monomials (base exponent, variable mask) of e_n(q) at that n.
 
-    for m in range(n):
-        if not cohomology._e_unchecked(q, m).is_zero:
-            return False
-    return True
+    A nonzero base payload has level 0 over C, v_2(signature) over R and
+    0 or 1 by dimension parity over F_q; its e is the monomial (level, 0).
+    With the top variable t splitting the leaves as q = u + <t> r,
+    q = a + <<t>> b with a = u + r and b = -r (from <t> r = r - <<t>> r).
+    By Springer's theorem q is in I^n iff a is in I^n and b in I^(n-1), so
+    level(q) = min(level(a), level(b) + 1), and e(q) = e(a) + (t) cup e(b)
+    over the branches attaining the minimum; the cup only sets t's bit.
+    """
+    field = q.field
+
+    def walk(leaves: tuple) -> tuple[int | None, frozenset]:
+        half = len(leaves) // 2
+        if not half:
+            p = leaves[0]
+            if not any(p):
+                return None, frozenset()
+            n = (p[0] & -p[0]).bit_length() - 1 if field.kind == REAL_CLOSED else 1 - p[0]
+            return n, frozenset({(n, 0)})
+        u, r = leaves[:half], leaves[half:]
+        la, ma = walk(tuple(_base_add(field, x, y) for x, y in zip(u, r)))
+        lb, mb = walk(tuple(_base_neg(field, y) for y in r))
+        if lb is None or (la is not None and la <= lb):
+            return la, ma
+        mb = frozenset((e, v | half) for e, v in mb)
+        return lb + 1, (ma | mb if la == lb + 1 else mb)
+
+    return walk(q.leaves)
+
+
+def is_in_In(q: WittClass, n: int) -> bool:
+    """Membership in the n-th power of the fundamental ideal."""
+    level = filtration_level(q)[0]
+    return level is None or level >= n
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +503,7 @@ def signed_disc(x: GwElement) -> SquareClass:
             det ^= m
     dim = x.dim
     if (dim * (dim - 1) // 2) % 2:
-        det ^= minus_one(x.field).mask
+        det ^= minus_one_mask(x.field)
     return SquareClass(x.field, det)
 
 

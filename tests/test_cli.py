@@ -123,6 +123,20 @@ class TestEval:
         assert code == EXIT_PARSE
         assert "parse error" in err
 
+    def test_usage_error_then_request_in_one_process(self, capsys):
+        request = (
+            "eval",
+            "--inv", "f[1,2]",
+            "--form", "pf(t1)+pf(t2)",
+            "--field", "R((t1))((t2))",
+        )
+        first = run(capsys, *request)
+        code, _, err = run(capsys, "eval", "--inv", "f[1,2]", "--bogus")
+        assert code == EXIT_PARSE
+        assert "usage" in err
+        assert first[0] == EXIT_OK
+        assert run(capsys, *request) == first
+
     def test_membership_failure_exit_3(self, capsys):
         code, _, err = run(
             capsys,

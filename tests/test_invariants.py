@@ -2,6 +2,7 @@
 every symbolic action with its pointwise contract."""
 
 import random
+import time
 
 import pytest
 
@@ -65,6 +66,32 @@ class TestF2Poly:
 
     def test_render(self):
         assert str(F2Poly(0b110)) == "eps+eps^2"
+
+    def test_product_matches_bitwise_oracle(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            a = rng.getrandbits(rng.randint(0, 70)) << rng.randint(0, 40)
+            b = rng.getrandbits(rng.randint(0, 70))
+            assert (F2Poly(a) * F2Poly(b)).bits == _shift_and_add(a, b)
+            assert (F2Poly(b) * F2Poly(a)).bits == _shift_and_add(a, b)
+
+    def test_high_eps_power_parses_fast(self):
+        start = time.perf_counter()
+        inv = parse_invariant("eps^200000*f[1,1]", "H")
+        assert time.perf_counter() - start < 0.5
+        assert inv.coeffs == {1: F2Poly(1 << 200000)}
+
+
+def _shift_and_add(a, b):
+    """Carry-less product through every bit of a: the original
+    ``F2Poly.__mul__``, kept as the oracle."""
+    out = 0
+    while a:
+        if a & 1:
+            out ^= b
+        a >>= 1
+        b <<= 1
+    return out
 
 
 class TestBasisChange:

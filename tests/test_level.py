@@ -1,0 +1,108 @@
+"""The one-pass filtration level against the per-degree oracle: the
+membership loop and degree-n Springer recursion that ``is_in_In`` and
+``e_n`` used before, kept here only as the reference."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gwinv.cohomology import CohClass, e_n
+from gwinv.fields import QUAD_CLOSED, REAL_CLOSED, SquareClass, parse_field
+from gwinv.witt import (
+    MembershipError,
+    _base_add,
+    _base_neg,
+    filtration_level,
+    is_in_In,
+    pfister,
+    witt_canonical,
+    witt_one,
+    witt_zero,
+)
+
+# past every level a generated class can reach (R, five slots, times 8)
+LEVEL_CAP = 24
+
+
+def oracle_e(q, n):
+    """e_n(q) by the degree-n Springer recursion, assuming q is in I^n."""
+    field = q.field
+
+    def monos(leaves, n):
+        if n == 0:
+            return frozenset({(0, 0)} if sum(p[0] for p in leaves) % 2 else ())
+        half = len(leaves) // 2
+        if half:
+            u, r = leaves[:half], leaves[half:]
+            a = tuple(_base_add(field, x, y) for x, y in zip(u, r))
+            b = tuple(_base_neg(field, y) for y in r)
+            return monos(a, n) | {(e, v | half) for e, v in monos(b, n - 1)}
+        p = leaves[0]
+        if field.kind == QUAD_CLOSED:
+            if any(p):
+                raise MembershipError("nontrivial class over a quadratically closed base")
+            return frozenset()
+        if field.kind == REAL_CLOSED:
+            sig = p[0]
+            if sig % (1 << n) != 0:
+                raise MembershipError(f"signature {sig} not divisible by 2^{n}")
+            return frozenset({(n, 0)} if (sig >> n) % 2 else ())
+        parity, disc = p
+        if n == 1:
+            if parity:
+                raise MembershipError("odd-dimensional class is not in I")
+            return frozenset({(1, 0)} if disc else ())
+        if any(p):
+            raise MembershipError(f"nontrivial class over a finite base is not in I^{n}")
+        return frozenset()
+
+    return CohClass(field, monos(q.leaves, n))
+
+
+def oracle_is_in_In(q, n):
+    return all(oracle_e(q, m).is_zero for m in range(n))
+
+
+def oracle_level(q):
+    for m in range(LEVEL_CAP):
+        if not oracle_e(q, m).is_zero:
+            return m
+    return None
+
+
+@st.composite
+def classes(draw):
+    """Signed sums of up to three Pfister forms with up to five slots over
+    C/R/F3/F5 towers of depth 0-4, times 1, 2, 4 or 8 over R.  W(C) and
+    W(F_q) have exponent 2 or 4, so there the factor is 1 or 2."""
+    head = draw(st.sampled_from(["C", "R", "F3", "F5"]))
+    depth = draw(st.integers(0, 4))
+    field = parse_field(head + "".join(f"((t{i}))" for i in range(1, depth + 1)))
+    top = (1 << field.num_gens) - 1
+    masks = st.integers(min(1, top), top)  # a slot <<1>> kills the form
+    q = witt_zero(field)
+    terms = st.tuples(st.lists(masks, max_size=5), st.booleans())
+    for slots, negate in draw(st.lists(terms, min_size=1, max_size=3)):
+        term = witt_one(field)
+        if slots:
+            term = witt_canonical(pfister([SquareClass(field, m) for m in slots]))
+        q = q - term if negate else q + term
+    return q.int_mul(draw(st.sampled_from([1, 2, 4, 8] if head == "R" else [1, 2])))
+
+
+@given(classes())
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+def test_level_and_e_match_oracle(q):
+    level, _ = filtration_level(q)
+    assert level == oracle_level(q)
+    top = LEVEL_CAP if level is None else level
+    for m in range(top + 1):
+        assert e_n(q, m) == oracle_e(q, m)
+    for m in range(top + 2):
+        assert is_in_In(q, m) == oracle_is_in_In(q, m)
+    if level is not None:
+        for m in (level + 1, level + 2):
+            try:
+                e_n(q, m)
+            except MembershipError:
+                continue
+            raise AssertionError(f"e_{m} accepted a class of level {level}")
