@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--form", required=True, help="form literal, e.g. pf(t1)+H")
     p_eval.add_argument("--field", required=True, help="field descriptor, e.g. R((t1))")
     p_eval.add_argument("--mode", choices=("W", "H"), default="H")
-    p_eval.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p_eval.add_argument("--format", choices=("text", "json"), default="text")
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run an identity suite")

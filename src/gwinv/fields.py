@@ -18,7 +18,10 @@ QUAD_CLOSED = "C"
 REAL_CLOSED = "R"
 FINITE_ODD = "F"
 
-_ENUM_DEPTH_LIMIT = 6
+# Towers may have at most this many Laurent variables.  Square classes,
+# Witt leaves and factorization searches all grow as 2^depth, so the cap
+# keeps the cost of every command bounded.
+MAX_TOWER_DEPTH = 6
 
 # Finite base orders must be below this bound.  Checking that q is an odd
 # prime power trial-divides up to sqrt(q); the bound keeps that under about
@@ -67,6 +70,10 @@ class FieldDescriptor:
             raise ValueError("only finite bases carry an order q")
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("tower variable names must be distinct")
+        if len(self.vars) > MAX_TOWER_DEPTH:
+            raise ValueError(
+                f"tower depth {len(self.vars)} exceeds the cap of {MAX_TOWER_DEPTH}"
+            )
 
     @property
     def depth(self) -> int:
@@ -200,8 +207,6 @@ def represented_by_binary(c: SquareClass, a: SquareClass, b: SquareClass) -> boo
 
 def enumerate_sc(field: FieldDescriptor) -> list[SquareClass]:
     """All square classes, in mask order."""
-    if field.depth > _ENUM_DEPTH_LIMIT:
-        raise ValueError(f"enumeration capped at tower depth {_ENUM_DEPTH_LIMIT}")
     return [SquareClass(field, m) for m in range(1 << field.num_gens)]
 
 

@@ -4,9 +4,12 @@ An invariant is a finitely supported combination of the f- or g-family
 generators at a fixed level n, with coefficients in the universal scalar
 ring generated by eps = {-1}: plain integers in Witt mode (eps is
 identified with 2 there) and F2-polynomials in eps in cohomology mode.
-The shifting, similitude, restriction and descent operators act on these
-coefficient sequences by closed formulas; ``evaluate`` sends everything to
-a concrete value on a Witt class.
+The basis change, shifting, product, similitude, restriction and descent
+operators act on these coefficient sequences by closed formulas.  Each
+formula is a term table: for a generator of degree d it lists the triples
+(c, j, k) meaning c * eps^j times the degree-k generator of the target, and
+``_linear`` applies a table to a whole invariant.  ``evaluate`` sends
+everything to a concrete value on a Witt class.
 """
 
 from __future__ import annotations
@@ -188,17 +191,23 @@ def f_transition_terms(n: int, d: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def _linear(alpha: SymbolicInvariant, n: int, basis: str, terms) -> SymbolicInvariant:
+    """The image of ``alpha`` under the linear map sending its degree-d
+    generator to the sum of c * eps^j * (degree-k generator of ``basis`` at
+    level n) over the triples (c, j, k) of ``terms(d)``."""
+    ops = alpha.ops
+    out: dict = {}
+    for d, coeff in alpha.coeffs.items():
+        for c, j, k in terms(d):
+            out[k] = out.get(k, ops.zero) + coeff * ops.from_int(c) * ops.eps_pow(j)
+    return SymbolicInvariant(n, alpha.mode, basis, out)
+
+
 def to_basis(alpha: SymbolicInvariant, basis: str) -> SymbolicInvariant:
     if alpha.basis == basis:
         return alpha
-    ops = alpha.ops
     terms = g_transition_terms if basis == "f" else f_transition_terms
-    out: dict = {}
-    for d, coeff in alpha.coeffs.items():
-        for c, j, k in terms(alpha.n, d):
-            add = coeff * ops.from_int(c) * ops.eps_pow(j)
-            out[k] = out.get(k, ops.zero) + add
-    return SymbolicInvariant(alpha.n, alpha.mode, basis, out)
+    return _linear(alpha, alpha.n, basis, lambda d: terms(alpha.n, d))
 
 
 def change_basis(alpha: SymbolicInvariant) -> SymbolicInvariant:
@@ -216,39 +225,22 @@ def phi(alpha: SymbolicInvariant, sign: int) -> SymbolicInvariant:
     of an n-fold Pfister form, acting in the representation's own basis."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    ops = alpha.ops
     n = alpha.n
-    out: dict = {}
 
-    def acc(d, c):
-        if not ops.is_zero(c):
-            out[d] = out.get(d, ops.zero) + c
+    def f_terms(d):
+        if sign == 1:
+            return [(1, 0, d - 1)] if d else []
+        return [((-1) ** (d - k - 1), n * (d - k - 1), k) for k in range(d)]
 
-    for d, coeff in alpha.coeffs.items():
+    def g_terms(d):
         if d == 0:
-            continue
-        if alpha.basis == "f":
-            if sign == 1:
-                acc(d - 1, coeff)
-            else:
-                for k in range(d):
-                    c = coeff * ops.eps_pow(n * (d - k - 1))
-                    acc(k, c if (d - k - 1) % 2 == 0 else -c)
-        else:
-            if sign == 1:
-                if d % 2 == 0:
-                    acc(d - 1, coeff)
-                else:
-                    acc(d - 1, coeff)
-                    if d >= 2:
-                        acc(d - 2, coeff * ops.eps_pow(n))
-            else:
-                if d % 2 == 1:
-                    acc(d - 1, coeff)
-                else:
-                    acc(d - 1, coeff)
-                    acc(d - 2, -(coeff * ops.eps_pow(n)))
-    return SymbolicInvariant(alpha.n, alpha.mode, alpha.basis, out)
+            return []
+        # +1 adds an eps^n term on odd d, -1 subtracts one on even d
+        if d >= 2 and d % 2 == (1 if sign == 1 else 0):
+            return [(1, 0, d - 1), (sign, n, d - 2)]
+        return [(1, 0, d - 1)]
+
+    return _linear(alpha, n, alpha.basis, f_terms if alpha.basis == "f" else g_terms)
 
 
 def shift(alpha: SymbolicInvariant, plus: int = 0, minus: int = 0) -> SymbolicInvariant:
@@ -280,95 +272,67 @@ def extract_coeffs(alpha: SymbolicInvariant, d_max: int) -> list:
 def product(
     alpha: SymbolicInvariant, beta: SymbolicInvariant
 ) -> SymbolicInvariant:
-    """Product of invariants, through the trinomial f-basis formula; the
+    """Product of invariants, through the trinomial f-basis formula: the
+    f-generator of degree s acts on ``beta`` by its own term table.  The
     result is returned in the f-basis."""
     alpha._check(beta)
     a, b = to_basis(alpha, "f"), to_basis(beta, "f")
-    ops = a.ops
     n = a.n
-    out: dict = {}
+    out = SymbolicInvariant.zero(n, a.mode)
     for s, cs in a.coeffs.items():
-        for t, ct in b.coeffs.items():
-            base = cs * ct
-            for d in range(max(s, t), s + t + 1):
-                c = multinomial_C(d, d - s, d - t)
-                add = base * ops.from_int(c) * ops.eps_pow(n * (s + t - d))
-                out[d] = out.get(d, ops.zero) + add
-    return SymbolicInvariant(a.n, a.mode, "f", out)
+        out = out + _linear(b, n, "f", lambda t, s=s: [
+            (multinomial_C(d, d - s, d - t), n * (s + t - d), d)
+            for d in range(max(s, t), s + t + 1)
+        ]).scale(cs)
+    return out
 
 
 def psi_tilde(alpha: SymbolicInvariant) -> SymbolicInvariant:
     """The similitude operator: the coefficient of {lambda} in the value on
     <lambda> q.  Acts diagonally on the g-basis; returned in the g-basis."""
     g = to_basis(alpha, "g")
-    ops = g.ops
-    delta = 1 if g.mode == "W" else 0
-    out: dict = {}
-    for d, coeff in g.coeffs.items():
-        if d == 0:
-            continue
-        if d % 2 == 1:
-            if delta:
-                out[d] = out.get(d, ops.zero) + (-coeff)
-        else:
-            c = coeff * ops.eps_pow(g.n - 1)
-            out[d - 1] = out.get(d - 1, ops.zero) + c
-    return SymbolicInvariant(g.n, g.mode, "g", out)
+
+    def terms(d):
+        if d % 2:
+            return [(-1, 0, d)] if g.mode == "W" else []
+        return [(1, g.n - 1, d - 1)] if d else []
+
+    return _linear(g, g.n, "g", terms)
 
 
 def psi_tilde_closed_f(alpha: SymbolicInvariant) -> SymbolicInvariant:
     """Closed f-basis form of the similitude operator, kept as an
     independent cross-check of ``psi_tilde``."""
     f = to_basis(alpha, "f")
-    ops = f.ops
     n = f.n
-    delta = 1 if f.mode == "W" else 0
-    out: dict = {}
 
-    def acc(d, c):
-        if not ops.is_zero(c):
-            out[d] = out.get(d, ops.zero) + c
+    def terms(d):
+        sign = -1 if d % 2 else 1
+        out = [
+            (sign * ext_binom(d - 1, k - 1), n * (d - k) - 1, k) for k in range(1, d)
+        ]
+        if sign == -1 and f.mode == "W":
+            out.append((-1, 0, d))
+        return out
 
-    for d, coeff in f.coeffs.items():
-        if d == 0:
-            continue
-        for k in range(1, d):
-            c = (
-                coeff
-                * ops.from_int(ext_binom(d - 1, k - 1))
-                * ops.eps_pow(n * (d - k) - 1)
-            )
-            acc(k, c if d % 2 == 0 else -c)
-        if d % 2 == 1 and delta:
-            acc(d, -coeff)
-    return SymbolicInvariant(f.n, f.mode, "f", out)
+    return _linear(f, n, "f", terms)
 
 
 def restrict(alpha: SymbolicInvariant) -> SymbolicInvariant:
     """Re-express an invariant of level n as one of level n + 1 (its
     restriction along the inclusion of the filtration)."""
     f = to_basis(alpha, "f")
-    ops = f.ops
     n = f.n
-    out: dict = {}
-    for d, coeff in f.coeffs.items():
-        if d == 0:
-            out[0] = out.get(0, ops.zero) + coeff
-            continue
+
+    def terms(d):
         if f.mode == "W":
-            for k in range((d + 1) // 2, d + 1):
-                c = ext_binom(k, d - k)
-                if c == 0:
-                    continue
-                add = coeff * ops.from_int(c) * ops.eps_pow((d - k) * (n - 1))
-                out[k] = out.get(k, ops.zero) + add
-        else:
-            if d % 2:
-                continue
-            m = d // 2
-            add = coeff * ops.eps_pow(m * (n - 1))
-            out[m] = out.get(m, ops.zero) + add
-    return SymbolicInvariant(n + 1, f.mode, "f", out)
+            return [
+                (ext_binom(k, d - k), (d - k) * (n - 1), k)
+                for k in range((d + 1) // 2, d + 1)
+            ]
+        return [] if d % 2 else [(1, d // 2 * (n - 1), d // 2)]
+
+    return _linear(f, n + 1, "f", terms)
 
 
 def omega_t(alpha: SymbolicInvariant, t: int) -> SymbolicInvariant:
@@ -377,17 +341,7 @@ def omega_t(alpha: SymbolicInvariant, t: int) -> SymbolicInvariant:
     if not 0 <= t < alpha.n:
         raise ValueError("need 0 <= t < n for descent")
     f = to_basis(alpha, "f")
-    if t == 0:
-        return f
-    ops = f.ops
-    out: dict = {}
-    for d, coeff in f.coeffs.items():
-        if d == 0:
-            out[0] = out.get(0, ops.zero) + coeff
-        else:
-            c = coeff * ops.eps_pow(t * (d - 1))
-            out[d] = out.get(d, ops.zero) + c
-    return SymbolicInvariant(f.n - t, f.mode, "f", out)
+    return _linear(f, f.n - t, "f", lambda d: [(1, t * (d - 1) if d else 0, d)])
 
 
 def evaluate(alpha: SymbolicInvariant, q: WittClass):

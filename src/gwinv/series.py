@@ -220,27 +220,16 @@ class TruncSeries:
             acc = (acc * inner).add_const(self.coeffs[d])
         return acc
 
-    def even_part(self) -> "TruncSeries":
-        ring = self.ring
-        return TruncSeries(
-            ring,
-            [c if d % 2 == 0 else ring.zero for d, c in enumerate(self.coeffs)],
-        )
-
-    def odd_part(self) -> "TruncSeries":
-        ring = self.ring
-        return TruncSeries(
-            ring,
-            [c if d % 2 == 1 else ring.zero for d, c in enumerate(self.coeffs)],
-        )
-
     def __repr__(self) -> str:
         return f"TruncSeries({self.ring!r}, {self.coeffs!r})"
 
 
 def even_odd_split(f: TruncSeries) -> tuple[TruncSeries, TruncSeries]:
     """(even part, odd part); the two add back to the input."""
-    return f.even_part(), f.odd_part()
+    zero = f.ring.zero
+    even = [zero if d % 2 else c for d, c in enumerate(f.coeffs)]
+    odd = [c if d % 2 else zero for d, c in enumerate(f.coeffs)]
+    return TruncSeries(f.ring, even), TruncSeries(f.ring, odd)
 
 
 def group_law(ring, atoms, precision: int) -> TruncSeries:

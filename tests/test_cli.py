@@ -14,6 +14,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def tower(depth):
+    return "C" + "".join(f"((t{i}))" for i in range(1, depth + 1))
+
+
+DEPTH_7_ERROR = "parse error: tower depth 7 exceeds the cap of 6\n"
+
+
 class TestSeries:
     def test_level_one_rows(self, capsys):
         code, out, _ = run(capsys, "series", "--n", "1", "--prec", "4")
@@ -179,6 +186,30 @@ class TestEval:
         assert code == EXIT_PARSE
         assert out == "" and "below 2^40" in err
 
+    def test_csv_format_rejected(self, capsys):
+        code, out, err = run(
+            capsys,
+            "eval",
+            "--inv", "f[1,1]",
+            "--form", "pf(t1)",
+            "--field", "R((t1))",
+            "--format", "csv",
+        )
+        assert code == EXIT_PARSE
+        assert out == "" and "invalid choice" in err
+
+    @pytest.mark.parametrize("depth, code", [(6, EXIT_OK), (7, EXIT_PARSE)])
+    def test_tower_depth_cap(self, capsys, depth, code):
+        got, out, err = run(
+            capsys, "eval", "--inv", "f[1,1]", "--form", "pf(t1)",
+            "--field", tower(depth),
+        )
+        assert got == code
+        if code == EXIT_OK:
+            assert out.strip() == "(t1)"
+        else:
+            assert out == "" and err == DEPTH_7_ERROR
+
 
 class TestVerify:
     def test_vacuous_pass(self, capsys):
@@ -271,6 +302,18 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--suite", "pi", "--field", field)
         assert code == EXIT_PARSE
         assert out == "" and err.startswith("parse error: ")
+
+    @pytest.mark.parametrize("depth, code", [(6, EXIT_OK), (7, EXIT_PARSE)])
+    def test_tower_depth_cap(self, capsys, depth, code):
+        got, out, err = run(
+            capsys, "verify", "--suite", "delta1", "--field", tower(depth),
+            "--samples", "1", "--n-max", "1", "--d-max", "1",
+        )
+        assert got == code
+        if code == EXIT_OK:
+            assert "PASS" in out
+        else:
+            assert out == "" and err == DEPTH_7_ERROR
 
     @pytest.mark.parametrize("field", ["C", "R", "F3", "F5((t1))", "R((t1))"])
     @pytest.mark.parametrize("suite", sorted(SUITES))

@@ -155,9 +155,8 @@ class TestEnumerate:
             assert len(enumerate_sc(F)) == 2 ** (depth + extra)
 
     def test_depth_guard(self):
-        F = FieldDescriptor("C", None, tuple(f"t{i}" for i in range(7)))
         with pytest.raises(ValueError):
-            enumerate_sc(F)
+            enumerate_sc(FieldDescriptor("C", None, tuple(f"t{i}" for i in range(7))))
 
 
 def finite_field_rep_oracle(q: int, a_val: int, c_val: int) -> bool:
