@@ -252,3 +252,27 @@ def parse_sc(text: str, field: FieldDescriptor) -> SquareClass:
         else:
             raise FieldSyntaxError(f"unknown generator {token!r} over {field}")
     return out
+
+
+def split_signed_sum(text: str, noun: str, error: type = FieldSyntaxError):
+    """Yield (sign, term) for each term of a sum joined by '+' and '-'
+    outside parentheses, with an optional leading sign; ``noun`` names the
+    input in the errors, which are raised as ``error``."""
+    text = text.strip()
+    if not text:
+        raise error(f"empty {noun}")
+    sign, start, depth = 1, 0, 0
+    if text[0] in "+-":
+        sign, start = (-1 if text[0] == "-" else 1), 1
+    for end in range(start, len(text) + 1):
+        ch = text[end : end + 1]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif end == len(text) or (ch in "+-" and depth == 0):
+            term = text[start:end].strip()
+            if not term:
+                raise error(f"empty term in {noun}")
+            yield sign, term
+            sign, start = (-1 if ch == "-" else 1), end + 1

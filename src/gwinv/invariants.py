@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .divided import InvariantTarget, eval_f_all, g_transition_terms
+from .fields import split_signed_sum
 from .series import ZZ, ext_binom, multinomial_C
 from .witt import WittClass
 
@@ -367,8 +368,8 @@ _EPS_RE = re.compile(r"^eps(?:\^(\d+))?$")
 def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
     ops = coeff_ops(mode)
     terms = []
-    for chunk in _split_sum(text):
-        sign, body = chunk
+    # split the whole literal first, so an empty term wins over a bad factor
+    for sign, body in list(split_signed_sum(text, "invariant literal", InvariantSyntaxError)):
         coeff = ops.from_int(sign)
         gens: list[tuple[str, int, int]] = []
         for factor in body.split("*"):
@@ -409,30 +410,6 @@ def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
             term = to_basis(term, basis).scale(coeff)
         total = total + term
     return total
-
-
-def _split_sum(text: str) -> list[tuple[int, str]]:
-    text = text.strip()
-    if not text:
-        raise InvariantSyntaxError("empty invariant literal")
-    out = []
-    sign = 1
-    if text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        text = text[1:]
-    pos = 0
-    start = 0
-    while pos <= len(text):
-        if pos == len(text) or text[pos] in "+-":
-            body = text[start:pos].strip()
-            if not body:
-                raise InvariantSyntaxError("empty term in invariant literal")
-            out.append((sign, body))
-            if pos < len(text):
-                sign = -1 if text[pos] == "-" else 1
-            start = pos + 1
-        pos += 1
-    return out
 
 
 def render_invariant(alpha: SymbolicInvariant) -> str:

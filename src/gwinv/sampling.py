@@ -15,10 +15,10 @@ from .witt import GwElement, WittClass, pfister, witt_canonical, witt_zero
 BASE_HEADS = ("C", "R", "F3", "F5")
 
 
-def standard_fields(max_depth: int = 2, heads=BASE_HEADS) -> list[FieldDescriptor]:
+def standard_fields(max_depth: int = 2) -> list[FieldDescriptor]:
     """The reference family: each base kind with towers up to max_depth."""
     out = []
-    for head in heads:
+    for head in BASE_HEADS:
         for depth in range(max_depth + 1):
             tower = "".join(f"((t{i + 1}))" for i in range(depth))
             out.append(parse_field(head + tower))
@@ -72,14 +72,11 @@ def rand_in_In(
     return rand_in_In_data(rng, field, n, pos, neg)[0]
 
 
-def rand_gw(
-    rng: Random, field: FieldDescriptor, dim: int, signed: bool = True
-) -> GwElement:
+def rand_gw(rng: Random, field: FieldDescriptor, dim: int) -> GwElement:
     terms: dict[int, int] = {}
     for _ in range(dim):
         m = rng.randrange(1 << field.num_gens)
-        c = rng.choice((1, -1)) if signed else 1
-        terms[m] = terms.get(m, 0) + c
+        terms[m] = terms.get(m, 0) + rng.choice((1, -1))
     return GwElement(field, terms)
 
 

@@ -92,10 +92,10 @@ class RunConfig:
         return [W_TARGET, H_TARGET]
 
 
-def _fields(cfg: RunConfig, max_depth: int = 2):
+def _fields(cfg: RunConfig):
     if cfg.field:
         return [parse_field(cfg.field)]
-    return standard_fields(max_depth)
+    return standard_fields()
 
 
 def _cycle(fields: list, count: int):

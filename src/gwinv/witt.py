@@ -6,9 +6,12 @@ of its image in the Witt ring.  Iterating Springer's theorem,
 W(K((t))) = W(K) + <t> W(K), over a tower K0((t1))...((tk)) makes the Witt
 ring the group ring W(K0)[(Z/2)^k]; a class is stored flat as its 2^k
 leaves, one base payload (dimension parity / signature / parity plus signed
-discriminant) per variable mask.  ``filtration_level`` reads the
-filtration level and the invariant e at that level off the leaves in one
-Springer pass; this module alone knows the payload format.
+discriminant) per variable mask.  Two inverse routines, ``_base_terms``
+(payload to a small diagonal form) and ``_base_payload`` (diagonal form to
+payload), alone know the payload format: a leaf operation is the payload
+of an operation on the small representatives.  ``filtration_level`` reads
+the filtration level and the invariant e at that level off the leaves in
+one Springer pass.
 Equality in GW is decided through the pair (dimension, Witt class), which
 determines an element uniquely.
 """
@@ -29,6 +32,7 @@ from .fields import (
     minus_one_mask,
     parse_sc,
     sc_one,
+    split_signed_sum,
 )
 from .series import TruncSeries, group_law
 
@@ -197,53 +201,51 @@ class WittClass:
         if self.field != other.field:
             raise FieldMismatchError("Witt classes over different fields")
 
-    def __add__(self, other: "WittClass") -> "WittClass":
-        self._check(other)
+    def _leafwise(self, leaves, op) -> "WittClass":
+        """Apply ``op`` to every (mask, count) pair of each of ``leaves``."""
         f = self.field
         return WittClass(
-            f, tuple(_base_add(f, p1, p2) for p1, p2 in zip(self.leaves, other.leaves))
+            f, tuple(_base_payload(f, [op(m, c) for m, c in _base_terms(f, p)]) for p in leaves)
         )
+
+    def __add__(self, other: "WittClass") -> "WittClass":
+        self._check(other)
+        return WittClass(self.field, _add_leaves(self.field, self.leaves, other.leaves))
 
     def __sub__(self, other: "WittClass") -> "WittClass":
         return self + (-other)
 
     def __neg__(self) -> "WittClass":
-        f = self.field
-        return WittClass(f, tuple(_base_neg(f, p) for p in self.leaves))
+        return self._leafwise(self.leaves, lambda m, c: (m, -c))
 
     def __mul__(self, other: "WittClass") -> "WittClass":
-        """XOR convolution of the leaves, since <t><t> = <1>."""
+        """XOR convolution of the leaves, since <t><t> = <1>, with the base
+        classes of each pair of leaves multiplied pairwise."""
         self._check(other)
         f = self.field
-        out = [_base_payload(f, {})] * len(self.leaves)
+        right = [(v, _base_terms(f, p)) for v, p in enumerate(other.leaves)]
+        out: list[list] = [[] for _ in self.leaves]
         for v1, p1 in enumerate(self.leaves):
-            for v2, p2 in enumerate(other.leaves):
-                out[v1 ^ v2] = _base_add(f, out[v1 ^ v2], _base_mul(f, p1, p2))
-        return WittClass(f, tuple(out))
+            for a, c1 in _base_terms(f, p1):
+                for v2, t2 in right:
+                    out[v1 ^ v2].extend((a ^ b, c1 * c2) for b, c2 in t2)
+        return WittClass(f, tuple(_base_payload(f, t) for t in out))
 
     def int_mul(self, n: int) -> "WittClass":
-        f = self.field
-        if f.kind == REAL_CLOSED:
-            return WittClass(f, tuple((n * p[0],) for p in self.leaves))
-        # W(C) and W(F_q) have exponent 2 or 4, so n acts as n mod 4
-        out = witt_zero(f)
-        for _ in range(n % 4):
-            out = out + self
-        return out
+        return self._leafwise(self.leaves, lambda m, c: (m, n * c))
 
     def scale_sq(self, a: SquareClass) -> "WittClass":
         """Pointwise multiplication by the scalar a: its variable part
         permutes the leaves, its base part scales each of them."""
         if self.field != a.field:
             raise FieldMismatchError("scalar over a different field")
-        f, v, b = self.field, a.var_mask, a.base_mask
-        return WittClass(
-            f, tuple(_base_scale(f, self.leaves[w ^ v], b) for w in range(len(self.leaves)))
-        )
+        v, b = a.var_mask, a.base_mask
+        permuted = [self.leaves[w ^ v] for w in range(len(self.leaves))]
+        return self._leafwise(permuted, lambda m, c: (m ^ b, c))
 
     def diag_rep(self) -> list[SquareClass]:
         """A small diagonal form with this Witt class."""
-        return [SquareClass(self.field, m) for m in _rep_masks(self)]
+        return [SquareClass(self.field, m) for m, c in _rep_terms(self) for _ in range(c)]
 
     def __str__(self) -> str:
         rep = self.diag_rep()
@@ -252,96 +254,64 @@ class WittClass:
         return "<" + ",".join(str(a) for a in rep) + ">"
 
 
-# Base payloads, the leaves of a WittClass.  Only ``field.kind`` and the mask
-# of -1 are read, so any tower over the base may be passed as ``field``.
+# The base payload codec.  Only ``field.kind`` and the mask of -1 are read,
+# so any tower over the base may be passed as ``field``.
 
 
-def _base_add(field: FieldDescriptor, p1: tuple, p2: tuple) -> tuple:
+def _base_terms(field: FieldDescriptor, p: tuple) -> tuple:
+    """A small nonnegative diagonal form with base payload p, as
+    (mask, count) pairs; a mask may repeat."""
     if field.kind == QUAD_CLOSED:
-        return ((p1[0] + p2[0]) % 2,)
+        return ((0, p[0]),)
     if field.kind == REAL_CLOSED:
-        return (p1[0] + p2[0],)
-    par1, d1 = p1
-    par2, d2 = p2
-    m1 = minus_one_mask(field)
-    disc = d1 ^ d2 ^ (m1 if par1 and par2 else 0)
-    return ((par1 + par2) % 2, disc)
-
-
-def _base_neg(field: FieldDescriptor, p: tuple) -> tuple:
-    if field.kind == QUAD_CLOSED:
-        return p
-    if field.kind == REAL_CLOSED:
-        return (-p[0],)
+        return ((0, p[0]),) if p[0] >= 0 else ((1, -p[0]),)
     par, d = p
-    return (par, d ^ (minus_one_mask(field) if par else 0))
+    if par:
+        return ((d, 1),)
+    return ((0, 1), (d ^ minus_one_mask(field), 1)) if d else ()
 
 
-def _base_scale(field: FieldDescriptor, p: tuple, mask: int) -> tuple:
+def _base_payload(field: FieldDescriptor, terms) -> tuple:
+    """Canonical base data of the formal ZZ-combination of base classes
+    given as (mask, count) pairs, in which a mask may repeat."""
     if field.kind == QUAD_CLOSED:
-        return p
+        return (sum(c for _, c in terms) % 2,)
     if field.kind == REAL_CLOSED:
-        return (-p[0],) if mask & 1 else p
-    par, d = p
-    return (par, d ^ (mask if par else 0))
+        return (sum(-c if m else c for m, c in terms),)
+    dim, disc = _signed_det(minus_one_mask(field), terms)
+    return (dim % 2, disc)
 
 
-def _base_mul(field: FieldDescriptor, p1: tuple, p2: tuple) -> tuple:
-    if field.kind == QUAD_CLOSED:
-        return (p1[0] * p2[0],)
-    if field.kind == REAL_CLOSED:
-        return (p1[0] * p2[0],)
-    counts: dict[int, int] = {}
-    for a in _base_rep_masks(field, p1):
-        for b in _base_rep_masks(field, p2):
-            m = a ^ b
-            counts[m] = counts.get(m, 0) + 1
-    return _base_payload(field, counts)
-
-
-def _base_payload(field: FieldDescriptor, counts: dict[int, int]) -> tuple:
-    """Canonical base data of a formal ZZ-combination of base classes."""
-    if field.kind == QUAD_CLOSED:
-        return (sum(counts.values()) % 2,)
-    if field.kind == REAL_CLOSED:
-        return (sum(c if m == 0 else -c for m, c in counts.items()),)
-    m1 = minus_one_mask(field)
-    dim = 0
-    det = 0
-    for m, c in counts.items():
+def _signed_det(m1: int, terms) -> tuple[int, int]:
+    """Dimension and mask of the signed discriminant (-1)^(d(d-1)/2) det
+    of the diagonal form given as (mask, count) pairs, where a negative
+    count is read through -c<m> = c<-m> in the Witt ring."""
+    dim = det = 0
+    for m, c in terms:
         if c < 0:
             m, c = m ^ m1, -c
         dim += c
         if c % 2:
             det ^= m
-    disc = det ^ (m1 if (dim * (dim - 1) // 2) % 2 else 0)
-    return (dim % 2, disc)
+    return dim, det ^ (m1 if dim % 4 > 1 else 0)
 
 
-def _base_rep_masks(field: FieldDescriptor, p: tuple) -> list[int]:
-    if field.kind == QUAD_CLOSED:
-        return [0] * p[0]
-    if field.kind == REAL_CLOSED:
-        sig = p[0]
-        return [0] * sig if sig >= 0 else [1] * (-sig)
-    par, d = p
-    if par:
-        return [d]
-    if d == 0:
-        return []
-    return [0, d ^ minus_one_mask(field)]
+def _add_leaves(field: FieldDescriptor, xs, ys) -> tuple:
+    return tuple(
+        _base_payload(field, _base_terms(field, x) + _base_terms(field, y))
+        for x, y in zip(xs, ys)
+    )
 
 
-def _rep_masks(w: WittClass) -> list[int]:
-    """Diagonal entries of ``diag_rep``, leaf by leaf in ascending mask order."""
-    bits = w.field.base_bits
-    return [
-        m | v << bits for v, p in enumerate(w.leaves) for m in _base_rep_masks(w.field, p)
-    ]
+def _rep_terms(w: WittClass) -> list[tuple[int, int]]:
+    """(mask, count) pairs of a small nonnegative diagonal form with Witt
+    class w, leaf by leaf in ascending mask order."""
+    f, bits = w.field, w.field.base_bits
+    return [(m | v << bits, c) for v, p in enumerate(w.leaves) for m, c in _base_terms(f, p)]
 
 
 def witt_zero(field: FieldDescriptor) -> WittClass:
-    return WittClass(field, (_base_payload(field, {}),) * (1 << field.depth))
+    return WittClass(field, (_base_payload(field, ()),) * (1 << field.depth))
 
 
 def witt_one(field: FieldDescriptor) -> WittClass:
@@ -356,7 +326,7 @@ def witt_canonical(x: GwElement) -> WittClass:
     buckets: list[dict[int, int]] = [{} for _ in range(1 << field.depth)]
     for m, c in x.terms.items():
         buckets[m >> bits][m & ((1 << bits) - 1)] = c
-    return WittClass(field, tuple(_base_payload(field, b) for b in buckets))
+    return WittClass(field, tuple(_base_payload(field, b.items()) for b in buckets))
 
 
 def gw_equal(x: GwElement, y: GwElement) -> bool:
@@ -386,14 +356,11 @@ def hat_lift(q: WittClass) -> GwElement:
     if q.dim_parity != 0:
         raise MembershipError("only even-dimensional classes lift to dimension 0")
     field = q.field
-    rep = _rep_masks(q)
     terms: dict[int, int] = {}
-    for m in rep:
-        terms[m] = terms.get(m, 0) + 1
+    for m, c in _rep_terms(q):
+        terms[m] = terms.get(m, 0) + c
     x = GwElement(field, terms)
-    half = len(rep) // 2
-    hyp = GwElement.diag(sc_one(field), -sc_one(field)).scale(half)
-    return x - hyp
+    return x - GwElement.diag(sc_one(field), -sc_one(field)).scale(x.dim // 2)
 
 
 def filtration_level(q: WittClass) -> tuple[int | None, frozenset]:
@@ -407,6 +374,7 @@ def filtration_level(q: WittClass) -> tuple[int | None, frozenset]:
     By Springer's theorem q is in I^n iff a is in I^n and b in I^(n-1), so
     level(q) = min(level(a), level(b) + 1), and e(q) = e(a) + (t) cup e(b)
     over the branches attaining the minimum; the cup only sets t's bit.
+    I^n is a subgroup and e(-r) = e(r) mod 2, so the pass walks r for b.
     """
     field = q.field
 
@@ -419,8 +387,8 @@ def filtration_level(q: WittClass) -> tuple[int | None, frozenset]:
             n = (p[0] & -p[0]).bit_length() - 1 if field.kind == REAL_CLOSED else 1 - p[0]
             return n, frozenset({(n, 0)})
         u, r = leaves[:half], leaves[half:]
-        la, ma = walk(tuple(_base_add(field, x, y) for x, y in zip(u, r)))
-        lb, mb = walk(tuple(_base_neg(field, y) for y in r))
+        la, ma = walk(_add_leaves(field, u, r))
+        lb, mb = walk(r)
         if lb is None or (la is not None and la <= lb):
             return la, ma
         mb = frozenset((e, v | half) for e, v in mb)
@@ -497,14 +465,7 @@ def signed_disc(x: GwElement) -> SquareClass:
     """Signed discriminant (-1)^(m(m-1)/2) det of a nonnegative diagonal."""
     if not x.is_nonneg_diagonal():
         raise ValueError("signed discriminant needs a nonnegative diagonal form")
-    det = 0
-    for m, c in x.terms.items():
-        if c % 2:
-            det ^= m
-    dim = x.dim
-    if (dim * (dim - 1) // 2) % 2:
-        det ^= minus_one_mask(x.field)
-    return SquareClass(x.field, det)
+    return SquareClass(x.field, _signed_det(minus_one_mask(x.field), x.terms.items())[1])
 
 
 # ---------------------------------------------------------------------------
@@ -517,35 +478,10 @@ _TERM_RE = re.compile(r"^(?:(\d+)\*)?(.*)$")
 
 
 def parse_form(text: str, field: FieldDescriptor) -> GwElement:
-    text = text.strip()
-    if not text:
-        raise FieldSyntaxError("empty form expression")
     out = GwElement.zero(field)
-    pos = 0
-    sign = 1
-    if text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        pos = 1
-    while True:
-        depth = 0
-        end = pos
-        while end < len(text):
-            ch = text[end]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch in "+-" and depth == 0:
-                break
-            end += 1
-        term = text[pos:end].strip()
-        if not term:
-            raise FieldSyntaxError("empty term in form expression")
+    for sign, term in split_signed_sum(text, "form expression"):
         out = out + _parse_term(term, field).scale(sign)
-        if end == len(text):
-            return out
-        sign = -1 if text[end] == "-" else 1
-        pos = end + 1
+    return out
 
 
 def _parse_term(text: str, field: FieldDescriptor) -> GwElement:

@@ -1,6 +1,7 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -107,6 +108,21 @@ class TestEval:
         )
         assert code == EXIT_OK
         assert out.strip() == "<1,-t1>"
+
+    def test_large_multiplier_over_real_tower(self, capsys):
+        # f_t(k pf(t1)) = (1 + {t1} t)^k: C(k, 2) is odd and {t1}^2 = (-1)(t1)
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys,
+            "eval",
+            "--inv", "f[1,2]",
+            "--form", "99999999999*pf(t1)",
+            "--field", "R((t1))",
+            "--mode", "H",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK
+        assert out.strip() == "(-1).(t1)"
 
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(

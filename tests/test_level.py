@@ -9,8 +9,7 @@ from gwinv.cohomology import CohClass, e_n
 from gwinv.fields import QUAD_CLOSED, REAL_CLOSED, SquareClass, parse_field
 from gwinv.witt import (
     MembershipError,
-    _base_add,
-    _base_neg,
+    WittClass,
     filtration_level,
     is_in_In,
     pfister,
@@ -33,8 +32,8 @@ def oracle_e(q, n):
         half = len(leaves) // 2
         if half:
             u, r = leaves[:half], leaves[half:]
-            a = tuple(_base_add(field, x, y) for x, y in zip(u, r))
-            b = tuple(_base_neg(field, y) for y in r)
+            a = (WittClass(field, u) + WittClass(field, r)).leaves
+            b = (-WittClass(field, r)).leaves
             return monos(a, n) | {(e, v | half) for e, v in monos(b, n - 1)}
         p = leaves[0]
         if field.kind == QUAD_CLOSED:

@@ -204,6 +204,13 @@ class TestHatLift:
         with pytest.raises(MembershipError):
             hat_lift(witt_one(R))
 
+    def test_large_multiple_is_closed_form(self):
+        # the lift reads the signature, never one entry per unit of it
+        q = witt_canonical(pfister([parse_sc("t1", RT)])).int_mul(10**12)
+        lift = hat_lift(q)
+        assert lift.dim == 0
+        assert witt_canonical(lift) == q
+
 
 class TestSecondResidue:
     def test_defining_case(self):
