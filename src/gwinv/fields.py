@@ -28,6 +28,10 @@ MAX_TOWER_DEPTH = 6
 # 0.1 s.  Only q mod 4 enters the arithmetic, so no field kind is lost.
 MAX_FINITE_ORDER = 2**40
 
+# Decimal literals in forms and invariants may have at most this many
+# digits, CPython's default limit on converting text to an int.
+MAX_LITERAL_DIGITS = 4300
+
 
 class FieldMismatchError(ValueError):
     """Operands live over different fields."""
@@ -252,6 +256,14 @@ def parse_sc(text: str, field: FieldDescriptor) -> SquareClass:
         else:
             raise FieldSyntaxError(f"unknown generator {token!r} over {field}")
     return out
+
+
+def parse_digits(digits: str, noun: str, error: type = FieldSyntaxError) -> int:
+    """The value of the decimal literal ``digits``; one longer than
+    MAX_LITERAL_DIGITS raises ``error`` naming ``noun``."""
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise error(f"{noun} has more than {MAX_LITERAL_DIGITS} digits")
+    return int(digits)
 
 
 def split_signed_sum(text: str, noun: str, error: type = FieldSyntaxError):

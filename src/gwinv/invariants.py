@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .divided import InvariantTarget, eval_f_all, g_transition_terms
-from .fields import split_signed_sum
+from .fields import parse_digits, split_signed_sum
 from .series import ZZ, ext_binom, multinomial_C
 from .witt import WittClass
 
@@ -378,11 +378,13 @@ def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
                 raise InvariantSyntaxError(f"empty factor in {body!r}")
             m = _GEN_RE.match(factor)
             if m:
-                gens.append((m.group(1), int(m.group(2)), int(m.group(3))))
+                n, d = (parse_digits(k, "an index", InvariantSyntaxError) for k in m.group(2, 3))
+                gens.append((m.group(1), n, d))
                 continue
             m = _EPS_RE.match(factor)
             if m:
-                coeff = coeff * ops.eps_pow(int(m.group(1) or 1))
+                k = m.group(1) or "1"
+                coeff = coeff * ops.eps_pow(parse_digits(k, "an eps exponent", InvariantSyntaxError))
                 continue
             try:
                 coeff = coeff * ops.from_int(int(factor))

@@ -124,6 +124,40 @@ class TestEval:
         assert code == EXIT_OK
         assert out.strip() == "(-1).(t1)"
 
+    @pytest.mark.parametrize(
+        "inv, form",
+        [
+            ("f[1,1]", "9" * 5000 + "*pf(t1)"),
+            ("f[1," + "9" * 5000 + "]", "pf(t1)"),
+            ("eps^" + "9" * 5000 + "*f[1,1]", "pf(t1)"),
+        ],
+        ids=["form-coefficient", "f-index", "eps-exponent"],
+    )
+    def test_overlong_integer_literal_exit_2(self, capsys, inv, form):
+        code, out, err = run(capsys, "eval", f"--inv={inv}", f"--form={form}", "--field=R((t1))")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("parse error:")
+
+    # k*pf(t1) has f_2 = C(k, 2) {pf(t1)}^2 = k(k-1) <1,-t1> in W
+    K = 99999999999
+
+    @pytest.mark.parametrize(
+        "inv, form, field, want",
+        [
+            ("1000000*f[1,1]", "pf(-1)", "R", "2000000*<1>"),
+            ("f[1,2]", f"{K}*pf(t1)", "R((t1))", f"{K * (K - 1)}*<1> + {K * (K - 1)}*<-t1>"),
+        ],
+    )
+    def test_large_witt_multiplicity_is_counted(self, capsys, inv, form, field, want):
+        start = time.perf_counter()
+        argv = ("eval", f"--inv={inv}", f"--form={form}", f"--field={field}", "--mode=W")
+        code, out, _ = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK
+        assert len(out.encode()) < 200
+        assert out.strip() == want
+
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(
             capsys,

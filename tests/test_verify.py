@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from gwinv.verify import RunConfig, SUITES, _report, run_suite
+from gwinv import verify
+from gwinv.verify import RunConfig, SUITES, _cases, _report, run_suite
 
 MODERATE = {
     "series": RunConfig(prec=24),
@@ -47,6 +48,22 @@ def test_suite_passes(name):
     report = run_suite(name, MODERATE[name])
     assert report["cases_failed"] == 0, report["first_failure"]
     assert report["cases_total"] >= MODERATE_FLOORS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_family_yields_cases(name):
+    # a wrong `applies` filter or count would skip a family without failing
+    keys = [fam.key for fam in SUITES[name]]
+    assert len(set(keys)) == len(keys)
+    assert {context[0] for context, _, _ in _cases(name, MODERATE[name])} == set(keys)
+
+
+def test_failure_text_names_family_field_mode_and_case(monkeypatch):
+    monkeypatch.setattr(verify, "eval_g", lambda n, d, q, target: target.ring(q.field).one)
+    failure = run_suite("g-bounds", RunConfig(samples=4))["first_failure"]
+    assert failure["inputs"].startswith("g-bounds/beyond-bound: g_")
+    assert failure["inputs"].endswith(" over C (W, case 0)")
+    assert (failure["expected"], failure["got"]) == ("0", "<1>")
 
 
 def test_report_schema():

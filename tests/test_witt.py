@@ -15,6 +15,7 @@ from gwinv.fields import (
 )
 from gwinv.sampling import rand_diag, rand_gw, rand_in_In, standard_fields
 from gwinv.witt import (
+    MAX_LISTED_COUNT,
     GwElement,
     MembershipError,
     gpfister,
@@ -210,6 +211,20 @@ class TestHatLift:
         lift = hat_lift(q)
         assert lift.dim == 0
         assert witt_canonical(lift) == q
+
+
+class TestRender:
+    def test_lists_up_to_the_cap_then_counts(self):
+        one = witt_one(R)
+        assert str(one.int_mul(MAX_LISTED_COUNT)) == "<" + ",".join(["1"] * MAX_LISTED_COUNT) + ">"
+        assert str(one.int_mul(MAX_LISTED_COUNT + 1)) == f"{MAX_LISTED_COUNT + 1}*<1>"
+        assert str(one.int_mul(-MAX_LISTED_COUNT - 1)) == f"{MAX_LISTED_COUNT + 1}*<-1>"
+        assert str(witt_zero(R)) == "0"
+
+    def test_listed_entries_come_before_counted_ones(self):
+        t1 = witt_canonical(GwElement.diag(parse_sc("t1", RT)))
+        q = witt_one(RT).int_mul(3 * MAX_LISTED_COUNT) + t1
+        assert str(q) == f"<t1> + {3 * MAX_LISTED_COUNT}*<1>"
 
 
 class TestSecondResidue:
