@@ -1,6 +1,6 @@
 """Print the SHA-256 fingerprints that a behaviour-preserving change must keep.
 
-    python3 scripts/equivalence.py [--only verify,moderate,eval,demos]
+    python3 scripts/equivalence.py
 
 Run it from the root of a checkout; it imports that checkout's ``src``,
 ``bench`` and ``tests`` and changes nothing.  Each line is ``<name> <hex>``:
@@ -18,7 +18,6 @@ Compare two checkouts by running it in each.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -80,14 +79,8 @@ HASHES = {"verify": verify_hash, "moderate": moderate_hash, "eval": eval_hash, "
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", default=",".join(HASHES), help="comma-separated subset of " + ", ".join(HASHES))
-    names = parser.parse_args().only.split(",")
-    for name in names:
-        if name not in HASHES:
-            parser.error(f"unknown hash {name!r}")
-    for name in names:
-        print(name, HASHES[name](), flush=True)
+    for name, digest in HASHES.items():
+        print(name, digest(), flush=True)
 
 
 if __name__ == "__main__":

@@ -28,10 +28,6 @@ MAX_TOWER_DEPTH = 6
 # 0.1 s.  Only q mod 4 enters the arithmetic, so no field kind is lost.
 MAX_FINITE_ORDER = 2**40
 
-# Decimal literals in forms and invariants may have at most this many
-# digits, CPython's default limit on converting text to an int.
-MAX_LITERAL_DIGITS = 4300
-
 
 class FieldMismatchError(ValueError):
     """Operands live over different fields."""
@@ -258,12 +254,14 @@ def parse_sc(text: str, field: FieldDescriptor) -> SquareClass:
     return out
 
 
-def parse_digits(digits: str, noun: str, error: type = FieldSyntaxError) -> int:
-    """The value of the decimal literal ``digits``; one longer than
-    MAX_LITERAL_DIGITS raises ``error`` naming ``noun``."""
-    if len(digits) > MAX_LITERAL_DIGITS:
-        raise error(f"{noun} has more than {MAX_LITERAL_DIGITS} digits")
-    return int(digits)
+def parse_int(text: str, noun: str, error: type = FieldSyntaxError) -> int:
+    """``int(text)``; text that int() rejects (not an integer, or longer than
+    the interpreter converts) raises ``error`` naming ``noun``."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = text if len(text) <= 40 else text[:40] + "..."
+        raise error(f"bad {noun} {shown!r}") from None
 
 
 def split_signed_sum(text: str, noun: str, error: type = FieldSyntaxError):

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .divided import InvariantTarget, eval_f_all, g_transition_terms
-from .fields import parse_digits, split_signed_sum
+from .fields import parse_int, split_signed_sum
 from .series import ZZ, ext_binom, multinomial_C
 from .witt import WittClass
 
@@ -378,18 +378,15 @@ def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
                 raise InvariantSyntaxError(f"empty factor in {body!r}")
             m = _GEN_RE.match(factor)
             if m:
-                n, d = (parse_digits(k, "an index", InvariantSyntaxError) for k in m.group(2, 3))
+                n, d = (parse_int(k, "index", InvariantSyntaxError) for k in m.group(2, 3))
                 gens.append((m.group(1), n, d))
                 continue
             m = _EPS_RE.match(factor)
             if m:
                 k = m.group(1) or "1"
-                coeff = coeff * ops.eps_pow(parse_digits(k, "an eps exponent", InvariantSyntaxError))
+                coeff = coeff * ops.eps_pow(parse_int(k, "eps exponent", InvariantSyntaxError))
                 continue
-            try:
-                coeff = coeff * ops.from_int(int(factor))
-            except ValueError:
-                raise InvariantSyntaxError(f"bad factor {factor!r}") from None
+            coeff = coeff * ops.from_int(parse_int(factor, "factor", InvariantSyntaxError))
         terms.append((coeff, gens))
     levels = {n for _, gens in terms for _, n, _ in gens}
     if not levels:

@@ -222,10 +222,21 @@ def series_parity_split(cfg, rng, fields):
     for n in range(1, 6):
         a_n, b_n = even_odd_split(build_x(n, D))
         a_next, b_next = even_odd_split(build_x(n + 1, D))
-        yield f"even part recursion, n={n}", a_next.coeffs, (b_n * b_n).scale(2**n).coeffs
-        alternate = a_n.scale(2) + (a_n * a_n).scale(2**n)
-        yield f"even part alternate, n={n}", a_next.coeffs, alternate.coeffs
-        yield f"odd part recursion, n={n}", b_next.coeffs, (b_n + (a_n * b_n).scale(2**n)).coeffs
+        yield (
+            f"even part recursion, n={n}",
+            a_next.coeffs,
+            (b_n * b_n).scale(2**n).coeffs,
+        )
+        yield (
+            f"even part alternate, n={n}",
+            a_next.coeffs,
+            (a_n.scale(2) + (a_n * a_n).scale(2**n)).coeffs,
+        )
+        yield (
+            f"odd part recursion, n={n}",
+            b_next.coeffs,
+            (b_n + (a_n * b_n).scale(2**n)).coeffs,
+        )
         p_n = TruncSeries(ZZ, [0, 1, 2 ** (n - 1)], precision=D)
         c = catalan(D)
         tc = TruncSeries(
@@ -238,7 +249,11 @@ def series_parity_split(cfg, rng, fields):
 def series_pascal(cfg, rng, fields):
     for a in range(-20, 21):
         for b in range(-20, 21):
-            yield f"({a},{b})", ext_binom(a, b), ext_binom(a - 1, b) + ext_binom(a - 1, b - 1)
+            yield (
+                f"Pascal at ({a},{b})",
+                ext_binom(a, b),
+                ext_binom(a - 1, b) + ext_binom(a - 1, b - 1),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +291,21 @@ def lambda_pfister_squares(cfg, rng, fields):
     for F in small_fields_exhaustive(2):
         m1 = minus_one(F)
         for a in enumerate_sc(F):
-            aa = pfister([a, a])
-            yield f"pf(a,a) = pf(-1,a) over {F}, a={a}", True, gw_equal(aa, pfister([m1, a]))
-            yield f"pf(a,a) = 2 pf(a) over {F}, a={a}", True, gw_equal(aa, pfister([a]).scale(2))
-            if a.is_one:
-                yield f"gpf(1) = 0 over {F}", True, gpfister([a]).is_formal_zero
-            else:
-                yield f"dim gpf over {F}", True, gpfister([a]).dim == 0
+            yield (
+                f"pf(a,a) = pf(-1,a) over {F}, a={a}",
+                True,
+                gw_equal(pfister([a, a]), pfister([m1, a])),
+            )
+            yield (
+                f"pf(a,a) = 2 pf(a) over {F}, a={a}",
+                True,
+                gw_equal(pfister([a, a]), pfister([a]).scale(2)),
+            )
+            yield (
+                f"gpf(1) = 0 over {F}" if a.is_one else f"dim gpf over {F}",
+                True,
+                gpfister([sc_one(F)]).is_formal_zero if a.is_one else gpfister([a]).dim == 0,
+            )
 
 
 @family(
@@ -452,7 +475,11 @@ def g_fixed_dim(cfg, rng, F, target, ring):
 def g_f_unbounded(cfg, rng, fields):
     q_w = -witt_canonical(pfister([minus_one(parse_field("R"))]))
     for d in range(1, 9):
-        yield f"f_1^{d}(-pf(-1)) != 0 over R", True, not eval_f(1, d, q_w, W_TARGET).is_zero
+        yield (
+            f"f_1^{d}(-pf(-1)) != 0 over R",
+            True,
+            not eval_f(1, d, q_w, W_TARGET).is_zero,
+        )
 
 
 # ... and holds over quadratically closed towers, where f = g
@@ -560,8 +587,7 @@ def classify_pointwise_shift(cfg, rng, fields):
 
 
 # discriminant example: the alternating f-series stabilizes to the
-# signed-discriminant class over non-real towers; over a real-closed tower
-# only the truncated congruence holds.  Both share a stream of their own.
+# signed-discriminant class over non-real towers; its stream is its own
 @family("classify", "discriminant")
 def classify_discriminant(cfg, rng, fields):
     rng3 = Random(cfg.seed + 2)
@@ -576,9 +602,17 @@ def classify_discriminant(cfg, rng, fields):
         for d, v in enumerate(vals):
             acc = acc + (v if d % 2 == 0 else -v)
             partials.append(acc)
-        yield f"series stabilizes over {F} (case {i})", True, partials[-1] == partials[-2]
-        disc = witt_canonical(GwElement.diag(signed_disc(x)))
-        yield f"series value over {F} (case {i})", disc, partials[-1]
+        yield (
+            f"disc series stabilizes over {F} (case {i})",
+            True,
+            partials[-1] == partials[-2],
+        )
+        yield (
+            f"disc series value over {F} (case {i})",
+            witt_canonical(GwElement.diag(signed_disc(x))),
+            partials[-1],
+        )
+    # over a real-closed tower, only the truncated congruence holds
     R1 = parse_field("R((t1))")
     for i in range(10):
         slots = rand_pfister_slots(rng3, R1, 1)
@@ -594,7 +628,11 @@ def classify_discriminant(cfg, rng, fields):
         for d, v in enumerate(vals):
             acc = acc + (v if d % 2 == 0 else -v)
         tail = acc - witt_canonical(GwElement.diag(signed_disc(x)))
-        yield f"truncation lands in I^{D + 1} over {R1} (case {i})", True, is_in_In(tail, D + 1)
+        yield (
+            f"disc truncation lands in I^{D + 1} over {R1} (case {i})",
+            True,
+            is_in_In(tail, D + 1),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +726,9 @@ def restrict_level_1_in_H(cfg, rng, fields):
             yield (
                 f"odd-degree H restriction vanishes at {2 * d - 1}",
                 True,
-                not inv.restrict(inv.SymbolicInvariant.generator(1, "H", "f", 2 * d - 1)).coeffs,
+                not inv.restrict(
+                    inv.SymbolicInvariant.generator(1, "H", "f", 2 * d - 1)
+                ).coeffs,
             )
 
 
@@ -807,9 +847,17 @@ def coh_symbol_relations(cfg, rng, fields):
         classes = enumerate_sc(F)
         for a in classes:
             for b in classes:
-                yield f"additivity {a},{b} over {F}", symbol([a]) + symbol([b]), symbol([a * b])
+                yield (
+                    f"symbol additivity {a},{b} over {F}",
+                    symbol([a]) + symbol([b]),
+                    symbol([a * b]),
+                )
         for a in classes:
-            yield f"square rewrite over {F}, a={a}", symbol([minus_one(F), a]), symbol([a, a])
+            yield (
+                f"square rewrite (a).(a) over {F}, a={a}",
+                symbol([minus_one(F), a]),
+                symbol([a, a]),
+            )
 
 
 @family("coh-ops", "e_n-pfister", lambda cfg: cfg.samples)
@@ -833,10 +881,17 @@ def coh_residue_symbols(cfg, rng, fields):
         t_sym = symbol([sc_gen(F, F.top_var)])
         for _ in range(3):
             u = rand_unit_sc(rng, F)
-            zero = CohClass.zero(F.parent())
-            want = zero if u.is_one else symbol([SquareClass(F.parent(), u.mask & ~F.top_bit)])
-            yield f"residue of (t).(u) over {F}", want, coh_residue(t_sym * symbol([u]))
-            yield f"residue kills unramified over {F}", zero, coh_residue(symbol([u]))
+            u_sub = SquareClass(F.parent(), u.mask & ~F.top_bit)
+            yield (
+                f"residue of (t).(u) over {F}",
+                symbol([u_sub]) if not u.is_one else CohClass.zero(F.parent()),
+                coh_residue(t_sym * symbol([u])),
+            )
+            yield (
+                f"residue kills unramified over {F}",
+                CohClass.zero(F.parent()),
+                coh_residue(symbol([u])),
+            )
 
 
 # adding a level-(n+1) Pfister class changes a level-n value by
@@ -903,7 +958,11 @@ def delta1_well_defined(cfg, rng, fields):
                     base_val,
                     delta_t_eval(alt, alpha, 1),
                 )
-    yield f"collected {pairs_checked} factorization pairs", True, pairs_checked >= cfg.samples
+    yield (
+        f"collected {pairs_checked} factorization pairs",
+        True,
+        pairs_checked >= cfg.samples,
+    )
 
 
 # divisibility along a t-fold factor

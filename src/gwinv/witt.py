@@ -30,7 +30,7 @@ from .fields import (
     FieldSyntaxError,
     SquareClass,
     minus_one_mask,
-    parse_digits,
+    parse_int,
     parse_sc,
     sc_one,
     split_signed_sum,
@@ -45,7 +45,9 @@ from .series import TruncSeries, group_law
 # reference reads only the listed form back: an f[n,d] there has n*d <= 6
 # over R, so its value has total multiplicity <= C(d+3,3) * 2^(nd) <= 5,376
 # on four Pfister terms, and an answer has <= 3 terms of |c| <= 3 times
-# eps^2 = 4, plus a constant <= 3: at most 193,539.
+# eps^2 = 4, plus a constant <= 3: at most 193,539.  A product request
+# f[n,s]*f[n,t] has n*(s+t) <= 6, so its value has multiplicity
+# <= C(s+3,3) * 2^(ns) * C(t+3,3) * 2^(nt) <= 25,600.
 MAX_LISTED_COUNT = 250_000
 
 
@@ -506,7 +508,7 @@ def _parse_term(text: str, field: FieldDescriptor) -> GwElement:
     m = _TERM_RE.match(text)
     if not m:
         raise FieldSyntaxError(f"bad form term {text!r}")
-    coeff = parse_digits(m.group(1), "a form coefficient") if m.group(1) else 1
+    coeff = parse_int(m.group(1), "form coefficient") if m.group(1) else 1
     atom = m.group(2).strip()
     if atom == "H":
         return GwElement.diag(sc_one(field), -sc_one(field)).scale(coeff)

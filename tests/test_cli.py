@@ -130,14 +130,16 @@ class TestEval:
             ("f[1,1]", "9" * 5000 + "*pf(t1)"),
             ("f[1," + "9" * 5000 + "]", "pf(t1)"),
             ("eps^" + "9" * 5000 + "*f[1,1]", "pf(t1)"),
+            ("9" * 5000 + "*f[1,1]", "pf(t1)"),
         ],
-        ids=["form-coefficient", "f-index", "eps-exponent"],
+        ids=["form-coefficient", "f-index", "eps-exponent", "bare-factor"],
     )
     def test_overlong_integer_literal_exit_2(self, capsys, inv, form):
         code, out, err = run(capsys, "eval", f"--inv={inv}", f"--form={form}", "--field=R((t1))")
         assert code == EXIT_PARSE
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("parse error:")
+        assert len(err) < 200
 
     # k*pf(t1) has f_2 = C(k, 2) {pf(t1)}^2 = k(k-1) <1,-t1> in W
     K = 99999999999
