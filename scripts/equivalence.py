@@ -11,7 +11,11 @@ Run it from the root of a checkout; it imports that checkout's ``src``,
   ``tests/test_verify.py``, in sorted suite order;
 * ``eval``: the concatenated ``repr((rc, stdout, stderr))`` of the 3,780
   ``workloads.eval_ops(7)`` requests sent through ``cli.main``;
-* ``demos``: the concatenated stdout of ``demos/*.py`` in sorted order.
+* ``demos``: the concatenated stdout of ``demos/*.py`` in sorted order;
+* ``series-gw``: the coefficient terms of ``lambda_series`` and
+  ``eval_pi_series`` (n = 1..3) at precisions 0, 1, 6, 10 and 16, over
+  every base with depths 0 to 4, on the formal zero and on seeded forms
+  with small, negative and large multiplicities.
 
 Compare two checkouts by running it in each.
 """
@@ -24,13 +28,17 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 ROOT = Path(__file__).resolve().parent.parent
 for sub in ("src", "bench", "tests"):
     sys.path.insert(0, str(ROOT / sub))
 
 import workloads  # noqa: E402
+from gwinv.divided import eval_pi_series  # noqa: E402
+from gwinv.sampling import rand_gw, standard_fields  # noqa: E402
 from gwinv.verify import RunConfig, run_suite  # noqa: E402
+from gwinv.witt import GwElement, lambda_series  # noqa: E402
 
 
 def _digest(chunks) -> str:
@@ -75,7 +83,29 @@ def demos_hash() -> str:
     return _digest(outputs())
 
 
-HASHES = {"verify": verify_hash, "moderate": moderate_hash, "eval": eval_hash, "demos": demos_hash}
+def series_gw_hash() -> str:
+    rng = Random(10)
+
+    def coefficients():
+        for F in standard_fields(max_depth=4):
+            small = rand_gw(rng, F, rng.randint(1, 5))
+            large = rand_gw(rng, F, 3).scale(99999999999)
+            for x in (GwElement.zero(F), small, small.scale(-3), large):
+                for prec in (0, 1, 6, 10, 16):
+                    series = [lambda_series(x, prec)] + [eval_pi_series(n, prec, x) for n in (1, 2, 3)]
+                    terms = [[sorted(c.terms.items()) for c in s.coeffs] for s in series]
+                    yield repr((str(F), sorted(x.terms.items()), prec, terms))
+
+    return _digest(coefficients())
+
+
+HASHES = {
+    "verify": verify_hash,
+    "moderate": moderate_hash,
+    "eval": eval_hash,
+    "demos": demos_hash,
+    "series-gw": series_gw_hash,
+}
 
 
 def main() -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .cohomology import CohClass, e_n, minus_one_power, symbol
 from .fields import FieldDescriptor, SquareClass
-from .series import TruncSeries, build_h, ext_binom, group_law
+from .series import TruncSeries, ext_binom, group_law, h_power_columns
 from .witt import (
     GwElement,
     GwRing,
@@ -105,16 +105,12 @@ class ValueRing:
 def eval_pi_series(n: int, precision: int, x: GwElement) -> TruncSeries:
     """Generating series of the level-n divided powers of x, exact to the
     requested degree: the exterior-power series composed with the level-n
-    substitution series."""
+    substitution series h_n, in one pass of the character kernel."""
     if n < 1:
         raise ValueError("the level n must be >= 1")
-    ring = GwRing(x.field)
-    if precision == 0:
-        return TruncSeries.one(ring, 0)
-    lam = lambda_series(x, precision)
-    h = build_h(n, precision)
-    h_lift = TruncSeries(ring, [ring.from_int(c) for c in h.coeffs])
-    return lam.compose(h_lift)
+    if precision == 0 or x.is_formal_zero:
+        return TruncSeries.one(GwRing(x.field), precision)
+    return lambda_series(x, precision, h_power_columns(n, precision))
 
 
 def eval_pi(n: int, d: int, x: GwElement) -> GwElement:

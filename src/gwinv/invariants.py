@@ -361,6 +361,14 @@ def evaluate(alpha: SymbolicInvariant, q: WittClass):
 # invariant literals:  sum of '*'-separated factors, each an integer, 'eps',
 # 'eps^k', 'f[n,d]' or 'g[n,d]'; mixed-basis input is normalized to one basis.
 
+# The largest total degree a literal may ask for: n*d for a generator f[n,d]
+# or g[n,d], and n*(d_1 + ... + d_k) for a product of them.  Evaluating
+# degree d at level n builds the level-n series to precision d, whose cost
+# climbs fast past this cap: on a 2-core x86 machine at tower depth 6,
+# f[1,256] takes 1.9 s cold (mostly building h_1), f[3,64] 0.2 s and
+# f[16,16] 0.01 s, but f[3,192] takes 5.3 s.
+MAX_TOTAL_DEGREE = 256
+
 _GEN_RE = re.compile(r"^([fg])\[(\d+),(\d+)\]$")
 _EPS_RE = re.compile(r"^eps(?:\^(\d+))?$")
 
@@ -387,6 +395,11 @@ def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
                 coeff = coeff * ops.eps_pow(parse_int(k, "eps exponent", InvariantSyntaxError))
                 continue
             coeff = coeff * ops.from_int(parse_int(factor, "factor", InvariantSyntaxError))
+        degree = sum(n * d for _, n, d in gens)
+        if degree > MAX_TOTAL_DEGREE:
+            raise InvariantSyntaxError(
+                f"the total degree of {body.strip()[:40]!r} exceeds the cap of {MAX_TOTAL_DEGREE}"
+            )
         terms.append((coeff, gens))
     levels = {n for _, gens in terms for _, n, _ in gens}
     if not levels:

@@ -4,11 +4,14 @@ Coefficients are plain Python objects supporting ``+``, ``-`` (unary and
 binary), ``*`` and ``==``.  Every coefficient ring (``ZZ`` here,
 ``witt.GwRing``, ``divided.ValueRing``) follows one small protocol: the
 constants ``zero``/``one``, the embedding ``from_int`` and the test
-``is_zero``.  ``group_law`` is the one routine for series of the form
-prod (1 + a t)^c: the exterior-power series of a form and its
-Stiefel-Whitney-style images both come from it.  The level series x_n
-comes from the quadratic recursion x_{k+1} = x_k + 2^(k-1) x_k^2, and its
-inverse h_n from the Catalan chain that inverts each step in closed form.
+``is_zero``.  ``group_law`` is the one routine that multiplies out a
+series of the form prod (1 + a t)^c; the Stiefel-Whitney-style images of
+a form come from it.  Series with GW coefficients are not multiplied out
+in the library: ``witt.lambda_series`` reduces them to integer series
+under the characters of the square-class group.  The level series x_n
+comes from the quadratic recursion x_{k+1} = x_k + 2^(k-1) x_k^2, its
+inverse h_n from the Catalan chain that inverts each step in closed form,
+and ``h_power_columns`` tabulates the powers of h_n for composition.
 Everything is exact: no floats, no coercion, and every series carries an
 explicit truncation order.
 """
@@ -16,6 +19,7 @@ explicit truncation order.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Sequence
 
@@ -235,9 +239,13 @@ def even_odd_split(f: TruncSeries) -> tuple[TruncSeries, TruncSeries]:
 def group_law(ring, atoms, precision: int) -> TruncSeries:
     """The product of (1 + a t)^c over the pairs (a, c) of ``atoms``,
     truncated: the group morphism from formal sums of atoms to
-    1 + t ring[[t]].  Positive and negative multiplicities are multiplied
-    up separately, in the order given, and the negative part is inverted
-    once at the end.  ``atoms`` is not read at precision 0."""
+    1 + t ring[[t]], multiplied out in ``ring``.  Positive and negative
+    multiplicities are multiplied up separately, in the order given, and
+    the negative part is inverted once at the end.  ``atoms`` is not read
+    at precision 0.  The library calls it for the Stiefel-Whitney-style
+    series over a value ring; exterior-power series of GW elements go
+    through the character kernel ``witt.lambda_series`` instead, and the
+    tests keep the multiplied-out GW route as its oracle."""
     if precision == 0:
         return TruncSeries.one(ring, 0)
     num = TruncSeries.one(ring, precision)
@@ -296,6 +304,29 @@ def build_h(n: int, precision: int) -> TruncSeries:
     k = 1..n-1 with C the Catalan series.  Integral by construction; the
     round trip with ``build_x`` is verified before returning."""
     return TruncSeries(ZZ, list(_h_coeffs(n, precision)))
+
+
+# A table holds about P^2/2 integers (about 2 MB at P = 256), so unlike
+# h_n itself only the most recent tables are kept; one pass of the verify
+# gate or of the benchmark's eval stream reads about twenty.
+@lru_cache(maxsize=64)
+def h_power_columns(n: int, precision: int) -> tuple[tuple[int, ...], ...]:
+    """The powers of ``build_h(n, precision)`` read by degree: column d
+    lists [t^d] h_n^k for k = 0..d (h_n^k starts at degree k), so an
+    integer series a composed with h_n has degree-d coefficient
+    sum_k a_k column[d][k]."""
+    h = build_h(n, precision).coeffs
+    cols = [[1]] + [[0] for _ in range(precision)]
+    power = [1] + [0] * precision
+    for k in range(1, precision + 1):
+        # h^k = h^(k-1) h from degree k on; h^(k-1) starts at degree k - 1
+        power = [0] * k + [
+            sum(map(operator.mul, power[k - 1 : d], h[d - k + 1 : 0 : -1]))
+            for d in range(k, precision + 1)
+        ]
+        for d in range(k, precision + 1):
+            cols[d].append(power[d])
+    return tuple(map(tuple, cols))
 
 
 def catalan(precision: int) -> TruncSeries:

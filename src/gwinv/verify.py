@@ -877,7 +877,11 @@ def coh_e_n_additivity(cfg, rng, F, target, ring):
 
 @family("coh-ops", "residue")
 def coh_residue_symbols(cfg, rng, fields):
-    for F in [f for f in fields if f.depth >= 1][:4]:
+    towers = {}  # the first tower of depth >= 1 over each base
+    for F in fields:
+        if F.depth >= 1:
+            towers.setdefault((F.kind, F.q), F)
+    for F in towers.values():
         t_sym = symbol([sc_gen(F, F.top_var)])
         for _ in range(3):
             u = rand_unit_sc(rng, F)

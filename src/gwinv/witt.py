@@ -11,7 +11,9 @@ discriminant) per variable mask.  Two inverse routines, ``_base_terms``
 payload), alone know the payload format: a leaf operation is the payload
 of an operation on the small representatives.  ``filtration_level`` reads
 the filtration level and the invariant e at that level off the leaves in
-one Springer pass.
+one Springer pass.  Exterior-power series (``lambda_series``) are evaluated
+under the characters of the square-class group as integer series, and the
+values are transformed back.
 Equality in GW is decided through the pair (dimension, Witt class), which
 determines an element uniquely.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add, mul, sub
 
 from .fields import (
     QUAD_CLOSED,
@@ -35,7 +38,7 @@ from .fields import (
     sc_one,
     split_signed_sum,
 )
-from .series import TruncSeries, group_law
+from .series import ConsistencyError, TruncSeries
 
 
 # ``str(WittClass)`` lists an entry of its small diagonal form once per unit
@@ -449,11 +452,73 @@ class GwRing:
         return not x.terms
 
 
-def lambda_series(x: GwElement, precision: int) -> TruncSeries:
-    """The exterior-power generating series of x, truncated: the group law
-    sends each generator <a> to 1 + <a> t."""
-    atoms = ((GwElement(x.field, {m: 1}), c) for m, c in sorted(x.terms.items()))
-    return group_law(GwRing(x.field), atoms, precision)
+def _plus_minus_series(chi: int, dim: int, precision: int) -> list[int]:
+    """(1 + t)^p (1 - t)^q with p - q = chi and p + q = dim, from
+    (1 - t^2) f' = (chi - dim t) f, i.e.
+    (k + 1) a_(k+1) = chi a_k + (k - 1 - dim) a_(k-1)."""
+    a = [1] + [0] * precision
+    for k in range(precision):
+        a[k + 1], r = divmod(chi * a[k] + (k - 1 - dim) * (a[k - 1] if k else 0), k + 1)
+        if r:
+            raise ConsistencyError(f"binomial recurrence is not integral at degree {k + 1}")
+    return a
+
+
+def _wht(rows: list) -> None:
+    """In-place Walsh-Hadamard transform of 2^g rows of integers, entrywise;
+    applied twice it multiplies by 2^g."""
+    h = 1
+    while h < len(rows):
+        for i in range(len(rows)):
+            if not i & h:
+                a, b = rows[i], rows[i | h]
+                rows[i], rows[i | h] = list(map(add, a, b)), list(map(sub, a, b))
+        h <<= 1
+
+
+def lambda_series(x: GwElement, precision: int, columns=None) -> TruncSeries:
+    """The exterior-power generating series of x in the variable u,
+    truncated: the group law prod (1 + <m> u)^c over the terms c<m> of x,
+    for an integer series u with zero constant term.  u = t when
+    ``columns`` is None, else the series whose powers ``columns``
+    tabulates (column d lists [t^d] u^k for k = 0..d, as
+    ``series.h_power_columns`` does).
+
+    This is the character kernel.  GW(K) holds Z[G] for
+    G = K*/K*^2 = (Z/2)^g, and each character
+    chi_s(<m>) = (-1)^popcount(s & m) is a ring map Z[G] -> Z.  It sends
+    the product to the integer series (1 + u)^p (1 - u)^q, where
+    p + q = dim x and p - q = chi_s(x); characters with equal values share
+    one series.  A Walsh-Hadamard transform of the 2^g character values of
+    each coefficient gives back 2^g times its Z[G] terms."""
+    field = x.field
+    g = field.num_gens
+    chis = [[x.terms.get(m, 0)] for m in range(1 << g)]
+    _wht(chis)
+    dim = x.dim
+    memo: dict[int, list[int]] = {}
+    rows = []
+    for (chi,) in chis:
+        row = memo.get(chi)
+        if row is None:
+            row = _plus_minus_series(chi, dim, precision)
+            if columns is not None:
+                row = [sum(map(mul, row, col)) for col in columns]
+            memo[chi] = row
+        rows.append(row)
+    _wht(rows)
+    low = (1 << g) - 1
+    coeffs = []
+    for d in range(precision + 1):
+        terms = {}
+        for m, row in enumerate(rows):
+            v = row[d]
+            if v & low:
+                raise ConsistencyError(f"character sum {v} at degree {d} is not divisible by 2^{g}")
+            if v:
+                terms[m] = v >> g
+        coeffs.append(GwElement(field, terms))
+    return TruncSeries(GwRing(field), coeffs)
 
 
 def lambda_power(d: int, x: GwElement) -> GwElement:

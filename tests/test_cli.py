@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+from gwinv import divided
 from gwinv.cli import EXIT_MEMBERSHIP, EXIT_OK, EXIT_PARSE, main
+from gwinv.invariants import MAX_TOTAL_DEGREE
 from gwinv.verify import SUITES
 
 
@@ -249,6 +251,23 @@ class TestEval:
         )
         assert code == EXIT_PARSE
         assert out == "" and "invalid choice" in err
+
+    @pytest.mark.parametrize("inv", ["f[1,257]", "g[257,1]", "f[2,129]", "f[1,200]*f[1,57]"])
+    def test_degree_above_cap_exit_2(self, capsys, inv):
+        code, out, err = run(capsys, "eval", f"--inv={inv}", "--form=pf(t1)", "--field=R((t1))")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == f"parse error: the total degree of {inv!r} exceeds the cap of {MAX_TOTAL_DEGREE}\n"
+
+    @pytest.mark.parametrize("inv", ["f[1,256]", "f[256,1]", "2*g[16,16]"])
+    @pytest.mark.parametrize("mode", ["W", "H"])
+    def test_degree_at_cap_on_zero_class_exit_0(self, capsys, monkeypatch, inv, mode):
+        # the formal zero never builds h_n, however high the degree
+        monkeypatch.setattr(divided, "h_power_columns", None)
+        code, out, err = run(
+            capsys, "eval", f"--inv={inv}", "--form=H", "--field=F3((t1))", f"--mode={mode}"
+        )
+        assert (code, out, err) == (EXIT_OK, "0\n", "")
 
     @pytest.mark.parametrize("depth, code", [(6, EXIT_OK), (7, EXIT_PARSE)])
     def test_tower_depth_cap(self, capsys, depth, code):

@@ -58,6 +58,14 @@ def test_every_family_yields_cases(name):
     assert {context[0] for context, _, _ in _cases(name, MODERATE[name])} == set(keys)
 
 
+def test_residue_family_covers_every_base():
+    # one tower of depth >= 1 per base, so the residue identities reach F_q
+    cases = [ctx for ctx, _, _ in _cases("coh-ops", MODERATE["coh-ops"]) if ctx[0] == "residue"]
+    assert len(cases) == 24
+    towers = {detail.rsplit(" over ", 1)[1] for _, detail, *_ in cases}
+    assert towers == {"C((t1))", "R((t1))", "F3((t1))", "F5((t1))"}
+
+
 def test_failure_text_names_family_field_mode_and_case(monkeypatch):
     monkeypatch.setattr(verify, "eval_g", lambda n, d, q, target: target.ring(q.field).one)
     failure = run_suite("g-bounds", RunConfig(samples=4))["first_failure"]
