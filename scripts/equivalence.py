@@ -15,7 +15,10 @@ Run it from the root of a checkout; it imports that checkout's ``src``,
 * ``series-gw``: the coefficient terms of ``lambda_series`` and
   ``eval_pi_series`` (n = 1..3) at precisions 0, 1, 6, 10 and 16, over
   every base with depths 0 to 4, on the formal zero and on seeded forms
-  with small, negative and large multiplicities.
+  with small, negative and large multiplicities;
+* ``series-dump``: the concatenated stdout of ``gwinv series --n N --prec P
+  --format json`` sent through ``cli.main``, over the 72 (N, P) of
+  ``workloads.series_ops(1)`` and then (6, 128).
 
 Compare two checkouts by running it in each.
 """
@@ -99,12 +102,21 @@ def series_gw_hash() -> str:
     return _digest(coefficients())
 
 
+def series_dump_hash() -> str:
+    def dumps():
+        for n, prec in [*workloads.series_ops(1), (6, 128)]:
+            yield workloads.call_cli(workloads.series_argv(n, prec))[2]
+
+    return _digest(dumps())
+
+
 HASHES = {
     "verify": verify_hash,
     "moderate": moderate_hash,
     "eval": eval_hash,
     "demos": demos_hash,
     "series-gw": series_gw_hash,
+    "series-dump": series_dump_hash,
 }
 
 

@@ -363,10 +363,11 @@ def evaluate(alpha: SymbolicInvariant, q: WittClass):
 
 # The largest total degree a literal may ask for: n*d for a generator f[n,d]
 # or g[n,d], and n*(d_1 + ... + d_k) for a product of them.  Evaluating
-# degree d at level n builds the level-n series to precision d, whose cost
-# climbs fast past this cap: on a 2-core x86 machine at tower depth 6,
-# f[1,256] takes 1.9 s cold (mostly building h_1), f[3,64] 0.2 s and
-# f[16,16] 0.01 s, but f[3,192] takes 5.3 s.
+# degree d at level n builds the level-n series to precision d and the
+# table of its powers, about P^3/6 products, whose cost climbs fast past
+# this cap: on a 2-core x86 machine at tower depth 6 in W mode, f[1,256] on
+# pf(t1) takes 0.43 s cold (most of it the power table), f[2,128] 0.10 s and
+# f[3,64] 0.03 s, but f[1,512] takes 2.9 s.
 MAX_TOTAL_DEGREE = 256
 
 _GEN_RE = re.compile(r"^([fg])\[(\d+),(\d+)\]$")

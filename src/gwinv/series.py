@@ -10,8 +10,11 @@ a form come from it.  Series with GW coefficients are not multiplied out
 in the library: ``witt.lambda_series`` reduces them to integer series
 under the characters of the square-class group.  The level series x_n
 comes from the quadratic recursion x_{k+1} = x_k + 2^(k-1) x_k^2, its
-inverse h_n from the Catalan chain that inverts each step in closed form,
-and ``h_power_columns`` tabulates the powers of h_n for composition.
+inverse h_n from undoing those steps one at a time, each solved degree by
+degree, and ``h_power_columns`` tabulates the powers of h_n for
+composition.  Building h_n checks x_n o h_n = t with x's own recursion and
+h_n o x_n = t with the inversion steps, in O(n P^2) integer products; the
+verify ``series`` suite checks both again by Horner ``compose``.
 Everything is exact: no floats, no coercion, and every series carries an
 explicit truncation order.
 """
@@ -259,14 +262,27 @@ def group_law(ring, atoms, precision: int) -> TruncSeries:
     return num * den.mul_inverse()
 
 
+def _level_chain(u: list[int], n: int) -> list[int]:
+    """x_n o u for an integer series u with zero constant term: x_1 o u =
+    u/(1-u), then x_(k+1) = x_k + 2^(k-1) x_k^2 for k = 1..n-1."""
+    y = list(u)
+    for d in range(2, len(y)):
+        y[d] += sum(map(operator.mul, u[1:d], y[d - 1 : 0 : -1]))
+    for k in range(1, n):
+        s = 1 << (k - 1)
+        y = [c + s * sum(map(operator.mul, y[1:d], y[d - 1 : 0 : -1])) for d, c in enumerate(y)]
+    return y
+
+
+def _identity(precision: int) -> list[int]:
+    return [0, 1, *[0] * precision][: precision + 1]
+
+
 @lru_cache(maxsize=None)
 def _x_coeffs(n: int, precision: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("series level must be >= 1")
-    x = TruncSeries(ZZ, [0] + [1] * precision)
-    for k in range(1, n):
-        x = x + (x * x).scale(2 ** (k - 1))
-    return tuple(x.coeffs)
+    return tuple(_level_chain(_identity(precision), n))
 
 
 def build_x(n: int, precision: int) -> TruncSeries:
@@ -275,34 +291,51 @@ def build_x(n: int, precision: int) -> TruncSeries:
     return TruncSeries(ZZ, list(_x_coeffs(n, precision)))
 
 
+def _invert_step(v: list[int], c: int) -> list[int]:
+    """The w with w + c w^2 = v, solved degree by degree (v(0) = 0)."""
+    w = [0] * len(v)
+    for d in range(1, len(v)):
+        w[d] = v[d] - c * sum(map(operator.mul, w[1:d], w[d - 1 : 0 : -1]))
+    return w
+
+
+def _inverse_chain(v: list[int], n: int) -> list[int]:
+    """h_n o v for an integer series v with zero constant term: undo
+    p_(n-1), ..., p_1 one step at a time, where p_k(t) = t + 2^(k-1) t^2,
+    then undo x_1 with v/(1+v)."""
+    for k in range(n - 1, 0, -1):
+        v = _invert_step(v, 1 << (k - 1))
+    h = list(v)
+    for d in range(2, len(h)):
+        h[d] -= sum(map(operator.mul, v[1:d], h[d - 1 : 0 : -1]))
+    return h
+
+
 @lru_cache(maxsize=None)
 def _h_coeffs(n: int, precision: int) -> tuple[int, ...]:
-    x = build_x(n, precision)
-    if precision == 0:
-        return (0,)
-    # h_1 = t/(1+t) inverts x_1, and p_k(t) = t + 2^(k-1) t^2 inverts in
-    # closed form to t C(-2^(k-1) t), so h_{k+1} = h_k o t C(-2^(k-1) t).
-    h = TruncSeries(ZZ, [0] + [(-1) ** (d - 1) for d in range(1, precision + 1)])
-    cat = catalan(precision).coeffs
-    for k in range(1, n):
-        s = -(2 ** (k - 1))
-        h = h.compose(
-            TruncSeries(ZZ, [0] + [c * s**d for d, c in enumerate(cat)], precision)
-        )
-    t = TruncSeries.identity(ZZ, precision)
-    if not (x.compose(h) == t and h.compose(x) == t):
-        raise ConsistencyError(f"substitution series round trip failed at level {n}")
-    for c in h.coeffs:
+    x = _x_coeffs(n, precision)
+    t = _identity(precision)
+    h = _inverse_chain(t, n)
+    # x_n o h by x's own recursion shares no step with the inversion
+    if _level_chain(h, n) != t:
+        raise ConsistencyError(f"substitution series round trip x_n o h_n failed at level {n}")
+    if _inverse_chain(x, n) != t:
+        raise ConsistencyError(f"substitution series round trip h_n o x_n failed at level {n}")
+    for c in h:
         if not isinstance(c, int):
             raise ConsistencyError("substitution series has a non-integer coefficient")
-    return tuple(h.coeffs)
+    return tuple(h)
 
 
 def build_h(n: int, precision: int) -> TruncSeries:
-    """Compositional inverse of ``build_x(n, .)``, composed from the closed-form
-    inverses of the quadratic steps: t/(1+t), then t C(-2^(k-1) t) for
-    k = 1..n-1 with C the Catalan series.  Integral by construction; the
-    round trip with ``build_x`` is verified before returning."""
+    """Compositional inverse of ``build_x(n, .)``.  x_n = p_(n-1) o ... o
+    p_1 o x_1 with x_1 = t/(1-t) and p_k(t) = t + 2^(k-1) t^2, so h_n is
+    built by inverting one step at a time from the outside in: start from
+    t, solve w + 2^(k-1) w^2 = v degree by degree for k = n-1 down to 1,
+    and finish with v/(1+v); O(n P^2) integer products.  Before returning,
+    x_n o h_n = t is checked by running x's own recursion on h_n, and
+    h_n o x_n = t by running the same inversion steps on x_n; both and the
+    integrality of every coefficient raise ``ConsistencyError`` on failure."""
     return TruncSeries(ZZ, list(_h_coeffs(n, precision)))
 
 

@@ -5,8 +5,8 @@ import time
 
 import pytest
 
-from gwinv import divided
-from gwinv.cli import EXIT_MEMBERSHIP, EXIT_OK, EXIT_PARSE, main
+from gwinv import cli, divided
+from gwinv.cli import EXIT_MEMBERSHIP, EXIT_OK, EXIT_PARSE, MAX_SERIES_SIZE, main
 from gwinv.invariants import MAX_TOTAL_DEGREE
 from gwinv.verify import SUITES
 
@@ -61,6 +61,22 @@ class TestSeries:
         code, _, err = run(capsys, "series", "--n", "1", "--prec", "-1")
         assert code == EXIT_PARSE
         assert "--prec" in err
+
+    @pytest.mark.parametrize("n, prec", [(1, MAX_SERIES_SIZE), (2, 512), (MAX_SERIES_SIZE + 1, 0), (10**30, 10**30)])
+    def test_size_above_cap_exit_2(self, capsys, monkeypatch, n, prec):
+        # rejected before anything is built
+        monkeypatch.setattr(cli, "build_h", None)
+        monkeypatch.setattr(cli, "build_x", None)
+        code, out, err = run(capsys, "series", "--n", str(n), "--prec", str(prec))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == f"error: --n * (--prec + 1) exceeds the cap of {MAX_SERIES_SIZE}\n"
+
+    @pytest.mark.parametrize("n, prec", [(1, MAX_SERIES_SIZE - 1), (4, 255), (MAX_SERIES_SIZE, 0)])
+    def test_size_at_cap_exit_0(self, capsys, n, prec):
+        code, out, err = run(capsys, "series", "--n", str(n), "--prec", str(prec), "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert len(json.loads(out)["h"]) == prec + 1
 
 
 class TestEval:

@@ -107,6 +107,24 @@ def brute_comp_inverse(coeffs, prec):
     return g
 
 
+def catalan_chain_h(n, prec):
+    """Independent oracle for h_n: the closed-form inverses composed by
+    Horner.  h_1 = t/(1+t) inverts x_1, and p_k(t) = t + 2^(k-1) t^2
+    inverts to t C(-2^(k-1) t), so h_(k+1) = h_k o t C(-2^(k-1) t); the
+    round trip with x_n is checked by two more Horner compositions."""
+    if prec == 0:
+        return [0]
+    h = S([0] + [(-1) ** (d - 1) for d in range(1, prec + 1)])
+    cat = catalan(prec).coeffs
+    for k in range(1, n):
+        s = -(2 ** (k - 1))
+        h = h.compose(TruncSeries(ZZ, [0] + [c * s**d for d, c in enumerate(cat)], prec))
+    x, t = build_x(n, prec), TruncSeries.identity(ZZ, prec)
+    assert x.compose(h) == t and h.compose(x) == t
+    assert all(isinstance(c, int) for c in h.coeffs)
+    return h.coeffs
+
+
 class TestLevelSeries:
     def test_level_one_is_geometric(self):
         assert build_x(1, 4).coeffs == [0, 1, 1, 1, 1]
@@ -149,21 +167,37 @@ class TestSubstitutionSeries:
 
     @pytest.mark.parametrize("tamper", ["off_by_one", "not_int"])
     def test_checks_guard_the_chain(self, monkeypatch, tamper):
-        # a wrong Catalan coefficient breaks the round trip; exact values
-        # of the wrong type pass it and must be caught by the integer check
-        def bad_catalan(prec):
-            c = catalan(prec).coeffs
-            if tamper == "off_by_one":
-                return S(c[:2] + [c[2] + 1] + c[3:])
-            return S([Fraction(v) for v in c])
+        # a wrong coefficient in one inversion step breaks x_n o h_n; exact
+        # values of the wrong type pass both round trips and must be caught
+        # by the integer check
+        step = series._invert_step
 
-        monkeypatch.setattr(series, "catalan", bad_catalan)
+        def bad_step(v, c):
+            w = step(v, c)
+            if tamper == "off_by_one":
+                return w[:3] + [w[3] + 1] + w[4:] if c == 2 else w
+            return [Fraction(a) for a in w]
+
+        monkeypatch.setattr(series, "_invert_step", bad_step)
         series._h_coeffs.cache_clear()
         try:
-            with pytest.raises(ConsistencyError):
+            message = "x_n o h_n" if tamper == "off_by_one" else "non-integer"
+            with pytest.raises(ConsistencyError, match=message):
                 build_h(3, 6)
         finally:
             series._h_coeffs.cache_clear()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_catalan_chain(self, n):
+        # the chain's coefficients up to degree P do not depend on its
+        # truncation order, so one oracle build covers every P
+        oracle = catalan_chain_h(n, 40)
+        for prec in range(41):
+            assert build_h(n, prec).coeffs == oracle[: prec + 1]
+
+    @pytest.mark.parametrize("n, prec", [(1, 128), (3, 96), (6, 64)])
+    def test_matches_catalan_chain_high_precision(self, n, prec):
+        assert build_h(n, prec).coeffs == catalan_chain_h(n, prec)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_round_trip_high_precision(self, n):
