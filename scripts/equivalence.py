@@ -18,7 +18,12 @@ Run it from the root of a checkout; it imports that checkout's ``src``,
   with small, negative and large multiplicities;
 * ``series-dump``: the concatenated stdout of ``gwinv series --n N --prec P
   --format json`` sent through ``cli.main``, over the 72 (N, P) of
-  ``workloads.series_ops(1)`` and then (6, 128).
+  ``workloads.series_ops(1)`` and then (6, 128);
+* ``witt-level``: the level and sorted monomials of ``filtration_level``
+  on every class of W(F3((t1))((t2))) and W(C((t1))((t2))((t3))),
+  enumerated leaf by leaf, then on seeded classes over R and F5 towers of
+  depth 0 to 6: random leaves (R signatures up to 3 * 2^10) and signed
+  sums of Pfister forms.
 
 Compare two checkouts by running it in each.
 """
@@ -30,6 +35,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 from random import Random
 
@@ -39,9 +45,18 @@ for sub in ("src", "bench", "tests"):
 
 import workloads  # noqa: E402
 from gwinv.divided import eval_pi_series  # noqa: E402
-from gwinv.sampling import rand_gw, standard_fields  # noqa: E402
+from gwinv.fields import parse_field  # noqa: E402
+from gwinv.sampling import rand_gw, rand_pfister_slots, standard_fields  # noqa: E402
 from gwinv.verify import RunConfig, run_suite  # noqa: E402
-from gwinv.witt import GwElement, lambda_series  # noqa: E402
+from gwinv.witt import (  # noqa: E402
+    GwElement,
+    WittClass,
+    filtration_level,
+    lambda_series,
+    pfister,
+    witt_canonical,
+    witt_zero,
+)
 
 
 def _digest(chunks) -> str:
@@ -110,6 +125,45 @@ def series_dump_hash() -> str:
     return _digest(dumps())
 
 
+def witt_level_hash() -> str:
+    rng = Random(12)
+
+    def enumerated():
+        for text, payloads in (
+            ("F3((t1))((t2))", [(par, d) for par in (0, 1) for d in (0, 1)]),
+            ("C((t1))((t2))((t3))", [(0,), (1,)]),
+        ):
+            F = parse_field(text)
+            for leaves in product(payloads, repeat=1 << F.depth):
+                yield WittClass(F, leaves)
+
+    def leaf(head):
+        if rng.random() < 0.5:
+            return (0,) if head == "R" else (0, 0)
+        if head == "R":
+            return (rng.randint(-3, 3) << rng.randint(0, 10),)
+        return (rng.randint(0, 1), rng.randint(0, 1))
+
+    def seeded():
+        for head in ("R", "F5"):
+            for depth in range(7):
+                F = parse_field(head + "".join(f"((t{i}))" for i in range(1, depth + 1)))
+                for _ in range(40):
+                    yield WittClass(F, tuple(leaf(head) for _ in range(1 << depth)))
+                    q = witt_zero(F)
+                    for _ in range(rng.randint(1, 3)):
+                        term = witt_canonical(pfister(rand_pfister_slots(rng, F, rng.randint(1, 5))))
+                        q = q - term if rng.random() < 0.5 else q + term
+                    yield q.int_mul(1 << rng.randint(0, 10)) if head == "R" else q
+
+    def levels():
+        for q in (*enumerated(), *seeded()):
+            level, monos = filtration_level(q)
+            yield repr((str(q.field), q.leaves, level, sorted(monos)))
+
+    return _digest(levels())
+
+
 HASHES = {
     "verify": verify_hash,
     "moderate": moderate_hash,
@@ -117,6 +171,7 @@ HASHES = {
     "demos": demos_hash,
     "series-gw": series_gw_hash,
     "series-dump": series_dump_hash,
+    "witt-level": witt_level_hash,
 }
 
 

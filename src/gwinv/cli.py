@@ -43,6 +43,11 @@ _MINIMUMS = {
 # take under 0.2 s, while (32, 256) takes 24 s.
 MAX_SERIES_SIZE = 1024
 
+# The largest `verify --prec`: the series suite checks both round trips for
+# n = 1..6 by Horner composition, O(prec^3).  On a 2-core x86 machine
+# --prec 64 takes 0.44 s of CPU and 128 takes 3.8 s.
+MAX_VERIFY_PREC = 128
+
 
 def _series_rows(n: int, prec: int) -> list[tuple[str, list[int]]]:
     x = build_x(n, prec)
@@ -119,6 +124,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.prec > MAX_VERIFY_PREC:
+        print(f"error: --prec exceeds the cap of {MAX_VERIFY_PREC}", file=sys.stderr)
+        return EXIT_PARSE
     if args.suite not in SUITES:
         print(
             f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}",
@@ -202,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True)
     p_verify.add_argument("--field", default=None)
     p_verify.add_argument(
-        "--prec", type=int, default=32, help="series truncation order (series suite only)"
+        "--prec", type=int, default=32,
+        help=f"series truncation order (series suite only, <= {MAX_VERIFY_PREC})",
     )
     p_verify.add_argument("--n-max", dest="n_max", type=int, default=3)
     p_verify.add_argument("--d-max", dest="d_max", type=int, default=6)

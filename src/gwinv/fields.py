@@ -165,11 +165,17 @@ def sc_one(field: FieldDescriptor) -> SquareClass:
 
 def sc_gen(field: FieldDescriptor, name: str) -> SquareClass:
     """The class of a named generator: a tower variable, or 'u'."""
+    return SquareClass(field, _gen_mask(field, name))
+
+
+def _gen_mask(field: FieldDescriptor, name: str) -> int:
     if name == "u":
         if field.kind != FINITE_ODD:
             raise FieldSyntaxError("'u' only exists over a finite base")
-        return SquareClass(field, 1)
-    return SquareClass(field, field.var_bit(name))
+        return 1
+    if name not in field.vars:
+        raise FieldSyntaxError(f"unknown generator {name!r} over {field}")
+    return field.var_bit(name)
 
 
 def minus_one_mask(field: FieldDescriptor) -> int:
@@ -235,23 +241,17 @@ def parse_sc(text: str, field: FieldDescriptor) -> SquareClass:
     """Parse a square-class literal: optional '-', then '1' or '*'-separated
     generators, e.g. '-u*t1'."""
     text = text.strip()
-    out = sc_one(field)
+    mask = 0
     if text.startswith("-"):
-        out = out * minus_one(field)
+        mask = minus_one_mask(field)
         text = text[1:]
     if not text:
         raise FieldSyntaxError("empty square-class literal")
     for token in text.split("*"):
         token = token.strip()
-        if token == "1":
-            continue
-        if token == "u":
-            out = out * sc_gen(field, "u")
-        elif token in field.vars:
-            out = out * sc_gen(field, token)
-        else:
-            raise FieldSyntaxError(f"unknown generator {token!r} over {field}")
-    return out
+        if token != "1":
+            mask ^= _gen_mask(field, token)
+    return SquareClass(field, mask)
 
 
 def parse_int(text: str, noun: str, error: type = FieldSyntaxError) -> int:

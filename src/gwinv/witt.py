@@ -10,10 +10,11 @@ discriminant) per variable mask.  Two inverse routines, ``_base_terms``
 (payload to a small diagonal form) and ``_base_payload`` (diagonal form to
 payload), alone know the payload format: a leaf operation is the payload
 of an operation on the small representatives.  ``filtration_level`` reads
-the filtration level and the invariant e at that level off the leaves in
-one Springer pass.  Exterior-power series (``lambda_series``) are evaluated
-under the characters of the square-class group as integer series, and the
-values are transformed back.
+the level and e off the superset sums c_S = sum_(v >= S) leaf_v, the
+coefficients of q in the monomials prod_(i in S) <<t_i>> up to signs that
+I^n (a group) and e (mod 2) ignore; ``lambda_series`` evaluates
+exterior-power series under the characters of the square-class group and
+transforms the values back.  Both transforms run on one butterfly.
 Equality in GW is decided through the pair (dimension, Witt class), which
 determines an element uniquely.
 """
@@ -172,23 +173,30 @@ class GwElement:
 
 def pfister(classes: list[SquareClass] | tuple[SquareClass, ...]) -> GwElement:
     """The 2^n-dimensional form <1,-a_1> x ... x <1,-a_n>."""
-    if not classes:
-        raise ValueError("a Pfister form needs at least one slot")
-    out = GwElement.unit(classes[0].field)
-    for a in classes:
-        out = out * GwElement.diag(sc_one(a.field), -a)
-    return out
+    return _slot_product(classes, lift=False)
 
 
 def gpfister(classes: list[SquareClass] | tuple[SquareClass, ...]) -> GwElement:
     """The dimension-0 lift (<1> - <a_1>) x ... x (<1> - <a_n>)."""
+    return _slot_product(classes, lift=True)
+
+
+def _slot_product(classes, lift: bool) -> GwElement:
+    """prod_i (<1> + s<b_i>), s<b_i> = -<a_i> for a lift, else <-a_i>: its
+    entries are the subset XORs of the b_i, counted s^size, doubled per slot."""
     if not classes:
-        raise ValueError("a Pfister lift needs at least one slot")
+        raise ValueError(f"a Pfister {'lift' if lift else 'form'} needs at least one slot")
     field = classes[0].field
-    out = GwElement.unit(field)
+    flip, sign = (0, -1) if lift else (minus_one_mask(field), 1)
+    terms = {0: 1}
     for a in classes:
-        out = out * (GwElement.unit(field) - GwElement.diag(a))
-    return out
+        if a.field != field:
+            raise FieldMismatchError("Pfister slots over different fields")
+        b, out = a.mask ^ flip, dict(terms)
+        for m, c in terms.items():
+            out[m ^ b] = out.get(m ^ b, 0) + sign * c
+        terms = out
+    return GwElement(field, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +235,8 @@ class WittClass:
 
     def __add__(self, other: "WittClass") -> "WittClass":
         self._check(other)
-        return WittClass(self.field, _add_leaves(self.field, self.leaves, other.leaves))
+        f, pairs = self.field, zip(self.leaves, other.leaves)
+        return WittClass(f, tuple(_base_payload(f, _base_terms(f, x) + _base_terms(f, y)) for x, y in pairs))
 
     def __sub__(self, other: "WittClass") -> "WittClass":
         return self + (-other)
@@ -319,13 +328,6 @@ def _signed_det(m1: int, terms) -> tuple[int, int]:
     return dim, det ^ (m1 if dim % 4 > 1 else 0)
 
 
-def _add_leaves(field: FieldDescriptor, xs, ys) -> tuple:
-    return tuple(
-        _base_payload(field, _base_terms(field, x) + _base_terms(field, y))
-        for x, y in zip(xs, ys)
-    )
-
-
 def _rep_terms(w: WittClass) -> list[tuple[int, int]]:
     """(mask, count) pairs of a small nonnegative diagonal form with Witt
     class w, leaf by leaf in ascending mask order."""
@@ -392,32 +394,29 @@ def filtration_level(q: WittClass) -> tuple[int | None, frozenset]:
 
     A nonzero base payload has level 0 over C, v_2(signature) over R and
     0 or 1 by dimension parity over F_q; its e is the monomial (level, 0).
-    With the top variable t splitting the leaves as q = u + <t> r,
-    q = a + <<t>> b with a = u + r and b = -r (from <t> r = r - <<t>> r).
-    By Springer's theorem q is in I^n iff a is in I^n and b in I^(n-1), so
-    level(q) = min(level(a), level(b) + 1), and e(q) = e(a) + (t) cup e(b)
-    over the branches attaining the minimum; the cup only sets t's bit.
-    I^n is a subgroup and e(-r) = e(r) mod 2, so the pass walks r for b.
+    In W, <t> = 1 - <<t>>, so q = sum_v leaf_v prod_(i in v) <t_i> is
+    sum_S (-1)^|S| c_S prod_(i in S) <<t_i>> with the base classes
+    c_S = sum_(v >= S) leaf_v.  By Springer's theorem, level(q) =
+    min_S (|S| + level(c_S)) and e(q) sums the monomials (level(c_S), S)
+    over the S attaining it.  The sign of c_S does not matter: I^n is a
+    group and e is read mod 2.  One superset-sum butterfly over the small
+    diagonal forms of the leaves gives every c_S.
     """
     field = q.field
-
-    def walk(leaves: tuple) -> tuple[int | None, frozenset]:
-        half = len(leaves) // 2
-        if not half:
-            p = leaves[0]
-            if not any(p):
-                return None, frozenset()
-            n = (p[0] & -p[0]).bit_length() - 1 if field.kind == REAL_CLOSED else 1 - p[0]
-            return n, frozenset({(n, 0)})
-        u, r = leaves[:half], leaves[half:]
-        la, ma = walk(_add_leaves(field, u, r))
-        lb, mb = walk(r)
-        if lb is None or (la is not None and la <= lb):
-            return la, ma
-        mb = frozenset((e, v | half) for e, v in mb)
-        return lb + 1, (ma | mb if la == lb + 1 else mb)
-
-    return walk(q.leaves)
+    rows = [_base_terms(field, p) for p in q.leaves]
+    _butterfly(rows, lambda a, b: (a + b, b))
+    level, monos = None, []
+    for s, terms in enumerate(rows):
+        p = _base_payload(field, terms)
+        if not any(p):
+            continue
+        n = (p[0] & -p[0]).bit_length() - 1 if field.kind == REAL_CLOSED else 1 - p[0]
+        total = n + s.bit_count()
+        if level is None or total < level:
+            level, monos = total, [(n, s)]
+        elif total == level:
+            monos.append((n, s))
+    return level, frozenset(monos)
 
 
 def is_in_In(q: WittClass, n: int) -> bool:
@@ -464,15 +463,14 @@ def _plus_minus_series(chi: int, dim: int, precision: int) -> list[int]:
     return a
 
 
-def _wht(rows: list) -> None:
-    """In-place Walsh-Hadamard transform of 2^g rows of integers, entrywise;
-    applied twice it multiplies by 2^g."""
+def _butterfly(rows: list, op) -> None:
+    """In place over 2^g rows: for each bit h and each index i without h,
+    replace the pair (rows[i], rows[i | h]) by op(rows[i], rows[i | h])."""
     h = 1
     while h < len(rows):
         for i in range(len(rows)):
             if not i & h:
-                a, b = rows[i], rows[i | h]
-                rows[i], rows[i | h] = list(map(add, a, b)), list(map(sub, a, b))
+                rows[i], rows[i | h] = op(rows[i], rows[i | h])
         h <<= 1
 
 
@@ -493,12 +491,12 @@ def lambda_series(x: GwElement, precision: int, columns=None) -> TruncSeries:
     each coefficient gives back 2^g times its Z[G] terms."""
     field = x.field
     g = field.num_gens
-    chis = [[x.terms.get(m, 0)] for m in range(1 << g)]
-    _wht(chis)
+    chis = [x.terms.get(m, 0) for m in range(1 << g)]
+    _butterfly(chis, lambda a, b: (a + b, a - b))
     dim = x.dim
     memo: dict[int, list[int]] = {}
     rows = []
-    for (chi,) in chis:
+    for chi in chis:
         row = memo.get(chi)
         if row is None:
             row = _plus_minus_series(chi, dim, precision)
@@ -506,7 +504,7 @@ def lambda_series(x: GwElement, precision: int, columns=None) -> TruncSeries:
                 row = [sum(map(mul, row, col)) for col in columns]
             memo[chi] = row
         rows.append(row)
-    _wht(rows)
+    _butterfly(rows, lambda a, b: (list(map(add, a, b)), list(map(sub, a, b))))
     low = (1 << g) - 1
     coeffs = []
     for d in range(precision + 1):
@@ -577,11 +575,8 @@ def _parse_term(text: str, field: FieldDescriptor) -> GwElement:
     atom = m.group(2).strip()
     if atom == "H":
         return GwElement.diag(sc_one(field), -sc_one(field)).scale(coeff)
-    for head, maker in (("diag(", GwElement.diag), ("pf(", None)):
+    for head, maker in (("diag(", lambda classes: GwElement.diag(*classes)), ("pf(", pfister)):
         if atom.startswith(head) and atom.endswith(")"):
             inner = atom[len(head) : -1]
-            classes = [parse_sc(tok, field) for tok in inner.split(",")]
-            if maker is not None:
-                return maker(*classes).scale(coeff)
-            return pfister(classes).scale(coeff)
+            return maker([parse_sc(tok, field) for tok in inner.split(",")]).scale(coeff)
     raise FieldSyntaxError(f"bad form atom {atom!r}")

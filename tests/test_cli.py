@@ -6,7 +6,7 @@ import time
 import pytest
 
 from gwinv import cli, divided
-from gwinv.cli import EXIT_MEMBERSHIP, EXIT_OK, EXIT_PARSE, MAX_SERIES_SIZE, main
+from gwinv.cli import EXIT_MEMBERSHIP, EXIT_OK, EXIT_PARSE, MAX_SERIES_SIZE, MAX_VERIFY_PREC, main
 from gwinv.invariants import MAX_TOTAL_DEGREE
 from gwinv.verify import SUITES
 
@@ -323,6 +323,30 @@ class TestVerify:
         report = json.loads(out)
         assert report["cases_failed"] == 0
         assert report["first_failure"] is None
+
+    def test_prec_at_cap_runs(self, capsys, monkeypatch):
+        # the stub stands in for the O(prec^3) series suite
+        seen = []
+
+        def stub(name, cfg):
+            seen.append((name, cfg.prec))
+            return {"suite": name, "cases_total": 1, "cases_failed": 0, "first_failure": None}
+
+        monkeypatch.setattr(cli, "run_suite", stub)
+        code, out, err = run(capsys, "verify", "--suite", "series", "--prec", str(MAX_VERIFY_PREC))
+        assert (code, err) == (EXIT_OK, "")
+        assert seen == [("series", MAX_VERIFY_PREC)]
+        assert "PASS" in out
+
+    @pytest.mark.parametrize("prec", [MAX_VERIFY_PREC + 1, 10**30])
+    @pytest.mark.parametrize("suite", ["series", "pi", "nope"])
+    def test_prec_above_cap_exits_2(self, capsys, monkeypatch, suite, prec):
+        # rejected before any suite runs
+        monkeypatch.setattr(cli, "run_suite", None)
+        code, out, err = run(capsys, "verify", "--suite", suite, "--prec", str(prec))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == f"error: --prec exceeds the cap of {MAX_VERIFY_PREC}\n"
 
     def test_deterministic_reports(self, capsys):
         args = [

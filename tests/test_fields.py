@@ -223,3 +223,44 @@ class TestLiterals:
     def test_unknown_generator(self):
         with pytest.raises(FieldSyntaxError):
             parse_sc("z", parse_field("R"))
+
+    @pytest.mark.parametrize(
+        "text, field, mask",
+        [
+            ("1", "R((t1))", 0),
+            ("-1", "R((t1))", 1),
+            ("-1", "C((t1))", 0),
+            ("-1", "F3", 1),
+            ("-1", "F5", 0),
+            ("u", "F3((t1))", 1),
+            ("u*u", "F5", 0),
+            ("t1*t1", "R((t1))", 0),
+            ("-t1", "F3((t1))", 3),
+            ("-u*t2", "F7((t1))((t2))", 4),
+            (" - u * t1 * 1 ", "F3((t1))", 2),
+            ("t2 *t1", "C((t1))((t2))", 3),
+        ],
+    )
+    def test_literal_masks(self, text, field, mask):
+        F = parse_field(field)
+        assert parse_sc(text, F) == SquareClass(F, mask)
+
+    @pytest.mark.parametrize(
+        "text, field, message",
+        [
+            ("", "R", "empty square-class literal"),
+            ("-", "F3", "empty square-class literal"),
+            ("  -  ", "R((t1))", "empty square-class literal"),
+            ("u", "R", "'u' only exists over a finite base"),
+            ("u", "C((t1))", "'u' only exists over a finite base"),
+            ("-u*t1", "R((t1))", "'u' only exists over a finite base"),
+            ("z", "R", "unknown generator 'z' over R"),
+            ("t1*t3", "F5((t1))((t2))", "unknown generator 't3' over F5((t1))((t2))"),
+            ("t1**t1", "R((t1))", "unknown generator '' over R((t1))"),
+            ("t 1", "R((t1))", "unknown generator 't 1' over R((t1))"),
+        ],
+    )
+    def test_literal_errors(self, text, field, message):
+        with pytest.raises(FieldSyntaxError) as info:
+            parse_sc(text, parse_field(field))
+        assert str(info.value) == message

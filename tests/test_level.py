@@ -1,12 +1,14 @@
-"""The one-pass filtration level against the per-degree oracle: the
-membership loop and degree-n Springer recursion that ``is_in_In`` and
-``e_n`` used before, kept here only as the reference."""
+"""The superset-sum filtration level against two oracles, each kept here
+only as the reference: the membership loop and degree-n Springer
+recursion that ``is_in_In`` and ``e_n`` used first, and the one-pass
+Springer recursion ``walk`` that ``filtration_level`` ran before its
+butterfly."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwinv.cohomology import CohClass, e_n
-from gwinv.fields import QUAD_CLOSED, REAL_CLOSED, SquareClass, parse_field
+from gwinv.fields import MAX_TOWER_DEPTH, QUAD_CLOSED, REAL_CLOSED, SquareClass, parse_field
 from gwinv.witt import (
     MembershipError,
     WittClass,
@@ -68,14 +70,47 @@ def oracle_level(q):
     return None
 
 
+def walk_level(q):
+    """(level, monomials of e at that level) by the one-pass Springer
+    recursion: with the top variable t splitting the leaves as
+    q = u + <t> r, q = a + <<t>> b with a = u + r and b = -r, so
+    level(q) = min(level(a), level(b) + 1) and e(q) = e(a) + (t) cup e(b)
+    over the branches attaining the minimum.  The pass walks r for b, as
+    I^n is a group and e(-r) = e(r) mod 2."""
+    field = q.field
+
+    def walk(leaves):
+        half = len(leaves) // 2
+        if not half:
+            p = leaves[0]
+            if not any(p):
+                return None, frozenset()
+            n = (p[0] & -p[0]).bit_length() - 1 if field.kind == REAL_CLOSED else 1 - p[0]
+            return n, frozenset({(n, 0)})
+        u, r = leaves[:half], leaves[half:]
+        la, ma = walk((WittClass(field, u) + WittClass(field, r)).leaves)
+        lb, mb = walk(r)
+        if lb is None or (la is not None and la <= lb):
+            return la, ma
+        mb = frozenset((e, v | half) for e, v in mb)
+        return lb + 1, (ma | mb if la == lb + 1 else mb)
+
+    return walk(q.leaves)
+
+
+def tower(head, depth):
+    return parse_field(head + "".join(f"((t{i}))" for i in range(1, depth + 1)))
+
+
 @st.composite
-def classes(draw):
+def classes(draw, max_depth=4, max_shift=3):
     """Signed sums of up to three Pfister forms with up to five slots over
-    C/R/F3/F5 towers of depth 0-4, times 1, 2, 4 or 8 over R.  W(C) and
-    W(F_q) have exponent 2 or 4, so there the factor is 1 or 2."""
+    C/R/F3/F5 towers of depth 0 to max_depth, times 2^j over R with
+    j <= max_shift.  W(C) and W(F_q) have exponent 2 or 4, so there the
+    factor is 1 or 2."""
     head = draw(st.sampled_from(["C", "R", "F3", "F5"]))
-    depth = draw(st.integers(0, 4))
-    field = parse_field(head + "".join(f"((t{i}))" for i in range(1, depth + 1)))
+    depth = draw(st.integers(0, max_depth))
+    field = tower(head, depth)
     top = (1 << field.num_gens) - 1
     masks = st.integers(min(1, top), top)  # a slot <<1>> kills the form
     q = witt_zero(field)
@@ -85,7 +120,35 @@ def classes(draw):
         if slots:
             term = witt_canonical(pfister([SquareClass(field, m) for m in slots]))
         q = q - term if negate else q + term
-    return q.int_mul(draw(st.sampled_from([1, 2, 4, 8] if head == "R" else [1, 2])))
+    return q.int_mul(draw(st.sampled_from([1 << j for j in range(max_shift + 1)] if head == "R" else [1, 2])))
+
+
+# one base payload of each kind: zero, or drawn from all payloads, with an
+# R signature of the form s * 2^j so that leaf levels reach 10
+PAYLOADS = {
+    "C": st.tuples(st.integers(0, 1)),
+    "R": st.builds(lambda s, j: (s << j,), st.integers(-3, 3), st.integers(0, 10)),
+    "F3": st.tuples(st.integers(0, 1), st.integers(0, 1)),
+    "F5": st.tuples(st.integers(0, 1), st.integers(0, 1)),
+}
+
+
+@st.composite
+def leaf_classes(draw):
+    """Any class over a C/R/F3/F5 tower of depth 0 to MAX_TOWER_DEPTH,
+    drawn leaf by leaf, with each leaf zero half the time."""
+    head = draw(st.sampled_from(sorted(PAYLOADS)))
+    field = tower(head, draw(st.integers(0, MAX_TOWER_DEPTH)))
+    zero = (0,) * len(witt_zero(field).leaves[0])
+    leaf = st.one_of(st.just(zero), PAYLOADS[head])
+    leaves = draw(st.lists(leaf, min_size=1 << field.depth, max_size=1 << field.depth))
+    return WittClass(field, tuple(leaves))
+
+
+@given(st.one_of(classes(max_depth=MAX_TOWER_DEPTH, max_shift=10), leaf_classes()))
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+def test_butterfly_matches_walk(q):
+    assert filtration_level(q) == walk_level(q)
 
 
 @given(classes())

@@ -2,10 +2,12 @@
 constructors, exterior powers, filtration membership, residues."""
 
 import random
+from itertools import product
 
 import pytest
 
 from gwinv.fields import (
+    FieldMismatchError,
     FieldSyntaxError,
     enumerate_sc,
     minus_one,
@@ -13,7 +15,7 @@ from gwinv.fields import (
     parse_sc,
     sc_one,
 )
-from gwinv.sampling import rand_diag, rand_gw, rand_in_In, standard_fields
+from gwinv.sampling import rand_diag, rand_gw, rand_in_In, rand_sc, standard_fields
 from gwinv.witt import (
     MAX_LISTED_COUNT,
     GwElement,
@@ -98,7 +100,51 @@ class TestGwEqual:
         assert not gw_equal(hyp, GwElement.zero(R))
 
 
+def oracle_pfister(classes):
+    """<1,-a_1> x ... x <1,-a_n> as a product of binary diagonals, the
+    construction ``pfister`` used before its subset-XOR table."""
+    out = GwElement.unit(classes[0].field)
+    for a in classes:
+        out = out * GwElement.diag(sc_one(a.field), -a)
+    return out
+
+
+def oracle_gpfister(classes):
+    """(<1> - <a_1>) x ... x (<1> - <a_n>) as a product of differences."""
+    field = classes[0].field
+    out = GwElement.unit(field)
+    for a in classes:
+        out = out * (GwElement.unit(field) - GwElement.diag(a))
+    return out
+
+
+def pfister_slot_lists():
+    """Every slot list of length 1-2 over every standard field of depth <= 2
+    and of length 3 at depth <= 1 (so 1, -1 and repeated slots all occur),
+    then seeded lists of 4-6 slots with repeats at depth <= 4."""
+    for F in standard_fields(2):
+        for n in (1, 2, 3) if F.depth <= 1 else (1, 2):
+            yield from product(enumerate_sc(F), repeat=n)
+    rng = random.Random(12)
+    for F in standard_fields(4):
+        for _ in range(10):
+            slots = [rand_sc(rng, F) for _ in range(rng.randint(4, 6))]
+            yield slots + slots[: rng.randint(0, 2)]
+
+
 class TestPfister:
+    def test_constructors_match_products(self):
+        for slots in pfister_slot_lists():
+            assert pfister(slots).terms == oracle_pfister(slots).terms
+            assert gpfister(slots).terms == oracle_gpfister(slots).terms
+
+    @pytest.mark.parametrize("make", [pfister, gpfister])
+    def test_slots_over_different_fields(self, make):
+        with pytest.raises(FieldMismatchError):
+            make([parse_sc("t1", RT), sc_one(R)])
+        with pytest.raises(FieldMismatchError):
+            make([sc_one(RT), sc_one(F3T)])
+
     def test_gpfister_of_one_vanishes(self):
         assert gpfister([sc_one(RT)]).is_formal_zero
 
@@ -113,8 +159,10 @@ class TestPfister:
         assert gpfister([a, b]).dim == 0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="a Pfister form needs at least one slot"):
             pfister([])
+        with pytest.raises(ValueError, match="a Pfister lift needs at least one slot"):
+            gpfister([])
 
 
 class TestLambdaPower:
