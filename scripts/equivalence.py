@@ -23,7 +23,11 @@ Run it from the root of a checkout; it imports that checkout's ``src``,
   on every class of W(F3((t1))((t2))) and W(C((t1))((t2))((t3))),
   enumerated leaf by leaf, then on seeded classes over R and F5 towers of
   depth 0 to 6: random leaves (R signatures up to 3 * 2^10) and signed
-  sums of Pfister forms.
+  sums of Pfister forms;
+* ``f-values``: the rendered value, or ``membership``, of ``evaluate`` on
+  every f[n,d] and g[n,d] with n <= 3 and d <= 6 and on seeded sums and
+  products of them, over every class of W(F3((t1))((t2))) and over
+  seeded classes of W(R((t1))), in both modes.
 
 Compare two checkouts by running it in each.
 """
@@ -44,12 +48,15 @@ for sub in ("src", "bench", "tests"):
     sys.path.insert(0, str(ROOT / sub))
 
 import workloads  # noqa: E402
+from gwinv.cohomology import render_coh  # noqa: E402
 from gwinv.divided import eval_pi_series  # noqa: E402
 from gwinv.fields import parse_field  # noqa: E402
+from gwinv.invariants import evaluate, parse_invariant  # noqa: E402
 from gwinv.sampling import rand_gw, rand_pfister_slots, standard_fields  # noqa: E402
 from gwinv.verify import RunConfig, run_suite  # noqa: E402
 from gwinv.witt import (  # noqa: E402
     GwElement,
+    MembershipError,
     WittClass,
     filtration_level,
     lambda_series,
@@ -110,8 +117,9 @@ def series_gw_hash() -> str:
             large = rand_gw(rng, F, 3).scale(99999999999)
             for x in (GwElement.zero(F), small, small.scale(-3), large):
                 for prec in (0, 1, 6, 10, 16):
-                    series = [lambda_series(x, prec)] + [eval_pi_series(n, prec, x) for n in (1, 2, 3)]
-                    terms = [[sorted(c.terms.items()) for c in s.coeffs] for s in series]
+                    series = [lambda_series(x, range(prec + 1)).values()]
+                    series += [eval_pi_series(n, prec, x).coeffs for n in (1, 2, 3)]
+                    terms = [[sorted(c.terms.items()) for c in s] for s in series]
                     yield repr((str(F), sorted(x.terms.items()), prec, terms))
 
     return _digest(coefficients())
@@ -164,6 +172,39 @@ def witt_level_hash() -> str:
     return _digest(levels())
 
 
+def f_values_hash() -> str:
+    rng = Random(13)
+    texts = [f"{b}[{n},{d}]" for b in "fg" for n in (1, 2, 3) for d in range(7)]
+    for n in (1, 2, 3):
+        for _ in range(4):
+            gens = [f"{rng.choice('fg')}[{n},{rng.randint(0, 6)}]" for _ in range(rng.randint(2, 3))]
+            texts.append("".join(f"{rng.choice('+-')}{rng.randint(1, 3)}*eps^{rng.randint(0, 2)}*{g}" for g in gens))
+        for _ in range(2):
+            s = rng.randint(1, 3)
+            texts.append(f"{rng.choice('fg')}[{n},{s}]*{rng.choice('fg')}[{n},{rng.randint(1, 4 - s)}]")
+    F3 = parse_field("F3((t1))((t2))")
+    payloads = [(par, d) for par in (0, 1) for d in (0, 1)]
+    classes = [WittClass(F3, leaves) for leaves in product(payloads, repeat=4)]
+    R1 = parse_field("R((t1))")
+    for _ in range(40):
+        classes.append(WittClass(R1, tuple((rng.randint(-3, 3) << rng.randint(0, 4),) for _ in range(2))))
+
+    def values():
+        for mode in "WH":
+            alphas = [(text, parse_invariant(text, mode)) for text in texts]
+            for q in classes:
+                for text, alpha in alphas:
+                    try:
+                        value = evaluate(alpha, q)
+                    except MembershipError:
+                        yield repr((mode, text, str(q.field), q.leaves, "membership"))
+                        continue
+                    shown = str(value) if mode == "W" else render_coh(value)
+                    yield repr((mode, text, str(q.field), q.leaves, shown))
+
+    return _digest(values())
+
+
 HASHES = {
     "verify": verify_hash,
     "moderate": moderate_hash,
@@ -172,6 +213,7 @@ HASHES = {
     "series-gw": series_gw_hash,
     "series-dump": series_dump_hash,
     "witt-level": witt_level_hash,
+    "f-values": f_values_hash,
 }
 
 

@@ -11,6 +11,7 @@ rebasing of it with bounded support on every fixed class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection
 
 from .cohomology import CohClass, e_n, minus_one_power, symbol
 from .fields import FieldDescriptor, SquareClass
@@ -104,48 +105,50 @@ class ValueRing:
 
 def eval_pi_series(n: int, precision: int, x: GwElement) -> TruncSeries:
     """Generating series of the level-n divided powers of x, exact to the
-    requested degree: the exterior-power series composed with the level-n
-    substitution series h_n, in one pass of the character kernel."""
+    requested degree."""
+    return TruncSeries(GwRing(x.field), list(eval_pi_coeffs(n, range(precision + 1), x).values()))
+
+
+def eval_pi_coeffs(n: int, degrees: Collection[int], x: GwElement) -> dict[int, GwElement]:
+    """The level-n divided powers of x at ``degrees``: the exterior-power
+    series composed with the level-n substitution series h_n, in one pass
+    of the character kernel that computes only those degrees."""
     if n < 1:
         raise ValueError("the level n must be >= 1")
-    if precision == 0 or x.is_formal_zero:
-        return TruncSeries.one(GwRing(x.field), precision)
-    return lambda_series(x, precision, h_power_columns(n, precision))
+    if x.is_formal_zero or not any(degrees):
+        one, zero = GwElement.unit(x.field), GwElement.zero(x.field)
+        return {d: zero if d else one for d in degrees}
+    return lambda_series(x, degrees, h_power_columns(n, max(degrees)))
 
 
 def eval_pi(n: int, d: int, x: GwElement) -> GwElement:
     """Degree-d divided power of x at level n."""
-    return eval_pi_series(n, d, x).coeff(d)
+    return eval_pi_coeffs(n, (d,), x)[d]
 
 
 # -- the f and g families on concrete Witt classes
 
 
-def eval_f_all(
-    n: int, q: WittClass, target: InvariantTarget, d_max: int
-) -> list:
-    """Values of the degree-0..d_max f-family members on q, sharing one
-    divided-power series; the one membership check of an evaluation."""
+def eval_f_all(n: int, q: WittClass, target: InvariantTarget, degrees: Collection[int]) -> dict:
+    """Values of the f-family members of the given degrees on q, keyed by
+    degree.  The one membership check of an evaluation runs first, even
+    for no degree or degree 0 alone; then one divided-power pass computes
+    only the requested degrees (every degree up to D is ``range(D + 1)``)."""
     if not is_in_In(q, n):
         raise MembershipError(f"class is not in I^{n}")
-    series = eval_pi_series(n, d_max, hat_lift(q)) if d_max else None
-    out = []
-    for d in range(d_max + 1):
-        if d == 0:
-            w = witt_one(q.field)
-        else:
-            w = witt_canonical(series.coeff(d))
-        if target.mode == "W":
-            out.append(w)
-        else:
-            out.append(e_n(w, n * d))
+    wanted = [d for d in degrees if d]
+    pis = eval_pi_coeffs(n, wanted, hat_lift(q)) if wanted else {}
+    out = {}
+    for d in degrees:
+        w = witt_canonical(pis[d]) if d else witt_one(q.field)
+        out[d] = w if target.mode == "W" else e_n(w, n * d)
     return out
 
 
 def eval_f(n: int, d: int, q: WittClass, target: InvariantTarget):
     """The degree-nd invariant of q in I^n obtained from the level-n
     divided power of degree d."""
-    return eval_f_all(n, q, target, d)[d]
+    return eval_f_all(n, q, target, (d,))[d]
 
 
 def g_transition_terms(n: int, d: int) -> list[tuple[int, int, int]]:
@@ -164,10 +167,11 @@ def g_transition_terms(n: int, d: int) -> list[tuple[int, int, int]]:
 
 def eval_g(n: int, d: int, q: WittClass, target: InvariantTarget):
     """The balanced invariant family, through the f-basis rebasing."""
-    fvals = eval_f_all(n, q, target, d)
+    terms = g_transition_terms(n, d)
+    fvals = eval_f_all(n, q, target, [k for _, _, k in terms])
     ring = target.ring(q.field)
     out = ring.zero
-    for c, j, k in g_transition_terms(n, d):
+    for c, j, k in terms:
         out = out + ring.from_int(c) * ring.eps_pow(j) * fvals[k]
     return out
 
@@ -195,14 +199,13 @@ def p_fixed(d: int, x: GwElement) -> GwElement:
     if not x.is_nonneg_diagonal():
         raise ValueError("the fixed-dimension expansion needs a nonnegative diagonal")
     m = x.dim
-    lam = lambda_series(x, d)
+    lam = lambda_series(x, range(d + 1))
     out = GwElement.zero(x.field)
     for k in range(d + 1):
         c = ext_binom(m - k, d - k)
         if c == 0:
             continue
-        term = lam.coeff(k) if k else GwElement.unit(x.field)
-        out = out + term.scale(c if k % 2 == 0 else -c)
+        out = out + lam[k].scale(c if k % 2 == 0 else -c)
     return out
 
 

@@ -70,6 +70,12 @@ class FieldDescriptor:
             raise ValueError("only finite bases carry an order q")
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("tower variable names must be distinct")
+        for name in self.vars:
+            if name in ("u", "1"):
+                raise ValueError(
+                    f"tower variable {name!r} collides with a square-class literal"
+                    " ('u' is the base generator, '1' the unit)"
+                )
         if len(self.vars) > MAX_TOWER_DEPTH:
             raise ValueError(
                 f"tower depth {len(self.vars)} exceeds the cap of {MAX_TOWER_DEPTH}"

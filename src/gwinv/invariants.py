@@ -346,10 +346,12 @@ def omega_t(alpha: SymbolicInvariant, t: int) -> SymbolicInvariant:
 
 
 def evaluate(alpha: SymbolicInvariant, q: WittClass):
-    """Value of a symbolic invariant on a concrete Witt class in I^n."""
+    """Value of a symbolic invariant on a concrete Witt class in I^n.  Only
+    the f-degrees in its f-basis support are computed, after the membership
+    check, which runs even when that support is empty."""
     target = InvariantTarget(alpha.mode)
     f = to_basis(alpha, "f")
-    fvals = eval_f_all(f.n, q, target, max(f.coeffs, default=0))
+    fvals = eval_f_all(f.n, q, target, f.coeffs)
     ring = target.ring(q.field)
     out = ring.zero
     for d, coeff in f.coeffs.items():

@@ -25,6 +25,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 from operator import add, mul, sub
+from typing import Collection
 
 from .fields import (
     QUAD_CLOSED,
@@ -39,7 +40,7 @@ from .fields import (
     sc_one,
     split_signed_sum,
 )
-from .series import ConsistencyError, TruncSeries
+from .series import ConsistencyError
 
 
 # ``str(WittClass)`` lists an entry of its small diagonal form once per unit
@@ -329,10 +330,10 @@ def _signed_det(m1: int, terms) -> tuple[int, int]:
 
 
 def _rep_terms(w: WittClass) -> list[tuple[int, int]]:
-    """(mask, count) pairs of a small nonnegative diagonal form with Witt
-    class w, leaf by leaf in ascending mask order."""
+    """(mask, count) pairs, counts positive, of a small nonnegative diagonal
+    form with Witt class w, leaf by leaf in ascending mask order."""
     f, bits = w.field, w.field.base_bits
-    return [(m | v << bits, c) for v, p in enumerate(w.leaves) for m, c in _base_terms(f, p)]
+    return [(m | v << bits, c) for v, p in enumerate(w.leaves) for m, c in _base_terms(f, p) if c]
 
 
 def witt_zero(field: FieldDescriptor) -> WittClass:
@@ -380,12 +381,13 @@ def hat_lift(q: WittClass) -> GwElement:
     """The unique dimension-0 GW element whose Witt class is q."""
     if q.dim_parity != 0:
         raise MembershipError("only even-dimensional classes lift to dimension 0")
-    field = q.field
     terms: dict[int, int] = {}
     for m, c in _rep_terms(q):
         terms[m] = terms.get(m, 0) + c
-    x = GwElement(field, terms)
-    return x - GwElement.diag(sc_one(field), -sc_one(field)).scale(x.dim // 2)
+    half = sum(terms.values()) // 2
+    for m in (0, minus_one_mask(q.field)):
+        terms[m] = terms.get(m, 0) - half
+    return GwElement(q.field, terms)
 
 
 def filtration_level(q: WittClass) -> tuple[int | None, frozenset]:
@@ -474,49 +476,53 @@ def _butterfly(rows: list, op) -> None:
         h <<= 1
 
 
-def lambda_series(x: GwElement, precision: int, columns=None) -> TruncSeries:
-    """The exterior-power generating series of x in the variable u,
-    truncated: the group law prod (1 + <m> u)^c over the terms c<m> of x,
-    for an integer series u with zero constant term.  u = t when
-    ``columns`` is None, else the series whose powers ``columns``
-    tabulates (column d lists [t^d] u^k for k = 0..d, as
-    ``series.h_power_columns`` does).
+def lambda_series(x: GwElement, degrees: Collection[int], columns=None) -> dict[int, GwElement]:
+    """The coefficients at ``degrees`` of the exterior-power generating
+    series of x in the variable u: the group law prod (1 + <m> u)^c over
+    the terms c<m> of x, for an integer series u with zero constant term.
+    u = t when ``columns`` is None, else the series whose powers
+    ``columns`` tabulates (column d lists [t^d] u^k for k = 0..d, as
+    ``series.h_power_columns`` does).  Only the requested degrees are
+    computed; the full series truncated at P is the degree set
+    ``range(P + 1)``.
 
     This is the character kernel.  GW(K) holds Z[G] for
     G = K*/K*^2 = (Z/2)^g, and each character
     chi_s(<m>) = (-1)^popcount(s & m) is a ring map Z[G] -> Z.  It sends
     the product to the integer series (1 + u)^p (1 - u)^q, where
     p + q = dim x and p - q = chi_s(x); characters with equal values share
-    one series.  A Walsh-Hadamard transform of the 2^g character values of
-    each coefficient gives back 2^g times its Z[G] terms."""
+    one row, read at the requested degrees alone.  A Walsh-Hadamard
+    transform of the 2^g character values of each coefficient gives back
+    2^g times its Z[G] terms, and every returned coefficient is checked
+    to divide exactly."""
+    if min(degrees, default=0) < 0:
+        raise ValueError("exterior-power degrees must be >= 0")
     field = x.field
     g = field.num_gens
     chis = [x.terms.get(m, 0) for m in range(1 << g)]
     _butterfly(chis, lambda a, b: (a + b, a - b))
-    dim = x.dim
+    dim, top = x.dim, max(degrees, default=0)
     memo: dict[int, list[int]] = {}
     rows = []
     for chi in chis:
         row = memo.get(chi)
         if row is None:
-            row = _plus_minus_series(chi, dim, precision)
-            if columns is not None:
-                row = [sum(map(mul, row, col)) for col in columns]
-            memo[chi] = row
+            a = _plus_minus_series(chi, dim, top)
+            row = memo[chi] = [a[d] if columns is None else sum(map(mul, a, columns[d])) for d in degrees]
         rows.append(row)
     _butterfly(rows, lambda a, b: (list(map(add, a, b)), list(map(sub, a, b))))
     low = (1 << g) - 1
-    coeffs = []
-    for d in range(precision + 1):
+    coeffs = {}
+    for j, d in enumerate(degrees):
         terms = {}
         for m, row in enumerate(rows):
-            v = row[d]
+            v = row[j]
             if v & low:
                 raise ConsistencyError(f"character sum {v} at degree {d} is not divisible by 2^{g}")
             if v:
                 terms[m] = v >> g
-        coeffs.append(GwElement(field, terms))
-    return TruncSeries(GwRing(field), coeffs)
+        coeffs[d] = GwElement(field, terms)
+    return coeffs
 
 
 def lambda_power(d: int, x: GwElement) -> GwElement:
@@ -524,7 +530,7 @@ def lambda_power(d: int, x: GwElement) -> GwElement:
     elementary symmetric expression in the entries."""
     if d == 0:
         return GwElement.unit(x.field)
-    return lambda_series(x, d).coeff(d)
+    return lambda_series(x, (d,))[d]
 
 
 def lambda_power_direct(d: int, x: GwElement) -> GwElement:
@@ -561,10 +567,13 @@ _TERM_RE = re.compile(r"^(?:(\d+)\*)?(.*)$")
 
 
 def parse_form(text: str, field: FieldDescriptor) -> GwElement:
-    out = GwElement.zero(field)
+    terms: dict[int, int] = {}
     for sign, term in split_signed_sum(text, "form expression"):
-        out = out + _parse_term(term, field).scale(sign)
-    return out
+        for m, c in _parse_term(term, field).terms.items():
+            terms[m] = terms.get(m, 0) + sign * c
+            if not terms[m]:
+                del terms[m]
+    return GwElement(field, terms)
 
 
 def _parse_term(text: str, field: FieldDescriptor) -> GwElement:

@@ -4,11 +4,12 @@ prod (1 + <a> t)^c multiplied out over ``GwRing``, and its composition with
 the lifted level-n substitution series.  The oracle below is kept here only
 as the reference; every coefficient's terms must agree."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gwinv import witt
-from gwinv.divided import eval_pi_series
+from gwinv.divided import eval_pi_coeffs, eval_pi_series
 from gwinv.fields import parse_field
 from gwinv.series import ConsistencyError, TruncSeries, build_h, group_law
 from gwinv.witt import GwElement, GwRing, lambda_series, parse_form
@@ -54,8 +55,12 @@ def terms(series):
     return [c.terms for c in series.coeffs]
 
 
+def full_lambda(x, precision):
+    return TruncSeries(GwRing(x.field), list(lambda_series(x, range(precision + 1)).values()))
+
+
 def assert_matches(x, n, precision):
-    assert terms(lambda_series(x, precision)) == terms(oracle_lambda_series(x, precision))
+    assert terms(full_lambda(x, precision)) == terms(oracle_lambda_series(x, precision))
     got = eval_pi_series(n, precision, x)
     assert got.ring == GwRing(x.field) and got.precision == precision
     assert terms(got) == terms(oracle_eval_pi_series(n, precision, x))
@@ -80,9 +85,34 @@ def test_off_by_one_character_sum_is_caught(monkeypatch):
     for head in ("C", "R", "F3", "F5"):
         x = parse_form("pf(t1) + diag(t1)", field(head, 1))
         try:
-            got = terms(lambda_series(x, 6))
+            got = terms(full_lambda(x, 6))
         except ConsistencyError:
             caught += 1
         else:
             assert got != terms(oracle_lambda_series(x, 6))
     assert caught
+
+
+def test_indivisible_character_sum_is_caught_on_degree_subsets(monkeypatch):
+    # One more from degree 5 on in the row of the trivial character alone:
+    # the rows stay integral, so the recurrence check passes, but every
+    # transformed value at those degrees is off by one and the exact 2^g
+    # division must fail there, on the full series and on any degree set
+    # that reads them, also behind a clean first degree.
+    exact = witt._plus_minus_series
+    monkeypatch.setattr(
+        witt,
+        "_plus_minus_series",
+        lambda chi, dim, precision: [
+            c + (k >= 5 and chi == dim) for k, c in enumerate(exact(chi, dim, precision))
+        ],
+    )
+    for head in ("C", "R", "F3", "F5"):
+        x = parse_form("pf(t1) + diag(t1)", field(head, 1))
+        lambda_series(x, (1, 4))
+        for degrees in (range(7), (5,), (6,), (1, 5)):
+            with pytest.raises(ConsistencyError, match="not divisible by 2"):
+                lambda_series(x, degrees)
+        for degrees in (range(6), (5,), (1, 5)):
+            with pytest.raises(ConsistencyError, match="not divisible by 2"):
+                eval_pi_coeffs(2, degrees, x)

@@ -256,6 +256,21 @@ class TestEval:
         assert code == EXIT_PARSE
         assert out == "" and "below 2^40" in err
 
+    @pytest.mark.parametrize("field", ["R((u))", "F3((u))", "C((1))"])
+    def test_literal_variable_name_exit_2(self, capsys, field):
+        code, out, err = run(capsys, "eval", "--inv", "f[1,1]", "--form", "pf(u)", "--field", field)
+        assert code == EXIT_PARSE
+        assert out == "" and "collides with a square-class literal" in err
+
+    @pytest.mark.parametrize("inv", ["f[2,1]-f[2,1]", "f[2,0]", "3*g[2,0]"])
+    @pytest.mark.parametrize("mode", ["W", "H"])
+    def test_membership_checked_when_no_degree_is_read(self, capsys, inv, mode):
+        code, out, err = run(
+            capsys, "eval", f"--inv={inv}", "--form=pf(t1)", "--field=R((t1))", f"--mode={mode}"
+        )
+        assert (code, out) == (EXIT_MEMBERSHIP, "")
+        assert err == "membership error: class is not in I^2\n"
+
     def test_csv_format_rejected(self, capsys):
         code, out, err = run(
             capsys,

@@ -1,0 +1,176 @@
+"""The degree-set route of the f-family against the full-series loop that
+``eval_f_all`` ran before it took a set of degrees: build the divided-power
+series to the top degree, then read, canonicalize and (in mode H) take e_n
+of every coefficient.  The oracle below is kept here only as the
+reference; the degree-set route must give the same value at every degree
+it is asked for, and raise the same membership error."""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gwinv import divided
+from gwinv.cohomology import e_n
+from gwinv.divided import (
+    H_TARGET,
+    W_TARGET,
+    eval_f,
+    eval_f_all,
+    eval_g,
+    eval_pi,
+    eval_pi_series,
+    g_transition_terms,
+)
+from gwinv.fields import SquareClass, parse_field
+from gwinv.invariants import evaluate, parse_invariant
+from gwinv.sampling import standard_fields
+from gwinv.witt import (
+    GwElement,
+    MembershipError,
+    WittClass,
+    hat_lift,
+    is_in_In,
+    lambda_power,
+    lambda_series,
+    parse_form,
+    pfister,
+    witt_canonical,
+    witt_one,
+    witt_zero,
+)
+
+FIELDS = standard_fields(4)
+TARGETS = {"W": W_TARGET, "H": H_TARGET}
+
+
+def oracle_eval_f_all(n, q, target, d_max):
+    if not is_in_In(q, n):
+        raise MembershipError(f"class is not in I^{n}")
+    series = eval_pi_series(n, d_max, hat_lift(q)) if d_max else None
+    out = []
+    for d in range(d_max + 1):
+        w = witt_one(q.field) if d == 0 else witt_canonical(series.coeff(d))
+        out.append(w if target.mode == "W" else e_n(w, n * d))
+    return out
+
+
+def oracle_or_membership(n, q, target, d_max):
+    try:
+        return oracle_eval_f_all(n, q, target, d_max)
+    except MembershipError:
+        return MembershipError
+
+
+@st.composite
+def cases(draw):
+    """(n, q): q a signed sum of up to three n-fold Pfister forms over a
+    field of ``standard_fields(4)``, times 2^j over R so that signatures
+    reach 3 * 2^10; or, a quarter of the time, a class drawn leaf by leaf,
+    which is mostly outside I^n."""
+    n = draw(st.integers(1, 3))
+    field = draw(st.sampled_from(FIELDS))
+    if draw(st.integers(0, 3)) == 0:
+        zero = witt_zero(field).leaves[0]
+        payload = st.tuples(*(st.integers(0, 1) for _ in zero))
+        if field.kind == "R":
+            payload = st.builds(lambda s, j: (s << j,), st.integers(-3, 3), st.integers(0, 10))
+        leaves = draw(st.lists(payload, min_size=1 << field.depth, max_size=1 << field.depth))
+        return n, WittClass(field, tuple(leaves))
+    masks = st.integers(0, (1 << field.num_gens) - 1)
+    q = witt_zero(field)
+    for negate in draw(st.lists(st.booleans(), min_size=1, max_size=3)):
+        slots = [SquareClass(field, m) for m in draw(st.lists(masks, min_size=n, max_size=n))]
+        term = witt_canonical(pfister(slots))
+        q = q - term if negate else q + term
+    if field.kind == "R":
+        q = q.int_mul(1 << draw(st.integers(0, 10 - n)))
+    return n, q
+
+
+D_MAX = 6
+
+
+@st.composite
+def degree_sets(draw):
+    """{}, {0}, the top degree alone, a set drawn from 0..D (mostly
+    non-contiguous), or all of 0..D."""
+    top = draw(st.integers(1, D_MAX))
+    kind = draw(st.sampled_from(["top", "subset", "all", "empty", "zero"]))
+    if kind == "empty":
+        return []
+    if kind == "zero":
+        return [0]
+    if kind == "top":
+        return [top]
+    if kind == "subset":
+        return sorted(draw(st.sets(st.integers(0, D_MAX), min_size=2)))
+    return list(range(top + 1))
+
+
+@given(cases(), degree_sets(), st.sampled_from(sorted(TARGETS)))
+@example((1, witt_canonical(parse_form("pf(t1) - pf(-t2)", parse_field("R((t1))((t2))")))), [1, 4], "H")
+@example((2, witt_canonical(parse_form("pf(t1)", parse_field("R((t1))")))), [], "W")
+@example((2, witt_canonical(parse_form("pf(t1)", parse_field("R((t1))")))), [0], "H")
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+def test_degree_sets_match_full_series(case, degrees, mode):
+    n, q = case
+    target = TARGETS[mode]
+    want = oracle_or_membership(n, q, target, max(degrees, default=0))
+    if want is MembershipError:
+        with pytest.raises(MembershipError):
+            eval_f_all(n, q, target, degrees)
+        return
+    got = eval_f_all(n, q, target, degrees)
+    assert list(got) == degrees
+    assert all(got[d] == want[d] for d in degrees)
+    d = max(degrees, default=0)
+    assert eval_f(n, d, q, target) == want[d]
+    ring = target.ring(q.field)
+    g = ring.zero
+    for c, j, k in g_transition_terms(n, d):
+        g = g + ring.from_int(c) * ring.eps_pow(j) * want[k]
+    assert eval_g(n, d, q, target) == g
+
+
+@st.composite
+def forms(draw):
+    field = draw(st.sampled_from(FIELDS))
+    masks = st.integers(0, (1 << field.num_gens) - 1)
+    counts = st.integers(-4, 4) | st.builds(lambda s, j: s << j, st.integers(-3, 3), st.integers(0, 10))
+    return GwElement(field, draw(st.dictionaries(masks, counts, max_size=3)))
+
+
+@given(forms(), st.integers(0, 8), st.integers(1, 3))
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+def test_single_degree_matches_full_route(x, d, n):
+    assert lambda_power(d, x).terms == lambda_series(x, range(d + 1))[d].terms
+    assert eval_pi(n, d, x).terms == eval_pi_series(n, d, x).coeff(d).terms
+
+
+def test_kernel_computes_only_the_read_degrees(monkeypatch):
+    asked = []
+
+    def spy(x, degrees, columns=None):
+        asked.append(list(degrees))
+        return kernel(x, degrees, columns)
+
+    kernel = divided.lambda_series
+    monkeypatch.setattr(divided, "lambda_series", spy)
+    F = parse_field("R((t1))((t2))")
+    q = witt_canonical(parse_form("pf(t1,t2) - pf(-1,t2)", F))
+    for mode in TARGETS:
+        asked.clear()
+        evaluate(parse_invariant("3*f[2,5] + f[2,2] - f[2,0]", mode), q)
+        evaluate(parse_invariant("f[2,0]", mode), q)
+        evaluate(parse_invariant("f[2,1] - f[2,1]", mode), q)
+        assert [sorted(a) for a in asked] == [[2, 5]]
+
+
+@pytest.mark.parametrize("inv", ["f[2,1]-f[2,1]", "f[2,0]", "3*g[2,0]"])
+@pytest.mark.parametrize("mode", sorted(TARGETS))
+def test_membership_checked_when_no_degree_is_read(inv, mode):
+    q = witt_canonical(parse_form("pf(t1)", parse_field("R((t1))")))
+    with pytest.raises(MembershipError):
+        evaluate(parse_invariant(inv, mode), q)
+    with pytest.raises(MembershipError):
+        eval_f_all(2, q, TARGETS[mode], [])

@@ -140,8 +140,8 @@ class TestEvalF:
                 d = rng.randint(0, 4)
                 q1 = rand_in_In(rng, F, n)
                 q2 = rand_in_In(rng, F, n)
-                f1 = eval_f_all(n, q1, target, d)
-                f2 = eval_f_all(n, q2, target, d)
+                f1 = eval_f_all(n, q1, target, range(d + 1))
+                f2 = eval_f_all(n, q2, target, range(d + 1))
                 want = target.ring(F).zero
                 for k in range(d + 1):
                     want = want + f1[k] * f2[d - k]

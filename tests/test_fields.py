@@ -75,6 +75,21 @@ class TestFieldDescriptor:
         with pytest.raises(FieldSyntaxError):
             parse_field("Q((t))")
 
+    @pytest.mark.parametrize(
+        "text, name",
+        [("F3((u))", "u"), ("R((u))", "u"), ("C((1))", "1"), ("R((t1))((u))", "u")],
+    )
+    def test_literal_names_rejected(self, text, name):
+        # 'u' and '1' always parse as the base generator and the unit, so a
+        # variable with either name could never be entered and would print
+        # like one of them
+        with pytest.raises(FieldSyntaxError) as info:
+            parse_field(text)
+        assert str(info.value) == (
+            f"tower variable {name!r} collides with a square-class literal"
+            " ('u' is the base generator, '1' the unit)"
+        )
+
 
 class TestSquareClassGroup:
     def test_squares_collapse(self):
