@@ -27,7 +27,13 @@ Run it from the root of a checkout; it imports that checkout's ``src``,
 * ``f-values``: the rendered value, or ``membership``, of ``evaluate`` on
   every f[n,d] and g[n,d] with n <= 3 and d <= 6 and on seeded sums and
   products of them, over every class of W(F3((t1))((t2))) and over
-  seeded classes of W(R((t1))), in both modes.
+  seeded classes of W(R((t1))), in both modes;
+* ``sw-values``: the ``sw_series`` coefficients at precisions 0 to 6 and
+  the ``eval_fixed_dim`` f and g values at degrees 0 to 8, in both modes,
+  on every nonnegative diagonal form of dimension <= 4 over
+  F3((t1))((t2)) (``eval_fixed_dim`` on the even dimensions), then the
+  series on seeded signed GW elements and the values on seeded even
+  diagonal forms over R and F5 towers of depth 0 to 3.
 
 Compare two checkouts by running it in each.
 """
@@ -39,7 +45,8 @@ import json
 import os
 import subprocess
 import sys
-from itertools import product
+from collections import Counter
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 from random import Random
 
@@ -49,10 +56,10 @@ for sub in ("src", "bench", "tests"):
 
 import workloads  # noqa: E402
 from gwinv.cohomology import render_coh  # noqa: E402
-from gwinv.divided import eval_pi_series  # noqa: E402
+from gwinv.divided import H_TARGET, W_TARGET, eval_fixed_dim, eval_pi_series, sw_series  # noqa: E402
 from gwinv.fields import parse_field  # noqa: E402
 from gwinv.invariants import evaluate, parse_invariant  # noqa: E402
-from gwinv.sampling import rand_gw, rand_pfister_slots, standard_fields  # noqa: E402
+from gwinv.sampling import rand_diag, rand_gw, rand_pfister_slots, standard_fields  # noqa: E402
 from gwinv.verify import RunConfig, run_suite  # noqa: E402
 from gwinv.witt import (  # noqa: E402
     GwElement,
@@ -205,6 +212,39 @@ def f_values_hash() -> str:
     return _digest(values())
 
 
+def sw_values_hash() -> str:
+    rng = Random(14)
+    F3 = parse_field("F3((t1))((t2))")
+    diagonals = [
+        GwElement(F3, Counter(masks))
+        for dim in range(5)
+        for masks in combinations_with_replacement(range(1 << F3.num_gens), dim)
+    ]
+    signed, even = [], [x for x in diagonals if x.dim % 2 == 0]
+    for head in ("R", "F5"):
+        for depth in range(4):
+            F = parse_field(head + "".join(f"((t{i}))" for i in range(1, depth + 1)))
+            for _ in range(10):
+                signed.append(rand_gw(rng, F, rng.randint(1, 6)).scale(rng.choice((1, -1, 3, -3 << 10))))
+                even.append(rand_diag(rng, F, rng.choice((2, 4, 6))))
+
+    def shown(v):
+        return repr(v.leaves) if isinstance(v, WittClass) else render_coh(v)
+
+    def values():
+        for target in (W_TARGET, H_TARGET):
+            for x in (*diagonals, *signed):
+                for prec in range(7):
+                    coeffs = [shown(c) for c in sw_series(x, prec, target).coeffs]
+                    yield repr((target.mode, str(x.field), sorted(x.terms.items()), prec, coeffs))
+            for x in even:
+                for d in range(9):
+                    got = [shown(eval_fixed_dim(d, x, target, basis)) for basis in "fg"]
+                    yield repr((target.mode, str(x.field), sorted(x.terms.items()), d, got))
+
+    return _digest(values())
+
+
 HASHES = {
     "verify": verify_hash,
     "moderate": moderate_hash,
@@ -214,6 +254,7 @@ HASHES = {
     "series-dump": series_dump_hash,
     "witt-level": witt_level_hash,
     "f-values": f_values_hash,
+    "sw-values": sw_values_hash,
 }
 
 

@@ -15,12 +15,13 @@ from typing import Collection
 
 from .cohomology import CohClass, e_n, minus_one_power, symbol
 from .fields import FieldDescriptor, SquareClass
-from .series import TruncSeries, ext_binom, group_law, h_power_columns
+from .series import TruncSeries, ext_binom, h_power_columns
 from .witt import (
     GwElement,
     GwRing,
     MembershipError,
     WittClass,
+    character_series,
     hat_lift,
     is_in_In,
     lambda_series,
@@ -172,24 +173,47 @@ def eval_g(n: int, d: int, q: WittClass, target: InvariantTarget):
     ring = target.ring(q.field)
     out = ring.zero
     for c, j, k in terms:
-        out = out + ring.from_int(c) * ring.eps_pow(j) * fvals[k]
+        if target.mode == "W":
+            out = out + fvals[k].int_mul(c << j)
+        elif c % 2:
+            out = out + ring.eps_pow(j) * fvals[k]
     return out
 
 
 # -- total Stiefel-Whitney-style maps on GW
 
 
+def _sw_lift(x: GwElement, degrees: Collection[int]) -> dict[int, GwElement]:
+    """The coefficients at ``degrees`` of prod (1 + <<m>> t)^c over the
+    terms c<m> of x, with <<m>> lifted to 1 - <m> in Z[G] inside GW: a GW
+    element whose Witt class is the W-mode value.  Under the character
+    chi_s, 1 - <m> goes to 0 or 2, so the product goes to (1 + 2t)^q with
+    q = (dim x - chi_s(x))/2, whose degree-d coefficient is C(q, d) 2^d."""
+    dim = x.dim
+    return character_series(x, degrees, lambda chi: [ext_binom((dim - chi) >> 1, d) << d for d in degrees])
+
+
+def _sw_values(x: GwElement, degrees: Collection[int], target: InvariantTarget) -> dict:
+    """The ``sw_series`` coefficients at ``degrees``.  Coefficient d lies in
+    I^d; in mode H it is e_d of the W-mode one, since e_d is additive on
+    I^d and multiplicative across degrees, and ``e_n`` checks membership."""
+    ws = {d: witt_canonical(c) for d, c in _sw_lift(x, degrees).items()}
+    return ws if target.mode == "W" else {d: e_n(w, d) for d, w in ws.items()}
+
+
 def sw_series(x: GwElement, precision: int, target: InvariantTarget) -> TruncSeries:
     """The unique group morphism GW -> 1 + t A[[t]] sending <a> to
-    1 + {a} t, truncated."""
-    ring = target.ring(x.field)
-    return group_law(ring, ((ring.symbol([a]), c) for a, c in x.entries()), precision)
+    1 + {a} t, truncated: one pass of the character kernel over the
+    degrees 0..precision.  A negative precision raises ``ValueError``."""
+    if precision < 0:
+        raise ValueError(f"series degree {precision} is negative")
+    return TruncSeries(target.ring(x.field), list(_sw_values(x, range(precision + 1), target).values()))
 
 
 def eval_sw(d: int, x: GwElement, target: InvariantTarget):
-    """Degree-d coefficient of ``sw_series``; over cohomology this is the
-    d-th Stiefel-Whitney class of a diagonal form."""
-    return sw_series(x, d, target).coeff(d)
+    """Degree-d coefficient of ``sw_series``, computed alone; over
+    cohomology this is the d-th Stiefel-Whitney class of a diagonal form."""
+    return _sw_values(x, (d,), target)[d]
 
 
 def p_fixed(d: int, x: GwElement) -> GwElement:
@@ -213,7 +237,14 @@ def eval_fixed_dim(
     d: int, x: GwElement, target: InvariantTarget, basis: str = "f"
 ):
     """Evaluate the degree-d member of the f- or g-family on an
-    even-dimensional diagonal form through its Stiefel-Whitney expansion."""
+    even-dimensional diagonal form through its Stiefel-Whitney expansion
+    sum_i (-1)^i c_i eps^(d-i) sw_i.  In GW, eps = <<-1>> is 2, so the sum
+    is formed once from the lifted ``sw_series`` coefficients at the
+    degrees with c_i != 0, then canonicalized (and in mode H sent through
+    e_d: every term lies in I^d, and the terms with c_i even in I^(d+1)).
+    A negative degree raises ``ValueError``."""
+    if d < 0:
+        raise ValueError(f"series degree {d} is negative")
     if basis not in ("f", "g"):
         raise ValueError("basis must be 'f' or 'g'")
     if not x.is_nonneg_diagonal():
@@ -222,16 +253,16 @@ def eval_fixed_dim(
     if m % 2:
         raise ValueError("fixed-dimension evaluation needs even dimension")
     r = m // 2
-    ring = target.ring(x.field)
-    sw = sw_series(x, d, target)
-    out = ring.zero
+    weights = {}
     for i in range(d + 1):
         if basis == "f":
             c = ext_binom(r - i, d - i)
         else:
             c = ext_binom(r - i - 1 + (d + 1) // 2, d - i)
-        if c == 0:
-            continue
-        sign = c if i % 2 == 0 else -c
-        out = out + ring.from_int(sign) * ring.eps_pow(d - i) * sw.coeff(i)
-    return out
+        if c:
+            weights[i] = (c if i % 2 == 0 else -c) << (d - i)
+    y = GwElement.zero(x.field)
+    for i, c in _sw_lift(x, list(weights)).items():
+        y = y + c.scale(weights[i])
+    w = witt_canonical(y)
+    return w if target.mode == "W" else e_n(w, d)

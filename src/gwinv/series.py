@@ -4,15 +4,14 @@ Coefficients are plain Python objects supporting ``+``, ``-`` (unary and
 binary), ``*`` and ``==``.  Every coefficient ring (``ZZ`` here,
 ``witt.GwRing``, ``divided.ValueRing``) follows one small protocol: the
 constants ``zero``/``one``, the embedding ``from_int`` and the test
-``is_zero``.  ``group_law`` is the one routine that multiplies out a
-series of the form prod (1 + a t)^c; the Stiefel-Whitney-style images of
-a form come from it.  Series with GW coefficients are not multiplied out
-in the library: ``witt.lambda_series`` reduces them to integer series
-under the characters of the square-class group.  The level series x_n
-comes from the quadratic recursion x_{k+1} = x_k + 2^(k-1) x_k^2, its
-inverse h_n from undoing those steps one at a time, each solved degree by
-degree, and ``h_power_columns`` tabulates the powers of h_n for
-composition.  Building h_n checks x_n o h_n = t with x's own recursion and
+``is_zero``.  Series with GW coefficients are not multiplied out in the
+library: ``witt.character_series`` reduces a product prod (1 + a t)^c over
+the terms of a form (its exterior-power series, its Stiefel-Whitney-style
+series) to one integer series per character of the square-class group
+and transforms the values back.  The level series x_n comes from the
+quadratic recursion x_{k+1} = x_k + 2^(k-1) x_k^2, its inverse h_n from
+undoing those steps one at a time, each solved degree by degree, and
+``h_power_columns`` tabulates the powers of h_n for composition.  Building h_n checks x_n o h_n = t with x's own recursion and
 h_n o x_n = t with the inversion steps, in O(n P^2) integer products; the
 verify ``series`` suite checks both again by Horner ``compose``.
 Everything is exact: no floats, no coercion, and every series carries an
@@ -33,10 +32,6 @@ class RingMismatchError(TypeError):
 
 class CompositionDomainError(ValueError):
     """Inner series of a composition has a nonzero constant coefficient."""
-
-
-class SeriesInversionError(ValueError):
-    """Series is not invertible for the requested operation."""
 
 
 class ConsistencyError(RuntimeError):
@@ -182,32 +177,6 @@ class TruncSeries:
                 out[i + j] = out[i + j] + a * b
         return TruncSeries(ring, out)
 
-    def pow(self, n: int) -> "TruncSeries":
-        if n < 0:
-            raise ValueError("negative powers are not defined; invert first")
-        result = TruncSeries.one(self.ring, self.precision)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def mul_inverse(self) -> "TruncSeries":
-        """Inverse for multiplication; the constant coefficient must be 1."""
-        ring = self.ring
-        if not self.coeffs[0] == ring.one:
-            raise SeriesInversionError("multiplicative inverse needs constant term 1")
-        prec = self.precision
-        out = [ring.one] + [ring.zero] * prec
-        for d in range(1, prec + 1):
-            acc = ring.zero
-            for i in range(1, d + 1):
-                acc = acc + self.coeffs[i] * out[d - i]
-            out[d] = -acc
-        return TruncSeries(ring, out)
-
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
         """self o inner, truncated at the smaller precision.
 
@@ -237,29 +206,6 @@ def even_odd_split(f: TruncSeries) -> tuple[TruncSeries, TruncSeries]:
     even = [zero if d % 2 else c for d, c in enumerate(f.coeffs)]
     odd = [c if d % 2 else zero for d, c in enumerate(f.coeffs)]
     return TruncSeries(f.ring, even), TruncSeries(f.ring, odd)
-
-
-def group_law(ring, atoms, precision: int) -> TruncSeries:
-    """The product of (1 + a t)^c over the pairs (a, c) of ``atoms``,
-    truncated: the group morphism from formal sums of atoms to
-    1 + t ring[[t]], multiplied out in ``ring``.  Positive and negative
-    multiplicities are multiplied up separately, in the order given, and
-    the negative part is inverted once at the end.  ``atoms`` is not read
-    at precision 0.  The library calls it for the Stiefel-Whitney-style
-    series over a value ring; exterior-power series of GW elements go
-    through the character kernel ``witt.lambda_series`` instead, and the
-    tests keep the multiplied-out GW route as its oracle."""
-    if precision == 0:
-        return TruncSeries.one(ring, 0)
-    num = TruncSeries.one(ring, precision)
-    den = TruncSeries.one(ring, precision)
-    for a, c in atoms:
-        binomial = TruncSeries(ring, [ring.one, a], precision=precision)
-        if c > 0:
-            num = num * binomial.pow(c)
-        else:
-            den = den * binomial.pow(-c)
-    return num * den.mul_inverse()
 
 
 def _level_chain(u: list[int], n: int) -> list[int]:

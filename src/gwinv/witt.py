@@ -12,9 +12,11 @@ payload), alone know the payload format: a leaf operation is the payload
 of an operation on the small representatives.  ``filtration_level`` reads
 the level and e off the superset sums c_S = sum_(v >= S) leaf_v, the
 coefficients of q in the monomials prod_(i in S) <<t_i>> up to signs that
-I^n (a group) and e (mod 2) ignore; ``lambda_series`` evaluates
-exterior-power series under the characters of the square-class group and
-transforms the values back.  Both transforms run on one butterfly.
+I^n (a group) and e (mod 2) ignore; ``character_series`` evaluates
+GW-coefficient series (the exterior-power series of ``lambda_series``, the
+Stiefel-Whitney-style series of ``divided.sw_series``) under the
+characters of the square-class group and transforms the values back.
+Both transforms run on one butterfly.
 Equality in GW is decided through the pair (dimension, Witt class), which
 determines an element uniquely.
 """
@@ -476,6 +478,48 @@ def _butterfly(rows: list, op) -> None:
         h <<= 1
 
 
+def character_series(x: GwElement, degrees: Collection[int], row) -> dict[int, GwElement]:
+    """The character kernel: the coefficients at ``degrees`` of a series
+    with GW coefficients that a ring map sends, under each character of
+    the square-class group, to an integer series fixed by the character's
+    value on x alone.  ``row(chi)`` returns that integer series at
+    ``degrees``, in order, for the value chi.
+
+    GW(K) holds Z[G] for G = K*/K*^2 = (Z/2)^g, and each character
+    chi_s(<m>) = (-1)^popcount(s & m) is a ring map Z[G] -> Z.  One
+    Walsh-Hadamard transform of x's coefficient vector gives its 2^g
+    character values; characters with equal values share one row.  A
+    second transform of the rows gives back 2^g times the Z[G] terms of
+    each coefficient, and every returned coefficient is checked to divide
+    exactly.  A negative degree raises ``ValueError``."""
+    if min(degrees, default=0) < 0:
+        raise ValueError(f"series degree {min(degrees)} is negative")
+    field = x.field
+    g = field.num_gens
+    chis = [x.terms.get(m, 0) for m in range(1 << g)]
+    _butterfly(chis, lambda a, b: (a + b, a - b))
+    memo: dict[int, list[int]] = {}
+    rows = []
+    for chi in chis:
+        r = memo.get(chi)
+        if r is None:
+            r = memo[chi] = row(chi)
+        rows.append(r)
+    _butterfly(rows, lambda a, b: (list(map(add, a, b)), list(map(sub, a, b))))
+    low = (1 << g) - 1
+    coeffs = {}
+    for j, d in enumerate(degrees):
+        terms = {}
+        for m, r in enumerate(rows):
+            v = r[j]
+            if v & low:
+                raise ConsistencyError(f"character sum {v} at degree {d} is not divisible by 2^{g}")
+            if v:
+                terms[m] = v >> g
+        coeffs[d] = GwElement(field, terms)
+    return coeffs
+
+
 def lambda_series(x: GwElement, degrees: Collection[int], columns=None) -> dict[int, GwElement]:
     """The coefficients at ``degrees`` of the exterior-power generating
     series of x in the variable u: the group law prod (1 + <m> u)^c over
@@ -486,43 +530,15 @@ def lambda_series(x: GwElement, degrees: Collection[int], columns=None) -> dict[
     computed; the full series truncated at P is the degree set
     ``range(P + 1)``.
 
-    This is the character kernel.  GW(K) holds Z[G] for
-    G = K*/K*^2 = (Z/2)^g, and each character
-    chi_s(<m>) = (-1)^popcount(s & m) is a ring map Z[G] -> Z.  It sends
-    the product to the integer series (1 + u)^p (1 - u)^q, where
-    p + q = dim x and p - q = chi_s(x); characters with equal values share
-    one row, read at the requested degrees alone.  A Walsh-Hadamard
-    transform of the 2^g character values of each coefficient gives back
-    2^g times its Z[G] terms, and every returned coefficient is checked
-    to divide exactly."""
-    if min(degrees, default=0) < 0:
-        raise ValueError("exterior-power degrees must be >= 0")
-    field = x.field
-    g = field.num_gens
-    chis = [x.terms.get(m, 0) for m in range(1 << g)]
-    _butterfly(chis, lambda a, b: (a + b, a - b))
+    Through ``character_series``: chi_s sends the product to the integer
+    series (1 + u)^p (1 - u)^q, where p + q = dim x and p - q = chi_s(x)."""
     dim, top = x.dim, max(degrees, default=0)
-    memo: dict[int, list[int]] = {}
-    rows = []
-    for chi in chis:
-        row = memo.get(chi)
-        if row is None:
-            a = _plus_minus_series(chi, dim, top)
-            row = memo[chi] = [a[d] if columns is None else sum(map(mul, a, columns[d])) for d in degrees]
-        rows.append(row)
-    _butterfly(rows, lambda a, b: (list(map(add, a, b)), list(map(sub, a, b))))
-    low = (1 << g) - 1
-    coeffs = {}
-    for j, d in enumerate(degrees):
-        terms = {}
-        for m, row in enumerate(rows):
-            v = row[j]
-            if v & low:
-                raise ConsistencyError(f"character sum {v} at degree {d} is not divisible by 2^{g}")
-            if v:
-                terms[m] = v >> g
-        coeffs[d] = GwElement(field, terms)
-    return coeffs
+
+    def row(chi):
+        a = _plus_minus_series(chi, dim, top)
+        return [a[d] if columns is None else sum(map(mul, a, columns[d])) for d in degrees]
+
+    return character_series(x, degrees, row)
 
 
 def lambda_power(d: int, x: GwElement) -> GwElement:
