@@ -33,7 +33,13 @@ Run it from the root of a checkout; it imports that checkout's ``src``,
   on every nonnegative diagonal form of dimension <= 4 over
   F3((t1))((t2)) (``eval_fixed_dim`` on the even dimensions), then the
   series on seeded signed GW elements and the values on seeded even
-  diagonal forms over R and F5 towers of depth 0 to 3.
+  diagonal forms over R and F5 towers of depth 0 to 3;
+* ``cli-errors``: the concatenated ``repr((rc, stdout, stderr))`` of the
+  ``USAGE_ERRORS`` argument lists of ``tests/test_cli.py`` sent through
+  ``cli.main``, then of ``gwinv eval`` requests with each of the
+  ``PHRASES`` of ``tests/test_grammars.py`` as the invariant, the form or
+  the field (the other two valid), in both modes; help and usage text is
+  formatted at 80 columns.
 
 Compare two checkouts by running it in each.
 """
@@ -245,6 +251,34 @@ def sw_values_hash() -> str:
     return _digest(values())
 
 
+def cli_errors_hash() -> str:
+    from test_cli import USAGE_ERRORS
+    from test_grammars import PHRASES
+
+    valid = {"inv": "f[1,1]", "form": "pf(t1)", "field": "F3((t1))((t2))"}
+    requests = [list(argv) for argv in USAGE_ERRORS]
+    for phrase in PHRASES:
+        for flag in valid:
+            literals = dict(valid, **{flag: phrase})
+            for mode in "WH":
+                requests.append(["eval", *(f"--{k}={v}" for k, v in literals.items()), f"--mode={mode}"])
+
+    def answers():
+        for argv in requests:
+            _, rc, out, err = workloads.call_cli(argv)
+            yield repr((rc, out, err))
+
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        return _digest(answers())
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+
+
 HASHES = {
     "verify": verify_hash,
     "moderate": moderate_hash,
@@ -255,6 +289,7 @@ HASHES = {
     "witt-level": witt_level_hash,
     "f-values": f_values_hash,
     "sw-values": sw_values_hash,
+    "cli-errors": cli_errors_hash,
 }
 
 

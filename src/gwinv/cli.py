@@ -13,6 +13,7 @@ import functools
 import io
 import json
 import sys
+from gettext import gettext
 
 from .cohomology import render_coh
 from .fields import FieldSyntaxError, parse_field
@@ -181,8 +182,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["cases_failed"] == 0 else EXIT_FAIL
 
 
-@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache  # parsing leaves the parsers unchanged, so one set serves every call
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="gwinv",
         description="Exact divided-power operations and invariants of "
@@ -220,16 +222,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mode", choices=("W", "H"), default=None)
     p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_verify.set_defaults(func=cmd_verify)
-    return parser
+    return parser, {"series": p_series, "eval": p_eval, "verify": p_verify}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command.  A known command hands the rest of ``argv`` to its
+    subparser directly, as the top-level parser would, and leftover
+    arguments are reported by the top-level parser; anything else (no
+    command, ``-h``, an unknown command) goes to the top-level parser."""
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in commands else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+            command = args.command
+        else:
+            args, extras = commands[command].parse_known_args(argv[1:])
+            if extras:
+                # argparse's own message, through the same catalog
+                parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_PARSE
-    for attr, flag, low in _MINIMUMS.get(args.command, ()):
+    for attr, flag, low in _MINIMUMS.get(command, ()):
         if getattr(args, attr) < low:
             print(f"error: {flag} must be >= {low}", file=sys.stderr)
             return EXIT_PARSE

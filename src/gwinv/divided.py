@@ -33,6 +33,45 @@ from .witt import (
 
 
 @dataclass(frozen=True)
+class F2Poly:
+    """Polynomial in eps over F2, packed into the bits of an int."""
+
+    bits: int = 0
+
+    def __add__(self, other: "F2Poly") -> "F2Poly":
+        return F2Poly(self.bits ^ other.bits)
+
+    __sub__ = __add__
+
+    def __neg__(self) -> "F2Poly":
+        return self
+
+    def __mul__(self, other: "F2Poly") -> "F2Poly":
+        """Shift-and-add over the set bits of the sparser operand."""
+        a, b, out = self.bits, other.bits, 0
+        if a.bit_count() > b.bit_count():
+            a, b = b, a
+        while a:
+            low = a & -a
+            out ^= b << (low.bit_length() - 1)
+            a ^= low
+        return F2Poly(out)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.bits == 0
+
+    def __str__(self) -> str:
+        if self.bits == 0:
+            return "0"
+        parts = []
+        for j in range(self.bits.bit_length()):
+            if self.bits >> j & 1:
+                parts.append("1" if j == 0 else ("eps" if j == 1 else f"eps^{j}"))
+        return "+".join(parts)
+
+
+@dataclass(frozen=True)
 class InvariantTarget:
     """The value functor: Witt classes (mode W) or cohomology (mode H)."""
 
@@ -104,18 +143,26 @@ class ValueRing:
 # -- the divided powers themselves
 
 
+def _check_degree(d: int) -> None:
+    if d < 0:
+        raise ValueError(f"series degree {d} is negative")
+
+
 def eval_pi_series(n: int, precision: int, x: GwElement) -> TruncSeries:
     """Generating series of the level-n divided powers of x, exact to the
-    requested degree."""
+    requested degree.  A negative precision raises ``ValueError``."""
+    _check_degree(precision)
     return TruncSeries(GwRing(x.field), list(eval_pi_coeffs(n, range(precision + 1), x).values()))
 
 
 def eval_pi_coeffs(n: int, degrees: Collection[int], x: GwElement) -> dict[int, GwElement]:
     """The level-n divided powers of x at ``degrees``: the exterior-power
     series composed with the level-n substitution series h_n, in one pass
-    of the character kernel that computes only those degrees."""
+    of the character kernel that computes only those degrees.  A negative
+    degree raises ``ValueError``."""
     if n < 1:
         raise ValueError("the level n must be >= 1")
+    _check_degree(min(degrees, default=0))
     if x.is_formal_zero or not any(degrees):
         one, zero = GwElement.unit(x.field), GwElement.zero(x.field)
         return {d: zero if d else one for d in degrees}
@@ -130,15 +177,21 @@ def eval_pi(n: int, d: int, x: GwElement) -> GwElement:
 # -- the f and g families on concrete Witt classes
 
 
-def eval_f_all(n: int, q: WittClass, target: InvariantTarget, degrees: Collection[int]) -> dict:
-    """Values of the f-family members of the given degrees on q, keyed by
-    degree.  The one membership check of an evaluation runs first, even
-    for no degree or degree 0 alone; then one divided-power pass computes
-    only the requested degrees (every degree up to D is ``range(D + 1)``)."""
+def _pi_of_lift(n: int, q: WittClass, degrees: Collection[int]) -> dict[int, GwElement]:
+    """The level-n divided powers of hat q at the nonzero ``degrees``, after
+    the one membership check of an evaluation, which runs even when no
+    degree is read."""
     if not is_in_In(q, n):
         raise MembershipError(f"class is not in I^{n}")
     wanted = [d for d in degrees if d]
-    pis = eval_pi_coeffs(n, wanted, hat_lift(q)) if wanted else {}
+    return eval_pi_coeffs(n, wanted, hat_lift(q)) if wanted else {}
+
+
+def eval_f_all(n: int, q: WittClass, target: InvariantTarget, degrees: Collection[int]) -> dict:
+    """Values of the f-family members of the given degrees on q, keyed by
+    degree: one divided-power pass computes only the requested degrees
+    (every degree up to D is ``range(D + 1)``)."""
+    pis = _pi_of_lift(n, q, degrees)
     out = {}
     for d in degrees:
         w = witt_canonical(pis[d]) if d else witt_one(q.field)
@@ -150,6 +203,28 @@ def eval_f(n: int, d: int, q: WittClass, target: InvariantTarget):
     """The degree-nd invariant of q in I^n obtained from the level-n
     divided power of degree d."""
     return eval_f_all(n, q, target, (d,))[d]
+
+
+def eval_f_sum(n: int, q: WittClass, target: InvariantTarget, coeffs: dict):
+    """The value on q of sum_d c_d f_n^d for the universal coefficients
+    ``coeffs`` = {d: c_d} (integers in mode W, F2-polynomials in eps in
+    mode H).  The Witt projection is additive, so in mode W the sum
+    c_0<1> + sum_d c_d pi_d(hat q) is formed in GW and canonicalized once;
+    in mode H each degree goes through e_n and is scaled by its
+    coefficient.  The membership check runs first, even for no degree."""
+    if target.mode == "H":
+        fvals = eval_f_all(n, q, target, coeffs)
+        ring = target.ring(q.field)
+        out = ring.zero
+        for d, c in coeffs.items():
+            out = out + ring.times(fvals[d], c)
+        return out
+    terms = {0: coeffs.get(0, 0)}
+    for d, pi in _pi_of_lift(n, q, coeffs).items():
+        c = coeffs[d]
+        for m, v in pi.terms.items():
+            terms[m] = terms.get(m, 0) + c * v
+    return witt_canonical(GwElement(q.field, terms))
 
 
 def g_transition_terms(n: int, d: int) -> list[tuple[int, int, int]]:
@@ -167,17 +242,17 @@ def g_transition_terms(n: int, d: int) -> list[tuple[int, int, int]]:
 
 
 def eval_g(n: int, d: int, q: WittClass, target: InvariantTarget):
-    """The balanced invariant family, through the f-basis rebasing."""
+    """The balanced invariant family, through the f-basis rebasing: the
+    f-combination of coefficients c * eps^j, which is c << j in mode W
+    and eps^j for odd c in mode H.  A negative degree raises
+    ``ValueError``."""
+    _check_degree(d)
     terms = g_transition_terms(n, d)
-    fvals = eval_f_all(n, q, target, [k for _, _, k in terms])
-    ring = target.ring(q.field)
-    out = ring.zero
-    for c, j, k in terms:
-        if target.mode == "W":
-            out = out + fvals[k].int_mul(c << j)
-        elif c % 2:
-            out = out + ring.eps_pow(j) * fvals[k]
-    return out
+    if target.mode == "W":
+        coeffs = {k: c << j for c, j, k in terms}
+    else:
+        coeffs = {k: F2Poly(1 << j) for c, j, k in terms if c % 2}
+    return eval_f_sum(n, q, target, coeffs)
 
 
 # -- total Stiefel-Whitney-style maps on GW
@@ -205,8 +280,7 @@ def sw_series(x: GwElement, precision: int, target: InvariantTarget) -> TruncSer
     """The unique group morphism GW -> 1 + t A[[t]] sending <a> to
     1 + {a} t, truncated: one pass of the character kernel over the
     degrees 0..precision.  A negative precision raises ``ValueError``."""
-    if precision < 0:
-        raise ValueError(f"series degree {precision} is negative")
+    _check_degree(precision)
     return TruncSeries(target.ring(x.field), list(_sw_values(x, range(precision + 1), target).values()))
 
 
@@ -243,8 +317,7 @@ def eval_fixed_dim(
     degrees with c_i != 0, then canonicalized (and in mode H sent through
     e_d: every term lies in I^d, and the terms with c_i even in I^(d+1)).
     A negative degree raises ``ValueError``."""
-    if d < 0:
-        raise ValueError(f"series degree {d} is negative")
+    _check_degree(d)
     if basis not in ("f", "g"):
         raise ValueError("basis must be 'f' or 'g'")
     if not x.is_nonneg_diagonal():

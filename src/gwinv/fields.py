@@ -246,6 +246,11 @@ def parse_field(text: str) -> FieldDescriptor:
 def parse_sc(text: str, field: FieldDescriptor) -> SquareClass:
     """Parse a square-class literal: optional '-', then '1' or '*'-separated
     generators, e.g. '-u*t1'."""
+    return SquareClass(field, parse_sc_mask(text, field))
+
+
+def parse_sc_mask(text: str, field: FieldDescriptor) -> int:
+    """The mask of the square-class literal ``text`` (see ``parse_sc``)."""
     text = text.strip()
     mask = 0
     if text.startswith("-"):
@@ -257,7 +262,7 @@ def parse_sc(text: str, field: FieldDescriptor) -> SquareClass:
         token = token.strip()
         if token != "1":
             mask ^= _gen_mask(field, token)
-    return SquareClass(field, mask)
+    return mask
 
 
 def parse_int(text: str, noun: str, error: type = FieldSyntaxError) -> int:
@@ -270,6 +275,9 @@ def parse_int(text: str, noun: str, error: type = FieldSyntaxError) -> int:
         raise error(f"bad {noun} {shown!r}") from None
 
 
+_SUM_MARKS = re.compile(r"[()+-]")
+
+
 def split_signed_sum(text: str, noun: str, error: type = FieldSyntaxError):
     """Yield (sign, term) for each term of a sum joined by '+' and '-'
     outside parentheses, with an optional leading sign; ``noun`` names the
@@ -280,15 +288,20 @@ def split_signed_sum(text: str, noun: str, error: type = FieldSyntaxError):
     sign, start, depth = 1, 0, 0
     if text[0] in "+-":
         sign, start = (-1 if text[0] == "-" else 1), 1
-    for end in range(start, len(text) + 1):
-        ch = text[end : end + 1]
+    for mark in _SUM_MARKS.finditer(text, start):
+        ch = mark.group()
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif end == len(text) or (ch in "+-" and depth == 0):
+        elif depth == 0:
+            end = mark.start()
             term = text[start:end].strip()
             if not term:
                 raise error(f"empty term in {noun}")
             yield sign, term
             sign, start = (-1 if ch == "-" else 1), end + 1
+    term = text[start:].strip()
+    if not term:
+        raise error(f"empty term in {noun}")
+    yield sign, term

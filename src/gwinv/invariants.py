@@ -15,9 +15,8 @@ everything to a concrete value on a Witt class.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .divided import InvariantTarget, eval_f_all, g_transition_terms
+from .divided import F2Poly, InvariantTarget, eval_f_sum, g_transition_terms
 from .fields import parse_int, split_signed_sum
 from .series import ZZ, ext_binom, multinomial_C
 from .witt import WittClass
@@ -25,45 +24,6 @@ from .witt import WittClass
 
 class InvariantSyntaxError(ValueError):
     """An invariant literal failed to parse."""
-
-
-@dataclass(frozen=True)
-class F2Poly:
-    """Polynomial in eps over F2, packed into the bits of an int."""
-
-    bits: int = 0
-
-    def __add__(self, other: "F2Poly") -> "F2Poly":
-        return F2Poly(self.bits ^ other.bits)
-
-    __sub__ = __add__
-
-    def __neg__(self) -> "F2Poly":
-        return self
-
-    def __mul__(self, other: "F2Poly") -> "F2Poly":
-        """Shift-and-add over the set bits of the sparser operand."""
-        a, b, out = self.bits, other.bits, 0
-        if a.bit_count() > b.bit_count():
-            a, b = b, a
-        while a:
-            low = a & -a
-            out ^= b << (low.bit_length() - 1)
-            a ^= low
-        return F2Poly(out)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def __str__(self) -> str:
-        if self.bits == 0:
-            return "0"
-        parts = []
-        for j in range(self.bits.bit_length()):
-            if self.bits >> j & 1:
-                parts.append("1" if j == 0 else ("eps" if j == 1 else f"eps^{j}"))
-        return "+".join(parts)
 
 
 class _F2Ops:
@@ -346,17 +306,10 @@ def omega_t(alpha: SymbolicInvariant, t: int) -> SymbolicInvariant:
 
 
 def evaluate(alpha: SymbolicInvariant, q: WittClass):
-    """Value of a symbolic invariant on a concrete Witt class in I^n.  Only
-    the f-degrees in its f-basis support are computed, after the membership
-    check, which runs even when that support is empty."""
-    target = InvariantTarget(alpha.mode)
+    """Value of a symbolic invariant on a concrete Witt class in I^n: the
+    combination of its f-basis coefficients, through ``eval_f_sum``."""
     f = to_basis(alpha, "f")
-    fvals = eval_f_all(f.n, q, target, f.coeffs)
-    ring = target.ring(q.field)
-    out = ring.zero
-    for d, coeff in f.coeffs.items():
-        out = out + ring.times(fvals[d], coeff)
-    return out
+    return eval_f_sum(f.n, q, InvariantTarget(alpha.mode), f.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +367,20 @@ def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
         raise InvariantSyntaxError(f"the level n must be >= 1, got {n}")
     bases = {b for _, gens in terms for b, _, _ in gens}
     basis = "g" if bases == {"g"} else "f"
-    total = SymbolicInvariant.zero(n, mode, basis)
+    # one coefficient dict in the target basis; a constant or a generator
+    # of that basis adds its coefficient at its degree
+    out: dict = {}
     for coeff, gens in terms:
-        if not gens:
-            term = SymbolicInvariant(n, mode, basis, {0: coeff})
-        else:
+        if len(gens) > 1 or gens and gens[0][0] != basis:
             term = SymbolicInvariant.generator(n, mode, gens[0][0], gens[0][2])
             for b, _, d in gens[1:]:
                 term = product(term, SymbolicInvariant.generator(n, mode, b, d))
-            term = to_basis(term, basis).scale(coeff)
-        total = total + term
-    return total
+            parts = [(d, coeff * c) for d, c in to_basis(term, basis).coeffs.items()]
+        else:
+            parts = [(gens[0][2] if gens else 0, coeff)]
+        for d, c in parts:
+            out[d] = out.get(d, ops.zero) + c
+    return SymbolicInvariant(n, mode, basis, out)
 
 
 def render_invariant(alpha: SymbolicInvariant) -> str:

@@ -38,8 +38,7 @@ from .fields import (
     SquareClass,
     minus_one_mask,
     parse_int,
-    parse_sc,
-    sc_one,
+    parse_sc_mask,
     split_signed_sum,
 )
 from .series import ConsistencyError
@@ -185,21 +184,26 @@ def gpfister(classes: list[SquareClass] | tuple[SquareClass, ...]) -> GwElement:
 
 
 def _slot_product(classes, lift: bool) -> GwElement:
-    """prod_i (<1> + s<b_i>), s<b_i> = -<a_i> for a lift, else <-a_i>: its
-    entries are the subset XORs of the b_i, counted s^size, doubled per slot."""
+    """prod_i (<1> + s<b_i>), s<b_i> = -<a_i> for a lift, else <-a_i>."""
     if not classes:
         raise ValueError(f"a Pfister {'lift' if lift else 'form'} needs at least one slot")
     field = classes[0].field
+    if any(a.field != field for a in classes):
+        raise FieldMismatchError("Pfister slots over different fields")
+    return GwElement(field, _slot_terms(field, [a.mask for a in classes], lift, 1))
+
+
+def _slot_terms(field: FieldDescriptor, masks, lift: bool, count: int) -> dict[int, int]:
+    """The terms of ``count`` times the slot product of the masks: the
+    subset XORs of the b_i, counted count * s^size, doubled per slot."""
     flip, sign = (0, -1) if lift else (minus_one_mask(field), 1)
-    terms = {0: 1}
-    for a in classes:
-        if a.field != field:
-            raise FieldMismatchError("Pfister slots over different fields")
-        b, out = a.mask ^ flip, dict(terms)
+    terms = {0: count}
+    for a in masks:
+        b, out = a ^ flip, dict(terms)
         for m, c in terms.items():
             out[m ^ b] = out.get(m ^ b, 0) + sign * c
         terms = out
-    return GwElement(field, terms)
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -583,25 +587,25 @@ _TERM_RE = re.compile(r"^(?:(\d+)\*)?(.*)$")
 
 
 def parse_form(text: str, field: FieldDescriptor) -> GwElement:
+    """Parse a form expression into one {mask: count} dict: a ``pf`` term
+    adds its slot product seeded with sign * coefficient, a ``diag`` or
+    ``H`` term adds that count at each of its masks."""
     terms: dict[int, int] = {}
     for sign, term in split_signed_sum(text, "form expression"):
-        for m, c in _parse_term(term, field).terms.items():
-            terms[m] = terms.get(m, 0) + sign * c
-            if not terms[m]:
-                del terms[m]
+        m = _TERM_RE.match(term)
+        if not m:
+            raise FieldSyntaxError(f"bad form term {term!r}")
+        count = sign * (parse_int(m.group(1), "form coefficient") if m.group(1) else 1)
+        atom = m.group(2).strip()
+        if atom == "H":
+            pairs = [(0, count), (minus_one_mask(field), count)]
+        elif atom.startswith("diag(") and atom.endswith(")"):
+            pairs = [(parse_sc_mask(tok, field), count) for tok in atom[5:-1].split(",")]
+        elif atom.startswith("pf(") and atom.endswith(")"):
+            slots = [parse_sc_mask(tok, field) for tok in atom[3:-1].split(",")]
+            pairs = _slot_terms(field, slots, False, count).items()
+        else:
+            raise FieldSyntaxError(f"bad form atom {atom!r}")
+        for mask, c in pairs:
+            terms[mask] = terms.get(mask, 0) + c
     return GwElement(field, terms)
-
-
-def _parse_term(text: str, field: FieldDescriptor) -> GwElement:
-    m = _TERM_RE.match(text)
-    if not m:
-        raise FieldSyntaxError(f"bad form term {text!r}")
-    coeff = parse_int(m.group(1), "form coefficient") if m.group(1) else 1
-    atom = m.group(2).strip()
-    if atom == "H":
-        return GwElement.diag(sc_one(field), -sc_one(field)).scale(coeff)
-    for head, maker in (("diag(", lambda classes: GwElement.diag(*classes)), ("pf(", pfister)):
-        if atom.startswith(head) and atom.endswith(")"):
-            inner = atom[len(head) : -1]
-            return maker([parse_sc(tok, field) for tok in inner.split(",")]).scale(coeff)
-    raise FieldSyntaxError(f"bad form atom {atom!r}")

@@ -1,5 +1,7 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import time
 
@@ -22,6 +24,43 @@ def tower(depth):
 
 
 DEPTH_7_ERROR = "parse error: tower depth 7 exceeds the cap of 6\n"
+
+VALID_EVAL = ("eval", "--inv", "f[1,1]", "--form", "pf(t1)", "--field", "R((t1))")
+# argument lists that end in argparse's usage error or help text
+USAGE_ERRORS = [
+    (),
+    ("-h",),
+    ("bogus",),
+    ("eval",),
+    ("eval", "-h"),
+    (*VALID_EVAL, "--bogus"),
+    ("series", "--n", "1", "extra"),
+    ("series", "--n", "1", "--prec", "x"),
+    (*VALID_EVAL, "--mode", "X"),
+]
+TOP_LEVEL_EXTRAS = "usage: gwinv [-h] {series,eval,verify} ...\ngwinv: error: unrecognized arguments: "
+
+
+def top_level_parse(argv):
+    """Exit code, stdout and stderr of the top-level parser alone on argv:
+    the route every command took before ``main`` dispatched directly."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser()[0].parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "no-args")
+def test_usage_errors_match_top_level_parser(capsys, argv):
+    """A command handed to its subparser directly prints what the top-level
+    parser prints, byte for byte, and leftover arguments are still reported
+    by the top-level parser."""
+    want = top_level_parse(list(argv))
+    assert want[0] == (EXIT_OK if "-h" in argv else EXIT_PARSE)
+    assert run(capsys, *argv) == want
+    if argv[-1:] in (("--bogus",), ("extra",)):
+        assert want == (EXIT_PARSE, "", TOP_LEVEL_EXTRAS + argv[-1] + "\n")
 
 
 class TestSeries:

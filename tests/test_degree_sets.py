@@ -3,7 +3,10 @@
 series to the top degree, then read, canonicalize and (in mode H) take e_n
 of every coefficient.  The oracle below is kept here only as the
 reference; the degree-set route must give the same value at every degree
-it is asked for, and raise the same membership error."""
+it is asked for, and raise the same membership error.  Likewise the
+one-canonicalization sum ``eval_f_sum`` behind ``evaluate`` and ``eval_g``
+is checked against the per-degree route it replaced: every f-value from
+``eval_f_all``, scaled (``int_mul`` in mode W) and added."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +17,7 @@ from gwinv.cohomology import e_n
 from gwinv.divided import (
     H_TARGET,
     W_TARGET,
+    F2Poly,
     eval_f,
     eval_f_all,
     eval_g,
@@ -22,7 +26,7 @@ from gwinv.divided import (
     g_transition_terms,
 )
 from gwinv.fields import SquareClass, parse_field
-from gwinv.invariants import evaluate, parse_invariant
+from gwinv.invariants import SymbolicInvariant, evaluate, parse_invariant, to_basis
 from gwinv.sampling import standard_fields
 from gwinv.witt import (
     GwElement,
@@ -174,3 +178,83 @@ def test_membership_checked_when_no_degree_is_read(inv, mode):
         evaluate(parse_invariant(inv, mode), q)
     with pytest.raises(MembershipError):
         eval_f_all(2, q, TARGETS[mode], [])
+
+
+def oracle_sum(n, q, target, coeffs):
+    ring = target.ring(q.field)
+    fvals = eval_f_all(n, q, target, coeffs)
+    out = ring.zero
+    for d, c in coeffs.items():
+        out = out + ring.times(fvals[d], c)
+    return out
+
+
+def oracle_evaluate(alpha, q):
+    f = to_basis(alpha, "f")
+    return oracle_sum(f.n, q, TARGETS[alpha.mode], f.coeffs)
+
+
+def oracle_eval_g(n, d, q, target):
+    terms = g_transition_terms(n, d)
+    fvals = eval_f_all(n, q, target, [k for _, _, k in terms])
+    ring = target.ring(q.field)
+    out = ring.zero
+    for c, j, k in terms:
+        if target.mode == "W":
+            out = out + fvals[k].int_mul(c << j)
+        elif c % 2:
+            out = out + ring.eps_pow(j) * fvals[k]
+    return out
+
+
+def same_or_membership(new, old, *args):
+    try:
+        want = old(*args)
+    except MembershipError:
+        with pytest.raises(MembershipError):
+            new(*args)
+        return
+    assert new(*args) == want
+
+
+# small, negative and large integer coefficients (W); any F2[eps] one (H)
+W_COEFFS = st.integers(-3, 3) | st.builds(lambda s, j: s << j, st.integers(-3, 3), st.integers(0, 64))
+H_COEFFS = st.builds(F2Poly, st.integers(0, 15))
+
+
+@given(cases(), st.sampled_from(sorted(TARGETS)), st.data())
+@example((2, witt_canonical(parse_form("pf(t1)", parse_field("R((t1))")))), "W", None)
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+def test_fused_sum_matches_per_degree_route(case, mode, data):
+    """``evaluate`` on an f- or g-basis invariant whose support often holds
+    degree 0, and ``eval_g`` at every degree up to D, against the per-degree
+    route; a class outside I^n raises the same ``MembershipError``."""
+    n, q = case
+    target = TARGETS[mode]
+    if data is None:  # the pinned example: a constant plus f^1 on a class outside I^2
+        alpha = SymbolicInvariant(n, mode, "f", {0: -5, 1: 3 << 40})
+    else:
+        coeffs = data.draw(st.dictionaries(st.integers(0, D_MAX), W_COEFFS if mode == "W" else H_COEFFS, max_size=4))
+        alpha = SymbolicInvariant(n, mode, data.draw(st.sampled_from("fg")), coeffs)
+    same_or_membership(evaluate, oracle_evaluate, alpha, q)
+    for d in range(D_MAX + 1):
+        same_or_membership(eval_g, oracle_eval_g, n, d, q, target)
+
+
+@pytest.mark.parametrize("field", standard_fields(3), ids=str)
+@pytest.mark.parametrize("mode", sorted(TARGETS))
+def test_fused_sum_over_every_base_and_depth(field, mode):
+    """Every base at every depth 0..3: a signed Pfister sum in I^1 and I^2,
+    and the odd class <1> outside I^1, under constants, large and negative
+    coefficients and both bases."""
+    top = (1 << field.num_gens) - 1
+    slots = [SquareClass(field, top), SquareClass(field, top >> 1)]
+    inside = witt_canonical(pfister(slots[:1])) - witt_canonical(pfister(slots[1:]))
+    classes = [(1, inside), (2, witt_canonical(pfister(slots))), (1, witt_one(field))]
+    one, big = (1, -3 << 50) if mode == "W" else (F2Poly(1), F2Poly(0b1011))
+    for n, q in classes:
+        for basis in "fg":
+            alpha = SymbolicInvariant(n, mode, basis, {0: big, 1: one, 3: big})
+            same_or_membership(evaluate, oracle_evaluate, alpha, q)
+        for d in range(5):
+            same_or_membership(eval_g, oracle_eval_g, n, d, q, TARGETS[mode])

@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gwinv import divided, witt
-from gwinv.divided import H_TARGET, W_TARGET, eval_fixed_dim, eval_sw, sw_series
+from gwinv.divided import H_TARGET, W_TARGET, eval_fixed_dim, eval_g, eval_pi, eval_pi_series, eval_sw, sw_series
 from gwinv.fields import REAL_CLOSED, SquareClass, parse_field
 from gwinv.sampling import standard_fields
 from gwinv.series import ConsistencyError, ext_binom
-from gwinv.witt import GwElement, parse_form
+from gwinv.witt import GwElement, parse_form, witt_canonical
 from group_law_oracle import group_law
 
 FIELDS = standard_fields(4)
@@ -96,6 +96,14 @@ def test_negative_degrees_are_rejected(d):
         for basis in "fg":
             with pytest.raises(ValueError, match=f"degree {d} is negative"):
                 eval_fixed_dim(d, x, target, basis)
+        # the divided-power API: the check comes before the degree-0 and
+        # formal-zero shortcuts, and before the membership check
+        with pytest.raises(ValueError, match=f"degree {d} is negative"):
+            eval_pi(1, d, x)
+        with pytest.raises(ValueError, match=f"degree {d} is negative"):
+            eval_pi_series(1, d, x)
+        with pytest.raises(ValueError, match=f"degree {d} is negative"):
+            eval_g(1, d, witt_canonical(parse_form("pf(t1)", F)), target)
 
 
 def test_indivisible_character_sum_is_caught(monkeypatch):
