@@ -41,6 +41,11 @@ Run it from the root of a checkout; it imports that checkout's ``src``,
   the field (the other two valid), in both modes; help and usage text is
   formatted at 80 columns.
 
+The last three build each Witt class from small base forms, leaf by leaf,
+through ``witt_canonical`` and show it as the (mask, count) pairs of its
+small diagonal form (``witt._rep_terms``), so their digests do not depend
+on how a leaf is stored.
+
 Compare two checkouts by running it in each.
 """
 
@@ -71,6 +76,7 @@ from gwinv.witt import (  # noqa: E402
     GwElement,
     MembershipError,
     WittClass,
+    _rep_terms,
     filtration_level,
     lambda_series,
     pfister,
@@ -146,31 +152,50 @@ def series_dump_hash() -> str:
     return _digest(dumps())
 
 
+# Small base forms, as (base mask, count) pairs, one of each element of
+# W(C) = Z/2, of W(F_q) = Z/4 for q = 3 mod 4 and of W(F_q) = F2[Z/2] for
+# q = 1 mod 4.
+C_FORMS = [(), ((0, 1),)]
+F3_FORMS = [(), ((0, 1),), ((0, 2),), ((1, 1),)]
+F5_FORMS = [(), ((0, 1),), ((1, 1),), ((0, 1), (1, 1))]
+
+
+def leaf_class(F, forms) -> WittClass:
+    """The Witt class whose leaf at variable mask v is the class of the
+    small base form forms[v]."""
+    terms: Counter = Counter()
+    for v, pairs in enumerate(forms):
+        for m, c in pairs:
+            terms[m | v << F.base_bits] += c
+    return witt_canonical(GwElement(F, terms))
+
+
+def witt_key(q: WittClass) -> tuple:
+    return str(q.field), _rep_terms(q)
+
+
 def witt_level_hash() -> str:
     rng = Random(12)
 
     def enumerated():
-        for text, payloads in (
-            ("F3((t1))((t2))", [(par, d) for par in (0, 1) for d in (0, 1)]),
-            ("C((t1))((t2))((t3))", [(0,), (1,)]),
-        ):
+        for text, forms in (("F3((t1))((t2))", F3_FORMS), ("C((t1))((t2))((t3))", C_FORMS)):
             F = parse_field(text)
-            for leaves in product(payloads, repeat=1 << F.depth):
-                yield WittClass(F, leaves)
+            for leaves in product(forms, repeat=1 << F.depth):
+                yield leaf_class(F, leaves)
 
     def leaf(head):
         if rng.random() < 0.5:
-            return (0,) if head == "R" else (0, 0)
+            return ()
         if head == "R":
-            return (rng.randint(-3, 3) << rng.randint(0, 10),)
-        return (rng.randint(0, 1), rng.randint(0, 1))
+            return ((0, rng.randint(-3, 3) << rng.randint(0, 10)),)
+        return rng.choice(F5_FORMS)
 
     def seeded():
         for head in ("R", "F5"):
             for depth in range(7):
                 F = parse_field(head + "".join(f"((t{i}))" for i in range(1, depth + 1)))
                 for _ in range(40):
-                    yield WittClass(F, tuple(leaf(head) for _ in range(1 << depth)))
+                    yield leaf_class(F, [leaf(head) for _ in range(1 << depth)])
                     q = witt_zero(F)
                     for _ in range(rng.randint(1, 3)):
                         term = witt_canonical(pfister(rand_pfister_slots(rng, F, rng.randint(1, 5))))
@@ -180,7 +205,7 @@ def witt_level_hash() -> str:
     def levels():
         for q in (*enumerated(), *seeded()):
             level, monos = filtration_level(q)
-            yield repr((str(q.field), q.leaves, level, sorted(monos)))
+            yield repr((witt_key(q), level, sorted(monos)))
 
     return _digest(levels())
 
@@ -196,11 +221,10 @@ def f_values_hash() -> str:
             s = rng.randint(1, 3)
             texts.append(f"{rng.choice('fg')}[{n},{s}]*{rng.choice('fg')}[{n},{rng.randint(1, 4 - s)}]")
     F3 = parse_field("F3((t1))((t2))")
-    payloads = [(par, d) for par in (0, 1) for d in (0, 1)]
-    classes = [WittClass(F3, leaves) for leaves in product(payloads, repeat=4)]
+    classes = [leaf_class(F3, leaves) for leaves in product(F3_FORMS, repeat=4)]
     R1 = parse_field("R((t1))")
     for _ in range(40):
-        classes.append(WittClass(R1, tuple((rng.randint(-3, 3) << rng.randint(0, 4),) for _ in range(2))))
+        classes.append(leaf_class(R1, [((0, rng.randint(-3, 3) << rng.randint(0, 4)),) for _ in range(2)]))
 
     def values():
         for mode in "WH":
@@ -210,10 +234,10 @@ def f_values_hash() -> str:
                     try:
                         value = evaluate(alpha, q)
                     except MembershipError:
-                        yield repr((mode, text, str(q.field), q.leaves, "membership"))
+                        yield repr((mode, text, witt_key(q), "membership"))
                         continue
                     shown = str(value) if mode == "W" else render_coh(value)
-                    yield repr((mode, text, str(q.field), q.leaves, shown))
+                    yield repr((mode, text, witt_key(q), shown))
 
     return _digest(values())
 
@@ -235,7 +259,7 @@ def sw_values_hash() -> str:
                 even.append(rand_diag(rng, F, rng.choice((2, 4, 6))))
 
     def shown(v):
-        return repr(v.leaves) if isinstance(v, WittClass) else render_coh(v)
+        return repr(_rep_terms(v)) if isinstance(v, WittClass) else render_coh(v)
 
     def values():
         for target in (W_TARGET, H_TARGET):
