@@ -5,32 +5,32 @@ forms <a> with square-class entries.  A ``WittClass`` is the canonical form
 of its image in the Witt ring.  Iterating Springer's theorem,
 W(K((t))) = W(K) + <t> W(K), over a tower K0((t1))...((tk)) makes the Witt
 ring the group ring W(K0)[(Z/2)^k]; a class is stored flat as its 2^k
-leaves, one base payload (dimension parity / signature / parity plus signed
-discriminant) per variable mask.  Two inverse routines, ``_base_terms``
-(payload to a small diagonal form) and ``_base_payload`` (diagonal form to
-payload), alone know the payload format: a leaf operation is the payload
-of an operation on the small representatives.  ``filtration_level`` reads
+leaves, one integer code of W(K0) per variable mask (Z/2 over C, Z over R,
+Z/4 or F2[Z/2] over F_q by q mod 4).  A leaf operation is that of W(K0) on
+the codes, from one table per base kind, whose decoder to a small diagonal
+form serves rendering and the dimension-0 lift.  ``filtration_level`` reads
 the level and e off the superset sums c_S = sum_(v >= S) leaf_v, the
 coefficients of q in the monomials prod_(i in S) <<t_i>> up to signs that
 I^n (a group) and e (mod 2) ignore; ``character_series`` evaluates
 GW-coefficient series (the exterior-power series of ``lambda_series``, the
 Stiefel-Whitney-style series of ``divided.sw_series``) under the
 characters of the square-class group and transforms the values back.
-Both transforms run on one butterfly.
-Equality in GW is decided through the pair (dimension, Witt class), which
-determines an element uniquely.
+Both transforms run on one butterfly.  Equality in GW is decided through
+the pair (dimension, Witt class), which determines an element uniquely.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from operator import add, mul, sub
+from operator import add, and_, mul, neg, pos, sub, xor
 from typing import Collection
 
 from .fields import (
-    QUAD_CLOSED,
+    FINITE_ODD,
     REAL_CLOSED,
     FieldDescriptor,
     FieldMismatchError,
@@ -214,8 +214,12 @@ def _slot_terms(field: FieldDescriptor, masks, lift: bool, count: int) -> dict[i
 class WittClass:
     """Canonical form of a Witt class; structural equality is Witt equality.
 
-    ``leaves[v]`` is the base payload of the Springer component at variable
-    mask v, for 0 <= v < 2^depth, with the top variable as the top bit.
+    ``leaves[v]`` is the integer code in W(K0) of the Springer component
+    at variable mask v, for 0 <= v < 2^depth, with the top variable as the
+    top bit.  The code is one bit over C (W = Z/2), the signature over R
+    (W = Z), a residue mod 4 over F_q with q = 3 mod 4 (W = Z/4, <1> = 1,
+    <u> = <-1> = 3) and the bits of <1> and <u> over F_q with q = 1 mod 4
+    (W = F2[<u>]).
     """
 
     field: FieldDescriptor
@@ -223,58 +227,53 @@ class WittClass:
 
     @property
     def is_zero(self) -> bool:
-        return all(x == 0 for p in self.leaves for x in p)
+        return not any(self.leaves)
 
     @property
     def dim_parity(self) -> int:
-        return sum(p[0] for p in self.leaves) % 2
+        """Odd-dimensional leaves are the nonzero ones outside I."""
+        level = _base(self.field).level
+        return sum(1 for x in self.leaves if x and not level(x)) & 1
 
     def _check(self, other: "WittClass") -> None:
         if self.field != other.field:
             raise FieldMismatchError("Witt classes over different fields")
 
-    def _leafwise(self, leaves, op) -> "WittClass":
-        """Apply ``op`` to every (mask, count) pair of each of ``leaves``."""
-        f = self.field
-        return WittClass(
-            f, tuple(_base_payload(f, [op(m, c) for m, c in _base_terms(f, p)]) for p in leaves)
-        )
-
     def __add__(self, other: "WittClass") -> "WittClass":
         self._check(other)
-        f, pairs = self.field, zip(self.leaves, other.leaves)
-        return WittClass(f, tuple(_base_payload(f, _base_terms(f, x) + _base_terms(f, y)) for x, y in pairs))
+        return WittClass(self.field, tuple(map(_base(self.field).add, self.leaves, other.leaves)))
 
     def __sub__(self, other: "WittClass") -> "WittClass":
         return self + (-other)
 
     def __neg__(self) -> "WittClass":
-        return self._leafwise(self.leaves, lambda m, c: (m, -c))
+        return WittClass(self.field, tuple(map(_base(self.field).neg, self.leaves)))
 
     def __mul__(self, other: "WittClass") -> "WittClass":
-        """XOR convolution of the leaves, since <t><t> = <1>, with the base
-        classes of each pair of leaves multiplied pairwise."""
+        """XOR convolution of the leaves, since <t><t> = <1>, with the
+        nonzero leaf codes of each pair multiplied in W(K0)."""
         self._check(other)
-        f = self.field
-        right = [(v, _base_terms(f, p)) for v, p in enumerate(other.leaves)]
-        out: list[list] = [[] for _ in self.leaves]
-        for v1, p1 in enumerate(self.leaves):
-            for a, c1 in _base_terms(f, p1):
-                for v2, t2 in right:
-                    out[v1 ^ v2].extend((a ^ b, c1 * c2) for b, c2 in t2)
-        return WittClass(f, tuple(_base_payload(f, t) for t in out))
+        base = _base(self.field)
+        add, mul = base.add, base.mul
+        right = [(v, y) for v, y in enumerate(other.leaves) if y]
+        out = [0] * len(self.leaves)
+        for v1, x in enumerate(self.leaves):
+            if x:
+                for v2, y in right:
+                    out[v1 ^ v2] = add(out[v1 ^ v2], mul(x, y))
+        return WittClass(self.field, tuple(out))
 
     def int_mul(self, n: int) -> "WittClass":
-        return self._leafwise(self.leaves, lambda m, c: (m, n * c))
+        times = _base(self.field).times
+        return WittClass(self.field, tuple(times(x, n) for x in self.leaves))
 
     def scale_sq(self, a: SquareClass) -> "WittClass":
         """Pointwise multiplication by the scalar a: its variable part
         permutes the leaves, its base part scales each of them."""
         if self.field != a.field:
             raise FieldMismatchError("scalar over a different field")
-        v, b = a.var_mask, a.base_mask
-        permuted = [self.leaves[w ^ v] for w in range(len(self.leaves))]
-        return self._leafwise(permuted, lambda m, c: (m ^ b, c))
+        v, flip = a.var_mask, _base(self.field).flip if a.base_mask else pos
+        return WittClass(self.field, tuple(flip(self.leaves[w ^ v]) for w in range(len(self.leaves))))
 
     def diag_rep(self) -> list[SquareClass]:
         """A small diagonal form with this Witt class."""
@@ -293,57 +292,53 @@ class WittClass:
         return " + ".join((["<" + ",".join(listed) + ">"] if listed else []) + counted) or "0"
 
 
-# The base payload codec.  Only ``field.kind`` and the mask of -1 are read,
-# so any tower over the base may be passed as ``field``.
+# W(K0) on the leaf codes of ``WittClass``, one table per base kind: first
+# the ring operations (``times`` multiplies by an integer, ``mul`` two
+# nonzero codes, ``flip`` by <b> for the base generator b), then ``level``,
+# the largest n with a nonzero code in I^n (I = {0, 2} in Z/4 and
+# {0, <1,u>} in F2[<u>]), then ``forms``, a small nonnegative diagonal form
+# of the code's class as (base mask, count) pairs.
+_Base = namedtuple("_Base", "add neg times mul flip level forms")
+_QUAD = _Base(
+    xor, pos, lambda x, n: x if n & 1 else 0, and_, pos,
+    lambda x: 0,
+    ((), ((0, 1),)).__getitem__,
+)
+_REAL = _Base(
+    add, neg, mul, mul, neg,
+    lambda x: (x & -x).bit_length() - 1,
+    lambda x: ((0, x),) if x > 0 else ((1, -x),) if x else (),
+)
+_FINITE_3 = _Base(
+    lambda x, y: (x + y) & 3, lambda x: -x & 3, lambda x, n: x * n & 3,
+    lambda x, y: x * y & 3, lambda x: -x & 3,
+    lambda x: 1 - (x & 1),
+    ((), ((0, 1),), ((0, 1), (0, 1)), ((1, 1),)).__getitem__,
+)
+_FINITE_1 = _Base(
+    xor, pos, lambda x, n: x if n & 1 else 0,
+    lambda x, y: y * (x & 1) ^ (0, 2, 1, 3)[y] * (x >> 1), (0, 2, 1, 3).__getitem__,
+    lambda x: x >> 1 & x,
+    ((), ((0, 1),), ((1, 1),), ((0, 1), (1, 1))).__getitem__,
+)
 
 
-def _base_terms(field: FieldDescriptor, p: tuple) -> tuple:
-    """A small nonnegative diagonal form with base payload p, as
-    (mask, count) pairs; a mask may repeat."""
-    if field.kind == QUAD_CLOSED:
-        return ((0, p[0]),)
-    if field.kind == REAL_CLOSED:
-        return ((0, p[0]),) if p[0] >= 0 else ((1, -p[0]),)
-    par, d = p
-    if par:
-        return ((d, 1),)
-    return ((0, 1), (d ^ minus_one_mask(field), 1)) if d else ()
-
-
-def _base_payload(field: FieldDescriptor, terms) -> tuple:
-    """Canonical base data of the formal ZZ-combination of base classes
-    given as (mask, count) pairs, in which a mask may repeat."""
-    if field.kind == QUAD_CLOSED:
-        return (sum(c for _, c in terms) % 2,)
-    if field.kind == REAL_CLOSED:
-        return (sum(-c if m else c for m, c in terms),)
-    dim, disc = _signed_det(minus_one_mask(field), terms)
-    return (dim % 2, disc)
-
-
-def _signed_det(m1: int, terms) -> tuple[int, int]:
-    """Dimension and mask of the signed discriminant (-1)^(d(d-1)/2) det
-    of the diagonal form given as (mask, count) pairs, where a negative
-    count is read through -c<m> = c<-m> in the Witt ring."""
-    dim = det = 0
-    for m, c in terms:
-        if c < 0:
-            m, c = m ^ m1, -c
-        dim += c
-        if c % 2:
-            det ^= m
-    return dim, det ^ (m1 if dim % 4 > 1 else 0)
+def _base(field: FieldDescriptor) -> "_Base":
+    """The leaf table of the base kind of a field or of any tower over it."""
+    if field.kind == FINITE_ODD:
+        return _FINITE_3 if field.q % 4 == 3 else _FINITE_1
+    return _REAL if field.kind == REAL_CLOSED else _QUAD
 
 
 def _rep_terms(w: WittClass) -> list[tuple[int, int]]:
     """(mask, count) pairs, counts positive, of a small nonnegative diagonal
     form with Witt class w, leaf by leaf in ascending mask order."""
-    f, bits = w.field, w.field.base_bits
-    return [(m | v << bits, c) for v, p in enumerate(w.leaves) for m, c in _base_terms(f, p) if c]
+    forms, bits = _base(w.field).forms, w.field.base_bits
+    return [(m | v << bits, c) for v, x in enumerate(w.leaves) if x for m, c in forms(x)]
 
 
 def witt_zero(field: FieldDescriptor) -> WittClass:
-    return WittClass(field, (_base_payload(field, ()),) * (1 << field.depth))
+    return WittClass(field, (0,) * (1 << field.depth))
 
 
 def witt_one(field: FieldDescriptor) -> WittClass:
@@ -351,14 +346,16 @@ def witt_one(field: FieldDescriptor) -> WittClass:
 
 
 def witt_canonical(x: GwElement) -> WittClass:
-    """Springer normal form: bucket the entries by their variable mask and
-    reduce each bucket to base data."""
+    """Springer normal form: add the class of each entry c<m> into the leaf
+    at its variable mask; base_bits is 0 or 1, so m & bits is m's base part."""
     field = x.field
-    bits = field.base_bits
-    buckets: list[dict[int, int]] = [{} for _ in range(1 << field.depth)]
+    bits, base = field.base_bits, _base(field)
+    add, times, flip = base.add, base.times, base.flip
+    leaves = [0] * (1 << field.depth)
     for m, c in x.terms.items():
-        buckets[m >> bits][m & ((1 << bits) - 1)] = c
-    return WittClass(field, tuple(_base_payload(field, b.items()) for b in buckets))
+        code = times(1, c)
+        leaves[m >> bits] = add(leaves[m >> bits], flip(code) if m & bits else code)
+    return WittClass(field, tuple(leaves))
 
 
 def gw_equal(x: GwElement, y: GwElement) -> bool:
@@ -400,25 +397,25 @@ def filtration_level(q: WittClass) -> tuple[int | None, frozenset]:
     """The largest n with q in I^n, None for the zero class (in every I^n),
     and the monomials (base exponent, variable mask) of e_n(q) at that n.
 
-    A nonzero base payload has level 0 over C, v_2(signature) over R and
-    0 or 1 by dimension parity over F_q; its e is the monomial (level, 0).
+    A nonzero leaf code has level 0 over C, v_2(signature) over R, 1 for
+    the class 2 of I in Z/4 and for <1,u> in F2[<u>] over F_q, and 0
+    otherwise; its e is the monomial (level, 0).
     In W, <t> = 1 - <<t>>, so q = sum_v leaf_v prod_(i in v) <t_i> is
     sum_S (-1)^|S| c_S prod_(i in S) <<t_i>> with the base classes
     c_S = sum_(v >= S) leaf_v.  By Springer's theorem, level(q) =
     min_S (|S| + level(c_S)) and e(q) sums the monomials (level(c_S), S)
     over the S attaining it.  The sign of c_S does not matter: I^n is a
-    group and e is read mod 2.  One superset-sum butterfly over the small
-    diagonal forms of the leaves gives every c_S.
+    group and e is read mod 2.  One superset-sum butterfly over the leaf
+    codes gives every c_S.
     """
-    field = q.field
-    rows = [_base_terms(field, p) for p in q.leaves]
-    _butterfly(rows, lambda a, b: (a + b, b))
+    base = _base(q.field)
+    add, rows = base.add, list(q.leaves)
+    _butterfly(rows, lambda a, b: (add(a, b), b))
     level, monos = None, []
-    for s, terms in enumerate(rows):
-        p = _base_payload(field, terms)
-        if not any(p):
+    for s, x in enumerate(rows):
+        if not x:
             continue
-        n = (p[0] & -p[0]).bit_length() - 1 if field.kind == REAL_CLOSED else 1 - p[0]
+        n = base.level(x)
         total = n + s.bit_count()
         if level is None or total < level:
             level, monos = total, [(n, s)]
@@ -574,7 +571,8 @@ def signed_disc(x: GwElement) -> SquareClass:
     """Signed discriminant (-1)^(m(m-1)/2) det of a nonnegative diagonal."""
     if not x.is_nonneg_diagonal():
         raise ValueError("signed discriminant needs a nonnegative diagonal form")
-    return SquareClass(x.field, _signed_det(minus_one_mask(x.field), x.terms.items())[1])
+    det = reduce(xor, (m for m, c in x.terms.items() if c & 1), 0)
+    return SquareClass(x.field, det ^ (minus_one_mask(x.field) if x.dim % 4 > 1 else 0))
 
 
 # ---------------------------------------------------------------------------

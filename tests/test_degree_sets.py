@@ -74,11 +74,10 @@ def cases(draw):
     n = draw(st.integers(1, 3))
     field = draw(st.sampled_from(FIELDS))
     if draw(st.integers(0, 3)) == 0:
-        zero = witt_zero(field).leaves[0]
-        payload = st.tuples(*(st.integers(0, 1) for _ in zero))
+        code = st.integers(0, 1 if field.kind == "C" else 3)
         if field.kind == "R":
-            payload = st.builds(lambda s, j: (s << j,), st.integers(-3, 3), st.integers(0, 10))
-        leaves = draw(st.lists(payload, min_size=1 << field.depth, max_size=1 << field.depth))
+            code = st.builds(lambda s, j: s << j, st.integers(-3, 3), st.integers(0, 10))
+        leaves = draw(st.lists(code, min_size=1 << field.depth, max_size=1 << field.depth))
         return n, WittClass(field, tuple(leaves))
     masks = st.integers(0, (1 << field.num_gens) - 1)
     q = witt_zero(field)

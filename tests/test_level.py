@@ -2,7 +2,8 @@
 only as the reference: the membership loop and degree-n Springer
 recursion that ``is_in_In`` and ``e_n`` used first, and the one-pass
 Springer recursion ``walk`` that ``filtration_level`` ran before its
-butterfly."""
+butterfly.  Both run on the base payloads of the leaves, through the
+payload codec that ``tests/test_base_codec.py`` keeps."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from gwinv.witt import (
     witt_one,
     witt_zero,
 )
+from test_base_codec import codec_add, codec_neg, payloads_of
 
 # past every level a generated class can reach (R, five slots, times 8)
 LEVEL_CAP = 24
@@ -34,8 +36,8 @@ def oracle_e(q, n):
         half = len(leaves) // 2
         if half:
             u, r = leaves[:half], leaves[half:]
-            a = (WittClass(field, u) + WittClass(field, r)).leaves
-            b = (-WittClass(field, r)).leaves
+            a = codec_add(field, u, r)
+            b = codec_neg(field, r)
             return monos(a, n) | {(e, v | half) for e, v in monos(b, n - 1)}
         p = leaves[0]
         if field.kind == QUAD_CLOSED:
@@ -56,7 +58,7 @@ def oracle_e(q, n):
             raise MembershipError(f"nontrivial class over a finite base is not in I^{n}")
         return frozenset()
 
-    return CohClass(field, monos(q.leaves, n))
+    return CohClass(field, monos(payloads_of(q), n))
 
 
 def oracle_is_in_In(q, n):
@@ -88,14 +90,14 @@ def walk_level(q):
             n = (p[0] & -p[0]).bit_length() - 1 if field.kind == REAL_CLOSED else 1 - p[0]
             return n, frozenset({(n, 0)})
         u, r = leaves[:half], leaves[half:]
-        la, ma = walk((WittClass(field, u) + WittClass(field, r)).leaves)
+        la, ma = walk(codec_add(field, u, r))
         lb, mb = walk(r)
         if lb is None or (la is not None and la <= lb):
             return la, ma
         mb = frozenset((e, v | half) for e, v in mb)
         return lb + 1, (ma | mb if la == lb + 1 else mb)
 
-    return walk(q.leaves)
+    return walk(payloads_of(q))
 
 
 def tower(head, depth):
@@ -123,13 +125,13 @@ def classes(draw, max_depth=4, max_shift=3):
     return q.int_mul(draw(st.sampled_from([1 << j for j in range(max_shift + 1)] if head == "R" else [1, 2])))
 
 
-# one base payload of each kind: zero, or drawn from all payloads, with an
-# R signature of the form s * 2^j so that leaf levels reach 10
-PAYLOADS = {
-    "C": st.tuples(st.integers(0, 1)),
-    "R": st.builds(lambda s, j: (s << j,), st.integers(-3, 3), st.integers(0, 10)),
-    "F3": st.tuples(st.integers(0, 1), st.integers(0, 1)),
-    "F5": st.tuples(st.integers(0, 1), st.integers(0, 1)),
+# one leaf code of each kind: zero, or drawn from all codes, with an R
+# signature of the form s * 2^j so that leaf levels reach 10
+CODES = {
+    "C": st.integers(0, 1),
+    "R": st.builds(lambda s, j: s << j, st.integers(-3, 3), st.integers(0, 10)),
+    "F3": st.integers(0, 3),
+    "F5": st.integers(0, 3),
 }
 
 
@@ -137,10 +139,9 @@ PAYLOADS = {
 def leaf_classes(draw):
     """Any class over a C/R/F3/F5 tower of depth 0 to MAX_TOWER_DEPTH,
     drawn leaf by leaf, with each leaf zero half the time."""
-    head = draw(st.sampled_from(sorted(PAYLOADS)))
+    head = draw(st.sampled_from(sorted(CODES)))
     field = tower(head, draw(st.integers(0, MAX_TOWER_DEPTH)))
-    zero = (0,) * len(witt_zero(field).leaves[0])
-    leaf = st.one_of(st.just(zero), PAYLOADS[head])
+    leaf = st.one_of(st.just(0), CODES[head])
     leaves = draw(st.lists(leaf, min_size=1 << field.depth, max_size=1 << field.depth))
     return WittClass(field, tuple(leaves))
 

@@ -55,7 +55,7 @@ class TestCanonical:
         two = GwElement.diag(sc_one(R), sc_one(R))
         w = witt_canonical(two)
         assert not w.is_zero
-        assert w.leaves == ((2,),)
+        assert w.leaves == (2,)
 
     def test_fixpoint(self):
         rng = random.Random(7)
