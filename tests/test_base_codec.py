@@ -311,6 +311,13 @@ def payloads(field, sig):
     return [(par, d) for par in (0, 1) for d in (0, 1)]
 
 
+def _summed(pairs):
+    terms = {}
+    for m, c in pairs:
+        terms[m] = terms.get(m, 0) + c
+    return terms
+
+
 def check_class(field, P, w):
     """Everything read off one class: its code, canonical form, decoded
     pairs, level, parity, negative, scalings, multiples and lift."""
@@ -318,6 +325,7 @@ def check_class(field, P, w):
     rep = codec_rep_terms(field, P)
     assert _rep_terms(w) == rep
     assert witt_canonical(GwElement(field, _summed(rep))) == w
+    assert witt_canonical(GwElement(field, {m: -c for m, c in _summed(rep).items()})) == -w
     assert codec_canonical(field, _summed(rep)) == P
     assert [a.mask for a in w.diag_rep()] == oracle_rep(field, P)
     assert filtration_level(w) == codec_level(field, P)
@@ -341,13 +349,6 @@ def check_pair(field, P1, P2, w1, w2):
     assert payloads_of(w1 + w2) == codec_add(field, P1, P2) == oracle_class_add(field, P1, P2)
     assert payloads_of(w1 - w2) == codec_add(field, P1, codec_neg(field, P2))
     assert payloads_of(w1 * w2) == codec_mul(field, P1, P2) == oracle_class_mul(field, P1, P2)
-
-
-def _summed(pairs):
-    terms = {}
-    for m, c in pairs:
-        terms[m] = terms.get(m, 0) + c
-    return terms
 
 
 BASES = ["C", "R", "F3", "F5", "F7", "F9"]
