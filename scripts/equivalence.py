@@ -28,6 +28,9 @@ Run it from the root of a checkout; it imports that checkout's ``src``,
   every f[n,d] and g[n,d] with n <= 3 and d <= 6 and on seeded sums and
   products of them, over every class of W(F3((t1))((t2))) and over
   seeded classes of W(R((t1))), in both modes;
+* ``g-values``: the rendered value, or ``membership``, of ``eval_g(n, d,
+  q, target)`` for n <= 3 and d <= 8, in both modes, over the classes
+  ``f-values`` uses (with their own seed);
 * ``sw-values``: the ``sw_series`` coefficients at precisions 0 to 6 and
   the ``eval_fixed_dim`` f and g values at degrees 0 to 8, in both modes,
   on every nonnegative diagonal form of dimension <= 4 over
@@ -41,7 +44,7 @@ Run it from the root of a checkout; it imports that checkout's ``src``,
   the field (the other two valid), in both modes; help and usage text is
   formatted at 80 columns.
 
-The last three build each Witt class from small base forms, leaf by leaf,
+The last four build each Witt class from small base forms, leaf by leaf,
 through ``witt_canonical`` and show it as the (mask, count) pairs of its
 small diagonal form (``witt._rep_terms``), so their digests do not depend
 on how a leaf is stored.
@@ -66,6 +69,7 @@ for sub in ("src", "bench", "tests"):
     sys.path.insert(0, str(ROOT / sub))
 
 import workloads  # noqa: E402
+from gwinv import eval_g  # noqa: E402
 from gwinv.cohomology import render_coh  # noqa: E402
 from gwinv.divided import H_TARGET, W_TARGET, eval_fixed_dim, eval_pi_series, sw_series  # noqa: E402
 from gwinv.fields import parse_field  # noqa: E402
@@ -210,6 +214,25 @@ def witt_level_hash() -> str:
     return _digest(levels())
 
 
+def value_classes(rng: Random) -> list[WittClass]:
+    """Every class of W(F3((t1))((t2))), then 40 seeded classes of W(R((t1)))."""
+    F3 = parse_field("F3((t1))((t2))")
+    classes = [leaf_class(F3, leaves) for leaves in product(F3_FORMS, repeat=4)]
+    R1 = parse_field("R((t1))")
+    for _ in range(40):
+        classes.append(leaf_class(R1, [((0, rng.randint(-3, 3) << rng.randint(0, 4)),) for _ in range(2)]))
+    return classes
+
+
+def shown_value(mode: str, fn, *args) -> str:
+    """The rendered value of fn(*args), or ``membership``."""
+    try:
+        value = fn(*args)
+    except MembershipError:
+        return "membership"
+    return str(value) if mode == "W" else render_coh(value)
+
+
 def f_values_hash() -> str:
     rng = Random(13)
     texts = [f"{b}[{n},{d}]" for b in "fg" for n in (1, 2, 3) for d in range(7)]
@@ -220,24 +243,27 @@ def f_values_hash() -> str:
         for _ in range(2):
             s = rng.randint(1, 3)
             texts.append(f"{rng.choice('fg')}[{n},{s}]*{rng.choice('fg')}[{n},{rng.randint(1, 4 - s)}]")
-    F3 = parse_field("F3((t1))((t2))")
-    classes = [leaf_class(F3, leaves) for leaves in product(F3_FORMS, repeat=4)]
-    R1 = parse_field("R((t1))")
-    for _ in range(40):
-        classes.append(leaf_class(R1, [((0, rng.randint(-3, 3) << rng.randint(0, 4)),) for _ in range(2)]))
+    classes = value_classes(rng)
 
     def values():
         for mode in "WH":
             alphas = [(text, parse_invariant(text, mode)) for text in texts]
             for q in classes:
                 for text, alpha in alphas:
-                    try:
-                        value = evaluate(alpha, q)
-                    except MembershipError:
-                        yield repr((mode, text, witt_key(q), "membership"))
-                        continue
-                    shown = str(value) if mode == "W" else render_coh(value)
-                    yield repr((mode, text, witt_key(q), shown))
+                    yield repr((mode, text, witt_key(q), shown_value(mode, evaluate, alpha, q)))
+
+    return _digest(values())
+
+
+def g_values_hash() -> str:
+    classes = value_classes(Random(15))
+
+    def values():
+        for target in (W_TARGET, H_TARGET):
+            for q in classes:
+                for n in (1, 2, 3):
+                    for d in range(9):
+                        yield repr((target.mode, n, d, witt_key(q), shown_value(target.mode, eval_g, n, d, q, target)))
 
     return _digest(values())
 
@@ -312,6 +338,7 @@ HASHES = {
     "series-dump": series_dump_hash,
     "witt-level": witt_level_hash,
     "f-values": f_values_hash,
+    "g-values": g_values_hash,
     "sw-values": sw_values_hash,
     "cli-errors": cli_errors_hash,
 }
