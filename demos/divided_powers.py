@@ -8,8 +8,9 @@ rebasing gives the g-family, which vanishes beyond twice the Pfister
 length of the argument and so admits infinite combinations.
 """
 
-from gwinv.divided import H_TARGET, W_TARGET, eval_f, eval_g, eval_pi, eval_sw
+from gwinv.divided import H_TARGET, W_TARGET, eval_f, eval_pi, eval_sw
 from gwinv.fields import minus_one, parse_field, parse_sc
+from gwinv.invariants import eval_g
 from gwinv.witt import GwElement, gpfister, gw_equal, pfister, witt_canonical
 
 F = parse_field("R((t1))((t2))")

@@ -10,7 +10,6 @@ from .divided import (
     W_TARGET,
     eval_f,
     eval_fixed_dim,
-    eval_g,
     eval_pi,
     eval_sw,
 )
@@ -35,6 +34,7 @@ from .fields import (
 from .invariants import (
     SymbolicInvariant,
     change_basis,
+    eval_g,
     evaluate,
     omega_t,
     parse_invariant,

@@ -4,8 +4,10 @@ The level-n divided powers arise by substituting the level-n inverse series
 into the exterior-power transform; they vanish in degrees >= 2 on n-fold
 Pfister lifts and act as elementary symmetric functions on sums of them.
 Composing with the Witt projection (mode W) or the degree-nd cohomological
-invariant (mode H) yields the f-family; the g-family is the balanced
-rebasing of it with bounded support on every fixed class.
+invariant (mode H) yields the f-family, and ``eval_f_sum`` evaluates a
+combination of it with universal coefficients.  This module computes values
+only: the universal scalars, the g-family and the basis changes between
+the two families live in ``invariants``.
 """
 
 from __future__ import annotations
@@ -30,45 +32,6 @@ from .witt import (
     witt_one,
     witt_zero,
 )
-
-
-@dataclass(frozen=True)
-class F2Poly:
-    """Polynomial in eps over F2, packed into the bits of an int."""
-
-    bits: int = 0
-
-    def __add__(self, other: "F2Poly") -> "F2Poly":
-        return F2Poly(self.bits ^ other.bits)
-
-    __sub__ = __add__
-
-    def __neg__(self) -> "F2Poly":
-        return self
-
-    def __mul__(self, other: "F2Poly") -> "F2Poly":
-        """Shift-and-add over the set bits of the sparser operand."""
-        a, b, out = self.bits, other.bits, 0
-        if a.bit_count() > b.bit_count():
-            a, b = b, a
-        while a:
-            low = a & -a
-            out ^= b << (low.bit_length() - 1)
-            a ^= low
-        return F2Poly(out)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def __str__(self) -> str:
-        if self.bits == 0:
-            return "0"
-        parts = []
-        for j in range(self.bits.bit_length()):
-            if self.bits >> j & 1:
-                parts.append("1" if j == 0 else ("eps" if j == 1 else f"eps^{j}"))
-        return "+".join(parts)
 
 
 @dataclass(frozen=True)
@@ -179,8 +142,10 @@ def eval_pi(n: int, d: int, x: GwElement) -> GwElement:
 
 def _pi_of_lift(n: int, q: WittClass, degrees: Collection[int]) -> dict[int, GwElement]:
     """The level-n divided powers of hat q at the nonzero ``degrees``, after
-    the one membership check of an evaluation, which runs even when no
-    degree is read."""
+    the level and membership checks of an evaluation, which run even when
+    no degree is read."""
+    if n < 1:
+        raise ValueError("the level n must be >= 1")
     if not is_in_In(q, n):
         raise MembershipError(f"class is not in I^{n}")
     wanted = [d for d in degrees if d]
@@ -225,34 +190,6 @@ def eval_f_sum(n: int, q: WittClass, target: InvariantTarget, coeffs: dict):
         for m, v in pi.terms.items():
             terms[m] = terms.get(m, 0) + c * v
     return witt_canonical(GwElement(q.field, terms))
-
-
-def g_transition_terms(n: int, d: int) -> list[tuple[int, int, int]]:
-    """The g-to-f rebasing of a single g generator, as triples
-    (integer coefficient, eps exponent, f degree)."""
-    if d == 0:
-        return [(1, 0, 0)]
-    lo = d // 2 + 1
-    top = (d - 1) // 2
-    return [
-        (ext_binom(top, k - lo), n * (d - k), k)
-        for k in range(lo, d + 1)
-        if ext_binom(top, k - lo) != 0
-    ]
-
-
-def eval_g(n: int, d: int, q: WittClass, target: InvariantTarget):
-    """The balanced invariant family, through the f-basis rebasing: the
-    f-combination of coefficients c * eps^j, which is c << j in mode W
-    and eps^j for odd c in mode H.  A negative degree raises
-    ``ValueError``."""
-    _check_degree(d)
-    terms = g_transition_terms(n, d)
-    if target.mode == "W":
-        coeffs = {k: c << j for c, j, k in terms}
-    else:
-        coeffs = {k: F2Poly(1 << j) for c, j, k in terms if c % 2}
-    return eval_f_sum(n, q, target, coeffs)
 
 
 # -- total Stiefel-Whitney-style maps on GW

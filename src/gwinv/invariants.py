@@ -2,21 +2,25 @@
 
 An invariant is a finitely supported combination of the f- or g-family
 generators at a fixed level n, with coefficients in the universal scalar
-ring generated by eps = {-1}: plain integers in Witt mode (eps is
-identified with 2 there) and F2-polynomials in eps in cohomology mode.
-The basis change, shifting, product, similitude, restriction and descent
-operators act on these coefficient sequences by closed formulas.  Each
-formula is a term table: for a generator of degree d it lists the triples
-(c, j, k) meaning c * eps^j times the degree-k generator of the target, and
-``_linear`` applies a table to a whole invariant.  ``evaluate`` sends
-everything to a concrete value on a Witt class.
+ring generated by eps = {-1}: plain integers in Witt mode (``series.ZZ``;
+eps is identified with 2 there) and ``F2Poly``, the F2-polynomials in eps,
+in cohomology mode.  Both rings give ``zero``, ``one``, ``from_int`` and
+``eps_pow`` (``coeff_ops``).  The basis change, shifting, product,
+similitude, restriction and descent operators act on these coefficient
+sequences by closed formulas.  Each formula is a term table: for a
+generator of degree d it lists the triples (c, j, k) meaning c * eps^j
+times the degree-k generator of the target, and ``_linear`` applies a
+table to a whole invariant.  ``evaluate`` sends
+everything to a concrete value on a Witt class through the f-basis, and
+``eval_g`` is ``evaluate`` on one g generator.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
-from .divided import F2Poly, InvariantTarget, eval_f_sum, g_transition_terms
+from .divided import InvariantTarget, eval_f_sum
 from .fields import parse_int, split_signed_sum
 from .series import ZZ, ext_binom, multinomial_C
 from .witt import WittClass
@@ -26,30 +30,56 @@ class InvariantSyntaxError(ValueError):
     """An invariant literal failed to parse."""
 
 
-class _F2Ops:
-    """Universal coefficients in cohomology mode: F2[eps]."""
+@dataclass(frozen=True)
+class F2Poly:
+    """Polynomial in eps over F2, packed into the bits of an int.  The class
+    itself is the scalar ring of mode H, ``coeff_ops("H")``."""
 
-    zero = F2Poly(0)
-    one = F2Poly(1)
+    bits: int = 0
 
     @staticmethod
-    def from_int(c: int) -> F2Poly:
+    def from_int(c: int) -> "F2Poly":
         return F2Poly(c & 1)
 
     @staticmethod
-    def eps_pow(j: int) -> F2Poly:
+    def eps_pow(j: int) -> "F2Poly":
         return F2Poly(1 << j)
 
-    @staticmethod
-    def is_zero(c: F2Poly) -> bool:
-        return c.is_zero
+    def __add__(self, other: "F2Poly") -> "F2Poly":
+        return F2Poly(self.bits ^ other.bits)
+
+    __sub__ = __add__
+
+    def __neg__(self) -> "F2Poly":
+        return self
+
+    def __mul__(self, other: "F2Poly") -> "F2Poly":
+        """Shift-and-add over the set bits of the sparser operand."""
+        a, b, out = self.bits, other.bits, 0
+        if a.bit_count() > b.bit_count():
+            a, b = b, a
+        while a:
+            low = a & -a
+            out ^= b << (low.bit_length() - 1)
+            a ^= low
+        return F2Poly(out)
+
+    def __str__(self) -> str:
+        powers = [j for j in range(self.bits.bit_length()) if self.bits >> j & 1]
+        return "+".join("1" if j == 0 else "eps" if j == 1 else f"eps^{j}" for j in powers) or "0"
+
+
+F2Poly.zero = F2Poly(0)
+F2Poly.one = F2Poly(1)
 
 
 def coeff_ops(mode: str):
+    """The universal scalar ring of a mode: ``series.ZZ`` (eps = 2) in mode
+    W, ``F2Poly`` in mode H."""
     if mode == "W":
         return ZZ
     if mode == "H":
-        return _F2Ops
+        return F2Poly
     raise ValueError("mode must be 'W' or 'H'")
 
 
@@ -67,9 +97,7 @@ class SymbolicInvariant:
         self.n = n
         self.mode = mode
         self.basis = basis
-        self.coeffs = {
-            d: c for d, c in (coeffs or {}).items() if not ops.is_zero(c)
-        }
+        self.coeffs = {d: c for d, c in (coeffs or {}).items() if c != ops.zero}
 
     @classmethod
     def generator(cls, n: int, mode: str, basis: str, d: int) -> "SymbolicInvariant":
@@ -150,6 +178,20 @@ def f_transition_terms(n: int, d: int) -> list[tuple[int, int, int]]:
             continue
         out.append((c if (d - k) % 2 == 0 else -c, n * (d - k), k))
     return out
+
+
+def g_transition_terms(n: int, d: int) -> list[tuple[int, int, int]]:
+    """The g-to-f rebasing of one g generator, as triples
+    (integer coefficient, eps exponent, f degree)."""
+    if d == 0:
+        return [(1, 0, 0)]
+    lo = d // 2 + 1
+    top = (d - 1) // 2
+    return [
+        (ext_binom(top, k - lo), n * (d - k), k)
+        for k in range(lo, d + 1)
+        if ext_binom(top, k - lo) != 0
+    ]
 
 
 def _linear(alpha: SymbolicInvariant, n: int, basis: str, terms) -> SymbolicInvariant:
@@ -310,6 +352,14 @@ def evaluate(alpha: SymbolicInvariant, q: WittClass):
     combination of its f-basis coefficients, through ``eval_f_sum``."""
     f = to_basis(alpha, "f")
     return eval_f_sum(f.n, q, InvariantTarget(alpha.mode), f.coeffs)
+
+
+def eval_g(n: int, d: int, q: WittClass, target: InvariantTarget):
+    """The degree-d member of the balanced g-family on q, through its
+    f-basis rebasing.  A negative degree raises ``ValueError``."""
+    if d < 0:
+        raise ValueError(f"series degree {d} is negative")
+    return evaluate(SymbolicInvariant.generator(n, target.mode, "g", d), q)
 
 
 # ---------------------------------------------------------------------------

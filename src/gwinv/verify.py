@@ -40,13 +40,13 @@ from .divided import (
     eval_f,
     eval_f_all,
     eval_fixed_dim,
-    eval_g,
     eval_pi_series,
     eval_sw,
     p_fixed,
 )
 from .factorized import alt_factorizations, delta_t_eval, lemma_factor_check, make_factorized
 from .fields import SquareClass, enumerate_sc, minus_one, parse_field, sc_gen, sc_one
+from .invariants import eval_g
 from .sampling import (
     rand_coeff,
     rand_diag,

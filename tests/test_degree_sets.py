@@ -14,19 +14,17 @@ from hypothesis import strategies as st
 
 from gwinv import divided
 from gwinv.cohomology import e_n
-from gwinv.divided import (
-    H_TARGET,
-    W_TARGET,
-    F2Poly,
-    eval_f,
-    eval_f_all,
-    eval_g,
-    eval_pi,
-    eval_pi_series,
-    g_transition_terms,
-)
+from gwinv.divided import H_TARGET, W_TARGET, eval_f, eval_f_all, eval_pi, eval_pi_series
 from gwinv.fields import SquareClass, parse_field
-from gwinv.invariants import SymbolicInvariant, evaluate, parse_invariant, to_basis
+from gwinv.invariants import (
+    F2Poly,
+    SymbolicInvariant,
+    eval_g,
+    evaluate,
+    g_transition_terms,
+    parse_invariant,
+    to_basis,
+)
 from gwinv.sampling import standard_fields
 from gwinv.witt import (
     GwElement,

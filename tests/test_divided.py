@@ -12,14 +12,13 @@ from gwinv.divided import (
     eval_f,
     eval_f_all,
     eval_fixed_dim,
-    eval_g,
     eval_pi,
     eval_pi_series,
     eval_sw,
     p_fixed,
 )
 from gwinv.fields import minus_one, parse_field, parse_sc, sc_one
-from gwinv.invariants import F2Poly
+from gwinv.invariants import F2Poly, eval_g
 from gwinv.sampling import (
     rand_diag,
     rand_gw,

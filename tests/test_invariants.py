@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from gwinv.divided import H_TARGET, W_TARGET, eval_f, eval_g
+from gwinv.divided import H_TARGET, W_TARGET, eval_f
 from gwinv.fields import parse_field, parse_sc
 from gwinv.invariants import (
     F2Poly,
@@ -15,6 +15,7 @@ from gwinv.invariants import (
     change_basis,
     coeff_at_zero,
     coeff_ops,
+    eval_g,
     evaluate,
     extract_coeffs,
     is_normalized,
@@ -57,7 +58,7 @@ def gen(n, mode, basis, d):
 class TestF2Poly:
     def test_char_two(self):
         x = F2Poly(0b101)
-        assert (x + x).is_zero
+        assert x + x == F2Poly.zero
 
     def test_carryless_product(self):
         # (1 + eps)(1 + eps) = 1 + eps^2

@@ -5,11 +5,11 @@ only as the reference."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwinv.divided import g_transition_terms
 from gwinv.invariants import (
     F2Poly,
     SymbolicInvariant,
     f_transition_terms,
+    g_transition_terms,
     omega_t,
     phi,
     product,
@@ -40,7 +40,7 @@ def oracle_phi(alpha, sign):
     out: dict = {}
 
     def acc(d, c):
-        if not ops.is_zero(c):
+        if c != ops.zero:
             out[d] = out.get(d, ops.zero) + c
 
     for d, coeff in alpha.coeffs.items():
@@ -110,7 +110,7 @@ def oracle_psi_tilde_closed_f(alpha):
     out: dict = {}
 
     def acc(d, c):
-        if not ops.is_zero(c):
+        if c != ops.zero:
             out[d] = out.get(d, ops.zero) + c
 
     for d, coeff in f.coeffs.items():

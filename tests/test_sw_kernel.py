@@ -9,8 +9,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gwinv import divided, witt
-from gwinv.divided import H_TARGET, W_TARGET, eval_fixed_dim, eval_g, eval_pi, eval_pi_series, eval_sw, sw_series
+from gwinv.divided import (
+    H_TARGET,
+    W_TARGET,
+    eval_f,
+    eval_f_all,
+    eval_f_sum,
+    eval_fixed_dim,
+    eval_pi,
+    eval_pi_series,
+    eval_sw,
+    sw_series,
+)
 from gwinv.fields import REAL_CLOSED, SquareClass, parse_field
+from gwinv.invariants import coeff_ops, eval_g
 from gwinv.sampling import standard_fields
 from gwinv.series import ConsistencyError, ext_binom
 from gwinv.witt import GwElement, parse_form, witt_canonical
@@ -104,6 +116,24 @@ def test_negative_degrees_are_rejected(d):
             eval_pi_series(1, d, x)
         with pytest.raises(ValueError, match=f"degree {d} is negative"):
             eval_g(1, d, witt_canonical(parse_form("pf(t1)", F)), target)
+
+
+@pytest.mark.parametrize("n", (0, -1))
+@pytest.mark.parametrize("d", (0, 1))
+def test_levels_below_one_are_rejected(n, d):
+    # the level check comes before the degree-0 shortcut and the membership
+    # check, so degree 0 raises as degree 1 does
+    q = witt_canonical(parse_form("pf(t1)", parse_field("F3((t1))")))
+    for target in TARGETS:
+        calls = (
+            lambda: eval_f(n, d, q, target),
+            lambda: eval_f_all(n, q, target, (d,)),
+            lambda: eval_f_sum(n, q, target, {d: coeff_ops(target.mode).one}),
+            lambda: eval_g(n, d, q, target),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="the level n must be >= 1"):
+                call()
 
 
 def test_indivisible_character_sum_is_caught(monkeypatch):
