@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 from .fields import (
     FINITE_ODD,
-    QUAD_CLOSED,
-    REAL_CLOSED,
     FieldDescriptor,
     FieldMismatchError,
     SquareClass,
     minus_one,
+    minus_one_mask,
 )
 from .witt import MembershipError, WittClass, filtration_level
 
@@ -58,16 +57,24 @@ class CohClass:
         return self
 
     def __mul__(self, other: "CohClass") -> "CohClass":
-        """Cup product, with the square rewrite (t).(t) = (-1).(t) and the
-        base truncations applied monomial by monomial."""
+        """Cup product, monomial by monomial.  Each shared variable turns
+        (t).(t) into (-1).(t): the product vanishes when -1 is a square,
+        and otherwise the overlap adds to the base exponent.  Over F_q the
+        product also vanishes once that exponent reaches 2, since the base
+        has no cohomology above degree 1."""
         self._check(other)
         field = self.field
+        minus_one_square = not minus_one_mask(field)
+        finite = field.kind == FINITE_ODD
         acc: set = set()
         for b1, v1 in self.monos:
             for b2, v2 in other.monos:
-                mono = _mono_mul(field, b1, v1, b2, v2)
-                if mono is not None:
-                    acc ^= {mono}
+                overlap = (v1 & v2).bit_count()
+                if overlap and minus_one_square:
+                    continue
+                b = b1 + b2 + overlap
+                if b < 2 or not finite:
+                    acc ^= {(b, v1 | v2)}
         return CohClass(field, frozenset(acc))
 
     def grades(self) -> dict[int, "CohClass"]:
@@ -86,41 +93,14 @@ class CohClass:
         return f"CohClass({self.field}, {sorted(self.monos)!r})"
 
 
-def _mono_mul(field: FieldDescriptor, b1: int, v1: int, b2: int, v2: int):
-    """Product of two basis monomials; None when the product vanishes."""
-    overlap = (v1 & v2).bit_count()
-    if field.kind == QUAD_CLOSED:
-        # (-1) = 0, so any square among the variables kills the product.
-        return None if overlap else (0, v1 | v2)
-    if field.kind == REAL_CLOSED:
-        return (b1 + b2 + overlap, v1 | v2)
-    if field.q % 4 == 1:
-        if overlap:
-            return None
-        b = b1 + b2
-    else:
-        b = b1 + b2 + overlap
-    # (u) cup (u) lands in degree-2 base cohomology, which is trivial.
-    return None if b >= 2 else (b, v1 | v2)
-
-
 def degree1(a: SquareClass) -> CohClass:
     """The degree-1 class of a square-class monomial, expanded over the
     generators (additivity of symbols in each slot)."""
-    field = a.field
-    monos: set = set()
-    if a.base_mask:
-        monos ^= {(1, 0)}
     v = a.var_mask
-    i = 0
-    while v:
-        if v & 1:
-            monos ^= {(0, 1 << i)}
-        v >>= 1
-        i += 1
-    if field.kind == QUAD_CLOSED and (1, 0) in monos:
-        monos.discard((1, 0))
-    return CohClass(field, frozenset(monos))
+    monos = {(0, 1 << i) for i in range(v.bit_length()) if v >> i & 1}
+    if a.base_mask:
+        monos.add((1, 0))
+    return CohClass(a.field, frozenset(monos))
 
 
 def symbol(classes: list[SquareClass] | tuple[SquareClass, ...]) -> CohClass:

@@ -14,7 +14,16 @@ from gwinv.cohomology import (
     render_coh,
     symbol,
 )
-from gwinv.fields import enumerate_sc, minus_one, parse_field, parse_sc, sc_gen, sc_one
+from gwinv.fields import (
+    QUAD_CLOSED,
+    REAL_CLOSED,
+    enumerate_sc,
+    minus_one,
+    parse_field,
+    parse_sc,
+    sc_gen,
+    sc_one,
+)
 from gwinv.sampling import (
     rand_in_In,
     rand_in_In_data,
@@ -34,6 +43,38 @@ from gwinv.witt import (
 R = parse_field("R")
 RT = parse_field("R((t1))")
 RTT = parse_field("R((t1))((t2))")
+
+
+ORACLE_FIELDS = standard_fields(3) + [
+    parse_field(head + "".join(f"((t{i + 1}))" for i in range(depth)))
+    for head in ("F7", "F9")
+    for depth in range(4)
+]
+
+
+def _monomials(F):
+    bases = {QUAD_CLOSED: (0,), REAL_CLOSED: (0, 1, 2)}.get(F.kind, (0, 1))
+    return [(b, v) for b in bases for v in range(1 << F.depth)]
+
+
+def oracle_mono_mul(field, b1, v1, b2, v2):
+    """The cup product of two basis monomials, one rule per base kind (the
+    library's rule before it was read off the class of -1); None when the
+    product vanishes."""
+    overlap = (v1 & v2).bit_count()
+    if field.kind == QUAD_CLOSED:
+        # (-1) = 0, so any square among the variables kills the product.
+        return None if overlap else (0, v1 | v2)
+    if field.kind == REAL_CLOSED:
+        return (b1 + b2 + overlap, v1 | v2)
+    if field.q % 4 == 1:
+        if overlap:
+            return None
+        b = b1 + b2
+    else:
+        b = b1 + b2 + overlap
+    # (u) cup (u) lands in degree-2 base cohomology, which is trivial.
+    return None if b >= 2 else (b, v1 | v2)
 
 
 class TestSymbol:
@@ -100,6 +141,27 @@ class TestCup:
         x = symbol([t1]) * symbol([t2]) * minus_one_class(RTT)
         (grade, part), = x.grades().items()
         assert grade == 3 and part == x
+
+    @pytest.mark.parametrize("F", ORACLE_FIELDS, ids=str)
+    def test_matches_per_kind_oracle(self, F):
+        """Every pair of basis monomials (base exponents 0..2 over R), and
+        seeded sums of them, against the per-base-kind monomial rule."""
+        monos = _monomials(F)
+        for m1 in monos:
+            for m2 in monos:
+                want = oracle_mono_mul(F, *m1, *m2)
+                got = CohClass(F, frozenset({m1})) * CohClass(F, frozenset({m2}))
+                assert got.monos == (frozenset() if want is None else frozenset({want}))
+        rng = random.Random(17)
+        for _ in range(20):
+            x, y = (frozenset(rng.sample(monos, rng.randint(0, len(monos)))) for _ in range(2))
+            want: set = set()
+            for m1 in x:
+                for m2 in y:
+                    mono = oracle_mono_mul(F, *m1, *m2)
+                    if mono is not None:
+                        want ^= {mono}
+            assert (CohClass(F, x) * CohClass(F, y)).monos == want
 
 
 class TestEn:
