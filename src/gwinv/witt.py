@@ -26,7 +26,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from operator import add, and_, mul, neg, pos, sub, xor
+from operator import add, and_, mul, neg, pos, xor
 from typing import Collection
 
 from .fields import (
@@ -490,15 +490,17 @@ def character_series(x: GwElement, degrees: Collection[int], row) -> dict[int, G
     chi_s(<m>) = (-1)^popcount(s & m) is a ring map Z[G] -> Z.  One
     Walsh-Hadamard transform of x's coefficient vector gives its 2^g
     character values; characters with equal values share one row.  A
-    second transform of the rows gives back 2^g times the Z[G] terms of
-    each coefficient, and every returned coefficient is checked to divide
-    exactly.  A negative degree raises ``ValueError``."""
+    second transform, of each read degree's column of the rows, gives back
+    2^g times the Z[G] terms of that coefficient, and every returned
+    coefficient is checked to divide exactly.  A negative degree raises
+    ``ValueError``."""
     if min(degrees, default=0) < 0:
         raise ValueError(f"series degree {min(degrees)} is negative")
     field = x.field
     g = field.num_gens
+    pm = lambda a, b: (a + b, a - b)
     chis = [x.terms.get(m, 0) for m in range(1 << g)]
-    _butterfly(chis, lambda a, b: (a + b, a - b))
+    _butterfly(chis, pm)
     memo: dict[int, list[int]] = {}
     rows = []
     for chi in chis:
@@ -506,13 +508,13 @@ def character_series(x: GwElement, degrees: Collection[int], row) -> dict[int, G
         if r is None:
             r = memo[chi] = row(chi)
         rows.append(r)
-    _butterfly(rows, lambda a, b: (list(map(add, a, b)), list(map(sub, a, b))))
     low = (1 << g) - 1
     coeffs = {}
     for j, d in enumerate(degrees):
+        column = [r[j] for r in rows]
+        _butterfly(column, pm)
         terms = {}
-        for m, r in enumerate(rows):
-            v = r[j]
+        for m, v in enumerate(column):
             if v & low:
                 raise ConsistencyError(f"character sum {v} at degree {d} is not divisible by 2^{g}")
             if v:
