@@ -208,6 +208,18 @@ class TestSubstitutionSeries:
         assert h.compose(x) == t
         assert all(isinstance(c, int) for c in h.coeffs)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_binomial_identity(self, n):
+        # x's recursion is (1 + 2^k x_k)^2 = 1 + 2^(k+1) x_(k+1), so
+        # ((1 + h_n)/(1 - h_n))^(2^(n-1)) = 1 + 2^n t: the identity behind
+        # a two-term recurrence for the character rows of a divided power
+        D = 64
+        h = build_h(n, D)
+        plus, minus = h.add_const(1), (-h).add_const(1)
+        for _ in range(n - 1):
+            plus, minus = plus * plus, minus * minus
+        assert plus == S([1, 1 << n] + [0] * (D - 1)) * minus
+
 
 class TestEvenOddSplit:
     def test_level_one_parts(self):
