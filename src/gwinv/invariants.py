@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .divided import InvariantTarget, eval_f_sum
+from .divided import InvariantTarget, _check_degree, eval_f_sum
 from .fields import parse_int, split_signed_sum
 from .series import ZZ, ext_binom, multinomial_C
 from .witt import WittClass
@@ -357,8 +357,7 @@ def evaluate(alpha: SymbolicInvariant, q: WittClass):
 def eval_g(n: int, d: int, q: WittClass, target: InvariantTarget):
     """The degree-d member of the balanced g-family on q, through its
     f-basis rebasing.  A negative degree raises ``ValueError``."""
-    if d < 0:
-        raise ValueError(f"series degree {d} is negative")
+    _check_degree(d)
     return evaluate(SymbolicInvariant.generator(n, target.mode, "g", d), q)
 
 
