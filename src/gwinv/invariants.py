@@ -185,13 +185,10 @@ def g_transition_terms(n: int, d: int) -> list[tuple[int, int, int]]:
     (integer coefficient, eps exponent, f degree)."""
     if d == 0:
         return [(1, 0, 0)]
+    # k - lo runs over 0..top, so every coefficient is a nonzero binomial
     lo = d // 2 + 1
     top = (d - 1) // 2
-    return [
-        (ext_binom(top, k - lo), n * (d - k), k)
-        for k in range(lo, d + 1)
-        if ext_binom(top, k - lo) != 0
-    ]
+    return [(ext_binom(top, k - lo), n * (d - k), k) for k in range(lo, d + 1)]
 
 
 def _linear(alpha: SymbolicInvariant, n: int, basis: str, terms) -> SymbolicInvariant:
