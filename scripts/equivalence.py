@@ -16,6 +16,11 @@ Run it from the root of a checkout; it imports that checkout's ``src``,
   ``eval_pi_series`` (n = 1..3) at precisions 0, 1, 6, 10 and 16, over
   every base with depths 0 to 4, on the formal zero and on seeded forms
   with small, negative and large multiplicities;
+* ``pi-deep``: the coefficient terms of ``eval_pi_coeffs`` for n = 1..6
+  on the sparse degree sets {D}, {1, D} and {0, 2, D // 2} with
+  D = 256 // n, over F3 and R towers of depth 0 to 4, on seeded
+  dimension-0 lifts and on seeded forms of odd, negative and large
+  dimension;
 * ``series-dump``: the concatenated stdout of ``gwinv series --n N --prec P
   --format json`` sent through ``cli.main``, over the 72 (N, P) of
   ``workloads.series_ops(1)`` and then (6, 128);
@@ -71,10 +76,10 @@ for sub in ("src", "bench", "tests"):
 import workloads  # noqa: E402
 from gwinv import eval_g  # noqa: E402
 from gwinv.cohomology import render_coh  # noqa: E402
-from gwinv.divided import H_TARGET, W_TARGET, eval_fixed_dim, eval_pi_series, sw_series  # noqa: E402
+from gwinv.divided import H_TARGET, W_TARGET, eval_fixed_dim, eval_pi_coeffs, eval_pi_series, sw_series  # noqa: E402
 from gwinv.fields import parse_field  # noqa: E402
 from gwinv.invariants import evaluate, parse_invariant  # noqa: E402
-from gwinv.sampling import rand_diag, rand_gw, rand_pfister_slots, standard_fields  # noqa: E402
+from gwinv.sampling import rand_diag, rand_gw, rand_in_In, rand_pfister_slots, standard_fields  # noqa: E402
 from gwinv.verify import RunConfig, run_suite  # noqa: E402
 from gwinv.witt import (  # noqa: E402
     GwElement,
@@ -82,6 +87,8 @@ from gwinv.witt import (  # noqa: E402
     WittClass,
     _rep_terms,
     filtration_level,
+    gpfister,
+    hat_lift,
     lambda_series,
     pfister,
     witt_canonical,
@@ -144,6 +151,32 @@ def series_gw_hash() -> str:
                     series += [eval_pi_series(n, prec, x).coeffs for n in (1, 2, 3)]
                     terms = [[sorted(c.terms.items()) for c in s] for s in series]
                     yield repr((str(F), sorted(x.terms.items()), prec, terms))
+
+    return _digest(coefficients())
+
+
+def pi_deep_hash() -> str:
+    rng = Random(16)
+
+    def forms(F):
+        yield hat_lift(rand_in_In(rng, F, rng.randint(1, 3)))
+        yield gpfister(rand_pfister_slots(rng, F, 2)) - gpfister(rand_pfister_slots(rng, F, 1))
+        odd = rand_diag(rng, F, rng.choice((1, 3, 5)))
+        yield odd
+        yield odd.scale(-3)
+        yield rand_gw(rng, F, 3).scale(99999999999)
+
+    def coefficients():
+        for head in ("F3", "R"):
+            for depth in range(5):
+                F = parse_field(head + "".join(f"((t{i}))" for i in range(1, depth + 1)))
+                for x in forms(F):
+                    for n in range(1, 7):
+                        top = 256 // n
+                        for degrees in ((top,), (1, top), (0, 2, top // 2)):
+                            pis = eval_pi_coeffs(n, degrees, x)
+                            terms = [(d, sorted(pis[d].terms.items())) for d in degrees]
+                            yield repr((str(F), sorted(x.terms.items()), n, terms))
 
     return _digest(coefficients())
 
@@ -335,6 +368,7 @@ HASHES = {
     "eval": eval_hash,
     "demos": demos_hash,
     "series-gw": series_gw_hash,
+    "pi-deep": pi_deep_hash,
     "series-dump": series_dump_hash,
     "witt-level": witt_level_hash,
     "f-values": f_values_hash,
