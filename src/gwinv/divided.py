@@ -13,11 +13,12 @@ the two families live in ``invariants``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Collection
 
 from .cohomology import CohClass, e_n, minus_one_power, symbol
 from .fields import FieldDescriptor, SquareClass
-from .series import TruncSeries, ext_binom, h_power_columns
+from .series import ConsistencyError, TruncSeries, build_h, ext_binom
 from .witt import (
     GwElement,
     GwRing,
@@ -118,18 +119,46 @@ def eval_pi_series(n: int, precision: int, x: GwElement) -> TruncSeries:
     return TruncSeries(GwRing(x.field), list(eval_pi_coeffs(n, range(precision + 1), x).values()))
 
 
+def _binomial_row(n: int, two_p: int, top: int) -> list[int]:
+    """(1 + 2^n t)^(2p/2^n) to degree ``top``: (k + 1) b_(k+1) = (2p - 2^n k) b_k."""
+    b = [1] * (top + 1)
+    for k in range(top):
+        b[k + 1], r = divmod((two_p - (k << n)) * b[k], k + 1)
+        if r:
+            raise ConsistencyError(f"binomial row is not integral at degree {k + 1}")
+    return b
+
+
+def _power(f: list[int], a: int) -> list[int]:
+    """f^a for f_0 = 1 by J.C.P. Miller's k g_k = sum_(j=1..k) ((a + 1) j - k) f_j g_(k-j)."""
+    g = [1] * len(f)
+    for k in range(1, len(f)):
+        g[k], r = divmod(sum(((a + 1) * j - k) * f[j] * g[k - j] for j in range(1, k + 1)), k)
+        if r:
+            raise ConsistencyError(f"series power is not integral at degree {k}")
+    return g
+
+
 def eval_pi_coeffs(n: int, degrees: Collection[int], x: GwElement) -> dict[int, GwElement]:
-    """The level-n divided powers of x at ``degrees``: the exterior-power
-    series composed with the level-n substitution series h_n, in one pass
-    of the character kernel that computes only those degrees.  A negative
-    degree raises ``ValueError``."""
+    """The level-n divided powers of x at ``degrees``, in one pass of the
+    character kernel: the row of chi is (1 + h_n)^p (1 - h_n)^(dim x - p)
+    with 2p = dim x + chi, which ((1 + h_n)/(1 - h_n))^(2^(n-1)) = 1 + 2^n t
+    makes (1 + 2^n t)^(2p/2^n) (1 - h_n)^(dim x); the second factor is 1 in
+    dimension 0.  A negative degree raises ``ValueError``."""
     if n < 1:
         raise ValueError("the level n must be >= 1")
     _check_degree(min(degrees, default=0))
     if x.is_formal_zero or not any(degrees):
         one, zero = GwElement.unit(x.field), GwElement.zero(x.field)
         return {d: zero if d else one for d in degrees}
-    return lambda_series(x, degrees, h_power_columns(n, max(degrees)))
+    dim, top = x.dim, max(degrees)
+    g = _power([1] + [-c for c in build_h(n, top).coeffs[1:]], dim) if dim else None
+
+    def row(chi):
+        b = _binomial_row(n, dim + chi, top)
+        return [sum(map(mul, b[: d + 1], g[d::-1])) if dim else b[d] for d in degrees]
+
+    return character_series(x, degrees, row)
 
 
 def eval_pi(n: int, d: int, x: GwElement) -> GwElement:

@@ -9,11 +9,11 @@ library: ``witt.character_series`` reduces a product prod (1 + a t)^c over
 the terms of a form (its exterior-power series, its Stiefel-Whitney-style
 series) to one integer series per character of the square-class group
 and transforms the values back.  The level series x_n comes from the
-quadratic recursion x_{k+1} = x_k + 2^(k-1) x_k^2, its inverse h_n from
-undoing those steps one at a time, each solved degree by degree, and
-``h_power_columns`` tabulates the powers of h_n for composition.  Building h_n checks x_n o h_n = t with x's own recursion and
-h_n o x_n = t with the inversion steps, in O(n P^2) integer products; the
-verify ``series`` suite checks both again by Horner ``compose``.
+quadratic recursion x_{k+1} = x_k + 2^(k-1) x_k^2, and its inverse h_n
+from undoing those steps one at a time, each solved degree by degree.
+Building h_n checks x_n o h_n = t with x's own recursion and h_n o x_n = t
+with the inversion steps, in O(n P^2) integer products; the verify
+``series`` suite checks both again by Horner ``compose``.
 Everything is exact: no floats, no coercion, and every series carries an
 explicit truncation order.
 """
@@ -283,29 +283,6 @@ def build_h(n: int, precision: int) -> TruncSeries:
     h_n o x_n = t by running the same inversion steps on x_n; both and the
     integrality of every coefficient raise ``ConsistencyError`` on failure."""
     return TruncSeries(ZZ, list(_h_coeffs(n, precision)))
-
-
-# A table holds about P^2/2 integers (about 2 MB at P = 256), so unlike
-# h_n itself only the most recent tables are kept; one pass of the verify
-# gate or of the benchmark's eval stream reads about twenty.
-@lru_cache(maxsize=64)
-def h_power_columns(n: int, precision: int) -> tuple[tuple[int, ...], ...]:
-    """The powers of ``build_h(n, precision)`` read by degree: column d
-    lists [t^d] h_n^k for k = 0..d (h_n^k starts at degree k), so an
-    integer series a composed with h_n has degree-d coefficient
-    sum_k a_k column[d][k]."""
-    h = build_h(n, precision).coeffs
-    cols = [[1]] + [[0] for _ in range(precision)]
-    power = [1] + [0] * precision
-    for k in range(1, precision + 1):
-        # h^k = h^(k-1) h from degree k on; h^(k-1) starts at degree k - 1
-        power = [0] * k + [
-            sum(map(operator.mul, power[k - 1 : d], h[d - k + 1 : 0 : -1]))
-            for d in range(k, precision + 1)
-        ]
-        for d in range(k, precision + 1):
-            cols[d].append(power[d])
-    return tuple(map(tuple, cols))
 
 
 def catalan(precision: int) -> TruncSeries:

@@ -523,24 +523,16 @@ def character_series(x: GwElement, degrees: Collection[int], row) -> dict[int, G
     return coeffs
 
 
-def lambda_series(x: GwElement, degrees: Collection[int], columns=None) -> dict[int, GwElement]:
+def lambda_series(x: GwElement, degrees: Collection[int]) -> dict[int, GwElement]:
     """The coefficients at ``degrees`` of the exterior-power generating
-    series of x in the variable u: the group law prod (1 + <m> u)^c over
-    the terms c<m> of x, for an integer series u with zero constant term.
-    u = t when ``columns`` is None, else the series whose powers
-    ``columns`` tabulates (column d lists [t^d] u^k for k = 0..d, as
-    ``series.h_power_columns`` does).  Only the requested degrees are
-    computed; the full series truncated at P is the degree set
-    ``range(P + 1)``.
+    series of x: the group law prod (1 + <m> t)^c over the terms c<m> of
+    x.  Only the requested degrees are computed; the full series truncated
+    at P is the degree set ``range(P + 1)``.
 
     Through ``character_series``: chi_s sends the product to the integer
-    series (1 + u)^p (1 - u)^q, where p + q = dim x and p - q = chi_s(x)."""
+    series (1 + t)^p (1 - t)^q, where p + q = dim x and p - q = chi_s(x)."""
     dim, top = x.dim, max(degrees, default=0)
-
-    def row(chi):
-        a = _plus_minus_series(chi, dim, top)
-        return [a[d] if columns is None else sum(map(mul, a, columns[d])) for d in degrees]
-
+    row = lambda chi: [*map(_plus_minus_series(chi, dim, top).__getitem__, degrees)]
     return character_series(x, degrees, row)
 
 

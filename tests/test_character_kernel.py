@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gwinv import witt
+from gwinv import divided, witt
 from gwinv.divided import eval_pi_coeffs, eval_pi_series
 from gwinv.fields import parse_field
 from gwinv.series import ConsistencyError, TruncSeries, build_h
@@ -99,7 +99,11 @@ def test_indivisible_character_sum_is_caught_on_degree_subsets(monkeypatch):
     # the rows stay integral, so the recurrence check passes, but every
     # transformed value at those degrees is off by one and the exact 2^g
     # division must fail there, on the full series and on any degree set
-    # that reads them, also behind a clean first degree.
+    # that reads them, also behind a clean first degree.  The divided
+    # powers get the same tamper in their binomial row, whose trivial
+    # character chi = dim x has 2p = 2 dim x; that row's degree-5 change
+    # reaches the divided power at degree 5 times the constant 1 of
+    # (1 - h_n)^(dim x).
     exact = witt._plus_minus_series
     monkeypatch.setattr(
         witt,
@@ -108,8 +112,16 @@ def test_indivisible_character_sum_is_caught_on_degree_subsets(monkeypatch):
             c + (k >= 5 and chi == dim) for k, c in enumerate(exact(chi, dim, precision))
         ],
     )
+    exact_row = divided._binomial_row
     for head in ("C", "R", "F3", "F5"):
         x = parse_form("pf(t1) + diag(t1)", field(head, 1))
+        monkeypatch.setattr(
+            divided,
+            "_binomial_row",
+            lambda n, two_p, top: [
+                c + (k >= 5 and two_p == 2 * x.dim) for k, c in enumerate(exact_row(n, two_p, top))
+            ],
+        )
         lambda_series(x, (1, 4))
         for degrees in (range(7), (5,), (6,), (1, 5)):
             with pytest.raises(ConsistencyError, match="not divisible by 2"):

@@ -332,8 +332,9 @@ class TestEval:
     @pytest.mark.parametrize("inv", ["f[1,256]", "f[256,1]", "2*g[16,16]"])
     @pytest.mark.parametrize("mode", ["W", "H"])
     def test_degree_at_cap_on_zero_class_exit_0(self, capsys, monkeypatch, inv, mode):
-        # the formal zero never builds h_n, however high the degree
-        monkeypatch.setattr(divided, "h_power_columns", None)
+        # the formal zero never builds h_n or a row, however high the degree
+        monkeypatch.setattr(divided, "build_h", None)
+        monkeypatch.setattr(divided, "_binomial_row", None)
         code, out, err = run(
             capsys, "eval", f"--inv={inv}", "--form=H", "--field=F3((t1))", f"--mode={mode}"
         )

@@ -151,12 +151,12 @@ def test_single_degree_matches_full_route(x, d, n):
 def test_kernel_computes_only_the_read_degrees(monkeypatch):
     asked = []
 
-    def spy(x, degrees, columns=None):
+    def spy(x, degrees, row):
         asked.append(list(degrees))
-        return kernel(x, degrees, columns)
+        return kernel(x, degrees, row)
 
-    kernel = divided.lambda_series
-    monkeypatch.setattr(divided, "lambda_series", spy)
+    kernel = divided.character_series
+    monkeypatch.setattr(divided, "character_series", spy)
     F = parse_field("R((t1))((t2))")
     q = witt_canonical(parse_form("pf(t1,t2) - pf(-1,t2)", F))
     for mode in TARGETS:
@@ -165,6 +165,28 @@ def test_kernel_computes_only_the_read_degrees(monkeypatch):
         evaluate(parse_invariant("f[2,0]", mode), q)
         evaluate(parse_invariant("f[2,1] - f[2,1]", mode), q)
         assert [sorted(a) for a in asked] == [[2, 5]]
+
+
+def test_dimension_zero_evaluation_never_builds_h(monkeypatch):
+    # every evaluation reads a dimension-0 lift, whose binomial rows need
+    # no power of h_n
+    built = []
+
+    def spy(n, precision):
+        built.append((n, precision))
+        return build(n, precision)
+
+    build = divided.build_h
+    monkeypatch.setattr(divided, "build_h", spy)
+    F = parse_field("F3((t1))((t2))")
+    q = witt_canonical(parse_form("pf(t1,t2) - pf(u,t2)", F))
+    for mode in TARGETS:
+        for text in ("f[2,40]", "3*g[2,9] + f[2,1]", "f[2,3]*g[2,2]"):
+            evaluate(parse_invariant(text, mode), q)
+    assert built == []
+    # the spy is live: a form of nonzero dimension builds h_n once a call
+    divided.eval_pi_coeffs(2, (1, 9), parse_form("diag(t1)", F))
+    assert built == [(2, 9)]
 
 
 @pytest.mark.parametrize("inv", ["f[2,1]-f[2,1]", "f[2,0]", "3*g[2,0]"])
