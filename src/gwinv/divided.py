@@ -259,7 +259,9 @@ def eval_sw(d: int, x: GwElement, target: InvariantTarget):
 def p_fixed(d: int, x: GwElement) -> GwElement:
     """GW-level expansion of the Witt-valued Stiefel-Whitney analogue on a
     fixed dimension: an alternating binomial combination of exterior
-    powers of a nonnegative diagonal form."""
+    powers of a nonnegative diagonal form.  A negative degree raises
+    ``ValueError``."""
+    _check_degree(d)
     if not x.is_nonneg_diagonal():
         raise ValueError("the fixed-dimension expansion needs a nonnegative diagonal")
     m = x.dim

@@ -19,6 +19,7 @@ from gwinv.divided import (
     eval_pi,
     eval_pi_series,
     eval_sw,
+    p_fixed,
     sw_series,
 )
 from gwinv.fields import REAL_CLOSED, SquareClass, parse_field
@@ -116,6 +117,8 @@ def test_negative_degrees_are_rejected(d):
             eval_pi_series(1, d, x)
         with pytest.raises(ValueError, match=f"degree {d} is negative"):
             eval_g(1, d, witt_canonical(parse_form("pf(t1)", F)), target)
+    with pytest.raises(ValueError, match=f"degree {d} is negative"):
+        p_fixed(d, x)
 
 
 @pytest.mark.parametrize("n", (0, -1))
