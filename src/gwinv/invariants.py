@@ -84,7 +84,9 @@ def coeff_ops(mode: str):
 
 
 class SymbolicInvariant:
-    """Finitely supported coefficient sequence in the f- or g-basis."""
+    """Finitely supported coefficient sequence in the f- or g-basis, with
+    coefficients in the mode's scalar ring: ``int`` in mode W, ``F2Poly``
+    in mode H (any other type raises ``TypeError``)."""
 
     __slots__ = ("n", "mode", "basis", "coeffs")
 
@@ -94,10 +96,14 @@ class SymbolicInvariant:
         if basis not in ("f", "g"):
             raise ValueError("basis must be 'f' or 'g'")
         ops = coeff_ops(mode)
+        coeffs = coeffs or {}
+        scalar = int if ops is ZZ else F2Poly
+        if not all(isinstance(c, scalar) for c in coeffs.values()):
+            raise TypeError(f"a mode-{mode} coefficient must be of type {scalar.__name__}")
         self.n = n
         self.mode = mode
         self.basis = basis
-        self.coeffs = {d: c for d, c in (coeffs or {}).items() if c != ops.zero}
+        self.coeffs = {d: c for d, c in coeffs.items() if c != ops.zero}
 
     @classmethod
     def generator(cls, n: int, mode: str, basis: str, d: int) -> "SymbolicInvariant":
@@ -363,12 +369,15 @@ def eval_g(n: int, d: int, q: WittClass, target: InvariantTarget):
 # 'eps^k', 'f[n,d]' or 'g[n,d]'; mixed-basis input is normalized to one basis.
 
 # The largest total degree a literal may ask for: n*d for a generator f[n,d]
-# or g[n,d], and n*(d_1 + ... + d_k) for a product of them.  Evaluating
-# degree d at level n builds the level-n series to precision d and the
-# table of its powers, about P^3/6 products, whose cost climbs fast past
-# this cap: on a 2-core x86 machine at tower depth 6 in W mode, f[1,256] on
-# pf(t1) takes 0.43 s cold (most of it the power table), f[2,128] 0.10 s and
-# f[3,64] 0.03 s, but f[1,512] takes 2.9 s.
+# or g[n,d], and n*(d_1 + ... + d_k) for a product of them.  It bounds the
+# size of one request.  Evaluating degree d reads one binomial row per
+# character value, O(d) exact integer steps, and builds no power of h_n, so
+# the cost no longer climbs steeply here.  On a 2-core x86 machine at
+# tower depth 6, cold in-process CPU on a sum of three Pfister forms in
+# mode W is about 1 ms for f[1,256], f[2,128] and f[3,64] alike; g[1,256]
+# (128 f-degrees, each canonicalized) takes 20-60 ms over both modes and
+# f[1,128]*f[1,128] 15-26 ms; past the cap, g[1,1024] takes 0.07 s in
+# mode W and 0.3 s in mode H.
 MAX_TOTAL_DEGREE = 256
 
 _GEN_RE = re.compile(r"^([fg])\[(\d+),(\d+)\]$")

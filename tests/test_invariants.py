@@ -95,6 +95,19 @@ def _shift_and_add(a, b):
     return out
 
 
+class TestCoefficientRing:
+    @pytest.mark.parametrize(
+        "mode, coeff", [("H", 3), ("H", -1), ("W", F2Poly(1)), ("W", 2.0), ("W", "1"), ("H", None)]
+    )
+    def test_wrong_scalar_ring_is_rejected(self, mode, coeff):
+        with pytest.raises(TypeError, match=f"mode-{mode} coefficient"):
+            SymbolicInvariant(1, mode, "f", {1: coeff})
+
+    def test_mode_scalars_are_accepted(self):
+        assert SymbolicInvariant(1, "W", "f", {1: 3, 2: 0}).coeffs == {1: 3}
+        assert SymbolicInvariant(1, "H", "g", {1: F2Poly(0b11), 2: F2Poly.zero}).coeffs == {1: F2Poly(0b11)}
+
+
 class TestBasisChange:
     @pytest.mark.parametrize("mode", ["W", "H"])
     @pytest.mark.parametrize("n", [1, 2, 3])
