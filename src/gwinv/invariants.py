@@ -371,13 +371,13 @@ def eval_g(n: int, d: int, q: WittClass, target: InvariantTarget):
 # The largest total degree a literal may ask for: n*d for a generator f[n,d]
 # or g[n,d], and n*(d_1 + ... + d_k) for a product of them.  It bounds the
 # size of one request.  Evaluating degree d reads one binomial row per
-# character value, O(d) exact integer steps, and builds no power of h_n, so
-# the cost no longer climbs steeply here.  On a 2-core x86 machine at
-# tower depth 6, cold in-process CPU on a sum of three Pfister forms in
-# mode W is about 1 ms for f[1,256], f[2,128] and f[3,64] alike; g[1,256]
-# (128 f-degrees, each canonicalized) takes 20-60 ms over both modes and
-# f[1,128]*f[1,128] 15-26 ms; past the cap, g[1,1024] takes 0.07 s in
-# mode W and 0.3 s in mode H.
+# character value, O(d) exact integer steps, so the cost grows slowly
+# through the cap.  On a 2-core x86 machine at tower depth 6, cold
+# in-process CPU on a sum of three Pfister forms in mode W is about 1 ms
+# for f[1,256], f[2,128] and f[3,64] alike; g[1,256] (128 f-degrees, each
+# canonicalized) takes 20-60 ms over both modes and f[1,128]*f[1,128]
+# 15-26 ms; past the cap, g[1,1024] takes 0.07 s in mode W and 0.3 s in
+# mode H.
 MAX_TOTAL_DEGREE = 256
 
 _GEN_RE = re.compile(r"^([fg])\[(\d+),(\d+)\]$")
