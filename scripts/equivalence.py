@@ -21,6 +21,12 @@ Run it from the root of a checkout; it imports that checkout's ``src``,
   D = 256 // n, over F3 and R towers of depth 0 to 4, on seeded
   dimension-0 lifts and on seeded forms of odd, negative and large
   dimension;
+* ``kernel-wide``: the coefficient terms of ``lambda_series``,
+  ``eval_pi_coeffs`` (n = 1..3) and ``sw_series`` (mode W, as the
+  (mask, count) pairs of each small diagonal form) on the dense degree
+  set 0..12, over R, F3 and F5 towers of depth 5 and 6 (6 or 7 square-class
+  generators), on seeded forms of small, negative and large multiplicity
+  and on seeded dimension-0 lifts;
 * ``series-dump``: the concatenated stdout of ``gwinv series --n N --prec P
   --format json`` sent through ``cli.main``, over the 72 (N, P) of
   ``workloads.series_ops(1)`` and then (6, 128);
@@ -177,6 +183,31 @@ def pi_deep_hash() -> str:
                             pis = eval_pi_coeffs(n, degrees, x)
                             terms = [(d, sorted(pis[d].terms.items())) for d in degrees]
                             yield repr((str(F), sorted(x.terms.items()), n, terms))
+
+    return _digest(coefficients())
+
+
+def kernel_wide_hash() -> str:
+    rng = Random(17)
+    degrees = range(13)
+
+    def forms(F):
+        small = rand_gw(rng, F, rng.randint(3, 8))
+        yield small
+        yield small.scale(-3)
+        yield rand_gw(rng, F, 3).scale(99999999999)
+        yield hat_lift(rand_in_In(rng, F, rng.randint(1, 3)))
+
+    def coefficients():
+        for head in ("R", "F3", "F5"):
+            for depth in (5, 6):
+                F = parse_field(head + "".join(f"((t{i}))" for i in range(1, depth + 1)))
+                for x in forms(F):
+                    series = [lambda_series(x, degrees)]
+                    series += [eval_pi_coeffs(n, degrees, x) for n in (1, 2, 3)]
+                    terms = [[sorted(s[d].terms.items()) for d in degrees] for s in series]
+                    sw = [_rep_terms(c) for c in sw_series(x, degrees[-1], W_TARGET).coeffs]
+                    yield repr((str(F), sorted(x.terms.items()), terms, sw))
 
     return _digest(coefficients())
 
@@ -369,6 +400,7 @@ HASHES = {
     "demos": demos_hash,
     "series-gw": series_gw_hash,
     "pi-deep": pi_deep_hash,
+    "kernel-wide": kernel_wide_hash,
     "series-dump": series_dump_hash,
     "witt-level": witt_level_hash,
     "f-values": f_values_hash,
