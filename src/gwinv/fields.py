@@ -11,7 +11,7 @@ and the remaining bits are the tower variables in order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 QUAD_CLOSED = "C"
@@ -52,11 +52,18 @@ def _is_odd_prime_power(q: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldDescriptor:
-    """A base-field kind plus an ordered tower of Laurent variables."""
+    """A base-field kind plus an ordered tower of Laurent variables.
+
+    ``depth``, ``base_bits`` and ``num_gens`` are stored once, at
+    construction; they take no part in the constructor, ``repr``,
+    equality or hash."""
 
     kind: str
     q: int | None = None
     vars: tuple[str, ...] = ()
+    depth: int = field(init=False, repr=False, compare=False)
+    base_bits: int = field(init=False, repr=False, compare=False)
+    num_gens: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (QUAD_CLOSED, REAL_CLOSED, FINITE_ODD):
@@ -80,18 +87,17 @@ class FieldDescriptor:
             raise ValueError(
                 f"tower depth {len(self.vars)} exceeds the cap of {MAX_TOWER_DEPTH}"
             )
+        base_bits = 0 if self.kind == QUAD_CLOSED else 1
+        object.__setattr__(self, "depth", len(self.vars))
+        object.__setattr__(self, "base_bits", base_bits)
+        object.__setattr__(self, "num_gens", base_bits + len(self.vars))
 
-    @property
-    def depth(self) -> int:
-        return len(self.vars)
-
-    @property
-    def base_bits(self) -> int:
-        return 0 if self.kind == QUAD_CLOSED else 1
-
-    @property
-    def num_gens(self) -> int:
-        return self.base_bits + len(self.vars)
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.q, self.vars) == (other.kind, other.q, other.vars)
 
     @property
     def top_var(self) -> str:

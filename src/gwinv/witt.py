@@ -26,7 +26,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from operator import add, and_, mul, neg, pos, xor
+from operator import add, and_, mul, neg, or_, pos, sub, xor
 from typing import Collection
 
 from .fields import (
@@ -409,10 +409,8 @@ def filtration_level(q: WittClass) -> tuple[int | None, frozenset]:
     codes gives every c_S.
     """
     base = _base(q.field)
-    add, rows = base.add, list(q.leaves)
-    _butterfly(rows, lambda a, b: (add(a, b), b))
     level, monos = None, []
-    for s, x in enumerate(rows):
+    for s, x in enumerate(_butterfly(q.leaves, base.add)):
         if not x:
             continue
         n = base.level(x)
@@ -468,15 +466,16 @@ def _plus_minus_series(chi: int, dim: int, precision: int) -> list[int]:
     return a
 
 
-def _butterfly(rows: list, op) -> None:
-    """In place over 2^g rows: for each bit h and each index i without h,
-    replace the pair (rows[i], rows[i | h]) by op(rows[i], rows[i | h])."""
-    h = 1
-    while h < len(rows):
-        for i in range(len(rows)):
-            if not i & h:
-                rows[i], rows[i | h] = op(rows[i], rows[i | h])
-        h <<= 1
+def _butterfly(rows, lo, hi=None) -> list:
+    """The constant-geometry butterfly over 2^g rows, as a new list.  Each
+    of the g stages maps the pairs (rows[2i], rows[2i + 1]) to lo of the
+    pair at i and hi of it at i + 2^(g-1), the odd row itself when hi is
+    None; the index bits turn once, so stage k combines the rows that
+    differ in bit k of the input."""
+    for _ in range(len(rows).bit_length() - 1):
+        even, odd = rows[::2], rows[1::2]
+        rows = [*map(lo, even, odd), *(odd if hi is None else map(hi, even, odd))]
+    return rows
 
 
 def character_series(x: GwElement, degrees: Collection[int], row) -> dict[int, GwElement]:
@@ -489,37 +488,30 @@ def character_series(x: GwElement, degrees: Collection[int], row) -> dict[int, G
     GW(K) holds Z[G] for G = K*/K*^2 = (Z/2)^g, and each character
     chi_s(<m>) = (-1)^popcount(s & m) is a ring map Z[G] -> Z.  One
     Walsh-Hadamard transform of x's coefficient vector gives its 2^g
-    character values; characters with equal values share one row.  A
-    second transform, of each read degree's column of the rows, gives back
-    2^g times the Z[G] terms of that coefficient, and every returned
-    coefficient is checked to divide exactly.  A negative degree raises
-    ``ValueError``."""
+    character values; characters with equal values share one row.  The
+    rows are transposed once into one column per read degree, and a
+    second transform of each column gives back 2^g times the Z[G] terms
+    of that coefficient; every returned coefficient is checked to divide
+    exactly.  A negative degree raises ``ValueError``."""
     if min(degrees, default=0) < 0:
         raise ValueError(f"series degree {min(degrees)} is negative")
     field = x.field
     g = field.num_gens
-    pm = lambda a, b: (a + b, a - b)
-    chis = [x.terms.get(m, 0) for m in range(1 << g)]
-    _butterfly(chis, pm)
     memo: dict[int, list[int]] = {}
     rows = []
-    for chi in chis:
+    for chi in _butterfly([x.terms.get(m, 0) for m in range(1 << g)], add, sub):
         r = memo.get(chi)
         if r is None:
             r = memo[chi] = row(chi)
         rows.append(r)
     low = (1 << g) - 1
     coeffs = {}
-    for j, d in enumerate(degrees):
-        column = [r[j] for r in rows]
-        _butterfly(column, pm)
-        terms = {}
-        for m, v in enumerate(column):
-            if v & low:
-                raise ConsistencyError(f"character sum {v} at degree {d} is not divisible by 2^{g}")
-            if v:
-                terms[m] = v >> g
-        coeffs[d] = GwElement(field, terms)
+    for d, column in zip(degrees, zip(*rows, strict=True), strict=True):
+        column = _butterfly(column, add, sub)
+        if reduce(or_, column) & low:
+            v = next(v for v in column if v & low)
+            raise ConsistencyError(f"character sum {v} at degree {d} is not divisible by 2^{g}")
+        coeffs[d] = GwElement(field, {m: v >> g for m, v in enumerate(column) if v})
     return coeffs
 
 
