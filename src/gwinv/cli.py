@@ -20,7 +20,7 @@ from .fields import FieldSyntaxError, parse_field
 from .invariants import InvariantSyntaxError, evaluate, parse_invariant
 from .series import build_h, build_x, even_odd_split
 from .verify import SUITES, RunConfig, run_suite
-from .witt import MembershipError, WittClass, parse_form, witt_canonical
+from .witt import MembershipError, RenderLimitError, WittClass, parse_form, witt_canonical
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -105,7 +105,11 @@ def cmd_eval(args) -> int:
     except MembershipError as exc:
         print(f"membership error: {exc}", file=sys.stderr)
         return EXIT_MEMBERSHIP
-    rendered = _render_value(value)
+    try:
+        rendered = _render_value(value)
+    except RenderLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     if args.format == "json":
         print(
             json.dumps(

@@ -56,9 +56,18 @@ from .series import ConsistencyError
 # <= C(s+3,3) * 2^(ns) * C(t+3,3) * 2^(nt) <= 25,600.
 MAX_LISTED_COUNT = 250_000
 
+# ``str(WittClass)`` writes a multiplicity of at most this many decimal
+# digits and raises ``RenderLimitError`` on a longer one, below the
+# interpreter's own default limit of 4,300 digits for converting an integer.
+MAX_COUNT_DIGITS = 4000
+
 
 class MembershipError(ValueError):
     """A Witt class is outside the required power of the fundamental ideal."""
+
+
+class RenderLimitError(ValueError):
+    """A Witt class has a multiplicity too long to write out."""
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +290,14 @@ class WittClass:
 
     def __str__(self) -> str:
         """``<a,b,...>`` for the small diagonal form, then ``k*<c>`` for
-        each entry whose multiplicity k is above MAX_LISTED_COUNT."""
+        each entry whose multiplicity k is above MAX_LISTED_COUNT; a k of
+        more than MAX_COUNT_DIGITS digits raises ``RenderLimitError``."""
         listed, counted = [], []
         for m, c in _rep_terms(self):
             a = str(SquareClass(self.field, m))
             if c > MAX_LISTED_COUNT:
+                if c >= 10**MAX_COUNT_DIGITS:
+                    raise RenderLimitError(f"the multiplicity of <{a}> has more than {MAX_COUNT_DIGITS} digits")
                 counted.append(f"{c}*<{a}>")
             else:
                 listed += [a] * c

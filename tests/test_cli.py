@@ -217,6 +217,19 @@ class TestEval:
         assert len(out.encode()) < 200
         assert out.strip() == want
 
+    @pytest.mark.parametrize(
+        "inv, form",
+        [("eps^15000*f[1,1]", "pf(-1)"), ("f[1,256]", "99999999999999999999*pf(-1)")],
+        ids=["eps-power", "divided-power"],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_overlong_witt_multiplicity_exit_2(self, capsys, inv, form, fmt):
+        argv = ("eval", f"--inv={inv}", f"--form={form}", "--field=R", "--mode=W", f"--format={fmt}")
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == "error: the multiplicity of <1> has more than 4000 digits\n"
+
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(
             capsys,

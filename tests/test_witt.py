@@ -17,9 +17,11 @@ from gwinv.fields import (
 )
 from gwinv.sampling import rand_diag, rand_gw, rand_in_In, rand_sc, standard_fields
 from gwinv.witt import (
+    MAX_COUNT_DIGITS,
     MAX_LISTED_COUNT,
     GwElement,
     MembershipError,
+    RenderLimitError,
     gpfister,
     gw_equal,
     hat_lift,
@@ -273,6 +275,15 @@ class TestRender:
         t1 = witt_canonical(GwElement.diag(parse_sc("t1", RT)))
         q = witt_one(RT).int_mul(3 * MAX_LISTED_COUNT) + t1
         assert str(q) == f"<t1> + {3 * MAX_LISTED_COUNT}*<1>"
+
+    def test_multiplicity_digits_are_capped(self):
+        widest = 10**MAX_COUNT_DIGITS - 1
+        one, t1 = witt_one(RT), witt_canonical(GwElement.diag(parse_sc("t1", RT)))
+        assert str(one.int_mul(-widest)) == f"{widest}*<-1>"
+        assert str(one.int_mul(widest) + t1) == f"<t1> + {widest}*<1>"
+        for q in (one.int_mul(widest + 1), t1 - one.int_mul(widest + 1)):
+            with pytest.raises(RenderLimitError, match=f"more than {MAX_COUNT_DIGITS} digits"):
+                str(q)
 
 
 class TestSecondResidue:
