@@ -119,12 +119,15 @@ def minus_one_class(field: FieldDescriptor) -> CohClass:
 
 
 def minus_one_power(field: FieldDescriptor, j: int) -> CohClass:
-    """(-1)^j as a cohomology class (1 for j = 0)."""
-    out = CohClass.one(field)
-    m1 = minus_one_class(field)
-    for _ in range(j):
-        out = out * m1
-    return out
+    """(-1)^j as a cohomology class (1 for j = 0), in closed form: the
+    monomial (j, 0) over a real-closed base, (u) for j = 1 over F_q with
+    q = 3 mod 4 and 0 there for j >= 2 (the base has no cohomology above
+    degree 1), and 0 for j >= 1 wherever -1 is a square."""
+    if j < 0:
+        raise ValueError(f"negative power {j} of (-1)")
+    if j and (not minus_one_mask(field) or (field.kind == FINITE_ODD and j > 1)):
+        return CohClass.zero(field)
+    return CohClass(field, frozenset({(j, 0)}))
 
 
 def coh_residue(x: CohClass) -> CohClass:

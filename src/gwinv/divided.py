@@ -97,10 +97,11 @@ class ValueRing:
     def times(self, x, c):
         if self.mode == "W":
             return x.int_mul(c)
-        out = self.zero
-        for j in range(c.bits.bit_length()):
-            if c.bits >> j & 1:
-                out = out + self.eps_pow(j) * x
+        out, bits = self.zero, c.bits
+        while bits:  # one pass per set bit j, lowest first
+            low = bits & -bits
+            out = out + self.eps_pow(low.bit_length() - 1) * x
+            bits ^= low
         return out
 
 

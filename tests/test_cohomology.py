@@ -2,9 +2,11 @@
 filtration, and residues."""
 
 import random
+import time
 
 import pytest
 
+from gwinv.cli import main
 from gwinv.cohomology import (
     CohClass,
     coh_residue,
@@ -162,6 +164,41 @@ class TestCup:
                     if mono is not None:
                         want ^= {mono}
             assert (CohClass(F, x) * CohClass(F, y)).monos == want
+
+
+def cup_power(field, j):
+    """(-1)^j as j cup products of the degree-1 class of -1: the loop
+    ``minus_one_power`` ran before its closed form, kept as the oracle."""
+    out = CohClass.one(field)
+    m1 = minus_one_class(field)
+    for _ in range(j):
+        out = out * m1
+    return out
+
+
+class TestMinusOnePower:
+    @pytest.mark.parametrize("F", ORACLE_FIELDS, ids=str)
+    def test_closed_form_matches_cup_products(self, F):
+        for j in range(9):
+            assert minus_one_power(F, j) == cup_power(F, j)
+
+    @pytest.mark.parametrize(
+        "field, nonzero", [("R((t1))", range(9)), ("F3", (0, 1)), ("F7((t1))", (0, 1)), ("F5", (0,)), ("C((t1))", (0,))]
+    )
+    def test_vanishing_powers(self, field, nonzero):
+        F = parse_field(field)
+        assert [j for j in range(9) if not minus_one_power(F, j).is_zero] == list(nonzero)
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="negative power"):
+            minus_one_power(R, -1)
+
+    def test_high_power_evaluates_fast(self, capsys):
+        start = time.perf_counter()
+        argv = ["eval", "--inv=eps^400000*f[1,1]", "--form=pf(-1)", "--field=R", "--mode=H"]
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == "(-1)^400001\n"
 
 
 class TestEn:
