@@ -1,6 +1,7 @@
 """Square-class groups of the field towers and the certified
 representation test."""
 
+import dataclasses
 import time
 
 import pytest
@@ -89,6 +90,54 @@ class TestFieldDescriptor:
             f"tower variable {name!r} collides with a square-class literal"
             " ('u' is the base generator, '1' the unit)"
         )
+
+
+BASE_HEADS = ("C", "R", "F3", "F5", "F7", "F9")
+
+
+def head_tower(head, depth):
+    return head + "".join(f"((t{i}))" for i in range(1, depth + 1))
+
+
+class TestStoredConstants:
+    """depth, base_bits and num_gens are stored once per descriptor; the
+    descriptor's repr, equality and hash are those of (kind, q, vars)."""
+
+    @pytest.mark.parametrize("depth", range(7))
+    @pytest.mark.parametrize("head", BASE_HEADS)
+    def test_constants_match_their_definitions(self, head, depth):
+        F = parse_field(head_tower(head, depth))
+        assert F.depth == len(F.vars) == depth
+        assert F.base_bits == (0 if F.kind == "C" else 1)
+        assert F.num_gens == F.base_bits + len(F.vars)
+        if depth:
+            P = F.parent()
+            assert (P.depth, P.base_bits, P.num_gens) == (depth - 1, F.base_bits, F.num_gens - 1)
+
+    @pytest.mark.parametrize("depth", range(7))
+    @pytest.mark.parametrize("head", BASE_HEADS)
+    def test_repr_equality_and_hash_are_those_of_the_init_fields(self, head, depth):
+        text = head_tower(head, depth)
+        F, G = parse_field(text), parse_field(text)
+        assert F is not G
+        assert repr(F) == repr(G) == f"FieldDescriptor(kind={F.kind!r}, q={F.q!r}, vars={F.vars!r})"
+        assert F == G and not F != G and F == F
+        assert hash(F) == hash(G) == hash((F.kind, F.q, F.vars))
+        assert {F: text}[G] == text and G in {F} and len({F, G}) == 1
+        assert F != parse_field(head_tower("C" if head != "C" else "R", depth))
+        assert F != text and F.__eq__(text) is NotImplemented
+        if depth:
+            assert F != F.parent() and F.parent() == G.parent()
+        assert [f.name for f in dataclasses.fields(F) if f.init] == ["kind", "q", "vars"]
+
+    @pytest.mark.parametrize("name", ["depth", "base_bits", "num_gens"])
+    def test_constants_are_neither_passed_nor_assigned(self, name):
+        F = parse_field("F5((t1))((t2))")
+        with pytest.raises(TypeError):
+            FieldDescriptor("F", 5, ("t1", "t2"), **{name: 1})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(F, name, 1)
+        assert dataclasses.replace(F, vars=("t1",)).depth == 1
 
 
 class TestSquareClassGroup:
