@@ -15,7 +15,9 @@ I^n (a group) and e (mod 2) ignore; ``character_series`` evaluates
 GW-coefficient series (the exterior-power series of ``lambda_series``, the
 Stiefel-Whitney-style series of ``divided.sw_series``) under the
 characters of the square-class group and transforms the values back.
-Both transforms run on one butterfly.  Equality in GW is decided through
+The superset sums and both character transforms run on one
+constant-geometry butterfly (``_butterfly``), two C-level maps a stage
+and no Python call per pair.  Equality in GW is decided through
 the pair (dimension, Witt class), which determines an element uniquely.
 """
 
