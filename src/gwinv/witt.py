@@ -481,11 +481,11 @@ def _plus_minus_series(chi: int, dim: int, precision: int) -> list[int]:
 
 
 def _butterfly(rows, lo, hi=None) -> list:
-    """The constant-geometry butterfly over 2^g rows, as a new list.  Each
-    of the g stages maps the pairs (rows[2i], rows[2i + 1]) to lo of the
-    pair at i and hi of it at i + 2^(g-1), the odd row itself when hi is
-    None; the index bits turn once, so stage k combines the rows that
-    differ in bit k of the input."""
+    """The constant-geometry butterfly over 2^g rows, returned as a new
+    list (the rows themselves when g = 0).  Each of the g stages maps the
+    pairs (rows[2i], rows[2i + 1]) to lo of the pair at i and hi of it at
+    i + 2^(g-1), the odd row itself when hi is None; the index bits turn
+    once, so stage k combines the rows that differ in bit k of the input."""
     for _ in range(len(rows).bit_length() - 1):
         even, odd = rows[::2], rows[1::2]
         rows = [*map(lo, even, odd), *(odd if hi is None else map(hi, even, odd))]
