@@ -27,7 +27,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 from operator import add, and_, mul, neg, or_, pos, sub, xor
 from typing import Collection
 
@@ -424,7 +424,7 @@ def filtration_level(q: WittClass) -> tuple[int | None, frozenset]:
     """
     base = _base(q.field)
     level, monos = None, []
-    for s, x in enumerate(_butterfly(q.leaves, base.add)):
+    for s, x in enumerate(_butterfly(q.leaves, q.field.depth, base.add)):
         if not x:
             continue
         n = base.level(x)
@@ -480,13 +480,15 @@ def _plus_minus_series(chi: int, dim: int, precision: int) -> list[int]:
     return a
 
 
-def _butterfly(rows, lo, hi=None) -> list:
-    """The constant-geometry butterfly over 2^g rows, returned as a new
-    list (the rows themselves when g = 0).  Each of the g stages maps the
+def _butterfly(rows, g, lo, hi=None) -> list:
+    """The g-stage constant-geometry butterfly over D * 2^g rows, returned
+    as a new list (the rows themselves when g = 0).  Each stage maps the
     pairs (rows[2i], rows[2i + 1]) to lo of the pair at i and hi of it at
-    i + 2^(g-1), the odd row itself when hi is None; the index bits turn
-    once, so stage k combines the rows that differ in bit k of the input."""
-    for _ in range(len(rows).bit_length() - 1):
+    i + D * 2^(g-1), the odd row itself when hi is None, so stage k
+    combines the rows that differ in bit k of the input index j * 2^g + c
+    and moves that bit above j: the transform of the 2^g rows of each j
+    comes out at [j::D], in natural order of c."""
+    for _ in range(g):
         even, odd = rows[::2], rows[1::2]
         rows = [*map(lo, even, odd), *(odd if hi is None else map(hi, even, odd))]
     return rows
@@ -503,30 +505,33 @@ def character_series(x: GwElement, degrees: Collection[int], row) -> dict[int, G
     chi_s(<m>) = (-1)^popcount(s & m) is a ring map Z[G] -> Z.  One
     Walsh-Hadamard transform of x's coefficient vector gives its 2^g
     character values; characters with equal values share one row.  The
-    rows are transposed once into one column per read degree, and a
-    second transform of each column gives back 2^g times the Z[G] terms
-    of that coefficient; every returned coefficient is checked to divide
-    exactly.  A negative degree raises ``ValueError``."""
+    rows are laid out degree by degree (the column-major concatenation of
+    the D read degrees' columns), and one g-stage pass of the same
+    transform over all D * 2^g values gives back 2^g times the Z[G] terms
+    of degree j's coefficient at [j::D]; every value is checked to divide
+    exactly.  Rows of a length other than D and a negative degree raise
+    ``ValueError``."""
     if min(degrees, default=0) < 0:
         raise ValueError(f"series degree {min(degrees)} is negative")
     field = x.field
     g = field.num_gens
     memo: dict[int, list[int]] = {}
     rows = []
-    for chi in _butterfly([x.terms.get(m, 0) for m in range(1 << g)], add, sub):
+    for chi in _butterfly([x.terms.get(m, 0) for m in range(1 << g)], g, add, sub):
         r = memo.get(chi)
         if r is None:
             r = memo[chi] = row(chi)
         rows.append(r)
-    low = (1 << g) - 1
-    coeffs = {}
-    for d, column in zip(degrees, zip(*rows, strict=True), strict=True):
-        column = _butterfly(column, add, sub)
-        if reduce(or_, column) & low:
-            v = next(v for v in column if v & low)
-            raise ConsistencyError(f"character sum {v} at degree {d} is not divisible by 2^{g}")
-        coeffs[d] = GwElement(field, {m: v >> g for m, v in enumerate(column) if v})
-    return coeffs
+    n, low = len(degrees), (1 << g) - 1
+    flat = [*chain.from_iterable(zip(*rows, strict=True))]
+    if len(flat) != n << g:
+        raise ValueError(f"character rows have {len(flat) >> g} values for {n} degrees")
+    flat = _butterfly(flat, g, add, sub)
+    if reduce(or_, flat, 0) & low:
+        d, column = next((d, c) for d, c in zip(degrees, (flat[j::n] for j in range(n))) if reduce(or_, c) & low)
+        v = next(v for v in column if v & low)
+        raise ConsistencyError(f"character sum {v} at degree {d} is not divisible by 2^{g}")
+    return {d: GwElement(field, {m: v >> g for m, v in enumerate(flat[j::n]) if v}) for j, d in enumerate(degrees)}
 
 
 def lambda_series(x: GwElement, degrees: Collection[int]) -> dict[int, GwElement]:
