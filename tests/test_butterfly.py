@@ -2,10 +2,14 @@
 in-place pairwise one it replaced and against the definitions of the two
 transforms it runs: the Walsh-Hadamard transform
 sum_m (-1)^popcount(s & m) x_m and the superset sums sum_(v >= S) leaf_v
-under each base table's addition.  Two tampered copies of the routine,
-built from its own source, must fail the same checks."""
+under each base table's addition, and over the column-major concatenation
+of D columns of 2^g values, which one g-stage pass must transform column
+by column into the stride-D layout the character kernel reads.  Two
+tampered copies of the routine, built from its own source, and a reader
+of the wrong stride must fail the same checks."""
 
 import inspect
+from itertools import chain
 from operator import add, sub
 from random import Random
 
@@ -60,8 +64,49 @@ def disagreements(butterfly):
     return bad
 
 
+def contiguous(out, j, D, g):
+    """The wrong layout: degree j as the j-th block of 2^g values, the
+    layout of the input rather than of the output."""
+    return out[j << g : (j + 1) << g]
+
+
+def strided(out, j, D, g):
+    return out[j::D]
+
+
+def batched_disagreements(butterfly, read=strided):
+    """The (g, D) cases, g = 0..7 and D in (0, 1, 2, 9, 33), on which one
+    g-stage pass of ``butterfly`` over the column-major concatenation of
+    2^g rows of D values, read by ``read``, differs from the pairwise
+    oracle's transform of each of the D columns."""
+    rng = Random(21)
+    bad = []
+    for g in range(8):
+        for D in (0, 1, 2, 9, 33):
+            rows = [[rng.randint(-50, 50) for _ in range(D)] for _ in range(1 << g)]
+            out = butterfly([*chain.from_iterable(zip(*rows))], g, add, sub)
+            want = []
+            for column in zip(*rows):
+                column = list(column)
+                pairwise(column, lambda a, b: (a + b, a - b))
+                want.append(column)
+            if len(out) != D << g or [read(out, j, D, g) for j in range(D)] != want:
+                bad.append((g, D))
+    return bad
+
+
 def test_butterfly_matches_oracle_and_definitions():
     assert disagreements(witt._butterfly) == []
+
+
+def test_one_pass_transforms_every_column():
+    assert batched_disagreements(witt._butterfly) == []
+
+
+def test_wrong_stride_is_caught():
+    # one column, or one row, reads the same at either stride
+    bad = batched_disagreements(witt._butterfly, contiguous)
+    assert bad == [(g, D) for g in range(1, 8) for D in (2, 9, 33)]
 
 
 def test_butterfly_returns_a_new_list():
@@ -97,5 +142,7 @@ def tampered(old: str, new: str):
     ids=["swap-lo-hi", "drop-a-stage"],
 )
 def test_tampered_butterfly_is_caught(old, new):
-    bad = disagreements(tampered(old, new))
+    butterfly = tampered(old, new)
+    bad = disagreements(butterfly)
     assert ("wht", 7) in bad and all((head, 7) in bad for head in BASES)
+    assert {(7, D) for D in (1, 2, 9, 33)} <= set(batched_disagreements(butterfly))

@@ -2,7 +2,12 @@
 against the GW-coefficient series routes it replaced: the group law
 prod (1 + <a> t)^c multiplied out over ``GwRing``, and its composition with
 the lifted level-n substitution series.  The oracle below is kept here only
-as the reference; every coefficient's terms must agree."""
+as the reference; every coefficient's terms must agree.  The kernel's own
+contract (row lengths, the first indivisible sum it names, the order and
+repetition of the degrees) is checked against a per-column oracle that
+transforms each read degree alone with the pairwise butterfly."""
+
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +18,7 @@ from gwinv.divided import eval_pi_coeffs, eval_pi_series
 from gwinv.fields import parse_field
 from gwinv.series import ConsistencyError, TruncSeries, build_h
 from gwinv.witt import GwElement, GwRing, lambda_series, parse_form
+from butterfly_oracle import _butterfly as pairwise
 from group_law_oracle import group_law
 
 # ---------------------------------------------------------------------------
@@ -129,3 +135,119 @@ def test_indivisible_character_sum_is_caught_on_degree_subsets(monkeypatch):
         for degrees in (range(6), (5,), (1, 5)):
             with pytest.raises(ConsistencyError, match="not divisible by 2"):
                 eval_pi_coeffs(2, degrees, x)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's contract, against a per-column oracle
+
+
+def oracle_kernel(x, degrees, row):
+    """``character_series`` by its definition, one read degree at a time:
+    each character's value on x from the character sum, its row, and the
+    column of each degree, in the caller's order, transformed alone; the
+    first indivisible sum of the first indivisible column is raised."""
+    g = x.field.num_gens
+    chis = [sum(-c if (s & m).bit_count() & 1 else c for m, c in x.terms.items()) for s in range(1 << g)]
+    rows = [row(chi) for chi in chis]
+    out = {}
+    for j, d in enumerate(degrees):
+        column = [r[j] for r in rows]
+        pairwise(column, lambda a, b: (a + b, a - b))
+        odd = [v for v in column if v % (1 << g)]
+        if odd:
+            raise ConsistencyError(f"character sum {odd[0]} at degree {d} is not divisible by 2^{g}")
+        out[d] = GwElement(x.field, {m: v >> g for m, v in enumerate(column) if v})
+    return out
+
+
+def outcome(kernel, x, degrees, row):
+    """The terms of every returned coefficient, or the error text."""
+    try:
+        return {d: c.terms for d, c in kernel(x, degrees, row).items()}
+    except ConsistencyError as e:
+        return str(e)
+
+
+def lambda_row(x, degrees, bump=lambda chi, d: 0):
+    """The exterior-power row of x at ``degrees``, plus bump(chi, d)."""
+    top = max(degrees, default=0)
+    return lambda chi: [witt._plus_minus_series(chi, x.dim, top)[d] + bump(chi, d) for d in degrees]
+
+
+CONTRACT_FORMS = [
+    ("C", 1, "diag(t1)"),
+    ("R", 1, "pf(t1) + diag(t1)"),
+    ("F3", 2, "pf(u, t2) - diag(t1)"),
+    ("F5", 2, "3*diag(u) + pf(t1)"),
+    ("R", 3, "pf(-1, t3) + 2*diag(t1, t2)"),
+]
+
+
+@pytest.mark.parametrize("head, depth, text", CONTRACT_FORMS)
+def test_rows_of_the_wrong_length_raise(head, depth, text):
+    x = parse_form(text, field(head, depth))
+    dim = x.dim
+    for degrees in ((), (0,), (2, 0, 5)):
+        n = len(degrees)
+        # all rows short, all long, and the trivial character's row alone
+        # (chi = dim x) one longer or one shorter than the others
+        lengths = [lambda chi: n + 1, lambda chi: n + (chi == dim)]
+        if n:
+            lengths += [lambda chi: n - 1, lambda chi: n - (chi == dim)]
+        for length in lengths:
+            with pytest.raises(ValueError):
+                witt.character_series(x, degrees, lambda chi: [0] * length(chi))
+
+
+@pytest.mark.parametrize("head, depth, text", CONTRACT_FORMS)
+def test_first_indivisible_sum_is_named_as_before(head, depth, text):
+    # one more in the trivial character's row at the bumped degrees only:
+    # the first indivisible column in the caller's order is named, with
+    # its first indivisible sum, also behind clean degrees and in
+    # descending, permuted and repeated degree sequences
+    x = parse_form(text, field(head, depth))
+    dim = x.dim
+    orders = [range(8), range(7, -1, -1), (3, 6, 1, 5, 0), (2, 5, 2, 7, 5), (6,), (1, 2)]
+    caught = 0
+    for bumped in ({5}, {4, 7}, {6, 2}):
+        bump = lambda chi, d: d in bumped and chi == dim
+        for degrees in orders:
+            row = lambda_row(x, degrees, bump)
+            want = outcome(oracle_kernel, x, degrees, row)
+            assert outcome(witt.character_series, x, degrees, row) == want
+            caught += isinstance(want, str)
+    assert caught == 13
+
+
+@pytest.mark.parametrize("head, depth", [("C", 0), ("C", 1), ("R", 1), ("R", 2)])
+def test_no_degrees_give_no_coefficients(head, depth):
+    F = field(head, depth)
+    for text in ("H", "diag(1)", "2*pf(-1)"):
+        x = parse_form(text, F)
+        assert witt.character_series(x, (), lambda chi: []) == {}
+        assert lambda_series(x, ()) == {}
+        assert eval_pi_coeffs(2, (), x) == {}
+    assert witt.character_series(GwElement.zero(F), (), lambda chi: []) == {}
+
+
+@pytest.mark.parametrize("head, depth, text", CONTRACT_FORMS)
+def test_degree_order_and_repetition_do_not_change_a_coefficient(head, depth, text):
+    x = parse_form(text, field(head, depth))
+    lift = witt.hat_lift(witt.witt_canonical(x - GwElement.from_int(x.field, x.dim)))
+    ascending = range(10)
+    want_lambda = {d: c.terms for d, c in lambda_series(x, ascending).items()}
+    want_pi = {d: c.terms for d, c in eval_pi_coeffs(2, ascending, lift).items()}
+    rng = Random(depth)
+    orders = [range(9, -1, -1), (3, 3, 3), (9, 0, 9, 4, 0)]
+    for _ in range(6):
+        orders.append(rng.choices(ascending, k=rng.randint(1, 14)))
+    for degrees in orders:
+        got = lambda_series(x, degrees)
+        assert set(got) == set(degrees)
+        assert all(got[d].terms == want_lambda[d] for d in degrees)
+        assert outcome(witt.character_series, x, degrees, lambda_row(x, degrees)) == {
+            d: c.terms for d, c in oracle_kernel(x, degrees, lambda_row(x, degrees)).items()
+        }
+        got = eval_pi_coeffs(2, degrees, lift)
+        assert set(got) == set(degrees)
+        assert all(got[d].terms == want_pi[d] for d in degrees)
