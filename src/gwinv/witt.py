@@ -14,11 +14,12 @@ coefficients of q in the monomials prod_(i in S) <<t_i>> up to signs that
 I^n (a group) and e (mod 2) ignore; ``character_series`` evaluates
 GW-coefficient series (the exterior-power series of ``lambda_series``, the
 Stiefel-Whitney-style series of ``divided.sw_series``) under the
-characters of the square-class group and transforms the values back.
-The superset sums and both character transforms run on one
-constant-geometry butterfly (``_butterfly``), two C-level maps a stage
-and no Python call per pair.  Equality in GW is decided through
-the pair (dimension, Witt class), which determines an element uniquely.
+characters of the square-class group and transforms the values back,
+every read degree in one inverse pass.  The superset sums and both
+character transforms run on one constant-geometry butterfly
+(``_butterfly``), told its stage count: two C-level maps a stage and no
+Python call per pair.  Equality in GW is decided through the pair
+(dimension, Witt class), which determines an element uniquely.
 """
 
 from __future__ import annotations
@@ -236,6 +237,12 @@ class WittClass:
     field: FieldDescriptor
     leaves: tuple
 
+    def __post_init__(self):
+        """Reject a leaf tuple of a length other than 2^depth or holding a
+        code outside the base's range."""
+        if len(self.leaves) != 1 << self.field.depth or not _base(self.field).codes(self.leaves):
+            raise ValueError(f"{self.leaves!r} is not a leaf tuple of a Witt class over {self.field}")
+
     @property
     def is_zero(self) -> bool:
         return not any(self.leaves)
@@ -311,29 +318,35 @@ class WittClass:
 # nonzero codes, ``flip`` by <b> for the base generator b), then ``level``,
 # the largest n with a nonzero code in I^n (I = {0, 2} in Z/4 and
 # {0, <1,u>} in F2[<u>]), then ``forms``, a small nonnegative diagonal form
-# of the code's class as (base mask, count) pairs.
-_Base = namedtuple("_Base", "add neg times mul flip level forms")
+# of the code's class as (base mask, count) pairs, and ``codes``, whether
+# a tuple holds only codes of the base: {0, 1} over C, 0..3 over F_q and
+# any int over R.
+_Base = namedtuple("_Base", "add neg times mul flip level forms codes")
 _QUAD = _Base(
     xor, pos, lambda x, n: x if n & 1 else 0, and_, pos,
     lambda x: 0,
     ((), ((0, 1),)).__getitem__,
+    frozenset((0, 1)).issuperset,
 )
 _REAL = _Base(
     add, neg, mul, mul, neg,
     lambda x: (x & -x).bit_length() - 1,
     lambda x: ((0, x),) if x > 0 else ((1, -x),) if x else (),
+    lambda leaves: {int}.issuperset(map(type, leaves)),
 )
 _FINITE_3 = _Base(
     lambda x, y: (x + y) & 3, lambda x: -x & 3, lambda x, n: x * n & 3,
     lambda x, y: x * y & 3, lambda x: -x & 3,
     lambda x: 1 - (x & 1),
     ((), ((0, 1),), ((0, 1), (0, 1)), ((1, 1),)).__getitem__,
+    frozenset(range(4)).issuperset,
 )
 _FINITE_1 = _Base(
     xor, pos, lambda x, n: x if n & 1 else 0,
     lambda x, y: y * (x & 1) ^ (0, 2, 1, 3)[y] * (x >> 1), (0, 2, 1, 3).__getitem__,
     lambda x: x >> 1 & x,
     ((), ((0, 1),), ((1, 1),), ((0, 1), (1, 1))).__getitem__,
+    _FINITE_3.codes,
 )
 
 

@@ -22,6 +22,7 @@ from gwinv.witt import (
     GwElement,
     MembershipError,
     RenderLimitError,
+    WittClass,
     gpfister,
     gw_equal,
     hat_lift,
@@ -80,6 +81,40 @@ class TestCanonical:
         F5 = parse_field("F5")
         one5 = sc_one(F5)
         assert witt_canonical(GwElement.diag(one5, one5)).is_zero
+
+
+class TestLeafCheck:
+    def test_code_out_of_range_is_rejected(self):
+        # 5 = 1 mod 4 was once kept as a class unequal to <1> whose str()
+        # raised IndexError
+        F = parse_field("F3")
+        with pytest.raises(ValueError, match="not a leaf tuple"):
+            WittClass(F, (5,))
+        assert WittClass(F, (1,)) == witt_one(F)
+        assert str(WittClass(F, (1,))) == "<1>"
+
+    @pytest.mark.parametrize(
+        "text, leaves",
+        [
+            ("F3", (4,)), ("F3", (-1,)), ("F5((t1))", (0, 7)), ("C", (2,)),
+            ("C((t1))", (1, -1)), ("R", (1.5,)), ("R((t1))", (2, None)),
+            ("F3((t1))", (1,)), ("C", ()), ("R", (1, 0)), ("F5((t1))((t2))", (0,) * 5),
+        ],
+    )
+    def test_bad_leaf_tuples_are_rejected(self, text, leaves):
+        with pytest.raises(ValueError, match="not a leaf tuple"):
+            WittClass(parse_field(text), leaves)
+
+    @pytest.mark.parametrize("text", ["C((t1))", "F3((t1))", "F5((t1))", "R((t1))"])
+    def test_every_code_is_accepted(self, text):
+        F = parse_field(text)
+        codes = range(-6, 7) if F.kind == "R" else range(2 if F.kind == "C" else 4)
+        for leaves in product(codes, repeat=2):
+            q = WittClass(F, leaves)
+            rep = q.diag_rep()
+            assert (witt_canonical(GwElement.diag(*rep)) if rep else witt_zero(F)) == q
+        big = WittClass(parse_field("R"), (-(10**60),))
+        assert big + big == big.int_mul(2)
 
 
 class TestGwEqual:
