@@ -373,8 +373,14 @@ def witt_one(field: FieldDescriptor) -> WittClass:
 
 
 def witt_canonical(x: GwElement) -> WittClass:
-    """Springer normal form: add the class of each entry c<m> into the leaf
-    at its variable mask; base_bits is 0 or 1, so m & bits is m's base part."""
+    """Springer normal form."""
+    return WittClass(x.field, _springer_leaves(x))
+
+
+def _springer_leaves(x: GwElement) -> tuple:
+    """The leaves of x's Springer normal form: add the class of each entry
+    c<m> into the leaf at its variable mask; base_bits is 0 or 1, so
+    m & bits is m's base part."""
     field = x.field
     bits, base = field.base_bits, _base(field)
     add, times, flip = base.add, base.times, base.flip
@@ -382,14 +388,15 @@ def witt_canonical(x: GwElement) -> WittClass:
     for m, c in x.terms.items():
         code = times(1, c)
         leaves[m >> bits] = add(leaves[m >> bits], flip(code) if m & bits else code)
-    return WittClass(field, tuple(leaves))
+    return tuple(leaves)
 
 
 def gw_equal(x: GwElement, y: GwElement) -> bool:
-    """Equality in GW: equal dimensions and equal Witt classes."""
+    """Equality in GW: equal dimensions and equal Witt classes, compared
+    leaf by leaf without building either class."""
     if x.field != y.field:
         raise FieldMismatchError("forms over different fields")
-    return x.dim == y.dim and witt_canonical(x) == witt_canonical(y)
+    return x.dim == y.dim and _springer_leaves(x) == _springer_leaves(y)
 
 
 def second_residue(q: WittClass) -> WittClass:
