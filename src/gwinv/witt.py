@@ -548,8 +548,7 @@ def character_series(x: GwElement, degrees: Collection[int], row) -> dict[int, G
         raise ValueError(f"character rows have {len(flat) >> g} values for {n} degrees")
     flat = _butterfly(flat, g, add, sub)
     if reduce(or_, flat, 0) & low:
-        d, column = next((d, c) for d, c in zip(degrees, (flat[j::n] for j in range(n))) if reduce(or_, c) & low)
-        v = next(v for v in column if v & low)
+        v, d = next((v, d) for j, d in enumerate(degrees) for v in flat[j::n] if v & low)
         raise ConsistencyError(f"character sum {v} at degree {d} is not divisible by 2^{g}")
     return {d: GwElement(field, {m: v >> g for m, v in enumerate(flat[j::n]) if v}) for j, d in enumerate(degrees)}
 
