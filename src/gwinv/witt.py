@@ -262,7 +262,9 @@ class WittClass:
         return WittClass(self.field, tuple(map(_base(self.field).add, self.leaves, other.leaves)))
 
     def __sub__(self, other: "WittClass") -> "WittClass":
-        return self + (-other)
+        self._check(other)
+        base = _base(self.field)
+        return WittClass(self.field, tuple(map(base.add, self.leaves, map(base.neg, other.leaves))))
 
     def __neg__(self) -> "WittClass":
         return WittClass(self.field, tuple(map(_base(self.field).neg, self.leaves)))
@@ -369,7 +371,7 @@ def witt_zero(field: FieldDescriptor) -> WittClass:
 
 
 def witt_one(field: FieldDescriptor) -> WittClass:
-    return witt_canonical(GwElement.unit(field))
+    return WittClass(field, (1,) + (0,) * ((1 << field.depth) - 1))
 
 
 def witt_canonical(x: GwElement) -> WittClass:
