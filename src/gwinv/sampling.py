@@ -9,7 +9,7 @@ from random import Random
 
 from .fields import FieldDescriptor, SquareClass, enumerate_sc, parse_field
 from .invariants import F2Poly, SymbolicInvariant
-from .witt import GwElement, WittClass, pfister, witt_canonical, witt_zero
+from .witt import GwElement, WittClass, pfister, witt_canonical
 
 
 BASE_HEADS = ("C", "R", "F3", "F5")
@@ -50,19 +50,15 @@ def rand_in_In_data(
     neg: int,
     unit: bool = False,
 ) -> tuple[WittClass, list[tuple[int, tuple[SquareClass, ...]]]]:
-    """A random class of I^n as a signed sum of n-fold Pfister classes,
-    together with the summands used to build it."""
-    data = []
-    q = witt_zero(field)
-    for _ in range(pos):
+    """A random class of I^n as a signed sum of n-fold Pfister classes, and
+    its summands; the sum is taken in GW, as Springer's form is additive."""
+    data, terms = [], {}
+    for sign in (1,) * pos + (-1,) * neg:
         slots = rand_pfister_slots(rng, field, n, unit)
-        data.append((1, slots))
-        q = q + witt_canonical(pfister(slots))
-    for _ in range(neg):
-        slots = rand_pfister_slots(rng, field, n, unit)
-        data.append((-1, slots))
-        q = q - witt_canonical(pfister(slots))
-    return q, data
+        data.append((sign, slots))
+        for m, c in pfister(slots).terms.items():
+            terms[m] = terms.get(m, 0) + sign * c
+    return witt_canonical(GwElement(field, terms)), data
 
 def rand_in_In(
     rng: Random, field: FieldDescriptor, n: int, max_terms: int = 2

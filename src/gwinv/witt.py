@@ -322,13 +322,13 @@ class WittClass:
 # {0, <1,u>} in F2[<u>]), then ``forms``, a small nonnegative diagonal form
 # of the code's class as (base mask, count) pairs, and ``codes``, whether
 # a tuple holds only codes of the base: {0, 1} over C, 0..3 over F_q and
-# any int over R.
+# any int over R, each of type int (a bool or float equal to a code is not).
 _Base = namedtuple("_Base", "add neg times mul flip level forms codes")
 _QUAD = _Base(
     xor, pos, lambda x, n: x if n & 1 else 0, and_, pos,
     lambda x: 0,
     ((), ((0, 1),)).__getitem__,
-    frozenset((0, 1)).issuperset,
+    lambda leaves, codes=frozenset((0, 1)): {int}.issuperset(map(type, leaves)) and codes.issuperset(leaves),
 )
 _REAL = _Base(
     add, neg, mul, mul, neg,
@@ -341,7 +341,7 @@ _FINITE_3 = _Base(
     lambda x, y: x * y & 3, lambda x: -x & 3,
     lambda x: 1 - (x & 1),
     ((), ((0, 1),), ((0, 1), (0, 1)), ((1, 1),)).__getitem__,
-    frozenset(range(4)).issuperset,
+    lambda leaves, codes=frozenset(range(4)): {int}.issuperset(map(type, leaves)) and codes.issuperset(leaves),
 )
 _FINITE_1 = _Base(
     xor, pos, lambda x, n: x if n & 1 else 0,

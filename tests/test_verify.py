@@ -1,12 +1,15 @@
 """Every identity suite runs clean at moderate parameters, and the report
 format honors its contract."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from gwinv import verify
 from gwinv.verify import RunConfig, SUITES, _cases, _report, run_suite
+from gwinv.witt import GwElement
 
 MODERATE = {
     "series": RunConfig(prec=24),
@@ -72,6 +75,52 @@ def test_failure_text_names_family_field_mode_and_case(monkeypatch):
     assert failure["inputs"].startswith("g-bounds/beyond-bound: g_")
     assert failure["inputs"].endswith(" over C (W, case 0)")
     assert (failure["expected"], failure["got"]) == ("0", "<1>")
+
+
+def _tamper_lambda_series(monkeypatch, reads, degree, which=None):
+    """Make verify's lambda_series add <1> to the degree coefficient of the
+    reads of ``reads`` degrees (only the calls numbered ``which`` mod 3
+    among them, when given)."""
+    real, calls = verify.lambda_series, []
+
+    def tampered(x, degrees):
+        out = real(x, degrees)
+        if len(degrees) == reads:
+            calls.append(x)
+            if which is None or len(calls) % 3 == which:
+                out[degree] = out[degree] + GwElement.unit(x.field)
+        return out
+
+    monkeypatch.setattr(verify, "lambda_series", tampered)
+
+
+# every 9-degree read, then only the read of x, so that the right-hand side
+# alone moves
+@pytest.mark.parametrize("which", [None, 1], ids=["every-read", "x-read"])
+def test_lambda_sum_rule_catches_a_wrong_series(monkeypatch, which):
+    _tamper_lambda_series(monkeypatch, 9, 2, which)
+    report = run_suite("lambda", RunConfig(samples=6))
+    assert report["cases_failed"] > 0
+    assert report["first_failure"]["inputs"].startswith("lambda/exterior-powers: lambda sum rule d=2 over ")
+
+
+def test_lambda_fixed_points_catch_a_wrong_batched_read(monkeypatch):
+    _tamper_lambda_series(monkeypatch, 5, 3)
+    report = run_suite("lambda", RunConfig(samples=6))
+    assert report["cases_failed"] > 0
+    assert report["first_failure"]["inputs"].startswith("lambda/exterior-powers: lambda^3 fixes <<")
+
+
+def test_verify_digest_pins_the_benchmark_gate():
+    """The ``verify`` digest of ``scripts/equivalence.py``: every
+    ``cases_total``, with no failure, of the 14 benchmark ``VERIFY_CONFIGS``
+    runs.  A change that moves this digest on purpose (adds or drops cases)
+    records the new value here, with a line in ``CHANGES.md`` saying why."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "equivalence.py"
+    spec = importlib.util.spec_from_file_location("equivalence", path)
+    equivalence = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(equivalence)
+    assert equivalence.verify_hash() == "17912591672d42ef24d3ff9ec2f622a479a37c7c1308b89e768c2264f373d373"
 
 
 def test_report_schema():

@@ -15,7 +15,7 @@ from gwinv.fields import (
     parse_sc,
     sc_one,
 )
-from gwinv.sampling import rand_diag, rand_gw, rand_in_In, rand_sc, standard_fields
+from gwinv.sampling import rand_diag, rand_gw, rand_in_In, rand_in_In_data, rand_sc, standard_fields
 from gwinv.witt import (
     MAX_COUNT_DIGITS,
     MAX_LISTED_COUNT,
@@ -102,6 +102,14 @@ class TestLeafCheck:
         ],
     )
     def test_bad_leaf_tuples_are_rejected(self, text, leaves):
+        with pytest.raises(ValueError, match="not a leaf tuple"):
+            WittClass(parse_field(text), leaves)
+
+    @pytest.mark.parametrize("leaves", [(1.0,), (True,)], ids=["float", "bool"])
+    @pytest.mark.parametrize("text", ["C", "F3", "F5"])
+    def test_non_int_code_equal_to_a_valid_one_is_rejected(self, text, leaves):
+        # 1.0 == True == 1 passed the range test alone, and str() of the
+        # float class raised TypeError
         with pytest.raises(ValueError, match="not a leaf tuple"):
             WittClass(parse_field(text), leaves)
 
@@ -362,6 +370,30 @@ class TestSecondResidue:
 
 
 class TestWittRingOps:
+    def test_one_is_the_class_of_the_unit_form(self):
+        for F in standard_fields(4):
+            assert witt_one(F) == witt_canonical(GwElement.unit(F))
+
+    def test_sub_is_add_of_the_negative(self):
+        rng = random.Random(41)
+        for F in standard_fields(3):
+            for _ in range(10):
+                a = witt_canonical(rand_gw(rng, F, rng.randint(0, 6)))
+                b = witt_canonical(rand_gw(rng, F, rng.randint(0, 6)))
+                assert a - b == a + (-b)
+        with pytest.raises(FieldMismatchError):
+            witt_one(R) - witt_one(RT)
+
+    def test_sampled_class_is_the_sum_of_its_pfister_classes(self):
+        rng = random.Random(43)
+        for F in standard_fields(2):
+            for n in (1, 2, 3):
+                q, data = rand_in_In_data(rng, F, n, rng.randint(0, 3), rng.randint(0, 3))
+                want = witt_zero(F)
+                for sign, slots in data:
+                    want = want + witt_canonical(pfister(slots)).int_mul(sign)
+                assert q == want
+
     def test_mul_matches_form_mul(self):
         rng = random.Random(23)
         for F in standard_fields(2):
