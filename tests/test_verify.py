@@ -3,6 +3,7 @@ format honors its contract."""
 
 import importlib.util
 import json
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -78,17 +79,15 @@ def test_failure_text_names_family_field_mode_and_case(monkeypatch):
 
 
 def _tamper_lambda_series(monkeypatch, reads, degree, which=None):
-    """Make verify's lambda_series add <1> to the degree coefficient of the
-    reads of ``reads`` degrees (only the calls numbered ``which`` mod 3
-    among them, when given)."""
-    real, calls = verify.lambda_series, []
+    """Make verify's lambda_series add <1> at ``degree`` to each read of
+    ``reads`` degrees, or, given ``which``, only to the reads numbered
+    ``which`` mod 3 among them (from 1)."""
+    real, numbers = verify.lambda_series, count(1)
 
     def tampered(x, degrees):
         out = real(x, degrees)
-        if len(degrees) == reads:
-            calls.append(x)
-            if which is None or len(calls) % 3 == which:
-                out[degree] = out[degree] + GwElement.unit(x.field)
+        if len(degrees) == reads and (which is None or next(numbers) % 3 == which):
+            out[degree] = out[degree] + GwElement.unit(x.field)
         return out
 
     monkeypatch.setattr(verify, "lambda_series", tampered)
