@@ -13,16 +13,16 @@ Run it from the root of a checkout; it imports that checkout's ``src``,
   ``workloads.eval_ops(7)`` requests sent through ``cli.main``;
 * ``demos``: the concatenated stdout of ``demos/*.py`` in sorted order;
 * ``series-gw``: the coefficient terms of ``lambda_series`` and
-  ``eval_pi_series`` (n = 1..3) at precisions 0, 1, 6, 10 and 16, over
-  every base with depths 0 to 4, on the formal zero and on seeded forms
-  with small, negative and large multiplicities;
+  ``eval_pi_coeffs`` (n = 1..3) on the degrees 0..P for P = 0, 1, 6, 10
+  and 16, over every base with depths 0 to 4, on the formal zero and on
+  seeded forms with small, negative and large multiplicities;
 * ``pi-deep``: the coefficient terms of ``eval_pi_coeffs`` for n = 1..6
   on the sparse degree sets {D}, {1, D} and {0, 2, D // 2} with
   D = 256 // n, over F3 and R towers of depth 0 to 4, on seeded
   dimension-0 lifts and on seeded forms of odd, negative and large
   dimension;
 * ``kernel-wide``: the coefficient terms of ``lambda_series``,
-  ``eval_pi_coeffs`` (n = 1..3) and ``sw_series`` (mode W, as the
+  ``eval_pi_coeffs`` (n = 1..3) and ``sw_coeffs`` (mode W, as the
   (mask, count) pairs of each small diagonal form) on the dense degree
   set 0..12, over R, F3 and F5 towers of depth 5 and 6 (6 or 7 square-class
   generators), on seeded forms of small, negative and large multiplicity
@@ -42,9 +42,9 @@ Run it from the root of a checkout; it imports that checkout's ``src``,
 * ``g-values``: the rendered value, or ``membership``, of ``eval_g(n, d,
   q, target)`` for n <= 3 and d <= 8, in both modes, over the classes
   ``f-values`` uses (with their own seed);
-* ``sw-values``: the ``sw_series`` coefficients at precisions 0 to 6 and
-  the ``eval_fixed_dim`` f and g values at degrees 0 to 8, in both modes,
-  on every nonnegative diagonal form of dimension <= 4 over
+* ``sw-values``: the ``sw_coeffs`` coefficients on the degrees 0..P for
+  P = 0 to 6 and the ``eval_fixed_dim`` f and g values at degrees 0 to 8,
+  in both modes, on every nonnegative diagonal form of dimension <= 4 over
   F3((t1))((t2)) (``eval_fixed_dim`` on the even dimensions), then the
   series on seeded signed GW elements and the values on seeded even
   diagonal forms over R and F5 towers of depth 0 to 3;
@@ -81,8 +81,7 @@ for sub in ("src", "bench", "tests"):
 
 import workloads  # noqa: E402
 from gwinv import eval_g  # noqa: E402
-from gwinv.cohomology import render_coh  # noqa: E402
-from gwinv.divided import H_TARGET, W_TARGET, eval_fixed_dim, eval_pi_coeffs, eval_pi_series, sw_series  # noqa: E402
+from gwinv.divided import H_TARGET, W_TARGET, eval_fixed_dim, eval_pi_coeffs, sw_coeffs  # noqa: E402
 from gwinv.fields import parse_field  # noqa: E402
 from gwinv.invariants import evaluate, parse_invariant  # noqa: E402
 from gwinv.sampling import rand_diag, rand_gw, rand_in_In, rand_pfister_slots, standard_fields  # noqa: E402
@@ -154,7 +153,7 @@ def series_gw_hash() -> str:
             for x in (GwElement.zero(F), small, small.scale(-3), large):
                 for prec in (0, 1, 6, 10, 16):
                     series = [lambda_series(x, range(prec + 1)).values()]
-                    series += [eval_pi_series(n, prec, x).coeffs for n in (1, 2, 3)]
+                    series += [eval_pi_coeffs(n, range(prec + 1), x).values() for n in (1, 2, 3)]
                     terms = [[sorted(c.terms.items()) for c in s] for s in series]
                     yield repr((str(F), sorted(x.terms.items()), prec, terms))
 
@@ -206,7 +205,7 @@ def kernel_wide_hash() -> str:
                     series = [lambda_series(x, degrees)]
                     series += [eval_pi_coeffs(n, degrees, x) for n in (1, 2, 3)]
                     terms = [[sorted(s[d].terms.items()) for d in degrees] for s in series]
-                    sw = [_rep_terms(c) for c in sw_series(x, degrees[-1], W_TARGET).coeffs]
+                    sw = [_rep_terms(c) for c in sw_coeffs(x, degrees, W_TARGET).values()]
                     yield repr((str(F), sorted(x.terms.items()), terms, sw))
 
     return _digest(coefficients())
@@ -288,13 +287,13 @@ def value_classes(rng: Random) -> list[WittClass]:
     return classes
 
 
-def shown_value(mode: str, fn, *args) -> str:
+def shown_value(fn, *args) -> str:
     """The rendered value of fn(*args), or ``membership``."""
     try:
         value = fn(*args)
     except MembershipError:
         return "membership"
-    return str(value) if mode == "W" else render_coh(value)
+    return str(value)
 
 
 def f_values_hash() -> str:
@@ -314,7 +313,7 @@ def f_values_hash() -> str:
             alphas = [(text, parse_invariant(text, mode)) for text in texts]
             for q in classes:
                 for text, alpha in alphas:
-                    yield repr((mode, text, witt_key(q), shown_value(mode, evaluate, alpha, q)))
+                    yield repr((mode, text, witt_key(q), shown_value(evaluate, alpha, q)))
 
     return _digest(values())
 
@@ -327,7 +326,7 @@ def g_values_hash() -> str:
             for q in classes:
                 for n in (1, 2, 3):
                     for d in range(9):
-                        yield repr((target.mode, n, d, witt_key(q), shown_value(target.mode, eval_g, n, d, q, target)))
+                        yield repr((target.mode, n, d, witt_key(q), shown_value(eval_g, n, d, q, target)))
 
     return _digest(values())
 
@@ -349,13 +348,13 @@ def sw_values_hash() -> str:
                 even.append(rand_diag(rng, F, rng.choice((2, 4, 6))))
 
     def shown(v):
-        return repr(_rep_terms(v)) if isinstance(v, WittClass) else render_coh(v)
+        return repr(_rep_terms(v)) if isinstance(v, WittClass) else str(v)
 
     def values():
         for target in (W_TARGET, H_TARGET):
             for x in (*diagonals, *signed):
                 for prec in range(7):
-                    coeffs = [shown(c) for c in sw_series(x, prec, target).coeffs]
+                    coeffs = [shown(c) for c in sw_coeffs(x, range(prec + 1), target).values()]
                     yield repr((target.mode, str(x.field), sorted(x.terms.items()), prec, coeffs))
             for x in even:
                 for d in range(9):

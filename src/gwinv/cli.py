@@ -15,12 +15,11 @@ import json
 import sys
 from gettext import gettext
 
-from .cohomology import render_coh
 from .fields import FieldSyntaxError, parse_field
 from .invariants import InvariantSyntaxError, evaluate, parse_invariant
 from .series import build_h, build_x, even_odd_split
 from .verify import SUITES, RunConfig, run_suite
-from .witt import MembershipError, RenderLimitError, WittClass, parse_form, witt_canonical
+from .witt import MembershipError, RenderLimitError, parse_form, witt_canonical
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -85,12 +84,6 @@ def cmd_series(args) -> int:
     return EXIT_OK
 
 
-def _render_value(value) -> str:
-    if isinstance(value, WittClass):
-        return str(value)
-    return render_coh(value)
-
-
 def cmd_eval(args) -> int:
     try:
         field = parse_field(args.field)
@@ -106,7 +99,7 @@ def cmd_eval(args) -> int:
         print(f"membership error: {exc}", file=sys.stderr)
         return EXIT_MEMBERSHIP
     try:
-        rendered = _render_value(value)
+        rendered = str(value)
     except RenderLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -18,7 +18,6 @@ from .fields import (
     FieldDescriptor,
     FieldMismatchError,
     SquareClass,
-    minus_one,
     minus_one_mask,
 )
 from .witt import MembershipError, WittClass, filtration_level
@@ -87,7 +86,21 @@ class CohClass:
         }
 
     def __str__(self) -> str:
-        return render_coh(self)
+        """Sorted cup-products of degree-1 symbols, e.g. '(-1)^2.(t1)'."""
+        if self.is_zero:
+            return "0"
+        field = self.field
+        rendered = []
+        for b, v in sorted(self.monos, key=lambda mv: (mv[0] + mv[1].bit_count(), mv)):
+            factors = []
+            if b:
+                gen = "u" if field.kind == FINITE_ODD else "-1"
+                factors.append(f"({gen})" if b == 1 else f"({gen})^{b}")
+            for i, name in enumerate(field.vars):
+                if v >> i & 1:
+                    factors.append(f"({name})")
+            rendered.append(".".join(factors) if factors else "1")
+        return " + ".join(rendered)
 
     def __repr__(self) -> str:
         return f"CohClass({self.field}, {sorted(self.monos)!r})"
@@ -112,10 +125,6 @@ def symbol(classes: list[SquareClass] | tuple[SquareClass, ...]) -> CohClass:
     for a in classes:
         out = out * degree1(a)
     return out
-
-
-def minus_one_class(field: FieldDescriptor) -> CohClass:
-    return degree1(minus_one(field))
 
 
 def minus_one_power(field: FieldDescriptor, j: int) -> CohClass:
@@ -149,21 +158,3 @@ def e_n(q: WittClass, n: int) -> CohClass:
     if level is not None and level < n:
         raise MembershipError(f"class is not in I^{n}")
     return CohClass(q.field, monos if level == n else frozenset())
-
-
-def render_coh(x: CohClass) -> str:
-    """Sorted cup-products of degree-1 symbols, e.g. '(-1)^2.(t1)'."""
-    if x.is_zero:
-        return "0"
-    field = x.field
-    rendered = []
-    for b, v in sorted(x.monos, key=lambda mv: (mv[0] + mv[1].bit_count(), mv)):
-        factors = []
-        if b:
-            gen = "u" if field.kind == FINITE_ODD else "-1"
-            factors.append(f"({gen})" if b == 1 else f"({gen})^{b}")
-        for i, name in enumerate(field.vars):
-            if v >> i & 1:
-                factors.append(f"({name})")
-        rendered.append(".".join(factors) if factors else "1")
-    return " + ".join(rendered)

@@ -18,10 +18,9 @@ from typing import Collection
 
 from .cohomology import CohClass, e_n, minus_one_power, symbol
 from .fields import FieldDescriptor, SquareClass
-from .series import ConsistencyError, TruncSeries, build_h, ext_binom
+from .series import ConsistencyError, build_h, ext_binom
 from .witt import (
     GwElement,
-    GwRing,
     MembershipError,
     WittClass,
     character_series,
@@ -111,13 +110,6 @@ class ValueRing:
 def _check_degree(d: int) -> None:
     if d < 0:
         raise ValueError(f"series degree {d} is negative")
-
-
-def eval_pi_series(n: int, precision: int, x: GwElement) -> TruncSeries:
-    """Generating series of the level-n divided powers of x, exact to the
-    requested degree.  A negative precision raises ``ValueError``."""
-    _check_degree(precision)
-    return TruncSeries(GwRing(x.field), list(eval_pi_coeffs(n, range(precision + 1), x).values()))
 
 
 def _binomial_row(n: int, two_p: int, top: int) -> list[int]:
@@ -235,26 +227,21 @@ def _sw_lift(x: GwElement, degrees: Collection[int]) -> dict[int, GwElement]:
     return character_series(x, degrees, lambda chi: [ext_binom((dim - chi) >> 1, d) << d for d in degrees])
 
 
-def _sw_values(x: GwElement, degrees: Collection[int], target: InvariantTarget) -> dict:
-    """The ``sw_series`` coefficients at ``degrees``.  Coefficient d lies in
-    I^d; in mode H it is e_d of the W-mode one, since e_d is additive on
-    I^d and multiplicative across degrees, and ``e_n`` checks membership."""
+def sw_coeffs(x: GwElement, degrees: Collection[int], target: InvariantTarget) -> dict:
+    """The coefficients at ``degrees`` of the unique group morphism
+    GW -> 1 + t A[[t]] sending <a> to 1 + {a} t, in one pass of the
+    character kernel.  Coefficient d lies in I^d; in mode H it is e_d of
+    the W-mode one, since e_d is additive on I^d and multiplicative across
+    degrees, and ``e_n`` checks membership.  A negative degree raises
+    ``ValueError``."""
     ws = {d: witt_canonical(c) for d, c in _sw_lift(x, degrees).items()}
     return ws if target.mode == "W" else {d: e_n(w, d) for d, w in ws.items()}
 
 
-def sw_series(x: GwElement, precision: int, target: InvariantTarget) -> TruncSeries:
-    """The unique group morphism GW -> 1 + t A[[t]] sending <a> to
-    1 + {a} t, truncated: one pass of the character kernel over the
-    degrees 0..precision.  A negative precision raises ``ValueError``."""
-    _check_degree(precision)
-    return TruncSeries(target.ring(x.field), list(_sw_values(x, range(precision + 1), target).values()))
-
-
 def eval_sw(d: int, x: GwElement, target: InvariantTarget):
-    """Degree-d coefficient of ``sw_series``, computed alone; over
+    """Degree-d coefficient of ``sw_coeffs``, computed alone; over
     cohomology this is the d-th Stiefel-Whitney class of a diagonal form."""
-    return _sw_values(x, (d,), target)[d]
+    return sw_coeffs(x, (d,), target)[d]
 
 
 def p_fixed(d: int, x: GwElement) -> GwElement:
@@ -282,7 +269,7 @@ def eval_fixed_dim(
     """Evaluate the degree-d member of the f- or g-family on an
     even-dimensional diagonal form through its Stiefel-Whitney expansion
     sum_i (-1)^i c_i eps^(d-i) sw_i.  In GW, eps = <<-1>> is 2, so the sum
-    is formed once from the lifted ``sw_series`` coefficients at the
+    is formed once from the GW lifts of the ``sw_coeffs`` coefficients at the
     degrees with c_i != 0, then canonicalized (and in mode H sent through
     e_d: every term lies in I^d, and the terms with c_i even in I^(d+1)).
     A negative degree raises ``ValueError``."""

@@ -117,10 +117,6 @@ class SymbolicInvariant:
     def ops(self):
         return coeff_ops(self.mode)
 
-    @property
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
-
     def _check(self, other: "SymbolicInvariant") -> None:
         if (self.n, self.mode) != (other.n, other.mode):
             raise ValueError("invariants at different levels or modes")
@@ -158,7 +154,14 @@ class SymbolicInvariant:
     __hash__ = None
 
     def __str__(self) -> str:
-        return render_invariant(self)
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for d in sorted(self.coeffs):
+            c = str(self.coeffs[d])
+            gen = f"{self.basis}[{self.n},{d}]"
+            parts.append(gen if c == "1" else f"({c})*{gen}")
+        return " + ".join(parts)
 
     def __repr__(self) -> str:
         return (
@@ -222,8 +225,10 @@ def change_basis(alpha: SymbolicInvariant) -> SymbolicInvariant:
 
 
 def is_normalized(alpha: SymbolicInvariant) -> bool:
-    """Normalized means vanishing at 0: no constant component."""
-    return 0 not in to_basis(alpha, "g").coeffs
+    """Normalized means vanishing at 0: no constant component.  Both
+    rebasing tables send degree 0 to degree 0 alone and every degree
+    d >= 1 to degrees >= 1, so the constant is the same in either basis."""
+    return 0 not in alpha.coeffs
 
 
 def phi(alpha: SymbolicInvariant, sign: int) -> SymbolicInvariant:
@@ -266,11 +271,14 @@ def coeff_at_zero(alpha: SymbolicInvariant):
 
 def extract_coeffs(alpha: SymbolicInvariant, d_max: int) -> list:
     """Classification read-out: the g-basis coefficients recovered by
-    evaluating iterated shifts at 0."""
-    out = []
+    evaluating iterated shifts at 0.  Degree d reads
+    ``shift(alpha, plus=d // 2 + d % 2, minus=d // 2)``; the shifts
+    commute, so each degree applies one more phi to the last, +1 at odd d
+    and -1 at even d."""
+    shifted, out = alpha, []
     for d in range(d_max + 1):
-        m = d // 2
-        shifted = shift(alpha, plus=m + d % 2, minus=m)
+        if d:
+            shifted = phi(shifted, 1 if d % 2 else -1)
         out.append(coeff_at_zero(shifted))
     return out
 
@@ -436,14 +444,3 @@ def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
         for d, c in parts:
             out[d] = out.get(d, ops.zero) + c
     return SymbolicInvariant(n, mode, basis, out)
-
-
-def render_invariant(alpha: SymbolicInvariant) -> str:
-    if not alpha.coeffs:
-        return "0"
-    parts = []
-    for d in alpha.support:
-        c = str(alpha.coeffs[d])
-        gen = f"{alpha.basis}[{alpha.n},{d}]"
-        parts.append(gen if c == "1" else f"({c})*{gen}")
-    return " + ".join(parts)

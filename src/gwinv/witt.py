@@ -13,7 +13,7 @@ the level and e off the superset sums c_S = sum_(v >= S) leaf_v, the
 coefficients of q in the monomials prod_(i in S) <<t_i>> up to signs that
 I^n (a group) and e (mod 2) ignore; ``character_series`` evaluates
 GW-coefficient series (the exterior-power series of ``lambda_series``, the
-Stiefel-Whitney-style series of ``divided.sw_series``) under the
+Stiefel-Whitney-style series of ``divided.sw_coeffs``) under the
 characters of the square-class group and transforms the values back,
 every read degree in one inverse pass.  The superset sums and both
 character transforms run on one constant-geometry butterfly

@@ -3,7 +3,7 @@
 ``group_law`` forms prod (1 + a t)^c over any coefficient ring of the
 series protocol by repeated squaring and one multiplicative inverse.  The
 library computes the same products through the character kernel
-(``witt.lambda_series`` for the exterior-power series, ``divided.sw_series``
+(``witt.lambda_series`` for the exterior-power series, ``divided.sw_coeffs``
 for the Stiefel-Whitney-style series); the tests compare the two.
 """
 

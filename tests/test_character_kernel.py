@@ -1,4 +1,4 @@
-"""The character kernel behind ``lambda_series`` and ``eval_pi_series``
+"""The character kernel behind ``lambda_series`` and ``eval_pi_coeffs``
 against the GW-coefficient series routes it replaced: the group law
 prod (1 + <a> t)^c multiplied out over ``GwRing``, and its composition with
 the lifted level-n substitution series.  The oracle below is kept here only
@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gwinv import divided, witt
-from gwinv.divided import eval_pi_coeffs, eval_pi_series
+from gwinv.divided import eval_pi_coeffs
 from gwinv.fields import parse_field
 from gwinv.series import ConsistencyError, TruncSeries, build_h
 from gwinv.witt import GwElement, GwRing, lambda_series, parse_form
@@ -62,15 +62,19 @@ def terms(series):
     return [c.terms for c in series.coeffs]
 
 
+def dict_terms(coeffs, precision):
+    assert list(coeffs) == list(range(precision + 1))
+    return [c.terms for c in coeffs.values()]
+
+
 def full_lambda(x, precision):
-    return TruncSeries(GwRing(x.field), list(lambda_series(x, range(precision + 1)).values()))
+    return dict_terms(lambda_series(x, range(precision + 1)), precision)
 
 
 def assert_matches(x, n, precision):
-    assert terms(full_lambda(x, precision)) == terms(oracle_lambda_series(x, precision))
-    got = eval_pi_series(n, precision, x)
-    assert got.ring == GwRing(x.field) and got.precision == precision
-    assert terms(got) == terms(oracle_eval_pi_series(n, precision, x))
+    assert full_lambda(x, precision) == terms(oracle_lambda_series(x, precision))
+    got = eval_pi_coeffs(n, range(precision + 1), x)
+    assert dict_terms(got, precision) == terms(oracle_eval_pi_series(n, precision, x))
 
 
 @given(forms(), st.integers(1, 3), st.sampled_from(PRECISIONS))
@@ -92,7 +96,7 @@ def test_off_by_one_character_sum_is_caught(monkeypatch):
     for head in ("C", "R", "F3", "F5"):
         x = parse_form("pf(t1) + diag(t1)", field(head, 1))
         try:
-            got = terms(full_lambda(x, 6))
+            got = full_lambda(x, 6)
         except ConsistencyError:
             caught += 1
         else:

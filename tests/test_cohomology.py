@@ -10,10 +10,9 @@ from gwinv.cli import main
 from gwinv.cohomology import (
     CohClass,
     coh_residue,
+    degree1,
     e_n,
-    minus_one_class,
     minus_one_power,
-    render_coh,
     symbol,
 )
 from gwinv.fields import (
@@ -85,7 +84,7 @@ class TestSymbol:
 
     def test_square_rewrite(self):
         t = parse_sc("t1", RT)
-        assert symbol([t, t]) == minus_one_class(RT) * symbol([t])
+        assert symbol([t, t]) == minus_one_power(RT, 1) * symbol([t])
 
     def test_finite_square_vanishes(self):
         # over F_5 (where -1 is a square) the square of the base symbol dies
@@ -107,7 +106,7 @@ class TestSymbol:
 
     def test_quad_closed_minus_one_trivial(self):
         F = parse_field("C((t1))")
-        assert minus_one_class(F).is_zero
+        assert minus_one_power(F, 1).is_zero
         assert symbol([-sc_gen(F, "t1")]) == symbol([sc_gen(F, "t1")])
 
 
@@ -116,7 +115,7 @@ class TestCup:
         t1, t2 = parse_sc("t1", RTT), parse_sc("t2", RTT)
         got = symbol([t1]) * symbol([t2])
         assert got == symbol([t1, t2])
-        assert render_coh(got) == "(t1).(t2)"
+        assert str(got) == "(t1).(t2)"
 
     def test_real_polynomial_ring(self):
         for a in range(4):
@@ -128,7 +127,7 @@ class TestCup:
 
     def test_self_cup_rewrites(self):
         t = parse_sc("t1", RT)
-        assert symbol([t]) * symbol([t]) == minus_one_class(RT) * symbol([t])
+        assert symbol([t]) * symbol([t]) == minus_one_power(RT, 1) * symbol([t])
 
     def test_commutative(self):
         rng = random.Random(3)
@@ -140,7 +139,7 @@ class TestCup:
 
     def test_grading(self):
         t1, t2 = parse_sc("t1", RTT), parse_sc("t2", RTT)
-        x = symbol([t1]) * symbol([t2]) * minus_one_class(RTT)
+        x = symbol([t1]) * symbol([t2]) * minus_one_power(RTT, 1)
         (grade, part), = x.grades().items()
         assert grade == 3 and part == x
 
@@ -170,7 +169,7 @@ def cup_power(field, j):
     """(-1)^j as j cup products of the degree-1 class of -1: the loop
     ``minus_one_power`` ran before its closed form, kept as the oracle."""
     out = CohClass.one(field)
-    m1 = minus_one_class(field)
+    m1 = degree1(minus_one(field))
     for _ in range(j):
         out = out * m1
     return out
@@ -280,10 +279,10 @@ class TestResidue:
 
 class TestRendering:
     def test_zero_and_one(self):
-        assert render_coh(CohClass.zero(R)) == "0"
-        assert render_coh(CohClass.one(R)) == "1"
+        assert str(CohClass.zero(R)) == "0"
+        assert str(CohClass.one(R)) == "1"
 
     def test_power_notation(self):
-        assert render_coh(minus_one_power(R, 2)) == "(-1)^2"
+        assert str(minus_one_power(R, 2)) == "(-1)^2"
         x = minus_one_power(RT, 2) * symbol([parse_sc("t1", RT)])
-        assert render_coh(x) == "(-1)^2.(t1)"
+        assert str(x) == "(-1)^2.(t1)"

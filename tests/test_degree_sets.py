@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from gwinv import divided
 from gwinv.cohomology import e_n
-from gwinv.divided import H_TARGET, W_TARGET, eval_f, eval_f_all, eval_pi, eval_pi_series
+from gwinv.divided import H_TARGET, W_TARGET, eval_f, eval_f_all, eval_pi, eval_pi_coeffs
 from gwinv.fields import SquareClass, parse_field
 from gwinv.invariants import (
     F2Poly,
@@ -48,10 +48,10 @@ TARGETS = {"W": W_TARGET, "H": H_TARGET}
 def oracle_eval_f_all(n, q, target, d_max):
     if not is_in_In(q, n):
         raise MembershipError(f"class is not in I^{n}")
-    series = eval_pi_series(n, d_max, hat_lift(q)) if d_max else None
+    series = eval_pi_coeffs(n, range(d_max + 1), hat_lift(q)) if d_max else None
     out = []
     for d in range(d_max + 1):
-        w = witt_one(q.field) if d == 0 else witt_canonical(series.coeff(d))
+        w = witt_one(q.field) if d == 0 else witt_canonical(series[d])
         out.append(w if target.mode == "W" else e_n(w, n * d))
     return out
 
@@ -145,7 +145,7 @@ def forms(draw):
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 def test_single_degree_matches_full_route(x, d, n):
     assert lambda_power(d, x).terms == lambda_series(x, range(d + 1))[d].terms
-    assert eval_pi(n, d, x).terms == eval_pi_series(n, d, x).coeff(d).terms
+    assert eval_pi(n, d, x).terms == eval_pi_coeffs(n, range(d + 1), x)[d].terms
 
 
 def test_kernel_computes_only_the_read_degrees(monkeypatch):

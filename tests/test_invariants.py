@@ -25,7 +25,6 @@ from gwinv.invariants import (
     product,
     psi_tilde,
     psi_tilde_closed_f,
-    render_invariant,
     restrict,
     shift,
     to_basis,
@@ -253,6 +252,29 @@ class TestClassification:
         assert not is_normalized(alpha)
         assert is_normalized(SymbolicInvariant(1, "W", "g", {2: 1}))
 
+    def test_normalized_matches_rebasing_definition(self):
+        # the constant is read where it is stored; the definition rebases to g
+        rng = random.Random(21)
+        for mode in ("W", "H"):
+            for basis in "fg":
+                for _ in range(40):
+                    alpha = rand_symbolic(rng, rng.randint(1, 3), mode, basis, 6, rng.randint(0, 4))
+                    want = 0 not in to_basis(alpha, "g").coeffs
+                    assert is_normalized(alpha) == want
+                    assert is_normalized(to_basis(alpha, "f")) == want
+
+    def test_extract_coeffs_matches_shift_definition(self):
+        rng = random.Random(22)
+        for mode in ("W", "H"):
+            for basis in "fg":
+                for _ in range(15):
+                    alpha = rand_symbolic(rng, rng.randint(1, 3), mode, basis, 8, 4)
+                    want = [
+                        coeff_at_zero(shift(alpha, plus=d // 2 + d % 2, minus=d // 2))
+                        for d in range(9)
+                    ]
+                    assert extract_coeffs(alpha, 8) == want
+
 
 class TestProduct:
     def test_f11_squared(self):
@@ -464,5 +486,5 @@ class TestLiterals:
 
     def test_render_round_trip(self):
         alpha = parse_invariant("g[2,3] + eps^2*f[2,1]", "W")
-        again = parse_invariant(render_invariant(alpha).replace("(", "").replace(")", ""), "W")
+        again = parse_invariant(str(alpha).replace("(", "").replace(")", ""), "W")
         assert again == alpha

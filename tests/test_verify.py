@@ -110,16 +110,27 @@ def test_lambda_fixed_points_catch_a_wrong_batched_read(monkeypatch):
     assert report["first_failure"]["inputs"].startswith("lambda/exterior-powers: lambda^3 fixes <<")
 
 
-def test_verify_digest_pins_the_benchmark_gate():
-    """The ``verify`` digest of ``scripts/equivalence.py``: every
+DIGESTS = {
+    "verify": "17912591672d42ef24d3ff9ec2f622a479a37c7c1308b89e768c2264f373d373",
+    "series-gw": "a88f8c332f79665c602a6b44ea5dbacfabfe0018a4ce7d2a1a7b525998cd505d",
+    "kernel-wide": "c65d4fae83a259014ab6386afa18358b26fd6d1c1e28a35c936254b6d3cd7650",
+    "sw-values": "fdb3e81fa6e146d712e08cb828feef44b0c6bb64039d490608ddd6d0480a0d34",
+}
+
+
+@pytest.mark.parametrize("name, digest", DIGESTS.items(), ids=list(DIGESTS))
+def test_equivalence_digest_is_pinned(name, digest):
+    """Digests of ``scripts/equivalence.py``: ``verify`` is every
     ``cases_total``, with no failure, of the 14 benchmark ``VERIFY_CONFIGS``
-    runs.  A change that moves this digest on purpose (adds or drops cases)
-    records the new value here, with a line in ``CHANGES.md`` saying why."""
+    runs; ``series-gw``, ``kernel-wide`` and ``sw-values`` are the kernel
+    series read as degree-keyed dicts.  A change that moves a digest on
+    purpose (adds or drops cases, changes a value) records the new value
+    here, with a line in ``CHANGES.md`` saying why."""
     path = Path(__file__).resolve().parent.parent / "scripts" / "equivalence.py"
     spec = importlib.util.spec_from_file_location("equivalence", path)
     equivalence = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(equivalence)
-    assert equivalence.verify_hash() == "17912591672d42ef24d3ff9ec2f622a479a37c7c1308b89e768c2264f373d373"
+    assert equivalence.HASHES[name]() == digest
 
 
 def test_report_schema():
