@@ -44,7 +44,6 @@ from .invariants import (
     restrict,
 )
 from .series import (
-    TruncSeries,
     build_h,
     build_x,
     catalan,

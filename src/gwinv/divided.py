@@ -55,8 +55,8 @@ H_TARGET = InvariantTarget("H")
 @dataclass(frozen=True)
 class ValueRing:
     """The value ring A(K) over one field: W(K) in mode W, H*(K, Z/2) in
-    mode H.  Besides the series-ring protocol (``zero``, ``one``,
-    ``from_int``, ``is_zero``) it sends the universal scalar ring in:
+    mode H.  It has the scalar protocol (``zero``, ``one``, ``from_int``,
+    ``eps_pow``), through which the universal scalar ring maps in:
     ``eps_pow(j)`` is the image of eps^j = {-1}^j, ``symbol`` the image of
     {a_1,...,a_t}, and ``times(x, c)`` is c.x for a universal coefficient c
     (an integer in mode W, an F2-polynomial in eps in mode H)."""
@@ -76,10 +76,6 @@ class ValueRing:
         if self.mode == "W":
             return self.one.int_mul(n)
         return self.one if n % 2 else self.zero
-
-    @staticmethod
-    def is_zero(x) -> bool:
-        return x.is_zero
 
     def eps_pow(self, j: int):
         """{-1}^j; in W this is 2^j, since <<-1>> = <1,1> = 2."""
@@ -145,7 +141,7 @@ def eval_pi_coeffs(n: int, degrees: Collection[int], x: GwElement) -> dict[int, 
         one, zero = GwElement.unit(x.field), GwElement.zero(x.field)
         return {d: zero if d else one for d in degrees}
     dim, top = x.dim, max(degrees)
-    g = _power([1] + [-c for c in build_h(n, top).coeffs[1:]], dim) if dim else None
+    g = _power([1] + [-c for c in build_h(n, top)[1:]], dim) if dim else None
 
     def row(chi):
         b = _binomial_row(n, dim + chi, top)

@@ -1,21 +1,20 @@
-"""Exact truncated formal power series over a commutative coefficient ring.
+"""Exact truncated integer power series: the level series and their inverses.
 
-Coefficients are plain Python objects supporting ``+``, ``-`` (unary and
-binary), ``*`` and ``==``.  Every coefficient ring (``ZZ`` here,
-``witt.GwRing``, ``divided.ValueRing``) follows one small protocol: the
-constants ``zero``/``one``, the embedding ``from_int`` and the test
-``is_zero``.  Series with GW coefficients are not multiplied out in the
-library: ``witt.character_series`` reduces a product prod (1 + a t)^c over
-the terms of a form (its exterior-power series, its Stiefel-Whitney-style
-series) to one integer series per character of the square-class group
-and transforms the values back.  The level series x_n comes from the
-quadratic recursion x_{k+1} = x_k + 2^(k-1) x_k^2, and its inverse h_n
-from undoing those steps one at a time, each solved degree by degree.
-Building h_n checks x_n o h_n = t with x's own recursion and h_n o x_n = t
-with the inversion steps, in O(n P^2) integer products; the verify
-``series`` suite checks both again by Horner ``compose``.
-Everything is exact: no floats, no coercion, and every series carries an
-explicit truncation order.
+A series is a plain list of integers, its coefficients in degrees 0..P;
+degrees above the truncation order P are unknown, not zero.  ``cauchy``
+multiplies two series and ``compose`` substitutes one into another by
+Horner's rule, each truncated to the shorter length.  Series with GW
+coefficients are not multiplied out in the library: ``witt.character_series``
+reduces a product prod (1 + a t)^c over the terms of a form (its
+exterior-power series, its Stiefel-Whitney-style series) to one integer
+series per character of the square-class group and transforms the values
+back.  The level series x_n comes from the quadratic recursion
+x_{k+1} = x_k + 2^(k-1) x_k^2, and its inverse h_n from undoing those steps
+one at a time, each solved degree by degree.  Building h_n checks
+x_n o h_n = t with x's own recursion and h_n o x_n = t with the inversion
+steps, in O(n P^2) integer products; the verify ``series`` suite checks
+both again by Horner ``compose``.  ``ZZ`` is the scalar ring of Witt-mode
+invariants.  Everything is exact: no floats and no coercion.
 """
 
 from __future__ import annotations
@@ -23,15 +22,6 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from typing import Sequence
-
-
-class RingMismatchError(TypeError):
-    """Two series with different coefficient rings were combined."""
-
-
-class CompositionDomainError(ValueError):
-    """Inner series of a composition has a nonzero constant coefficient."""
 
 
 class ConsistencyError(RuntimeError):
@@ -39,8 +29,8 @@ class ConsistencyError(RuntimeError):
 
 
 class IntRing:
-    """Coefficient adapter for plain Python integers; also the universal
-    scalar ring of Witt-mode invariants, where eps = {-1} acts as 2."""
+    """The universal scalar ring of Witt-mode invariants, plain Python
+    integers, where eps = {-1} acts as 2."""
 
     zero = 0
     one = 1
@@ -53,159 +43,33 @@ class IntRing:
     def eps_pow(j: int) -> int:
         return 1 << j
 
-    @staticmethod
-    def is_zero(x) -> bool:
-        return x == 0
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntRing)
-
-    def __hash__(self) -> int:
-        return hash("IntRing")
-
-    def __repr__(self) -> str:
-        return "IntRing"
-
 
 ZZ = IntRing()
 
 
-class TruncSeries:
-    """A formal power series known exactly up to a fixed degree.
-
-    ``coeffs`` has length ``precision + 1``; degrees above the precision are
-    unknown, not zero.  Instances are never mutated after construction.
-    """
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs: Sequence, precision: int | None = None):
-        coeffs = list(coeffs)
-        if precision is not None:
-            if len(coeffs) > precision + 1:
-                coeffs = coeffs[: precision + 1]
-            while len(coeffs) < precision + 1:
-                coeffs.append(ring.zero)
-        if not coeffs:
-            raise ValueError("a series needs at least the degree-0 coefficient")
-        self.ring = ring
-        self.coeffs = coeffs
-
-    @property
-    def precision(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def zero(cls, ring, precision: int) -> "TruncSeries":
-        return cls(ring, [ring.zero] * (precision + 1))
-
-    @classmethod
-    def one(cls, ring, precision: int) -> "TruncSeries":
-        return cls(ring, [ring.one] + [ring.zero] * precision)
-
-    @classmethod
-    def identity(cls, ring, precision: int) -> "TruncSeries":
-        """The series t (requires precision >= 1)."""
-        if precision < 1:
-            raise ValueError("precision must be >= 1 for the identity series")
-        return cls(ring, [ring.zero, ring.one] + [ring.zero] * (precision - 1))
-
-    def _check(self, other: "TruncSeries") -> None:
-        if self.ring != other.ring:
-            raise RingMismatchError(
-                f"coefficient rings differ: {self.ring!r} vs {other.ring!r}"
-            )
-
-    def coeff(self, d: int):
-        if d < 0 or d > self.precision:
-            raise IndexError(f"degree {d} outside known precision {self.precision}")
-        return self.coeffs[d]
-
-    def truncate(self, precision: int) -> "TruncSeries":
-        if precision > self.precision:
-            raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self.ring, self.coeffs[: precision + 1])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.precision == other.precision
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    __hash__ = None
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        prec = min(self.precision, other.precision)
-        return TruncSeries(
-            self.ring,
-            [self.coeffs[i] + other.coeffs[i] for i in range(prec + 1)],
-        )
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        prec = min(self.precision, other.precision)
-        return TruncSeries(
-            self.ring,
-            [self.coeffs[i] - other.coeffs[i] for i in range(prec + 1)],
-        )
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.ring, [-c for c in self.coeffs])
-
-    def scale(self, c) -> "TruncSeries":
-        return TruncSeries(self.ring, [c * a for a in self.coeffs])
-
-    def add_const(self, c) -> "TruncSeries":
-        return TruncSeries(self.ring, [self.coeffs[0] + c] + self.coeffs[1:])
-
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        ring = self.ring
-        prec = min(self.precision, other.precision)
-        out = [ring.zero] * (prec + 1)
-        for i, a in enumerate(self.coeffs[: prec + 1]):
-            if ring.is_zero(a):
-                continue
-            for j in range(prec + 1 - i):
-                b = other.coeffs[j]
-                if ring.is_zero(b):
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return TruncSeries(ring, out)
-
-    def compose(self, inner: "TruncSeries") -> "TruncSeries":
-        """self o inner, truncated at the smaller precision.
-
-        Horner evaluation in the series ring; ``inner`` must have zero
-        constant coefficient so the result is well-defined degreewise.
-        """
-        self._check(inner)
-        ring = self.ring
-        if not ring.is_zero(inner.coeffs[0]):
-            raise CompositionDomainError(
-                "inner series must have zero constant coefficient"
-            )
-        prec = min(self.precision, inner.precision)
-        inner = inner.truncate(prec) if inner.precision > prec else inner
-        acc = TruncSeries(ring, [self.coeffs[prec]], precision=prec)
-        for d in range(prec - 1, -1, -1):
-            acc = (acc * inner).add_const(self.coeffs[d])
-        return acc
-
-    def __repr__(self) -> str:
-        return f"TruncSeries({self.ring!r}, {self.coeffs!r})"
+def cauchy(a: list[int], b: list[int]) -> list[int]:
+    """The product of two series, truncated to the shorter length."""
+    return [sum(map(operator.mul, a[: d + 1], b[d::-1])) for d in range(min(len(a), len(b)))]
 
 
-def even_odd_split(f: TruncSeries) -> tuple[TruncSeries, TruncSeries]:
+def compose(f: list[int], g: list[int]) -> list[int]:
+    """f o g by Horner's rule, truncated to the shorter length; ``g`` must
+    have zero constant coefficient so the result is well-defined degreewise."""
+    if g[0] != 0:
+        raise ValueError("inner series must have zero constant coefficient")
+    n = min(len(f), len(g))
+    acc = [f[n - 1]] + [0] * (n - 1)
+    for c in reversed(f[: n - 1]):
+        acc = cauchy(acc, g)
+        acc[0] += c
+    return acc
+
+
+def even_odd_split(f: list[int]) -> tuple[list[int], list[int]]:
     """(even part, odd part); the two add back to the input."""
-    zero = f.ring.zero
-    even = [zero if d % 2 else c for d, c in enumerate(f.coeffs)]
-    odd = [c if d % 2 else zero for d, c in enumerate(f.coeffs)]
-    return TruncSeries(f.ring, even), TruncSeries(f.ring, odd)
+    even = [0 if d % 2 else c for d, c in enumerate(f)]
+    odd = [c if d % 2 else 0 for d, c in enumerate(f)]
+    return even, odd
 
 
 def _level_chain(u: list[int], n: int) -> list[int]:
@@ -231,10 +95,10 @@ def _x_coeffs(n: int, precision: int) -> tuple[int, ...]:
     return tuple(_level_chain(_identity(precision), n))
 
 
-def build_x(n: int, precision: int) -> TruncSeries:
+def build_x(n: int, precision: int) -> list[int]:
     """Integer series whose level-n exterior-power transform of a generator
     is 1 + (generator) * series; level 1 is the geometric series t/(1-t)."""
-    return TruncSeries(ZZ, list(_x_coeffs(n, precision)))
+    return list(_x_coeffs(n, precision))
 
 
 def _invert_step(v: list[int], c: int) -> list[int]:
@@ -273,7 +137,7 @@ def _h_coeffs(n: int, precision: int) -> tuple[int, ...]:
     return tuple(h)
 
 
-def build_h(n: int, precision: int) -> TruncSeries:
+def build_h(n: int, precision: int) -> list[int]:
     """Compositional inverse of ``build_x(n, .)``.  x_n = p_(n-1) o ... o
     p_1 o x_1 with x_1 = t/(1-t) and p_k(t) = t + 2^(k-1) t^2, so h_n is
     built by inverting one step at a time from the outside in: start from
@@ -282,15 +146,15 @@ def build_h(n: int, precision: int) -> TruncSeries:
     x_n o h_n = t is checked by running x's own recursion on h_n, and
     h_n o x_n = t by running the same inversion steps on x_n; both and the
     integrality of every coefficient raise ``ConsistencyError`` on failure."""
-    return TruncSeries(ZZ, list(_h_coeffs(n, precision)))
+    return list(_h_coeffs(n, precision))
 
 
-def catalan(precision: int) -> TruncSeries:
+def catalan(precision: int) -> list[int]:
     """Catalan generating function, by the convolution recurrence."""
     c = [1] + [0] * precision
     for m in range(precision):
         c[m + 1] = sum(c[i] * c[m - i] for i in range(m + 1))
-    return TruncSeries(ZZ, c)
+    return c
 
 
 def ext_binom(a: int, b: int) -> int:

@@ -30,7 +30,7 @@ from functools import reduce
 from itertools import combinations, combinations_with_replacement, cycle, groupby, product
 from operator import mul
 from random import Random
-from typing import Callable
+from typing import Callable, ClassVar
 
 from . import invariants as inv
 from .cohomology import CohClass, coh_residue, e_n, minus_one_power, symbol
@@ -60,7 +60,7 @@ from .sampling import (
     small_fields_exhaustive,
     standard_fields,
 )
-from .series import TruncSeries, ZZ, build_h, build_x, catalan, even_odd_split, ext_binom, multinomial_C
+from .series import build_h, build_x, catalan, cauchy, compose, even_odd_split, ext_binom, multinomial_C
 from .witt import (
     GwElement,
     gpfister,
@@ -89,6 +89,15 @@ class RunConfig:
     samples: int = 100
     seed: int = 0
     mode: str | None = None  # None means both W and H
+
+    # the smallest accepted value of each integer field
+    MINIMUMS: ClassVar[dict[str, int]] = {"n_max": 1, "d_max": 1, "prec": 1, "samples": 0}
+
+    def __post_init__(self):
+        for name, low in self.MINIMUMS.items():
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -206,43 +215,38 @@ def _report(suite: str, cfg: RunConfig, cases) -> dict:
 @family("series", "compositional-inverse")
 def series_inverse(cfg, rng, fields):
     D = cfg.prec
-    t = TruncSeries.identity(ZZ, D)
+    t = [0, 1] + [0] * (D - 1)
     for n in range(1, 7):
         x = build_x(n, D)
         h = build_h(n, D)  # integrality is asserted inside the builder
-        yield f"x_{n} o h_{n}, D={D}", t.coeffs, x.compose(h).coeffs
-        yield f"h_{n} o x_{n}, D={D}", t.coeffs, h.compose(x).coeffs
-        yield f"h_{n} integral, D={D}", True, all(isinstance(c, int) for c in h.coeffs)
+        yield f"x_{n} o h_{n}, D={D}", t, compose(x, h)
+        yield f"h_{n} o x_{n}, D={D}", t, compose(h, x)
+        yield f"h_{n} integral, D={D}", True, all(isinstance(c, int) for c in h)
 
 
 @family("series", "parity-split")
 def series_parity_split(cfg, rng, fields):
     D = cfg.prec
-    t = TruncSeries.identity(ZZ, D)
+    t = [0, 1] + [0] * (D - 1)
+    c = catalan(D)
     for n in range(1, 6):
         a_n, b_n = even_odd_split(build_x(n, D))
         a_next, b_next = even_odd_split(build_x(n + 1, D))
-        yield (
-            f"even part recursion, n={n}",
-            a_next.coeffs,
-            (b_n * b_n).scale(2**n).coeffs,
-        )
+        s = 2**n
+        yield f"even part recursion, n={n}", a_next, [s * v for v in cauchy(b_n, b_n)]
         yield (
             f"even part alternate, n={n}",
-            a_next.coeffs,
-            (a_n.scale(2) + (a_n * a_n).scale(2**n)).coeffs,
+            a_next,
+            [2 * a + s * v for a, v in zip(a_n, cauchy(a_n, a_n))],
         )
         yield (
             f"odd part recursion, n={n}",
-            b_next.coeffs,
-            (b_n + (a_n * b_n).scale(2**n)).coeffs,
+            b_next,
+            [b + s * v for b, v in zip(b_n, cauchy(a_n, b_n))],
         )
-        p_n = TruncSeries(ZZ, [0, 1, 2 ** (n - 1)], precision=D)
-        c = catalan(D)
-        tc = TruncSeries(
-            ZZ, [0] + [c.coeffs[d] * (-(2 ** (n - 1))) ** d for d in range(D)]
-        )
-        yield f"inverse of p_{n} is t*C(-2^(n-1) t)", t.coeffs, p_n.compose(tc).coeffs
+        p_n = [0, 1, 2 ** (n - 1), *[0] * D][: D + 1]
+        tc = [0] + [c[d] * (-(2 ** (n - 1))) ** d for d in range(D)]
+        yield f"inverse of p_{n} is t*C(-2^(n-1) t)", t, compose(p_n, tc)
 
 
 @family("series", "pascal")

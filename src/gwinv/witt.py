@@ -468,28 +468,6 @@ def is_in_In(q: WittClass, n: int) -> bool:
 # exterior powers
 
 
-@dataclass(frozen=True)
-class GwRing:
-    """Coefficient adapter for series with GW coefficients."""
-
-    field: FieldDescriptor
-
-    @property
-    def zero(self) -> GwElement:
-        return GwElement.zero(self.field)
-
-    @property
-    def one(self) -> GwElement:
-        return GwElement.unit(self.field)
-
-    def from_int(self, n: int) -> GwElement:
-        return GwElement.from_int(self.field, n)
-
-    @staticmethod
-    def is_zero(x: GwElement) -> bool:
-        return not x.terms
-
-
 def _plus_minus_series(chi: int, dim: int, precision: int) -> list[int]:
     """(1 + t)^p (1 - t)^q with p - q = chi and p + q = dim, from
     (1 - t^2) f' = (chi - dim t) f, i.e.

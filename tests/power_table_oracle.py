@@ -21,7 +21,7 @@ def h_power_columns(n: int, precision: int) -> tuple[tuple[int, ...], ...]:
     lists [t^d] h_n^k for k = 0..d (h_n^k starts at degree k), so an
     integer series a composed with h_n has degree-d coefficient
     sum_k a_k column[d][k]."""
-    h = build_h(n, precision).coeffs
+    h = build_h(n, precision)
     cols = [[1]] + [[0] for _ in range(precision)]
     power = [1] + [0] * precision
     for k in range(1, precision + 1):

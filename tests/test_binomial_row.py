@@ -14,9 +14,9 @@ from gwinv.divided import eval_pi_coeffs
 from gwinv.fields import parse_field
 from gwinv.invariants import MAX_TOTAL_DEGREE
 from gwinv.sampling import rand_diag, rand_gw, rand_in_In
-from gwinv.series import ZZ, ConsistencyError, TruncSeries, ext_binom
+from gwinv.series import ZZ, ConsistencyError, ext_binom
 from gwinv.witt import GwElement, hat_lift, parse_form, witt_canonical
-from group_law_oracle import series_pow
+from group_law_oracle import mul, series_pow
 from power_table_oracle import table_pi_coeffs
 
 BIG = 99999999999
@@ -57,11 +57,13 @@ def test_binomial_row_is_the_binomial_series(n):
 @pytest.mark.parametrize("a", (0, 1, 2, 5, -1, -3))
 def test_power_recurrence_matches_repeated_products(a):
     f = [1, -1, 3, 0, -2, 7, 1, -4]
-    got = TruncSeries(ZZ, divided._power(f, a))
+    got, n = divided._power(f, a), len(f)
+    want = series_pow(ZZ, f, abs(a), n)
     if a >= 0:
-        assert got == series_pow(TruncSeries(ZZ, f), a)
+        # the oracle's polynomial may stop short of degree n - 1
+        assert got == want + [0] * (n - len(want))
     else:
-        assert got * series_pow(TruncSeries(ZZ, f), -a) == TruncSeries.one(ZZ, len(f) - 1)
+        assert mul(ZZ, got, want, n) == [1] + [0] * (n - 1)
 
 
 def tamper_cases():

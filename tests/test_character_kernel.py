@@ -1,6 +1,6 @@
 """The character kernel behind ``lambda_series`` and ``eval_pi_coeffs``
 against the GW-coefficient series routes it replaced: the group law
-prod (1 + <a> t)^c multiplied out over ``GwRing``, and its composition with
+prod (1 + <a> t)^c multiplied out over GW, and its composition with
 the lifted level-n substitution series.  The oracle below is kept here only
 as the reference; every coefficient's terms must agree.  The kernel's own
 contract (row lengths, the first indivisible sum it names, the order and
@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 from gwinv import divided, witt
 from gwinv.divided import eval_pi_coeffs
 from gwinv.fields import parse_field
-from gwinv.series import ConsistencyError, TruncSeries, build_h
-from gwinv.witt import GwElement, GwRing, lambda_series, parse_form
+from gwinv.series import ConsistencyError, build_h
+from gwinv.witt import GwElement, lambda_series, parse_form
 from butterfly_oracle import _butterfly as pairwise
-from group_law_oracle import group_law
+from group_law_oracle import compose, group_law, gw_ring
 
 # ---------------------------------------------------------------------------
 # the GW-coefficient series routes
@@ -27,17 +27,13 @@ from group_law_oracle import group_law
 
 def oracle_lambda_series(x, precision):
     atoms = ((GwElement(x.field, {m: 1}), c) for m, c in sorted(x.terms.items()))
-    return group_law(GwRing(x.field), atoms, precision)
+    return group_law(gw_ring(x.field), atoms, precision)
 
 
 def oracle_eval_pi_series(n, precision, x):
-    ring = GwRing(x.field)
-    if precision == 0:
-        return TruncSeries.one(ring, 0)
     lam = oracle_lambda_series(x, precision)
-    h = build_h(n, precision)
-    h_lift = TruncSeries(ring, [ring.from_int(c) for c in h.coeffs])
-    return lam.compose(h_lift)
+    h_lift = [GwElement.from_int(x.field, c) for c in build_h(n, precision)]
+    return compose(gw_ring(x.field), lam, h_lift, precision + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +55,7 @@ def forms(draw):
 
 
 def terms(series):
-    return [c.terms for c in series.coeffs]
+    return [c.terms for c in series]
 
 
 def dict_terms(coeffs, precision):

@@ -62,6 +62,17 @@ def test_every_family_yields_cases(name):
     assert {context[0] for context, _, _ in _cases(name, MODERATE[name])} == set(keys)
 
 
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_config_minimums_are_enforced(name):
+    # every suite runs clean at the minima and never sees a value below one
+    lows = RunConfig.MINIMUMS
+    report = run_suite(name, RunConfig(**lows))
+    assert report["cases_failed"] == 0, report["first_failure"]
+    for field, low in lows.items():
+        with pytest.raises(ValueError, match=f"^{field} must be >= {low}, got {low - 1}$"):
+            run_suite(name, RunConfig(**{field: low - 1}))
+
+
 def test_residue_family_covers_every_base():
     # one tower of depth >= 1 per base, so the residue identities reach F_q
     cases = [ctx for ctx, _, _ in _cases("coh-ops", MODERATE["coh-ops"]) if ctx[0] == "residue"]
