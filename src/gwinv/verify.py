@@ -283,9 +283,8 @@ def lambda_exterior_powers(cfg, rng, F, target, ring):
                 rhs[m1 ^ m2] = rhs.get(m1 ^ m2, 0) + c1 * c2
         yield f"lambda sum rule d={d}", True, gw_equal(sxy[d], GwElement(F, rhs))
     diag = rand_diag(rng, F, rng.randint(1, 5))
-    for d in range(4):
-        direct = lambda_power_direct(d, diag)
-        yield f"series vs direct d={d}", True, gw_equal(lambda_power(d, diag), direct)
+    for d, power in lambda_series(diag, range(4)).items():
+        yield f"series vs direct d={d}", True, gw_equal(power, lambda_power_direct(d, diag))
     a = rand_sc(rng, F)
     g = gpfister([a])
     for d, power in lambda_series(g, range(1, 6)).items():

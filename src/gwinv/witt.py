@@ -398,7 +398,7 @@ def gw_equal(x: GwElement, y: GwElement) -> bool:
     leaf by leaf without building either class."""
     if x.field != y.field:
         raise FieldMismatchError("forms over different fields")
-    return x.dim == y.dim and _springer_leaves(x) == _springer_leaves(y)
+    return x.terms == y.terms or (x.dim == y.dim and _springer_leaves(x) == _springer_leaves(y))
 
 
 def second_residue(q: WittClass) -> WittClass:
