@@ -1015,7 +1015,7 @@ def delta1_descent_routes(cfg, rng, F, target, ring):
     yield "descent commutes with similitude", True, commutes
     # pointwise: scaling before or after the factorization agrees
     lam = rand_sc(rng, F)
-    scaled = inv.evaluate(alpha, x_w.scale_sq(lam)) - inv.evaluate(alpha, x_w)
+    scaled = inv.evaluate(alpha, x_w.scale_sq(lam)) - direct
     via = ring.symbol([lam]) * ring.symbol([c]) * inv.evaluate(inv.omega_t(tilde, 1), q)
     yield f"similitude of a factorized class n={n} d={d}", via, scaled
 
