@@ -18,8 +18,10 @@ characters of the square-class group and transforms the values back,
 every read degree in one inverse pass.  The superset sums and both
 character transforms run on one constant-geometry butterfly
 (``_butterfly``), told its stage count: two C-level maps a stage and no
-Python call per pair.  Equality in GW is decided through the pair
-(dimension, Witt class), which determines an element uniquely.
+Python call per pair.  Equality in GW is decided by the Z[G] terms
+first: GW(K) is a quotient of Z[K*/K*^2], so equal terms give equal
+elements.  Other pairs go through (dimension, Witt class), which
+determines an element uniquely.
 """
 
 from __future__ import annotations
@@ -394,8 +396,9 @@ def _springer_leaves(x: GwElement) -> tuple:
 
 
 def gw_equal(x: GwElement, y: GwElement) -> bool:
-    """Equality in GW: equal dimensions and equal Witt classes, compared
-    leaf by leaf without building either class."""
+    """Equality in GW.  Equal Z[G] terms decide it at once, since GW is a
+    quotient of Z[G]; otherwise equal dimensions and equal Witt classes,
+    compared leaf by leaf without building either class."""
     if x.field != y.field:
         raise FieldMismatchError("forms over different fields")
     return x.terms == y.terms or (x.dim == y.dim and _springer_leaves(x) == _springer_leaves(y))
