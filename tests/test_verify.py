@@ -3,12 +3,13 @@ format honors its contract."""
 
 import importlib.util
 import json
+from dataclasses import replace
 from itertools import count
 from pathlib import Path
 
 import pytest
 
-from gwinv import verify
+from gwinv import verify, witt
 from gwinv.verify import RunConfig, SUITES, _cases, _report, run_suite
 from gwinv.witt import GwElement
 
@@ -119,6 +120,37 @@ def test_lambda_fixed_points_catch_a_wrong_batched_read(monkeypatch):
     report = run_suite("lambda", RunConfig(samples=6))
     assert report["cases_failed"] > 0
     assert report["first_failure"]["inputs"].startswith("lambda/exterior-powers: lambda^3 fixes <<")
+
+
+def test_lambda_series_vs_direct_catches_a_wrong_batched_read(monkeypatch):
+    _tamper_lambda_series(monkeypatch, 4, 2)
+    report = run_suite("lambda", RunConfig(samples=6))
+    assert report["cases_failed"] > 0
+    assert report["first_failure"]["inputs"].startswith("lambda/exterior-powers: series vs direct d=2 over ")
+
+
+def test_lambda_exterior_powers_reads_the_kernel_six_times_a_case(monkeypatch):
+    # lambda^1(x), the three sum-rule series, lambda^0..3 of the diagonal
+    # form and the fixed points: one character-kernel call each
+    kernel, calls, per_case = witt.character_series, [], []
+
+    def spy(x, degrees, row):
+        calls.append(degrees)
+        return kernel(x, degrees, row)
+
+    fam = next(f for f in SUITES["lambda"] if f.key == "exterior-powers")
+
+    def counted(*args):
+        before = len(calls)
+        yield from fam.run(*args)
+        per_case.append(len(calls) - before)
+
+    families = [replace(f, run=counted) if f is fam else f for f in SUITES["lambda"]]
+    monkeypatch.setattr(witt, "character_series", spy)
+    monkeypatch.setitem(SUITES, "lambda", families)
+    cfg = RunConfig(samples=6)
+    assert run_suite("lambda", cfg)["cases_failed"] == 0
+    assert per_case == [6] * fam.count(cfg)
 
 
 DIGESTS = {

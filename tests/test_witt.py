@@ -144,6 +144,45 @@ class TestGwEqual:
         hyp = GwElement.diag(one, -one)
         assert not gw_equal(hyp, GwElement.zero(R))
 
+    @staticmethod
+    def _pairs(rng, F):
+        """Seeded pairs of three kinds: identical Z[G] terms, GW-equal but
+        Z[G]-different, and of equal dimension but different in GW."""
+        one, m1 = sc_one(F), minus_one(F)
+        for _ in range(8):
+            x = rand_gw(rng, F, rng.randint(0, 6))
+            yield "same terms", x, GwElement(F, dict(x.terms))
+            a, b = rand_sc(rng, F), rand_sc(rng, F)
+            if a not in (one, m1):
+                k = rng.choice((1, 2, -3))
+                hyp_a, hyp_1 = GwElement.diag(a, -a), GwElement.diag(one, m1)
+                yield "GW-equal", x, x + (hyp_a - hyp_1).scale(k)
+                yield "GW-equal", gpfister([a, a]), gpfister([m1, a])
+            if a != b:
+                yield "GW-different", x, x + GwElement.diag(a) - GwElement.diag(b)
+
+    def test_matches_dimension_and_witt_class_oracle(self):
+        rng, seen = random.Random(11), set()
+        for F in standard_fields(2):
+            for kind, x, y in self._pairs(rng, F):
+                oracle = x.dim == y.dim and witt_canonical(x) == witt_canonical(y)
+                assert gw_equal(x, y) == gw_equal(y, x) == oracle
+                same_terms = x.terms == y.terms
+                assert (same_terms, oracle) == {
+                    "same terms": (True, True),
+                    "GW-equal": (False, True),
+                    "GW-different": (False, False),
+                }[kind], (kind, F, x.terms, y.terms)
+                seen.add(kind)
+        assert seen == {"same terms", "GW-equal", "GW-different"}
+
+    def test_field_check_precedes_the_identity_test(self):
+        # two formal zeros have identical (empty) terms over any fields
+        with pytest.raises(FieldMismatchError):
+            gw_equal(GwElement.zero(R), GwElement.zero(F3T))
+        with pytest.raises(FieldMismatchError):
+            gw_equal(GwElement.unit(RT), GwElement.unit(R))
+
 
 def oracle_pfister(classes):
     """<1,-a_1> x ... x <1,-a_n> as a product of binary diagonals, the
