@@ -249,6 +249,22 @@ def series_parity_split(cfg, rng, fields):
         yield f"inverse of p_{n} is t*C(-2^(n-1) t)", t, compose(p_n, tc)
 
 
+# products whose factors both have constant term 1, so every a_d b_0 term
+# of ``cauchy`` is read, against closed forms
+@family("series", "unit-products")
+def series_unit_products(cfg, rng, fields):
+    D = cfg.prec
+    one_minus_t = [1, -1] + [0] * (D - 1)
+    yield f"(1 + x_1)(1 - t) = 1, D={D}", [1] + [0] * D, cauchy([1, *build_x(1, D)[1:]], one_minus_t)
+    for n in range(1, 7):
+        h = build_h(n, D)
+        plus, minus = [1, *h[1:]], [1, *(-c for c in h[1:])]
+        for _ in range(n - 1):
+            plus, minus = cauchy(plus, plus), cauchy(minus, minus)
+        # ((1 + h_n)/(1 - h_n))^(2^(n-1)) = 1 + 2^n t
+        yield f"binomial identity n={n}, D={D}", cauchy([1, 1 << n] + [0] * (D - 1), minus), plus
+
+
 @family("series", "pascal")
 def series_pascal(cfg, rng, fields):
     for a in range(-20, 21):

@@ -5,11 +5,12 @@ import importlib.util
 import json
 from dataclasses import replace
 from itertools import count
+from operator import mul
 from pathlib import Path
 
 import pytest
 
-from gwinv import verify, witt
+from gwinv import series, verify, witt
 from gwinv.verify import RunConfig, SUITES, _cases, _report, run_suite
 from gwinv.witt import GwElement
 
@@ -153,8 +154,19 @@ def test_lambda_exterior_powers_reads_the_kernel_six_times_a_case(monkeypatch):
     assert per_case == [6] * fam.count(cfg)
 
 
+def test_series_suite_catches_a_dropped_degree_zero_product_term(monkeypatch):
+    def dropped(a, b):  # each degree d loses a_d b_0
+        return [sum(map(mul, a[: d + 1], b[d:0:-1])) for d in range(min(len(a), len(b)))]
+
+    monkeypatch.setattr(series, "cauchy", dropped)
+    monkeypatch.setattr(verify, "cauchy", dropped)
+    report = run_suite("series", RunConfig())
+    assert report["cases_failed"] > 0
+    assert report["first_failure"]["inputs"].startswith("series/unit-products: ")
+
+
 DIGESTS = {
-    "verify": "17912591672d42ef24d3ff9ec2f622a479a37c7c1308b89e768c2264f373d373",
+    "verify": "02ef05fef89d11826d69649382dd5fa111bae49a6036b42f1998e4b091960cc7",
     "series-gw": "a88f8c332f79665c602a6b44ea5dbacfabfe0018a4ce7d2a1a7b525998cd505d",
     "kernel-wide": "c65d4fae83a259014ab6386afa18358b26fd6d1c1e28a35c936254b6d3cd7650",
     "sw-values": "fdb3e81fa6e146d712e08cb828feef44b0c6bb64039d490608ddd6d0480a0d34",
