@@ -76,15 +76,6 @@ class CohClass:
                     acc ^= {(b, v1 | v2)}
         return CohClass(field, frozenset(acc))
 
-    def grades(self) -> dict[int, "CohClass"]:
-        """Homogeneous components, keyed by grade."""
-        out: dict[int, set] = {}
-        for b, v in self.monos:
-            out.setdefault(b + v.bit_count(), set()).add((b, v))
-        return {
-            g: CohClass(self.field, frozenset(s)) for g, s in sorted(out.items())
-        }
-
     def __str__(self) -> str:
         """Sorted cup-products of degree-1 symbols, e.g. '(-1)^2.(t1)'."""
         if self.is_zero:

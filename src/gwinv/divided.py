@@ -23,6 +23,7 @@ from .witt import (
     GwElement,
     MembershipError,
     WittClass,
+    _check_degree,
     character_series,
     hat_lift,
     is_in_In,
@@ -46,6 +47,10 @@ class InvariantTarget:
 
     def ring(self, field: FieldDescriptor) -> "ValueRing":
         return ValueRing(field, self.mode)
+
+    def value(self, w: WittClass, k: int):
+        """A class w in I^k as a value: w in mode W, ``e_n(w, k)`` in mode H."""
+        return w if self.mode == "W" else e_n(w, k)
 
 
 W_TARGET = InvariantTarget("W")
@@ -101,11 +106,6 @@ class ValueRing:
 
 
 # -- the divided powers themselves
-
-
-def _check_degree(d: int) -> None:
-    if d < 0:
-        raise ValueError(f"series degree {d} is negative")
 
 
 def _binomial_row(n: int, two_p: int, top: int) -> list[int]:
@@ -175,11 +175,10 @@ def eval_f_all(n: int, q: WittClass, target: InvariantTarget, degrees: Collectio
     degree: one divided-power pass computes only the requested degrees
     (every degree up to D is ``range(D + 1)``)."""
     pis = _pi_of_lift(n, q, degrees)
-    out = {}
-    for d in degrees:
-        w = witt_canonical(pis[d]) if d else witt_one(q.field)
-        out[d] = w if target.mode == "W" else e_n(w, n * d)
-    return out
+    return {
+        d: target.value(witt_canonical(pis[d]) if d else witt_one(q.field), n * d)
+        for d in degrees
+    }
 
 
 def eval_f(n: int, d: int, q: WittClass, target: InvariantTarget):
@@ -230,8 +229,7 @@ def sw_coeffs(x: GwElement, degrees: Collection[int], target: InvariantTarget) -
     the W-mode one, since e_d is additive on I^d and multiplicative across
     degrees, and ``e_n`` checks membership.  A negative degree raises
     ``ValueError``."""
-    ws = {d: witt_canonical(c) for d, c in _sw_lift(x, degrees).items()}
-    return ws if target.mode == "W" else {d: e_n(w, d) for d, w in ws.items()}
+    return {d: target.value(witt_canonical(c), d) for d, c in _sw_lift(x, degrees).items()}
 
 
 def eval_sw(d: int, x: GwElement, target: InvariantTarget):
@@ -289,5 +287,4 @@ def eval_fixed_dim(
     y = GwElement.zero(x.field)
     for i, c in _sw_lift(x, list(weights)).items():
         y = y + c.scale(weights[i])
-    w = witt_canonical(y)
-    return w if target.mode == "W" else e_n(w, d)
+    return target.value(witt_canonical(y), d)

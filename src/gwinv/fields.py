@@ -100,12 +100,6 @@ class FieldDescriptor:
         return (self.kind, self.q, self.vars) == (other.kind, other.q, other.vars)
 
     @property
-    def top_var(self) -> str:
-        if not self.vars:
-            raise ValueError("field has no Laurent variables")
-        return self.vars[-1]
-
-    @property
     def top_bit(self) -> int:
         return 1 << (self.num_gens - 1)
 
@@ -114,9 +108,6 @@ class FieldDescriptor:
         if not self.vars:
             raise ValueError("base field has no parent tower")
         return FieldDescriptor(self.kind, self.q, self.vars[:-1])
-
-    def var_bit(self, name: str) -> int:
-        return 1 << (self.base_bits + self.vars.index(name))
 
     def __str__(self) -> str:
         base = self.kind if self.kind != FINITE_ODD else f"F{self.q}"
@@ -187,7 +178,7 @@ def _gen_mask(field: FieldDescriptor, name: str) -> int:
         return 1
     if name not in field.vars:
         raise FieldSyntaxError(f"unknown generator {name!r} over {field}")
-    return field.var_bit(name)
+    return 1 << (field.base_bits + field.vars.index(name))
 
 
 def minus_one_mask(field: FieldDescriptor) -> int:

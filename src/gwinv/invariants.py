@@ -2,9 +2,9 @@
 
 An invariant is a finitely supported combination of the f- or g-family
 generators at a fixed level n, with coefficients in the universal scalar
-ring generated by eps = {-1}: plain integers in Witt mode (``series.ZZ``;
-eps is identified with 2 there) and ``F2Poly``, the F2-polynomials in eps,
-in cohomology mode.  Both rings give ``zero``, ``one``, ``from_int`` and
+ring generated by eps = {-1}: plain integers in Witt mode (``ZZ``; eps is
+identified with 2 there) and ``F2Poly``, the F2-polynomials in eps, in
+cohomology mode.  Both rings give ``zero``, ``one``, ``from_int`` and
 ``eps_pow`` (``coeff_ops``).  The basis change, shifting, product,
 similitude, restriction and descent operators act on these coefficient
 sequences by closed formulas.  Each formula is a term table: for a
@@ -20,14 +20,33 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .divided import InvariantTarget, _check_degree, eval_f_sum
+from .divided import InvariantTarget, eval_f_sum
 from .fields import parse_int, split_signed_sum
-from .series import ZZ, ext_binom, multinomial_C
-from .witt import WittClass
+from .series import ext_binom, multinomial_C
+from .witt import WittClass, _check_degree
 
 
 class InvariantSyntaxError(ValueError):
     """An invariant literal failed to parse."""
+
+
+class IntRing:
+    """The universal scalar ring of mode W, plain Python integers, where
+    eps = {-1} acts as 2; ``ZZ`` is its one instance, ``coeff_ops("W")``."""
+
+    zero = 0
+    one = 1
+
+    @staticmethod
+    def from_int(n: int) -> int:
+        return n
+
+    @staticmethod
+    def eps_pow(j: int) -> int:
+        return 1 << j
+
+
+ZZ = IntRing()
 
 
 @dataclass(frozen=True)
@@ -74,8 +93,8 @@ F2Poly.one = F2Poly(1)
 
 
 def coeff_ops(mode: str):
-    """The universal scalar ring of a mode: ``series.ZZ`` (eps = 2) in mode
-    W, ``F2Poly`` in mode H."""
+    """The universal scalar ring of a mode: ``ZZ`` (eps = 2) in mode W,
+    ``F2Poly`` in mode H."""
     if mode == "W":
         return ZZ
     if mode == "H":
@@ -97,7 +116,7 @@ class SymbolicInvariant:
             raise ValueError("basis must be 'f' or 'g'")
         ops = coeff_ops(mode)
         coeffs = coeffs or {}
-        scalar = int if ops is ZZ else F2Poly
+        scalar = type(ops.one)
         if not all(isinstance(c, scalar) for c in coeffs.values()):
             raise TypeError(f"a mode-{mode} coefficient must be of type {scalar.__name__}")
         self.n = n
@@ -180,13 +199,11 @@ def f_transition_terms(n: int, d: int) -> list[tuple[int, int, int]]:
         # coefficient for this cell is binom(-1, -1), which the Pascal
         # extension sends to 0, so the cell is pinned by hand.
         return [(1, 0, 1)]
-    out = []
-    for k in range(1, d + 1):
-        c = ext_binom(d - (k + 1) // 2 - 1, k // 2 - 1)
-        if c == 0:
-            continue
-        out.append((c if (d - k) % 2 == 0 else -c, n * (d - k), k))
-    return out
+    # k = 1 reads binom(., -1) = 0, and from k = 2 on every binomial is nonzero
+    return [
+        ((-1) ** (d - k) * ext_binom(d - (k + 1) // 2 - 1, k // 2 - 1), n * (d - k), k)
+        for k in range(2, d + 1)
+    ]
 
 
 def g_transition_terms(n: int, d: int) -> list[tuple[int, int, int]]:

@@ -100,6 +100,6 @@ def rand_symbolic(
     return SymbolicInvariant(n, mode, basis, coeffs)
 
 
-def small_fields_exhaustive(max_depth: int = 2) -> list[FieldDescriptor]:
+def small_fields_exhaustive() -> list[FieldDescriptor]:
     """Fields small enough for exhaustive square-class enumeration."""
-    return [F for F in standard_fields(max_depth) if len(enumerate_sc(F)) <= 32]
+    return [F for F in standard_fields() if len(enumerate_sc(F)) <= 32]

@@ -13,8 +13,8 @@ x_{k+1} = x_k + 2^(k-1) x_k^2, and its inverse h_n from undoing those steps
 one at a time, each solved degree by degree.  Building h_n checks
 x_n o h_n = t with x's own recursion and h_n o x_n = t with the inversion
 steps, in O(n P^2) integer products; the verify ``series`` suite checks
-both again by Horner ``compose``.  ``ZZ`` is the scalar ring of Witt-mode
-invariants.  Everything is exact: no floats and no coercion.
+both again by Horner ``compose``.  Everything is exact: no floats and no
+coercion.
 """
 
 from __future__ import annotations
@@ -26,25 +26,6 @@ from functools import lru_cache
 
 class ConsistencyError(RuntimeError):
     """An internal exact-arithmetic identity failed; this signals a bug."""
-
-
-class IntRing:
-    """The universal scalar ring of Witt-mode invariants, plain Python
-    integers, where eps = {-1} acts as 2."""
-
-    zero = 0
-    one = 1
-
-    @staticmethod
-    def from_int(n: int) -> int:
-        return n
-
-    @staticmethod
-    def eps_pow(j: int) -> int:
-        return 1 << j
-
-
-ZZ = IntRing()
 
 
 def cauchy(a: list[int], b: list[int]) -> list[int]:

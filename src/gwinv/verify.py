@@ -45,7 +45,7 @@ from .divided import (
     p_fixed,
 )
 from .factorized import alt_factorizations, delta_t_eval, lemma_factor_check, make_factorized
-from .fields import SquareClass, enumerate_sc, minus_one, parse_field, sc_gen, sc_one
+from .fields import SquareClass, enumerate_sc, minus_one, parse_field, sc_one
 from .invariants import eval_g
 from .sampling import (
     rand_coeff,
@@ -309,7 +309,7 @@ def lambda_exterior_powers(cfg, rng, F, target, ring):
 
 @family("lambda", "pfister-squares")
 def lambda_pfister_squares(cfg, rng, fields):
-    for F in small_fields_exhaustive(2):
+    for F in small_fields_exhaustive():
         m1 = minus_one(F)
         for a in enumerate_sc(F):
             yield (
@@ -361,7 +361,7 @@ def lambda_gw_relations(cfg, rng, F, target, ring):
 @family("pi", "kills-pfister-lifts")
 def pi_kills_pfister_lifts(cfg, rng, fields):
     d_hi = max(2, min(cfg.d_max, 5))
-    for F in small_fields_exhaustive(2):
+    for F in small_fields_exhaustive():
         classes = enumerate_sc(F)
         for n in range(1, cfg.n_max + 1):
             for slots in combinations_with_replacement(classes, n):
@@ -859,7 +859,7 @@ def fixed_dim_normalized(cfg, rng, F, target, ring):
 
 @family("coh-ops", "symbol-relations")
 def coh_symbol_relations(cfg, rng, fields):
-    for F in small_fields_exhaustive(2):
+    for F in small_fields_exhaustive():
         classes = enumerate_sc(F)
         for a in classes:
             for b in classes:
@@ -898,7 +898,7 @@ def coh_residue_symbols(cfg, rng, fields):
         if F.depth >= 1:
             towers.setdefault((F.kind, F.q), F)
     for F in towers.values():
-        t_sym = symbol([sc_gen(F, F.top_var)])
+        t_sym = symbol([SquareClass(F, F.top_bit)])
         for _ in range(3):
             u = rand_unit_sc(rng, F)
             u_sub = SquareClass(F.parent(), u.mask & ~F.top_bit)

@@ -497,6 +497,11 @@ def _butterfly(rows, g, lo, hi=None) -> list:
     return rows
 
 
+def _check_degree(d: int) -> None:
+    if d < 0:
+        raise ValueError(f"series degree {d} is negative")
+
+
 def character_series(x: GwElement, degrees: Collection[int], row) -> dict[int, GwElement]:
     """The character kernel: the coefficients at ``degrees`` of a series
     with GW coefficients that a ring map sends, under each character of
@@ -514,8 +519,7 @@ def character_series(x: GwElement, degrees: Collection[int], row) -> dict[int, G
     of degree j's coefficient at [j::D]; every value is checked to divide
     exactly.  Rows of a length other than D and a negative degree raise
     ``ValueError``."""
-    if min(degrees, default=0) < 0:
-        raise ValueError(f"series degree {min(degrees)} is negative")
+    _check_degree(min(degrees, default=0))
     field = x.field
     g = field.num_gens
     memo: dict[int, list[int]] = {}
@@ -562,8 +566,6 @@ def lambda_power_direct(d: int, x: GwElement) -> GwElement:
     an independent cross-check of the series route."""
     if not x.is_nonneg_diagonal():
         raise ValueError("direct exterior powers need a nonnegative diagonal form")
-    if d == 0:
-        return GwElement.unit(x.field)
     masks = [m for m, c in sorted(x.terms.items()) for _ in range(c)]
     terms: dict[int, int] = {}
     for combo in combinations(masks, d):

@@ -2,7 +2,7 @@
 
 ``group_law`` forms prod (1 + a t)^c by repeated squaring and one
 multiplicative inverse, over any coefficient ring given as an object with
-``zero`` and ``one``: ``series.ZZ``, a value ring ``target.ring(F)`` or
+``zero`` and ``one``: ``invariants.ZZ``, a value ring ``target.ring(F)`` or
 ``gw_ring(F)`` below.  A series here is a list of coefficients read as a
 polynomial, so missing degrees are zero, and every operation keeps at most
 the first ``length`` coefficients.  The library computes the same products

@@ -12,9 +12,9 @@ import pytest
 from gwinv import divided
 from gwinv.divided import eval_pi_coeffs
 from gwinv.fields import parse_field
-from gwinv.invariants import MAX_TOTAL_DEGREE
+from gwinv.invariants import MAX_TOTAL_DEGREE, ZZ
 from gwinv.sampling import rand_diag, rand_gw, rand_in_In
-from gwinv.series import ZZ, ConsistencyError, ext_binom
+from gwinv.series import ConsistencyError, ext_binom
 from gwinv.witt import GwElement, hat_lift, parse_form, witt_canonical
 from group_law_oracle import mul, series_pow
 from power_table_oracle import table_pi_coeffs

@@ -137,12 +137,6 @@ class TestCup:
                 y = symbol([rand_sc(rng, F)])
                 assert x * y == y * x
 
-    def test_grading(self):
-        t1, t2 = parse_sc("t1", RTT), parse_sc("t2", RTT)
-        x = symbol([t1]) * symbol([t2]) * minus_one_power(RTT, 1)
-        (grade, part), = x.grades().items()
-        assert grade == 3 and part == x
-
     @pytest.mark.parametrize("F", ORACLE_FIELDS, ids=str)
     def test_matches_per_kind_oracle(self, F):
         """Every pair of basis monomials (base exponents 0..2 over R), and

@@ -18,7 +18,7 @@ from gwinv.divided import (
     p_fixed,
 )
 from gwinv.fields import minus_one, parse_field, parse_sc, sc_one
-from gwinv.invariants import F2Poly, eval_g
+from gwinv.invariants import ZZ, F2Poly, eval_g
 from gwinv.sampling import (
     rand_diag,
     rand_gw,
@@ -28,7 +28,6 @@ from gwinv.sampling import (
     rand_sc,
     standard_fields,
 )
-from gwinv.series import ZZ
 from gwinv.witt import (
     GwElement,
     MembershipError,

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwinv import series
+from gwinv.invariants import ZZ
 from gwinv.series import (
-    ZZ,
     ConsistencyError,
     build_h,
     build_x,
