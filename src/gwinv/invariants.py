@@ -304,8 +304,10 @@ def product(
     alpha: SymbolicInvariant, beta: SymbolicInvariant
 ) -> SymbolicInvariant:
     """Product of invariants, through the trinomial f-basis formula: the
-    f-generator of degree s acts on ``beta`` by its own term table.  The
-    result is returned in the f-basis."""
+    f-generator of degree s acts on ``beta`` by its own term table.  In
+    mode H only the odd trinomials C(d; d - s, d - t) survive; by Lucas's
+    theorem that is d = s | t alone, where s + t - d = s & t.  The result
+    is returned in the f-basis."""
     alpha._check(beta)
     a, b = to_basis(alpha, "f"), to_basis(beta, "f")
     n = a.n
@@ -314,7 +316,7 @@ def product(
         out = out + _linear(b, n, "f", lambda t, s=s: [
             (multinomial_C(d, d - s, d - t), n * (s + t - d), d)
             for d in range(max(s, t), s + t + 1)
-        ]).scale(cs)
+        ] if a.mode == "W" else [(1, n * (s & t), s | t)]).scale(cs)
     return out
 
 
@@ -402,7 +404,10 @@ def eval_g(n: int, d: int, q: WittClass, target: InvariantTarget):
 # for f[1,256], f[2,128] and f[3,64] alike; g[1,256] (128 f-degrees, each
 # canonicalized) takes 20-60 ms over both modes and f[1,128]*f[1,128]
 # 15-26 ms; past the cap, g[1,1024] takes 0.07 s in mode W and 0.3 s in
-# mode H.
+# mode H.  A product of g generators at the cap costs most, in ``product``
+# before any form is read: g[1,128]*g[1,128] takes 0.7-1.0 s in mode W,
+# whose 4,096 (s, t) pairs each read a row of trinomials, and about 0.05 s
+# in mode H, where each pair is one term.
 MAX_TOTAL_DEGREE = 256
 
 _GEN_RE = re.compile(r"^([fg])\[(\d+),(\d+)\]$")

@@ -1,0 +1,30 @@
+"""The trinomial product of symbolic invariants in both modes, kept only as
+a test oracle.
+
+The library's ``invariants.product`` uses this term table in mode W.  In
+mode H it keeps the one odd trinomial per pair (s, t), which Lucas's
+theorem places at d = s | t; ``trinomial_product`` reads every trinomial
+and reduces it mod 2 through the mode's scalar ring, and the tests compare
+the two.
+"""
+
+from gwinv.invariants import SymbolicInvariant, _linear, to_basis
+from gwinv.series import multinomial_C
+
+
+def trinomial_product(
+    alpha: SymbolicInvariant, beta: SymbolicInvariant
+) -> SymbolicInvariant:
+    """Product of invariants, through the trinomial f-basis formula: the
+    f-generator of degree s acts on ``beta`` by its own term table.  The
+    result is returned in the f-basis."""
+    alpha._check(beta)
+    a, b = to_basis(alpha, "f"), to_basis(beta, "f")
+    n = a.n
+    out = SymbolicInvariant.zero(n, a.mode)
+    for s, cs in a.coeffs.items():
+        out = out + _linear(b, n, "f", lambda t, s=s: [
+            (multinomial_C(d, d - s, d - t), n * (s + t - d), d)
+            for d in range(max(s, t), s + t + 1)
+        ]).scale(cs)
+    return out
