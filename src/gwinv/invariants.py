@@ -410,6 +410,12 @@ def eval_g(n: int, d: int, q: WittClass, target: InvariantTarget):
 # in mode H, where each pair is one term.
 MAX_TOTAL_DEGREE = 256
 
+# The largest total eps exponent of one term: eps^j is 2^j in mode W, a
+# j-bit integer, and a j-bit F2-polynomial in mode H, so the cap bounds the
+# memory of one scalar.  On a 2-core x86 machine `gwinv eval` of
+# eps^1000000*f[1,1] on pf(-1) over R takes about 5 ms in either mode.
+MAX_EPS_EXPONENT = 1_000_000
+
 _GEN_RE = re.compile(r"^([fg])\[(\d+),(\d+)\]$")
 _EPS_RE = re.compile(r"^eps(?:\^(\d+))?$")
 
@@ -419,7 +425,7 @@ def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
     terms = []
     # split the whole literal first, so an empty term wins over a bad factor
     for sign, body in list(split_signed_sum(text, "invariant literal", InvariantSyntaxError)):
-        coeff = ops.from_int(sign)
+        coeff, eps = ops.from_int(sign), 0
         gens: list[tuple[str, int, int]] = []
         for factor in body.split("*"):
             factor = factor.strip()
@@ -432,16 +438,19 @@ def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
                 continue
             m = _EPS_RE.match(factor)
             if m:
-                k = m.group(1) or "1"
-                coeff = coeff * ops.eps_pow(parse_int(k, "eps exponent", InvariantSyntaxError))
+                eps += parse_int(m.group(1) or "1", "eps exponent", InvariantSyntaxError)
                 continue
             coeff = coeff * ops.from_int(parse_int(factor, "factor", InvariantSyntaxError))
+        if eps > MAX_EPS_EXPONENT:
+            raise InvariantSyntaxError(
+                f"the eps exponent of {body.strip()[:40]!r} exceeds the cap of {MAX_EPS_EXPONENT}"
+            )
         degree = sum(n * d for _, n, d in gens)
         if degree > MAX_TOTAL_DEGREE:
             raise InvariantSyntaxError(
                 f"the total degree of {body.strip()[:40]!r} exceeds the cap of {MAX_TOTAL_DEGREE}"
             )
-        terms.append((coeff, gens))
+        terms.append((coeff * ops.eps_pow(eps), gens))
     levels = {n for _, gens in terms for _, n, _ in gens}
     if not levels:
         raise InvariantSyntaxError("an invariant needs at least one f[...] or g[...]")

@@ -9,7 +9,7 @@ import pytest
 
 from gwinv import cli, divided
 from gwinv.cli import EXIT_MEMBERSHIP, EXIT_OK, EXIT_PARSE, MAX_SERIES_SIZE, MAX_VERIFY_PREC, main
-from gwinv.invariants import MAX_TOTAL_DEGREE
+from gwinv.invariants import MAX_EPS_EXPONENT, MAX_TOTAL_DEGREE
 from gwinv.verify import SUITES
 
 
@@ -197,6 +197,64 @@ class TestEval:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("parse error:")
         assert len(err) < 200
+
+    # every numeric slot of the invariant, form and field grammars, as
+    # (slot, invariant, form, field) with N standing for the integer
+    NUMERIC_SLOTS = [
+        ("eps-exponent", "eps^N*f[1,1]", "pf(t1)", "C((t1))"),
+        ("f-level", "f[N,1]", "pf(t1)", "C((t1))"),
+        ("f-degree", "f[1,N]", "pf(t1)", "C((t1))"),
+        ("g-level", "g[N,1]", "pf(t1)", "C((t1))"),
+        ("g-degree", "g[1,N]", "pf(t1)", "C((t1))"),
+        ("factor", "N*f[1,1]", "pf(t1)", "C((t1))"),
+        ("form-count", "f[1,1]", "N*pf(t1)", "C((t1))"),
+        ("field-order", "f[1,1]", "pf(t1)", "FN((t1))"),
+    ]
+
+    @pytest.mark.parametrize("slot, inv, form, field", NUMERIC_SLOTS, ids=[s[0] for s in NUMERIC_SLOTS])
+    @pytest.mark.parametrize("digits", [20, 4000])
+    @pytest.mark.parametrize("mode", ["W", "H"])
+    def test_huge_integer_in_every_numeric_slot(self, capsys, slot, inv, form, field, digits, mode):
+        """Any integer in any slot either evaluates or fails with its exit
+        code and one line on stderr, at once: no traceback, no unbounded
+        allocation."""
+        for number in ("1" + "0" * (digits - 1), "9" * digits):
+            argv = [f"--inv={inv}", f"--form={form}", f"--field={field}", f"--mode={mode}"]
+            argv = ["eval"] + [arg.replace("N", number) for arg in argv]
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 1.0, (slot, number[:3])
+            assert code in (EXIT_OK, EXIT_PARSE, EXIT_MEMBERSHIP), (slot, number[:3])
+            if code == EXIT_OK:
+                assert err == ""
+            else:
+                assert out == "" and len(err.splitlines()) == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("mode", ["W", "H"])
+    @pytest.mark.parametrize(
+        "inv",
+        [
+            "eps^100000000000000000000*f[1,1]",
+            f"eps^{MAX_EPS_EXPONENT + 1}*f[1,1]",
+            f"eps*eps^{MAX_EPS_EXPONENT}*f[1,1]",
+            f"f[1,1] + eps^{MAX_EPS_EXPONENT // 2 + 1}*eps^{MAX_EPS_EXPONENT // 2}*f[1,2]",
+        ],
+        ids=["20-digit", "cap-plus-one", "sum-of-factors", "second-term"],
+    )
+    def test_eps_exponent_above_cap_exit_2(self, capsys, inv, mode):
+        code, out, err = run(capsys, "eval", f"--inv={inv}", "--form=pf(-1)", "--field=R", f"--mode={mode}")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("parse error: the eps exponent of ") and len(err.splitlines()) == 1
+        assert err.endswith(f"exceeds the cap of {MAX_EPS_EXPONENT}\n")
+
+    def test_eps_exponent_at_cap_exit_0(self, capsys):
+        start = time.perf_counter()
+        inv = f"eps^{MAX_EPS_EXPONENT // 2}*eps^{MAX_EPS_EXPONENT // 2}*f[1,1]"
+        code, out, _ = run(capsys, "eval", f"--inv={inv}", "--form=pf(-1)", "--field=R", "--mode=H")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK
+        assert out == f"(-1)^{MAX_EPS_EXPONENT + 1}\n"
 
     # k*pf(t1) has f_2 = C(k, 2) {pf(t1)}^2 = k(k-1) <1,-t1> in W
     K = 99999999999
