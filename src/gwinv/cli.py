@@ -200,18 +200,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p_verify = sub.add_parser("verify", help="run an identity suite")
     p_verify.add_argument("--suite", required=True)
-    p_verify.add_argument("--field", default=None)
+    p_verify.add_argument("--field")
     p_verify.add_argument(
-        "--prec", type=int, default=32,
+        "--prec", type=int,
         help=f"series truncation order (series suite only, <= {MAX_VERIFY_PREC})",
     )
-    p_verify.add_argument("--n-max", dest="n_max", type=int, default=3)
-    p_verify.add_argument("--d-max", dest="d_max", type=int, default=6)
-    p_verify.add_argument("--samples", type=int, default=100)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--mode", choices=("W", "H"), default=None)
+    p_verify.add_argument("--n-max", dest="n_max", type=int)
+    p_verify.add_argument("--d-max", dest="d_max", type=int)
+    p_verify.add_argument("--samples", type=int)
+    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--mode", choices=("W", "H"))
     p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_verify.set_defaults(func=cmd_verify)
+    # each RunConfig field is a flag of the same name, with its default
+    p_verify.set_defaults(func=cmd_verify, **RunConfig().to_dict())
     return parser, {"series": p_series, "eval": p_eval, "verify": p_verify}
 
 

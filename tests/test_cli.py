@@ -10,7 +10,7 @@ import pytest
 from gwinv import cli, divided
 from gwinv.cli import EXIT_MEMBERSHIP, EXIT_OK, EXIT_PARSE, MAX_SERIES_SIZE, MAX_VERIFY_PREC, main
 from gwinv.invariants import MAX_EPS_EXPONENT, MAX_TOTAL_DEGREE
-from gwinv.verify import SUITES
+from gwinv.verify import SUITES, RunConfig
 
 
 def run(capsys, *argv):
@@ -449,6 +449,11 @@ class TestVerify:
         report = json.loads(out)
         assert report["cases_failed"] == 0
         assert report["first_failure"] is None
+
+    def test_defaults_are_run_config_defaults(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "series", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["config"] == RunConfig().to_dict()
 
     def test_prec_at_cap_runs(self, capsys, monkeypatch):
         # the stub stands in for the O(prec^3) series suite
