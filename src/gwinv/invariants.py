@@ -5,25 +5,27 @@ generators at a fixed level n, with coefficients in the universal scalar
 ring generated by eps = {-1}: plain integers in Witt mode (``ZZ``; eps is
 identified with 2 there) and ``F2Poly``, the F2-polynomials in eps, in
 cohomology mode.  Both rings give ``zero``, ``one``, ``from_int`` and
-``eps_pow`` (``coeff_ops``).  The basis change, shifting, product,
-similitude, restriction and descent operators act on these coefficient
-sequences by closed formulas.  Each formula is a term table: for a
-generator of degree d it lists the triples (c, j, k) meaning c * eps^j
-times the degree-k generator of the target, and ``_linear`` applies a
-table to a whole invariant.  ``evaluate`` sends
-everything to a concrete value on a Witt class through the f-basis, and
-``eval_g`` is ``evaluate`` on one g generator.
+``eps_pow`` (``coeff_ops``).  The basis change, shifting, similitude,
+restriction and descent operators are term tables: for a generator of
+degree d a table lists the triples (c, j, k) meaning c * eps^j times the
+degree-k generator of the target, and ``_linear`` applies it to a whole
+invariant.  ``product`` multiplies values on sums of Pfister forms instead
+(``to_values``).  ``evaluate`` sends everything to a concrete value on a
+Witt class through the f-basis, and ``eval_g`` is ``evaluate`` on one g
+generator.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .divided import InvariantTarget, eval_f_sum
 from .fields import parse_int, split_signed_sum
-from .series import ext_binom, multinomial_C
-from .witt import WittClass, _check_degree
+from .series import ConsistencyError, ext_binom
+from .witt import MAX_COUNT_DIGITS, WittClass, _check_degree
 
 
 class InvariantSyntaxError(ValueError):
@@ -47,6 +49,18 @@ class IntRing:
 
 
 ZZ = IntRing()
+
+
+def clmul(a: int, b: int) -> int:
+    """Carry-less product of packed F2-polynomials, over the set bits of the sparser one."""
+    out = 0
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    while a:
+        low = a & -a
+        out ^= b << (low.bit_length() - 1)
+        a ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -73,15 +87,7 @@ class F2Poly:
         return self
 
     def __mul__(self, other: "F2Poly") -> "F2Poly":
-        """Shift-and-add over the set bits of the sparser operand."""
-        a, b, out = self.bits, other.bits, 0
-        if a.bit_count() > b.bit_count():
-            a, b = b, a
-        while a:
-            low = a & -a
-            out ^= b << (low.bit_length() - 1)
-            a ^= low
-        return F2Poly(out)
+        return F2Poly(clmul(self.bits, other.bits))
 
     def __str__(self) -> str:
         powers = [j for j in range(self.bits.bit_length()) if self.bits >> j & 1]
@@ -90,6 +96,13 @@ class F2Poly:
 
 F2Poly.zero = F2Poly(0)
 F2Poly.one = F2Poly(1)
+
+
+# add, sub, mul, pack, unpack on packed scalars (eps^j is 1 << j in both modes)
+_PACKED = {
+    "W": (operator.add, operator.sub, operator.mul, int, int),
+    "H": (operator.xor, operator.xor, clmul, operator.attrgetter("bits"), F2Poly),
+}
 
 
 def coeff_ops(mode: str):
@@ -127,10 +140,6 @@ class SymbolicInvariant:
     @classmethod
     def generator(cls, n: int, mode: str, basis: str, d: int) -> "SymbolicInvariant":
         return cls(n, mode, basis, {d: coeff_ops(mode).one})
-
-    @classmethod
-    def zero(cls, n: int, mode: str, basis: str = "f") -> "SymbolicInvariant":
-        return cls(n, mode, basis, {})
 
     @property
     def ops(self):
@@ -300,24 +309,49 @@ def extract_coeffs(alpha: SymbolicInvariant, d_max: int) -> list:
     return out
 
 
-def product(
-    alpha: SymbolicInvariant, beta: SymbolicInvariant
-) -> SymbolicInvariant:
-    """Product of invariants, through the trinomial f-basis formula: the
-    f-generator of degree s acts on ``beta`` by its own term table.  In
-    mode H only the odd trinomials C(d; d - s, d - t) survive; by Lucas's
-    theorem that is d = s | t alone, where s + t - d = s & t.  The result
-    is returned in the f-basis."""
-    alpha._check(beta)
-    a, b = to_basis(alpha, "f"), to_basis(beta, "f")
-    n = a.n
-    out = SymbolicInvariant.zero(n, a.mode)
-    for s, cs in a.coeffs.items():
-        out = out + _linear(b, n, "f", lambda t, s=s: [
-            (multinomial_C(d, d - s, d - t), n * (s + t - d), d)
-            for d in range(max(s, t), s + t + 1)
-        ] if a.mode == "W" else [(1, n * (s & t), s | t)]).scale(cs)
-    return out
+def to_values(alpha: SymbolicInvariant, top: int) -> list[int]:
+    """Packed ev(alpha)(m) = sum_s a_s eps^(ns) C(m, s) for m = 0..top, the
+    value on m n-fold Pfister forms, as f^s(m phi) = C(m, s) phi^s; Horner's
+    rule on C(m, s) = sum_{j<m} C(j, s - 1), one running sum per degree."""
+    f = to_basis(alpha, "f")
+    add, _, _, pack, _ = _PACKED[f.mode]
+    vals = [0] * (top + 1)
+    for s in range(max(f.coeffs, default=-1), -1, -1):
+        c = f.coeffs.get(s)
+        vals = list(accumulate(vals[:-1], add, initial=pack(c) << f.n * s if c else 0))
+    return vals
+
+
+def from_values(vals: list[int], n: int, mode: str) -> SymbolicInvariant:
+    """The f-basis invariant with packed values ``vals`` at m = 0..D, by
+    Newton's forward differences Delta^d ev(0) = a_d eps^(nd); one that
+    eps^(nd) does not divide exactly raises ``ConsistencyError``."""
+    _, sub, _, _, unpack = _PACKED[mode]
+    out = {}
+    for d in range(len(vals)):
+        c, j = vals[0], n * d
+        if c & ((1 << j) - 1):
+            raise ConsistencyError(f"the degree-{d} difference is not divisible by eps^{j}")
+        if c:
+            out[d] = unpack(c >> j)
+        vals = list(map(sub, vals[1:], vals[:-1]))
+    return SymbolicInvariant(n, mode, "f", out)
+
+
+def product(*factors: SymbolicInvariant) -> SymbolicInvariant:
+    """Product of invariants, in the f-basis: their values at m = 0..D, D the
+    sum of their top f-degrees, multiplied pointwise.  One factor is
+    returned as it is."""
+    if len(factors) == 1:
+        return factors[0]
+    fs = [to_basis(x, "f") for x in factors]
+    top = sum(max(f.coeffs, default=0) for f in fs)
+    mul = _PACKED[fs[0].mode][2]
+    vals = to_values(fs[0], top)
+    for f in fs[1:]:
+        fs[0]._check(f)
+        vals = list(map(mul, vals, to_values(f, top)))
+    return from_values(vals, fs[0].n, fs[0].mode)
 
 
 def psi_tilde(alpha: SymbolicInvariant) -> SymbolicInvariant:
@@ -397,17 +431,9 @@ def eval_g(n: int, d: int, q: WittClass, target: InvariantTarget):
 
 # The largest total degree a literal may ask for: n*d for a generator f[n,d]
 # or g[n,d], and n*(d_1 + ... + d_k) for a product of them.  It bounds the
-# size of one request.  Evaluating degree d reads one binomial row per
-# character value, O(d) exact integer steps, so the cost grows slowly
-# through the cap.  On a 2-core x86 machine at tower depth 6, cold
-# in-process CPU on a sum of three Pfister forms in mode W is about 1 ms
-# for f[1,256], f[2,128] and f[3,64] alike; g[1,256] (128 f-degrees, each
-# canonicalized) takes 20-60 ms over both modes and f[1,128]*f[1,128]
-# 15-26 ms; past the cap, g[1,1024] takes 0.07 s in mode W and 0.3 s in
-# mode H.  A product of g generators at the cap costs most, in ``product``
-# before any form is read: g[1,128]*g[1,128] takes 0.7-1.0 s in mode W,
-# whose 4,096 (s, t) pairs each read a row of trinomials, and about 0.05 s
-# in mode H, where each pair is one term.
+# size of one request.  On a 2-core x86 machine at tower depth 6, cold
+# in-process CPU on three 1-fold Pfister forms is 4 ms for f[1,256], 15-20
+# ms for g[1,256] and at most 130 ms for a product at the cap (256 g[1,1]).
 MAX_TOTAL_DEGREE = 256
 
 # The largest total eps exponent of one term: eps^j is 2^j in mode W, a
@@ -416,8 +442,17 @@ MAX_TOTAL_DEGREE = 256
 # eps^1000000*f[1,1] on pf(-1) over R takes about 5 ms in either mode.
 MAX_EPS_EXPONENT = 1_000_000
 
+# The largest integer coefficient of one term in mode W, in bits, checked
+# after each factor: 4 bits per digit a rendered multiplicity may have.
+MAX_COEFF_BITS = 4 * MAX_COUNT_DIGITS
+
 _GEN_RE = re.compile(r"^([fg])\[(\d+),(\d+)\]$")
 _EPS_RE = re.compile(r"^eps(?:\^(\d+))?$")
+
+
+def _check_cap(body: str, noun: str, value: int, cap: int, unit: str = "") -> None:
+    if value > cap:
+        raise InvariantSyntaxError(f"the {noun} of {body.strip()[:40]!r} exceeds the cap of {cap}{unit}")
 
 
 def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
@@ -441,15 +476,10 @@ def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
                 eps += parse_int(m.group(1) or "1", "eps exponent", InvariantSyntaxError)
                 continue
             coeff = coeff * ops.from_int(parse_int(factor, "factor", InvariantSyntaxError))
-        if eps > MAX_EPS_EXPONENT:
-            raise InvariantSyntaxError(
-                f"the eps exponent of {body.strip()[:40]!r} exceeds the cap of {MAX_EPS_EXPONENT}"
-            )
-        degree = sum(n * d for _, n, d in gens)
-        if degree > MAX_TOTAL_DEGREE:
-            raise InvariantSyntaxError(
-                f"the total degree of {body.strip()[:40]!r} exceeds the cap of {MAX_TOTAL_DEGREE}"
-            )
+            if mode == "W":
+                _check_cap(body, "coefficient", coeff.bit_length(), MAX_COEFF_BITS, " bits")
+        _check_cap(body, "eps exponent", eps, MAX_EPS_EXPONENT)
+        _check_cap(body, "total degree", sum(n * d for _, n, d in gens), MAX_TOTAL_DEGREE)
         terms.append((coeff * ops.eps_pow(eps), gens))
     levels = {n for _, gens in terms for _, n, _ in gens}
     if not levels:
@@ -466,9 +496,7 @@ def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
     out: dict = {}
     for coeff, gens in terms:
         if len(gens) > 1 or gens and gens[0][0] != basis:
-            term = SymbolicInvariant.generator(n, mode, gens[0][0], gens[0][2])
-            for b, _, d in gens[1:]:
-                term = product(term, SymbolicInvariant.generator(n, mode, b, d))
+            term = product(*(SymbolicInvariant.generator(n, mode, b, d) for b, _, d in gens))
             parts = [(d, coeff * c) for d, c in to_basis(term, basis).coeffs.items()]
         else:
             parts = [(gens[0][2] if gens else 0, coeff)]

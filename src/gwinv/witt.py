@@ -413,12 +413,6 @@ def second_residue(q: WittClass) -> WittClass:
     return WittClass(q.field.parent(), q.leaves[len(q.leaves) // 2 :])
 
 
-def unramified_part(q: WittClass) -> WittClass:
-    if q.field.depth == 0:
-        raise ValueError("unramified part needs a tower of depth >= 1")
-    return WittClass(q.field.parent(), q.leaves[: len(q.leaves) // 2])
-
-
 def hat_lift(q: WittClass) -> GwElement:
     """The unique dimension-0 GW element whose Witt class is q."""
     if q.dim_parity != 0:

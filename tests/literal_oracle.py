@@ -112,7 +112,7 @@ def parse_invariant(text, mode):
         raise InvariantSyntaxError(f"the level n must be >= 1, got {n}")
     bases = {b for _, gens in terms for b, _, _ in gens}
     basis = "g" if bases == {"g"} else "f"
-    total = SymbolicInvariant.zero(n, mode, basis)
+    total = SymbolicInvariant(n, mode, basis)
     for coeff, gens in terms:
         if not gens:
             term = SymbolicInvariant(n, mode, basis, {0: coeff})

@@ -1,11 +1,11 @@
 """The trinomial product of symbolic invariants in both modes, kept only as
 a test oracle.
 
-The library's ``invariants.product`` uses this term table in mode W.  In
-mode H it keeps the one odd trinomial per pair (s, t), which Lucas's
-theorem places at d = s | t; ``trinomial_product`` reads every trinomial
-and reduces it mod 2 through the mode's scalar ring, and the tests compare
-the two.
+The f-generator of degree s acts on the other factor by its own term
+table, the trinomials C(d; d - s, d - t), reduced in the mode's scalar
+ring.  The library's ``invariants.product`` reads no table: it multiplies
+the factors' values on sums of Pfister forms and takes forward differences
+back, in both modes, and the tests compare the two.
 """
 
 from gwinv.invariants import SymbolicInvariant, _linear, to_basis
@@ -21,7 +21,7 @@ def trinomial_product(
     alpha._check(beta)
     a, b = to_basis(alpha, "f"), to_basis(beta, "f")
     n = a.n
-    out = SymbolicInvariant.zero(n, a.mode)
+    out = SymbolicInvariant(n, a.mode, "f")
     for s, cs in a.coeffs.items():
         out = out + _linear(b, n, "f", lambda t, s=s: [
             (multinomial_C(d, d - s, d - t), n * (s + t - d), d)

@@ -3,13 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from gwinv import cli, divided
 from gwinv.cli import EXIT_MEMBERSHIP, EXIT_OK, EXIT_PARSE, MAX_SERIES_SIZE, MAX_VERIFY_PREC, main
-from gwinv.invariants import MAX_EPS_EXPONENT, MAX_TOTAL_DEGREE
+from gwinv.invariants import MAX_COEFF_BITS, MAX_EPS_EXPONENT, MAX_TOTAL_DEGREE
 from gwinv.verify import SUITES, RunConfig
 
 
@@ -255,6 +259,45 @@ class TestEval:
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_OK
         assert out == f"(-1)^{MAX_EPS_EXPONENT + 1}\n"
+
+    @pytest.mark.parametrize("mode, code", [("W", EXIT_PARSE), ("H", EXIT_OK)])
+    def test_coefficient_above_cap_exit_2_at_parse(self, capsys, mode, code):
+        """A W-mode term whose integer factors multiply past MAX_COEFF_BITS
+        fails before the next factor is multiplied in; without the cap, 100
+        factors of 4,000 digits took 0.5-1 s before failing at render.
+        Mode H reduces each factor mod 2 and is not capped."""
+        inv = "*".join(["9" * 4000] * 100) + "*f[1,1]"
+        start = time.process_time()
+        got, out, err = run(capsys, "eval", f"--inv={inv}", "--form=pf(t1)", "--field=R((t1))", f"--mode={mode}")
+        assert time.process_time() - start < 0.05
+        assert got == code
+        if code == EXIT_PARSE:
+            assert out == "" and len(err.splitlines()) == 1
+            assert err.startswith("parse error: the coefficient of '99999")
+            assert err.endswith(f"exceeds the cap of {MAX_COEFF_BITS} bits\n")
+
+    # worst-case requests at the total-degree cap: products of g generators,
+    # whose f-rebasings are dense, long chains and the widest generator
+    CORNERS = [
+        "g[1,128]*g[1,128]",
+        "*".join(["g[1,64]"] * 4),
+        "*".join(["f[1,1]"] * 256),
+        "*".join(["g[1,1]"] * 256),
+        "f[1,128]*f[1,128]",
+        "g[1,256]",
+    ]
+
+    @pytest.mark.parametrize("mode", ["W", "H"])
+    @pytest.mark.parametrize("inv", CORNERS, ids=["g128^2", "g64^4", "f1^256", "g1^256", "f128^2", "g256"])
+    def test_cap_corner_within_cpu_budget(self, capsys, inv, mode):
+        """Each corner takes at most 0.25 s of process CPU over a depth-6
+        tower; the trinomial product took 0.6-0.8 s on the first four in
+        mode W."""
+        field = "F3" + "".join(f"((t{i}))" for i in range(1, 7))
+        start = time.process_time()
+        code, out, err = run(capsys, "eval", f"--inv={inv}", "--form=pf(t1)+pf(t2)-pf(t3)", f"--field={field}", f"--mode={mode}")
+        assert time.process_time() - start <= 0.25
+        assert code == EXIT_OK and out and err == ""
 
     # k*pf(t1) has f_2 = C(k, 2) {pf(t1)}^2 = k(k-1) <1,-t1> in W
     K = 99999999999
@@ -576,3 +619,39 @@ class TestVerify:
         )
         assert code == EXIT_OK
         assert "PASS" in out
+
+
+# The verify ``product`` suite and the ``bench/workloads.py`` eval requests
+# that multiply two generators, printed as reports and (rc, stdout, stderr).
+HASH_SEED_DIGEST = """
+import contextlib, io, json
+import workloads
+from gwinv import cli
+from gwinv.verify import RunConfig, run_suite
+
+print(json.dumps(run_suite("product", RunConfig()), sort_keys=True))
+for req in workloads.eval_ops(7):
+    if any(len(degs) == 2 for _, _, degs in req.inv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(req.argv)
+        print(repr((rc, out.getvalue(), err.getvalue())))
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(str(root / sub) for sub in ("src", "bench"))
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", HASH_SEED_DIGEST],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for seed in ("1", "12345")
+    ]
+    outs = [proc.communicate(timeout=60)[0] for proc in runs]
+    assert [proc.returncode for proc in runs] == [0, 0]
+    assert outs[0].count("\n") > 700
+    assert outs[0] == outs[1]

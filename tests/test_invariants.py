@@ -1,8 +1,10 @@
 """Symbolic invariant algebra: basis changes, operators, and agreement of
 every symbolic action with its pointwise contract."""
 
+import operator
 import random
 import time
+from math import comb
 
 import pytest
 
@@ -14,11 +16,13 @@ from gwinv.invariants import (
     InvariantSyntaxError,
     SymbolicInvariant,
     change_basis,
+    clmul,
     coeff_at_zero,
     coeff_ops,
     eval_g,
     evaluate,
     extract_coeffs,
+    from_values,
     is_normalized,
     omega_t,
     parse_invariant,
@@ -29,6 +33,7 @@ from gwinv.invariants import (
     restrict,
     shift,
     to_basis,
+    to_values,
 )
 from gwinv.sampling import (
     rand_diag,
@@ -38,6 +43,7 @@ from gwinv.sampling import (
     rand_symbolic,
     standard_fields,
 )
+from gwinv.series import ConsistencyError
 from gwinv.witt import (
     GwElement,
     MembershipError,
@@ -348,10 +354,91 @@ class TestProductOracle:
 
     def test_cap_product_is_fast_in_mode_h(self):
         """The trinomial route takes 1.7-2.2 s of CPU on this product, the
-        one-term table about 0.05 s."""
+        value-space product about 0.05 s with the rebasing back to g."""
         start = time.process_time()
         parse_invariant("g[1,128]*g[1,128]", "H")
         assert time.process_time() - start < 0.5
+
+
+def direct_values(alpha, top):
+    """ev(alpha)(m) = sum_s a_s eps^(ns) C(m, s) for m = 0..top, term by
+    term from ``math.comb``, as packed scalars (an F2Poly as its bits)."""
+    f = to_basis(alpha, "f")
+    out = []
+    for m in range(top + 1):
+        v = 0
+        for s, c in f.coeffs.items():
+            if f.mode == "W":
+                v += c * comb(m, s) << f.n * s
+            elif comb(m, s) % 2:
+                v ^= c.bits << f.n * s
+        out.append(v)
+    return out
+
+
+class TestValueSpace:
+    """The two halves of ``product``: ``to_values`` reads an invariant on
+    the sums of m n-fold Pfister forms, and ``from_values`` takes Newton's
+    forward differences back to f-coefficients."""
+
+    @pytest.mark.parametrize("mode", ["W", "H"])
+    def test_values_are_binomial_sums(self, mode):
+        rng = random.Random(71)
+        for n in (1, 2, 3):
+            for basis in "fg":
+                for _ in range(5):
+                    a = rand_symbolic(rng, n, mode, basis, 12, 4)
+                    assert to_values(a, 20) == direct_values(a, 20)
+
+    @pytest.mark.parametrize("mode", ["W", "H"])
+    def test_round_trip_up_to_the_cap(self, mode):
+        rng = random.Random(72)
+        for top in (0, 1, 2, 7, 31, 128, 255, MAX_TOTAL_DEGREE):
+            n = rng.randint(1, 3)
+            a = rand_symbolic(rng, n, mode, rng.choice("fg"), top, 8)
+            vals = to_values(a, top)
+            back = from_values(vals, n, mode)
+            assert (back.basis, back.coeffs) == ("f", to_basis(a, "f").coeffs)
+            assert to_values(back, top) == vals
+
+    @pytest.mark.parametrize("mode", ["W", "H"])
+    def test_values_of_a_product_are_products_of_values(self, mode):
+        """ev(a b) = ev(a) ev(b) pointwise, also past the D + 1 points
+        ``product`` reads, and a product of three is one of pairs."""
+        rng = random.Random(73)
+        mul = operator.mul if mode == "W" else clmul
+        for _ in range(30):
+            n = rng.randint(1, 3)
+            a, b, c = (rand_symbolic(rng, n, mode, rng.choice("fg"), 8, 3) for _ in range(3))
+            want = list(map(mul, direct_values(a, 20), direct_values(b, 20)))
+            assert direct_values(product(a, b), 20) == want
+            assert product(a, b, c) == product(product(a, b), c)
+
+    @pytest.mark.parametrize("mode", ["W", "H"])
+    def test_values_outside_the_image_raise(self, mode):
+        """Flipping the low bit of the value at m = k changes the degree-k
+        difference by a unit, which eps^(nk) does not divide."""
+        rng = random.Random(74)
+        for n in (1, 2, 3):
+            for k in (1, 4, 8):
+                vals = to_values(rand_symbolic(rng, n, mode, "f", 8, 3), 8)
+                vals[k] ^= 1
+                with pytest.raises(ConsistencyError, match=f"degree-{k} difference"):
+                    from_values(vals, n, mode)
+
+    @pytest.mark.parametrize("mode", ["W", "H"])
+    def test_phi_plus_is_the_forward_difference(self, mode):
+        """Adding one Pfister form: ev(phi(a, +1))(m) = (ev(a)(m + 1) -
+        ev(a)(m)) / eps^n, an oracle for ``phi`` independent of its table."""
+        rng = random.Random(75)
+        for n in (1, 2, 3):
+            for basis in "fg":
+                for _ in range(10):
+                    a = rand_symbolic(rng, n, mode, basis, 10, 4)
+                    vals = direct_values(a, 13)
+                    diffs = [w - v if mode == "W" else w ^ v for v, w in zip(vals, vals[1:])]
+                    assert all(d & ((1 << n) - 1) == 0 for d in diffs)
+                    assert direct_values(phi(a, 1), 12) == [d >> n for d in diffs]
 
 
 class TestPsiTilde:
