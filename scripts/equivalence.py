@@ -30,6 +30,8 @@ Run it from the root of a checkout; it imports that checkout's ``src``,
 * ``series-dump``: the concatenated stdout of ``gwinv series --n N --prec P
   --format json`` sent through ``cli.main``, over the 72 (N, P) of
   ``workloads.series_ops(1)`` and then (6, 128);
+* ``series-cap``: the same over the six (N, P) of ``SERIES_CAP_LINE`` on
+  the cap line N * (P + 1) <= 1024;
 * ``witt-level``: the level and sorted monomials of ``filtration_level``
   on every class of W(F3((t1))((t2))) and W(C((t1))((t2))((t3))),
   enumerated leaf by leaf, then on seeded classes over R and F5 towers of
@@ -219,6 +221,13 @@ def series_dump_hash() -> str:
     return _digest(dumps())
 
 
+SERIES_CAP_LINE = [(1, 1023), (2, 511), (3, 340), (6, 169), (32, 31), (1024, 0)]
+
+
+def series_cap_hash() -> str:
+    return _digest(workloads.call_cli(workloads.series_argv(n, prec))[2] for n, prec in SERIES_CAP_LINE)
+
+
 # Small base forms, as (base mask, count) pairs, one of each element of
 # W(C) = Z/2, of W(F_q) = Z/4 for q = 3 mod 4 and of W(F_q) = F2[Z/2] for
 # q = 1 mod 4.
@@ -401,6 +410,7 @@ HASHES = {
     "pi-deep": pi_deep_hash,
     "kernel-wide": kernel_wide_hash,
     "series-dump": series_dump_hash,
+    "series-cap": series_cap_hash,
     "witt-level": witt_level_hash,
     "f-values": f_values_hash,
     "g-values": g_values_hash,

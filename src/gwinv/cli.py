@@ -35,16 +35,17 @@ _MINIMUMS = {
     ),
 }
 
-# The largest n * (prec + 1) that `series` accepts: building and checking
-# h_n takes O(n prec^2) products of integers of about n * prec bits.  On a
-# 2-core x86 machine the slowest dumps at the cap, (2, 511) and (3, 340),
-# take under 0.2 s, while (32, 256) takes 24 s.
+# The largest n * (prec + 1) that `series` accepts: building h_n takes
+# O(prec^2) products and checking it O(n prec^2), of integers of about
+# n * prec bits.  On a 2-core x86 machine (Python 3.11, best of three cold
+# runs) the slowest dumps at the cap, (2, 511) and (1, 1023), take 0.07 and
+# 0.05 s of CPU, while (32, 256) takes 4.2 s.
 MAX_SERIES_SIZE = 1024
 
 # The largest `verify --prec`: the series suite checks both round trips for
 # n = 1..6 by Horner composition, O(prec^3).  On a 2-core x86 machine
-# (Python 3.11, median of five cold runs) --prec 64 takes 0.39 s of CPU and
-# 128 takes 3.2 s.
+# (Python 3.11, median of five cold runs) --prec 64 takes 0.28 s of CPU and
+# 128 takes 2.4 s.
 MAX_VERIFY_PREC = 128
 
 

@@ -8,13 +8,13 @@ coefficients are not multiplied out in the library: ``witt.character_series``
 reduces a product prod (1 + a t)^c over the terms of a form (its
 exterior-power series, its Stiefel-Whitney-style series) to one integer
 series per character of the square-class group and transforms the values
-back.  The level series x_n comes from the quadratic recursion
-x_{k+1} = x_k + 2^(k-1) x_k^2, and its inverse h_n from undoing those steps
-one at a time, each solved degree by degree.  Building h_n checks
-x_n o h_n = t with x's own recursion and h_n o x_n = t with the inversion
-steps, in O(n P^2) integer products; the verify ``series`` suite checks
-both again by Horner ``compose``.  Everything is exact: no floats and no
-coercion.
+back.  The level recursion x_(k+1) = x_k + 2^(k-1) x_k^2 telescopes to
+1 + 2^n x_n = ((1 + t)/(1 - t))^(2^(n-1)), so x_n comes from the two-term
+recurrence of (1 + t)^p (1 - t)^q and its inverse h_n from the Riccati
+equation (1 + 2^n t) h' = 1 - h^2.  Building h_n checks x_n o h_n = t by
+x's own recursion and h_n o x_n = t by undoing it one step at a time, in
+O(n P^2) integer products; the verify ``series`` suite checks both again
+by Horner ``compose``.  Everything is exact: no floats and no coercion.
 """
 
 from __future__ import annotations
@@ -53,6 +53,24 @@ def even_odd_split(f: list[int]) -> tuple[list[int], list[int]]:
     return even, odd
 
 
+def _plus_minus_series(chi: int, dim: int, precision: int) -> list[int]:
+    """(1 + t)^p (1 - t)^q with p - q = chi and p + q = dim, from
+    (1 - t^2) f' = (chi - dim t) f, i.e.
+    (k + 1) a_(k+1) = chi a_k + (k - 1 - dim) a_(k-1)."""
+    a = [1] + [0] * precision
+    for k in range(precision):
+        a[k + 1], r = divmod(chi * a[k] + (k - 1 - dim) * (a[k - 1] if k else 0), k + 1)
+        if r:
+            raise ConsistencyError(f"binomial recurrence is not integral at degree {k + 1}")
+    return a
+
+
+def _square(y: list[int], d: int) -> int:
+    """Degree d of y^2 for y(0) = 0, each unordered pair y_i y_(d-i) once."""
+    m = d // 2
+    return 2 * sum(map(operator.mul, y[1 : d - m], y[d - 1 : m : -1])) + (0 if d % 2 else y[m] * y[m])
+
+
 def _level_chain(u: list[int], n: int) -> list[int]:
     """x_n o u for an integer series u with zero constant term: x_1 o u =
     u/(1-u), then x_(k+1) = x_k + 2^(k-1) x_k^2 for k = 1..n-1."""
@@ -61,7 +79,7 @@ def _level_chain(u: list[int], n: int) -> list[int]:
         y[d] += sum(map(operator.mul, u[1:d], y[d - 1 : 0 : -1]))
     for k in range(1, n):
         s = 1 << (k - 1)
-        y = [c + s * sum(map(operator.mul, y[1:d], y[d - 1 : 0 : -1])) for d, c in enumerate(y)]
+        y = [c + s * _square(y, d) for d, c in enumerate(y)]
     return y
 
 
@@ -71,14 +89,20 @@ def _identity(precision: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _x_coeffs(n: int, precision: int) -> tuple[int, ...]:
+    """x_n from 1 + 2^n x_n = ((1 + t)/(1 - t))^(2^(n-1)), divided exactly
+    by 2^n: (d + 1) x_(d+1) = 2^n x_d + (d - 1) x_(d-1)."""
     if n < 1:
         raise ValueError("series level must be >= 1")
-    return tuple(_level_chain(_identity(precision), n))
+    a = _plus_minus_series(1 << n, 0, precision)
+    if any(c & ((1 << n) - 1) for c in a[1:]):
+        raise ConsistencyError(f"level series x_{n} is not divisible by 2^{n}")
+    return (0, *(c >> n for c in a[1:]))
 
 
 def build_x(n: int, precision: int) -> list[int]:
     """Integer series whose level-n exterior-power transform of a generator
-    is 1 + (generator) * series; level 1 is the geometric series t/(1-t)."""
+    is 1 + (generator) * series; level 1 is the geometric series t/(1-t).
+    O(P) integer operations, by a two-term recurrence."""
     return list(_x_coeffs(n, precision))
 
 
@@ -86,7 +110,7 @@ def _invert_step(v: list[int], c: int) -> list[int]:
     """The w with w + c w^2 = v, solved degree by degree (v(0) = 0)."""
     w = [0] * len(v)
     for d in range(1, len(v)):
-        w[d] = v[d] - c * sum(map(operator.mul, w[1:d], w[d - 1 : 0 : -1]))
+        w[d] = v[d] - c * _square(w, d)
     return w
 
 
@@ -102,12 +126,24 @@ def _inverse_chain(v: list[int], n: int) -> list[int]:
     return h
 
 
+def _h_series(n: int, precision: int) -> list[int]:
+    """h_n from (1 + 2^n t) h' = 1 - h^2, the log-derivative of
+    1 + 2^n t = ((1 + h_n)/(1 - h_n))^(2^(n-1)):
+    (d + 1) h_(d+1) = [d = 0] - 2^n d h_d - sum_(i=1..d-1) h_i h_(d-i)."""
+    h = _identity(precision)
+    for d in range(1, precision):
+        h[d + 1], r = divmod(-(d << n) * h[d] - _square(h, d), d + 1)
+        if r:
+            raise ConsistencyError(f"Riccati recurrence for h_{n} is not integral at degree {d + 1}")
+    return h
+
+
 @lru_cache(maxsize=None)
 def _h_coeffs(n: int, precision: int) -> tuple[int, ...]:
     x = _x_coeffs(n, precision)
     t = _identity(precision)
-    h = _inverse_chain(t, n)
-    # x_n o h by x's own recursion shares no step with the inversion
+    h = _h_series(n, precision)
+    # each round trip shares no step with the builder of the series it checks
     if _level_chain(h, n) != t:
         raise ConsistencyError(f"substitution series round trip x_n o h_n failed at level {n}")
     if _inverse_chain(x, n) != t:
@@ -119,14 +155,12 @@ def _h_coeffs(n: int, precision: int) -> tuple[int, ...]:
 
 
 def build_h(n: int, precision: int) -> list[int]:
-    """Compositional inverse of ``build_x(n, .)``.  x_n = p_(n-1) o ... o
-    p_1 o x_1 with x_1 = t/(1-t) and p_k(t) = t + 2^(k-1) t^2, so h_n is
-    built by inverting one step at a time from the outside in: start from
-    t, solve w + 2^(k-1) w^2 = v degree by degree for k = n-1 down to 1,
-    and finish with v/(1+v); O(n P^2) integer products.  Before returning,
-    x_n o h_n = t is checked by running x's own recursion on h_n, and
-    h_n o x_n = t by running the same inversion steps on x_n; both and the
-    integrality of every coefficient raise ``ConsistencyError`` on failure."""
+    """Compositional inverse of ``build_x(n, .)``, from the Riccati
+    equation (1 + 2^n t) h' = 1 - h^2 in O(P^2) integer products.  Before
+    returning, x_n o h_n = t is checked by running x's recursion on h_n,
+    and h_n o x_n = t by undoing it on x_n one step at a time, each in
+    O(n P^2); both and the integrality of every coefficient raise
+    ``ConsistencyError`` on failure."""
     return list(_h_coeffs(n, precision))
 
 

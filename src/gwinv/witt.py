@@ -46,7 +46,7 @@ from .fields import (
     parse_sc_mask,
     split_signed_sum,
 )
-from .series import ConsistencyError
+from .series import ConsistencyError, _plus_minus_series
 
 
 # ``str(WittClass)`` lists an entry of its small diagonal form once per unit
@@ -463,18 +463,6 @@ def is_in_In(q: WittClass, n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # exterior powers
-
-
-def _plus_minus_series(chi: int, dim: int, precision: int) -> list[int]:
-    """(1 + t)^p (1 - t)^q with p - q = chi and p + q = dim, from
-    (1 - t^2) f' = (chi - dim t) f, i.e.
-    (k + 1) a_(k+1) = chi a_k + (k - 1 - dim) a_(k-1)."""
-    a = [1] + [0] * precision
-    for k in range(precision):
-        a[k + 1], r = divmod(chi * a[k] + (k - 1 - dim) * (a[k - 1] if k else 0), k + 1)
-        if r:
-            raise ConsistencyError(f"binomial recurrence is not integral at degree {k + 1}")
-    return a
 
 
 def _butterfly(rows, g, lo, hi=None) -> list:

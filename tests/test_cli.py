@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gwinv import cli, divided
+from gwinv import cli, divided, series
 from gwinv.cli import EXIT_MEMBERSHIP, EXIT_OK, EXIT_PARSE, MAX_SERIES_SIZE, MAX_VERIFY_PREC, main
 from gwinv.invariants import MAX_COEFF_BITS, MAX_EPS_EXPONENT, MAX_TOTAL_DEGREE
 from gwinv.verify import SUITES, RunConfig
@@ -118,6 +118,21 @@ class TestSeries:
     @pytest.mark.parametrize("n, prec", [(1, MAX_SERIES_SIZE - 1), (4, 255), (MAX_SERIES_SIZE, 0)])
     def test_size_at_cap_exit_0(self, capsys, n, prec):
         code, out, err = run(capsys, "series", "--n", str(n), "--prec", str(prec), "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert len(json.loads(out)["h"]) == prec + 1
+
+    @pytest.mark.parametrize("n, prec", [(1, 1023), (2, 511), (3, 340), (6, 169), (32, 31), (1024, 0)])
+    def test_cap_line_within_cpu_budget(self, capsys, n, prec):
+        """A cold dump on the cap line n * (prec + 1) <= 1024 takes at most
+        0.25 s of process CPU.  (2, 511), the slowest, takes about 0.07 s
+        on a 2-core x86 machine; it took 0.14 s when h_n was built by n - 1
+        inversion steps."""
+        assert n * (prec + 1) <= MAX_SERIES_SIZE
+        series._x_coeffs.cache_clear()
+        series._h_coeffs.cache_clear()
+        start = time.process_time()
+        code, out, err = run(capsys, "series", "--n", str(n), "--prec", str(prec), "--format", "json")
+        assert time.process_time() - start <= 0.25
         assert (code, err) == (EXIT_OK, "")
         assert len(json.loads(out)["h"]) == prec + 1
 

@@ -45,6 +45,11 @@ def identity(precision):
     return [0, 1] + [0] * (precision - 1)
 
 
+def bump(coeffs, d=3):
+    """The series with its degree-d coefficient off by one."""
+    return [*coeffs[:d], coeffs[d] + 1, *coeffs[d + 1 :]]
+
+
 class TestMul:
     def test_difference_of_squares(self):
         a, b = [1, 1, 0, 0, 0], [1, -1, 0, 0, 0]
@@ -170,27 +175,43 @@ class TestSubstitutionSeries:
     def test_precision_zero(self):
         assert build_h(3, 0) == [0]
 
-    @pytest.mark.parametrize("tamper", ["off_by_one", "not_int"])
+    # the function to wrap, how to wrap it, and the check that must catch it
+    TAMPERS = {
+        "off_by_one": ("_h_series", lambda h: lambda n, p: bump(h(n, p)), "x_n o h_n"),
+        "not_int": ("_h_series", lambda h: lambda n, p: [Fraction(c) for c in h(n, p)], "non-integer"),
+        "x_off_by_one": ("_x_coeffs", lambda x: lambda n, p: bump(x(n, p)), "h_n o x_n"),
+        "step_off_by_one": ("_invert_step", lambda f: lambda v, c: bump(f(v, c)) if c == 2 else f(v, c), "h_n o x_n"),
+        "x_not_exact": ("_plus_minus_series", lambda f: lambda *args: bump(f(*args)), r"x_3 is not divisible by 2\^3"),
+    }
+
+    @pytest.mark.parametrize("tamper", TAMPERS)
     def test_checks_guard_the_chain(self, monkeypatch, tamper):
-        # a wrong coefficient in one inversion step breaks x_n o h_n; exact
-        # values of the wrong type pass both round trips and must be caught
-        # by the integer check
-        step = series._invert_step
-
-        def bad_step(v, c):
-            w = step(v, c)
-            if tamper == "off_by_one":
-                return w[:3] + [w[3] + 1] + w[4:] if c == 2 else w
-            return [Fraction(a) for a in w]
-
-        monkeypatch.setattr(series, "_invert_step", bad_step)
-        series._h_coeffs.cache_clear()
+        # each builder is checked by a route that shares no step with it: a
+        # wrong coefficient of h breaks x_n o h_n, one of x or of an
+        # inversion step breaks h_n o x_n, exact values of the wrong type
+        # pass both round trips and must be caught by the integer check,
+        # and x's division by 2^n must be exact
+        caches = series._x_coeffs, series._h_coeffs
+        name, wrap, message = self.TAMPERS[tamper]
+        monkeypatch.setattr(series, name, wrap(getattr(series, name)))
+        for cache in caches:
+            cache.cache_clear()
         try:
-            message = "x_n o h_n" if tamper == "off_by_one" else "non-integer"
             with pytest.raises(ConsistencyError, match=message):
                 build_h(3, 6)
         finally:
-            series._h_coeffs.cache_clear()
+            for cache in caches:
+                cache.cache_clear()
+
+    @pytest.mark.parametrize(
+        "n, prec", [(n, prec) for n in range(1, 9) for prec in (0, 1, 2, 31, 64)] + [(2, 511), (3, 340)]
+    )
+    def test_recurrences_match_the_chains(self, n, prec):
+        # the recurrences against x's recursion and its step-by-step
+        # inversion, both run on t
+        t = identity(prec)[: prec + 1]
+        assert build_x(n, prec) == series._level_chain(t, n)
+        assert build_h(n, prec) == series._inverse_chain(t, n)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_catalan_chain(self, n):

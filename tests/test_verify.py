@@ -170,6 +170,7 @@ DIGESTS = {
     "series-gw": "a88f8c332f79665c602a6b44ea5dbacfabfe0018a4ce7d2a1a7b525998cd505d",
     "kernel-wide": "c65d4fae83a259014ab6386afa18358b26fd6d1c1e28a35c936254b6d3cd7650",
     "sw-values": "fdb3e81fa6e146d712e08cb828feef44b0c6bb64039d490608ddd6d0480a0d34",
+    "series-cap": "c58311f711a9981c94e7db9f93797bbdcaed478d504e299df1c191be2404c568",
 }
 
 
@@ -178,9 +179,10 @@ def test_equivalence_digest_is_pinned(name, digest):
     """Digests of ``scripts/equivalence.py``: ``verify`` is every
     ``cases_total``, with no failure, of the 14 benchmark ``VERIFY_CONFIGS``
     runs; ``series-gw``, ``kernel-wide`` and ``sw-values`` are the kernel
-    series read as degree-keyed dicts.  A change that moves a digest on
-    purpose (adds or drops cases, changes a value) records the new value
-    here, with a line in ``CHANGES.md`` saying why."""
+    series read as degree-keyed dicts; ``series-cap`` is the six
+    ``gwinv series`` dumps on the size cap line.  A change that moves a
+    digest on purpose (adds or drops cases, changes a value) records the
+    new value here, with a line in ``CHANGES.md`` saying why."""
     path = Path(__file__).resolve().parent.parent / "scripts" / "equivalence.py"
     spec = importlib.util.spec_from_file_location("equivalence", path)
     equivalence = importlib.util.module_from_spec(spec)
