@@ -171,6 +171,8 @@ DIGESTS = {
     "kernel-wide": "c65d4fae83a259014ab6386afa18358b26fd6d1c1e28a35c936254b6d3cd7650",
     "sw-values": "fdb3e81fa6e146d712e08cb828feef44b0c6bb64039d490608ddd6d0480a0d34",
     "series-cap": "c58311f711a9981c94e7db9f93797bbdcaed478d504e299df1c191be2404c568",
+    "f-values": "67fe31822d69aa4f25cc55eb3a1456ff263c8bbce554358e962deb6e41e56837",
+    "g-values": "b1e53bb4915c1d2959eb22bf133858538e6922cbda37d57391e90fab607dfc5c",
 }
 
 
@@ -180,7 +182,9 @@ def test_equivalence_digest_is_pinned(name, digest):
     ``cases_total``, with no failure, of the 14 benchmark ``VERIFY_CONFIGS``
     runs; ``series-gw``, ``kernel-wide`` and ``sw-values`` are the kernel
     series read as degree-keyed dicts; ``series-cap`` is the six
-    ``gwinv series`` dumps on the size cap line.  A change that moves a
+    ``gwinv series`` dumps on the size cap line; ``f-values`` and
+    ``g-values`` are ``evaluate`` and ``eval_g`` on every f and g generator
+    of low degree and on seeded sums and products of them.  A change that moves a
     digest on purpose (adds or drops cases, changes a value) records the
     new value here, with a line in ``CHANGES.md`` saying why."""
     path = Path(__file__).resolve().parent.parent / "scripts" / "equivalence.py"
