@@ -2,7 +2,9 @@
 """The symbolic algebra of invariants.
 
 Every invariant of the n-th filtration level is a coefficient sequence in
-the f- or g-basis over the ring generated by eps = {-1}.  The operators:
+the f-basis over the ring generated by eps = {-1}; the g-basis is a
+triangular unipotent change of it, entered with ``from_g`` and read back
+with ``g_coeffs``.  The operators:
 shifting (response to adding a Pfister form), the similitude operator
 (response to scaling), restriction to the next level, and descent along a
 Pfister factor, all act by closed formulas on the coefficients, and every
@@ -12,9 +14,9 @@ action can be replayed pointwise on concrete Witt classes.
 from gwinv.fields import parse_field, parse_sc
 from gwinv.invariants import (
     SymbolicInvariant,
-    change_basis,
     evaluate,
     extract_coeffs,
+    g_coeffs,
     omega_t,
     parse_invariant,
     phi,
@@ -26,10 +28,16 @@ from gwinv.witt import pfister, witt_canonical
 
 W = "W"
 
+
+def in_g(alpha):
+    """``alpha`` written in the g-basis: its g-coefficients, rendered as an
+    f-basis invariant with the family renamed."""
+    return str(SymbolicInvariant(alpha.n, alpha.mode, g_coeffs(alpha))).replace("f[", "g[")
+
+
 print("basis change is triangular unipotent:")
 for d in range(1, 6):
-    g = SymbolicInvariant.generator(2, W, "g", d)
-    print(f"  g[2,{d}] =", change_basis(g))
+    print(f"  g[2,{d}] =", SymbolicInvariant.generator(2, W, "g", d))
 print()
 
 print("shifting: the plus shift steps the f-basis down one degree,")
@@ -51,7 +59,7 @@ print()
 print("similitude operator on the g-basis:")
 for d in (3, 4):
     g = SymbolicInvariant.generator(2, W, "g", d)
-    print(f"  psi g[2,{d}] =", psi_tilde(g))
+    print(f"  psi g[2,{d}] =", in_g(psi_tilde(g)))
 print()
 
 print("restriction and descent:")
@@ -63,7 +71,7 @@ print()
 print("classification read-out: iterated shifts evaluated at 0 recover")
 print("the g-basis coefficients of any finitely supported invariant:")
 alpha = parse_invariant("g[2,3] + 5*g[2,1] + eps*g[2,0]", W)
-print("  alpha =", alpha)
+print("  alpha =", in_g(alpha))
 print("  read-out:", extract_coeffs(alpha, 4))
 print()
 

@@ -33,9 +33,10 @@ from .fields import (
 )
 from .invariants import (
     SymbolicInvariant,
-    change_basis,
     eval_g,
     evaluate,
+    from_g,
+    g_coeffs,
     omega_t,
     parse_invariant,
     phi,

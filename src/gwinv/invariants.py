@@ -1,18 +1,20 @@
 """Symbolic algebra of invariants of the fundamental-ideal filtration.
 
-An invariant is a finitely supported combination of the f- or g-family
-generators at a fixed level n, with coefficients in the universal scalar
-ring generated by eps = {-1}: plain integers in Witt mode (``ZZ``; eps is
-identified with 2 there) and ``F2Poly``, the F2-polynomials in eps, in
-cohomology mode.  Both rings give ``zero``, ``one``, ``from_int`` and
-``eps_pow`` (``coeff_ops``).  The basis change, shifting, similitude,
-restriction and descent operators are term tables: for a generator of
-degree d a table lists the triples (c, j, k) meaning c * eps^j times the
-degree-k generator of the target, and ``_linear`` applies it to a whole
-invariant.  ``product`` multiplies values on sums of Pfister forms instead
-(``to_values``).  ``evaluate`` sends everything to a concrete value on a
-Witt class through the f-basis, and ``eval_g`` is ``evaluate`` on one g
-generator.
+An invariant is a finitely supported combination of the f-family
+generators f_n^d at a fixed level n, stored as its f-basis coefficients,
+in the universal scalar ring generated by eps = {-1}: plain integers in
+Witt mode (``ZZ``; eps is identified with 2 there) and ``F2Poly``, the
+F2-polynomials in eps, in cohomology mode.  Both rings give ``zero``,
+``one``, ``from_int`` and ``eps_pow`` (``coeff_ops``).  The g-family is a
+second basis, a triangular unipotent change of the first: ``from_g``
+builds an invariant from g-basis coefficients and ``g_coeffs`` reads them
+back.  The rebasing, shifting, similitude, restriction and descent
+operators are term tables: for a generator of degree d a table lists the
+triples (c, j, k) meaning c * eps^j times the degree-k generator of the
+target, and ``_apply`` applies it to a coefficient dict.  ``product``
+multiplies values on sums of Pfister forms instead (``to_values``).
+``evaluate`` sends an invariant to a concrete value on a Witt class, and
+``eval_g`` is ``evaluate`` on one g generator.
 """
 
 from __future__ import annotations
@@ -98,10 +100,11 @@ F2Poly.zero = F2Poly(0)
 F2Poly.one = F2Poly(1)
 
 
-# add, sub, mul, pack, unpack on packed scalars (eps^j is 1 << j in both modes)
+# add, sub, mul, pack, unpack on packed scalars (eps^j is 1 << j in both
+# modes), and from_int: an integer as a packed scalar
 _PACKED = {
-    "W": (operator.add, operator.sub, operator.mul, int, int),
-    "H": (operator.xor, operator.xor, clmul, operator.attrgetter("bits"), F2Poly),
+    "W": (operator.add, operator.sub, operator.mul, int, int, int),
+    "H": (operator.xor, operator.xor, clmul, operator.attrgetter("bits"), F2Poly, (1).__and__),
 }
 
 
@@ -116,17 +119,15 @@ def coeff_ops(mode: str):
 
 
 class SymbolicInvariant:
-    """Finitely supported coefficient sequence in the f- or g-basis, with
+    """Finitely supported coefficient sequence in the f-basis, with
     coefficients in the mode's scalar ring: ``int`` in mode W, ``F2Poly``
     in mode H (any other type raises ``TypeError``)."""
 
-    __slots__ = ("n", "mode", "basis", "coeffs")
+    __slots__ = ("n", "mode", "coeffs")
 
-    def __init__(self, n: int, mode: str, basis: str, coeffs: dict | None = None):
+    def __init__(self, n: int, mode: str, coeffs: dict | None = None):
         if n < 1:
             raise ValueError("the level n must be >= 1")
-        if basis not in ("f", "g"):
-            raise ValueError("basis must be 'f' or 'g'")
         ops = coeff_ops(mode)
         coeffs = coeffs or {}
         scalar = type(ops.one)
@@ -134,12 +135,17 @@ class SymbolicInvariant:
             raise TypeError(f"a mode-{mode} coefficient must be of type {scalar.__name__}")
         self.n = n
         self.mode = mode
-        self.basis = basis
         self.coeffs = {d: c for d, c in coeffs.items() if c != ops.zero}
 
     @classmethod
-    def generator(cls, n: int, mode: str, basis: str, d: int) -> "SymbolicInvariant":
-        return cls(n, mode, basis, {d: coeff_ops(mode).one})
+    def generator(cls, n: int, mode: str, family: str, d: int) -> "SymbolicInvariant":
+        """The degree-d generator f_n^d (family 'f') or g_n^d (family 'g')."""
+        one = {d: coeff_ops(mode).one}
+        if family == "f":
+            return cls(n, mode, one)
+        if family == "g":
+            return from_g(n, mode, one)
+        raise ValueError("family must be 'f' or 'g'")
 
     @property
     def ops(self):
@@ -151,33 +157,24 @@ class SymbolicInvariant:
 
     def __add__(self, other: "SymbolicInvariant") -> "SymbolicInvariant":
         self._check(other)
-        a, b = self, other
-        if a.basis != b.basis:
-            b = to_basis(b, a.basis)
-        out = dict(a.coeffs)
-        for d, c in b.coeffs.items():
-            out[d] = out.get(d, a.ops.zero) + c
-        return SymbolicInvariant(a.n, a.mode, a.basis, out)
+        out = dict(self.coeffs)
+        for d, c in other.coeffs.items():
+            out[d] = out.get(d, self.ops.zero) + c
+        return SymbolicInvariant(self.n, self.mode, out)
 
     def __sub__(self, other: "SymbolicInvariant") -> "SymbolicInvariant":
         return self + (-other)
 
     def __neg__(self) -> "SymbolicInvariant":
-        return SymbolicInvariant(
-            self.n, self.mode, self.basis, {d: -c for d, c in self.coeffs.items()}
-        )
+        return SymbolicInvariant(self.n, self.mode, {d: -c for d, c in self.coeffs.items()})
 
     def scale(self, c) -> "SymbolicInvariant":
-        return SymbolicInvariant(
-            self.n, self.mode, self.basis, {d: c * v for d, v in self.coeffs.items()}
-        )
+        return SymbolicInvariant(self.n, self.mode, {d: c * v for d, v in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymbolicInvariant):
             return NotImplemented
-        if (self.n, self.mode) != (other.n, other.mode):
-            return False
-        return to_basis(self, "f").coeffs == to_basis(other, "f").coeffs
+        return (self.n, self.mode, self.coeffs) == (other.n, other.mode, other.coeffs)
 
     __hash__ = None
 
@@ -187,15 +184,12 @@ class SymbolicInvariant:
         parts = []
         for d in sorted(self.coeffs):
             c = str(self.coeffs[d])
-            gen = f"{self.basis}[{self.n},{d}]"
+            gen = f"f[{self.n},{d}]"
             parts.append(gen if c == "1" else f"({c})*{gen}")
         return " + ".join(parts)
 
     def __repr__(self) -> str:
-        return (
-            f"SymbolicInvariant(n={self.n}, mode={self.mode!r}, "
-            f"basis={self.basis!r}, coeffs={self.coeffs!r})"
-        )
+        return f"SymbolicInvariant(n={self.n}, mode={self.mode!r}, coeffs={self.coeffs!r})"
 
 
 def f_transition_terms(n: int, d: int) -> list[tuple[int, int, int]]:
@@ -226,62 +220,63 @@ def g_transition_terms(n: int, d: int) -> list[tuple[int, int, int]]:
     return [(ext_binom(top, k - lo), n * (d - k), k) for k in range(lo, d + 1)]
 
 
-def _linear(alpha: SymbolicInvariant, n: int, basis: str, terms) -> SymbolicInvariant:
-    """The image of ``alpha`` under the linear map sending its degree-d
-    generator to the sum of c * eps^j * (degree-k generator of ``basis`` at
-    level n) over the triples (c, j, k) of ``terms(d)``."""
-    ops = alpha.ops
+def _apply(mode: str, coeffs: dict, terms) -> dict:
+    """The coefficient dict of the linear map sending the degree-d
+    generator to the sum of c * eps^j times the degree-k generator over
+    the triples (c, j, k) of ``terms(d)``, applied to ``coeffs`` on packed
+    scalars; zeros are dropped."""
+    add, _, mul, pack, unpack, from_int = _PACKED[mode]
     out: dict = {}
-    for d, coeff in alpha.coeffs.items():
+    for d, coeff in coeffs.items():
+        p = pack(coeff)
         for c, j, k in terms(d):
-            out[k] = out.get(k, ops.zero) + coeff * ops.from_int(c) * ops.eps_pow(j)
-    return SymbolicInvariant(n, alpha.mode, basis, out)
+            out[k] = add(out.get(k, 0), mul(p, from_int(c)) << j)
+    return {k: unpack(v) for k, v in out.items() if v}
 
 
-def to_basis(alpha: SymbolicInvariant, basis: str) -> SymbolicInvariant:
-    if alpha.basis == basis:
-        return alpha
-    terms = g_transition_terms if basis == "f" else f_transition_terms
-    return _linear(alpha, alpha.n, basis, lambda d: terms(alpha.n, d))
+def _linear(alpha: SymbolicInvariant, n: int, terms) -> SymbolicInvariant:
+    """``_apply`` on the f-coefficients of ``alpha``, as an invariant at
+    level n."""
+    return SymbolicInvariant(n, alpha.mode, _apply(alpha.mode, alpha.coeffs, terms))
 
 
-def change_basis(alpha: SymbolicInvariant) -> SymbolicInvariant:
-    """Toggle between the f- and g-basis representations."""
-    return to_basis(alpha, "g" if alpha.basis == "f" else "f")
+def from_g(n: int, mode: str, g: dict) -> SymbolicInvariant:
+    """The invariant whose g-basis coefficients are ``g``."""
+    return _linear(SymbolicInvariant(n, mode, g), n, lambda d: g_transition_terms(n, d))
+
+
+def g_coeffs(alpha: SymbolicInvariant) -> dict:
+    """The g-basis coefficients of ``alpha``, without zeros."""
+    return _apply(alpha.mode, alpha.coeffs, lambda d: f_transition_terms(alpha.n, d))
 
 
 def is_normalized(alpha: SymbolicInvariant) -> bool:
-    """Normalized means vanishing at 0: no constant component.  Both
+    """Normalized means vanishing at 0: no constant f-coefficient.  Both
     rebasing tables send degree 0 to degree 0 alone and every degree
-    d >= 1 to degrees >= 1, so the constant is the same in either basis."""
+    d >= 1 to degrees >= 1, so the g-basis constant is the same one."""
     return 0 not in alpha.coeffs
 
 
 def phi(alpha: SymbolicInvariant, sign: int) -> SymbolicInvariant:
     """The shifting operator measuring addition (+1) or subtraction (-1)
-    of an n-fold Pfister form, acting in the representation's own basis."""
+    of an n-fold Pfister form."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     n = alpha.n
 
-    def f_terms(d):
+    def terms(d):
         if sign == 1:
             return [(1, 0, d - 1)] if d else []
         return [((-1) ** (d - k - 1), n * (d - k - 1), k) for k in range(d)]
 
-    def g_terms(d):
-        if d == 0:
-            return []
-        # +1 adds an eps^n term on odd d, -1 subtracts one on even d
-        if d >= 2 and d % 2 == (1 if sign == 1 else 0):
-            return [(1, 0, d - 1), (sign, n, d - 2)]
-        return [(1, 0, d - 1)]
-
-    return _linear(alpha, n, alpha.basis, f_terms if alpha.basis == "f" else g_terms)
+    return _linear(alpha, n, terms)
 
 
 def shift(alpha: SymbolicInvariant, plus: int = 0, minus: int = 0) -> SymbolicInvariant:
-    """Iterated shifting; plus and minus applications commute."""
+    """Iterated shifting; plus and minus applications commute.  A negative
+    count raises ``ValueError``."""
+    if plus < 0 or minus < 0:
+        raise ValueError("shift counts must be >= 0")
     out = alpha
     for _ in range(plus):
         out = phi(out, 1)
@@ -296,8 +291,9 @@ def coeff_at_zero(alpha: SymbolicInvariant):
 
 
 def extract_coeffs(alpha: SymbolicInvariant, d_max: int) -> list:
-    """Classification read-out: the g-basis coefficients recovered by
-    evaluating iterated shifts at 0.  Degree d reads
+    """Classification read-out: the g-basis coefficients of degrees
+    0..d_max (those of ``g_coeffs``), recovered by evaluating iterated
+    shifts at 0.  Degree d reads
     ``shift(alpha, plus=d // 2 + d % 2, minus=d // 2)``; the shifts
     commute, so each degree applies one more phi to the last, +1 at odd d
     and -1 at even d."""
@@ -313,12 +309,11 @@ def to_values(alpha: SymbolicInvariant, top: int) -> list[int]:
     """Packed ev(alpha)(m) = sum_s a_s eps^(ns) C(m, s) for m = 0..top, the
     value on m n-fold Pfister forms, as f^s(m phi) = C(m, s) phi^s; Horner's
     rule on C(m, s) = sum_{j<m} C(j, s - 1), one running sum per degree."""
-    f = to_basis(alpha, "f")
-    add, _, _, pack, _ = _PACKED[f.mode]
+    add, _, _, pack, _, _ = _PACKED[alpha.mode]
     vals = [0] * (top + 1)
-    for s in range(max(f.coeffs, default=-1), -1, -1):
-        c = f.coeffs.get(s)
-        vals = list(accumulate(vals[:-1], add, initial=pack(c) << f.n * s if c else 0))
+    for s in range(max(alpha.coeffs, default=-1), -1, -1):
+        c = alpha.coeffs.get(s)
+        vals = list(accumulate(vals[:-1], add, initial=pack(c) << alpha.n * s if c else 0))
     return vals
 
 
@@ -326,7 +321,7 @@ def from_values(vals: list[int], n: int, mode: str) -> SymbolicInvariant:
     """The f-basis invariant with packed values ``vals`` at m = 0..D, by
     Newton's forward differences Delta^d ev(0) = a_d eps^(nd); one that
     eps^(nd) does not divide exactly raises ``ConsistencyError``."""
-    _, sub, _, _, unpack = _PACKED[mode]
+    _, sub, _, _, unpack, _ = _PACKED[mode]
     out = {}
     for d in range(len(vals)):
         c, j = vals[0], n * d
@@ -335,71 +330,69 @@ def from_values(vals: list[int], n: int, mode: str) -> SymbolicInvariant:
         if c:
             out[d] = unpack(c >> j)
         vals = list(map(sub, vals[1:], vals[:-1]))
-    return SymbolicInvariant(n, mode, "f", out)
+    return SymbolicInvariant(n, mode, out)
 
 
 def product(*factors: SymbolicInvariant) -> SymbolicInvariant:
     """Product of invariants, in the f-basis: their values at m = 0..D, D the
     sum of their top f-degrees, multiplied pointwise.  One factor is
     returned as it is."""
+    first = factors[0]
     if len(factors) == 1:
-        return factors[0]
-    fs = [to_basis(x, "f") for x in factors]
-    top = sum(max(f.coeffs, default=0) for f in fs)
-    mul = _PACKED[fs[0].mode][2]
-    vals = to_values(fs[0], top)
-    for f in fs[1:]:
-        fs[0]._check(f)
+        return first
+    top = sum(max(f.coeffs, default=0) for f in factors)
+    mul = _PACKED[first.mode][2]
+    vals = to_values(first, top)
+    for f in factors[1:]:
+        first._check(f)
         vals = list(map(mul, vals, to_values(f, top)))
-    return from_values(vals, fs[0].n, fs[0].mode)
+    return from_values(vals, first.n, first.mode)
 
 
 def psi_tilde(alpha: SymbolicInvariant) -> SymbolicInvariant:
     """The similitude operator: the coefficient of {lambda} in the value on
-    <lambda> q.  Acts diagonally on the g-basis; returned in the g-basis."""
-    g = to_basis(alpha, "g")
+    <lambda> q.  Acts diagonally on the g-basis."""
+    n, mode = alpha.n, alpha.mode
 
     def terms(d):
         if d % 2:
-            return [(-1, 0, d)] if g.mode == "W" else []
-        return [(1, g.n - 1, d - 1)] if d else []
+            return [(-1, 0, d)] if mode == "W" else []
+        return [(1, n - 1, d - 1)] if d else []
 
-    return _linear(g, g.n, "g", terms)
+    return from_g(n, mode, _apply(mode, g_coeffs(alpha), terms))
 
 
 def psi_tilde_closed_f(alpha: SymbolicInvariant) -> SymbolicInvariant:
     """Closed f-basis form of the similitude operator, kept as an
     independent cross-check of ``psi_tilde``."""
-    f = to_basis(alpha, "f")
-    n = f.n
+    n = alpha.n
 
     def terms(d):
         sign = -1 if d % 2 else 1
         out = [
             (sign * ext_binom(d - 1, k - 1), n * (d - k) - 1, k) for k in range(1, d)
         ]
-        if sign == -1 and f.mode == "W":
+        if sign == -1 and alpha.mode == "W":
             out.append((-1, 0, d))
         return out
 
-    return _linear(f, n, "f", terms)
+    return _linear(alpha, n, terms)
 
 
 def restrict(alpha: SymbolicInvariant) -> SymbolicInvariant:
     """Re-express an invariant of level n as one of level n + 1 (its
     restriction along the inclusion of the filtration)."""
-    f = to_basis(alpha, "f")
-    n = f.n
+    n = alpha.n
 
     def terms(d):
-        if f.mode == "W":
+        if alpha.mode == "W":
             return [
                 (ext_binom(k, d - k), (d - k) * (n - 1), k)
                 for k in range((d + 1) // 2, d + 1)
             ]
         return [] if d % 2 else [(1, d // 2 * (n - 1), d // 2)]
 
-    return _linear(f, n + 1, "f", terms)
+    return _linear(alpha, n + 1, terms)
 
 
 def omega_t(alpha: SymbolicInvariant, t: int) -> SymbolicInvariant:
@@ -407,33 +400,34 @@ def omega_t(alpha: SymbolicInvariant, t: int) -> SymbolicInvariant:
     constants untouched."""
     if not 0 <= t < alpha.n:
         raise ValueError("need 0 <= t < n for descent")
-    f = to_basis(alpha, "f")
-    return _linear(f, f.n - t, "f", lambda d: [(1, t * (d - 1) if d else 0, d)])
+    return _linear(alpha, alpha.n - t, lambda d: [(1, t * (d - 1) if d else 0, d)])
 
 
 def evaluate(alpha: SymbolicInvariant, q: WittClass):
     """Value of a symbolic invariant on a concrete Witt class in I^n: the
     combination of its f-basis coefficients, through ``eval_f_sum``."""
-    f = to_basis(alpha, "f")
-    return eval_f_sum(f.n, q, InvariantTarget(alpha.mode), f.coeffs)
+    return eval_f_sum(alpha.n, q, InvariantTarget(alpha.mode), alpha.coeffs)
 
 
 def eval_g(n: int, d: int, q: WittClass, target: InvariantTarget):
     """The degree-d member of the balanced g-family on q, through its
-    f-basis rebasing.  A negative degree raises ``ValueError``."""
+    f-basis expansion (``from_g``).  A negative degree raises
+    ``ValueError``."""
     _check_degree(d)
     return evaluate(SymbolicInvariant.generator(n, target.mode, "g", d), q)
 
 
 # ---------------------------------------------------------------------------
 # invariant literals:  sum of '*'-separated factors, each an integer, 'eps',
-# 'eps^k', 'f[n,d]' or 'g[n,d]'; mixed-basis input is normalized to one basis.
+# 'eps^k', 'f[n,d]' or 'g[n,d]'; each term is the product of its generators,
+# and the terms are summed in the f-basis.
 
 # The largest total degree a literal may ask for: n*d for a generator f[n,d]
 # or g[n,d], and n*(d_1 + ... + d_k) for a product of them.  It bounds the
-# size of one request.  On a 2-core x86 machine at tower depth 6, cold
-# in-process CPU on three 1-fold Pfister forms is 4 ms for f[1,256], 15-20
-# ms for g[1,256] and at most 130 ms for a product at the cap (256 g[1,1]).
+# size of one request.  On a 2-core x86 machine at tower depth 6, the cold
+# in-process CPU of `gwinv eval` on three 1-fold Pfister forms, in either
+# mode, is 4-6 ms for f[1,256], 16-31 ms for g[1,256] and 45-61 ms for a
+# product at the cap (256 g[1,1]).
 MAX_TOTAL_DEGREE = 256
 
 # The largest total eps exponent of one term: eps^j is 2^j in mode W, a
@@ -489,17 +483,11 @@ def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
     n = levels.pop()
     if n < 1:
         raise InvariantSyntaxError(f"the level n must be >= 1, got {n}")
-    bases = {b for _, gens in terms for b, _, _ in gens}
-    basis = "g" if bases == {"g"} else "f"
-    # one coefficient dict in the target basis; a constant or a generator
-    # of that basis adds its coefficient at its degree
+    # one f-coefficient dict; a constant adds its coefficient at degree 0
     out: dict = {}
     for coeff, gens in terms:
-        if len(gens) > 1 or gens and gens[0][0] != basis:
-            term = product(*(SymbolicInvariant.generator(n, mode, b, d) for b, _, d in gens))
-            parts = [(d, coeff * c) for d, c in to_basis(term, basis).coeffs.items()]
-        else:
-            parts = [(gens[0][2] if gens else 0, coeff)]
-        for d, c in parts:
-            out[d] = out.get(d, ops.zero) + c
-    return SymbolicInvariant(n, mode, basis, out)
+        factors = [SymbolicInvariant.generator(n, mode, b, d) for b, _, d in gens]
+        parts = product(*factors).coeffs if factors else {0: ops.one}
+        for d, c in parts.items():
+            out[d] = out.get(d, ops.zero) + coeff * c
+    return SymbolicInvariant(n, mode, out)

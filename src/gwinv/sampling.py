@@ -8,7 +8,7 @@ from __future__ import annotations
 from random import Random
 
 from .fields import FieldDescriptor, SquareClass, enumerate_sc, parse_field
-from .invariants import F2Poly, SymbolicInvariant
+from .invariants import F2Poly, SymbolicInvariant, from_g
 from .witt import GwElement, WittClass, pfister, witt_canonical
 
 
@@ -94,10 +94,12 @@ def rand_symbolic(
     d_max: int,
     support: int,
 ) -> SymbolicInvariant:
+    """Up to ``support`` random coefficients of degree <= d_max in the
+    f- or g-basis (``basis``)."""
     coeffs = {}
     for _ in range(support):
         coeffs[rng.randint(0, d_max)] = rand_coeff(rng, mode)
-    return SymbolicInvariant(n, mode, basis, coeffs)
+    return from_g(n, mode, coeffs) if basis == "g" else SymbolicInvariant(n, mode, coeffs)
 
 
 def small_fields_exhaustive() -> list[FieldDescriptor]:

@@ -3,7 +3,8 @@ as a test oracle.
 
 ``split_signed_sum`` scans the text character by character, ``parse_form``
 builds one ``GwElement`` per term and scales it, and ``parse_invariant``
-sums a chain of ``SymbolicInvariant`` terms.  The library parses the same
+sums its terms in the g-basis when every generator is a g one and in the
+f-basis otherwise, and converts the sum to the f-basis at the end.  The library parses the same
 grammars straight to a {mask: count} dict and one coefficient dict; the
 tests compare the two, results and errors alike.
 """
@@ -16,8 +17,9 @@ from gwinv.invariants import (
     InvariantSyntaxError,
     SymbolicInvariant,
     coeff_ops,
+    from_g,
+    g_coeffs,
     product,
-    to_basis,
 )
 from gwinv.witt import GwElement, pfister
 
@@ -112,14 +114,15 @@ def parse_invariant(text, mode):
         raise InvariantSyntaxError(f"the level n must be >= 1, got {n}")
     bases = {b for _, gens in terms for b, _, _ in gens}
     basis = "g" if bases == {"g"} else "f"
-    total = SymbolicInvariant(n, mode, basis)
+    total = {}
     for coeff, gens in terms:
         if not gens:
-            term = SymbolicInvariant(n, mode, basis, {0: coeff})
+            term = {0: coeff}
         else:
             term = SymbolicInvariant.generator(n, mode, gens[0][0], gens[0][2])
             for b, _, d in gens[1:]:
                 term = product(term, SymbolicInvariant.generator(n, mode, b, d))
-            term = to_basis(term, basis).scale(coeff)
-        total = total + term
-    return total
+            term = {d: coeff * c for d, c in (g_coeffs(term) if basis == "g" else term.coeffs).items()}
+        for d, c in term.items():
+            total[d] = total.get(d, ops.zero) + c
+    return from_g(n, mode, total) if basis == "g" else SymbolicInvariant(n, mode, total)

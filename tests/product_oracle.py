@@ -8,7 +8,7 @@ the factors' values on sums of Pfister forms and takes forward differences
 back, in both modes, and the tests compare the two.
 """
 
-from gwinv.invariants import SymbolicInvariant, _linear, to_basis
+from gwinv.invariants import SymbolicInvariant, _linear
 from gwinv.series import multinomial_C
 
 
@@ -16,14 +16,12 @@ def trinomial_product(
     alpha: SymbolicInvariant, beta: SymbolicInvariant
 ) -> SymbolicInvariant:
     """Product of invariants, through the trinomial f-basis formula: the
-    f-generator of degree s acts on ``beta`` by its own term table.  The
-    result is returned in the f-basis."""
+    f-generator of degree s acts on ``beta`` by its own term table."""
     alpha._check(beta)
-    a, b = to_basis(alpha, "f"), to_basis(beta, "f")
-    n = a.n
-    out = SymbolicInvariant(n, a.mode, "f")
-    for s, cs in a.coeffs.items():
-        out = out + _linear(b, n, "f", lambda t, s=s: [
+    n = alpha.n
+    out = SymbolicInvariant(n, alpha.mode)
+    for s, cs in alpha.coeffs.items():
+        out = out + _linear(beta, n, lambda t, s=s: [
             (multinomial_C(d, d - s, d - t), n * (s + t - d), d)
             for d in range(max(s, t), s + t + 1)
         ]).scale(cs)

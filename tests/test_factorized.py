@@ -14,7 +14,7 @@ from gwinv.factorized import (
     make_factorized,
 )
 from gwinv.fields import parse_field, parse_sc, sc_one
-from gwinv.invariants import SymbolicInvariant, evaluate, omega_t
+from gwinv.invariants import SymbolicInvariant, evaluate, from_g, omega_t
 from gwinv.sampling import rand_in_In, rand_pfister_slots, rand_sc, standard_fields
 from gwinv.witt import (
     GwElement,
@@ -75,7 +75,7 @@ class TestDeltaEval:
 
     def test_normalization_required(self):
         x = make_factorized([T1], witt_zero(RTT), 2)
-        const = SymbolicInvariant(1, "W", "g", {0: 1})
+        const = from_g(1, "W", {0: 1})
         with pytest.raises(ValueError):
             delta_t_eval(x, const, 1)
 

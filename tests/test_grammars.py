@@ -84,7 +84,7 @@ def _outcome(parse, *args):
     if hasattr(value, "terms"):
         return value.field, value.terms
     if hasattr(value, "coeffs"):
-        return value.n, value.mode, value.basis, value.coeffs
+        return value.n, value.mode, value.coeffs
     return value
 
 

@@ -15,14 +15,15 @@ from gwinv.invariants import (
     F2Poly,
     InvariantSyntaxError,
     SymbolicInvariant,
-    change_basis,
     clmul,
     coeff_at_zero,
     coeff_ops,
     eval_g,
     evaluate,
     extract_coeffs,
+    from_g,
     from_values,
+    g_coeffs,
     is_normalized,
     omega_t,
     parse_invariant,
@@ -32,7 +33,6 @@ from gwinv.invariants import (
     psi_tilde_closed_f,
     restrict,
     shift,
-    to_basis,
     to_values,
 )
 from gwinv.sampling import (
@@ -58,8 +58,8 @@ R = parse_field("R")
 RTT = parse_field("R((t1))((t2))")
 
 
-def gen(n, mode, basis, d):
-    return SymbolicInvariant.generator(n, mode, basis, d)
+def gen(n, mode, family, d):
+    return SymbolicInvariant.generator(n, mode, family, d)
 
 
 class TestF2Poly:
@@ -108,11 +108,17 @@ class TestCoefficientRing:
     )
     def test_wrong_scalar_ring_is_rejected(self, mode, coeff):
         with pytest.raises(TypeError, match=f"mode-{mode} coefficient"):
-            SymbolicInvariant(1, mode, "f", {1: coeff})
+            SymbolicInvariant(1, mode, {1: coeff})
+        with pytest.raises(TypeError, match=f"mode-{mode} coefficient"):
+            from_g(1, mode, {1: coeff})
 
     def test_mode_scalars_are_accepted(self):
-        assert SymbolicInvariant(1, "W", "f", {1: 3, 2: 0}).coeffs == {1: 3}
-        assert SymbolicInvariant(1, "H", "g", {1: F2Poly(0b11), 2: F2Poly.zero}).coeffs == {1: F2Poly(0b11)}
+        assert SymbolicInvariant(1, "W", {1: 3, 2: 0}).coeffs == {1: 3}
+        assert g_coeffs(from_g(1, "H", {1: F2Poly(0b11), 2: F2Poly.zero})) == {1: F2Poly(0b11)}
+
+    def test_unknown_family_is_rejected(self):
+        with pytest.raises(ValueError, match="family"):
+            gen(1, "W", "h", 1)
 
 
 class TestBasisChange:
@@ -122,16 +128,16 @@ class TestBasisChange:
         for d in range(10):
             f = gen(n, mode, "f", d)
             g = gen(n, mode, "g", d)
-            assert to_basis(to_basis(f, "g"), "f") == f
-            assert to_basis(to_basis(g, "f"), "g") == g
+            assert from_g(n, mode, g_coeffs(f)) == f
+            assert g_coeffs(g) == {d: coeff_ops(mode).one}
 
     def test_degree_one_agree(self):
-        assert to_basis(gen(2, "W", "g", 1), "f") == gen(2, "W", "f", 1)
+        assert gen(2, "W", "g", 1) == gen(2, "W", "f", 1)
 
     def test_degree_three(self):
-        got = to_basis(gen(2, "W", "g", 3), "f")
+        got = gen(2, "W", "g", 3)
         ops = coeff_ops("W")
-        want = SymbolicInvariant(2, "W", "f", {3: 1, 2: ops.eps_pow(2)})
+        want = SymbolicInvariant(2, "W", {3: 1, 2: ops.eps_pow(2)})
         assert got == want
 
     def test_round_trip_random(self):
@@ -139,13 +145,13 @@ class TestBasisChange:
         for mode in ("W", "H"):
             for _ in range(100):
                 alpha = rand_symbolic(rng, rng.randint(1, 3), mode, "f", 9, 4)
-                assert change_basis(change_basis(alpha)) == alpha
+                assert from_g(alpha.n, mode, g_coeffs(alpha)) == alpha
 
     def test_unipotent_triangular(self):
         # g^d = f^d + (lower f-degrees)
         for n in (1, 2):
             for d in range(1, 9):
-                coeffs = to_basis(gen(n, "W", "g", d), "f").coeffs
+                coeffs = gen(n, "W", "g", d).coeffs
                 assert coeffs.get(d) == 1
                 assert max(coeffs) == d
 
@@ -158,7 +164,7 @@ class TestPhi:
     def test_minus_on_f2(self):
         ops = coeff_ops("W")
         got = phi(gen(3, "W", "f", 2), -1)
-        want = SymbolicInvariant(3, "W", "f", {0: -ops.eps_pow(3), 1: 1})
+        want = SymbolicInvariant(3, "W", {0: -ops.eps_pow(3), 1: 1})
         assert got == want
 
     def test_g_actions_match_defining_parity(self):
@@ -175,10 +181,10 @@ class TestPhi:
         # the non-defining shifts pick up an eps^n correction
         ops = coeff_ops("W")
         got = phi(gen(2, "W", "g", 4), -1)
-        want = SymbolicInvariant(2, "W", "g", {3: 1, 2: -ops.eps_pow(2)})
+        want = from_g(2, "W", {3: 1, 2: -ops.eps_pow(2)})
         assert got == want
         got_plus = phi(gen(2, "W", "g", 3), 1)
-        want_plus = SymbolicInvariant(2, "W", "g", {2: 1, 1: ops.eps_pow(2)})
+        want_plus = from_g(2, "W", {2: 1, 1: ops.eps_pow(2)})
         assert got_plus == want_plus
 
     def test_double_shift_steps_two(self):
@@ -187,6 +193,12 @@ class TestPhi:
                 assert shift(gen(n, "W", "g", d), plus=1, minus=1) == gen(
                     n, "W", "g", d - 2
                 )
+
+    def test_negative_shift_counts_raise(self):
+        alpha = gen(2, "W", "f", 3)
+        for plus, minus in ((-2, 0), (0, -1), (-1, -1), (1, -2)):
+            with pytest.raises(ValueError, match="shift counts"):
+                shift(alpha, plus=plus, minus=minus)
 
     def test_commutation_and_difference(self):
         rng = random.Random(1)
@@ -202,7 +214,7 @@ class TestPhi:
 
     def test_kernel_is_constants(self):
         for mode in ("W", "H"):
-            const = SymbolicInvariant(2, mode, "g", {0: coeff_ops(mode).one})
+            const = from_g(2, mode, {0: coeff_ops(mode).one})
             assert not phi(const, 1).coeffs
             assert not phi(const, -1).coeffs
             probe = gen(2, mode, "g", 3)
@@ -238,8 +250,9 @@ class TestClassification:
                 n = rng.randint(1, 3)
                 alpha = rand_symbolic(rng, n, mode, "g", 6, 4)
                 got = extract_coeffs(alpha, 6)
+                g = g_coeffs(alpha)
                 for d in range(7):
-                    assert got[d] == alpha.coeffs.get(d, alpha.ops.zero)
+                    assert got[d] == g.get(d, alpha.ops.zero)
 
     def test_pointwise_at_zero(self):
         rng = random.Random(4)
@@ -256,20 +269,19 @@ class TestClassification:
                 )
 
     def test_normalization_split(self):
-        alpha = SymbolicInvariant(1, "W", "g", {0: 5, 2: 1})
+        alpha = from_g(1, "W", {0: 5, 2: 1})
         assert not is_normalized(alpha)
-        assert is_normalized(SymbolicInvariant(1, "W", "g", {2: 1}))
+        assert is_normalized(from_g(1, "W", {2: 1}))
 
     def test_normalized_matches_rebasing_definition(self):
-        # the constant is read where it is stored; the definition rebases to g
+        # the constant is read from the f-coefficients; the definition reads g
         rng = random.Random(21)
         for mode in ("W", "H"):
             for basis in "fg":
                 for _ in range(40):
                     alpha = rand_symbolic(rng, rng.randint(1, 3), mode, basis, 6, rng.randint(0, 4))
-                    want = 0 not in to_basis(alpha, "g").coeffs
+                    want = 0 not in g_coeffs(alpha)
                     assert is_normalized(alpha) == want
-                    assert is_normalized(to_basis(alpha, "f")) == want
 
     def test_extract_coeffs_matches_shift_definition(self):
         rng = random.Random(22)
@@ -288,7 +300,7 @@ class TestProduct:
     def test_f11_squared(self):
         ops = coeff_ops("W")
         got = product(gen(1, "W", "f", 1), gen(1, "W", "f", 1))
-        want = SymbolicInvariant(1, "W", "f", {1: ops.eps_pow(1), 2: 2})
+        want = SymbolicInvariant(1, "W", {1: ops.eps_pow(1), 2: 2})
         assert got == want
 
     def test_cohomology_single_term(self):
@@ -296,9 +308,7 @@ class TestProduct:
             for s in range(5):
                 for t in range(5):
                     got = product(gen(n, "H", "f", s), gen(n, "H", "f", t))
-                    want = SymbolicInvariant(
-                        n, "H", "f", {s | t: coeff_ops("H").eps_pow(n * (s & t))}
-                    )
+                    want = SymbolicInvariant(n, "H", {s | t: coeff_ops("H").eps_pow(n * (s & t))})
                     assert got == want
 
     def test_pointwise(self):
@@ -312,7 +322,7 @@ class TestProduct:
                 assert evaluate(product(a, b), q) == evaluate(a, q) * evaluate(b, q)
 
     def test_unit(self):
-        a = SymbolicInvariant(2, "W", "f", {0: 1, 3: -2})
+        a = SymbolicInvariant(2, "W", {0: 1, 3: -2})
         assert product(a, gen(2, "W", "f", 0)) == a
 
 
@@ -324,7 +334,7 @@ class TestProductOracle:
     @staticmethod
     def check(a, b):
         got, want = product(a, b), trinomial_product(a, b)
-        assert (got.basis, got.coeffs) == (want.basis, want.coeffs), (a, b)
+        assert (got.n, got.coeffs) == (want.n, want.coeffs), (a, b)
 
     @pytest.mark.parametrize("mode", ["W", "H"])
     def test_seeded_products(self, mode):
@@ -354,7 +364,7 @@ class TestProductOracle:
 
     def test_cap_product_is_fast_in_mode_h(self):
         """The trinomial route takes 1.7-2.2 s of CPU on this product, the
-        value-space product about 0.05 s with the rebasing back to g."""
+        value-space product about 0.01 s."""
         start = time.process_time()
         parse_invariant("g[1,128]*g[1,128]", "H")
         assert time.process_time() - start < 0.5
@@ -363,15 +373,14 @@ class TestProductOracle:
 def direct_values(alpha, top):
     """ev(alpha)(m) = sum_s a_s eps^(ns) C(m, s) for m = 0..top, term by
     term from ``math.comb``, as packed scalars (an F2Poly as its bits)."""
-    f = to_basis(alpha, "f")
     out = []
     for m in range(top + 1):
         v = 0
-        for s, c in f.coeffs.items():
-            if f.mode == "W":
-                v += c * comb(m, s) << f.n * s
+        for s, c in alpha.coeffs.items():
+            if alpha.mode == "W":
+                v += c * comb(m, s) << alpha.n * s
             elif comb(m, s) % 2:
-                v ^= c.bits << f.n * s
+                v ^= c.bits << alpha.n * s
         out.append(v)
     return out
 
@@ -398,7 +407,7 @@ class TestValueSpace:
             a = rand_symbolic(rng, n, mode, rng.choice("fg"), top, 8)
             vals = to_values(a, top)
             back = from_values(vals, n, mode)
-            assert (back.basis, back.coeffs) == ("f", to_basis(a, "f").coeffs)
+            assert back.coeffs == a.coeffs
             assert to_values(back, top) == vals
 
     @pytest.mark.parametrize("mode", ["W", "H"])
@@ -445,7 +454,7 @@ class TestPsiTilde:
     def test_even_steps_down(self):
         ops = coeff_ops("W")
         got = psi_tilde(gen(2, "W", "g", 4))
-        assert got == SymbolicInvariant(2, "W", "g", {3: ops.eps_pow(1)})
+        assert got == from_g(2, "W", {3: ops.eps_pow(1)})
 
     def test_odd_negates_in_witt_mode(self):
         assert psi_tilde(gen(2, "W", "g", 5)) == gen(2, "W", "g", 5).scale(-1)
@@ -490,9 +499,10 @@ class TestPsiTilde:
             for _ in range(60):
                 n = rng.randint(1, 3)
                 alpha = rand_symbolic(rng, n, mode, "g", 7, 4)
+                g = g_coeffs(alpha)
                 crit = all(
-                    ops.eps_pow(n - 1) * alpha.coeffs.get(2 * i + 2, ops.zero)
-                    == ops.from_int(delta) * alpha.coeffs.get(2 * i + 1, ops.zero)
+                    ops.eps_pow(n - 1) * g.get(2 * i + 2, ops.zero)
+                    == ops.from_int(delta) * g.get(2 * i + 1, ops.zero)
                     for i in range(5)
                 )
                 assert crit == (not psi_tilde(alpha).coeffs)
@@ -502,7 +512,7 @@ class TestRestrict:
     def test_witt_mode_formula_instance(self):
         # degree 2 at level 1: binomial weights 1, 1 and trivial eps powers
         got = restrict(gen(1, "W", "f", 2))
-        assert got == SymbolicInvariant(2, "W", "f", {1: 1, 2: 1})
+        assert got == SymbolicInvariant(2, "W", {1: 1, 2: 1})
 
     def test_cohomology_even_survives(self):
         for d in range(5):
@@ -530,11 +540,11 @@ class TestOmega:
     def test_degree_two_picks_up_eps(self):
         ops = coeff_ops("W")
         got = omega_t(gen(2, "W", "f", 2), 1)
-        assert got == SymbolicInvariant(1, "W", "f", {2: ops.eps_pow(1)})
+        assert got == SymbolicInvariant(1, "W", {2: ops.eps_pow(1)})
 
     def test_constants_untouched(self):
-        const = SymbolicInvariant(3, "W", "f", {0: 7})
-        assert omega_t(const, 2) == SymbolicInvariant(1, "W", "f", {0: 7})
+        const = SymbolicInvariant(3, "W", {0: 7})
+        assert omega_t(const, 2) == SymbolicInvariant(1, "W", {0: 7})
 
     def test_depth_guard(self):
         with pytest.raises(ValueError):
@@ -594,7 +604,7 @@ class TestLiterals:
 
     def test_pure_g_stays_g(self):
         got = parse_invariant("g[1,2] + 3*g[1,0]", "W")
-        assert got.basis == "g"
+        assert g_coeffs(got) == {2: 1, 0: 3}
 
     def test_product_literal(self):
         got = parse_invariant("f[1,1]*f[1,1]", "W")
@@ -607,7 +617,7 @@ class TestLiterals:
     def test_h_mode_coefficients(self):
         got = parse_invariant("eps*f[1,2] + f[1,2]", "H")
         ops = coeff_ops("H")
-        assert got == SymbolicInvariant(1, "H", "f", {2: ops.eps_pow(1) + ops.one})
+        assert got == SymbolicInvariant(1, "H", {2: ops.eps_pow(1) + ops.one})
 
     def test_errors(self):
         with pytest.raises(InvariantSyntaxError):
