@@ -7,14 +7,16 @@ Composing with the Witt projection (mode W) or the degree-nd cohomological
 invariant (mode H) yields the f-family, and ``eval_f_sum`` evaluates a
 combination of it with universal coefficients.  This module computes values
 only: the universal scalars, the g-family and the basis changes between
-the two families live in ``invariants``.
+the two families live in ``invariants``.  ``RunConfig``, the settings of
+one identity-suite run, sits beside the targets it selects, so that the
+CLI reads its flags without loading the suites.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import mul
-from typing import Collection
+from typing import ClassVar, Collection
 
 from .cohomology import CohClass, e_n, minus_one_power, symbol
 from .fields import FieldDescriptor, SquareClass
@@ -55,6 +57,38 @@ class InvariantTarget:
 
 W_TARGET = InvariantTarget("W")
 H_TARGET = InvariantTarget("H")
+
+
+@dataclass
+class RunConfig:
+    """Knobs shared by every suite; the seed makes reports reproducible."""
+
+    field: str | None = None
+    prec: int = 32  # read by the series suite only
+    n_max: int = 3
+    d_max: int = 6
+    samples: int = 100
+    seed: int = 0
+    mode: str | None = None  # None means both W and H
+
+    # the smallest accepted value of each integer field
+    MINIMUMS: ClassVar[dict[str, int]] = {"n_max": 1, "d_max": 1, "prec": 1, "samples": 0}
+
+    def __post_init__(self):
+        for name, low in self.MINIMUMS.items():
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    def targets(self):
+        if self.mode == "W":
+            return [W_TARGET]
+        if self.mode == "H":
+            return [H_TARGET]
+        return [W_TARGET, H_TARGET]
 
 
 @dataclass(frozen=True)

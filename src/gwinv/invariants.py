@@ -121,7 +121,7 @@ def coeff_ops(mode: str):
 class SymbolicInvariant:
     """Finitely supported coefficient sequence in the f-basis, with
     coefficients in the mode's scalar ring: ``int`` in mode W, ``F2Poly``
-    in mode H (any other type raises ``TypeError``)."""
+    in mode H (any other type, ``bool`` among them, raises ``TypeError``)."""
 
     __slots__ = ("n", "mode", "coeffs")
 
@@ -131,7 +131,7 @@ class SymbolicInvariant:
         ops = coeff_ops(mode)
         coeffs = coeffs or {}
         scalar = type(ops.one)
-        if not all(isinstance(c, scalar) for c in coeffs.values()):
+        if not all(type(c) is scalar for c in coeffs.values()):
             raise TypeError(f"a mode-{mode} coefficient must be of type {scalar.__name__}")
         self.n = n
         self.mode = mode

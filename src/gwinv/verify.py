@@ -25,18 +25,19 @@ the parts a family has not got (a fixed family: ``suite/key: detail``).
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, cycle, groupby, product
 from operator import mul
 from random import Random
-from typing import Callable, ClassVar
+from typing import Callable
 
 from . import invariants as inv
 from .cohomology import CohClass, coh_residue, e_n, minus_one_power, symbol
 from .divided import (
     H_TARGET,
     W_TARGET,
+    RunConfig,
     eval_f,
     eval_f_all,
     eval_fixed_dim,
@@ -76,38 +77,6 @@ from .witt import (
     witt_canonical,
     witt_zero,
 )
-
-
-@dataclass
-class RunConfig:
-    """Knobs shared by every suite; the seed makes reports reproducible."""
-
-    field: str | None = None
-    prec: int = 32  # read by the series suite only
-    n_max: int = 3
-    d_max: int = 6
-    samples: int = 100
-    seed: int = 0
-    mode: str | None = None  # None means both W and H
-
-    # the smallest accepted value of each integer field
-    MINIMUMS: ClassVar[dict[str, int]] = {"n_max": 1, "d_max": 1, "prec": 1, "samples": 0}
-
-    def __post_init__(self):
-        for name, low in self.MINIMUMS.items():
-            value = getattr(self, name)
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def targets(self):
-        if self.mode == "W":
-            return [W_TARGET]
-        if self.mode == "H":
-            return [H_TARGET]
-        return [W_TARGET, H_TARGET]
 
 
 def _fields(cfg: RunConfig):

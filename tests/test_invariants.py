@@ -112,6 +112,14 @@ class TestCoefficientRing:
         with pytest.raises(TypeError, match=f"mode-{mode} coefficient"):
             from_g(1, mode, {1: coeff})
 
+    @pytest.mark.parametrize("coeffs", [{1: True, 2: 3}, {1: False}, {2: 3, 1: True}])
+    def test_bool_is_not_a_mode_w_scalar(self, coeffs):
+        # bool subclasses int, but True is no more a scalar here than a Witt leaf code
+        with pytest.raises(TypeError, match="mode-W coefficient"):
+            SymbolicInvariant(1, "W", coeffs)
+        with pytest.raises(TypeError, match="mode-W coefficient"):
+            from_g(1, "W", coeffs)
+
     def test_mode_scalars_are_accepted(self):
         assert SymbolicInvariant(1, "W", {1: 3, 2: 0}).coeffs == {1: 3}
         assert g_coeffs(from_g(1, "H", {1: F2Poly(0b11), 2: F2Poly.zero})) == {1: F2Poly(0b11)}
