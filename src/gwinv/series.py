@@ -11,10 +11,11 @@ series per character of the square-class group and transforms the values
 back.  The level recursion x_(k+1) = x_k + 2^(k-1) x_k^2 telescopes to
 1 + 2^n x_n = ((1 + t)/(1 - t))^(2^(n-1)), so x_n comes from the two-term
 recurrence of (1 + t)^p (1 - t)^q and its inverse h_n from the Riccati
-equation (1 + 2^n t) h' = 1 - h^2.  Building h_n checks x_n o h_n = t by
-x's own recursion and h_n o x_n = t by undoing it one step at a time, in
-O(n P^2) integer products; the verify ``series`` suite checks both again
-by Horner ``compose``.  Everything is exact: no floats and no coercion.
+equation (1 + 2^n t) h' = 1 - h^2.  Building h_n checks h_n o x_n = t by
+undoing x's recursion one step at a time, in O(n P^2) integer products,
+and then x_n o h_n = t from the two series' differential equations, in
+O(P^2); the verify ``series`` suite checks both round trips again by
+Horner ``compose``.  Everything is exact: no floats and no coercion.
 """
 
 from __future__ import annotations
@@ -69,18 +70,6 @@ def _square(y: list[int], d: int) -> int:
     """Degree d of y^2 for y(0) = 0, each unordered pair y_i y_(d-i) once."""
     m = d // 2
     return 2 * sum(map(operator.mul, y[1 : d - m], y[d - 1 : m : -1])) + (0 if d % 2 else y[m] * y[m])
-
-
-def _level_chain(u: list[int], n: int) -> list[int]:
-    """x_n o u for an integer series u with zero constant term: x_1 o u =
-    u/(1-u), then x_(k+1) = x_k + 2^(k-1) x_k^2 for k = 1..n-1."""
-    y = list(u)
-    for d in range(2, len(y)):
-        y[d] += sum(map(operator.mul, u[1:d], y[d - 1 : 0 : -1]))
-    for k in range(1, n):
-        s = 1 << (k - 1)
-        y = [c + s * _square(y, d) for d, c in enumerate(y)]
-    return y
 
 
 def _identity(precision: int) -> list[int]:
@@ -141,15 +130,25 @@ def _h_series(n: int, precision: int) -> list[int]:
 @lru_cache(maxsize=None)
 def _h_coeffs(n: int, precision: int) -> tuple[int, ...]:
     x = _x_coeffs(n, precision)
-    t = _identity(precision)
     h = _h_series(n, precision)
-    # each round trip shares no step with the builder of the series it checks
-    if _level_chain(h, n) != t:
-        raise ConsistencyError(f"substitution series round trip x_n o h_n failed at level {n}")
-    if _inverse_chain(x, n) != t:
+    # the anchor ties x to the level recursion by a route that shares no
+    # step with x's builder
+    if _inverse_chain(x, n) != _identity(precision):
         raise ConsistencyError(f"substitution series round trip h_n o x_n failed at level {n}")
-    for c in h:
-        if not isinstance(c, int):
+    if x[0] or h[0]:
+        raise ConsistencyError(f"substitution series x_n o h_n has a nonzero constant term at level {n}")
+    # (1 - t^2) x' = 1 + c x and (1 + c t) h' = 1 - h^2, with one c, give
+    # z = x o h - t the equation (1 - h^2) z' = c h' z and z(0) = 0, so the
+    # lowest nonzero z_k would have k z_k = 0: x o h = t to degree P.  h^2
+    # comes from ``cauchy``, not from the builder's ``_square``.
+    c, h2 = 1 << n, cauchy(h, h)
+    for d in range(precision):
+        x_rel = (d + 1) * x[d + 1] - (d - 1) * (x[d - 1] if d else 0) - c * x[d]
+        h_rel = (d + 1) * h[d + 1] + c * d * h[d] + h2[d]
+        if x_rel != (d == 0) or h_rel != (d == 0):
+            raise ConsistencyError(f"substitution series round trip x_n o h_n failed at level {n}")
+    for coeff in h:
+        if not isinstance(coeff, int):
             raise ConsistencyError("substitution series has a non-integer coefficient")
     return tuple(h)
 
@@ -157,10 +156,11 @@ def _h_coeffs(n: int, precision: int) -> tuple[int, ...]:
 def build_h(n: int, precision: int) -> list[int]:
     """Compositional inverse of ``build_x(n, .)``, from the Riccati
     equation (1 + 2^n t) h' = 1 - h^2 in O(P^2) integer products.  Before
-    returning, x_n o h_n = t is checked by running x's recursion on h_n,
-    and h_n o x_n = t by undoing it on x_n one step at a time, each in
-    O(n P^2); both and the integrality of every coefficient raise
-    ``ConsistencyError`` on failure."""
+    returning, h_n o x_n = t is checked by undoing x's recursion on x_n one
+    step at a time, in O(n P^2), and x_n o h_n = t by checking
+    (1 - t^2) x' = 1 + 2^n x on x_n and (1 + 2^n t) h' = 1 - h^2 on h_n
+    with h^2 from ``cauchy``, in O(P^2); both, a nonzero constant term and
+    a non-integer coefficient raise ``ConsistencyError``."""
     return list(_h_coeffs(n, precision))
 
 

@@ -22,6 +22,7 @@ from gwinv.series import (
     multinomial_C,
 )
 from group_law_oracle import SeriesInversionError, mul_inverse
+from level_chain_oracle import _level_chain
 
 
 def convolve(a, b):
@@ -175,6 +176,15 @@ class TestSubstitutionSeries:
     def test_precision_zero(self):
         assert build_h(3, 0) == [0]
 
+    @pytest.fixture
+    def cold_caches(self):
+        caches = series._x_coeffs, series._h_coeffs
+        for cache in caches:
+            cache.cache_clear()
+        yield
+        for cache in caches:
+            cache.cache_clear()
+
     # the function to wrap, how to wrap it, and the check that must catch it
     TAMPERS = {
         "off_by_one": ("_h_series", lambda h: lambda n, p: bump(h(n, p)), "x_n o h_n"),
@@ -182,26 +192,35 @@ class TestSubstitutionSeries:
         "x_off_by_one": ("_x_coeffs", lambda x: lambda n, p: bump(x(n, p)), "h_n o x_n"),
         "step_off_by_one": ("_invert_step", lambda f: lambda v, c: bump(f(v, c)) if c == 2 else f(v, c), "h_n o x_n"),
         "x_not_exact": ("_plus_minus_series", lambda f: lambda *args: bump(f(*args)), r"x_3 is not divisible by 2\^3"),
+        "lower_level": ("_h_series", lambda h: lambda n, p: h(n - 1, p), "x_n o h_n"),
+        "h0_nonzero": ("_h_series", lambda h: lambda n, p: [1] + [0] * p, "x_n o h_n has a nonzero constant term"),
+        "x_lower_level": ("_x_coeffs", lambda x: lambda n, p: x(n - 1, p), "h_n o x_n"),
     }
 
     @pytest.mark.parametrize("tamper", TAMPERS)
-    def test_checks_guard_the_chain(self, monkeypatch, tamper):
+    def test_checks_guard_the_chain(self, monkeypatch, cold_caches, tamper):
         # each builder is checked by a route that shares no step with it: a
-        # wrong coefficient of h breaks x_n o h_n, one of x or of an
-        # inversion step breaks h_n o x_n, exact values of the wrong type
-        # pass both round trips and must be caught by the integer check,
+        # wrong coefficient of h, or h_(n-1), which is integral and solves
+        # its own Riccati equation, breaks x_n o h_n; one of x, x_(n-1) or
+        # an inversion step breaks h_n o x_n; exact values of the wrong type
+        # pass both and must be caught by the integer check; h = 1 solves
+        # every Riccati equation and must be caught by its constant term;
         # and x's division by 2^n must be exact
-        caches = series._x_coeffs, series._h_coeffs
         name, wrap, message = self.TAMPERS[tamper]
         monkeypatch.setattr(series, name, wrap(getattr(series, name)))
-        for cache in caches:
-            cache.cache_clear()
-        try:
-            with pytest.raises(ConsistencyError, match=message):
-                build_h(3, 6)
-        finally:
-            for cache in caches:
-                cache.cache_clear()
+        with pytest.raises(ConsistencyError, match=message):
+            build_h(3, 6)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("prec", [1, 2, 9])
+    def test_every_degree_is_checked(self, monkeypatch, cold_caches, n, prec):
+        # a wrong coefficient of h at any degree 1..P, the top one included,
+        # breaks x_n o h_n
+        h_series = series._h_series
+        for d in range(1, prec + 1):
+            monkeypatch.setattr(series, "_h_series", lambda n, p, d=d: bump(h_series(n, p), d))
+            with pytest.raises(ConsistencyError, match="x_n o h_n"):
+                build_h(n, prec)
 
     @pytest.mark.parametrize(
         "n, prec", [(n, prec) for n in range(1, 9) for prec in (0, 1, 2, 31, 64)] + [(2, 511), (3, 340)]
@@ -210,7 +229,7 @@ class TestSubstitutionSeries:
         # the recurrences against x's recursion and its step-by-step
         # inversion, both run on t
         t = identity(prec)[: prec + 1]
-        assert build_x(n, prec) == series._level_chain(t, n)
+        assert build_x(n, prec) == _level_chain(t, n)
         assert build_h(n, prec) == series._inverse_chain(t, n)
 
     @pytest.mark.parametrize("n", range(1, 7))
