@@ -42,10 +42,10 @@ _MINIMUMS = {
 }
 
 # The largest n * (prec + 1) that `series` accepts: building and certifying
-# h_n take O(prec^2) products and checking x_n O(n prec^2), of integers of
-# about n * prec bits.  On a 2-core x86 machine (Python 3.11, best of three
-# cold runs) the slowest dumps at the cap, (2, 511) and (1, 1023), take 0.06
-# and 0.05 s of CPU, while (32, 256) takes 1.0 s.
+# h_n take O(prec^2) products and checking x_n O(prec min(prec, 2^(n-1)))
+# additions, of integers of about n * prec bits.  On a 2-core x86 machine
+# (Python 3.11, best of nine cold runs) the slowest dumps at the cap, (2, 511)
+# and (1, 1023), take 0.05 and 0.03 s of CPU, while (32, 256) takes 0.31 s.
 MAX_SERIES_SIZE = 1024
 
 # The largest `verify --prec`: the series suite checks both round trips for

@@ -11,11 +11,11 @@ series per character of the square-class group and transforms the values
 back.  The level recursion x_(k+1) = x_k + 2^(k-1) x_k^2 telescopes to
 1 + 2^n x_n = ((1 + t)/(1 - t))^(2^(n-1)), so x_n comes from the two-term
 recurrence of (1 + t)^p (1 - t)^q and its inverse h_n from the Riccati
-equation (1 + 2^n t) h' = 1 - h^2.  Building h_n checks h_n o x_n = t by
-undoing x's recursion one step at a time, in O(n P^2) integer products,
-and then x_n o h_n = t from the two series' differential equations, in
-O(P^2); the verify ``series`` suite checks both round trips again by
-Horner ``compose``.  Everything is exact: no floats and no coercion.
+equation (1 + 2^n t) h' = 1 - h^2.  Building h_n checks x_n against the
+binomial expansion of (1 + 2t/(1 - t))^(2^(n-1)), in O(P min(P, 2^(n-1)))
+additions, and then x_n o h_n = t from the two series' differential
+equations, in O(P^2); the verify ``series`` suite checks both round trips
+again by Horner ``compose``.  Everything is exact: no floats and no coercion.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
+from itertools import accumulate
 
 
 class ConsistencyError(RuntimeError):
@@ -37,9 +38,11 @@ def cauchy(a: list[int], b: list[int]) -> list[int]:
 def compose(f: list[int], g: list[int]) -> list[int]:
     """f o g by Horner's rule, truncated to the shorter length; ``g`` must
     have zero constant coefficient so the result is well-defined degreewise."""
-    if g[0] != 0:
+    if g and g[0] != 0:
         raise ValueError("inner series must have zero constant coefficient")
     n = min(len(f), len(g))
+    if not n:
+        return []
     acc = [f[n - 1]] + [0] * (n - 1)
     for c in reversed(f[: n - 1]):
         acc = cauchy(acc, g)
@@ -95,24 +98,19 @@ def build_x(n: int, precision: int) -> list[int]:
     return list(_x_coeffs(n, precision))
 
 
-def _invert_step(v: list[int], c: int) -> list[int]:
-    """The w with w + c w^2 = v, solved degree by degree (v(0) = 0)."""
-    w = [0] * len(v)
-    for d in range(1, len(v)):
-        w[d] = v[d] - c * _square(w, d)
-    return w
-
-
-def _inverse_chain(v: list[int], n: int) -> list[int]:
-    """h_n o v for an integer series v with zero constant term: undo
-    p_(n-1), ..., p_1 one step at a time, where p_k(t) = t + 2^(k-1) t^2,
-    then undo x_1 with v/(1+v)."""
-    for k in range(n - 1, 0, -1):
-        v = _invert_step(v, 1 << (k - 1))
-    h = list(v)
-    for d in range(2, len(h)):
-        h[d] -= sum(map(operator.mul, v[1:d], h[d - 1 : 0 : -1]))
-    return h
+def _binomial_x(n: int, precision: int) -> list[int]:
+    """2^n x_n from ((1 + t)/(1 - t))^N = (1 + 2t/(1 - t))^N, N = 2^(n-1):
+    2^n x_d = sum_(k=1..min(d, N)) C(N, k) 2^k C(d-1, k-1), by Horner's rule
+    on C(m, s) = sum_(j<m) C(j, s-1), one running sum per k (as ``to_values``)."""
+    N = 1 << (n - 1)
+    c, terms = 1, []
+    for k in range(1, min(N, precision) + 1):
+        c = c * (N + 1 - k) // k
+        terms.append(c << k)
+    v = [0] * precision
+    for a in reversed(terms):
+        v = list(accumulate(v[:-1], initial=a))
+    return [0, *v]
 
 
 def _h_series(n: int, precision: int) -> list[int]:
@@ -131,10 +129,10 @@ def _h_series(n: int, precision: int) -> list[int]:
 def _h_coeffs(n: int, precision: int) -> tuple[int, ...]:
     x = _x_coeffs(n, precision)
     h = _h_series(n, precision)
-    # the anchor ties x to the level recursion by a route that shares no
-    # step with x's builder
-    if _inverse_chain(x, n) != _identity(precision):
-        raise ConsistencyError(f"substitution series round trip h_n o x_n failed at level {n}")
+    # the anchor ties x to the telescoped level recursion by a route that
+    # shares no step with x's builder
+    if _binomial_x(n, precision) != [c << n for c in x]:
+        raise ConsistencyError(f"level series x_{n} does not match its binomial expansion")
     if x[0] or h[0]:
         raise ConsistencyError(f"substitution series x_n o h_n has a nonzero constant term at level {n}")
     # (1 - t^2) x' = 1 + c x and (1 + c t) h' = 1 - h^2, with one c, give
@@ -156,11 +154,12 @@ def _h_coeffs(n: int, precision: int) -> tuple[int, ...]:
 def build_h(n: int, precision: int) -> list[int]:
     """Compositional inverse of ``build_x(n, .)``, from the Riccati
     equation (1 + 2^n t) h' = 1 - h^2 in O(P^2) integer products.  Before
-    returning, h_n o x_n = t is checked by undoing x's recursion on x_n one
-    step at a time, in O(n P^2), and x_n o h_n = t by checking
-    (1 - t^2) x' = 1 + 2^n x on x_n and (1 + 2^n t) h' = 1 - h^2 on h_n
-    with h^2 from ``cauchy``, in O(P^2); both, a nonzero constant term and
-    a non-integer coefficient raise ``ConsistencyError``."""
+    returning, x_n is checked against the binomial expansion of
+    1 + 2^n x_n = ((1 + t)/(1 - t))^(2^(n-1)), in O(P min(P, 2^(n-1)))
+    additions, and x_n o h_n = t by checking (1 - t^2) x' = 1 + 2^n x on
+    x_n and (1 + 2^n t) h' = 1 - h^2 on h_n with h^2 from ``cauchy``, in
+    O(P^2); both, a nonzero constant term and a non-integer coefficient
+    raise ``ConsistencyError``."""
     return list(_h_coeffs(n, precision))
 
 

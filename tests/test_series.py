@@ -22,7 +22,7 @@ from gwinv.series import (
     multinomial_C,
 )
 from group_law_oracle import SeriesInversionError, mul_inverse
-from level_chain_oracle import _level_chain
+from level_chain_oracle import _inverse_chain, _level_chain
 
 
 def convolve(a, b):
@@ -98,6 +98,11 @@ class TestCompose:
     def test_nonzero_constant_rejected(self):
         with pytest.raises(ValueError, match="zero constant coefficient"):
             compose([1, 1], [1, 1])
+
+    @pytest.mark.parametrize("f, g", [([], [0, 1]), ([1, 2], []), ([], [])])
+    def test_empty_operand(self, f, g):
+        # truncated to the shorter length, as ``cauchy`` is
+        assert compose(f, g) == cauchy(f, g) == []
 
 
 def brute_comp_inverse(coeffs, prec):
@@ -189,12 +194,12 @@ class TestSubstitutionSeries:
     TAMPERS = {
         "off_by_one": ("_h_series", lambda h: lambda n, p: bump(h(n, p)), "x_n o h_n"),
         "not_int": ("_h_series", lambda h: lambda n, p: [Fraction(c) for c in h(n, p)], "non-integer"),
-        "x_off_by_one": ("_x_coeffs", lambda x: lambda n, p: bump(x(n, p)), "h_n o x_n"),
-        "step_off_by_one": ("_invert_step", lambda f: lambda v, c: bump(f(v, c)) if c == 2 else f(v, c), "h_n o x_n"),
+        "x_off_by_one": ("_x_coeffs", lambda x: lambda n, p: bump(x(n, p)), "binomial expansion"),
+        "binomial_off_by_one": ("_binomial_x", lambda f: lambda n, p: bump(f(n, p)), "binomial expansion"),
         "x_not_exact": ("_plus_minus_series", lambda f: lambda *args: bump(f(*args)), r"x_3 is not divisible by 2\^3"),
         "lower_level": ("_h_series", lambda h: lambda n, p: h(n - 1, p), "x_n o h_n"),
         "h0_nonzero": ("_h_series", lambda h: lambda n, p: [1] + [0] * p, "x_n o h_n has a nonzero constant term"),
-        "x_lower_level": ("_x_coeffs", lambda x: lambda n, p: x(n - 1, p), "h_n o x_n"),
+        "x_lower_level": ("_x_coeffs", lambda x: lambda n, p: x(n - 1, p), "binomial expansion"),
     }
 
     @pytest.mark.parametrize("tamper", TAMPERS)
@@ -202,10 +207,10 @@ class TestSubstitutionSeries:
         # each builder is checked by a route that shares no step with it: a
         # wrong coefficient of h, or h_(n-1), which is integral and solves
         # its own Riccati equation, breaks x_n o h_n; one of x, x_(n-1) or
-        # an inversion step breaks h_n o x_n; exact values of the wrong type
-        # pass both and must be caught by the integer check; h = 1 solves
-        # every Riccati equation and must be caught by its constant term;
-        # and x's division by 2^n must be exact
+        # the binomial expansion breaks x's anchor; exact values of the
+        # wrong type pass both and must be caught by the integer check;
+        # h = 1 solves every Riccati equation and must be caught by its
+        # constant term; and x's division by 2^n must be exact
         name, wrap, message = self.TAMPERS[tamper]
         monkeypatch.setattr(series, name, wrap(getattr(series, name)))
         with pytest.raises(ConsistencyError, match=message):
@@ -222,6 +227,17 @@ class TestSubstitutionSeries:
             with pytest.raises(ConsistencyError, match="x_n o h_n"):
                 build_h(n, prec)
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("prec", [1, 2, 9])
+    def test_every_degree_of_the_anchor_is_checked(self, monkeypatch, cold_caches, n, prec):
+        # a wrong value of the binomial expansion at any degree 1..P, the
+        # top one included, breaks x's anchor
+        binomial_x = series._binomial_x
+        for d in range(1, prec + 1):
+            monkeypatch.setattr(series, "_binomial_x", lambda n, p, d=d: bump(binomial_x(n, p), d))
+            with pytest.raises(ConsistencyError, match="binomial expansion"):
+                build_h(n, prec)
+
     @pytest.mark.parametrize(
         "n, prec", [(n, prec) for n in range(1, 9) for prec in (0, 1, 2, 31, 64)] + [(2, 511), (3, 340)]
     )
@@ -230,7 +246,7 @@ class TestSubstitutionSeries:
         # inversion, both run on t
         t = identity(prec)[: prec + 1]
         assert build_x(n, prec) == _level_chain(t, n)
-        assert build_h(n, prec) == series._inverse_chain(t, n)
+        assert build_h(n, prec) == _inverse_chain(t, n)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_catalan_chain(self, n):
