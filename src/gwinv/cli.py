@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 failed checks, 2 parse/usage errors, 3 membership
 failures.
 
 Only the ``verify`` command loads the suites (``verify``, ``sampling`` and
-``factorized``), in ``cmd_verify`` and ``run_suite``.  ``series`` and
+``factorized``): ``cmd_verify`` imports ``SUITES`` and ``run_suite`` from
+``verify`` once it has checked ``--prec``.  ``series`` and
 ``eval`` import nothing beyond this module's own imports, so a one-request
 process neither compiles nor holds the suites, and a request pays for no
 import once this module is loaded.
@@ -53,13 +54,6 @@ MAX_SERIES_SIZE = 1024
 # (Python 3.11, median of five cold runs) --prec 64 takes 0.28 s of CPU and
 # 128 takes 2.4 s.
 MAX_VERIFY_PREC = 128
-
-
-def run_suite(name: str, cfg: RunConfig) -> dict:
-    """``verify.run_suite``, imported on the first call."""
-    from .verify import run_suite
-
-    return run_suite(name, cfg)
 
 
 def _series_rows(n: int, prec: int) -> list[tuple[str, list[int]]]:
@@ -132,7 +126,7 @@ def cmd_verify(args) -> int:
     if args.prec > MAX_VERIFY_PREC:
         print(f"error: --prec exceeds the cap of {MAX_VERIFY_PREC}", file=sys.stderr)
         return EXIT_PARSE
-    from .verify import SUITES
+    from .verify import SUITES, run_suite
 
     if args.suite not in SUITES:
         print(

@@ -5,11 +5,12 @@ into the exterior-power transform; they vanish in degrees >= 2 on n-fold
 Pfister lifts and act as elementary symmetric functions on sums of them.
 Composing with the Witt projection (mode W) or the degree-nd cohomological
 invariant (mode H) yields the f-family, and ``eval_f_sum`` evaluates a
-combination of it with universal coefficients.  This module computes values
-only: the universal scalars, the g-family and the basis changes between
-the two families live in ``invariants``.  ``RunConfig``, the settings of
-one identity-suite run, sits beside the targets it selects, so that the
-CLI reads its flags without loading the suites.
+combination of it with universal coefficients; ``InvariantTarget``, the
+mode, is also the value ring A(K).  This module computes values only: the
+universal scalars, the g-family and the basis changes between the two
+families live in ``invariants``.  ``RunConfig``, the settings of one
+identity-suite run, sits beside the targets it selects, so that the CLI
+reads its flags without loading the suites.
 """
 
 from __future__ import annotations
@@ -39,7 +40,11 @@ from .witt import (
 
 @dataclass(frozen=True)
 class InvariantTarget:
-    """The value functor: Witt classes (mode W) or cohomology (mode H)."""
+    """The value functor and its ring A(K): W(K) in mode W, H*(K, Z/2) in
+    mode H, into which the universal scalar ring maps: ``eps_pow(K, j)`` is
+    the image of eps^j = {-1}^j, ``symbol`` that of {a_1,...,a_t}, and
+    ``times(x, c)`` is c.x for a universal coefficient c (an integer in
+    mode W, an F2-polynomial in eps in mode H)."""
 
     mode: str
 
@@ -47,12 +52,37 @@ class InvariantTarget:
         if self.mode not in ("W", "H"):
             raise ValueError("target mode must be 'W' or 'H'")
 
-    def ring(self, field: FieldDescriptor) -> "ValueRing":
-        return ValueRing(field, self.mode)
-
     def value(self, w: WittClass, k: int):
         """A class w in I^k as a value: w in mode W, ``e_n(w, k)`` in mode H."""
         return w if self.mode == "W" else e_n(w, k)
+
+    def zero(self, field: FieldDescriptor):
+        return witt_zero(field) if self.mode == "W" else CohClass.zero(field)
+
+    def one(self, field: FieldDescriptor):
+        return witt_one(field) if self.mode == "W" else CohClass.one(field)
+
+    def eps_pow(self, field: FieldDescriptor, j: int):
+        """{-1}^j; in W this is 2^j, since <<-1>> = <1,1> = 2."""
+        if self.mode == "W":
+            return witt_one(field).int_mul(1 << j)
+        return minus_one_power(field, j)
+
+    def symbol(self, classes: list[SquareClass] | tuple[SquareClass, ...]):
+        """{a_1,...,a_t}: the Pfister Witt class or the Galois symbol."""
+        if self.mode == "W":
+            return witt_canonical(pfister(classes))
+        return symbol(classes)
+
+    def times(self, x, c):
+        if self.mode == "W":
+            return x.int_mul(c)
+        out, bits = CohClass.zero(x.field), c.bits
+        while bits:  # one pass per set bit j, lowest first
+            low = bits & -bits
+            out = out + minus_one_power(x.field, low.bit_length() - 1) * x
+            bits ^= low
+        return out
 
 
 W_TARGET = InvariantTarget("W")
@@ -75,6 +105,8 @@ class RunConfig:
     MINIMUMS: ClassVar[dict[str, int]] = {"n_max": 1, "d_max": 1, "prec": 1, "samples": 0}
 
     def __post_init__(self):
+        if self.mode not in (None, "W", "H"):
+            raise ValueError(f"mode must be None, 'W' or 'H', got {self.mode!r}")
         for name, low in self.MINIMUMS.items():
             value = getattr(self, name)
             if value < low:
@@ -89,54 +121,6 @@ class RunConfig:
         if self.mode == "H":
             return [H_TARGET]
         return [W_TARGET, H_TARGET]
-
-
-@dataclass(frozen=True)
-class ValueRing:
-    """The value ring A(K) over one field: W(K) in mode W, H*(K, Z/2) in
-    mode H.  It has the scalar protocol (``zero``, ``one``, ``from_int``,
-    ``eps_pow``), through which the universal scalar ring maps in:
-    ``eps_pow(j)`` is the image of eps^j = {-1}^j, ``symbol`` the image of
-    {a_1,...,a_t}, and ``times(x, c)`` is c.x for a universal coefficient c
-    (an integer in mode W, an F2-polynomial in eps in mode H)."""
-
-    field: FieldDescriptor
-    mode: str
-
-    @property
-    def zero(self):
-        return witt_zero(self.field) if self.mode == "W" else CohClass.zero(self.field)
-
-    @property
-    def one(self):
-        return witt_one(self.field) if self.mode == "W" else CohClass.one(self.field)
-
-    def from_int(self, n: int):
-        if self.mode == "W":
-            return self.one.int_mul(n)
-        return self.one if n % 2 else self.zero
-
-    def eps_pow(self, j: int):
-        """{-1}^j; in W this is 2^j, since <<-1>> = <1,1> = 2."""
-        if self.mode == "W":
-            return self.from_int(1 << j)
-        return minus_one_power(self.field, j)
-
-    def symbol(self, classes: list[SquareClass] | tuple[SquareClass, ...]):
-        """{a_1,...,a_t}: the Pfister Witt class or the Galois symbol."""
-        if self.mode == "W":
-            return witt_canonical(pfister(classes))
-        return symbol(classes)
-
-    def times(self, x, c):
-        if self.mode == "W":
-            return x.int_mul(c)
-        out, bits = self.zero, c.bits
-        while bits:  # one pass per set bit j, lowest first
-            low = bits & -bits
-            out = out + self.eps_pow(low.bit_length() - 1) * x
-            bits ^= low
-        return out
 
 
 # -- the divided powers themselves
@@ -230,10 +214,9 @@ def eval_f_sum(n: int, q: WittClass, target: InvariantTarget, coeffs: dict):
     coefficient.  The membership check runs first, even for no degree."""
     if target.mode == "H":
         fvals = eval_f_all(n, q, target, coeffs)
-        ring = target.ring(q.field)
-        out = ring.zero
+        out = target.zero(q.field)
         for d, c in coeffs.items():
-            out = out + ring.times(fvals[d], c)
+            out = out + target.times(fvals[d], c)
         return out
     terms = {0: coeffs.get(0, 0)}
     for d, pi in _pi_of_lift(n, q, coeffs).items():

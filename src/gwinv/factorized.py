@@ -93,8 +93,7 @@ def delta_t_eval(
         rest = witt_canonical(pfister(list(x.factor[t:]))) * rest
     if t == 0:
         return evaluate(alpha, rest)
-    ring = InvariantTarget(alpha.mode).ring(x.field)
-    return ring.symbol(x.factor[:t]) * evaluate(alpha, rest)
+    return InvariantTarget(alpha.mode).symbol(x.factor[:t]) * evaluate(alpha, rest)
 
 
 def _certified_scalars(a: SquareClass) -> list[SquareClass]:

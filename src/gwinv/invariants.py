@@ -121,7 +121,9 @@ def coeff_ops(mode: str):
 class SymbolicInvariant:
     """Finitely supported coefficient sequence in the f-basis, with
     coefficients in the mode's scalar ring: ``int`` in mode W, ``F2Poly``
-    in mode H (any other type, ``bool`` among them, raises ``TypeError``)."""
+    in mode H (any other type, ``bool`` among them, raises ``TypeError``).
+    A degree key must be an ``int`` >= 0 (not a ``bool``), or ``ValueError``
+    is raised."""
 
     __slots__ = ("n", "mode", "coeffs")
 
@@ -133,6 +135,8 @@ class SymbolicInvariant:
         scalar = type(ops.one)
         if not all(type(c) is scalar for c in coeffs.values()):
             raise TypeError(f"a mode-{mode} coefficient must be of type {scalar.__name__}")
+        if not all(type(d) is int and d >= 0 for d in coeffs):
+            raise ValueError("a degree must be an int >= 0")
         self.n = n
         self.mode = mode
         self.coeffs = {d: c for d, c in coeffs.items() if c != ops.zero}

@@ -1,7 +1,7 @@
 """Identity-suite verification harness.
 
 Each identity family is declared once, with ``@family(suite, key, ...)``.
-A sampled family is a case function ``(cfg, rng, F, target, ring)`` that
+A sampled family is a case function ``(cfg, rng, F, target)`` that
 yields the ``(detail, expected, got)`` triples of one sampled case; a
 boolean identity yields ``(detail, True, <bool>)``.  A fixed family (no
 ``count``) is a function ``(cfg, rng, fields)`` that holds its own loop:
@@ -10,10 +10,11 @@ enumerations, tables, attempt loops and random streams of its own.
 ``run_suite`` is the one driver.  It seeds one ``rng`` from ``cfg.seed``,
 resolves ``fields`` from ``cfg.field`` and walks a suite's families in
 declaration order; a run of consecutive ``per_target`` families is walked
-once per target of ``cfg`` (``ring`` is ``target.ring(F)``).  A sampled
-family has ``count(cfg)`` cases that cycle through the fields ``applies``
-accepts, so it is skipped when none does; ``applies=None`` makes it
-field-free (``F`` is None).  The tally is a machine-readable report::
+once per target of ``cfg``; the target is also the value ring A(F)
+(``target.zero(F)``, ``target.symbol(classes)``).  A sampled family has
+``count(cfg)`` cases that cycle through the fields ``applies`` accepts, so
+it is skipped when none does; ``applies=None`` makes it field-free (``F``
+is None).  The tally is a machine-readable report::
 
     {suite, config, cases_total, cases_failed, first_failure | null}
 
@@ -128,8 +129,7 @@ def _cases(name: str, cfg: RunConfig):
                     continue
                 applicable = [F for F in fields if fam.applies(F)] if fam.applies else [None]
                 for i, F in zip(range(fam.count(cfg)), cycle(applicable)):
-                    ring = target.ring(F) if target and F else None
-                    for detail, expected, got in fam.run(cfg, rng, F, target, ring):
+                    for detail, expected, got in fam.run(cfg, rng, F, target):
                         yield (fam.key, detail, F, target, i), expected, got
 
 
@@ -251,7 +251,7 @@ def series_pascal(cfg, rng, fields):
 
 # samples counts pairs per base-kind family; each family has three depths
 @family("lambda", "exterior-powers", lambda cfg: max(1, cfg.samples // 3) * len(_fields(cfg)))
-def lambda_exterior_powers(cfg, rng, F, target, ring):
+def lambda_exterior_powers(cfg, rng, F, target):
     prec = 8
     x = rand_gw(rng, F, rng.randint(0, 4))
     y = rand_gw(rng, F, rng.randint(0, 4))
@@ -303,7 +303,7 @@ def lambda_pfister_squares(cfg, rng, fields):
     "gw-relations",
     lambda cfg: max(1, cfg.samples // (2 * len(_fields(cfg)))) * len(_fields(cfg)),
 )
-def lambda_gw_relations(cfg, rng, F, target, ring):
+def lambda_gw_relations(cfg, rng, F, target):
     q = rand_gw(rng, F, rng.randint(0, 5))
     yield "2q = <<-1>> q", witt_canonical(q.scale(2)), witt_canonical(pfister([minus_one(F)]) * q)
     # GW injectivity proxy: hyperbolic planes written with different
@@ -358,7 +358,7 @@ def pi_kills_deep_lifts(cfg, rng, fields):
 
 # divided-sum formula against an elementary symmetric brute force
 @family("pi", "divided-sum", lambda cfg: cfg.samples)
-def pi_divided_sum(cfg, rng, F, target, ring):
+def pi_divided_sum(cfg, rng, F, target):
     d_top = min(cfg.d_max, 4)
     n = rng.randint(1, min(cfg.n_max, 2))
     r = rng.randint(1, 4)
@@ -378,14 +378,14 @@ def pi_divided_sum(cfg, rng, F, target, ring):
 
 
 @family("f-axioms", "axioms", lambda cfg: cfg.samples, per_target=True)
-def f_axioms(cfg, rng, F, target, ring):
+def f_axioms(cfg, rng, F, target):
     n = rng.randint(1, cfg.n_max)
     d = rng.randint(0, cfg.d_max)
     q1 = rand_in_In(rng, F, n)
     q2 = rand_in_In(rng, F, n)
     f1 = eval_f_all(n, q1, target, range(d + 1))
     f2 = eval_f_all(n, q2, target, range(d + 1))
-    total = ring.zero
+    total = target.zero(F)
     for k in range(d + 1):
         total = total + f1[k] * f2[d - k]
     yield f"sum rule n={n} d={d}", eval_f(n, d, q1 + q2, target), total
@@ -394,11 +394,11 @@ def f_axioms(cfg, rng, F, target, ring):
     d2 = rng.randint(2, max(2, cfg.d_max))
     yield (
         f"f_{n}^{d2} kills pf({','.join(map(str, slots))})",
-        ring.zero,
+        target.zero(F),
         eval_f(n, d2, phi_w, target),
     )
     d3 = rng.randint(1, cfg.d_max)
-    want = ring.eps_pow(n * (d3 - 1)) * ring.symbol(slots)
+    want = target.eps_pow(F, n * (d3 - 1)) * target.symbol(slots)
     if d3 % 2:
         want = -want
     yield f"f_{n}^{d3}(-phi) formula", want, eval_f(n, d3, -phi_w, target)
@@ -406,16 +406,16 @@ def f_axioms(cfg, rng, F, target, ring):
 
 # Pfister-sum expansion against a brute-force product sum in A
 @family("f-axioms", "pfister-sum", lambda cfg: max(1, cfg.samples // 4), per_target=True)
-def f_pfister_sum(cfg, rng, F, target, ring):
+def f_pfister_sum(cfg, rng, F, target):
     n = rng.randint(1, min(cfg.n_max, 2))
     r = rng.randint(1, 3)
     tuples = [rand_pfister_slots(rng, F, n) for _ in range(r)]
     total = witt_zero(F)
     for slots in tuples:
         total = total + witt_canonical(pfister(slots))
-    symbols = [ring.symbol(slots) for slots in tuples]
+    symbols = [target.symbol(slots) for slots in tuples]
     for d in range(1, min(cfg.d_max, 3) + 1):
-        want = _elementary(symbols, d, ring.zero, ring.one)
+        want = _elementary(symbols, d, target.zero(F), target.one(F))
         yield f"n={n} d={d} r={r}", want, eval_f(n, d, total, target)
 
 
@@ -424,14 +424,14 @@ def f_pfister_sum(cfg, rng, F, target, ring):
 
 
 @family("g-bounds", "beyond-bound", lambda cfg: cfg.samples, per_target=True)
-def g_beyond_bound(cfg, rng, F, target, ring):
+def g_beyond_bound(cfg, rng, F, target):
     n = rng.randint(1, cfg.n_max)
     s = rng.randint(0, 2)
     t = rng.randint(0, 2)
     q, _ = rand_in_In_data(rng, F, n, s, t)
     bound = 2 * max(s, t)
     for d in (bound + 1, bound + 2):
-        yield f"g_{n}^{d} = 0 beyond 2max(s,t)={bound}", ring.zero, eval_g(n, d, q, target)
+        yield f"g_{n}^{d} = 0 beyond 2max(s,t)={bound}", target.zero(F), eval_g(n, d, q, target)
 
 
 # the bound is attained over real-closed towers (depth 0 and 1)
@@ -448,11 +448,11 @@ def g_attained(cfg, rng, fields):
 
 
 @family("g-bounds", "fixed-dim", lambda cfg: max(1, cfg.samples // 4), per_target=True)
-def g_fixed_dim(cfg, rng, F, target, ring):
+def g_fixed_dim(cfg, rng, F, target):
     m = rng.choice((2, 4, 6))
     q = witt_canonical(rand_diag(rng, F, m))
     for d in (m + 1, m + 2):
-        yield f"g_1^{d} = 0 on a dim-{m} class", ring.zero, eval_g(1, d, q, target)
+        yield f"g_1^{d} = 0 on a dim-{m} class", target.zero(F), eval_g(1, d, q, target)
 
 
 # f-boundedness fails over a real-closed base ...
@@ -475,13 +475,13 @@ def g_f_unbounded(cfg, rng, fields):
     per_target=True,
     applies=lambda F: F.kind == "C",
 )
-def g_f_bounded(cfg, rng, F, target, ring):
+def g_f_bounded(cfg, rng, F, target):
     n = rng.randint(1, cfg.n_max)
     s = rng.randint(0, 2)
     t = rng.randint(0, 2)
     q, _ = rand_in_In_data(rng, F, n, s, t)
     for d in (2 * max(s, t) + 1, 2 * max(s, t) + 2):
-        yield f"f_{n}^{d} = 0", ring.zero, eval_f(n, d, q, target)
+        yield f"f_{n}^{d} = 0", target.zero(F), eval_f(n, d, q, target)
     d = rng.randint(0, cfg.d_max)
     yield f"f = g: n={n} d={d}", eval_f(n, d, q, target), eval_g(n, d, q, target)
 
@@ -494,7 +494,7 @@ _FAITHFUL = {"W": parse_field("R"), "H": parse_field("R((t1))")}
 
 
 @family("classify", "read-out", lambda cfg: cfg.samples, per_target=True, applies=None)
-def classify_read_out(cfg, rng, F, target, ring):
+def classify_read_out(cfg, rng, F, target):
     mode = target.mode
     F = _FAITHFUL[mode]
     n = rng.randint(1, cfg.n_max)
@@ -506,13 +506,12 @@ def classify_read_out(cfg, rng, F, target, ring):
     d = rng.randint(0, min(cfg.d_max, 4))
     m = d // 2
     shifted = inv.shift(alpha, plus=m + d % 2, minus=m)
-    ring = target.ring(F)
-    want = ring.times(ring.one, coeffs[d])
+    want = target.times(target.one(F), coeffs[d])
     yield f"pointwise at 0 over {F}, d={d}", want, inv.evaluate(shifted, witt_zero(F))
 
 
 @family("classify", "shift-kernel", lambda cfg: 10, per_target=True, applies=None)
-def classify_shift_kernel(cfg, rng, F, target, ring):
+def classify_shift_kernel(cfg, rng, F, target):
     mode = target.mode
     n = rng.randint(1, cfg.n_max)
     const = inv.SymbolicInvariant(n, mode, {0: rand_coeff(rng, mode)})
@@ -532,7 +531,7 @@ def classify_shift_kernel(cfg, rng, F, target, ring):
 
 
 @family("classify", "shift-relations", lambda cfg: 20, per_target=True, applies=None)
-def classify_shift_relations(cfg, rng, F, target, ring):
+def classify_shift_relations(cfg, rng, F, target):
     n = rng.randint(1, cfg.n_max)
     alpha = rand_symbolic(rng, n, target.mode, "f", 8, 4)
     pm = inv.phi(inv.phi(alpha, 1), -1)
@@ -561,7 +560,7 @@ def classify_pointwise_shift(cfg, rng, fields):
             phi_w = witt_canonical(pfister(slots))
             for sign in (1, -1):
                 q_shift = q + phi_w if sign == 1 else q - phi_w
-                correction = target.ring(F).symbol(slots) * inv.evaluate(inv.phi(alpha, sign), q)
+                correction = target.symbol(slots) * inv.evaluate(inv.phi(alpha, sign), q)
                 rhs = inv.evaluate(alpha, q)
                 rhs = rhs + correction if sign == 1 else rhs - correction
                 yield (
@@ -637,7 +636,7 @@ def product_binomial_parity(cfg, rng, fields):
 
 
 @family("product", "pointwise", lambda cfg: cfg.samples, per_target=True)
-def product_pointwise(cfg, rng, F, target, ring):
+def product_pointwise(cfg, rng, F, target):
     n = rng.randint(1, cfg.n_max)
     a = rand_symbolic(rng, n, target.mode, "f", min(cfg.d_max, 4), 2)
     b = rand_symbolic(rng, n, target.mode, "f", min(cfg.d_max, 4), 2)
@@ -647,7 +646,7 @@ def product_pointwise(cfg, rng, F, target, ring):
 
 
 @family("product", "single-term", lambda cfg: 30, applies=None)
-def product_single_term(cfg, rng, F, target, ring):
+def product_single_term(cfg, rng, F, target):
     n = rng.randint(1, cfg.n_max)
     s = rng.randint(0, 6)
     t = rng.randint(0, 6)
@@ -660,19 +659,19 @@ def product_single_term(cfg, rng, F, target, ring):
 
 
 @family("product", "eps-zero", lambda cfg: 20, applies=lambda F: F.kind == "C")
-def product_eps_zero(cfg, rng, F, target, ring):
+def product_eps_zero(cfg, rng, F, target):
     n = rng.randint(1, 2)
     s = rng.randint(0, 3)
     t = rng.randint(0, 3)
     q = rand_in_In(rng, F, n, max_terms=2)
     for target in cfg.targets():
-        want = eval_f(n, s + t, q, target) if s & t == 0 else target.ring(F).zero
+        want = eval_f(n, s + t, q, target) if s & t == 0 else target.zero(F)
         got = eval_f(n, s, q, target) * eval_f(n, t, q, target)
         yield f"s={s} t={t} ({target.mode})", want, got
 
 
 @family("product", "shift-of-product", lambda cfg: 20, per_target=True, applies=None)
-def product_shift(cfg, rng, F, target, ring):
+def product_shift(cfg, rng, F, target):
     mode = target.mode
     n = rng.randint(1, cfg.n_max)
     a = rand_symbolic(rng, n, mode, "f", 4, 2)
@@ -690,7 +689,7 @@ def product_shift(cfg, rng, F, target, ring):
 
 
 @family("restrict", "pointwise", lambda cfg: cfg.samples, per_target=True)
-def restrict_pointwise(cfg, rng, F, target, ring):
+def restrict_pointwise(cfg, rng, F, target):
     n = rng.randint(1, min(cfg.n_max, 2))
     d = rng.randint(0, cfg.d_max)
     alpha = inv.SymbolicInvariant.generator(n, target.mode, "f", d)
@@ -722,18 +721,18 @@ def restrict_level_1_in_H(cfg, rng, fields):
 
 
 @family("simil", "contract", lambda cfg: cfg.samples, per_target=True)
-def simil_contract(cfg, rng, F, target, ring):
+def simil_contract(cfg, rng, F, target):
     n = rng.randint(1, min(cfg.n_max, 2))
     d = rng.randint(0, cfg.d_max)
     alpha = inv.SymbolicInvariant.generator(n, target.mode, "g", d)
     q = rand_in_In(rng, F, n, max_terms=1)
     lam = rand_sc(rng, F)
-    rhs = inv.evaluate(alpha, q) + ring.symbol([lam]) * inv.evaluate(inv.psi_tilde(alpha), q)
+    rhs = inv.evaluate(alpha, q) + target.symbol([lam]) * inv.evaluate(inv.psi_tilde(alpha), q)
     yield f"n={n} d={d}", rhs, inv.evaluate(alpha, q.scale_sq(lam))
 
 
 @family("simil", "psi-relations", lambda cfg: 20, per_target=True, applies=None)
-def simil_psi_relations(cfg, rng, F, target, ring):
+def simil_psi_relations(cfg, rng, F, target):
     delta = 1 if target.mode == "W" else 0
     n = rng.randint(1, cfg.n_max)
     alpha = rand_symbolic(rng, n, target.mode, "g", 8, 4)
@@ -749,13 +748,13 @@ def simil_psi_relations(cfg, rng, F, target, ring):
 
 
 @family("simil", "scaled-pfister", lambda cfg: max(1, cfg.samples // 2), per_target=True)
-def simil_scaled_pfister(cfg, rng, F, target, ring):
+def simil_scaled_pfister(cfg, rng, F, target):
     n = rng.randint(1, min(cfg.n_max, 2))
     d = rng.randint(2, max(2, cfg.d_max))
     slots = rand_pfister_slots(rng, F, n)
     lam = rand_sc(rng, F)
     q = witt_canonical(pfister(slots)).scale_sq(lam)
-    want = ring.eps_pow(n * (d - 1) - 1) * ring.symbol([lam]) * ring.symbol(slots)
+    want = target.eps_pow(F, n * (d - 1) - 1) * target.symbol([lam]) * target.symbol(slots)
     if d % 2:
         want = -want
     yield f"n={n} d={d}", want, eval_f(n, d, q, target)
@@ -770,7 +769,7 @@ def _ramified(F) -> bool:
 
 
 @family("ram", "unramified", lambda cfg: cfg.samples, per_target=True, applies=_ramified)
-def ram_unramified(cfg, rng, F, target, ring):
+def ram_unramified(cfg, rng, F, target):
     n = rng.randint(1, min(cfg.n_max, 2))
     d = rng.randint(0, min(cfg.d_max, 4))
     pos = rng.randint(0, 2)
@@ -782,7 +781,7 @@ def ram_unramified(cfg, rng, F, target, ring):
 
 
 @family("ram", "residue-square", lambda cfg: cfg.samples, applies=_ramified)
-def ram_residue_square(cfg, rng, F, target, ring):
+def ram_residue_square(cfg, rng, F, target):
     d = rng.randint(1, 3)
     q = rand_in_In(rng, F, d, max_terms=2)
     yield f"d={d}", e_n(second_residue(q), d - 1), coh_residue(e_n(q, d))
@@ -793,7 +792,7 @@ def ram_residue_square(cfg, rng, F, target, ring):
 
 
 @family("fixed-dim", "expansion", lambda cfg: cfg.samples, per_target=True)
-def fixed_dim_expansion(cfg, rng, F, target, ring):
+def fixed_dim_expansion(cfg, rng, F, target):
     m = rng.choice((2, 4, 6))
     x = rand_diag(rng, F, m)
     q = witt_canonical(x)
@@ -803,7 +802,7 @@ def fixed_dim_expansion(cfg, rng, F, target, ring):
 
 
 @family("fixed-dim", "group-law", lambda cfg: max(1, cfg.samples // 2))
-def fixed_dim_group_law(cfg, rng, F, target, ring):
+def fixed_dim_group_law(cfg, rng, F, target):
     m = rng.randint(1, 5)
     x = rand_diag(rng, F, m)
     d = rng.randint(0, 4)
@@ -816,10 +815,10 @@ def fixed_dim_group_law(cfg, rng, F, target, ring):
 
 # on the first field only
 @family("fixed-dim", "normalized", lambda cfg: 1, per_target=True)
-def fixed_dim_normalized(cfg, rng, F, target, ring):
+def fixed_dim_normalized(cfg, rng, F, target):
     hyp = GwElement.diag(sc_one(F), -sc_one(F))
     for d in range(1, 5):
-        yield f"hyperbolic d={d}", ring.zero, eval_f(1, d, witt_canonical(hyp), target)
+        yield f"hyperbolic d={d}", target.zero(F), eval_f(1, d, witt_canonical(hyp), target)
 
 
 # ---------------------------------------------------------------------------
@@ -846,14 +845,14 @@ def coh_symbol_relations(cfg, rng, fields):
 
 
 @family("coh-ops", "e_n-pfister", lambda cfg: cfg.samples)
-def coh_e_n_pfister(cfg, rng, F, target, ring):
+def coh_e_n_pfister(cfg, rng, F, target):
     n = rng.randint(1, min(cfg.n_max, 3))
     slots = rand_pfister_slots(rng, F, n)
     yield f"n={n}", symbol(list(slots)), e_n(witt_canonical(pfister(slots)), n)
 
 
 @family("coh-ops", "e_n-additivity", lambda cfg: max(1, cfg.samples // 2))
-def coh_e_n_additivity(cfg, rng, F, target, ring):
+def coh_e_n_additivity(cfg, rng, F, target):
     n = rng.randint(1, 2)
     q1 = rand_in_In(rng, F, n, max_terms=1)
     q2 = rand_in_In(rng, F, n, max_terms=1)
@@ -886,7 +885,7 @@ def coh_residue_symbols(cfg, rng, fields):
 # adding a level-(n+1) Pfister class changes a level-n value by
 # (-1)^(n-1) . e_{n+1}(phi) . (double shift)
 @family("coh-ops", "level-up", lambda cfg: cfg.samples)
-def coh_level_up(cfg, rng, F, target, ring):
+def coh_level_up(cfg, rng, F, target):
     n = rng.randint(1, min(cfg.n_max, 2))
     d = rng.randint(0, cfg.d_max)
     alpha = inv.SymbolicInvariant.generator(n, "H", "f", d)
@@ -956,7 +955,7 @@ def delta1_well_defined(cfg, rng, fields):
 
 # divisibility along a t-fold factor
 @family("delta1", "divisibility", lambda cfg: max(1, cfg.samples // 2), per_target=True)
-def delta1_divisibility(cfg, rng, F, target, ring):
+def delta1_divisibility(cfg, rng, F, target):
     n = rng.randint(2, max(2, min(cfg.n_max, 3)))
     t = rng.randint(1, n - 1)
     d = rng.randint(1, min(cfg.d_max, 4))
@@ -964,13 +963,13 @@ def delta1_divisibility(cfg, rng, F, target, ring):
     qp = rand_in_In(rng, F, n - t, max_terms=1)
     q = witt_canonical(pfister(slots)) * qp
     if is_in_In(q, n):
-        want = ring.eps_pow(t * (d - 1)) * ring.symbol(slots) * eval_f(n - t, d, qp, target)
+        want = target.eps_pow(F, t * (d - 1)) * target.symbol(slots) * eval_f(n - t, d, qp, target)
         yield f"n={n} t={t} d={d}", want, eval_f(n, d, q, target)
 
 
 # exterior-power factor swap on certified blocks
 @family("delta1", "factor-swap", lambda cfg: max(1, cfg.samples // 2))
-def delta1_factor_swap(cfg, rng, F, target, ring):
+def delta1_factor_swap(cfg, rng, F, target):
     a = rand_sc(rng, F)
     b = rand_sc(rng, F)
     terms = [
@@ -983,7 +982,7 @@ def delta1_factor_swap(cfg, rng, F, target, ring):
 
 # composite descent routes agree pointwise and with the similitude
 @family("delta1", "descent-routes", lambda cfg: max(1, cfg.samples // 2), per_target=True)
-def delta1_descent_routes(cfg, rng, F, target, ring):
+def delta1_descent_routes(cfg, rng, F, target):
     n = rng.randint(2, max(2, min(cfg.n_max, 3)))
     d = rng.randint(1, min(cfg.d_max, 4))
     alpha = inv.SymbolicInvariant.generator(n, target.mode, "f", d)
@@ -991,9 +990,9 @@ def delta1_descent_routes(cfg, rng, F, target, ring):
     q = rand_in_In(rng, F, n, max_terms=1)
     x_w = witt_canonical(pfister([c])) * q
     direct = inv.evaluate(alpha, x_w)
-    via_desc = ring.symbol([c]) * inv.evaluate(inv.omega_t(alpha, 1), q)
+    via_desc = target.symbol([c]) * inv.evaluate(inv.omega_t(alpha, 1), q)
     yield f"descent n={n} d={d}", direct, via_desc
-    via_restr = ring.symbol([c]) * inv.evaluate(inv.omega_t(inv.restrict(alpha), 1), q)
+    via_restr = target.symbol([c]) * inv.evaluate(inv.omega_t(inv.restrict(alpha), 1), q)
     yield f"restrict-then-descend n={n} d={d}", direct, via_restr
     tilde = inv.psi_tilde(alpha)
     commutes = inv.psi_tilde(inv.omega_t(alpha, 1)) == inv.omega_t(tilde, 1)
@@ -1001,7 +1000,7 @@ def delta1_descent_routes(cfg, rng, F, target, ring):
     # pointwise: scaling before or after the factorization agrees
     lam = rand_sc(rng, F)
     scaled = inv.evaluate(alpha, x_w.scale_sq(lam)) - direct
-    via = ring.symbol([lam]) * ring.symbol([c]) * inv.evaluate(inv.omega_t(tilde, 1), q)
+    via = target.symbol([lam]) * target.symbol([c]) * inv.evaluate(inv.omega_t(tilde, 1), q)
     yield f"similitude of a factorized class n={n} d={d}", via, scaled
 
 

@@ -2,13 +2,13 @@
 
 ``group_law`` forms prod (1 + a t)^c by repeated squaring and one
 multiplicative inverse, over any coefficient ring given as an object with
-``zero`` and ``one``: ``invariants.ZZ``, a value ring ``target.ring(F)`` or
-``gw_ring(F)`` below.  A series here is a list of coefficients read as a
-polynomial, so missing degrees are zero, and every operation keeps at most
-the first ``length`` coefficients.  The library computes the same products
-through the character kernel (``witt.lambda_series`` for the
-exterior-power series, ``divided.sw_coeffs`` for the Stiefel-Whitney-style
-series); the tests compare the two.
+``zero`` and ``one``: ``invariants.ZZ``, or ``gw_ring(F)`` and
+``value_ring(target, F)`` below.  A series here is a list of coefficients
+read as a polynomial, so missing degrees are zero, and every operation
+keeps at most the first ``length`` coefficients.  The library computes
+the same products through the character kernel (``witt.lambda_series``
+for the exterior-power series, ``divided.sw_coeffs`` for the
+Stiefel-Whitney-style series); the tests compare the two.
 """
 
 from types import SimpleNamespace
@@ -23,6 +23,11 @@ class SeriesInversionError(ValueError):
 def gw_ring(field) -> SimpleNamespace:
     """The GW coefficients over ``field``."""
     return SimpleNamespace(zero=GwElement.zero(field), one=GwElement.unit(field))
+
+
+def value_ring(target, field) -> SimpleNamespace:
+    """The value ring A(``field``) of an ``InvariantTarget``: W or H*."""
+    return SimpleNamespace(zero=target.zero(field), one=target.one(field))
 
 
 def mul(ring, a: list, b: list, length: int) -> list:

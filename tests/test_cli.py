@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gwinv import cli, divided, series
+from gwinv import cli, divided, series, verify
 from gwinv.cli import EXIT_MEMBERSHIP, EXIT_OK, EXIT_PARSE, MAX_SERIES_SIZE, MAX_VERIFY_PREC, main
 from gwinv.invariants import MAX_COEFF_BITS, MAX_EPS_EXPONENT, MAX_TOTAL_DEGREE
 from gwinv.verify import SUITES, RunConfig
@@ -523,7 +523,7 @@ class TestVerify:
             seen.append((name, cfg.prec))
             return {"suite": name, "cases_total": 1, "cases_failed": 0, "first_failure": None}
 
-        monkeypatch.setattr(cli, "run_suite", stub)
+        monkeypatch.setattr(verify, "run_suite", stub)
         code, out, err = run(capsys, "verify", "--suite", "series", "--prec", str(MAX_VERIFY_PREC))
         assert (code, err) == (EXIT_OK, "")
         assert seen == [("series", MAX_VERIFY_PREC)]
@@ -533,7 +533,7 @@ class TestVerify:
     @pytest.mark.parametrize("suite", ["series", "pi", "nope"])
     def test_prec_above_cap_exits_2(self, capsys, monkeypatch, suite, prec):
         # rejected before any suite runs
-        monkeypatch.setattr(cli, "run_suite", None)
+        monkeypatch.setattr(verify, "run_suite", None)
         code, out, err = run(capsys, "verify", "--suite", suite, "--prec", str(prec))
         assert code == EXIT_PARSE
         assert out == ""

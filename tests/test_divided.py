@@ -18,8 +18,9 @@ from gwinv.divided import (
     p_fixed,
 )
 from gwinv.fields import minus_one, parse_field, parse_sc, sc_one
-from gwinv.invariants import ZZ, F2Poly, eval_g
+from gwinv.invariants import ZZ, F2Poly, coeff_ops, eval_g
 from gwinv.sampling import (
+    rand_coeff,
     rand_diag,
     rand_gw,
     rand_in_In,
@@ -38,7 +39,7 @@ from gwinv.witt import (
     witt_one,
     witt_zero,
 )
-from group_law_oracle import group_law, gw_ring, mul
+from group_law_oracle import group_law, gw_ring, mul, value_ring
 
 R = parse_field("R")
 RTT = parse_field("R((t1))((t2))")
@@ -112,7 +113,7 @@ class TestEvalF:
                 q = witt_canonical(pfister(slots))
                 for d in range(1, 5):
                     for target in BOTH:
-                        want = target.ring(F).eps_pow(n * (d - 1)) * target.ring(F).symbol(slots)
+                        want = target.eps_pow(F, n * (d - 1)) * target.symbol(slots)
                         if d % 2 and target.mode == "W":
                             want = -want
                         assert eval_f(n, d, -q, target) == want
@@ -124,7 +125,7 @@ class TestEvalF:
     def test_degree_zero_unit(self):
         q = witt_zero(RTT)
         assert eval_f(2, 0, q, W_TARGET) == witt_one(RTT)
-        assert eval_f(2, 0, q, H_TARGET) == H_TARGET.ring(RTT).one
+        assert eval_f(2, 0, q, H_TARGET) == H_TARGET.one(RTT)
 
     def test_membership_guard(self):
         with pytest.raises(MembershipError):
@@ -140,7 +141,7 @@ class TestEvalF:
                 q2 = rand_in_In(rng, F, n)
                 f1 = eval_f_all(n, q1, target, range(d + 1))
                 f2 = eval_f_all(n, q2, target, range(d + 1))
-                want = target.ring(F).zero
+                want = target.zero(F)
                 for k in range(d + 1):
                     want = want + f1[k] * f2[d - k]
                 assert eval_f(n, d, q1 + q2, target) == want
@@ -188,9 +189,9 @@ class TestStiefelWhitney:
             entries = [rand_sc(rng, F) for _ in range(4)]
             x = GwElement.diag(*entries)
             for d in range(5):
-                want = H_TARGET.ring(F).zero
+                want = H_TARGET.zero(F)
                 for combo in combinations(range(4), d):
-                    term = H_TARGET.ring(F).one
+                    term = H_TARGET.one(F)
                     for i in combo:
                         term = term * symbol([entries[i]])
                     want = want + term
@@ -266,33 +267,49 @@ def _group_law_cases(rng):
     for F in standard_fields(1):
         yield gw_ring(F), [rand_gw(rng, F, rng.randint(1, 3)) for _ in range(3)]
         for target in BOTH:
-            ring = target.ring(F)
-            yield ring, [ring.symbol([rand_sc(rng, F)]) for _ in range(3)]
+            yield value_ring(target, F), [target.symbol([rand_sc(rng, F)]) for _ in range(3)]
 
 
-class TestValueRing:
+class TestTargetRing:
     def test_witt_eps_pow_is_minus_one_pfister_power(self):
         # <<-1>> = <1,1> = 2 in W; F3 (-1 a non-square) and F5 are included
         for F in standard_fields(2):
-            ring = W_TARGET.ring(F)
             e = witt_canonical(pfister([minus_one(F)]))
             want = witt_one(F)
             for j in range(7):
-                assert ring.eps_pow(j) == want
+                assert W_TARGET.eps_pow(F, j) == want
                 want = want * e
 
     def test_cohomology_times_is_per_bit_sum(self):
         rng = random.Random(12)
         for F in standard_fields(2):
-            ring = H_TARGET.ring(F)
             for _ in range(5):
                 x = symbol([rand_sc(rng, F), rand_sc(rng, F)]) + symbol([rand_sc(rng, F)])
                 c = F2Poly(rng.getrandbits(6))
-                want = ring.zero
+                want = H_TARGET.zero(F)
                 for j in range(c.bits.bit_length()):
                     if c.bits >> j & 1:
                         want = want + minus_one_power(F, j) * x
-                assert ring.times(x, c) == want
+                assert H_TARGET.times(x, c) == want
+
+    @pytest.mark.parametrize("target", BOTH, ids=lambda t: t.mode)
+    def test_times_is_a_module_action_of_the_universal_scalars(self, target):
+        rng = random.Random(14)
+        ops = coeff_ops(target.mode)
+        for F in standard_fields(2):
+
+            def element():
+                a, b, c = (rand_sc(rng, F) for _ in range(3))
+                return target.symbol([a]) + target.symbol([b, c])
+
+            for _ in range(4):
+                x, y = element(), element()
+                a, b = rand_coeff(rng, target.mode), rand_coeff(rng, target.mode)
+                assert target.times(x, a + b) == target.times(x, a) + target.times(x, b)
+                assert target.times(x + y, a) == target.times(x, a) + target.times(y, a)
+                assert target.times(target.times(x, a), b) == target.times(x, a * b)
+            for j in range(7):
+                assert target.times(target.one(F), ops.eps_pow(j)) == target.eps_pow(F, j)
 
     def test_group_law_of_negated_atoms_inverts(self):
         rng = random.Random(13)

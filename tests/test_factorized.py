@@ -66,7 +66,7 @@ class TestDeltaEval:
                 x = make_factorized([c], q, 2)
                 alpha = gen(1, target.mode, 2)
                 got = delta_t_eval(x, alpha, 1)
-                assert got == target.ring(F).symbol([c]) * evaluate(alpha, q)
+                assert got == target.symbol([c]) * evaluate(alpha, q)
 
     def test_zero_cofactor_gives_zero(self):
         x = make_factorized([T1], witt_zero(RTT), 2)
@@ -190,14 +190,13 @@ class TestDivisibility:
                 alpha = gen(n, target.mode, d)
                 from gwinv.divided import eval_f
 
-                ring = target.ring(F)
                 want = (
-                    ring.eps_pow(t * (d - 1))
-                    * ring.symbol(slots)
+                    target.eps_pow(F, t * (d - 1))
+                    * target.symbol(slots)
                     * eval_f(n - t, d, qp, target)
                 )
                 assert eval_f(n, d, q, target) == want
                 # the symbolic descent operator computes the same thing
-                assert ring.symbol(slots) * evaluate(
+                assert target.symbol(slots) * evaluate(
                     omega_t(alpha, t), qp
                 ) == eval_f(n, d, q, target)

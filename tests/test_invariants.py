@@ -120,6 +120,22 @@ class TestCoefficientRing:
         with pytest.raises(TypeError, match="mode-W coefficient"):
             from_g(1, "W", coeffs)
 
+    @pytest.mark.parametrize(
+        "mode, coeffs",
+        [
+            ("W", {-1: 1, 2: 1}),
+            ("H", {-3: F2Poly.one}),
+            ("W", {"x": 1}),
+            ("W", {1.0: 1}),
+            ("W", {True: 1}),
+            ("H", {False: F2Poly.one}),
+            ("W", {None: 0}),
+        ],
+    )
+    def test_bad_degree_key_is_rejected(self, mode, coeffs):
+        with pytest.raises(ValueError, match="degree must be an int >= 0"):
+            SymbolicInvariant(1, mode, coeffs)
+
     def test_mode_scalars_are_accepted(self):
         assert SymbolicInvariant(1, "W", {1: 3, 2: 0}).coeffs == {1: 3}
         assert g_coeffs(from_g(1, "H", {1: F2Poly(0b11), 2: F2Poly.zero})) == {1: F2Poly(0b11)}
@@ -240,7 +256,7 @@ class TestPhi:
                 pw = witt_canonical(pfister(slots))
                 for sign in (1, -1):
                     shifted_q = q + pw if sign == 1 else q - pw
-                    corr = target.ring(F).symbol(slots) * evaluate(phi(alpha, sign), q)
+                    corr = target.symbol(slots) * evaluate(phi(alpha, sign), q)
                     want = evaluate(alpha, q)
                     want = (
                         want + corr
@@ -271,9 +287,8 @@ class TestClassification:
                 d = rng.randint(0, 5)
                 m = d // 2
                 shifted = shift(alpha, plus=m + d % 2, minus=m)
-                ring = target.ring(F)
-                assert evaluate(shifted, witt_zero(F)) == ring.times(
-                    ring.one, coeff_at_zero(shifted)
+                assert evaluate(shifted, witt_zero(F)) == target.times(
+                    target.one(F), coeff_at_zero(shifted)
                 )
 
     def test_normalization_split(self):
@@ -495,7 +510,7 @@ class TestPsiTilde:
                 alpha = gen(n, target.mode, "g", d)
                 q = rand_in_In(rng, F, n, max_terms=1)
                 lam = rand_sc(rng, F)
-                want = evaluate(alpha, q) + target.ring(F).symbol([lam]) * evaluate(
+                want = evaluate(alpha, q) + target.symbol([lam]) * evaluate(
                     psi_tilde(alpha), q
                 )
                 assert evaluate(alpha, q.scale_sq(lam)) == want
@@ -566,7 +581,7 @@ class TestOmega:
 class TestEvaluate:
     def test_unit_invariant(self):
         q = witt_zero(RTT)
-        assert evaluate(gen(2, "W", "f", 0), q) == W_TARGET.ring(RTT).one
+        assert evaluate(gen(2, "W", "f", 0), q) == W_TARGET.one(RTT)
 
     def test_matches_direct_family_values(self):
         rng = random.Random(11)

@@ -27,7 +27,7 @@ from gwinv.invariants import coeff_ops, eval_g
 from gwinv.sampling import standard_fields
 from gwinv.series import ConsistencyError, ext_binom
 from gwinv.witt import GwElement, parse_form, witt_canonical
-from group_law_oracle import group_law
+from group_law_oracle import group_law, value_ring
 
 FIELDS = standard_fields(4)
 TARGETS = (W_TARGET, H_TARGET)
@@ -35,15 +35,15 @@ BIG = 3 << 10
 
 
 def oracle_sw_series(x, precision, target):
-    ring = target.ring(x.field)
-    return group_law(ring, ((ring.symbol([a]), c) for a, c in x.entries()), precision)
+    atoms = ((target.symbol([a]), c) for a, c in x.entries())
+    return group_law(value_ring(target, x.field), atoms, precision)
 
 
 def oracle_eval_fixed_dim(d, x, target, basis):
     r = x.dim // 2
-    ring = target.ring(x.field)
+    ops = coeff_ops(target.mode)
     sw = oracle_sw_series(x, d, target)
-    out = ring.zero
+    out = target.zero(x.field)
     for i in range(d + 1):
         if basis == "f":
             c = ext_binom(r - i, d - i)
@@ -52,7 +52,7 @@ def oracle_eval_fixed_dim(d, x, target, basis):
         if c == 0:
             continue
         sign = c if i % 2 == 0 else -c
-        out = out + ring.from_int(sign) * ring.eps_pow(d - i) * sw[i]
+        out = out + target.times(target.eps_pow(x.field, d - i) * sw[i], ops.from_int(sign))
     return out
 
 

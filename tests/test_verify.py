@@ -75,6 +75,19 @@ def test_config_minimums_are_enforced(name):
             run_suite(name, RunConfig(**{field: low - 1}))
 
 
+@pytest.mark.parametrize("mode", ["w", "h", "WH", "", 0])
+def test_unknown_mode_is_rejected(mode):
+    # any other mode would select both targets while the report names it
+    with pytest.raises(ValueError, match="^mode must be None, 'W' or 'H', got "):
+        RunConfig(mode=mode)
+
+
+def test_known_modes_select_their_targets():
+    assert [t.mode for t in RunConfig(mode="W").targets()] == ["W"]
+    assert [t.mode for t in RunConfig(mode="H").targets()] == ["H"]
+    assert [t.mode for t in RunConfig().targets()] == ["W", "H"]
+
+
 def test_residue_family_covers_every_base():
     # one tower of depth >= 1 per base, so the residue identities reach F_q
     cases = [ctx for ctx, _, _ in _cases("coh-ops", MODERATE["coh-ops"]) if ctx[0] == "residue"]
@@ -84,7 +97,7 @@ def test_residue_family_covers_every_base():
 
 
 def test_failure_text_names_family_field_mode_and_case(monkeypatch):
-    monkeypatch.setattr(verify, "eval_g", lambda n, d, q, target: target.ring(q.field).one)
+    monkeypatch.setattr(verify, "eval_g", lambda n, d, q, target: target.one(q.field))
     failure = run_suite("g-bounds", RunConfig(samples=4))["first_failure"]
     assert failure["inputs"].startswith("g-bounds/beyond-bound: g_")
     assert failure["inputs"].endswith(" over C (W, case 0)")
@@ -173,6 +186,10 @@ DIGESTS = {
     "series-cap": "c58311f711a9981c94e7db9f93797bbdcaed478d504e299df1c191be2404c568",
     "f-values": "67fe31822d69aa4f25cc55eb3a1456ff263c8bbce554358e962deb6e41e56837",
     "g-values": "b1e53bb4915c1d2959eb22bf133858538e6922cbda37d57391e90fab607dfc5c",
+    "moderate": "00d3cd883f2b9124070d7e15ba6826fedf0f2c2f9f20f02a39cd73db19a89c7f",
+    "cli-errors": "048a0062fa3724bcf6cbcbd5929ed19bdad02f903c754a03d603a8a8d05cf125",
+    "witt-level": "c8d6ac09bc5d75d8de2a148c82d56dd60db8a313ed344d1d920b581b907aa866",
+    "series-dump": "1d28054531bc04d7ae8004373192127e212a93e502ab46d2dad4e3371c92d763",
 }
 
 
@@ -184,9 +201,13 @@ def test_equivalence_digest_is_pinned(name, digest):
     series read as degree-keyed dicts; ``series-cap`` is the six
     ``gwinv series`` dumps on the size cap line; ``f-values`` and
     ``g-values`` are ``evaluate`` and ``eval_g`` on every f and g generator
-    of low degree and on seeded sums and products of them.  A change that moves a
-    digest on purpose (adds or drops cases, changes a value) records the
-    new value here, with a line in ``CHANGES.md`` saying why."""
+    of low degree and on seeded sums and products of them; ``moderate`` is
+    the ``MODERATE`` reports above; ``cli-errors`` the usage and parse
+    errors of ``cli.main``; ``witt-level`` ``filtration_level`` on whole
+    Witt groups and seeded classes; ``series-dump`` the ``gwinv series``
+    JSON dumps of the series workload.  A change that moves a digest on
+    purpose (adds or drops cases, changes a value) records the new value
+    here, with a line in ``CHANGES.md`` saying why."""
     path = Path(__file__).resolve().parent.parent / "scripts" / "equivalence.py"
     spec = importlib.util.spec_from_file_location("equivalence", path)
     equivalence = importlib.util.module_from_spec(spec)
