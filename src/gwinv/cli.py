@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import sys
 from gettext import gettext
@@ -74,11 +73,7 @@ def cmd_series(args) -> int:
     if args.format == "json":
         print(json.dumps({name: coeffs for name, coeffs in rows}, sort_keys=True))
     elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        for name, coeffs in rows:
-            writer.writerow([name] + coeffs)
-        print(out.getvalue(), end="")
+        csv.writer(sys.stdout).writerows([name] + coeffs for name, coeffs in rows)
     else:
         for name, coeffs in rows:
             print(f"{name}: " + ",".join(str(c) for c in coeffs))
@@ -105,18 +100,8 @@ def cmd_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "invariant": args.inv,
-                    "form": args.form,
-                    "field": args.field,
-                    "mode": args.mode,
-                    "value": rendered,
-                },
-                sort_keys=True,
-            )
-        )
+        answer = {"invariant": args.inv, "form": args.form, "field": args.field, "mode": args.mode, "value": rendered}
+        print(json.dumps(answer, sort_keys=True))
     else:
         print(rendered)
     return EXIT_OK
@@ -140,34 +125,17 @@ def cmd_verify(args) -> int:
         except FieldSyntaxError as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return EXIT_PARSE
-    cfg = RunConfig(
-        field=args.field,
-        prec=args.prec,
-        n_max=args.n_max,
-        d_max=args.d_max,
-        samples=args.samples,
-        seed=args.seed,
-        mode=args.mode,
-    )
-    report = run_suite(args.suite, cfg)
+    # each RunConfig field is a flag of the same name (``build_parser``)
+    report = run_suite(args.suite, RunConfig(**{name: getattr(args, name) for name in RunConfig().to_dict()}))
     if report["cases_total"] == 0:
         print(f"suite {args.suite!r} has no case for this config", file=sys.stderr)
         return EXIT_PARSE
     if args.format == "json":
         print(json.dumps(report, sort_keys=True))
     elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["suite", "cases_total", "cases_failed", "first_failure"])
-        writer.writerow(
-            [
-                report["suite"],
-                report["cases_total"],
-                report["cases_failed"],
-                json.dumps(report["first_failure"], sort_keys=True),
-            ]
-        )
-        print(out.getvalue(), end="")
+        keys = ["suite", "cases_total", "cases_failed", "first_failure"]
+        row = [report[k] for k in keys[:3]] + [json.dumps(report["first_failure"], sort_keys=True)]
+        csv.writer(sys.stdout).writerows([keys, row])
     else:
         status = "PASS" if report["cases_failed"] == 0 else "FAIL"
         print(

@@ -104,10 +104,13 @@ class FieldDescriptor:
         return 1 << (self.num_gens - 1)
 
     def parent(self) -> "FieldDescriptor":
-        """The one-shorter tower (drop the top variable)."""
+        """The one-shorter tower (drop the top variable), built unchecked:
+        it is valid as this one is, and q's primality test is slow."""
         if not self.vars:
             raise ValueError("base field has no parent tower")
-        return FieldDescriptor(self.kind, self.q, self.vars[:-1])
+        out = object.__new__(FieldDescriptor)
+        out.__dict__.update(self.__dict__, vars=self.vars[:-1], depth=self.depth - 1, num_gens=self.num_gens - 1)
+        return out
 
     def __str__(self) -> str:
         base = self.kind if self.kind != FINITE_ODD else f"F{self.q}"

@@ -123,7 +123,8 @@ class SymbolicInvariant:
     coefficients in the mode's scalar ring: ``int`` in mode W, ``F2Poly``
     in mode H (any other type, ``bool`` among them, raises ``TypeError``).
     A degree key must be an ``int`` >= 0 (not a ``bool``), or ``ValueError``
-    is raised."""
+    is raised.  The constructor checks; the operator tables' results are
+    valid by closure and are built unchecked (``_of``)."""
 
     __slots__ = ("n", "mode", "coeffs")
 
@@ -140,6 +141,13 @@ class SymbolicInvariant:
         self.n = n
         self.mode = mode
         self.coeffs = {d: c for d, c in coeffs.items() if c != ops.zero}
+
+    @classmethod
+    def _of(cls, n: int, mode: str, coeffs: dict) -> "SymbolicInvariant":
+        """An invariant on zero-free coefficients of the mode's type, unchecked."""
+        self = object.__new__(cls)
+        self.n, self.mode, self.coeffs = n, mode, coeffs
+        return self
 
     @classmethod
     def generator(cls, n: int, mode: str, family: str, d: int) -> "SymbolicInvariant":
@@ -241,7 +249,7 @@ def _apply(mode: str, coeffs: dict, terms) -> dict:
 def _linear(alpha: SymbolicInvariant, n: int, terms) -> SymbolicInvariant:
     """``_apply`` on the f-coefficients of ``alpha``, as an invariant at
     level n."""
-    return SymbolicInvariant(n, alpha.mode, _apply(alpha.mode, alpha.coeffs, terms))
+    return SymbolicInvariant._of(n, alpha.mode, _apply(alpha.mode, alpha.coeffs, terms))
 
 
 def from_g(n: int, mode: str, g: dict) -> SymbolicInvariant:

@@ -21,7 +21,10 @@ character transforms run on one constant-geometry butterfly
 Python call per pair.  Equality in GW is decided by the Z[G] terms
 first: GW(K) is a quotient of Z[K*/K*^2], so equal terms give equal
 elements.  Other pairs go through (dimension, Witt class), which
-determines an element uniquely.
+determines an element uniquely.  Values are checked where they enter: in
+the public constructors, the parser, ``int_mul``, ``scale`` and
+``from_int``.  Library results are valid by closure, since each leaf
+table maps codes to codes, so they are built unchecked through ``_of``.
 """
 
 from __future__ import annotations
@@ -79,24 +82,40 @@ class RenderLimitError(ValueError):
 # formal diagonal forms
 
 
+def _int(n) -> int:
+    """n if it is an ``int`` (not a ``bool``); anything else raises ``TypeError``."""
+    if type(n) is not int:
+        raise TypeError(f"expected an int, got {type(n).__name__}")
+    return n
+
+
 class GwElement:
-    """Formal ZZ-combination of diagonal one-dimensional forms."""
+    """Formal ZZ-combination of diagonal one-dimensional forms; the
+    constructor drops zero terms and raises ``TypeError`` for a
+    coefficient that is not an ``int`` (a ``bool`` among them)."""
 
     __slots__ = ("field", "terms")
 
     def __init__(self, field: FieldDescriptor, terms: dict[int, int] | None = None):
         self.field = field
-        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
+        self.terms = {m: c for m, c in (terms or {}).items() if (c if type(c) is int else _int(c))}
 
     # -- constructors
 
     @classmethod
+    def _of(cls, field: FieldDescriptor, terms: dict[int, int]) -> "GwElement":
+        """An element on zero-free int terms the library made, unchecked."""
+        self = object.__new__(cls)
+        self.field, self.terms = field, terms
+        return self
+
+    @classmethod
     def zero(cls, field: FieldDescriptor) -> "GwElement":
-        return cls(field, {})
+        return cls._of(field, {})
 
     @classmethod
     def unit(cls, field: FieldDescriptor) -> "GwElement":
-        return cls(field, {0: 1})
+        return cls._of(field, {0: 1})
 
     @classmethod
     def from_int(cls, field: FieldDescriptor, n: int) -> "GwElement":
@@ -131,7 +150,7 @@ class GwElement:
         return self + (-other)
 
     def __neg__(self) -> "GwElement":
-        return GwElement(self.field, {m: -c for m, c in self.terms.items()})
+        return GwElement._of(self.field, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "GwElement") -> "GwElement":
         self._check(other)
@@ -143,6 +162,7 @@ class GwElement:
         return GwElement(self.field, out)
 
     def scale(self, n: int) -> "GwElement":
+        _int(n)
         return GwElement(self.field, {m: n * c for m, c in self.terms.items()})
 
     @property
@@ -233,7 +253,7 @@ class WittClass:
     top bit.  The code is one bit over C (W = Z/2), the signature over R
     (W = Z), a residue mod 4 over F_q with q = 3 mod 4 (W = Z/4, <1> = 1,
     <u> = <-1> = 3) and the bits of <1> and <u> over F_q with q = 1 mod 4
-    (W = F2[<u>]).
+    (W = F2[<u>]).  The constructor checks the leaves; ``_of`` does not.
     """
 
     field: FieldDescriptor
@@ -244,6 +264,13 @@ class WittClass:
         code outside the base's range."""
         if len(self.leaves) != 1 << self.field.depth or not _base(self.field).codes(self.leaves):
             raise ValueError(f"{self.leaves!r} is not a leaf tuple of a Witt class over {self.field}")
+
+    @classmethod
+    def _of(cls, field: FieldDescriptor, leaves: tuple) -> "WittClass":
+        """A class on leaves the library made from valid ones, unchecked."""
+        self = object.__new__(cls)
+        self.__dict__.update(field=field, leaves=leaves)
+        return self
 
     @property
     def is_zero(self) -> bool:
@@ -261,15 +288,13 @@ class WittClass:
 
     def __add__(self, other: "WittClass") -> "WittClass":
         self._check(other)
-        return WittClass(self.field, tuple(map(_base(self.field).add, self.leaves, other.leaves)))
+        return WittClass._of(self.field, tuple(map(_base(self.field).add, self.leaves, other.leaves)))
 
     def __sub__(self, other: "WittClass") -> "WittClass":
-        self._check(other)
-        base = _base(self.field)
-        return WittClass(self.field, tuple(map(base.add, self.leaves, map(base.neg, other.leaves))))
+        return self + -other
 
     def __neg__(self) -> "WittClass":
-        return WittClass(self.field, tuple(map(_base(self.field).neg, self.leaves)))
+        return WittClass._of(self.field, tuple(map(_base(self.field).neg, self.leaves)))
 
     def __mul__(self, other: "WittClass") -> "WittClass":
         """XOR convolution of the leaves, since <t><t> = <1>, with the
@@ -283,11 +308,11 @@ class WittClass:
             if x:
                 for v2, y in right:
                     out[v1 ^ v2] = add(out[v1 ^ v2], mul(x, y))
-        return WittClass(self.field, tuple(out))
+        return WittClass._of(self.field, tuple(out))
 
     def int_mul(self, n: int) -> "WittClass":
-        times = _base(self.field).times
-        return WittClass(self.field, tuple(times(x, n) for x in self.leaves))
+        times, n = _base(self.field).times, _int(n)
+        return WittClass._of(self.field, tuple(times(x, n) for x in self.leaves))
 
     def scale_sq(self, a: SquareClass) -> "WittClass":
         """Pointwise multiplication by the scalar a: its variable part
@@ -295,7 +320,7 @@ class WittClass:
         if self.field != a.field:
             raise FieldMismatchError("scalar over a different field")
         v, flip = a.var_mask, _base(self.field).flip if a.base_mask else pos
-        return WittClass(self.field, tuple(flip(self.leaves[w ^ v]) for w in range(len(self.leaves))))
+        return WittClass._of(self.field, tuple(flip(self.leaves[w ^ v]) for w in range(len(self.leaves))))
 
     def diag_rep(self) -> list[SquareClass]:
         """A small diagonal form with this Witt class."""
@@ -369,16 +394,16 @@ def _rep_terms(w: WittClass) -> list[tuple[int, int]]:
 
 
 def witt_zero(field: FieldDescriptor) -> WittClass:
-    return WittClass(field, (0,) * (1 << field.depth))
+    return WittClass._of(field, (0,) * (1 << field.depth))
 
 
 def witt_one(field: FieldDescriptor) -> WittClass:
-    return WittClass(field, (1,) + (0,) * ((1 << field.depth) - 1))
+    return WittClass._of(field, (1,) + (0,) * ((1 << field.depth) - 1))
 
 
 def witt_canonical(x: GwElement) -> WittClass:
     """Springer normal form."""
-    return WittClass(x.field, _springer_leaves(x))
+    return WittClass._of(x.field, _springer_leaves(x))
 
 
 def _springer_leaves(x: GwElement) -> tuple:
@@ -410,7 +435,7 @@ def second_residue(q: WittClass) -> WittClass:
     unramified classes."""
     if q.field.depth == 0:
         raise ValueError("second residue needs a tower of depth >= 1")
-    return WittClass(q.field.parent(), q.leaves[len(q.leaves) // 2 :])
+    return WittClass._of(q.field.parent(), q.leaves[len(q.leaves) // 2 :])
 
 
 def hat_lift(q: WittClass) -> GwElement:
@@ -519,7 +544,7 @@ def character_series(x: GwElement, degrees: Collection[int], row) -> dict[int, G
     if reduce(or_, flat, 0) & low:
         v, d = next((v, d) for j, d in enumerate(degrees) for v in flat[j::n] if v & low)
         raise ConsistencyError(f"character sum {v} at degree {d} is not divisible by 2^{g}")
-    return {d: GwElement(field, {m: v >> g for m, v in enumerate(flat[j::n]) if v}) for j, d in enumerate(degrees)}
+    return {d: GwElement._of(field, {m: v >> g for m, v in enumerate(flat[j::n]) if v}) for j, d in enumerate(degrees)}
 
 
 def lambda_series(x: GwElement, degrees: Collection[int]) -> dict[int, GwElement]:

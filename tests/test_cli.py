@@ -599,6 +599,17 @@ class TestVerify:
         assert code == EXIT_PARSE
         assert out == "" and err.startswith(f"error: {flag} must be >=")
 
+    @pytest.mark.parametrize("suite", ["ram", "coh-ops"])
+    def test_large_q_tower_within_cpu_budget(self, capsys, suite):
+        """Over q = 1099511627689, an odd prime power just below the 2^40
+        cap, 50 samples take under 1 s of process CPU.  Only q mod 4 enters
+        the arithmetic; each derived field once reran the trial-division
+        primality test (about 0.07 s for this q), and ``ram`` took 28 s."""
+        start = time.process_time()
+        code, out, err = run(capsys, "verify", "--suite", suite, "--field", "F1099511627689((t1))((t2))", "--samples", "50")
+        assert time.process_time() - start < 1.0
+        assert (code, err) == (EXIT_OK, "") and "PASS" in out
+
     @pytest.mark.parametrize("field", ["Q", "R((t))((t))", "F100000000000000000039"])
     def test_bad_field_exits_2(self, capsys, field):
         code, out, err = run(capsys, "verify", "--suite", "pi", "--field", field)

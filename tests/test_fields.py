@@ -130,6 +130,18 @@ class TestStoredConstants:
             assert F != F.parent() and F.parent() == G.parent()
         assert [f.name for f in dataclasses.fields(F) if f.init] == ["kind", "q", "vars"]
 
+    @pytest.mark.parametrize("depth", range(1, 7))
+    @pytest.mark.parametrize("head", BASE_HEADS)
+    def test_parent_holds_what_the_checking_constructor_stores(self, head, depth):
+        """``parent`` skips ``__post_init__``; its result must equal the
+        checked descriptor attribute for attribute and stay frozen."""
+        F = parse_field(head_tower(head, depth))
+        P, want = F.parent(), FieldDescriptor(F.kind, F.q, F.vars[:-1])
+        assert type(P) is FieldDescriptor and vars(P) == vars(want)
+        assert P == want and hash(P) == hash(want) and repr(P) == repr(want)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            P.vars = ()
+
     @pytest.mark.parametrize("name", ["depth", "base_bits", "num_gens"])
     def test_constants_are_neither_passed_nor_assigned(self, name):
         F = parse_field("F5((t1))((t2))")

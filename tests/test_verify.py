@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gwinv import series, verify, witt
+from gwinv import invariants, series, verify, witt
 from gwinv.verify import RunConfig, SUITES, _cases, _report, run_suite
 from gwinv.witt import GwElement
 
@@ -190,6 +190,9 @@ DIGESTS = {
     "cli-errors": "048a0062fa3724bcf6cbcbd5929ed19bdad02f903c754a03d603a8a8d05cf125",
     "witt-level": "c8d6ac09bc5d75d8de2a148c82d56dd60db8a313ed344d1d920b581b907aa866",
     "series-dump": "1d28054531bc04d7ae8004373192127e212a93e502ab46d2dad4e3371c92d763",
+    "eval": "ca5ec8bfefadb9f75ea369f6ae3c59f5c2ddc2e85d217f0a3dcec0066d186f9c",
+    "demos": "17a79d414f632a27cb8c5efa45dc119cb82743dc81836a3e2175384d7abdfcac",
+    "pi-deep": "b594058185ab7f927b7c4c3dcd13e3abfa71c95c7ea6ceac9b2e5f5c917c4c5d",
 }
 
 
@@ -205,14 +208,53 @@ def test_equivalence_digest_is_pinned(name, digest):
     the ``MODERATE`` reports above; ``cli-errors`` the usage and parse
     errors of ``cli.main``; ``witt-level`` ``filtration_level`` on whole
     Witt groups and seeded classes; ``series-dump`` the ``gwinv series``
-    JSON dumps of the series workload.  A change that moves a digest on
-    purpose (adds or drops cases, changes a value) records the new value
-    here, with a line in ``CHANGES.md`` saying why."""
+    JSON dumps of the series workload; ``eval`` the benchmark's ``gwinv
+    eval`` requests; ``demos`` the stdout of ``demos/*.py``; ``pi-deep``
+    the divided powers on sparse degree sets over deep towers.  A change
+    that moves a digest on purpose (adds or drops cases, changes a value)
+    records the new value here, with a line in ``CHANGES.md`` saying
+    why."""
     path = Path(__file__).resolve().parent.parent / "scripts" / "equivalence.py"
     spec = importlib.util.spec_from_file_location("equivalence", path)
     equivalence = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(equivalence)
     assert equivalence.HASHES[name]() == digest
+
+
+# a slice of the suites that reaches every unchecked constructor, in both modes
+GUARDED = {
+    "lambda": RunConfig(samples=12, prec=8),
+    "f-axioms": RunConfig(samples=12, n_max=2, d_max=4),
+    "classify": RunConfig(samples=12, n_max=2, d_max=4),
+}
+
+
+def test_unchecked_constructors_build_only_checkable_values(monkeypatch):
+    """Library results are built through ``_of``, without the checks of the
+    public constructors.  With each ``_of`` replaced by its class's
+    checking constructor, which must also keep the value as given (no zero
+    to drop), the ``GUARDED`` slice gives the same reports and no error, so
+    a kernel that makes an invalid leaf, term or coefficient still fails
+    here."""
+    want = {name: run_suite(name, cfg) for name, cfg in GUARDED.items()}
+    assert not any(report["cases_failed"] for report in want.values())
+    slots = {
+        witt.WittClass: ("field", "leaves"),
+        witt.GwElement: ("field", "terms"),
+        invariants.SymbolicInvariant: ("n", "mode", "coeffs"),
+    }
+    seen = set()
+
+    def checking(cls, *args):
+        seen.add(cls)
+        value = cls(*args)
+        assert [getattr(value, slot) for slot in slots[cls]] == list(args)
+        return value
+
+    for cls in slots:
+        monkeypatch.setattr(cls, "_of", classmethod(checking))
+    assert {name: run_suite(name, cfg) for name, cfg in GUARDED.items()} == want
+    assert seen == set(slots)
 
 
 def test_report_schema():

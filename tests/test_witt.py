@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from gwinv import witt
 from gwinv.fields import (
     FieldMismatchError,
     FieldSyntaxError,
@@ -122,6 +123,68 @@ class TestLeafCheck:
             assert (witt_canonical(GwElement.diag(*rep)) if rep else witt_zero(F)) == q
         big = WittClass(parse_field("R"), (-(10**60),))
         assert big + big == big.int_mul(2)
+
+
+class TestClosure:
+    """The certificate behind building library results unchecked (``_of``):
+    every leaf operation maps codes to ``int`` codes in range, and so does
+    ``witt_canonical`` on int terms.  The finite tables are checked
+    exhaustively, the real one on a sampled range."""
+
+    @pytest.mark.parametrize("head", ["C", "F3", "F5"])
+    def test_finite_leaf_tables_are_closed(self, head):
+        table = witt._base(parse_field(head))
+        codes = range(2 if head == "C" else 4)
+        out = [table.neg(x) for x in codes] + [table.flip(x) for x in codes]
+        out += [op(x, y) for op in (table.add, table.mul) for x, y in product(codes, repeat=2)]
+        out += [table.times(x, n) for x in codes for n in range(-9, 10)]
+        assert all(type(y) is int and y in codes for y in out)
+
+    def test_real_leaf_table_maps_ints_to_ints(self):
+        table = witt._base(R)
+        ints = [*range(-40, 41), 10**30, -(3**50)]
+        out = [table.neg(x) for x in ints] + [table.flip(x) for x in ints]
+        out += [op(x, y) for op in (table.add, table.mul) for x, y in product(ints, repeat=2)]
+        out += [table.times(x, n) for x in ints for n in range(-9, 10)]
+        assert {type(y) for y in out} == {int}
+
+    @pytest.mark.parametrize("F", standard_fields(2), ids=str)
+    def test_springer_leaves_of_int_terms_are_codes(self, F):
+        rng = random.Random(str(F))
+        for _ in range(20):
+            masks = rng.sample(range(1 << F.num_gens), min(3, 1 << F.num_gens))
+            terms = {m: rng.choice((1, -1, 2, -3, 7, 10**20)) for m in masks}
+            leaves = witt._springer_leaves(GwElement(F, terms))
+            assert len(leaves) == 1 << F.depth and witt._base(F).codes(leaves)
+
+
+class TestScalarType:
+    """A scalar or GW coefficient that is not an ``int`` (``bool`` among
+    them) raises ``TypeError`` wherever it enters."""
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, None, "2"], ids=repr)
+    @pytest.mark.parametrize("head", ["C", "R", "F3", "F5"])
+    def test_non_int_scalar_is_rejected(self, head, bad):
+        F = parse_field(head)
+        with pytest.raises(TypeError):
+            witt_one(F).int_mul(bad)
+        with pytest.raises(TypeError):
+            GwElement.unit(F).scale(bad)
+        with pytest.raises(TypeError):
+            GwElement.from_int(F, bad)
+        with pytest.raises(TypeError):
+            GwElement(F, {0: bad})
+
+    @pytest.mark.parametrize("head", ["C", "R", "F3", "F5"])
+    def test_int_scalars_are_accepted(self, head):
+        F = parse_field(head)
+        assert witt_one(F).int_mul(3) == witt_canonical(GwElement.from_int(F, 3))
+        assert GwElement.unit(F).scale(-2).terms == {0: -2} and GwElement.from_int(F, 0).is_formal_zero
+
+    def test_float_term_is_caught_before_canonical_form(self):
+        # it fails where it enters, not at a later leaf check
+        with pytest.raises(TypeError, match="expected an int, got float"):
+            witt_canonical(GwElement(R, {0: 1.5}))
 
 
 class TestGwEqual:
