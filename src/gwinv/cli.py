@@ -4,6 +4,9 @@ identity-verification suites.
 Exit codes: 0 success, 1 failed checks, 2 parse/usage errors, 3 membership
 failures.
 
+Exact long flags are read directly, by ``_read_flags``; every other argument
+list, with every usage error and help text, goes to argparse.
+
 Only the ``verify`` command loads the suites (``verify``, ``sampling`` and
 ``factorized``): ``cmd_verify`` imports ``SUITES`` and ``run_suite`` from
 ``verify`` once it has checked ``--prec``.  ``series`` and
@@ -119,14 +122,11 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_PARSE
-    if args.field is not None:
-        try:
-            parse_field(args.field)
-        except FieldSyntaxError as exc:
-            print(f"parse error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-    # each RunConfig field is a flag of the same name (``build_parser``)
-    report = run_suite(args.suite, RunConfig(**{name: getattr(args, name) for name in RunConfig().to_dict()}))
+    try:  # each RunConfig field is a flag of the same name (``build_parser``)
+        report = run_suite(args.suite, RunConfig(**{name: getattr(args, name) for name in RunConfig().to_dict()}))
+    except FieldSyntaxError as exc:  # --field is parsed once, by the suite
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     if report["cases_total"] == 0:
         print(f"suite {args.suite!r} has no case for this config", file=sys.stderr)
         return EXIT_PARSE
@@ -151,8 +151,8 @@ def cmd_verify(args) -> int:
 
 
 @functools.cache  # parsing leaves the parsers unchanged, so one set serves every call
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subparsers by command name."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[argparse.ArgumentParser, dict]]]:
+    """The top-level parser, and by command name its subparser and flag actions."""
     parser = argparse.ArgumentParser(
         prog="gwinv",
         description="Exact divided-power operations and invariants of "
@@ -161,44 +161,70 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_series = sub.add_parser("series", help="dump the series family at one level")
-    p_series.add_argument("--n", type=int, required=True, help="level (>= 1)")
-    p_series.add_argument("--prec", type=int, default=8, help="truncation order")
-    p_series.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text"
-    )
+    series = [
+        p_series.add_argument("--n", type=int, required=True, help="level (>= 1)"),
+        p_series.add_argument("--prec", type=int, default=8, help="truncation order"),
+        p_series.add_argument("--format", choices=("text", "json", "csv"), default="text"),
+    ]
     p_series.set_defaults(func=cmd_series)
 
     p_eval = sub.add_parser("eval", help="evaluate an invariant on a form")
-    p_eval.add_argument("--inv", required=True, help="invariant literal, e.g. f[1,2]")
-    p_eval.add_argument("--form", required=True, help="form literal, e.g. pf(t1)+H")
-    p_eval.add_argument("--field", required=True, help="field descriptor, e.g. R((t1))")
-    p_eval.add_argument("--mode", choices=("W", "H"), default="H")
-    p_eval.add_argument("--format", choices=("text", "json"), default="text")
+    evals = [
+        p_eval.add_argument("--inv", required=True, help="invariant literal, e.g. f[1,2]"),
+        p_eval.add_argument("--form", required=True, help="form literal, e.g. pf(t1)+H"),
+        p_eval.add_argument("--field", required=True, help="field descriptor, e.g. R((t1))"),
+        p_eval.add_argument("--mode", choices=("W", "H"), default="H"),
+        p_eval.add_argument("--format", choices=("text", "json"), default="text"),
+    ]
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run an identity suite")
-    p_verify.add_argument("--suite", required=True)
-    p_verify.add_argument("--field")
-    p_verify.add_argument(
-        "--prec", type=int,
-        help=f"series truncation order (series suite only, <= {MAX_VERIFY_PREC})",
-    )
-    p_verify.add_argument("--n-max", dest="n_max", type=int)
-    p_verify.add_argument("--d-max", dest="d_max", type=int)
-    p_verify.add_argument("--samples", type=int)
-    p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--mode", choices=("W", "H"))
-    p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    verifies = [
+        p_verify.add_argument("--suite", required=True),
+        p_verify.add_argument("--field"),
+        p_verify.add_argument("--prec", type=int, help=f"series truncation order (series suite only, <= {MAX_VERIFY_PREC})"),
+        p_verify.add_argument("--n-max", dest="n_max", type=int),
+        p_verify.add_argument("--d-max", dest="d_max", type=int),
+        p_verify.add_argument("--samples", type=int),
+        p_verify.add_argument("--seed", type=int),
+        p_verify.add_argument("--mode", choices=("W", "H")),
+        p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text"),
+    ]
     # each RunConfig field is a flag of the same name, with its default
     p_verify.set_defaults(func=cmd_verify, **RunConfig().to_dict())
-    return parser, {"series": p_series, "eval": p_eval, "verify": p_verify}
+    commands = {"series": (p_series, series), "eval": (p_eval, evals), "verify": (p_verify, verifies)}
+    return parser, {name: (p, {a.option_strings[0]: a for a in flags}) for name, (p, flags) in commands.items()}
+
+
+def _read_flags(command: str, argv: list[str]) -> argparse.Namespace | None:
+    """What ``command``'s subparser makes of ``argv`` if it holds only exact
+    long flags, each once, as ``--flag=value`` or ``--flag value`` (value
+    not starting with "-", never "--"), with valid values and every
+    required flag; otherwise None, and argparse parses ``argv`` itself."""
+    sub, flags = build_parser()[1][command]
+    values, rest = {}, iter(argv)
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        value, action = value if eq else next(rest, "-"), flags.get(flag)
+        if action is None or action.dest in values or value == "--" or (not eq and value[:1] == "-"):
+            return None
+        try:
+            values[action.dest] = value = action.type(value) if action.type else value
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+    if any(a.required and a.dest not in values for a in flags.values()):
+        return None
+    defaults = {a.dest: a.default for a in flags.values()}
+    return argparse.Namespace(**{**defaults, **values}, func=sub.get_default("func"))
 
 
 def main(argv=None) -> int:
-    """Run one command.  A known command hands the rest of ``argv`` to its
-    subparser directly, as the top-level parser would, and leftover
-    arguments are reported by the top-level parser; anything else (no
-    command, ``-h``, an unknown command) goes to the top-level parser."""
+    """Run one command.  A known command's arguments go to ``_read_flags``,
+    then, if it declines them, to its subparser directly, with leftovers
+    reported by the top-level parser; anything else (no command, ``-h``, an
+    unknown command) goes to the top-level parser."""
     parser, commands = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in commands else None
@@ -206,8 +232,8 @@ def main(argv=None) -> int:
         if command is None:
             args = parser.parse_args(argv)
             command = args.command
-        else:
-            args, extras = commands[command].parse_known_args(argv[1:])
+        elif (args := _read_flags(command, argv[1:])) is None:
+            args, extras = commands[command][0].parse_known_args(argv[1:])
             if extras:
                 # argparse's own message, through the same catalog
                 parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))

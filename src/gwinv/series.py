@@ -32,6 +32,9 @@ class ConsistencyError(RuntimeError):
 
 def cauchy(a: list[int], b: list[int]) -> list[int]:
     """The product of two series, truncated to the shorter length."""
+    if a is b:  # a square: each unordered pair a_i a_(d-i) once, and the middle one
+        return [2 * sum(map(operator.mul, a[: (d + 1) // 2], a[d : d // 2 : -1])) + (0 if d % 2 else a[d // 2] ** 2)
+                for d in range(len(a))]
     return [sum(map(operator.mul, a[: d + 1], b[d::-1])) for d in range(min(len(a), len(b)))]
 
 

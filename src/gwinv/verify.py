@@ -81,7 +81,7 @@ from .witt import (
 
 
 def _fields(cfg: RunConfig):
-    if cfg.field:
+    if cfg.field is not None:
         return [parse_field(cfg.field)]
     return standard_fields()
 

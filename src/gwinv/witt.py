@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations
 from operator import add, and_, mul, neg, or_, pos, sub, xor
-from typing import Collection
+from typing import Collection, NoReturn
 
 from .fields import (
     FINITE_ODD,
@@ -89,16 +89,22 @@ def _int(n) -> int:
     return n
 
 
+def _bad_mask() -> NoReturn:
+    raise ValueError("square-class mask out of range for the field")
+
+
 class GwElement:
     """Formal ZZ-combination of diagonal one-dimensional forms; the
-    constructor drops zero terms and raises ``TypeError`` for a
-    coefficient that is not an ``int`` (a ``bool`` among them)."""
+    constructor drops zero terms and raises ``ValueError`` for a mask outside
+    [0, 2^num_gens), ``TypeError`` for a non-``int`` coefficient or a bool."""
 
     __slots__ = ("field", "terms")
 
     def __init__(self, field: FieldDescriptor, terms: dict[int, int] | None = None):
-        self.field = field
-        self.terms = {m: c for m, c in (terms or {}).items() if (c if type(c) is int else _int(c))}
+        self.field, top = field, 1 << field.num_gens
+        self.terms = {
+            m: c for m, c in (terms or {}).items() if (0 <= m < top or _bad_mask()) and (c if type(c) is int else _int(c))
+        }
 
     # -- constructors
 

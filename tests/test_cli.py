@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from gwinv import cli, divided, series, verify
+from gwinv import cli, divided, fields, series, verify
 from gwinv.cli import EXIT_MEMBERSHIP, EXIT_OK, EXIT_PARSE, MAX_SERIES_SIZE, MAX_VERIFY_PREC, main
 from gwinv.invariants import MAX_COEFF_BITS, MAX_EPS_EXPONENT, MAX_TOTAL_DEGREE
 from gwinv.verify import SUITES, RunConfig
@@ -65,6 +66,113 @@ def test_usage_errors_match_top_level_parser(capsys, argv):
     assert run(capsys, *argv) == want
     if argv[-1:] in (("--bogus",), ("extra",)):
         assert want == (EXIT_PARSE, "", TOP_LEVEL_EXTRAS + argv[-1] + "\n")
+
+
+# values for the differential test of ``_read_flags``: valid ones by flag
+# kind, then ones argparse reads differently or rejects
+VALID_VALUES = {
+    "--inv": ["f[1,1]", "f[2,2]*f[2,1]", "1-eps*f[1,3]"],
+    "--form": ["pf(t1)", "H", "pf(t1)+2*pf(-1)"],
+    "--field": ["R((t1))", "F3", "C((t1))((t2))"],
+    "--suite": ["pi", "ram", "nope"],
+}
+ODD_VALUES = ["", "-3", "--", "a=b", "1_0", " 7", "x", "1.5", "w", "-", "-x"]
+# arguments that are not one exact long flag of any command, or not a flag
+NOT_FLAGS = ["--fo", "--in", "--n-m", "--pre", "--f", "-h", "--help", "--", "--bogus", "extra", "-n"]
+
+
+def argparse_reads(command, argv):
+    """``vars()`` of the namespace ``command``'s subparser makes of argv, or
+    None on a usage error, help text or leftover arguments."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args, extras = cli.build_parser()[1][command][0].parse_known_args(argv)
+        except SystemExit:
+            return None
+    return None if extras else vars(args)
+
+
+def random_argv(rng, actions):
+    """A seeded argument list over ``actions``: the required flags and some
+    others, in either form, with sometimes an odd value, a repeated flag or
+    an argument that is not an exact flag; and whether ``_read_flags`` must
+    decline it."""
+    chosen = [a for a in actions if a.required or rng.random() < 0.5]
+    if rng.random() < 0.15:
+        chosen.append(rng.choice(actions))  # a repeated flag
+    rng.shuffle(chosen)
+    argv, declined = [], len(set(chosen)) < len(chosen)
+    for a in chosen:
+        if rng.random() < 0.2:
+            value = rng.choice(ODD_VALUES)
+        else:
+            value = rng.choice(a.choices or VALID_VALUES.get(a.option_strings[0]) or ["0", "1", "3", "16"])
+        if rng.random() < 0.5:
+            argv.append(f"{a.option_strings[0]}={value}")
+            declined |= value == "--"
+        else:
+            argv += [a.option_strings[0], value]
+            declined |= value.startswith("-")
+    if rng.random() < 0.15:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(NOT_FLAGS))
+        declined = True
+    if rng.random() < 0.05:  # cut short, a flag may lose its value; no claim then
+        return argv[: rng.randrange(len(argv) + 1)], False
+    return argv, declined
+
+
+@pytest.mark.parametrize("command", ["series", "eval", "verify"])
+def test_read_flags_matches_argparse(command):
+    """``_read_flags`` returns exactly what the subparser would, or None; an
+    argument list with a repeated flag, a value "--", a value taken from a
+    flag-like argument or an argument that is not an exact long flag is
+    always declined and left to argparse."""
+    rng = random.Random(f"read-flags {command}")
+    actions = list(cli.build_parser()[1][command][1].values())
+    read = 0
+    for _ in range(4000):
+        argv, declined = random_argv(rng, actions)
+        got = cli._read_flags(command, argv)
+        if got is None:
+            continue
+        assert not declined, argv
+        assert vars(got) == argparse_reads(command, argv), argv
+        read += 1
+    assert read > 1000
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("series", ["--n", "2", "--n", "2"]),
+        ("series", ["--n", "2", "--format", "xml"]),
+        ("series", ["--prec", "4"]),
+        ("series", ["--n=2", "--prec=x"]),
+        ("series", ["--n", "-3"]),
+        ("series", ["--n", "2", "--"]),
+        ("eval", ["--inv=f[1,1]", "--form=H", "--field=--"]),
+        ("eval", ["--inv=f[1,1]", "--form=H", "--fi=R"]),
+        ("eval", ["--inv=f[1,1]", "--form=H", "--field=R", "-h"]),
+        ("verify", ["--suite=pi", "--n-m=2"]),
+        ("verify", ["--suite=pi", "extra"]),
+        ("verify", ["--suite"]),
+    ],
+)
+def test_read_flags_declines(command, argv):
+    assert cli._read_flags(command, argv) is None
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("series", ["--n", "2", "--prec=-1", "--format=json"]),
+        ("eval", ["--inv=-f[1,1]", "--form", "pf(t1)", "--field=R((t1))", "--mode", "W"]),
+        ("verify", ["--suite", "pi", "--field=", "--n-max= 2", "--seed=1_0", "--mode=H"]),
+    ],
+)
+def test_read_flags_reads_exact_long_flags(command, argv):
+    got = cli._read_flags(command, argv)
+    assert got is not None and vars(got) == argparse_reads(command, argv)
 
 
 class TestSeries:
@@ -615,6 +723,24 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--suite", "pi", "--field", field)
         assert code == EXIT_PARSE
         assert out == "" and err.startswith("parse error: ")
+
+    @pytest.mark.parametrize("field", ["", "Q", "R((t))((t))", "F100000000000000000039", "F9((t1)", tower(7)])
+    @pytest.mark.parametrize("suite", ["pi", "series", "ram"])
+    def test_bad_field_error_text(self, capsys, suite, field):
+        with pytest.raises(fields.FieldSyntaxError) as exc:
+            fields.parse_field(field)
+        for form in (("--field", field), (f"--field={field}",)):
+            assert run(capsys, "verify", "--suite", suite, *form) == (EXIT_PARSE, "", f"parse error: {exc.value}\n")
+
+    def test_field_is_parsed_once(self, capsys, monkeypatch):
+        """The primality test of a large q, most of the command's CPU, runs
+        once: the suite parses --field, and the command does not first."""
+        calls = []
+        prime_power = fields._is_odd_prime_power
+        monkeypatch.setattr(fields, "_is_odd_prime_power", lambda q: calls.append(q) or prime_power(q))
+        code, out, err = run(capsys, "verify", "--suite", "ram", "--field", "F1099511627689((t1))((t2))", "--samples", "5")
+        assert (code, err) == (EXIT_OK, "") and "PASS" in out
+        assert calls == [1099511627689]
 
     @pytest.mark.parametrize("depth, code", [(6, EXIT_OK), (7, EXIT_PARSE)])
     def test_tower_depth_cap(self, capsys, depth, code):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import literal_oracle
+from gwinv import cli
 from gwinv.fields import FieldSyntaxError, parse_field, parse_sc, split_signed_sum
 from gwinv.invariants import InvariantSyntaxError, parse_invariant
 from gwinv.witt import parse_form
@@ -114,3 +115,12 @@ def test_eval_workload_literals_match_literal_oracle():
         _assert_same_parse(form_text, [parse_field(field_text)])
     for inv_text in sorted({r.inv_text for r in EVAL_REQUESTS}):
         _assert_same_parse(inv_text, [])
+
+
+def test_eval_requests_are_read_directly():
+    """Each benchmark ``eval`` request is read by ``cli._read_flags``, not
+    by argparse, to the namespace argparse would make of it."""
+    sub = cli.build_parser()[1]["eval"][0]
+    for req in EVAL_REQUESTS:
+        got = cli._read_flags("eval", req.argv[1:])
+        assert got is not None and (got, []) == sub.parse_known_args(req.argv[1:]), req.argv

@@ -62,6 +62,21 @@ class TestMul:
         assert convolve(ones, ones) == [0, 0, 1, 2, 3, 4]
         assert cauchy(ones, ones) == [0, 0, 1, 2, 3, 4]
 
+    @pytest.mark.parametrize(
+        "a",
+        [[], [5], [-3, 2], [1, 2, 3, 4, 5], [2, -1, 0, 7, -4, 9], [0, 1, 1, 1, 1, 1],
+         [-(10**30), 3, -(7**40), 0, 11, -(2**90), 5]],
+        ids=["len0", "len1", "len2", "odd", "even", "a0_zero", "large_negative"],
+    )
+    def test_square_matches_oracle(self, a):
+        # cauchy(a, a) takes each unordered pair once; a_0 may be nonzero
+        assert cauchy(a, a) == convolve(a, a) == cauchy(a, list(a))
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.integers(min_value=-(10**12), max_value=10**12), max_size=12))
+    def test_square_matches_oracle_on_random_series(self, a):
+        assert cauchy(a, a) == convolve(a, a)
+
     def test_one_is_identity(self):
         s = [3, -1, 4, 1, -5]
         assert cauchy(s, [1, 0, 0, 0, 0]) == s

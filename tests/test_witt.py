@@ -187,6 +187,31 @@ class TestScalarType:
             witt_canonical(GwElement(R, {0: 1.5}))
 
 
+class TestMaskCheck:
+    """``GwElement`` raises ``ValueError`` for a term mask outside
+    [0, 2^num_gens); a mask was once read as a negative or out-of-range
+    index into the Springer leaves."""
+
+    TOWERS = ["C((t1))", "R((t1))", "F3((t1))((t2))", "F5", "R"]
+
+    @pytest.mark.parametrize("text", TOWERS)
+    def test_mask_outside_the_range_is_rejected(self, text):
+        F = parse_field(text)
+        for mask in (-1, -2, 1 << F.num_gens, 9 << F.num_gens):
+            with pytest.raises(ValueError, match="mask out of range"):
+                GwElement(F, {mask: 1})
+            with pytest.raises(ValueError, match="mask out of range"):
+                GwElement(F, {0: 1, mask: 0})  # a zero term is checked too
+
+    @pytest.mark.parametrize("text", TOWERS)
+    def test_top_mask_is_accepted(self, text):
+        F = parse_field(text)
+        top = (1 << F.num_gens) - 1
+        q = GwElement(F, {top: 1, 0: 2})
+        assert q.terms == {top: 1, 0: 2}
+        assert gw_equal(q, GwElement.diag(enumerate_sc(F)[top], sc_one(F), sc_one(F)))
+
+
 class TestGwEqual:
     def test_multiset_identity(self):
         a = parse_sc("t1", RT)
