@@ -223,8 +223,9 @@ def _read_flags(command: str, argv: list[str]) -> argparse.Namespace | None:
 def main(argv=None) -> int:
     """Run one command.  A known command's arguments go to ``_read_flags``,
     then, if it declines them, to its subparser directly, with leftovers
-    reported by the top-level parser; anything else (no command, ``-h``, an
-    unknown command) goes to the top-level parser."""
+    reported by the top-level parser and "--flag=--", which argparse parses
+    to [], by the subparser as a missing value; anything else (no command,
+    ``-h``, an unknown command) goes to the top-level parser."""
     parser, commands = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in commands else None
@@ -233,10 +234,14 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
             command = args.command
         elif (args := _read_flags(command, argv[1:])) is None:
-            args, extras = commands[command][0].parse_known_args(argv[1:])
+            sub, flags = commands[command]
+            args, extras = sub.parse_known_args(argv[1:])
             if extras:
                 # argparse's own message, through the same catalog
                 parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+            for action in flags.values():
+                if getattr(args, action.dest) == []:
+                    sub.error(str(argparse.ArgumentError(action, gettext("expected one argument"))))
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_PARSE
     for attr, flag, low in _MINIMUMS.get(command, ()):

@@ -5,19 +5,20 @@ into the exterior-power transform; they vanish in degrees >= 2 on n-fold
 Pfister lifts and act as elementary symmetric functions on sums of them.
 Composing with the Witt projection (mode W) or the degree-nd cohomological
 invariant (mode H) yields the f-family, and ``eval_f_sum`` evaluates a
-combination of it with universal coefficients; ``InvariantTarget``, the
-mode, is also the value ring A(K).  This module computes values only: the
-universal scalars, the g-family and the basis changes between the two
-families live in ``invariants``.  ``RunConfig``, the settings of one
-identity-suite run, sits beside the targets it selects, so that the CLI
-reads its flags without loading the suites.
+combination of it with universal coefficients.  A mode's value map and
+value ring A(K) form one record, ``InvariantTarget``, with two values,
+``W_TARGET`` and ``H_TARGET`` (``TARGETS`` by mode).  This module computes
+values only: the universal scalars, the g-family and the basis changes
+between the two families live in ``invariants``.  ``RunConfig``, the
+settings of one identity-suite run, sits beside the targets it selects,
+so that the CLI reads its flags without loading the suites.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from operator import mul
-from typing import ClassVar, Collection
+from typing import Callable, ClassVar, Collection
 
 from .cohomology import CohClass, e_n, minus_one_power, symbol
 from .fields import FieldDescriptor, SquareClass
@@ -38,55 +39,50 @@ from .witt import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class InvariantTarget:
-    """The value functor and its ring A(K): W(K) in mode W, H*(K, Z/2) in
-    mode H, into which the universal scalar ring maps: ``eps_pow(K, j)`` is
-    the image of eps^j = {-1}^j, ``symbol`` that of {a_1,...,a_t}, and
-    ``times(x, c)`` is c.x for a universal coefficient c (an integer in
-    mode W, an F2-polynomial in eps in mode H)."""
+    """The value map of a mode and its ring A(K), W(K) or H*(K, Z/2), into
+    which the universal scalar ring maps: ``value(w, k)`` is w in I^k as a
+    value (w, or ``e_n(w, k)``), ``eps_pow(K, j)`` the image of {-1}^j (2^j
+    in W, as <<-1>> = 2), ``symbol(classes)`` that of {a_1,...,a_t}, and
+    ``times(x, c)`` is c.x for a universal coefficient c.  Its only values
+    are ``W_TARGET`` and ``H_TARGET``."""
 
     mode: str
+    value: Callable
+    zero: Callable
+    one: Callable
+    eps_pow: Callable
+    symbol: Callable
+    times: Callable
 
-    def __post_init__(self):
-        if self.mode not in ("W", "H"):
-            raise ValueError("target mode must be 'W' or 'H'")
-
-    def value(self, w: WittClass, k: int):
-        """A class w in I^k as a value: w in mode W, ``e_n(w, k)`` in mode H."""
-        return w if self.mode == "W" else e_n(w, k)
-
-    def zero(self, field: FieldDescriptor):
-        return witt_zero(field) if self.mode == "W" else CohClass.zero(field)
-
-    def one(self, field: FieldDescriptor):
-        return witt_one(field) if self.mode == "W" else CohClass.one(field)
-
-    def eps_pow(self, field: FieldDescriptor, j: int):
-        """{-1}^j; in W this is 2^j, since <<-1>> = <1,1> = 2."""
-        if self.mode == "W":
-            return witt_one(field).int_mul(1 << j)
-        return minus_one_power(field, j)
-
-    def symbol(self, classes: list[SquareClass] | tuple[SquareClass, ...]):
-        """{a_1,...,a_t}: the Pfister Witt class or the Galois symbol."""
-        if self.mode == "W":
-            return witt_canonical(pfister(classes))
-        return symbol(classes)
-
-    def times(self, x, c):
-        if self.mode == "W":
-            return x.int_mul(c)
-        out, bits = CohClass.zero(x.field), c.bits
-        while bits:  # one pass per set bit j, lowest first
-            low = bits & -bits
-            out = out + minus_one_power(x.field, low.bit_length() - 1) * x
-            bits ^= low
-        return out
+    def __repr__(self) -> str:
+        return f"{self.mode}_TARGET"
 
 
-W_TARGET = InvariantTarget("W")
-H_TARGET = InvariantTarget("H")
+def _cohomology_times(x: CohClass, c) -> CohClass:
+    """c.x in H*: the sum of {-1}^j x over the set bits j of c, lowest first."""
+    out, bits = CohClass.zero(x.field), c.bits
+    while bits:
+        low = bits & -bits
+        out = out + minus_one_power(x.field, low.bit_length() - 1) * x
+        bits ^= low
+    return out
+
+
+# each entry calls the module functions it uses by name, so that wrappers
+# bound to those names, as bench/tracing.py binds them, see the calls
+W_TARGET = InvariantTarget(
+    "W", value=lambda w, k: w, zero=lambda field: witt_zero(field), one=lambda field: witt_one(field),
+    eps_pow=lambda field, j: witt_one(field).int_mul(1 << j),
+    symbol=lambda classes: witt_canonical(pfister(classes)), times=lambda x, c: x.int_mul(c),
+)
+H_TARGET = InvariantTarget(
+    "H", value=lambda w, k: e_n(w, k), zero=CohClass.zero, one=CohClass.one,
+    eps_pow=lambda field, j: minus_one_power(field, j),
+    symbol=lambda classes: symbol(classes), times=lambda x, c: _cohomology_times(x, c),
+)
+TARGETS = {"W": W_TARGET, "H": H_TARGET}
 
 
 @dataclass
@@ -105,7 +101,7 @@ class RunConfig:
     MINIMUMS: ClassVar[dict[str, int]] = {"n_max": 1, "d_max": 1, "prec": 1, "samples": 0}
 
     def __post_init__(self):
-        if self.mode not in (None, "W", "H"):
+        if self.mode not in (None, *TARGETS):
             raise ValueError(f"mode must be None, 'W' or 'H', got {self.mode!r}")
         for name, low in self.MINIMUMS.items():
             value = getattr(self, name)
@@ -115,12 +111,8 @@ class RunConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def targets(self):
-        if self.mode == "W":
-            return [W_TARGET]
-        if self.mode == "H":
-            return [H_TARGET]
-        return [W_TARGET, H_TARGET]
+    def targets(self) -> list[InvariantTarget]:
+        return list(TARGETS.values()) if self.mode is None else [TARGETS[self.mode]]
 
 
 # -- the divided powers themselves

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .divided import InvariantTarget
+from .divided import TARGETS
 from .fields import SquareClass, enumerate_sc, represented_by_binary, sc_one
 from .invariants import SymbolicInvariant, evaluate, is_normalized
 from .series import ConsistencyError
@@ -93,7 +93,7 @@ def delta_t_eval(
         rest = witt_canonical(pfister(list(x.factor[t:]))) * rest
     if t == 0:
         return evaluate(alpha, rest)
-    return InvariantTarget(alpha.mode).symbol(x.factor[:t]) * evaluate(alpha, rest)
+    return TARGETS[alpha.mode].symbol(x.factor[:t]) * evaluate(alpha, rest)
 
 
 def _certified_scalars(a: SquareClass) -> list[SquareClass]:

@@ -3,9 +3,11 @@
 An invariant is a finitely supported combination of the f-family
 generators f_n^d at a fixed level n, stored as its f-basis coefficients,
 in the universal scalar ring generated by eps = {-1}: plain integers in
-Witt mode (``ZZ``; eps is identified with 2 there) and ``F2Poly``, the
-F2-polynomials in eps, in cohomology mode.  Both rings give ``zero``,
-``one``, ``from_int`` and ``eps_pow`` (``coeff_ops``).  The g-family is a
+Witt mode, where eps is identified with 2, and ``F2Poly``, the
+F2-polynomials in eps, in cohomology mode.  ``coeff_ops(mode)`` is the
+one table of a mode's ring: ``zero``, ``one``, ``from_int`` and
+``eps_pow`` on coefficients, and the same ring on packed ints, which the
+operator tables and ``product`` compute on.  The g-family is a
 second basis, a triangular unipotent change of the first: ``from_g``
 builds an invariant from g-basis coefficients and ``g_coeffs`` reads them
 back.  The rebasing, shifting, similitude, restriction and descent
@@ -21,10 +23,11 @@ from __future__ import annotations
 
 import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .divided import InvariantTarget, eval_f_sum
+from .divided import TARGETS, InvariantTarget, eval_f_sum
 from .fields import parse_int, split_signed_sum
 from .series import ConsistencyError, ext_binom
 from .witt import MAX_COUNT_DIGITS, WittClass, _check_degree
@@ -32,25 +35,6 @@ from .witt import MAX_COUNT_DIGITS, WittClass, _check_degree
 
 class InvariantSyntaxError(ValueError):
     """An invariant literal failed to parse."""
-
-
-class IntRing:
-    """The universal scalar ring of mode W, plain Python integers, where
-    eps = {-1} acts as 2; ``ZZ`` is its one instance, ``coeff_ops("W")``."""
-
-    zero = 0
-    one = 1
-
-    @staticmethod
-    def from_int(n: int) -> int:
-        return n
-
-    @staticmethod
-    def eps_pow(j: int) -> int:
-        return 1 << j
-
-
-ZZ = IntRing()
 
 
 def clmul(a: int, b: int) -> int:
@@ -67,18 +51,10 @@ def clmul(a: int, b: int) -> int:
 
 @dataclass(frozen=True)
 class F2Poly:
-    """Polynomial in eps over F2, packed into the bits of an int.  The class
-    itself is the scalar ring of mode H, ``coeff_ops("H")``."""
+    """Polynomial in eps over F2, packed into the bits of an int: the
+    coefficient type of mode H."""
 
     bits: int = 0
-
-    @staticmethod
-    def from_int(c: int) -> "F2Poly":
-        return F2Poly(c & 1)
-
-    @staticmethod
-    def eps_pow(j: int) -> "F2Poly":
-        return F2Poly(1 << j)
 
     def __add__(self, other: "F2Poly") -> "F2Poly":
         return F2Poly(self.bits ^ other.bits)
@@ -96,26 +72,26 @@ class F2Poly:
         return "+".join("1" if j == 0 else "eps" if j == 1 else f"eps^{j}" for j in powers) or "0"
 
 
-F2Poly.zero = F2Poly(0)
-F2Poly.one = F2Poly(1)
-
-
-# add, sub, mul, pack, unpack on packed scalars (eps^j is 1 << j in both
-# modes), and from_int: an integer as a packed scalar
-_PACKED = {
-    "W": (operator.add, operator.sub, operator.mul, int, int, int),
-    "H": (operator.xor, operator.xor, clmul, operator.attrgetter("bits"), F2Poly, (1).__and__),
+# The universal scalar ring of each mode, Z with eps = 2 (W) or F2[eps] (H):
+# ``zero``, ``one``, ``from_int`` and ``eps_pow`` on coefficients, then
+# ``add``, ``sub``, ``mul``, ``pack``, ``unpack`` and ``int_bits`` (the
+# packed ``from_int``) on packed scalars, ints where eps^j is 1 << j.
+_Scalars = namedtuple("_Scalars", "zero one from_int eps_pow add sub mul pack unpack int_bits")
+_SCALARS = {
+    "W": _Scalars(0, 1, int, lambda j: 1 << j, operator.add, operator.sub, operator.mul, int, int, int),
+    "H": _Scalars(
+        F2Poly(0), F2Poly(1), lambda c: F2Poly(c & 1), lambda j: F2Poly(1 << j),
+        operator.xor, operator.xor, clmul, operator.attrgetter("bits"), F2Poly, (1).__and__,
+    ),
 }
 
 
-def coeff_ops(mode: str):
-    """The universal scalar ring of a mode: ``ZZ`` (eps = 2) in mode W,
-    ``F2Poly`` in mode H."""
-    if mode == "W":
-        return ZZ
-    if mode == "H":
-        return F2Poly
-    raise ValueError("mode must be 'W' or 'H'")
+def coeff_ops(mode: str) -> _Scalars:
+    """The universal scalar ring of a mode; an unknown mode raises ``ValueError``."""
+    try:
+        return _SCALARS[mode]
+    except (KeyError, TypeError):
+        raise ValueError(f"mode must be 'W' or 'H', got {mode!r}") from None
 
 
 class SymbolicInvariant:
@@ -237,13 +213,14 @@ def _apply(mode: str, coeffs: dict, terms) -> dict:
     generator to the sum of c * eps^j times the degree-k generator over
     the triples (c, j, k) of ``terms(d)``, applied to ``coeffs`` on packed
     scalars; zeros are dropped."""
-    add, _, mul, pack, unpack, from_int = _PACKED[mode]
+    ops = coeff_ops(mode)
+    add, mul, int_bits = ops.add, ops.mul, ops.int_bits
     out: dict = {}
     for d, coeff in coeffs.items():
-        p = pack(coeff)
+        p = ops.pack(coeff)
         for c, j, k in terms(d):
-            out[k] = add(out.get(k, 0), mul(p, from_int(c)) << j)
-    return {k: unpack(v) for k, v in out.items() if v}
+            out[k] = add(out.get(k, 0), mul(p, int_bits(c)) << j)
+    return {k: ops.unpack(v) for k, v in out.items() if v}
 
 
 def _linear(alpha: SymbolicInvariant, n: int, terms) -> SymbolicInvariant:
@@ -321,7 +298,7 @@ def to_values(alpha: SymbolicInvariant, top: int) -> list[int]:
     """Packed ev(alpha)(m) = sum_s a_s eps^(ns) C(m, s) for m = 0..top, the
     value on m n-fold Pfister forms, as f^s(m phi) = C(m, s) phi^s; Horner's
     rule on C(m, s) = sum_{j<m} C(j, s - 1), one running sum per degree."""
-    add, _, _, pack, _, _ = _PACKED[alpha.mode]
+    add, pack = alpha.ops.add, alpha.ops.pack
     vals = [0] * (top + 1)
     for s in range(max(alpha.coeffs, default=-1), -1, -1):
         c = alpha.coeffs.get(s)
@@ -333,15 +310,15 @@ def from_values(vals: list[int], n: int, mode: str) -> SymbolicInvariant:
     """The f-basis invariant with packed values ``vals`` at m = 0..D, by
     Newton's forward differences Delta^d ev(0) = a_d eps^(nd); one that
     eps^(nd) does not divide exactly raises ``ConsistencyError``."""
-    _, sub, _, _, unpack, _ = _PACKED[mode]
+    ops = coeff_ops(mode)
     out = {}
     for d in range(len(vals)):
         c, j = vals[0], n * d
         if c & ((1 << j) - 1):
             raise ConsistencyError(f"the degree-{d} difference is not divisible by eps^{j}")
         if c:
-            out[d] = unpack(c >> j)
-        vals = list(map(sub, vals[1:], vals[:-1]))
+            out[d] = ops.unpack(c >> j)
+        vals = list(map(ops.sub, vals[1:], vals[:-1]))
     return SymbolicInvariant(n, mode, out)
 
 
@@ -353,7 +330,7 @@ def product(*factors: SymbolicInvariant) -> SymbolicInvariant:
     if len(factors) == 1:
         return first
     top = sum(max(f.coeffs, default=0) for f in factors)
-    mul = _PACKED[first.mode][2]
+    mul = first.ops.mul
     vals = to_values(first, top)
     for f in factors[1:]:
         first._check(f)
@@ -418,7 +395,7 @@ def omega_t(alpha: SymbolicInvariant, t: int) -> SymbolicInvariant:
 def evaluate(alpha: SymbolicInvariant, q: WittClass):
     """Value of a symbolic invariant on a concrete Witt class in I^n: the
     combination of its f-basis coefficients, through ``eval_f_sum``."""
-    return eval_f_sum(alpha.n, q, InvariantTarget(alpha.mode), alpha.coeffs)
+    return eval_f_sum(alpha.n, q, TARGETS[alpha.mode], alpha.coeffs)
 
 
 def eval_g(n: int, d: int, q: WittClass, target: InvariantTarget):

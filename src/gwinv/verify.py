@@ -50,6 +50,7 @@ from .factorized import alt_factorizations, delta_t_eval, lemma_factor_check, ma
 from .fields import SquareClass, enumerate_sc, minus_one, parse_field, sc_one
 from .invariants import eval_g
 from .sampling import (
+    BASE_HEADS,
     rand_coeff,
     rand_diag,
     rand_gw,
@@ -84,6 +85,11 @@ def _fields(cfg: RunConfig):
     if cfg.field is not None:
         return [parse_field(cfg.field)]
     return standard_fields()
+
+
+def _field_count(cfg: RunConfig) -> int:
+    """``len(_fields(cfg))`` unbuilt: one field, or each base kind at depths 0..2."""
+    return 1 if cfg.field is not None else 3 * len(BASE_HEADS)
 
 
 @dataclass(frozen=True)
@@ -250,7 +256,7 @@ def series_pascal(cfg, rng, fields):
 
 
 # samples counts pairs per base-kind family; each family has three depths
-@family("lambda", "exterior-powers", lambda cfg: max(1, cfg.samples // 3) * len(_fields(cfg)))
+@family("lambda", "exterior-powers", lambda cfg: max(1, cfg.samples // 3) * _field_count(cfg))
 def lambda_exterior_powers(cfg, rng, F, target):
     prec = 8
     x = rand_gw(rng, F, rng.randint(0, 4))
@@ -301,7 +307,7 @@ def lambda_pfister_squares(cfg, rng, fields):
 @family(
     "lambda",
     "gw-relations",
-    lambda cfg: max(1, cfg.samples // (2 * len(_fields(cfg)))) * len(_fields(cfg)),
+    lambda cfg: max(1, cfg.samples // (2 * _field_count(cfg))) * _field_count(cfg),
 )
 def lambda_gw_relations(cfg, rng, F, target):
     q = rand_gw(rng, F, rng.randint(0, 5))

@@ -1,6 +1,6 @@
 """Grothendieck-Witt and Witt ring arithmetic over the field towers.
 
-A ``GwElement`` is a formal ZZ-combination of one-dimensional diagonal
+A ``GwElement`` is a formal Z-combination of one-dimensional diagonal
 forms <a> with square-class entries.  A ``WittClass`` is the canonical form
 of its image in the Witt ring.  Iterating Springer's theorem,
 W(K((t))) = W(K) + <t> W(K), over a tower K0((t1))...((tk)) makes the Witt
@@ -94,7 +94,7 @@ def _bad_mask() -> NoReturn:
 
 
 class GwElement:
-    """Formal ZZ-combination of diagonal one-dimensional forms; the
+    """Formal Z-combination of diagonal one-dimensional forms; the
     constructor drops zero terms and raises ``ValueError`` for a mask outside
     [0, 2^num_gens), ``TypeError`` for a non-``int`` coefficient or a bool."""
 

@@ -2,13 +2,14 @@
 
 ``group_law`` forms prod (1 + a t)^c by repeated squaring and one
 multiplicative inverse, over any coefficient ring given as an object with
-``zero`` and ``one``: ``invariants.ZZ``, or ``gw_ring(F)`` and
-``value_ring(target, F)`` below.  A series here is a list of coefficients
-read as a polynomial, so missing degrees are zero, and every operation
-keeps at most the first ``length`` coefficients.  The library computes
-the same products through the character kernel (``witt.lambda_series``
-for the exterior-power series, ``divided.sw_coeffs`` for the
-Stiefel-Whitney-style series); the tests compare the two.
+``zero`` and ``one``: the integers through ``invariants.coeff_ops("W")``,
+the mode-W scalar table, or ``gw_ring(F)`` and ``value_ring(target, F)``
+below.  A series here is a list of coefficients read as a polynomial, so
+missing degrees are zero, and every operation keeps at most the first
+``length`` coefficients.  The library computes the same products through
+the character kernel (``witt.lambda_series`` for the exterior-power
+series, ``divided.sw_coeffs`` for the Stiefel-Whitney-style series); the
+tests compare the two.
 """
 
 from types import SimpleNamespace
@@ -26,7 +27,7 @@ def gw_ring(field) -> SimpleNamespace:
 
 
 def value_ring(target, field) -> SimpleNamespace:
-    """The value ring A(``field``) of an ``InvariantTarget``: W or H*."""
+    """The value ring A(``field``) of a target, ``W_TARGET`` or ``H_TARGET``: W or H*."""
     return SimpleNamespace(zero=target.zero(field), one=target.one(field))
 
 

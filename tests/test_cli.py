@@ -68,6 +68,27 @@ def test_usage_errors_match_top_level_parser(capsys, argv):
         assert want == (EXIT_PARSE, "", TOP_LEVEL_EXTRAS + argv[-1] + "\n")
 
 
+# a flag given "--" as its value: argparse strips the "--" and parses []
+DASH_VALUES = [
+    ("series", "--n=--"),
+    ("eval", "--inv=--", "--form", "H", "--field", "R"),
+    ("verify", "--suite", "series", "--field=--"),
+    ("verify", "--suite=--"),
+    ("series", "--n", "1", "--format=--"),
+]
+
+
+@pytest.mark.parametrize("argv", DASH_VALUES, ids=" ".join)
+def test_dash_dash_value_is_a_missing_value(capsys, argv):
+    """Exit 2 with the subparser's own error for that flag given no value."""
+    (dashed,) = [a for a in argv if a.endswith("=--")]
+    flag = dashed.partition("=")[0]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.endswith(f"gwinv {argv[0]}: error: argument {flag}: expected one argument\n")
+    assert (code, out, err) == run(capsys, *[a for a in argv if a != dashed], flag)
+
+
 # values for the differential test of ``_read_flags``: valid ones by flag
 # kind, then ones argparse reads differently or rejects
 VALID_VALUES = {

@@ -9,6 +9,7 @@ from gwinv.cohomology import minus_one_power, symbol
 from gwinv.divided import (
     H_TARGET,
     W_TARGET,
+    RunConfig,
     eval_f,
     eval_f_all,
     eval_fixed_dim,
@@ -18,7 +19,7 @@ from gwinv.divided import (
     p_fixed,
 )
 from gwinv.fields import minus_one, parse_field, parse_sc, sc_one
-from gwinv.invariants import ZZ, F2Poly, coeff_ops, eval_g
+from gwinv.invariants import F2Poly, coeff_ops, eval_g
 from gwinv.sampling import (
     rand_coeff,
     rand_diag,
@@ -262,8 +263,8 @@ class TestFixedDim:
 
 
 def _group_law_cases(rng):
-    """(ring, atoms) pairs over ZZ, GW and both value rings."""
-    yield ZZ, [rng.randint(-5, 5) for _ in range(4)]
+    """(ring, atoms) pairs over Z, GW and both value rings."""
+    yield coeff_ops("W"), [rng.randint(-5, 5) for _ in range(4)]
     for F in standard_fields(1):
         yield gw_ring(F), [rand_gw(rng, F, rng.randint(1, 3)) for _ in range(3)]
         for target in BOTH:
@@ -310,6 +311,18 @@ class TestTargetRing:
                 assert target.times(target.times(x, a), b) == target.times(x, a * b)
             for j in range(7):
                 assert target.times(target.one(F), ops.eps_pow(j)) == target.eps_pow(F, j)
+
+    def test_run_config_selects_the_two_records(self):
+        both = RunConfig().targets()
+        assert len(both) == 2 and both[0] is W_TARGET and both[1] is H_TARGET
+        for target in BOTH:
+            (only,) = RunConfig(mode=target.mode).targets()
+            assert only is target
+
+    @pytest.mark.parametrize("target", BOTH, ids=lambda t: t.mode)
+    def test_repr_names_the_mode(self, target):
+        assert repr(target) == f"{target.mode}_TARGET"
+        assert "0x" not in repr(target)
 
     def test_group_law_of_negated_atoms_inverts(self):
         rng = random.Random(13)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gwinv import invariants, series, verify, witt
+from gwinv import fields, invariants, sampling, series, verify, witt
 from gwinv.verify import RunConfig, SUITES, _cases, _report, run_suite
 from gwinv.witt import GwElement
 
@@ -86,6 +86,28 @@ def test_known_modes_select_their_targets():
     assert [t.mode for t in RunConfig(mode="W").targets()] == ["W"]
     assert [t.mode for t in RunConfig(mode="H").targets()] == ["H"]
     assert [t.mode for t in RunConfig().targets()] == ["W", "H"]
+
+
+@pytest.mark.parametrize("field", [None, "F1099511627689((t1))"])
+def test_a_run_builds_its_fields_once(monkeypatch, field):
+    """The count functions size a run without building a field: a run
+    parses --field once, or builds standard_fields() once."""
+    check, calls = fields._is_odd_prime_power, []
+
+    def counted(q):
+        calls.append(q)
+        return check(q)
+
+    monkeypatch.setattr(fields, "_is_odd_prime_power", counted)
+    cfg = RunConfig(field=field, samples=3)
+    assert verify._field_count(cfg) == len(verify._fields(cfg))
+    calls.clear()
+    assert run_suite("lambda", cfg)["cases_failed"] == 0
+    per_run = sorted(calls)
+    calls.clear()
+    verify._fields(cfg)
+    sampling.small_fields_exhaustive()  # the pfister-squares family's own fields
+    assert per_run == sorted(calls)
 
 
 def test_residue_family_covers_every_base():
