@@ -221,30 +221,23 @@ def _read_flags(command: str, argv: list[str]) -> argparse.Namespace | None:
 
 
 def main(argv=None) -> int:
-    """Run one command.  A known command's arguments go to ``_read_flags``,
-    then, if it declines them, to its subparser directly, with leftovers
-    reported by the top-level parser and "--flag=--", which argparse parses
-    to [], by the subparser as a missing value; anything else (no command,
-    ``-h``, an unknown command) goes to the top-level parser."""
+    """Run one command.  A known command's arguments go to ``_read_flags``;
+    every argument list it declines, and every list with no known command,
+    goes to the top-level parser, and "--flag=--", which argparse parses to
+    [], is reported by the command's parser as a missing value."""
     parser, commands = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in commands else None
+    args = _read_flags(argv[0], argv[1:]) if argv and argv[0] in commands else None
     try:
-        if command is None:
+        if args is None:
             args = parser.parse_args(argv)
-            command = args.command
-        elif (args := _read_flags(command, argv[1:])) is None:
-            sub, flags = commands[command]
-            args, extras = sub.parse_known_args(argv[1:])
-            if extras:
-                # argparse's own message, through the same catalog
-                parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+            sub, flags = commands[args.command]
             for action in flags.values():
                 if getattr(args, action.dest) == []:
                     sub.error(str(argparse.ArgumentError(action, gettext("expected one argument"))))
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_PARSE
-    for attr, flag, low in _MINIMUMS.get(command, ()):
+    for attr, flag, low in _MINIMUMS.get(argv[0], ()):
         if getattr(args, attr) < low:
             print(f"error: {flag} must be >= {low}", file=sys.stderr)
             return EXIT_PARSE

@@ -326,6 +326,8 @@ def product(*factors: SymbolicInvariant) -> SymbolicInvariant:
     """Product of invariants, in the f-basis: their values at m = 0..D, D the
     sum of their top f-degrees, multiplied pointwise.  One factor is
     returned as it is."""
+    if not factors:
+        raise ValueError("product needs at least one factor")
     first = factors[0]
     if len(factors) == 1:
         return first

@@ -88,6 +88,8 @@ def _x_coeffs(n: int, precision: int) -> tuple[int, ...]:
     by 2^n: (d + 1) x_(d+1) = 2^n x_d + (d - 1) x_(d-1)."""
     if n < 1:
         raise ValueError("series level must be >= 1")
+    if precision < 0:
+        raise ValueError("series precision must be >= 0")
     a = _plus_minus_series(1 << n, 0, precision)
     if any(c & ((1 << n) - 1) for c in a[1:]):
         raise ConsistencyError(f"level series x_{n} is not divisible by 2^{n}")

@@ -936,10 +936,7 @@ def delta1_well_defined(cfg, rng, fields):
                 for e, cnt in extra.entries()
                 for _ in range(cnt)
             ]
-        cof_w = witt_canonical(cof)
-        if not is_in_In(cof_w, level):
-            continue
-        x = make_factorized([a], cof_w, level + 1, terms=blocks)
+        x = make_factorized([a], witt_canonical(cof), level + 1, terms=blocks)
         alts = alt_factorizations(x, budget=4, rng=rng)
         d = rng.randint(1, min(cfg.d_max, 4))
         for target in cfg.targets():

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from gwinv import cli, divided, fields, series, verify
-from gwinv.cli import EXIT_MEMBERSHIP, EXIT_OK, EXIT_PARSE, MAX_SERIES_SIZE, MAX_VERIFY_PREC, main
+from gwinv.cli import EXIT_FAIL, EXIT_MEMBERSHIP, EXIT_OK, EXIT_PARSE, MAX_SERIES_SIZE, MAX_VERIFY_PREC, main
 from gwinv.invariants import MAX_COEFF_BITS, MAX_EPS_EXPONENT, MAX_TOTAL_DEGREE
 from gwinv.verify import SUITES, RunConfig
 
@@ -48,7 +48,7 @@ TOP_LEVEL_EXTRAS = "usage: gwinv [-h] {series,eval,verify} ...\ngwinv: error: un
 
 def top_level_parse(argv):
     """Exit code, stdout and stderr of the top-level parser alone on argv:
-    the route every command took before ``main`` dispatched directly."""
+    the route ``main`` takes for every list ``_read_flags`` declines."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with pytest.raises(SystemExit) as exc:
@@ -243,6 +243,15 @@ class TestSeries:
         assert code == EXIT_PARSE
         assert out == ""
         assert err == f"error: --n * (--prec + 1) exceeds the cap of {MAX_SERIES_SIZE}\n"
+
+    def test_kernel_fault_is_reported_without_traceback(self, capsys, monkeypatch):
+        def faulty(n, prec):
+            raise series.ConsistencyError("level series x_1 does not match its binomial expansion")
+
+        monkeypatch.setattr(cli, "build_h", faulty)
+        code, out, err = run(capsys, "series", "--n", "1")
+        assert (code, out) == (EXIT_FAIL, "")
+        assert err == "error: level series x_1 does not match its binomial expansion\n"
 
     @pytest.mark.parametrize("n, prec", [(1, MAX_SERIES_SIZE - 1), (4, 255), (MAX_SERIES_SIZE, 0)])
     def test_size_at_cap_exit_0(self, capsys, n, prec):
@@ -667,6 +676,34 @@ class TestVerify:
         assert code == EXIT_PARSE
         assert out == ""
         assert err == f"error: --prec exceeds the cap of {MAX_VERIFY_PREC}\n"
+
+    FAILURE = "g-bounds/beyond-bound: g_2^3 = 0 beyond 2max(s,t)=2 over C (W, case 0)"
+    FAILURE_REPORTS = {
+        "text": (
+            "suite=g-bounds cases=38 failed=21 FAIL\n"
+            f"  first failure: {FAILURE}\n"
+            "    expected: 0\n"
+            "    got:      <1>\n"
+        ),
+        "json": (
+            '{"cases_failed": 21, "cases_total": 38, "config": {"d_max": 6, "field": null, "mode": null, '
+            '"n_max": 3, "prec": 32, "samples": 4, "seed": 0}, "first_failure": {"expected": "0", '
+            f'"got": "<1>", "inputs": "{FAILURE}"}}, "suite": "g-bounds"}}\n'
+        ),
+        "csv": (
+            "suite,cases_total,cases_failed,first_failure\r\n"
+            'g-bounds,38,21,"{""expected"": ""0"", ""got"": ""<1>"", '
+            f'""inputs"": ""{FAILURE}""}}"\r\n'
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", FAILURE_REPORTS)
+    def test_failure_report(self, capsys, monkeypatch, fmt):
+        """A suite that fails exits 1 and shows its first failure in every
+        format; g_n^d is made <1> everywhere, so the beyond-bound cases fail."""
+        monkeypatch.setattr(verify, "eval_g", lambda n, d, q, target: target.one(q.field))
+        code, out, err = run(capsys, "verify", "--suite", "g-bounds", "--samples", "4", "--format", fmt)
+        assert (code, out, err) == (EXIT_FAIL, self.FAILURE_REPORTS[fmt], "")
 
     def test_deterministic_reports(self, capsys):
         args = [

@@ -375,6 +375,10 @@ class TestProduct:
         a = SymbolicInvariant(2, "W", {0: 1, 3: -2})
         assert product(a, gen(2, "W", "f", 0)) == a
 
+    def test_no_factors_rejected(self):
+        with pytest.raises(ValueError, match="product needs at least one factor"):
+            product()
+
 
 class TestProductOracle:
     """``product`` against the trinomial oracle, which reads every

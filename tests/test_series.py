@@ -178,6 +178,12 @@ class TestLevelSeries:
         with pytest.raises(ValueError):
             build_h(0, 0)
 
+    @pytest.mark.parametrize("build", [build_x, build_h])
+    @pytest.mark.parametrize("prec", [-1, -2])
+    def test_negative_precision_rejected(self, build, prec):
+        with pytest.raises(ValueError, match="series precision must be >= 0"):
+            build(2, prec)
+
 
 class TestSubstitutionSeries:
     def test_level_one(self):
