@@ -3,12 +3,13 @@
     python3 scripts/equivalence.py
 
 Run it from the root of a checkout; it imports that checkout's ``src``,
-``bench`` and ``tests`` and changes nothing.  Each line is ``<name> <hex>``:
+``bench`` and ``tests/pinned_inputs.py`` and changes nothing, and it needs
+neither pytest nor hypothesis.  Each line is ``<name> <hex>``:
 
 * ``verify``: the concatenated ``json.dumps(report, sort_keys=True)`` of
   the 14 ``bench/workloads.py`` ``VERIFY_CONFIGS`` reports, in that order;
 * ``moderate``: the same over the 13 ``MODERATE`` configs of
-  ``tests/test_verify.py``, in sorted suite order;
+  ``tests/pinned_inputs.py``, in sorted suite order;
 * ``eval``: the concatenated ``repr((rc, stdout, stderr))`` of the 3,780
   ``workloads.eval_ops(7)`` requests sent through ``cli.main``;
 * ``demos``: the concatenated stdout of ``demos/*.py`` in sorted order;
@@ -51,9 +52,9 @@ Run it from the root of a checkout; it imports that checkout's ``src``,
   series on seeded signed GW elements and the values on seeded even
   diagonal forms over R and F5 towers of depth 0 to 3;
 * ``cli-errors``: the concatenated ``repr((rc, stdout, stderr))`` of the
-  ``USAGE_ERRORS`` argument lists of ``tests/test_cli.py`` sent through
+  ``USAGE_ERRORS`` argument lists of ``tests/pinned_inputs.py`` sent through
   ``cli.main``, then of ``gwinv eval`` requests with each of the
-  ``PHRASES`` of ``tests/test_grammars.py`` as the invariant, the form or
+  ``PHRASES`` of ``tests/pinned_inputs.py`` as the invariant, the form or
   the field (the other two valid), in both modes; help and usage text is
   formatted at 80 columns.
 
@@ -82,6 +83,7 @@ for sub in ("src", "bench", "tests"):
     sys.path.insert(0, str(ROOT / sub))
 
 import workloads  # noqa: E402
+from pinned_inputs import MODERATE, PHRASES, USAGE_ERRORS  # noqa: E402
 from gwinv import eval_g  # noqa: E402
 from gwinv.divided import H_TARGET, W_TARGET, eval_fixed_dim, eval_pi_coeffs, sw_coeffs  # noqa: E402
 from gwinv.fields import parse_field  # noqa: E402
@@ -120,8 +122,6 @@ def verify_hash() -> str:
 
 
 def moderate_hash() -> str:
-    from test_verify import MODERATE
-
     return _digest(_reports(sorted(MODERATE.items())))
 
 
@@ -374,9 +374,6 @@ def sw_values_hash() -> str:
 
 
 def cli_errors_hash() -> str:
-    from test_cli import USAGE_ERRORS
-    from test_grammars import PHRASES
-
     valid = {"inv": "f[1,1]", "form": "pf(t1)", "field": "F3((t1))((t2))"}
     requests = [list(argv) for argv in USAGE_ERRORS]
     for phrase in PHRASES:

@@ -4,8 +4,8 @@ identity-verification suites.
 Exit codes: 0 success, 1 failed checks, 2 parse/usage errors, 3 membership
 failures.
 
-Exact long flags are read directly, by ``_read_flags``; every other argument
-list, with every usage error and help text, goes to argparse.
+Exact long flags are read directly, by ``_read_flags``; argparse reads every
+other list, each ``--flag=--`` moved to its end as ``--flag`` (see ``main``).
 
 Only the ``verify`` command loads the suites (``verify``, ``sampling`` and
 ``factorized``): ``cmd_verify`` imports ``SUITES`` and ``run_suite`` from
@@ -21,8 +21,8 @@ import argparse
 import csv
 import functools
 import json
+import re
 import sys
-from gettext import gettext
 
 from .divided import RunConfig
 from .fields import FieldSyntaxError, parse_field
@@ -221,22 +221,18 @@ def _read_flags(command: str, argv: list[str]) -> argparse.Namespace | None:
 
 
 def main(argv=None) -> int:
-    """Run one command.  A known command's arguments go to ``_read_flags``;
-    every argument list it declines, and every list with no known command,
-    goes to the top-level parser, and "--flag=--", which argparse parses to
-    [], is reported by the command's parser as a missing value."""
+    """Run one command: ``_read_flags`` or else the top-level parser reads
+    its arguments.  Each "--flag=--" after the command goes to the end as a
+    bare "--flag", so argparse reports a missing value on every Python."""
     parser, commands = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_flags(argv[0], argv[1:]) if argv and argv[0] in commands else None
-    try:
-        if args is None:
-            args = parser.parse_args(argv)
-            sub, flags = commands[args.command]
-            for action in flags.values():
-                if getattr(args, action.dest) == []:
-                    sub.error(str(argparse.ArgumentError(action, gettext("expected one argument"))))
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_PARSE
+    if args is None:
+        dashed = [a for a in argv[1:] if re.fullmatch("--[^=]+=--", a)]
+        try:
+            args = parser.parse_args(argv[:1] + [a for a in argv[1:] if a not in dashed] + [a[:-3] for a in dashed])
+        except SystemExit as exc:
+            return exc.code if exc.code is not None else EXIT_PARSE
     for attr, flag, low in _MINIMUMS.get(argv[0], ()):
         if getattr(args, attr) < low:
             print(f"error: {flag} must be >= {low}", file=sys.stderr)

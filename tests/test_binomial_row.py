@@ -5,6 +5,7 @@ the row (1 + 2^n t)^(2p/2^n) of each character value and the power
 (1 - h_n)^(dim x) that every row of a form of nonzero dimension is
 multiplied by."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -64,6 +65,12 @@ def test_power_recurrence_matches_repeated_products(a):
         assert got == want + [0] * (n - len(want))
     else:
         assert mul(coeff_ops("W"), got, want, n) == [1] + [0] * (n - 1)
+
+
+def test_power_recurrence_checks_its_exact_division():
+    # Miller's recurrence for (1 + t)^(1/2) gives 1 * g_1 = 1/2, not an integer
+    with pytest.raises(ConsistencyError, match="series power is not integral at degree 1"):
+        divided._power([1, 1], Fraction(1, 2))
 
 
 def tamper_cases():

@@ -16,6 +16,7 @@ from gwinv import cli, divided, fields, series, verify
 from gwinv.cli import EXIT_FAIL, EXIT_MEMBERSHIP, EXIT_OK, EXIT_PARSE, MAX_SERIES_SIZE, MAX_VERIFY_PREC, main
 from gwinv.invariants import MAX_COEFF_BITS, MAX_EPS_EXPONENT, MAX_TOTAL_DEGREE
 from gwinv.verify import SUITES, RunConfig
+from pinned_inputs import USAGE_ERRORS, VALID_EVAL
 
 
 def run(capsys, *argv):
@@ -30,19 +31,6 @@ def tower(depth):
 
 DEPTH_7_ERROR = "parse error: tower depth 7 exceeds the cap of 6\n"
 
-VALID_EVAL = ("eval", "--inv", "f[1,1]", "--form", "pf(t1)", "--field", "R((t1))")
-# argument lists that end in argparse's usage error or help text
-USAGE_ERRORS = [
-    (),
-    ("-h",),
-    ("bogus",),
-    ("eval",),
-    ("eval", "-h"),
-    (*VALID_EVAL, "--bogus"),
-    ("series", "--n", "1", "extra"),
-    ("series", "--n", "1", "--prec", "x"),
-    (*VALID_EVAL, "--mode", "X"),
-]
 TOP_LEVEL_EXTRAS = "usage: gwinv [-h] {series,eval,verify} ...\ngwinv: error: unrecognized arguments: "
 
 
@@ -58,9 +46,9 @@ def top_level_parse(argv):
 
 @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "no-args")
 def test_usage_errors_match_top_level_parser(capsys, argv):
-    """A command handed to its subparser directly prints what the top-level
-    parser prints, byte for byte, and leftover arguments are still reported
-    by the top-level parser."""
+    """A list that ``_read_flags`` declines goes to the top-level parser
+    as given (it holds no "--flag=--"), so ``main`` prints what that parser
+    prints, byte for byte, and leftover arguments are reported by it."""
     want = top_level_parse(list(argv))
     assert want[0] == (EXIT_OK if "-h" in argv else EXIT_PARSE)
     assert run(capsys, *argv) == want
@@ -68,13 +56,17 @@ def test_usage_errors_match_top_level_parser(capsys, argv):
         assert want == (EXIT_PARSE, "", TOP_LEVEL_EXTRAS + argv[-1] + "\n")
 
 
-# a flag given "--" as its value: argparse strips the "--" and parses []
+# a flag given "--" as its value: ``main`` moves "--flag=--" to the end of
+# the list as a bare "--flag" before argparse parses it, whatever else the
+# list holds
 DASH_VALUES = [
     ("series", "--n=--"),
     ("eval", "--inv=--", "--form", "H", "--field", "R"),
     ("verify", "--suite", "series", "--field=--"),
     ("verify", "--suite=--"),
     ("series", "--n", "1", "--format=--"),
+    ("series", "--n=--", "--n", "2"),
+    ("series", "--n=--", "extra"),
 ]
 
 
@@ -87,6 +79,14 @@ def test_dash_dash_value_is_a_missing_value(capsys, argv):
     assert (code, out) == (EXIT_PARSE, "")
     assert err.endswith(f"gwinv {argv[0]}: error: argument {flag}: expected one argument\n")
     assert (code, out, err) == run(capsys, *[a for a in argv if a != dashed], flag)
+
+
+@pytest.mark.parametrize("argv", [("series", "--n", "1", "--=--"), ("series", "--n=--=--")], ids=" ".join)
+def test_other_dash_values_go_to_argparse_as_given(capsys, argv):
+    """Only a long flag whose whole value is "--" is moved: an empty flag
+    ("ambiguous option") or a longer value ("invalid int value") reaches
+    argparse unchanged."""
+    assert run(capsys, *argv) == top_level_parse(list(argv))
 
 
 # values for the differential test of ``_read_flags``: valid ones by flag

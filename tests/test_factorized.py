@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from gwinv import factorized
 from gwinv.divided import H_TARGET, W_TARGET
 from gwinv.factorized import (
     FactorizedForm,
@@ -13,9 +14,10 @@ from gwinv.factorized import (
     lemma_factor_check,
     make_factorized,
 )
-from gwinv.fields import parse_field, parse_sc, sc_one
+from gwinv.fields import enumerate_sc, parse_field, parse_sc, sc_one
 from gwinv.invariants import SymbolicInvariant, evaluate, from_g, omega_t
 from gwinv.sampling import rand_in_In, rand_pfister_slots, rand_sc, standard_fields
+from gwinv.series import ConsistencyError
 from gwinv.witt import (
     GwElement,
     MembershipError,
@@ -142,6 +144,23 @@ class TestAltFactorizations:
                         hits += 1
                         assert delta_t_eval(alt, alpha, 1) == base_val
         assert hits >= 30
+
+    def test_uncertified_cofactor_move_is_caught(self, monkeypatch):
+        # with every square class taken as represented by <<a>>, some move
+        # shifts the cofactor by a class that <<a>> does not kill
+        monkeypatch.setattr(factorized, "_certified_scalars", lambda a: enumerate_sc(a.field))
+        x = make_factorized([T1], witt_canonical(pfister([T2])), 2)
+        with pytest.raises(ConsistencyError, match="certified cofactor move changed the product"):
+            alt_factorizations(x, budget=40, rng=random.Random(0))
+
+    def test_uncertified_scalar_swap_is_caught(self, monkeypatch):
+        # no cofactor move, and every block taken as represented by <<ab>>:
+        # some swap of t1 changes <<t1>> <<t2>>
+        monkeypatch.setattr(factorized, "_certified_scalars", lambda a: [])
+        monkeypatch.setattr(factorized, "represented_by_binary", lambda c, a, b: True)
+        x = make_factorized([T1], witt_canonical(pfister([T2])), 2, terms=[(sc_one(RTT), T2)])
+        with pytest.raises(ConsistencyError, match="certified scalar swap changed the product"):
+            alt_factorizations(x, budget=40, rng=random.Random(0))
 
     def test_requires_unary_factor(self):
         x = make_factorized([T1, T2], witt_zero(RTT), 3)

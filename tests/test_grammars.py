@@ -14,6 +14,7 @@ from gwinv import cli
 from gwinv.fields import FieldSyntaxError, parse_field, parse_sc, split_signed_sum
 from gwinv.invariants import InvariantSyntaxError, parse_invariant
 from gwinv.witt import parse_form
+from pinned_inputs import PHRASES
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
@@ -22,15 +23,6 @@ FIELD = parse_field("F3((t1))((t2))")
 
 # the alphabet of the field, square-class, form and invariant grammars
 CHARS = "CRFHfgu0123579()[],*^+-tps "
-# phrases of those grammars, a few of them well-formed but invalid: the
-# phrases and signed sums of them, with a few characters inserted, reach the
-# deeper parse paths that noise rarely does
-PHRASES = [
-    "F3((t1))", "F15", "C((t1))((t1))", "R((t2))",
-    "-u*t1", "t2", "1",
-    "H", "2*H", "pf(t1)", "pf(-1,u*t2)", "diag(1,-t2)",
-    "f[1,2]", "g[1,3]", "3*eps^2*f[1,1]", "f[2,1]*g[2,2]",
-]
 
 
 def _insert(text, edits):

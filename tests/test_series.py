@@ -221,6 +221,7 @@ class TestSubstitutionSeries:
         "lower_level": ("_h_series", lambda h: lambda n, p: h(n - 1, p), "x_n o h_n"),
         "h0_nonzero": ("_h_series", lambda h: lambda n, p: [1] + [0] * p, "x_n o h_n has a nonzero constant term"),
         "x_lower_level": ("_x_coeffs", lambda x: lambda n, p: x(n - 1, p), "binomial expansion"),
+        "riccati_not_int": ("_square", lambda f: lambda h, d: f(h, d) + 1, "Riccati recurrence"),
     }
 
     @pytest.mark.parametrize("tamper", TAMPERS)
@@ -231,7 +232,8 @@ class TestSubstitutionSeries:
         # the binomial expansion breaks x's anchor; exact values of the
         # wrong type pass both and must be caught by the integer check;
         # h = 1 solves every Riccati equation and must be caught by its
-        # constant term; and x's division by 2^n must be exact
+        # constant term; x's division by 2^n and each Riccati step's
+        # division by d + 1 must be exact
         name, wrap, message = self.TAMPERS[tamper]
         monkeypatch.setattr(series, name, wrap(getattr(series, name)))
         with pytest.raises(ConsistencyError, match=message):

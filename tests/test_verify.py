@@ -13,22 +13,7 @@ import pytest
 from gwinv import fields, invariants, sampling, series, verify, witt
 from gwinv.verify import RunConfig, SUITES, _cases, _report, run_suite
 from gwinv.witt import GwElement
-
-MODERATE = {
-    "series": RunConfig(prec=24),
-    "lambda": RunConfig(samples=60, prec=24),
-    "pi": RunConfig(samples=40, n_max=3, d_max=5),
-    "f-axioms": RunConfig(samples=40, n_max=3, d_max=5),
-    "g-bounds": RunConfig(samples=40, n_max=3),
-    "classify": RunConfig(samples=40, n_max=3, d_max=6),
-    "product": RunConfig(samples=40, n_max=3, d_max=5),
-    "restrict": RunConfig(samples=40, n_max=2, d_max=5),
-    "simil": RunConfig(samples=40, n_max=3, d_max=5),
-    "ram": RunConfig(samples=40, n_max=3, d_max=4),
-    "fixed-dim": RunConfig(samples=30, d_max=8),
-    "coh-ops": RunConfig(samples=40, n_max=2, d_max=5),
-    "delta1": RunConfig(samples=50, n_max=3, d_max=4),
-}
+from pinned_inputs import MODERATE
 
 # cases_total of each MODERATE run when the suites became case generators;
 # a refactor may add cases but must not lose any
@@ -227,7 +212,7 @@ def test_equivalence_digest_is_pinned(name, digest):
     ``gwinv series`` dumps on the size cap line; ``f-values`` and
     ``g-values`` are ``evaluate`` and ``eval_g`` on every f and g generator
     of low degree and on seeded sums and products of them; ``moderate`` is
-    the ``MODERATE`` reports above; ``cli-errors`` the usage and parse
+    the ``MODERATE`` reports; ``cli-errors`` the usage and parse
     errors of ``cli.main``; ``witt-level`` ``filtration_level`` on whole
     Witt groups and seeded classes; ``series-dump`` the ``gwinv series``
     JSON dumps of the series workload; ``eval`` the benchmark's ``gwinv

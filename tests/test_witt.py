@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from gwinv import witt
+from gwinv.cohomology import CohClass
 from gwinv.fields import (
     FieldMismatchError,
     FieldSyntaxError,
@@ -14,6 +15,7 @@ from gwinv.fields import (
     minus_one,
     parse_field,
     parse_sc,
+    represented_by_binary,
     sc_one,
 )
 from gwinv.sampling import rand_diag, rand_gw, rand_in_In, rand_in_In_data, rand_sc, standard_fields
@@ -269,6 +271,25 @@ class TestGwEqual:
             gw_equal(GwElement.zero(R), GwElement.zero(F3T))
         with pytest.raises(FieldMismatchError):
             gw_equal(GwElement.unit(RT), GwElement.unit(R))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x, y: CohClass.one(x.field) + CohClass.one(y.field),
+            lambda x, y: CohClass.one(x.field) * CohClass.one(y.field),
+            lambda x, y: GwElement.diag(x, y),
+            lambda x, y: GwElement.diag(x) + GwElement.diag(y),
+            lambda x, y: GwElement.diag(x) * GwElement.diag(y),
+            lambda x, y: witt_one(x.field).scale_sq(y),
+            lambda x, y: represented_by_binary(y, x, x),
+        ],
+        ids=["coh-add", "coh-mul", "diag", "gw-add", "gw-mul", "scale_sq", "represented_by_binary"],
+    )
+    def test_operands_over_two_fields_raise(self, call):
+        # the unit class over R((t1)) and over R: every operation reads
+        # both as the unit, so only the field check can fail
+        with pytest.raises(FieldMismatchError):
+            call(sc_one(RT), sc_one(R))
 
 
 def oracle_pfister(classes):
