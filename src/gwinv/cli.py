@@ -5,7 +5,7 @@ Exit codes: 0 success, 1 failed checks, 2 parse/usage errors, 3 membership
 failures.
 
 Exact long flags are read directly, by ``_read_flags``; argparse reads every
-other list, each ``--flag=--`` moved to its end as ``--flag`` (see ``main``).
+other list, once ``main`` has turned each ``--flag=--`` into ``--flag``.
 
 Only the ``verify`` command loads the suites (``verify``, ``sampling`` and
 ``factorized``): ``cmd_verify`` imports ``SUITES`` and ``run_suite`` from
@@ -222,15 +222,16 @@ def _read_flags(command: str, argv: list[str]) -> argparse.Namespace | None:
 
 def main(argv=None) -> int:
     """Run one command: ``_read_flags`` or else the top-level parser reads
-    its arguments.  Each "--flag=--" after the command goes to the end as a
-    bare "--flag", so argparse reports a missing value on every Python."""
+    its arguments, each "--flag=--" ahead of the first bare "--" moved there
+    as "--flag", so that argparse reports a missing value on every Python."""
     parser, commands = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_flags(argv[0], argv[1:]) if argv and argv[0] in commands else None
     if args is None:
-        dashed = [a for a in argv[1:] if re.fullmatch("--[^=]+=--", a)]
+        cut = (argv[1:] + ["--"]).index("--") + 1
+        dashed = [a for a in argv[1:cut] if re.fullmatch("--[^=]+=--", a)]
         try:
-            args = parser.parse_args(argv[:1] + [a for a in argv[1:] if a not in dashed] + [a[:-3] for a in dashed])
+            args = parser.parse_args(argv[:1] + [a for a in argv[1:cut] if a not in dashed] + [a[:-3] for a in dashed] + argv[cut:])
         except SystemExit as exc:
             return exc.code if exc.code is not None else EXIT_PARSE
     for attr, flag, low in _MINIMUMS.get(argv[0], ()):

@@ -215,7 +215,7 @@ def eval_f_sum(n: int, q: WittClass, target: InvariantTarget, coeffs: dict):
         c = coeffs[d]
         for m, v in pi.terms.items():
             terms[m] = terms.get(m, 0) + c * v
-    return witt_canonical(GwElement(q.field, terms))
+    return witt_canonical(GwElement._of(q.field, {m: c for m, c in terms.items() if c}))
 
 
 # -- total Stiefel-Whitney-style maps on GW
@@ -287,10 +287,7 @@ def eval_fixed_dim(
     r = m // 2
     weights = {}
     for i in range(d + 1):
-        if basis == "f":
-            c = ext_binom(r - i, d - i)
-        else:
-            c = ext_binom(r - i - 1 + (d + 1) // 2, d - i)
+        c = ext_binom(r - i + (0 if basis == "f" else (d - 1) // 2), d - i)
         if c:
             weights[i] = (c if i % 2 == 0 else -c) << (d - i)
     y = GwElement.zero(x.field)

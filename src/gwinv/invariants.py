@@ -5,25 +5,28 @@ generators f_n^d at a fixed level n, stored as its f-basis coefficients,
 in the universal scalar ring generated by eps = {-1}: plain integers in
 Witt mode, where eps is identified with 2, and ``F2Poly``, the
 F2-polynomials in eps, in cohomology mode.  ``coeff_ops(mode)`` is the
-one table of a mode's ring: ``zero``, ``one``, ``from_int`` and
-``eps_pow`` on coefficients, and the same ring on packed ints, which the
-operator tables and ``product`` compute on.  The g-family is a
-second basis, a triangular unipotent change of the first: ``from_g``
-builds an invariant from g-basis coefficients and ``g_coeffs`` reads them
-back.  The rebasing, shifting, similitude, restriction and descent
-operators are term tables: for a generator of degree d a table lists the
-triples (c, j, k) meaning c * eps^j times the degree-k generator of the
-target, and ``_apply`` applies it to a coefficient dict.  ``product``
-multiplies values on sums of Pfister forms instead (``to_values``).
-``evaluate`` sends an invariant to a concrete value on a Witt class, and
-``eval_g`` is ``evaluate`` on one g generator.
+one table of a mode's ring, on coefficients and on packed ints (eps^j is
+1 << j), which the operators, ``product`` and the parser compute on.  The
+g-family is a second basis, a triangular unipotent change of the first:
+``from_g`` builds an invariant from g-basis coefficients and ``g_coeffs``
+reads them back.  The rebasing, shifting, similitude, restriction and
+descent operators are term tables: for a generator of degree d a table
+lists the triples (c, j, k) meaning c * eps^j times the degree-k generator
+of the target, and ``_apply`` applies it to a coefficient dict.
+``product`` multiplies values on sums of Pfister forms instead
+(``to_values``).  ``parse_invariant`` reads a literal onto one dict of
+packed f-coefficients: a term's scalar is its sign times its integer
+factors (``int_bits``) shifted by its eps exponent, and it adds that
+scalar times the ``_expand`` of the term's generators, so only the result
+is an object.  ``evaluate`` sends an invariant to a concrete value on a
+Witt class, and ``eval_g`` is ``evaluate`` on one g generator.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -114,8 +117,7 @@ class SymbolicInvariant:
             raise TypeError(f"a mode-{mode} coefficient must be of type {scalar.__name__}")
         if not all(type(d) is int and d >= 0 for d in coeffs):
             raise ValueError("a degree must be an int >= 0")
-        self.n = n
-        self.mode = mode
+        self.n, self.mode = n, mode
         self.coeffs = {d: c for d, c in coeffs.items() if c != ops.zero}
 
     @classmethod
@@ -129,11 +131,9 @@ class SymbolicInvariant:
     def generator(cls, n: int, mode: str, family: str, d: int) -> "SymbolicInvariant":
         """The degree-d generator f_n^d (family 'f') or g_n^d (family 'g')."""
         one = {d: coeff_ops(mode).one}
-        if family == "f":
-            return cls(n, mode, one)
-        if family == "g":
-            return from_g(n, mode, one)
-        raise ValueError("family must be 'f' or 'g'")
+        if family not in ("f", "g"):
+            raise ValueError("family must be 'f' or 'g'")
+        return cls(n, mode, one) if family == "f" else from_g(n, mode, one)
 
     @property
     def ops(self):
@@ -167,14 +167,8 @@ class SymbolicInvariant:
     __hash__ = None
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for d in sorted(self.coeffs):
-            c = str(self.coeffs[d])
-            gen = f"f[{self.n},{d}]"
-            parts.append(gen if c == "1" else f"({c})*{gen}")
-        return " + ".join(parts)
+        parts = [(f"f[{self.n},{d}]", str(self.coeffs[d])) for d in sorted(self.coeffs)]
+        return " + ".join(gen if c == "1" else f"({c})*{gen}" for gen, c in parts) or "0"
 
     def __repr__(self) -> str:
         return f"SymbolicInvariant(n={self.n}, mode={self.mode!r}, coeffs={self.coeffs!r})"
@@ -198,14 +192,13 @@ def f_transition_terms(n: int, d: int) -> list[tuple[int, int, int]]:
 
 
 def g_transition_terms(n: int, d: int) -> list[tuple[int, int, int]]:
-    """The g-to-f rebasing of one g generator, as triples
-    (integer coefficient, eps exponent, f degree)."""
-    if d == 0:
-        return [(1, 0, 0)]
-    # k - lo runs over 0..top, so every coefficient is a nonzero binomial
-    lo = d // 2 + 1
-    top = (d - 1) // 2
-    return [(ext_binom(top, k - lo), n * (d - k), k) for k in range(lo, d + 1)]
+    """The g-to-f rebasing of one g generator, as triples (integer
+    coefficient, eps exponent, f degree): with t = (d - 1) // 2, g^d takes
+    the value C(m + t, d) eps^(nd) on m n-fold Pfister forms, so by
+    Vandermonde's identity its f^k coefficient is C(t, d - k) eps^(n(d - k)),
+    nonzero for d - t <= k <= d (k = 0 alone at d = 0)."""
+    t = (d - 1) // 2
+    return [(ext_binom(t, d - k), n * (d - k), k) for k in range(d - max(t, 0), d + 1)]
 
 
 def _apply(mode: str, coeffs: dict, terms) -> dict:
@@ -224,8 +217,7 @@ def _apply(mode: str, coeffs: dict, terms) -> dict:
 
 
 def _linear(alpha: SymbolicInvariant, n: int, terms) -> SymbolicInvariant:
-    """``_apply`` on the f-coefficients of ``alpha``, as an invariant at
-    level n."""
+    """``_apply`` on the f-coefficients of ``alpha``, as an invariant at level n."""
     return SymbolicInvariant._of(n, alpha.mode, _apply(alpha.mode, alpha.coeffs, terms))
 
 
@@ -266,12 +258,9 @@ def shift(alpha: SymbolicInvariant, plus: int = 0, minus: int = 0) -> SymbolicIn
     count raises ``ValueError``."""
     if plus < 0 or minus < 0:
         raise ValueError("shift counts must be >= 0")
-    out = alpha
-    for _ in range(plus):
-        out = phi(out, 1)
-    for _ in range(minus):
-        out = phi(out, -1)
-    return out
+    for sign in [1] * plus + [-1] * minus:
+        alpha = phi(alpha, sign)
+    return alpha
 
 
 def coeff_at_zero(alpha: SymbolicInvariant):
@@ -360,9 +349,7 @@ def psi_tilde_closed_f(alpha: SymbolicInvariant) -> SymbolicInvariant:
 
     def terms(d):
         sign = -1 if d % 2 else 1
-        out = [
-            (sign * ext_binom(d - 1, k - 1), n * (d - k) - 1, k) for k in range(1, d)
-        ]
+        out = [(sign * ext_binom(d - 1, k - 1), n * (d - k) - 1, k) for k in range(1, d)]
         if sign == -1 and alpha.mode == "W":
             out.append((-1, 0, d))
         return out
@@ -377,10 +364,7 @@ def restrict(alpha: SymbolicInvariant) -> SymbolicInvariant:
 
     def terms(d):
         if alpha.mode == "W":
-            return [
-                (ext_binom(k, d - k), (d - k) * (n - 1), k)
-                for k in range((d + 1) // 2, d + 1)
-            ]
+            return [(ext_binom(k, d - k), (d - k) * (n - 1), k) for k in range((d + 1) // 2, d + 1)]
         return [] if d % 2 else [(1, d // 2 * (n - 1), d // 2)]
 
     return _linear(alpha, n + 1, terms)
@@ -440,12 +424,33 @@ def _check_cap(body: str, noun: str, value: int, cap: int, unit: str = "") -> No
         raise InvariantSyntaxError(f"the {noun} of {body.strip()[:40]!r} exceeds the cap of {cap}{unit}")
 
 
+def _expand(n: int, int_bits, gens: list) -> dict:
+    """The packed f-coefficients of a product of generators (family, level,
+    degree) at level n.  A product of total degree D takes the value
+    P(m) eps^(nD) on m n-fold Pfister forms, P the product of C(m, d) over
+    its f^d and C(m + (d - 1) // 2, d) over its g^d (``g_transition_terms``),
+    so its f^k coefficient is Delta^k P(0) eps^(n(D - k))."""
+    if len(gens) == 1:
+        b, _, d = gens[0]
+        return {d: 1} if b == "f" else {k: int_bits(c) << j for c, j, k in g_transition_terms(n, d)}
+    top = sum(d for _, _, d in gens)
+    vals = [1] * (top + 1)
+    for (t, d), e in Counter(((d - 1) // 2 if b == "g" else 0, d) for b, _, d in gens).items():
+        vals = [v * ext_binom(m + t, d) ** e for m, v in enumerate(vals)]
+    out = {}
+    for k in range(top + 1):
+        out[k], vals = int_bits(vals[0]) << n * (top - k), list(map(operator.sub, vals[1:], vals[:-1]))
+    return out
+
+
 def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
+    """A literal on one dict of packed f-coefficients (module docstring)."""
     ops = coeff_ops(mode)
+    add, mul, int_bits = ops.add, ops.mul, ops.int_bits
     terms = []
     # split the whole literal first, so an empty term wins over a bad factor
     for sign, body in list(split_signed_sum(text, "invariant literal", InvariantSyntaxError)):
-        coeff, eps = ops.from_int(sign), 0
+        coeff, eps = int_bits(sign), 0
         gens: list[tuple[str, int, int]] = []
         for factor in body.split("*"):
             factor = factor.strip()
@@ -460,12 +465,12 @@ def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
             if m:
                 eps += parse_int(m.group(1) or "1", "eps exponent", InvariantSyntaxError)
                 continue
-            coeff = coeff * ops.from_int(parse_int(factor, "factor", InvariantSyntaxError))
+            coeff = mul(coeff, int_bits(parse_int(factor, "factor", InvariantSyntaxError)))
             if mode == "W":
                 _check_cap(body, "coefficient", coeff.bit_length(), MAX_COEFF_BITS, " bits")
         _check_cap(body, "eps exponent", eps, MAX_EPS_EXPONENT)
         _check_cap(body, "total degree", sum(n * d for _, n, d in gens), MAX_TOTAL_DEGREE)
-        terms.append((coeff * ops.eps_pow(eps), gens))
+        terms.append((coeff << eps, gens))
     levels = {n for _, gens in terms for _, n, _ in gens}
     if not levels:
         raise InvariantSyntaxError("an invariant needs at least one f[...] or g[...]")
@@ -474,11 +479,8 @@ def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
     n = levels.pop()
     if n < 1:
         raise InvariantSyntaxError(f"the level n must be >= 1, got {n}")
-    # one f-coefficient dict; a constant adds its coefficient at degree 0
     out: dict = {}
-    for coeff, gens in terms:
-        factors = [SymbolicInvariant.generator(n, mode, b, d) for b, _, d in gens]
-        parts = product(*factors).coeffs if factors else {0: ops.one}
-        for d, c in parts.items():
-            out[d] = out.get(d, ops.zero) + coeff * c
-    return SymbolicInvariant(n, mode, out)
+    for scalar, gens in terms:
+        for d, c in _expand(n, int_bits, gens).items():
+            out[d] = add(out.get(d, 0), mul(scalar, c))
+    return SymbolicInvariant._of(n, mode, {d: ops.unpack(c) for d, c in out.items() if c})

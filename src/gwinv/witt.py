@@ -150,7 +150,7 @@ class GwElement:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
-        return GwElement(self.field, out)
+        return GwElement._of(self.field, {m: c for m, c in out.items() if c})
 
     def __sub__(self, other: "GwElement") -> "GwElement":
         return self + (-other)
@@ -165,7 +165,7 @@ class GwElement:
             for m2, c2 in other.terms.items():
                 m = m1 ^ m2
                 out[m] = out.get(m, 0) + c1 * c2
-        return GwElement(self.field, out)
+        return GwElement._of(self.field, {m: c for m, c in out.items() if c})
 
     def scale(self, n: int) -> "GwElement":
         _int(n)
@@ -230,7 +230,7 @@ def _slot_product(classes, lift: bool) -> GwElement:
     field = classes[0].field
     if any(a.field != field for a in classes):
         raise FieldMismatchError("Pfister slots over different fields")
-    return GwElement(field, _slot_terms(field, [a.mask for a in classes], lift, 1))
+    return GwElement._of(field, {m: c for m, c in _slot_terms(field, [a.mask for a in classes], lift, 1).items() if c})
 
 
 def _slot_terms(field: FieldDescriptor, masks, lift: bool, count: int) -> dict[int, int]:
@@ -454,7 +454,7 @@ def hat_lift(q: WittClass) -> GwElement:
     half = sum(terms.values()) // 2
     for m in (0, minus_one_mask(q.field)):
         terms[m] = terms.get(m, 0) - half
-    return GwElement(q.field, terms)
+    return GwElement._of(q.field, {m: c for m, c in terms.items() if c})
 
 
 def filtration_level(q: WittClass) -> tuple[int | None, frozenset]:

@@ -4,9 +4,12 @@ as a test oracle.
 ``split_signed_sum`` scans the text character by character, ``parse_form``
 builds one ``GwElement`` per term and scales it, and ``parse_invariant``
 sums its terms in the g-basis when every generator is a g one and in the
-f-basis otherwise, and converts the sum to the f-basis at the end.  The library parses the same
-grammars straight to a {mask: count} dict and one coefficient dict; the
-tests compare the two, results and errors alike.
+f-basis otherwise, and converts the sum to the f-basis at the end, with
+one checked ``SymbolicInvariant`` per generator and per product.  The
+library parses the same grammars straight to a {mask: count} dict and to
+one dict of packed f-coefficients, a product of generators read off its
+integer values on sums of Pfister forms; the tests compare the two,
+results and errors alike.
 """
 
 import re

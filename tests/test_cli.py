@@ -89,6 +89,62 @@ def test_other_dash_values_go_to_argparse_as_given(capsys, argv):
     assert run(capsys, *argv) == top_level_parse(list(argv))
 
 
+@pytest.mark.parametrize(
+    "argv, rewritten",
+    [
+        (("series", "--n", "1", "--", "--n=--"), ("series", "--n", "1", "--", "--n=--")),
+        (("series", "--n=--", "--", "--n=--"), ("series", "--n", "--", "--n=--")),
+        (("series", "--n=--", "--prec", "2", "--"), ("series", "--prec", "2", "--n", "--")),
+    ],
+    ids=["after", "both sides", "at the end"],
+)
+def test_dash_dash_rewrite_stops_at_the_first_bare_dash_dash(capsys, argv, rewritten):
+    """A "--flag=--" after the first bare "--" reaches argparse as given,
+    and one before it moves to just before that "--"."""
+    assert run(capsys, *argv) == top_level_parse(list(rewritten))
+
+
+def test_dash_dash_value_after_bare_dash_dash_is_unrecognized(capsys):
+    assert run(capsys, "series", "--n", "1", "--", "--n=--") == (EXIT_PARSE, "", TOP_LEVEL_EXTRAS + "-- --n=--\n")
+
+
+# the eval path's unchecked constructions: VALID_EVAL in both modes, and a
+# literal with a constant, a lone g generator and a product with g factors
+GUARDED_EVAL = [VALID_EVAL, (*VALID_EVAL, "--mode", "W")] + [
+    ("eval", "--inv", "2*g[1,2]*f[1,1] - eps*g[1,3] + 1", "--form", "pf(t1)+pf(-1)", "--field", "R((t1))", "--mode", m)
+    for m in "WH"
+]
+
+
+def test_eval_builds_only_checkable_values(capsys, monkeypatch):
+    """``parse_invariant``, the W-mode sum of ``eval_f_sum``, ``hat_lift``
+    and the canonical forms build their results through ``_of``.  With
+    each ``_of`` replaced by its class's checking constructor, which must
+    also keep the value as given (no zero to drop), every ``GUARDED_EVAL``
+    request prints the same."""
+    from gwinv import invariants, witt
+
+    want = [run(capsys, *argv) for argv in GUARDED_EVAL]
+    assert all(code == EXIT_OK for code, _, _ in want)
+    slots = {
+        witt.WittClass: ("field", "leaves"),
+        witt.GwElement: ("field", "terms"),
+        invariants.SymbolicInvariant: ("n", "mode", "coeffs"),
+    }
+    seen = set()
+
+    def checking(cls, *args):
+        seen.add(cls)
+        value = cls(*args)
+        assert [getattr(value, slot) for slot in slots[cls]] == list(args)
+        return value
+
+    for cls in slots:
+        monkeypatch.setattr(cls, "_of", classmethod(checking))
+    assert [run(capsys, *argv) for argv in GUARDED_EVAL] == want
+    assert seen == set(slots)
+
+
 # values for the differential test of ``_read_flags``: valid ones by flag
 # kind, then ones argparse reads differently or rejects
 VALID_VALUES = {

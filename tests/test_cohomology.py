@@ -79,6 +79,10 @@ def oracle_mono_mul(field, b1, v1, b2, v2):
 
 
 class TestSymbol:
+    def test_empty_symbol_needs_a_field(self):
+        with pytest.raises(ValueError, match="symbol needs a field"):
+            symbol([])
+
     def test_one_kills(self):
         assert symbol([sc_one(RT)]).is_zero
 

@@ -11,6 +11,8 @@ import pytest
 from gwinv.divided import H_TARGET, W_TARGET, eval_f
 from gwinv.fields import parse_field, parse_sc
 from gwinv.invariants import (
+    MAX_COEFF_BITS,
+    MAX_EPS_EXPONENT,
     MAX_TOTAL_DEGREE,
     F2Poly,
     InvariantSyntaxError,
@@ -43,7 +45,7 @@ from gwinv.sampling import (
     rand_symbolic,
     standard_fields,
 )
-from gwinv.series import ConsistencyError
+from gwinv.series import ConsistencyError, ext_binom
 from gwinv.witt import (
     GwElement,
     MembershipError,
@@ -52,6 +54,7 @@ from gwinv.witt import (
     witt_canonical,
     witt_zero,
 )
+import literal_oracle
 from product_oracle import trinomial_product
 
 R = parse_field("R")
@@ -685,3 +688,112 @@ class TestLiterals:
         alpha = parse_invariant("g[2,3] + eps^2*f[2,1]", "W")
         again = parse_invariant(str(alpha).replace("(", "").replace(")", ""), "W")
         assert again == alpha
+
+
+class TestArgumentChecks:
+    """Each argument check of the symbolic algebra raises through a public
+    call."""
+
+    @pytest.mark.parametrize("other", [gen(2, "W", "f", 1), gen(1, "H", "f", 1)])
+    def test_operands_at_different_levels_or_modes(self, other):
+        alpha = gen(1, "W", "f", 1)
+        for op in (operator.add, operator.sub, product):
+            with pytest.raises(ValueError, match="invariants at different levels or modes"):
+                op(alpha, other)
+
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_phi_sign(self, sign):
+        with pytest.raises(ValueError, match="sign must be"):
+            phi(gen(1, "W", "f", 2), sign)
+
+
+def _parsed(parse, text, mode):
+    """What ``parse`` makes of a literal, as plain data, or the type and
+    message of what it raises."""
+    try:
+        alpha = parse(text, mode)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return alpha.n, alpha.mode, alpha.coeffs
+
+
+# the largest mode-W coefficient the cap admits, -2^(MAX_COEFF_BITS - 1), as
+# factors of at most 4,000 bits each (below the digit limit of int())
+_CAP_BITS = MAX_COEFF_BITS - 1
+CAP_COEFF = "-" + "*".join(str(1 << c) for c in [4000] * (_CAP_BITS // 4000) + [_CAP_BITS % 4000] if c)
+
+
+def edge_literal(rng, n):
+    """A seeded literal at level n made of the shapes noise seldom draws:
+    products with g factors, a product added twice or with both signs (so
+    that mode H, or both modes, cancel it), even coefficients, and terms
+    at the W coefficient cap and at the eps cap."""
+
+    def prod_text():
+        factors = [f"{rng.choice('fg')}[{n},{rng.randint(0, 4)}]" for _ in range(rng.randint(1, 3))]
+        return "*".join(factors + [f"g[{n},{rng.randint(0, 3)}]"])
+
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        p, shape = prod_text(), rng.randrange(6)
+        if shape == 0:
+            terms += [p, p]
+        elif shape == 1:
+            terms += [p, "-" + p]
+        elif shape == 2:
+            terms.append(f"{2 * rng.randint(-3, 3)}*{p}")
+        elif shape == 3:
+            terms.append(f"{CAP_COEFF}*{p}")
+        elif shape == 4:
+            terms.append(f"eps^{MAX_EPS_EXPONENT}*{p}")
+        else:
+            terms.append(f"{rng.randint(-5, 5)}*eps^{rng.randint(0, 3)}*{p}")
+    rng.shuffle(terms)
+    return "+".join(terms).replace("+-", "-")
+
+
+class TestPackedParse:
+    """``parse_invariant`` against the per-term oracle on the edges of the
+    packed parse."""
+
+    EXAMPLES = [
+        "f[1,2]*g[1,3] + g[1,1]*g[1,2]*f[1,0]",
+        "g[2,2]*g[2,3] + g[2,2]*g[2,3]",  # 0 in mode H
+        "2*g[1,3] - 4*eps*g[1,1]*g[1,1]",  # 0 in mode H
+        "g[1,4]*f[1,1] - g[1,4]*f[1,1] + 1",  # the constant alone
+        f"{CAP_COEFF}*g[1,2]*f[1,1]",
+        f"eps^{MAX_EPS_EXPONENT}*g[1,1]*g[1,2] - {MAX_EPS_EXPONENT}*f[1,1]",
+    ]
+
+    def test_cap_literals_are_at_the_caps(self):
+        value = literal_oracle.parse_invariant(f"{CAP_COEFF}*f[1,1]", "W").coeffs[1]
+        assert value.bit_length() == MAX_COEFF_BITS
+        assert value == -(1 << MAX_COEFF_BITS - 1)
+
+    @pytest.mark.parametrize("mode", ["W", "H"])
+    def test_examples_match_literal_oracle(self, mode):
+        for text in self.EXAMPLES:
+            got = _parsed(parse_invariant, text, mode)
+            assert got == _parsed(literal_oracle.parse_invariant, text, mode), text
+            assert len(got) == 3, text
+
+    @pytest.mark.parametrize("mode", ["W", "H"])
+    def test_seeded_edges_match_literal_oracle(self, mode):
+        rng = random.Random(38)
+        empty = 0
+        for _ in range(120):
+            text = edge_literal(rng, rng.randint(1, 3))
+            got = _parsed(parse_invariant, text, mode)
+            assert got == _parsed(literal_oracle.parse_invariant, text, mode), text
+            empty += not got[2]
+        assert empty >= (20 if mode == "H" else 1)
+
+    @pytest.mark.parametrize("mode", ["W", "H"])
+    def test_g_values_closed_form(self, mode):
+        """g^d takes the value C(m + (d - 1) // 2, d) eps^(nd) on m n-fold
+        Pfister forms, the identity ``parse_invariant`` multiplies by."""
+        int_bits = coeff_ops(mode).int_bits
+        for n in (1, 2):
+            for d in range(40):
+                want = [int_bits(ext_binom(m + (d - 1) // 2, d)) << n * d for m in range(45)]
+                assert to_values(gen(n, mode, "g", d), 44) == want, (n, d)

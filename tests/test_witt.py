@@ -2,6 +2,7 @@
 constructors, exterior powers, filtration membership, residues."""
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -593,7 +594,31 @@ class TestSignedDisc:
         assert signed_disc(pfister([a, b])).is_one
 
 
+class TestArgumentChecks:
+    """Each argument check of the public GW functions raises through a
+    public call."""
+
+    def test_empty_diagonal(self):
+        with pytest.raises(ValueError, match="a diagonal form needs at least one entry"):
+            GwElement.diag()
+
+    @pytest.mark.parametrize("x", [parse_form("H - diag(t1)", RT), parse_form("-diag(1)", RT)])
+    def test_not_a_nonnegative_diagonal(self, x):
+        with pytest.raises(ValueError, match="direct exterior powers need a nonnegative diagonal form"):
+            lambda_power_direct(2, x)
+        with pytest.raises(ValueError, match="signed discriminant needs a nonnegative diagonal form"):
+            signed_disc(x)
+
+
 class TestFormGrammar:
+    @pytest.mark.parametrize("text", ["pf(t1)\nH", "2*\npf(t1)", "diag(1,\nt1)"])
+    def test_newline_inside_a_term_is_a_bad_term(self, text):
+        """``.`` in the term pattern stops at a newline, so a term with one
+        inside matches no term at all (a newline at either end is stripped)."""
+        with pytest.raises(FieldSyntaxError, match=f"bad form term {re.escape(repr(text))}$"):
+            parse_form(text, RT)
+        assert parse_form("\npf(t1)\n", RT).terms == pfister([parse_sc("t1", RT)]).terms
+
     def test_diag(self):
         got = parse_form("diag(1,-t1)", RT)
         assert gw_equal(got, pfister([parse_sc("t1", RT)]))
