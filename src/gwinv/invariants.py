@@ -401,8 +401,8 @@ def eval_g(n: int, d: int, q: WittClass, target: InvariantTarget):
 # or g[n,d], and n*(d_1 + ... + d_k) for a product of them.  It bounds the
 # size of one request.  On a 2-core x86 machine at tower depth 6, the cold
 # in-process CPU of `gwinv eval` on three 1-fold Pfister forms, in either
-# mode, is 4-6 ms for f[1,256], 16-31 ms for g[1,256] and 45-61 ms for a
-# product at the cap (256 g[1,1]).
+# mode, is about 3 ms for f[1,256], 12-16 ms for g[1,256] and 7-26 ms for
+# a product at the cap (256 g[1,1]).
 MAX_TOTAL_DEGREE = 256
 
 # The largest total eps exponent of one term: eps^j is 2^j in mode W, a
