@@ -4,17 +4,17 @@ Each identity family is declared once, with ``@family(suite, key, ...)``.
 A sampled family is a case function ``(cfg, rng, F, target)`` that
 yields the ``(detail, expected, got)`` triples of one sampled case; a
 boolean identity yields ``(detail, True, <bool>)``.  A fixed family (no
-``count``) is a function ``(cfg, rng, fields)`` that holds its own loop:
-enumerations, tables, attempt loops and random streams of its own.
+``count``) is a function ``(cfg, rng, fields)`` that holds its own loop.
 
-``run_suite`` is the one driver.  It seeds one ``rng`` from ``cfg.seed``,
-resolves ``fields`` from ``cfg.field`` and walks a suite's families in
-declaration order; a run of consecutive ``per_target`` families is walked
-once per target of ``cfg``; the target is also the value ring A(F)
-(``target.zero(F)``, ``target.symbol(classes)``).  A sampled family has
-``count(cfg)`` cases that cycle through the fields ``applies`` accepts, so
-it is skipped when none does; ``applies=None`` makes it field-free (``F``
-is None).  The tally is a machine-readable report::
+``run_suite`` is the one driver.  It resolves ``fields`` from ``cfg.field``
+and walks a suite's families in declaration order, each on its own stream
+``Random(f"{cfg.seed}/{suite}/{key}")`` (a ``str`` seed is hashed by
+SHA-512, not ``hash()``), so no family's cases depend on another's.  A
+``per_target`` family is walked once per target of ``cfg``, W then H, and
+the target is also the value ring A(F) (``target.zero(F)``).  A sampled
+family has ``count(cfg)`` cases that cycle through the fields ``applies``
+accepts, none when no field does; ``applies=None`` makes it field-free
+(``F`` is None).  The tally is a machine-readable report::
 
     {suite, config, cases_total, cases_failed, first_failure | null}
 
@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, combinations_with_replacement, cycle, groupby, product
-from operator import mul
+from itertools import combinations, combinations_with_replacement, cycle, product
+from operator import add, mul, sub
 from random import Random
 from typing import Callable
 
@@ -124,19 +124,18 @@ def family(suite: str, key: str, count=None, per_target: bool = False, applies=_
 def _cases(name: str, cfg: RunConfig):
     """Every case of suite ``name`` as ``(context, expected, got)``; the
     context tuple is turned into text by ``_label`` only on a failure."""
-    rng, fields = Random(cfg.seed), _fields(cfg)
-    for per_target, block in groupby(SUITES[name], key=lambda fam: fam.per_target):
-        block = list(block)
-        for target in cfg.targets() if per_target else (None,):
-            for fam in block:
-                if fam.count is None:
-                    for detail, expected, got in fam.run(cfg, rng, fields):
-                        yield (fam.key, detail, None, None, None), expected, got
-                    continue
-                applicable = [F for F in fields if fam.applies(F)] if fam.applies else [None]
-                for i, F in zip(range(fam.count(cfg)), cycle(applicable)):
-                    for detail, expected, got in fam.run(cfg, rng, F, target):
-                        yield (fam.key, detail, F, target, i), expected, got
+    fields = _fields(cfg)
+    for fam in SUITES[name]:
+        rng = Random(f"{cfg.seed}/{name}/{fam.key}")
+        if fam.count is None:
+            for detail, expected, got in fam.run(cfg, rng, fields):
+                yield (fam.key, detail, None, None, None), expected, got
+            continue
+        applicable = [F for F in fields if fam.applies(F)] if fam.applies else [None]
+        for target in cfg.targets() if fam.per_target else (None,):
+            for i, F in zip(range(fam.count(cfg)), cycle(applicable)):
+                for detail, expected, got in fam.run(cfg, rng, F, target):
+                    yield (fam.key, detail, F, target, i), expected, got
 
 
 def _label(suite: str, key: str, detail: str, F, target, i) -> str:
@@ -550,41 +549,30 @@ def classify_shift_relations(cfg, rng, F, target):
 
 
 # pointwise shift contract, exercised on both bases so the defining
-# recursion of the g-family is replayed on concrete classes; its stream is
-# its own
-@family("classify", "pointwise-shift")
-def classify_pointwise_shift(cfg, rng, fields):
-    rng2 = Random(cfg.seed + 1)
-    for target in cfg.targets():
-        for i, F in zip(range(max(1, cfg.samples // 4)), cycle(fields)):
-            n = rng2.randint(1, min(cfg.n_max, 2))
-            d = rng2.randint(0, min(cfg.d_max, 4))
-            basis = "f" if i % 2 == 0 else "g"
-            alpha = inv.SymbolicInvariant.generator(n, target.mode, basis, d)
-            q = rand_in_In(rng2, F, n, max_terms=1)
-            slots = rand_pfister_slots(rng2, F, n)
-            phi_w = witt_canonical(pfister(slots))
-            for sign in (1, -1):
-                q_shift = q + phi_w if sign == 1 else q - phi_w
-                correction = target.symbol(slots) * inv.evaluate(inv.phi(alpha, sign), q)
-                rhs = inv.evaluate(alpha, q)
-                rhs = rhs + correction if sign == 1 else rhs - correction
-                yield (
-                    f"n={n} d={d} sign={sign} over {F} ({target.mode}, case {i})",
-                    rhs,
-                    inv.evaluate(alpha, q_shift),
-                )
+# recursion of the g-family is replayed on concrete classes
+@family("classify", "pointwise-shift", lambda cfg: max(1, cfg.samples // 4), per_target=True)
+def classify_pointwise_shift(cfg, rng, F, target):
+    n = rng.randint(1, min(cfg.n_max, 2))
+    d = rng.randint(0, min(cfg.d_max, 4))
+    q = rand_in_In(rng, F, n, max_terms=1)
+    slots = rand_pfister_slots(rng, F, n)
+    phi_w = witt_canonical(pfister(slots))
+    for basis in ("f", "g"):
+        alpha = inv.SymbolicInvariant.generator(n, target.mode, basis, d)
+        at_q = inv.evaluate(alpha, q)
+        for sign, step in ((1, add), (-1, sub)):
+            correction = target.symbol(slots) * inv.evaluate(inv.phi(alpha, sign), q)
+            yield f"{basis}_{n}^{d} sign={sign}", step(at_q, correction), inv.evaluate(alpha, step(q, phi_w))
 
 
 # discriminant example: the alternating f-series stabilizes to the
-# signed-discriminant class over non-real towers; its stream is its own
+# signed-discriminant class over non-real towers
 @family("classify", "discriminant")
 def classify_discriminant(cfg, rng, fields):
-    rng3 = Random(cfg.seed + 2)
     disc_fields = [F for F in fields if F.kind in ("C", "F")]
     for i, F in zip(range(max(1, cfg.samples // 4)), cycle(disc_fields)):
-        m = rng3.choice((2, 4, 6))
-        x = rand_diag(rng3, F, m)
+        m = rng.choice((2, 4, 6))
+        x = rand_diag(rng, F, m)
         q = witt_canonical(x)
         vals = eval_f_all(1, q, W_TARGET, range(m + 3))
         acc = witt_zero(F)
@@ -605,9 +593,9 @@ def classify_discriminant(cfg, rng, fields):
     # over a real-closed tower, only the truncated congruence holds
     R1 = parse_field("R((t1))")
     for i in range(10):
-        slots = rand_pfister_slots(rng3, R1, 1)
+        slots = rand_pfister_slots(rng, R1, 1)
         q = witt_canonical(pfister(slots)) - witt_canonical(
-            pfister(rand_pfister_slots(rng3, R1, 1))
+            pfister(rand_pfister_slots(rng, R1, 1))
         )
         x = GwElement.diag(*q.diag_rep()) if q.diag_rep() else GwElement.zero(R1)
         if x.dim % 2 or x.dim == 0:
@@ -664,16 +652,14 @@ def product_single_term(cfg, rng, F, target):
     yield f"H product s={s} t={t} n={n}", True, got == want
 
 
-@family("product", "eps-zero", lambda cfg: 20, applies=lambda F: F.kind == "C")
+@family("product", "eps-zero", lambda cfg: 20, per_target=True, applies=lambda F: F.kind == "C")
 def product_eps_zero(cfg, rng, F, target):
     n = rng.randint(1, 2)
     s = rng.randint(0, 3)
     t = rng.randint(0, 3)
     q = rand_in_In(rng, F, n, max_terms=2)
-    for target in cfg.targets():
-        want = eval_f(n, s + t, q, target) if s & t == 0 else target.zero(F)
-        got = eval_f(n, s, q, target) * eval_f(n, t, q, target)
-        yield f"s={s} t={t} ({target.mode})", want, got
+    want = eval_f(n, s + t, q, target) if s & t == 0 else target.zero(F)
+    yield f"s={s} t={t}", want, eval_f(n, s, q, target) * eval_f(n, t, q, target)
 
 
 @family("product", "shift-of-product", lambda cfg: 20, per_target=True, applies=None)

@@ -13,7 +13,16 @@ from pathlib import Path
 import pytest
 
 from gwinv import cli, divided, fields, series, verify
-from gwinv.cli import EXIT_FAIL, EXIT_MEMBERSHIP, EXIT_OK, EXIT_PARSE, MAX_SERIES_SIZE, MAX_VERIFY_PREC, main
+from gwinv.cli import (
+    EXIT_FAIL,
+    EXIT_MEMBERSHIP,
+    EXIT_OK,
+    EXIT_PARSE,
+    MAX_SERIES_SIZE,
+    MAX_VERIFY_DEGREE,
+    MAX_VERIFY_PREC,
+    main,
+)
 from gwinv.invariants import MAX_COEFF_BITS, MAX_EPS_EXPONENT, MAX_TOTAL_DEGREE
 from gwinv.verify import SUITES, RunConfig
 from pinned_inputs import USAGE_ERRORS, VALID_EVAL
@@ -733,22 +742,41 @@ class TestVerify:
         assert out == ""
         assert err == f"error: --prec exceeds the cap of {MAX_VERIFY_PREC}\n"
 
-    FAILURE = "g-bounds/beyond-bound: g_2^3 = 0 beyond 2max(s,t)=2 over C (W, case 0)"
+    @pytest.mark.parametrize("d_max", [MAX_VERIFY_DEGREE + 1, 10**30])
+    @pytest.mark.parametrize("suite", ["simil", "fixed-dim", "nope"])
+    def test_d_max_above_cap_exits_2(self, capsys, monkeypatch, suite, d_max):
+        # rejected before any suite runs
+        monkeypatch.setattr(verify, "run_suite", None)
+        code, out, err = run(capsys, "verify", "--suite", suite, "--d-max", str(d_max))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == f"error: --d-max exceeds the cap of {MAX_VERIFY_DEGREE}\n"
+
+    def test_d_max_at_cap_within_cpu_budget(self, capsys):
+        """At the cap, 20 samples of ``simil``, the suite whose cost grows
+        fastest with --d-max, take under 1 s of process CPU (about 0.25 s
+        on a 2-core x86 machine)."""
+        start = time.process_time()
+        code, out, err = run(capsys, "verify", "--suite", "simil", "--samples", "20", "--d-max", str(MAX_VERIFY_DEGREE))
+        assert time.process_time() - start < 1.0
+        assert (code, err) == (EXIT_OK, "") and "PASS" in out
+
+    FAILURE = "g-bounds/beyond-bound: g_1^5 = 0 beyond 2max(s,t)=4 over C (W, case 0)"
     FAILURE_REPORTS = {
         "text": (
-            "suite=g-bounds cases=38 failed=21 FAIL\n"
+            "suite=g-bounds cases=38 failed=22 FAIL\n"
             f"  first failure: {FAILURE}\n"
             "    expected: 0\n"
             "    got:      <1>\n"
         ),
         "json": (
-            '{"cases_failed": 21, "cases_total": 38, "config": {"d_max": 6, "field": null, "mode": null, '
+            '{"cases_failed": 22, "cases_total": 38, "config": {"d_max": 6, "field": null, "mode": null, '
             '"n_max": 3, "prec": 32, "samples": 4, "seed": 0}, "first_failure": {"expected": "0", '
             f'"got": "<1>", "inputs": "{FAILURE}"}}, "suite": "g-bounds"}}\n'
         ),
         "csv": (
             "suite,cases_total,cases_failed,first_failure\r\n"
-            'g-bounds,38,21,"{""expected"": ""0"", ""got"": ""<1>"", '
+            'g-bounds,38,22,"{""expected"": ""0"", ""got"": ""<1>"", '
             f'""inputs"": ""{FAILURE}""}}"\r\n'
         ),
     }

@@ -331,3 +331,28 @@ class TestTargetRing:
             negated = [(a, -c) for a, c in pairs]
             got = mul(ring, group_law(ring, pairs, 5), group_law(ring, negated, 5), 6)
             assert got == [ring.one] + [ring.zero] * 5
+
+
+class TestArgumentChecks:
+    """Each argument check of the divided powers and the fixed-dimension
+    evaluation raises through a public call."""
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_pi_level_below_one(self, n):
+        with pytest.raises(ValueError, match="^the level n must be >= 1$"):
+            eval_pi_coeffs(n, range(3), gpfister([T1]))
+
+    @pytest.mark.parametrize("x", [-GwElement.diag(T1, T2), GwElement.diag(T1, T1) - GwElement.diag(T2)])
+    def test_fixed_dim_needs_a_nonnegative_diagonal(self, x):
+        with pytest.raises(ValueError, match="^the fixed-dimension expansion needs a nonnegative diagonal$"):
+            p_fixed(2, x)
+        for target in BOTH:
+            for basis in ("f", "g"):
+                with pytest.raises(ValueError, match="^fixed-dimension evaluation needs a nonnegative diagonal$"):
+                    eval_fixed_dim(2, x, target, basis)
+
+    @pytest.mark.parametrize("basis", ["h", "F", ""])
+    def test_fixed_dim_basis(self, basis):
+        for target in BOTH:
+            with pytest.raises(ValueError, match="^basis must be 'f' or 'g'$"):
+                eval_fixed_dim(2, GwElement.diag(T1, T2), target, basis)

@@ -219,3 +219,23 @@ class TestDivisibility:
                 assert target.symbol(slots) * evaluate(
                     omega_t(alpha, t), qp
                 ) == eval_f(n, d, q, target)
+
+
+class TestArgumentChecks:
+    """Each argument check of the factorized forms raises through a public
+    call."""
+
+    def test_no_factor_slot(self):
+        with pytest.raises(ValueError, match="^a factorized form needs at least one Pfister slot$"):
+            make_factorized([], witt_canonical(pfister([T2])), 1)
+
+    @pytest.mark.parametrize("factor, n", [([T1, T2], 1), ([T1], 0)])
+    def test_factor_longer_than_the_level(self, factor, n):
+        with pytest.raises(ValueError, match="^factor length exceeds the filtration level$"):
+            make_factorized(factor, witt_zero(RTT), n)
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_descent_deeper_than_the_factor(self, t):
+        x = make_factorized([T1], witt_canonical(pfister([T2])), 2)
+        with pytest.raises(ValueError, match=f"^descent depth {t} exceeds factor length 1$"):
+            delta_t_eval(x, gen(1, "W", 1), t)

@@ -340,3 +340,29 @@ class TestLiterals:
         with pytest.raises(FieldSyntaxError) as info:
             parse_sc(text, parse_field(field))
         assert str(info.value) == message
+
+
+class TestArgumentChecks:
+    """Each argument check of the field descriptors and square classes
+    raises through a public call; the parser never makes the first two
+    values, but ``FieldDescriptor`` is public."""
+
+    @pytest.mark.parametrize("kind", ["X", "c", ""])
+    def test_unknown_base_kind(self, kind):
+        with pytest.raises(ValueError, match=f"^unknown base kind {kind!r}$"):
+            FieldDescriptor(kind)
+
+    @pytest.mark.parametrize("kind", ["C", "R"])
+    def test_order_on_a_base_that_is_not_finite(self, kind):
+        with pytest.raises(ValueError, match="^only finite bases carry an order q$"):
+            FieldDescriptor(kind, 3, ("t1",))
+
+    @pytest.mark.parametrize("text", ["C", "R", "F3"])
+    def test_base_field_has_no_parent(self, text):
+        with pytest.raises(ValueError, match="^base field has no parent tower$"):
+            parse_field(text).parent()
+
+    @pytest.mark.parametrize("mask", [-1, 4, 1 << 40])
+    def test_square_class_mask_out_of_range(self, mask):
+        with pytest.raises(ValueError, match="^square-class mask out of range for the field$"):
+            SquareClass(parse_field("R((t1))"), mask)

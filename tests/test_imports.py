@@ -55,6 +55,30 @@ def test_each_command_loads_only_its_modules():
     assert set(SUITE_MODULES) <= set(out["verify"])
 
 
+CAPPED = """
+import contextlib, io, json, sys
+from gwinv.cli import main
+with contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(["verify", "--suite", "simil", flag, "10" * 30]) for flag in ("--prec", "--d-max")]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("gwinv."))]))
+"""
+
+
+def test_verify_above_a_cap_loads_no_suite():
+    # --prec and --d-max are checked before the suites are imported
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.PIPE,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [2, 2]
+    assert not set(SUITE_MODULES) & set(loaded)
+
+
 # ``sorted(gwinv.__all__)`` when every submodule was imported eagerly
 PUBLIC_NAMES = [
     "CohClass", "FactorizedForm", "FieldDescriptor", "GwElement", "H_TARGET",

@@ -7,11 +7,12 @@ from dataclasses import replace
 from itertools import count
 from operator import mul
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from gwinv import fields, invariants, sampling, series, verify, witt
-from gwinv.verify import RunConfig, SUITES, _cases, _report, run_suite
+from gwinv.verify import RunConfig, SUITES, _cases, _report, _text, run_suite
 from gwinv.witt import GwElement
 from pinned_inputs import MODERATE
 
@@ -111,6 +112,54 @@ def test_failure_text_names_family_field_mode_and_case(monkeypatch):
     assert (failure["expected"], failure["got"]) == ("0", "<1>")
 
 
+# small enough that every suite runs in well under a second
+SMALL = RunConfig(samples=4, n_max=2, d_max=3, prec=8)
+
+
+def _by_family(name: str, cfg: RunConfig) -> dict:
+    """The ``(inputs, expected, got)`` texts of each family of a run."""
+    out = {}
+    for context, expected, got in _cases(name, cfg):
+        out.setdefault(context[0], []).append((verify._label(name, *context), _text(expected), _text(got)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_a_family_draws_the_same_cases_whatever_the_others_are(monkeypatch, name):
+    """Each family samples from a stream of its own: reversing a suite, or
+    dropping any one family of it, leaves every other family's cases as
+    they were."""
+    want, families = _by_family(name, SMALL), SUITES[name]
+    monkeypatch.setitem(SUITES, name, families[::-1])
+    assert _by_family(name, SMALL) == want
+    for fam in families:
+        monkeypatch.setitem(SUITES, name, [other for other in families if other is not fam])
+        assert _by_family(name, SMALL) == {key: cases for key, cases in want.items() if key != fam.key}
+
+
+def test_each_family_stream_is_seeded_by_suite_and_key(monkeypatch):
+    """A family's stream starts at ``Random(f"{seed}/{suite}/{key}")``, so
+    ``product/pointwise`` and ``restrict/pointwise`` draw different samples."""
+    starts = {}
+
+    def spy(suite, key):
+        def run(cfg, rng, *rest):
+            starts.setdefault((suite, key), rng.getstate())
+            return iter(())
+
+        return run
+
+    for name, families in SUITES.items():
+        monkeypatch.setitem(SUITES, name, [replace(fam, run=spy(name, fam.key)) for fam in families])
+        list(_cases(name, SMALL))
+    assert starts == {
+        (name, fam.key): Random(f"{SMALL.seed}/{name}/{fam.key}").getstate()
+        for name, families in SUITES.items()
+        for fam in families
+    }
+    assert starts["product", "pointwise"] != starts["restrict", "pointwise"]
+
+
 def _tamper_lambda_series(monkeypatch, reads, degree, which=None):
     """Make verify's lambda_series add <1> at ``degree`` to each read of
     ``reads`` degrees, or, given ``which``, only to the reads numbered
@@ -186,14 +235,14 @@ def test_series_suite_catches_a_dropped_degree_zero_product_term(monkeypatch):
 
 
 DIGESTS = {
-    "verify": "02ef05fef89d11826d69649382dd5fa111bae49a6036b42f1998e4b091960cc7",
+    "verify": "b0c2c75b2f56a5410588e636ac8ba9b9d607ff35fda08ca564ead635ea43d3bf",
     "series-gw": "a88f8c332f79665c602a6b44ea5dbacfabfe0018a4ce7d2a1a7b525998cd505d",
     "kernel-wide": "c65d4fae83a259014ab6386afa18358b26fd6d1c1e28a35c936254b6d3cd7650",
     "sw-values": "fdb3e81fa6e146d712e08cb828feef44b0c6bb64039d490608ddd6d0480a0d34",
     "series-cap": "c58311f711a9981c94e7db9f93797bbdcaed478d504e299df1c191be2404c568",
     "f-values": "67fe31822d69aa4f25cc55eb3a1456ff263c8bbce554358e962deb6e41e56837",
     "g-values": "b1e53bb4915c1d2959eb22bf133858538e6922cbda37d57391e90fab607dfc5c",
-    "moderate": "00d3cd883f2b9124070d7e15ba6826fedf0f2c2f9f20f02a39cd73db19a89c7f",
+    "moderate": "a968d3afcc7636532be02f793c72a56514a9afd3fe86873013b15839743bb202",
     "cli-errors": "048a0062fa3724bcf6cbcbd5929ed19bdad02f903c754a03d603a8a8d05cf125",
     "witt-level": "c8d6ac09bc5d75d8de2a148c82d56dd60db8a313ed344d1d920b581b907aa866",
     "series-dump": "1d28054531bc04d7ae8004373192127e212a93e502ab46d2dad4e3371c92d763",
