@@ -9,7 +9,7 @@ other list, once ``main`` has turned each ``--flag=--`` into ``--flag``.
 
 Only the ``verify`` command loads the suites (``verify``, ``sampling`` and
 ``factorized``): ``cmd_verify`` imports ``SUITES`` and ``run_suite`` from
-``verify`` once it has checked ``--prec`` and ``--d-max``.  ``series`` and
+``verify`` once it has checked ``--prec``, ``--n-max`` and ``--d-max``.  ``series`` and
 ``eval`` import nothing beyond this module's own imports, so a one-request
 process neither compiles nor holds the suites, and a request pays for no
 import once this module is loaded.
@@ -56,6 +56,12 @@ MAX_SERIES_SIZE = 1024
 # (Python 3.11, median of five cold runs) --prec 64 takes 0.28 s of CPU and
 # 128 takes 2.4 s.
 MAX_VERIFY_PREC = 128
+
+# The largest `verify --n-max`: `pi/kills-pfister-lifts` runs every multiset of
+# n square classes for each n <= n-max, so its cost grows like n^7.  On a
+# 2-core x86 machine (Python 3.11, CPU of one run) `--suite pi --samples 1
+# --d-max 2` takes 2.7 s at 9 and 10.8 s at 12.
+MAX_VERIFY_LEVEL = 8
 
 # The largest `verify --d-max`: the cost of the degree-sampling families grows
 # far faster than linearly in it.  On a 2-core x86 machine (Python 3.11, CPU
@@ -117,7 +123,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    for value, flag, cap in ((args.prec, "--prec", MAX_VERIFY_PREC), (args.d_max, "--d-max", MAX_VERIFY_DEGREE)):
+    for value, flag, cap in (
+        (args.prec, "--prec", MAX_VERIFY_PREC),
+        (args.n_max, "--n-max", MAX_VERIFY_LEVEL),
+        (args.d_max, "--d-max", MAX_VERIFY_DEGREE),
+    ):
         if value > cap:
             print(f"error: {flag} exceeds the cap of {cap}", file=sys.stderr)
             return EXIT_PARSE
@@ -190,7 +200,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[argparse.Ar
         p_verify.add_argument("--suite", required=True),
         p_verify.add_argument("--field"),
         p_verify.add_argument("--prec", type=int, help=f"series truncation order (series suite only, <= {MAX_VERIFY_PREC})"),
-        p_verify.add_argument("--n-max", dest="n_max", type=int),
+        p_verify.add_argument("--n-max", dest="n_max", type=int, help=f"largest filtration level (<= {MAX_VERIFY_LEVEL})"),
         p_verify.add_argument("--d-max", dest="d_max", type=int, help=f"largest sampled degree (<= {MAX_VERIFY_DEGREE})"),
         p_verify.add_argument("--samples", type=int),
         p_verify.add_argument("--seed", type=int),

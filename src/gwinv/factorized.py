@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .divided import TARGETS
-from .fields import SquareClass, enumerate_sc, represented_by_binary, sc_one
+from .fields import FieldMismatchError, SquareClass, enumerate_sc, represented_by_binary, sc_one
 from .invariants import SymbolicInvariant, evaluate, is_normalized
 from .series import ConsistencyError
 from .witt import (
@@ -70,10 +70,10 @@ def make_factorized(
         raise ValueError("factor length exceeds the filtration level")
     if not is_in_In(cofactor, n - r):
         raise MembershipError(f"cofactor is not in I^{n - r}")
-    x = FactorizedForm(factor, cofactor, n, tuple(terms) if terms else None)
-    if not is_in_In(x.product(), n):
-        raise MembershipError(f"product is not in I^{n}")
-    return x
+    # an r-slot factor lies in I^r, so the product lies in I^n unchecked
+    if any(a.field != cofactor.field for a in factor):
+        raise FieldMismatchError("factor and cofactor over different fields")
+    return FactorizedForm(factor, cofactor, n, tuple(terms) if terms else None)
 
 
 def delta_t_eval(

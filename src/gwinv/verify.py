@@ -4,7 +4,9 @@ Each identity family is declared once, with ``@family(suite, key, ...)``.
 A sampled family is a case function ``(cfg, rng, F, target)`` that
 yields the ``(detail, expected, got)`` triples of one sampled case; a
 boolean identity yields ``(detail, True, <bool>)``.  A fixed family (no
-``count``) is a function ``(cfg, rng, fields)`` that holds its own loop.
+``count``) is a function ``(cfg, rng, fields)`` that walks a fixed table;
+only ``pi/kills-deep-lifts`` (depth-3 towers, not the run's fields) and
+``coh-ops/residue`` (the first tower of depth >= 1 over each base) draw.
 
 ``run_suite`` is the one driver.  It resolves ``fields`` from ``cfg.field``
 and walks a suite's families in declaration order, each on its own stream
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, combinations_with_replacement, cycle, product
+from itertools import accumulate, combinations, combinations_with_replacement, cycle, product
 from operator import add, mul, sub
 from random import Random
 from typing import Callable
@@ -158,18 +160,18 @@ def _text(value) -> str:
 
 
 def _report(suite: str, cfg: RunConfig, cases) -> dict:
-    """Tally ``(inputs, expected, got)`` triples into a suite report; the
-    inputs are text or a ``_cases`` context."""
+    """Tally ``(context, expected, got)`` triples of ``_cases`` into a suite
+    report."""
     total = failed = 0
     first_failure = None
-    for inputs, expected, got in cases:
+    for context, expected, got in cases:
         total += 1
         if expected == got:
             continue
         failed += 1
         if first_failure is None:
             first_failure = {
-                "inputs": inputs if isinstance(inputs, str) else _label(suite, *inputs),
+                "inputs": _label(suite, *context),
                 "expected": _text(expected),
                 "got": _text(got),
             }
@@ -440,16 +442,11 @@ def g_beyond_bound(cfg, rng, F, target):
 
 
 # the bound is attained over real-closed towers (depth 0 and 1)
-@family("g-bounds", "attained")
-def g_attained(cfg, rng, fields):
-    for target in cfg.targets():
-        for K in (parse_field("R"), parse_field("R((t1))")):
-            q = -witt_canonical(pfister([minus_one(K)]))
-            yield (
-                f"witness g_1^2(-pf(-1)) != 0 over {K} ({target.mode})",
-                True,
-                not eval_g(1, 2, q, target).is_zero,
-            )
+@family("g-bounds", "attained", lambda cfg: 1, per_target=True, applies=None)
+def g_attained(cfg, rng, F, target):
+    for K in (parse_field("R"), parse_field("R((t1))")):
+        q = -witt_canonical(pfister([minus_one(K)]))
+        yield f"witness g_1^2(-pf(-1)) != 0 over {K}", True, not eval_g(1, 2, q, target).is_zero
 
 
 @family("g-bounds", "fixed-dim", lambda cfg: max(1, cfg.samples // 4), per_target=True)
@@ -567,50 +564,33 @@ def classify_pointwise_shift(cfg, rng, F, target):
 
 # discriminant example: the alternating f-series stabilizes to the
 # signed-discriminant class over non-real towers
-@family("classify", "discriminant")
-def classify_discriminant(cfg, rng, fields):
-    disc_fields = [F for F in fields if F.kind in ("C", "F")]
-    for i, F in zip(range(max(1, cfg.samples // 4)), cycle(disc_fields)):
-        m = rng.choice((2, 4, 6))
-        x = rand_diag(rng, F, m)
-        q = witt_canonical(x)
-        vals = eval_f_all(1, q, W_TARGET, range(m + 3))
-        acc = witt_zero(F)
-        partials = []
-        for d, v in vals.items():
-            acc = acc + (v if d % 2 == 0 else -v)
-            partials.append(acc)
-        yield (
-            f"disc series stabilizes over {F} (case {i})",
-            True,
-            partials[-1] == partials[-2],
-        )
-        yield (
-            f"disc series value over {F} (case {i})",
-            witt_canonical(GwElement.diag(signed_disc(x))),
-            partials[-1],
-        )
-    # over a real-closed tower, only the truncated congruence holds
+@family("classify", "discriminant", lambda cfg: max(1, cfg.samples // 4), applies=lambda F: F.kind in ("C", "F"))
+def classify_discriminant(cfg, rng, F, target):
+    m = rng.choice((2, 4, 6))
+    x = rand_diag(rng, F, m)
+    q = witt_canonical(x)
+    vals = eval_f_all(1, q, W_TARGET, range(m + 3))
+    partials = list(accumulate(v if d % 2 == 0 else -v for d, v in vals.items()))
+    yield "disc series stabilizes", True, partials[-1] == partials[-2]
+    yield "disc series value", witt_canonical(GwElement.diag(signed_disc(x))), partials[-1]
+
+
+# over a real-closed tower, only the truncated congruence holds
+@family("classify", "disc-truncation", lambda cfg: 10, applies=None)
+def classify_disc_truncation(cfg, rng, F, target):
     R1 = parse_field("R((t1))")
-    for i in range(10):
-        slots = rand_pfister_slots(rng, R1, 1)
-        q = witt_canonical(pfister(slots)) - witt_canonical(
-            pfister(rand_pfister_slots(rng, R1, 1))
-        )
-        x = GwElement.diag(*q.diag_rep()) if q.diag_rep() else GwElement.zero(R1)
-        if x.dim % 2 or x.dim == 0:
-            continue
-        D = 5
-        vals = eval_f_all(1, q, W_TARGET, range(D + 1))
-        acc = witt_zero(R1)
-        for d, v in vals.items():
-            acc = acc + (v if d % 2 == 0 else -v)
-        tail = acc - witt_canonical(GwElement.diag(signed_disc(x)))
-        yield (
-            f"disc truncation lands in I^{D + 1} over {R1} (case {i})",
-            True,
-            is_in_In(tail, D + 1),
-        )
+    slots = rand_pfister_slots(rng, R1, 1)
+    q = witt_canonical(pfister(slots)) - witt_canonical(
+        pfister(rand_pfister_slots(rng, R1, 1))
+    )
+    x = GwElement.diag(*q.diag_rep()) if q.diag_rep() else GwElement.zero(R1)
+    if x.dim % 2 or x.dim == 0:
+        return
+    D = 5
+    vals = eval_f_all(1, q, W_TARGET, range(D + 1))
+    acc = sum((v if d % 2 == 0 else -v for d, v in vals.items()), witt_zero(R1))
+    tail = acc - witt_canonical(GwElement.diag(signed_disc(x)))
+    yield f"disc truncation lands in I^{D + 1} over {R1}", True, is_in_In(tail, D + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -894,52 +874,36 @@ def coh_level_up(cfg, rng, F, target):
 # descent along Pfister factors
 
 
-# draws until cfg.samples pairs of factorizations are compared; attempt i + 1
-# draws over the field after the i-th one
-@family("delta1", "descent-well-defined")
-def delta1_well_defined(cfg, rng, fields):
-    pairs_checked = 0
-    for i, F in zip(range(cfg.samples * 6), cycle(fields[1:] + fields[:1])):
-        if pairs_checked >= cfg.samples:
-            break
-        level = rng.randint(1, min(cfg.n_max, 3))  # cofactor lives in I^level
-        a = rand_sc(rng, F)
-        b = rand_sc(rng, F)
-        ab = a * b
-        blocks = []
-        cof = GwElement.zero(F)
-        for _ in range(rng.randint(1, 2)):
-            xi = rand_sc(rng, F)
-            ci = rng.choice((sc_one(F), -ab))
-            blocks.append((xi, ci))
-            cof = cof + GwElement.diag(xi) * gpfister([ci])
-        if level >= 2:
-            extra = pfister(rand_pfister_slots(rng, F, level - 1))
-            cof = cof * extra
-            blocks = [
-                (xi * e, ci)
-                for xi, ci in blocks
-                for e, cnt in extra.entries()
-                for _ in range(cnt)
-            ]
-        x = make_factorized([a], witt_canonical(cof), level + 1, terms=blocks)
-        alts = alt_factorizations(x, budget=4, rng=rng)
-        d = rng.randint(1, min(cfg.d_max, 4))
-        for target in cfg.targets():
-            alpha = inv.SymbolicInvariant.generator(level, target.mode, "f", d)
-            base_val = delta_t_eval(x, alpha, 1)
-            for alt in alts[1:]:
-                pairs_checked += 1
-                yield (
-                    f"level={level} d={d} over {F} ({target.mode}, case {i + 1})",
-                    base_val,
-                    delta_t_eval(alt, alpha, 1),
-                )
-    yield (
-        f"collected {pairs_checked} factorization pairs",
-        True,
-        pairs_checked >= cfg.samples,
-    )
+# the descent value of x is the same on each alternative factorization of x
+@family("delta1", "descent-well-defined", lambda cfg: max(1, cfg.samples // 4), per_target=True)
+def delta1_well_defined(cfg, rng, F, target):
+    level = rng.randint(1, min(cfg.n_max, 3))  # cofactor lives in I^level
+    a = rand_sc(rng, F)
+    b = rand_sc(rng, F)
+    ab = a * b
+    blocks = []
+    cof = GwElement.zero(F)
+    for _ in range(rng.randint(1, 2)):
+        xi = rand_sc(rng, F)
+        ci = rng.choice((sc_one(F), -ab))
+        blocks.append((xi, ci))
+        cof = cof + GwElement.diag(xi) * gpfister([ci])
+    if level >= 2:
+        extra = pfister(rand_pfister_slots(rng, F, level - 1))
+        cof = cof * extra
+        blocks = [
+            (xi * e, ci)
+            for xi, ci in blocks
+            for e, cnt in extra.entries()
+            for _ in range(cnt)
+        ]
+    x = make_factorized([a], witt_canonical(cof), level + 1, terms=blocks)
+    alts = alt_factorizations(x, budget=4, rng=rng)
+    d = rng.randint(1, min(cfg.d_max, 4))
+    alpha = inv.SymbolicInvariant.generator(level, target.mode, "f", d)
+    base_val = delta_t_eval(x, alpha, 1)
+    for alt in alts[1:]:
+        yield f"level={level} d={d}", base_val, delta_t_eval(alt, alpha, 1)
 
 
 # divisibility along a t-fold factor

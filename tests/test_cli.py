@@ -20,6 +20,7 @@ from gwinv.cli import (
     EXIT_PARSE,
     MAX_SERIES_SIZE,
     MAX_VERIFY_DEGREE,
+    MAX_VERIFY_LEVEL,
     MAX_VERIFY_PREC,
     main,
 )
@@ -759,6 +760,27 @@ class TestVerify:
         start = time.process_time()
         code, out, err = run(capsys, "verify", "--suite", "simil", "--samples", "20", "--d-max", str(MAX_VERIFY_DEGREE))
         assert time.process_time() - start < 1.0
+        assert (code, err) == (EXIT_OK, "") and "PASS" in out
+
+    @pytest.mark.parametrize("n_max", [MAX_VERIFY_LEVEL + 1, 10**30])
+    @pytest.mark.parametrize("suite", ["pi", "f-axioms", "nope"])
+    def test_n_max_above_cap_exits_2(self, capsys, monkeypatch, suite, n_max):
+        # rejected before any suite runs
+        monkeypatch.setattr(verify, "run_suite", None)
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n-max", str(n_max))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == f"error: --n-max exceeds the cap of {MAX_VERIFY_LEVEL}\n"
+
+    def test_n_max_at_cap_within_cpu_budget(self, capsys):
+        """At the cap, ``pi``, whose exhaustive family grows like n^7 in
+        --n-max, takes under 3 s of process CPU with no sampled case (about
+        1.1 s on a 2-core x86 machine)."""
+        start = time.process_time()
+        code, out, err = run(
+            capsys, "verify", "--suite", "pi", "--samples", "0", "--d-max", "1", "--n-max", str(MAX_VERIFY_LEVEL)
+        )
+        assert time.process_time() - start < 3.0
         assert (code, err) == (EXIT_OK, "") and "PASS" in out
 
     FAILURE = "g-bounds/beyond-bound: g_1^5 = 0 beyond 2max(s,t)=4 over C (W, case 0)"

@@ -14,7 +14,7 @@ from gwinv.factorized import (
     lemma_factor_check,
     make_factorized,
 )
-from gwinv.fields import enumerate_sc, parse_field, parse_sc, sc_one
+from gwinv.fields import FieldMismatchError, enumerate_sc, parse_field, parse_sc, sc_one
 from gwinv.invariants import SymbolicInvariant, evaluate, from_g, omega_t
 from gwinv.sampling import rand_in_In, rand_pfister_slots, rand_sc, standard_fields
 from gwinv.series import ConsistencyError
@@ -233,6 +233,20 @@ class TestArgumentChecks:
     def test_factor_longer_than_the_level(self, factor, n):
         with pytest.raises(ValueError, match="^factor length exceeds the filtration level$"):
             make_factorized(factor, witt_zero(RTT), n)
+
+    @pytest.mark.parametrize(
+        "factor, cofactor",
+        [
+            ([parse_sc("t1", parse_field("R((t1))"))], witt_zero(parse_field("C((t1))"))),
+            ([T1, parse_sc("t1", parse_field("R((t1))"))], witt_zero(RTT)),
+            ([T1], witt_canonical(pfister([parse_sc("t1", parse_field("R((t1))"))]))),
+        ],
+        ids=["zero-cofactor", "mixed-slots", "cofactor"],
+    )
+    def test_factor_over_another_field(self, factor, cofactor):
+        # the cofactor is in I^(n - r) in each case, so only the field check rejects it
+        with pytest.raises(FieldMismatchError, match="^factor and cofactor over different fields$"):
+            make_factorized(factor, cofactor, 2)
 
     @pytest.mark.parametrize("t", [2, 3])
     def test_descent_deeper_than_the_factor(self, t):

@@ -59,13 +59,13 @@ CAPPED = """
 import contextlib, io, json, sys
 from gwinv.cli import main
 with contextlib.redirect_stderr(io.StringIO()):
-    codes = [main(["verify", "--suite", "simil", flag, "10" * 30]) for flag in ("--prec", "--d-max")]
+    codes = [main(["verify", "--suite", "simil", flag, "10" * 30]) for flag in ("--prec", "--n-max", "--d-max")]
 print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("gwinv."))]))
 """
 
 
 def test_verify_above_a_cap_loads_no_suite():
-    # --prec and --d-max are checked before the suites are imported
+    # --prec, --n-max and --d-max are checked before the suites are imported
     proc = subprocess.run(
         [sys.executable, "-c", CAPPED],
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -75,7 +75,7 @@ def test_verify_above_a_cap_loads_no_suite():
     )
     assert proc.returncode == 0
     codes, loaded = json.loads(proc.stdout)
-    assert codes == [2, 2]
+    assert codes == [2, 2, 2]
     assert not set(SUITE_MODULES) & set(loaded)
 
 

@@ -3,6 +3,7 @@ format honors its contract."""
 
 import importlib.util
 import json
+import re
 from dataclasses import replace
 from itertools import count
 from operator import mul
@@ -12,6 +13,7 @@ from random import Random
 import pytest
 
 from gwinv import fields, invariants, sampling, series, verify, witt
+from gwinv.divided import H_TARGET, W_TARGET
 from gwinv.verify import RunConfig, SUITES, _cases, _report, _text, run_suite
 from gwinv.witt import GwElement
 from pinned_inputs import MODERATE
@@ -114,6 +116,57 @@ def test_failure_text_names_family_field_mode_and_case(monkeypatch):
 
 # small enough that every suite runs in well under a second
 SMALL = RunConfig(samples=4, n_max=2, d_max=3, prec=8)
+
+# the driver's own text at the end of a label: "(W, case 3)", "(H)", "(case 3)"
+DRIVER_TEXT = re.compile(r"\((?:[WH]\b[^()]*|case \d+)\)$")
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_no_family_writes_the_driver_coordinates(name):
+    """Only ``_label`` writes a case's mode and index, so no detail ends in them."""
+    for cfg in (SMALL, MODERATE[name]):
+        details = [context[1] for context, _, _ in _cases(name, cfg)]
+        assert details and not [detail for detail in details if DRIVER_TEXT.search(detail)]
+
+
+# the families checked for their coordinates, as (suite, key, applies,
+# per_target); applies None marks a field-free family
+DRIVEN = [
+    ("classify", "discriminant", lambda F: F.kind in ("C", "F"), False),
+    ("classify", "disc-truncation", None, False),
+    ("g-bounds", "attained", None, True),
+    ("delta1", "descent-well-defined", lambda F: True, True),
+]
+
+
+@pytest.mark.parametrize("name, key, applies, per_target", DRIVEN, ids=[f"{n}/{k}" for n, k, *_ in DRIVEN])
+def test_driven_families_carry_the_driver_coordinates(name, key, applies, per_target):
+    """Each case of these families has its field (None when field-free), its
+    target when per-target, and its index among the family's cases."""
+    cfg = MODERATE[name]
+    fam = next(fam for fam in SUITES[name] if fam.key == key)
+    fields = [F for F in verify._fields(cfg) if applies(F)] if applies else [None]
+    targets = cfg.targets() if per_target else [None]
+    seen = {(target, i): F for (k, _, F, target, i), _, _ in _cases(name, cfg) if k == key}
+    assert seen
+    for (target, i), F in seen.items():
+        assert target in targets
+        assert 0 <= i < fam.count(cfg)
+        assert F == fields[i % len(fields)]
+    if key != "disc-truncation":  # the only family that may skip a draw
+        assert set(seen) == {(target, i) for target in targets for i in range(fam.count(cfg))}
+
+
+def test_descent_well_defined_catches_a_wrong_alternative(monkeypatch):
+    # each alternative loses its cofactor, so its descent value drops to 0
+    # while x keeps its own
+    def wrong(x, budget, rng):
+        return [x, replace(x, cofactor=witt.witt_zero(x.field))]
+
+    monkeypatch.setattr(verify, "alt_factorizations", wrong)
+    report = run_suite("delta1", MODERATE["delta1"])
+    assert report["cases_failed"] > 0
+    assert report["first_failure"]["inputs"].startswith("delta1/descent-well-defined: level=")
 
 
 def _by_family(name: str, cfg: RunConfig) -> dict:
@@ -235,14 +288,14 @@ def test_series_suite_catches_a_dropped_degree_zero_product_term(monkeypatch):
 
 
 DIGESTS = {
-    "verify": "b0c2c75b2f56a5410588e636ac8ba9b9d607ff35fda08ca564ead635ea43d3bf",
+    "verify": "bafc3fc86ad11d13bc84f62cc616b2f0df1e621367459a44a0df3a2cd9af31ff",
     "series-gw": "a88f8c332f79665c602a6b44ea5dbacfabfe0018a4ce7d2a1a7b525998cd505d",
     "kernel-wide": "c65d4fae83a259014ab6386afa18358b26fd6d1c1e28a35c936254b6d3cd7650",
     "sw-values": "fdb3e81fa6e146d712e08cb828feef44b0c6bb64039d490608ddd6d0480a0d34",
     "series-cap": "c58311f711a9981c94e7db9f93797bbdcaed478d504e299df1c191be2404c568",
     "f-values": "67fe31822d69aa4f25cc55eb3a1456ff263c8bbce554358e962deb6e41e56837",
     "g-values": "b1e53bb4915c1d2959eb22bf133858538e6922cbda37d57391e90fab607dfc5c",
-    "moderate": "a968d3afcc7636532be02f793c72a56514a9afd3fe86873013b15839743bb202",
+    "moderate": "0a6fbb05bf52ccbcdd40dbd4f14d7421e5bf5ba679f256a8da456e606d4d430e",
     "cli-errors": "048a0062fa3724bcf6cbcbd5929ed19bdad02f903c754a03d603a8a8d05cf125",
     "witt-level": "c8d6ac09bc5d75d8de2a148c82d56dd60db8a313ed344d1d920b581b907aa866",
     "series-dump": "1d28054531bc04d7ae8004373192127e212a93e502ab46d2dad4e3371c92d763",
@@ -346,18 +399,24 @@ def test_unknown_suite_rejected():
 
 def test_failure_reporting_shape():
     # feed failing cases to the driver's tally to pin the failure payload
-    report = _report("demo", RunConfig(), [("inputs text", 1, 2), ("later", 3, 4)])
+    cases = [(("key", "inputs text", None, None, None), 1, 2), (("key", "later", None, None, None), 3, 4)]
+    report = _report("demo", RunConfig(), cases)
     assert report["cases_failed"] == 2
     assert report["first_failure"] == {
-        "inputs": "inputs text",
+        "inputs": "demo/key: inputs text",
         "expected": "1",
         "got": "2",
     }
 
 
 def test_boolean_failure_payload():
-    cases = [("holds", True, True), ("fails", True, False), ("also fails", True, False)]
+    F = fields.parse_field("C")
+    cases = [
+        (("key", "holds", F, W_TARGET, 0), True, True),
+        (("key", "fails", F, H_TARGET, 1), True, False),
+        (("key", "also fails", None, None, 2), True, False),
+    ]
     report = _report("demo", RunConfig(), cases)
     assert (report["cases_total"], report["cases_failed"]) == (3, 2)
-    assert report["first_failure"] == {"inputs": "fails", "expected": "true", "got": "false"}
+    assert report["first_failure"] == {"inputs": "demo/key: fails over C (H, case 1)", "expected": "true", "got": "false"}
 
