@@ -3,21 +3,25 @@
     python3 scripts/coverage.py [PYTEST_ARGS...]
 
 Run it from the root of a checkout.  It runs pytest in this process (with
-no arguments, tier-1: ``testpaths`` of ``pyproject.toml``) under a
-``sys.settrace`` tracer that records the lines run in files under
-``src/gwinv``, then prints one line per module, ``gwinv/M.py: k of n lines
-unreached: a-b, c``, and a total.  The executable lines of a module are
-those that its compiled code objects name in their line tables, less each
-function's own ``def`` line, which the enclosing code runs; docstrings and
-blank lines are not counted.  Code that runs in a subprocess (the demos,
-the CLI subprocess tests) is not seen, so the unreached lines are an upper
-bound.
+no arguments, tier-1: ``testpaths`` of ``pyproject.toml``) twice.  The
+first run, ``-m "not cpu_budget"``, is under a ``sys.settrace`` tracer that
+records the lines run in files under ``src/gwinv``; the second runs the
+tests marked ``cpu_budget`` (those that assert a time budget, which the
+tracer would break) untraced; the script passes its own ``-m`` after
+PYTEST_ARGS.  It then prints one line per module, ``gwinv/M.py: k of n
+lines unreached: a-b, c``, a total, and the exit code of each run.  The
+executable lines of a module are those that its compiled code objects name
+in their line tables, less each function's own ``def`` line, which the
+enclosing code runs; docstrings and blank lines are not counted.  Code
+that runs in a subprocess (the demos, the CLI subprocess tests) is not
+seen, so the unreached lines are an upper bound.
 
 Pytest's cache is off, no bytecode is written (here or by subprocesses),
 and Hypothesis keeps its database in a temporary directory that is removed
 at the end, so the run writes nothing else.  Tracing makes tier-1 about
-three times slower, and a test with a CPU budget can fail under it; the
-script exits with pytest's exit code.
+three times slower.  The script exits 0 when both runs pass, or one passes
+and the other has no test to run; otherwise with the first other exit code
+(``exit_code``).
 """
 
 from __future__ import annotations
@@ -113,6 +117,16 @@ class _HypothesisHome:
         set_hypothesis_home_dir(self.path)
 
 
+# pytest's exit code when a run selects no test
+NO_TESTS = 5
+
+
+def exit_code(traced: int, untraced: int) -> int:
+    """The script's exit code from those of its two pytest runs."""
+    codes = [code for code in (traced, untraced) if code != NO_TESTS]
+    return next((code for code in codes if code), 0) if codes else NO_TESTS
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
     import pytest
@@ -120,11 +134,16 @@ def main(argv=None) -> int:
     sys.dont_write_bytecode = True
     os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
     with tempfile.TemporaryDirectory() as tmp:
-        code, hits = trace_lines(
-            lambda: pytest.main(["-p", "no:cacheprovider", *args], plugins=[_HypothesisHome(tmp)]), SRC
-        )
+
+        def run(marks: str) -> int:
+            return int(pytest.main(["-p", "no:cacheprovider", *args, "-m", marks], plugins=[_HypothesisHome(tmp)]))
+
+        traced, hits = trace_lines(lambda: run("not cpu_budget"), SRC)
+        untraced = run("cpu_budget")
     print("\n".join(report(SRC, hits)))
-    return int(code)
+    print(f"traced run, -m 'not cpu_budget': pytest exit code {traced}")
+    print(f"untraced run, -m cpu_budget: pytest exit code {untraced}")
+    return exit_code(traced, untraced)
 
 
 if __name__ == "__main__":

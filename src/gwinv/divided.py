@@ -45,8 +45,9 @@ class InvariantTarget:
     which the universal scalar ring maps: ``value(w, k)`` is w in I^k as a
     value (w, or ``e_n(w, k)``), ``eps_pow(K, j)`` the image of {-1}^j (2^j
     in W, as <<-1>> = 2), ``symbol(classes)`` that of {a_1,...,a_t}, and
-    ``times(x, c)`` is c.x for a universal coefficient c.  Its only values
-    are ``W_TARGET`` and ``H_TARGET``."""
+    ``times(x, c)`` is c.x for a universal coefficient c, an int (in mode
+    H, bit j is the coefficient of eps^j).  Its only values are
+    ``W_TARGET`` and ``H_TARGET``."""
 
     mode: str
     value: Callable
@@ -62,11 +63,11 @@ class InvariantTarget:
 
 def _cohomology_times(x: CohClass, c) -> CohClass:
     """c.x in H*: the sum of {-1}^j x over the set bits j of c, lowest first."""
-    out, bits = CohClass.zero(x.field), c.bits
-    while bits:
-        low = bits & -bits
+    out = CohClass.zero(x.field)
+    while c:
+        low = c & -c
         out = out + minus_one_power(x.field, low.bit_length() - 1) * x
-        bits ^= low
+        c ^= low
     return out
 
 
@@ -199,11 +200,12 @@ def eval_f(n: int, d: int, q: WittClass, target: InvariantTarget):
 
 def eval_f_sum(n: int, q: WittClass, target: InvariantTarget, coeffs: dict):
     """The value on q of sum_d c_d f_n^d for the universal coefficients
-    ``coeffs`` = {d: c_d} (integers in mode W, F2-polynomials in eps in
-    mode H).  The Witt projection is additive, so in mode W the sum
-    c_0<1> + sum_d c_d pi_d(hat q) is formed in GW and canonicalized once;
-    in mode H each degree goes through e_n and is scaled by its
-    coefficient.  The membership check runs first, even for no degree."""
+    ``coeffs`` = {d: c_d}, ints (in mode H, F2-polynomials in eps with bit
+    j the coefficient of eps^j).  The Witt projection is additive, so in
+    mode W the sum c_0<1> + sum_d c_d pi_d(hat q) is formed in GW and
+    canonicalized once; in mode H each degree goes through e_n and is
+    scaled by its coefficient.  The membership check runs first, even for
+    no degree."""
     if target.mode == "H":
         fvals = eval_f_all(n, q, target, coeffs)
         out = target.zero(q.field)

@@ -2,11 +2,12 @@
 
 An invariant is a finitely supported combination of the f-family
 generators f_n^d at a fixed level n, stored as its f-basis coefficients,
-in the universal scalar ring generated by eps = {-1}: plain integers in
-Witt mode, where eps is identified with 2, and ``F2Poly``, the
-F2-polynomials in eps, in cohomology mode.  ``coeff_ops(mode)`` is the
-one table of a mode's ring, on coefficients and on packed ints (eps^j is
-1 << j), which the operators, ``product`` and the parser compute on.  The
+in the universal scalar ring generated by eps = {-1}.  A coefficient is an
+``int`` in both modes, and eps^j is 1 << j: an integer in Witt mode, where
+eps is identified with 2, and in cohomology mode an F2-polynomial in eps
+packed into the bits of an int >= 0, bit j the coefficient of eps^j.
+``coeff_ops(mode)`` is the one table of a mode's ring on these ints, which
+the operators, ``product``, the parser and the rendering compute on.  The
 g-family is a second basis, a triangular unipotent change of the first:
 ``from_g`` builds an invariant from g-basis coefficients and ``g_coeffs``
 reads them back.  The rebasing, shifting, similitude, restriction and
@@ -15,10 +16,10 @@ lists the triples (c, j, k) meaning c * eps^j times the degree-k generator
 of the target, and ``_apply`` applies it to a coefficient dict.
 ``product`` multiplies values on sums of Pfister forms instead
 (``to_values``).  ``parse_invariant`` reads a literal onto one dict of
-packed f-coefficients: a term's scalar is its sign times its integer
-factors (``int_bits``) shifted by its eps exponent, and it adds that
-scalar times the ``_expand`` of the term's generators, so only the result
-is an object.  ``evaluate`` sends an invariant to a concrete value on a
+f-coefficients: a term's scalar is its sign times its integer factors
+(``from_int``) shifted by its eps exponent, and it adds that scalar times
+the ``_expand`` of the term's generators, so only the result is an
+object.  ``evaluate`` sends an invariant to a concrete value on a
 Witt class, and ``eval_g`` is ``evaluate`` on one g generator.
 """
 
@@ -27,7 +28,6 @@ from __future__ import annotations
 import operator
 import re
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .divided import TARGETS, InvariantTarget, eval_f_sum
@@ -52,40 +52,20 @@ def clmul(a: int, b: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class F2Poly:
-    """Polynomial in eps over F2, packed into the bits of an int: the
-    coefficient type of mode H."""
-
-    bits: int = 0
-
-    def __add__(self, other: "F2Poly") -> "F2Poly":
-        return F2Poly(self.bits ^ other.bits)
-
-    __sub__ = __add__
-
-    def __neg__(self) -> "F2Poly":
-        return self
-
-    def __mul__(self, other: "F2Poly") -> "F2Poly":
-        return F2Poly(clmul(self.bits, other.bits))
-
-    def __str__(self) -> str:
-        powers = [j for j in range(self.bits.bit_length()) if self.bits >> j & 1]
-        return "+".join("1" if j == 0 else "eps" if j == 1 else f"eps^{j}" for j in powers) or "0"
+def _show_h(c: int) -> str:
+    """A packed F2[eps] coefficient as text: its eps powers, lowest first."""
+    powers = [j for j in range(c.bit_length()) if c >> j & 1]
+    return "+".join("1" if j == 0 else "eps" if j == 1 else f"eps^{j}" for j in powers) or "0"
 
 
-# The universal scalar ring of each mode, Z with eps = 2 (W) or F2[eps] (H):
-# ``zero``, ``one``, ``from_int`` and ``eps_pow`` on coefficients, then
-# ``add``, ``sub``, ``mul``, ``pack``, ``unpack`` and ``int_bits`` (the
-# packed ``from_int``) on packed scalars, ints where eps^j is 1 << j.
-_Scalars = namedtuple("_Scalars", "zero one from_int eps_pow add sub mul pack unpack int_bits")
+# The universal scalar ring of each mode on its coefficients, ints where
+# eps^j is 1 << j: Z with eps = 2 (W), or F2[eps] with bit j the
+# coefficient of eps^j (H).  ``from_int`` is the image of an integer and
+# ``show`` the text of a coefficient.
+_Scalars = namedtuple("_Scalars", "add sub mul from_int show")
 _SCALARS = {
-    "W": _Scalars(0, 1, int, lambda j: 1 << j, operator.add, operator.sub, operator.mul, int, int, int),
-    "H": _Scalars(
-        F2Poly(0), F2Poly(1), lambda c: F2Poly(c & 1), lambda j: F2Poly(1 << j),
-        operator.xor, operator.xor, clmul, operator.attrgetter("bits"), F2Poly, (1).__and__,
-    ),
+    "W": _Scalars(operator.add, operator.sub, operator.mul, int, str),
+    "H": _Scalars(operator.xor, operator.xor, clmul, (1).__and__, _show_h),
 }
 
 
@@ -97,10 +77,20 @@ def coeff_ops(mode: str) -> _Scalars:
         raise ValueError(f"mode must be 'W' or 'H', got {mode!r}") from None
 
 
+def _check_coeffs(mode: str, values) -> None:
+    """Raise ``TypeError`` unless every value is a mode coefficient: an
+    ``int``, not a ``bool``, and in mode H also >= 0, as a packed
+    polynomial has no sign."""
+    if not all(type(c) is int for c in values):
+        raise TypeError(f"a mode-{mode} coefficient must be of type int")
+    if mode == "H" and not all(c >= 0 for c in values):
+        raise TypeError("a mode-H coefficient must be an int >= 0, bit j the coefficient of eps^j")
+
+
 class SymbolicInvariant:
     """Finitely supported coefficient sequence in the f-basis, with
-    coefficients in the mode's scalar ring: ``int`` in mode W, ``F2Poly``
-    in mode H (any other type, ``bool`` among them, raises ``TypeError``).
+    coefficients in the mode's scalar ring, ints in both modes (module
+    docstring); any other value raises ``TypeError`` (``_check_coeffs``).
     A degree key must be an ``int`` >= 0 (not a ``bool``), or ``ValueError``
     is raised.  The constructor checks; the operator tables' results are
     valid by closure and are built unchecked (``_of``)."""
@@ -110,15 +100,13 @@ class SymbolicInvariant:
     def __init__(self, n: int, mode: str, coeffs: dict | None = None):
         if n < 1:
             raise ValueError("the level n must be >= 1")
-        ops = coeff_ops(mode)
+        coeff_ops(mode)  # an unknown mode raises first
         coeffs = coeffs or {}
-        scalar = type(ops.one)
-        if not all(type(c) is scalar for c in coeffs.values()):
-            raise TypeError(f"a mode-{mode} coefficient must be of type {scalar.__name__}")
+        _check_coeffs(mode, coeffs.values())
         if not all(type(d) is int and d >= 0 for d in coeffs):
             raise ValueError("a degree must be an int >= 0")
         self.n, self.mode = n, mode
-        self.coeffs = {d: c for d, c in coeffs.items() if c != ops.zero}
+        self.coeffs = {d: c for d, c in coeffs.items() if c}
 
     @classmethod
     def _of(cls, n: int, mode: str, coeffs: dict) -> "SymbolicInvariant":
@@ -130,10 +118,9 @@ class SymbolicInvariant:
     @classmethod
     def generator(cls, n: int, mode: str, family: str, d: int) -> "SymbolicInvariant":
         """The degree-d generator f_n^d (family 'f') or g_n^d (family 'g')."""
-        one = {d: coeff_ops(mode).one}
         if family not in ("f", "g"):
             raise ValueError("family must be 'f' or 'g'")
-        return cls(n, mode, one) if family == "f" else from_g(n, mode, one)
+        return cls(n, mode, {d: 1}) if family == "f" else from_g(n, mode, {d: 1})
 
     @property
     def ops(self):
@@ -145,19 +132,23 @@ class SymbolicInvariant:
 
     def __add__(self, other: "SymbolicInvariant") -> "SymbolicInvariant":
         self._check(other)
-        out = dict(self.coeffs)
+        add, out = self.ops.add, dict(self.coeffs)
         for d, c in other.coeffs.items():
-            out[d] = out.get(d, self.ops.zero) + c
-        return SymbolicInvariant(self.n, self.mode, out)
+            out[d] = add(out.get(d, 0), c)
+        return SymbolicInvariant._of(self.n, self.mode, {d: c for d, c in out.items() if c})
 
     def __sub__(self, other: "SymbolicInvariant") -> "SymbolicInvariant":
         return self + (-other)
 
     def __neg__(self) -> "SymbolicInvariant":
-        return SymbolicInvariant(self.n, self.mode, {d: -c for d, c in self.coeffs.items()})
+        sub = self.ops.sub
+        return SymbolicInvariant._of(self.n, self.mode, {d: sub(0, c) for d, c in self.coeffs.items()})
 
-    def scale(self, c) -> "SymbolicInvariant":
-        return SymbolicInvariant(self.n, self.mode, {d: c * v for d, v in self.coeffs.items()})
+    def scale(self, c: int) -> "SymbolicInvariant":
+        _check_coeffs(self.mode, (c,))
+        mul = self.ops.mul
+        coeffs = {d: mul(c, v) for d, v in self.coeffs.items()} if c else {}
+        return SymbolicInvariant._of(self.n, self.mode, coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymbolicInvariant):
@@ -167,7 +158,8 @@ class SymbolicInvariant:
     __hash__ = None
 
     def __str__(self) -> str:
-        parts = [(f"f[{self.n},{d}]", str(self.coeffs[d])) for d in sorted(self.coeffs)]
+        show = self.ops.show
+        parts = [(f"f[{self.n},{d}]", show(self.coeffs[d])) for d in sorted(self.coeffs)]
         return " + ".join(gen if c == "1" else f"({c})*{gen}" for gen, c in parts) or "0"
 
     def __repr__(self) -> str:
@@ -204,16 +196,15 @@ def g_transition_terms(n: int, d: int) -> list[tuple[int, int, int]]:
 def _apply(mode: str, coeffs: dict, terms) -> dict:
     """The coefficient dict of the linear map sending the degree-d
     generator to the sum of c * eps^j times the degree-k generator over
-    the triples (c, j, k) of ``terms(d)``, applied to ``coeffs`` on packed
-    scalars; zeros are dropped."""
+    the triples (c, j, k) of ``terms(d)``, applied to ``coeffs``; zeros
+    are dropped."""
     ops = coeff_ops(mode)
-    add, mul, int_bits = ops.add, ops.mul, ops.int_bits
+    add, mul, from_int = ops.add, ops.mul, ops.from_int
     out: dict = {}
     for d, coeff in coeffs.items():
-        p = ops.pack(coeff)
         for c, j, k in terms(d):
-            out[k] = add(out.get(k, 0), mul(p, int_bits(c)) << j)
-    return {k: ops.unpack(v) for k, v in out.items() if v}
+            out[k] = add(out.get(k, 0), mul(coeff, from_int(c)) << j)
+    return {k: v for k, v in out.items() if v}
 
 
 def _linear(alpha: SymbolicInvariant, n: int, terms) -> SymbolicInvariant:
@@ -265,7 +256,7 @@ def shift(alpha: SymbolicInvariant, plus: int = 0, minus: int = 0) -> SymbolicIn
 
 def coeff_at_zero(alpha: SymbolicInvariant):
     """The value of the invariant at q = 0, as a universal coefficient."""
-    return alpha.coeffs.get(0, alpha.ops.zero)
+    return alpha.coeffs.get(0, 0)
 
 
 def extract_coeffs(alpha: SymbolicInvariant, d_max: int) -> list:
@@ -284,42 +275,37 @@ def extract_coeffs(alpha: SymbolicInvariant, d_max: int) -> list:
 
 
 def to_values(alpha: SymbolicInvariant, top: int) -> list[int]:
-    """Packed ev(alpha)(m) = sum_s a_s eps^(ns) C(m, s) for m = 0..top, the
+    """ev(alpha)(m) = sum_s a_s eps^(ns) C(m, s) for m = 0..top, the
     value on m n-fold Pfister forms, as f^s(m phi) = C(m, s) phi^s; Horner's
     rule on C(m, s) = sum_{j<m} C(j, s - 1), one running sum per degree."""
-    add, pack = alpha.ops.add, alpha.ops.pack
+    add = alpha.ops.add
     vals = [0] * (top + 1)
     for s in range(max(alpha.coeffs, default=-1), -1, -1):
-        c = alpha.coeffs.get(s)
-        vals = list(accumulate(vals[:-1], add, initial=pack(c) << alpha.n * s if c else 0))
+        vals = list(accumulate(vals[:-1], add, initial=alpha.coeffs.get(s, 0) << alpha.n * s))
     return vals
 
 
 def from_values(vals: list[int], n: int, mode: str) -> SymbolicInvariant:
-    """The f-basis invariant with packed values ``vals`` at m = 0..D, by
+    """The f-basis invariant with values ``vals`` at m = 0..D, by
     Newton's forward differences Delta^d ev(0) = a_d eps^(nd); one that
     eps^(nd) does not divide exactly raises ``ConsistencyError``."""
-    ops = coeff_ops(mode)
+    sub = coeff_ops(mode).sub
     out = {}
     for d in range(len(vals)):
         c, j = vals[0], n * d
         if c & ((1 << j) - 1):
             raise ConsistencyError(f"the degree-{d} difference is not divisible by eps^{j}")
-        if c:
-            out[d] = ops.unpack(c >> j)
-        vals = list(map(ops.sub, vals[1:], vals[:-1]))
+        out[d] = c >> j
+        vals = list(map(sub, vals[1:], vals[:-1]))
     return SymbolicInvariant(n, mode, out)
 
 
 def product(*factors: SymbolicInvariant) -> SymbolicInvariant:
     """Product of invariants, in the f-basis: their values at m = 0..D, D the
-    sum of their top f-degrees, multiplied pointwise.  One factor is
-    returned as it is."""
+    sum of their top f-degrees, multiplied pointwise."""
     if not factors:
         raise ValueError("product needs at least one factor")
     first = factors[0]
-    if len(factors) == 1:
-        return first
     top = sum(max(f.coeffs, default=0) for f in factors)
     mul = first.ops.mul
     vals = to_values(first, top)
@@ -424,33 +410,33 @@ def _check_cap(body: str, noun: str, value: int, cap: int, unit: str = "") -> No
         raise InvariantSyntaxError(f"the {noun} of {body.strip()[:40]!r} exceeds the cap of {cap}{unit}")
 
 
-def _expand(n: int, int_bits, gens: list) -> dict:
-    """The packed f-coefficients of a product of generators (family, level,
+def _expand(n: int, from_int, gens: list) -> dict:
+    """The f-coefficients of a product of generators (family, level,
     degree) at level n.  A product of total degree D takes the value
     P(m) eps^(nD) on m n-fold Pfister forms, P the product of C(m, d) over
     its f^d and C(m + (d - 1) // 2, d) over its g^d (``g_transition_terms``),
     so its f^k coefficient is Delta^k P(0) eps^(n(D - k))."""
     if len(gens) == 1:
         b, _, d = gens[0]
-        return {d: 1} if b == "f" else {k: int_bits(c) << j for c, j, k in g_transition_terms(n, d)}
+        return {d: 1} if b == "f" else {k: from_int(c) << j for c, j, k in g_transition_terms(n, d)}
     top = sum(d for _, _, d in gens)
     vals = [1] * (top + 1)
     for (t, d), e in Counter(((d - 1) // 2 if b == "g" else 0, d) for b, _, d in gens).items():
         vals = [v * ext_binom(m + t, d) ** e for m, v in enumerate(vals)]
     out = {}
     for k in range(top + 1):
-        out[k], vals = int_bits(vals[0]) << n * (top - k), list(map(operator.sub, vals[1:], vals[:-1]))
+        out[k], vals = from_int(vals[0]) << n * (top - k), list(map(operator.sub, vals[1:], vals[:-1]))
     return out
 
 
 def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
-    """A literal on one dict of packed f-coefficients (module docstring)."""
+    """A literal on one dict of f-coefficients (module docstring)."""
     ops = coeff_ops(mode)
-    add, mul, int_bits = ops.add, ops.mul, ops.int_bits
+    add, mul, from_int = ops.add, ops.mul, ops.from_int
     terms = []
     # split the whole literal first, so an empty term wins over a bad factor
     for sign, body in list(split_signed_sum(text, "invariant literal", InvariantSyntaxError)):
-        coeff, eps = int_bits(sign), 0
+        coeff, eps = from_int(sign), 0
         gens: list[tuple[str, int, int]] = []
         for factor in body.split("*"):
             factor = factor.strip()
@@ -465,7 +451,7 @@ def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
             if m:
                 eps += parse_int(m.group(1) or "1", "eps exponent", InvariantSyntaxError)
                 continue
-            coeff = mul(coeff, int_bits(parse_int(factor, "factor", InvariantSyntaxError)))
+            coeff = mul(coeff, from_int(parse_int(factor, "factor", InvariantSyntaxError)))
             if mode == "W":
                 _check_cap(body, "coefficient", coeff.bit_length(), MAX_COEFF_BITS, " bits")
         _check_cap(body, "eps exponent", eps, MAX_EPS_EXPONENT)
@@ -481,6 +467,6 @@ def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
         raise InvariantSyntaxError(f"the level n must be >= 1, got {n}")
     out: dict = {}
     for scalar, gens in terms:
-        for d, c in _expand(n, int_bits, gens).items():
+        for d, c in _expand(n, from_int, gens).items():
             out[d] = add(out.get(d, 0), mul(scalar, c))
-    return SymbolicInvariant._of(n, mode, {d: ops.unpack(c) for d, c in out.items() if c})
+    return SymbolicInvariant._of(n, mode, {d: c for d, c in out.items() if c})

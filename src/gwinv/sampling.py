@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from random import Random
 
-from .fields import FieldDescriptor, SquareClass, enumerate_sc, parse_field
-from .invariants import F2Poly, SymbolicInvariant, from_g
+from .fields import FieldDescriptor, SquareClass, parse_field
+from .invariants import SymbolicInvariant, from_g
 from .witt import GwElement, WittClass, pfister, witt_canonical
 
 
@@ -80,10 +80,12 @@ def rand_diag(rng: Random, field: FieldDescriptor, dim: int) -> GwElement:
     return GwElement.diag(*(rand_sc(rng, field) for _ in range(dim)))
 
 
-def rand_coeff(rng: Random, mode: str):
+def rand_coeff(rng: Random, mode: str) -> int:
+    """A universal coefficient: an integer in -4..4 (W), or an F2-polynomial
+    in eps of degree < 4, as its bits (H)."""
     if mode == "W":
         return rng.randint(-4, 4)
-    return F2Poly(rng.randrange(16))
+    return rng.randrange(16)
 
 
 def rand_symbolic(
@@ -100,8 +102,3 @@ def rand_symbolic(
     for _ in range(support):
         coeffs[rng.randint(0, d_max)] = rand_coeff(rng, mode)
     return from_g(n, mode, coeffs) if basis == "g" else SymbolicInvariant(n, mode, coeffs)
-
-
-def small_fields_exhaustive() -> list[FieldDescriptor]:
-    """Fields small enough for exhaustive square-class enumeration."""
-    return [F for F in standard_fields() if len(enumerate_sc(F)) <= 32]

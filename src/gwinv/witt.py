@@ -569,8 +569,6 @@ def lambda_series(x: GwElement, degrees: Collection[int]) -> dict[int, GwElement
 def lambda_power(d: int, x: GwElement) -> GwElement:
     """The d-th exterior power; for a nonnegative diagonal form this is the
     elementary symmetric expression in the entries."""
-    if d == 0:
-        return GwElement.unit(x.field)
     return lambda_series(x, (d,))[d]
 
 

@@ -2,9 +2,8 @@
 
 ``group_law`` forms prod (1 + a t)^c by repeated squaring and one
 multiplicative inverse, over any coefficient ring given as an object with
-``zero`` and ``one``: the integers through ``invariants.coeff_ops("W")``,
-the mode-W scalar table, or ``gw_ring(F)`` and ``value_ring(target, F)``
-below.  A series here is a list of coefficients read as a polynomial, so
+``zero`` and ``one``: the integers (``INT_RING``), or ``gw_ring(F)`` and
+``value_ring(target, F)`` below.  A series here is a list of coefficients read as a polynomial, so
 missing degrees are zero, and every operation keeps at most the first
 ``length`` coefficients.  The library computes the same products through
 the character kernel (``witt.lambda_series`` for the exterior-power
@@ -19,6 +18,9 @@ from gwinv.witt import GwElement
 
 class SeriesInversionError(ValueError):
     """Series is not invertible for the requested operation."""
+
+
+INT_RING = SimpleNamespace(zero=0, one=1)
 
 
 def gw_ring(field) -> SimpleNamespace:

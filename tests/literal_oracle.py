@@ -98,9 +98,9 @@ def parse_invariant(text, mode):
             m = _EPS_RE.match(factor)
             if m:
                 k = m.group(1) or "1"
-                coeff = coeff * ops.eps_pow(parse_int(k, "eps exponent", InvariantSyntaxError))
+                coeff = coeff << parse_int(k, "eps exponent", InvariantSyntaxError)
                 continue
-            coeff = coeff * ops.from_int(parse_int(factor, "factor", InvariantSyntaxError))
+            coeff = ops.mul(coeff, ops.from_int(parse_int(factor, "factor", InvariantSyntaxError)))
         degree = sum(n * d for _, n, d in gens)
         if degree > MAX_TOTAL_DEGREE:
             raise InvariantSyntaxError(
@@ -125,7 +125,7 @@ def parse_invariant(text, mode):
             term = SymbolicInvariant.generator(n, mode, gens[0][0], gens[0][2])
             for b, _, d in gens[1:]:
                 term = product(term, SymbolicInvariant.generator(n, mode, b, d))
-            term = {d: coeff * c for d, c in (g_coeffs(term) if basis == "g" else term.coeffs).items()}
+            term = {d: ops.mul(coeff, c) for d, c in (g_coeffs(term) if basis == "g" else term.coeffs).items()}
         for d, c in term.items():
-            total[d] = total.get(d, ops.zero) + c
+            total[d] = ops.add(total.get(d, 0), c)
     return from_g(n, mode, total) if basis == "g" else SymbolicInvariant(n, mode, total)

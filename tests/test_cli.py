@@ -325,6 +325,7 @@ class TestSeries:
         assert (code, err) == (EXIT_OK, "")
         assert len(json.loads(out)["h"]) == prec + 1
 
+    @pytest.mark.cpu_budget
     @pytest.mark.parametrize("n, prec", [(1, 1023), (2, 511), (3, 340), (6, 169), (32, 31), (1024, 0)])
     def test_cap_line_within_cpu_budget(self, capsys, n, prec):
         """A cold dump on the cap line n * (prec + 1) <= 1024 takes at most
@@ -389,6 +390,7 @@ class TestEval:
         assert code == EXIT_OK
         assert out.strip() == "<1,-t1>"
 
+    @pytest.mark.cpu_budget
     def test_large_multiplier_over_real_tower(self, capsys):
         # f_t(k pf(t1)) = (1 + {t1} t)^k: C(k, 2) is odd and {t1}^2 = (-1)(t1)
         start = time.perf_counter()
@@ -434,6 +436,7 @@ class TestEval:
         ("field-order", "f[1,1]", "pf(t1)", "FN((t1))"),
     ]
 
+    @pytest.mark.cpu_budget
     @pytest.mark.parametrize("slot, inv, form, field", NUMERIC_SLOTS, ids=[s[0] for s in NUMERIC_SLOTS])
     @pytest.mark.parametrize("digits", [20, 4000])
     @pytest.mark.parametrize("mode", ["W", "H"])
@@ -471,6 +474,7 @@ class TestEval:
         assert err.startswith("parse error: the eps exponent of ") and len(err.splitlines()) == 1
         assert err.endswith(f"exceeds the cap of {MAX_EPS_EXPONENT}\n")
 
+    @pytest.mark.cpu_budget
     def test_eps_exponent_at_cap_exit_0(self, capsys):
         start = time.perf_counter()
         inv = f"eps^{MAX_EPS_EXPONENT // 2}*eps^{MAX_EPS_EXPONENT // 2}*f[1,1]"
@@ -479,6 +483,7 @@ class TestEval:
         assert code == EXIT_OK
         assert out == f"(-1)^{MAX_EPS_EXPONENT + 1}\n"
 
+    @pytest.mark.cpu_budget
     @pytest.mark.parametrize("mode, code", [("W", EXIT_PARSE), ("H", EXIT_OK)])
     def test_coefficient_above_cap_exit_2_at_parse(self, capsys, mode, code):
         """A W-mode term whose integer factors multiply past MAX_COEFF_BITS
@@ -508,6 +513,7 @@ class TestEval:
         "+".join(f"g[1,{k}]" for k in range(257)),
     ]
 
+    @pytest.mark.cpu_budget
     @pytest.mark.parametrize("mode", ["W", "H"])
     @pytest.mark.parametrize("inv", CORNERS, ids=["g128^2", "g64^4", "f1^256", "g1^256", "f128^2", "g256", "sum-g1"])
     def test_cap_corner_within_cpu_budget(self, capsys, inv, mode):
@@ -523,6 +529,7 @@ class TestEval:
     # k*pf(t1) has f_2 = C(k, 2) {pf(t1)}^2 = k(k-1) <1,-t1> in W
     K = 99999999999
 
+    @pytest.mark.cpu_budget
     @pytest.mark.parametrize(
         "inv, form, field, want",
         [
@@ -753,6 +760,7 @@ class TestVerify:
         assert out == ""
         assert err == f"error: --d-max exceeds the cap of {MAX_VERIFY_DEGREE}\n"
 
+    @pytest.mark.cpu_budget
     def test_d_max_at_cap_within_cpu_budget(self, capsys):
         """At the cap, 20 samples of ``simil``, the suite whose cost grows
         fastest with --d-max, take under 1 s of process CPU (about 0.25 s
@@ -772,6 +780,7 @@ class TestVerify:
         assert out == ""
         assert err == f"error: --n-max exceeds the cap of {MAX_VERIFY_LEVEL}\n"
 
+    @pytest.mark.cpu_budget
     def test_n_max_at_cap_within_cpu_budget(self, capsys):
         """At the cap, ``pi``, whose exhaustive family grows like n^7 in
         --n-max, takes under 3 s of process CPU with no sampled case (about
@@ -871,6 +880,7 @@ class TestVerify:
         assert code == EXIT_PARSE
         assert out == "" and err.startswith(f"error: {flag} must be >=")
 
+    @pytest.mark.cpu_budget
     @pytest.mark.parametrize("suite", ["ram", "coh-ops"])
     def test_large_q_tower_within_cpu_budget(self, capsys, suite):
         """Over q = 1099511627689, an odd prime power just below the 2^40

@@ -190,6 +190,7 @@ class TestMinusOnePower:
         with pytest.raises(ValueError, match="negative power"):
             minus_one_power(R, -1)
 
+    @pytest.mark.cpu_budget
     def test_high_power_evaluates_fast(self, capsys):
         start = time.perf_counter()
         argv = ["eval", "--inv=eps^400000*f[1,1]", "--form=pf(-1)", "--field=R", "--mode=H"]

@@ -2,7 +2,10 @@
 traces a whole pytest run, outside tier-1)."""
 
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 path = Path(__file__).resolve().parent.parent / "scripts" / "coverage.py"
 spec = importlib.util.spec_from_file_location("coverage_script", path)
@@ -63,3 +66,40 @@ def test_report_names_the_lines_never_run(tmp_path):
 def test_ranges_run_over_unexecutable_lines():
     assert coverage._ranges({3, 4, 9, 12}, {1, 3, 4, 7, 9, 12, 15}) == "3-4, 9-12"
     assert coverage._ranges(set(), {1}) == ""
+
+
+def test_exit_code_needs_both_runs_to_pass():
+    assert coverage.exit_code(0, 0) == 0
+    assert coverage.exit_code(0, 1) == 1
+    assert coverage.exit_code(1, 0) == 1
+    assert coverage.exit_code(2, 1) == 2
+    # a selection with no budget test, or with nothing else, still passes
+    assert coverage.exit_code(0, 5) == 0
+    assert coverage.exit_code(5, 0) == 0
+    assert coverage.exit_code(5, 1) == 1
+    assert coverage.exit_code(5, 5) == 5
+
+
+@pytest.mark.parametrize("codes, want", [((0, 0), 0), ((0, 1), 1), ((1, 0), 1)])
+def test_main_traces_all_but_the_budget_tests_then_runs_those(monkeypatch, capsys, codes, want):
+    runs, outer = [], sys.gettrace()
+
+    def fake_main(args, plugins):
+        runs.append((args, sys.gettrace() is not outer))
+        return codes[len(runs) - 1]
+
+    # main switches off bytecode for the whole process; undo that here
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(pytest, "main", fake_main)
+    assert coverage.main(["tests/test_demos.py"]) == want
+    assert runs == [
+        (["-p", "no:cacheprovider", "tests/test_demos.py", "-m", "not cpu_budget"], True),
+        (["-p", "no:cacheprovider", "tests/test_demos.py", "-m", "cpu_budget"], False),
+    ]
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == [
+        f"traced run, -m 'not cpu_budget': pytest exit code {codes[0]}",
+        f"untraced run, -m cpu_budget: pytest exit code {codes[1]}",
+    ]
+    assert out[-3].startswith("total: ")

@@ -19,7 +19,7 @@ from gwinv.divided import (
     p_fixed,
 )
 from gwinv.fields import minus_one, parse_field, parse_sc, sc_one
-from gwinv.invariants import F2Poly, coeff_ops, eval_g
+from gwinv.invariants import coeff_ops, eval_g
 from gwinv.sampling import (
     rand_coeff,
     rand_diag,
@@ -40,7 +40,7 @@ from gwinv.witt import (
     witt_one,
     witt_zero,
 )
-from group_law_oracle import group_law, gw_ring, mul, value_ring
+from group_law_oracle import INT_RING, group_law, gw_ring, mul, value_ring
 
 R = parse_field("R")
 RTT = parse_field("R((t1))((t2))")
@@ -264,7 +264,7 @@ class TestFixedDim:
 
 def _group_law_cases(rng):
     """(ring, atoms) pairs over Z, GW and both value rings."""
-    yield coeff_ops("W"), [rng.randint(-5, 5) for _ in range(4)]
+    yield INT_RING, [rng.randint(-5, 5) for _ in range(4)]
     for F in standard_fields(1):
         yield gw_ring(F), [rand_gw(rng, F, rng.randint(1, 3)) for _ in range(3)]
         for target in BOTH:
@@ -286,10 +286,10 @@ class TestTargetRing:
         for F in standard_fields(2):
             for _ in range(5):
                 x = symbol([rand_sc(rng, F), rand_sc(rng, F)]) + symbol([rand_sc(rng, F)])
-                c = F2Poly(rng.getrandbits(6))
+                c = rng.getrandbits(6)
                 want = H_TARGET.zero(F)
-                for j in range(c.bits.bit_length()):
-                    if c.bits >> j & 1:
+                for j in range(c.bit_length()):
+                    if c >> j & 1:
                         want = want + minus_one_power(F, j) * x
                 assert H_TARGET.times(x, c) == want
 
@@ -306,11 +306,11 @@ class TestTargetRing:
             for _ in range(4):
                 x, y = element(), element()
                 a, b = rand_coeff(rng, target.mode), rand_coeff(rng, target.mode)
-                assert target.times(x, a + b) == target.times(x, a) + target.times(x, b)
+                assert target.times(x, ops.add(a, b)) == target.times(x, a) + target.times(x, b)
                 assert target.times(x + y, a) == target.times(x, a) + target.times(y, a)
-                assert target.times(target.times(x, a), b) == target.times(x, a * b)
+                assert target.times(target.times(x, a), b) == target.times(x, ops.mul(a, b))
             for j in range(7):
-                assert target.times(target.one(F), ops.eps_pow(j)) == target.eps_pow(F, j)
+                assert target.times(target.one(F), 1 << j) == target.eps_pow(F, j)
 
     def test_run_config_selects_the_two_records(self):
         both = RunConfig().targets()

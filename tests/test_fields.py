@@ -58,6 +58,7 @@ class TestFieldDescriptor:
         with pytest.raises(FieldSyntaxError):
             parse_field(f"F{q}")
 
+    @pytest.mark.cpu_budget
     def test_order_bound(self):
         # the largest prime below the bound is accepted; a 20-digit prime is
         # rejected at once, where trial division would run for minutes

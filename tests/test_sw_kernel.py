@@ -132,7 +132,7 @@ def test_levels_below_one_are_rejected(n, d):
         calls = (
             lambda: eval_f(n, d, q, target),
             lambda: eval_f_all(n, q, target, (d,)),
-            lambda: eval_f_sum(n, q, target, {d: coeff_ops(target.mode).one}),
+            lambda: eval_f_sum(n, q, target, {d: 1}),
             lambda: eval_g(n, d, q, target),
         )
         for call in calls:

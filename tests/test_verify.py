@@ -94,7 +94,7 @@ def test_a_run_builds_its_fields_once(monkeypatch, field):
     per_run = sorted(calls)
     calls.clear()
     verify._fields(cfg)
-    sampling.small_fields_exhaustive()  # the pfister-squares family's own fields
+    sampling.standard_fields()  # pfister-squares walks every standard field itself
     assert per_run == sorted(calls)
 
 
@@ -112,6 +112,18 @@ def test_failure_text_names_family_field_mode_and_case(monkeypatch):
     assert failure["inputs"].startswith("g-bounds/beyond-bound: g_")
     assert failure["inputs"].endswith(" over C (W, case 0)")
     assert (failure["expected"], failure["got"]) == ("0", "<1>")
+
+
+def test_h_read_out_failure_shows_eps_polynomials(monkeypatch):
+    # each read-out coefficient is off by 1 + eps, so the failure's two
+    # sides differ in eps and both read as F2[eps] text, not packed ints
+    real = invariants.extract_coeffs
+    monkeypatch.setattr(invariants, "extract_coeffs", lambda alpha, d: [c ^ 0b11 for c in real(alpha, d)])
+    failure = run_suite("classify", RunConfig(mode="H", samples=4))["first_failure"]
+    assert failure["inputs"].startswith("classify/read-out: coefficient d=0, ")
+    texts = {invariants.coeff_ops("H").show(c) for c in range(16)}
+    assert {failure["expected"], failure["got"]} <= texts
+    assert "eps" in failure["expected"] + failure["got"]
 
 
 # small enough that every suite runs in well under a second
@@ -238,6 +250,13 @@ def test_lambda_sum_rule_catches_a_wrong_series(monkeypatch, which):
     assert report["first_failure"]["inputs"].startswith("lambda/exterior-powers: lambda sum rule d=2 over ")
 
 
+def test_lambda_unit_catches_a_wrong_degree_zero_read(monkeypatch):
+    _tamper_lambda_series(monkeypatch, 9, 0)
+    report = run_suite("lambda", RunConfig(samples=6))
+    assert report["cases_failed"] > 0
+    assert report["first_failure"]["inputs"].startswith("lambda/exterior-powers: lambda^0 = 1 over ")
+
+
 def test_lambda_fixed_points_catch_a_wrong_batched_read(monkeypatch):
     _tamper_lambda_series(monkeypatch, 5, 3)
     report = run_suite("lambda", RunConfig(samples=6))
@@ -252,9 +271,10 @@ def test_lambda_series_vs_direct_catches_a_wrong_batched_read(monkeypatch):
     assert report["first_failure"]["inputs"].startswith("lambda/exterior-powers: series vs direct d=2 over ")
 
 
-def test_lambda_exterior_powers_reads_the_kernel_six_times_a_case(monkeypatch):
-    # lambda^1(x), the three sum-rule series, lambda^0..3 of the diagonal
-    # form and the fixed points: one character-kernel call each
+def test_lambda_exterior_powers_reads_the_kernel_five_times_a_case(monkeypatch):
+    # the three sum-rule series (lambda^0 and lambda^1 of x read off the
+    # first), lambda^0..3 of the diagonal form and the fixed points: one
+    # character-kernel call each
     kernel, calls, per_case = witt.character_series, [], []
 
     def spy(x, degrees, row):
@@ -273,7 +293,7 @@ def test_lambda_exterior_powers_reads_the_kernel_six_times_a_case(monkeypatch):
     monkeypatch.setitem(SUITES, "lambda", families)
     cfg = RunConfig(samples=6)
     assert run_suite("lambda", cfg)["cases_failed"] == 0
-    assert per_case == [6] * fam.count(cfg)
+    assert per_case == [5] * fam.count(cfg)
 
 
 def test_series_suite_catches_a_dropped_degree_zero_product_term(monkeypatch):
