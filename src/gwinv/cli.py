@@ -4,8 +4,8 @@ identity-verification suites.
 Exit codes: 0 success, 1 failed checks, 2 parse/usage errors, 3 membership
 failures.
 
-Exact long flags are read directly, by ``_read_flags``; argparse reads every
-other list, once ``main`` has turned each ``--flag=--`` into ``--flag``.
+``_read_flags`` reads exact long flags off the flag table ``build_parser``
+keeps; argparse reads any other list, once ``main`` turns ``--flag=--`` into ``--flag``.
 
 Only the ``verify`` command loads the suites (``verify``, ``sampling`` and
 ``factorized``): ``cmd_verify`` imports ``SUITES`` and ``run_suite`` from
@@ -168,8 +168,8 @@ def cmd_verify(args) -> int:
 
 
 @functools.cache  # parsing leaves the parsers unchanged, so one set serves every call
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[argparse.ArgumentParser, dict]]]:
-    """The top-level parser, and by command name its subparser and flag actions."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[argparse.ArgumentParser, dict, dict, set]]]:
+    """The top-level parser, and by command: its subparser, flag actions, defaults (``func`` too) and required dests."""
     parser = argparse.ArgumentParser(
         prog="gwinv",
         description="Exact divided-power operations and invariants of "
@@ -210,7 +210,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[argparse.Ar
     # each RunConfig field is a flag of the same name, with its default
     p_verify.set_defaults(func=cmd_verify, **RunConfig().to_dict())
     commands = {"series": (p_series, series), "eval": (p_eval, evals), "verify": (p_verify, verifies)}
-    return parser, {name: (p, {a.option_strings[0]: a for a in flags}) for name, (p, flags) in commands.items()}
+    return parser, {
+        name: (p, {a.option_strings[0]: a for a in flags},
+               {a.dest: a.default for a in flags} | {"func": p.get_default("func")}, {a.dest for a in flags if a.required})
+        for name, (p, flags) in commands.items()
+    }
 
 
 def _read_flags(command: str, argv: list[str]) -> argparse.Namespace | None:
@@ -218,7 +222,7 @@ def _read_flags(command: str, argv: list[str]) -> argparse.Namespace | None:
     long flags, each once, as ``--flag=value`` or ``--flag value`` (value
     not starting with "-", never "--"), with valid values and every
     required flag; otherwise None, and argparse parses ``argv`` itself."""
-    sub, flags = build_parser()[1][command]
+    _, flags, defaults, required = build_parser()[1][command]
     values, rest = {}, iter(argv)
     for arg in rest:
         flag, eq, value = arg.partition("=")
@@ -231,10 +235,9 @@ def _read_flags(command: str, argv: list[str]) -> argparse.Namespace | None:
             return None
         if action.choices is not None and value not in action.choices:
             return None
-    if any(a.required and a.dest not in values for a in flags.values()):
-        return None
-    defaults = {a.dest: a.default for a in flags.values()}
-    return argparse.Namespace(**{**defaults, **values}, func=sub.get_default("func"))
+    args = argparse.Namespace()  # filled as a dict: Namespace(**kw) sets each attribute in turn
+    vars(args).update(defaults, **values)
+    return args if required.issubset(values) else None
 
 
 def main(argv=None) -> int:

@@ -10,6 +10,7 @@ and the remaining bits are the tower variables in order.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -226,8 +227,9 @@ _FIELD_RE = re.compile(r"^(C|R|F(\d+))((?:\(\(\w+\)\))*)$")
 _VAR_RE = re.compile(r"\(\((\w+)\)\)")
 
 
+@functools.lru_cache(maxsize=256)  # a descriptor is frozen, so one serves every parse
 def parse_field(text: str) -> FieldDescriptor:
-    """Parse e.g. 'R((t1))((t2))' or 'F7((t1))'."""
+    """Parse e.g. 'R((t1))((t2))' or 'F7((t1))', one shared descriptor per text (errors raise anew)."""
     m = _FIELD_RE.match(text.strip())
     if not m:
         raise FieldSyntaxError(f"bad field descriptor {text!r}")

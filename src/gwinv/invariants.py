@@ -433,10 +433,10 @@ def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
     """A literal on one dict of f-coefficients (module docstring)."""
     ops = coeff_ops(mode)
     add, mul, from_int = ops.add, ops.mul, ops.from_int
-    terms = []
+    terms, levels = [], set()
     # split the whole literal first, so an empty term wins over a bad factor
     for sign, body in list(split_signed_sum(text, "invariant literal", InvariantSyntaxError)):
-        coeff, eps = from_int(sign), 0
+        coeff, eps, degree = from_int(sign), 0, 0
         gens: list[tuple[str, int, int]] = []
         for factor in body.split("*"):
             factor = factor.strip()
@@ -444,20 +444,22 @@ def parse_invariant(text: str, mode: str) -> SymbolicInvariant:
                 raise InvariantSyntaxError(f"empty factor in {body!r}")
             m = _GEN_RE.match(factor)
             if m:
-                n, d = (parse_int(k, "index", InvariantSyntaxError) for k in m.group(2, 3))
-                gens.append((m.group(1), n, d))
+                n, d = parse_int(m[2], "index", InvariantSyntaxError), parse_int(m[3], "index", InvariantSyntaxError)
+                gens.append((m[1], n, d))
+                levels.add(n)
+                degree += n * d
                 continue
             m = _EPS_RE.match(factor)
             if m:
-                eps += parse_int(m.group(1) or "1", "eps exponent", InvariantSyntaxError)
+                eps += parse_int(m[1] or "1", "eps exponent", InvariantSyntaxError)
                 continue
             coeff = mul(coeff, from_int(parse_int(factor, "factor", InvariantSyntaxError)))
-            if mode == "W":
+            if mode == "W" and coeff.bit_length() > MAX_COEFF_BITS:
                 _check_cap(body, "coefficient", coeff.bit_length(), MAX_COEFF_BITS, " bits")
-        _check_cap(body, "eps exponent", eps, MAX_EPS_EXPONENT)
-        _check_cap(body, "total degree", sum(n * d for _, n, d in gens), MAX_TOTAL_DEGREE)
+        if eps > MAX_EPS_EXPONENT or degree > MAX_TOTAL_DEGREE:  # the eps cap is reported first
+            _check_cap(body, "eps exponent", eps, MAX_EPS_EXPONENT)
+            _check_cap(body, "total degree", degree, MAX_TOTAL_DEGREE)
         terms.append((coeff << eps, gens))
-    levels = {n for _, gens in terms for _, n, _ in gens}
     if not levels:
         raise InvariantSyntaxError("an invariant needs at least one f[...] or g[...]")
     if len(levels) > 1:

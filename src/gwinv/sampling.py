@@ -58,7 +58,7 @@ def rand_in_In_data(
         data.append((sign, slots))
         for m, c in pfister(slots).terms.items():
             terms[m] = terms.get(m, 0) + sign * c
-    return witt_canonical(GwElement(field, terms)), data
+    return witt_canonical(GwElement._of(field, {m: c for m, c in terms.items() if c})), data
 
 def rand_in_In(
     rng: Random, field: FieldDescriptor, n: int, max_terms: int = 2
@@ -73,7 +73,7 @@ def rand_gw(rng: Random, field: FieldDescriptor, dim: int) -> GwElement:
     for _ in range(dim):
         m = rng.randrange(1 << field.num_gens)
         terms[m] = terms.get(m, 0) + rng.choice((1, -1))
-    return GwElement(field, terms)
+    return GwElement._of(field, {m: c for m, c in terms.items() if c})
 
 
 def rand_diag(rng: Random, field: FieldDescriptor, dim: int) -> GwElement:

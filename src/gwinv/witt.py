@@ -29,7 +29,6 @@ table maps codes to codes, so they are built unchecked through ``_of``.
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import reduce
@@ -597,33 +596,36 @@ def signed_disc(x: GwElement) -> SquareClass:
 
 # ---------------------------------------------------------------------------
 # form-expression grammar:  form := term (('+'|'-') term)*
-#                           term := [int '*'] atom
+#                           term := [digits '*'] atom, on one line
 #                           atom := 'diag(' sc {',' sc} ')'
 #                                 | 'pf(' sc {',' sc} ')' | 'H'
 
-_TERM_RE = re.compile(r"^(?:(\d+)\*)?(.*)$")
-
 
 def parse_form(text: str, field: FieldDescriptor) -> GwElement:
-    """Parse a form expression into one {mask: count} dict: a ``pf`` term
-    adds its slot product seeded with sign * coefficient, a ``diag`` or
-    ``H`` term adds that count at each of its masks."""
+    """Parse a form expression into one {mask: count} dict, built unchecked:
+    a ``pf`` term adds its slot product seeded with sign * coefficient, a
+    ``diag`` or ``H`` term that count at each of its masks (all in range)."""
     terms: dict[int, int] = {}
     for sign, term in split_signed_sum(text, "form expression"):
-        m = _TERM_RE.match(term)
-        if not m:
+        if "\n" in term:
             raise FieldSyntaxError(f"bad form term {term!r}")
-        count = sign * (parse_int(m.group(1), "form coefficient") if m.group(1) else 1)
-        atom = m.group(2).strip()
+        digits, star, atom = term.partition("*")
+        if star and digits.isdecimal():
+            count, atom = sign * parse_int(digits, "form coefficient"), atom.strip()
+        else:
+            count, atom = sign, term
         if atom == "H":
             pairs = [(0, count), (minus_one_mask(field), count)]
         elif atom.startswith("diag(") and atom.endswith(")"):
             pairs = [(parse_sc_mask(tok, field), count) for tok in atom[5:-1].split(",")]
         elif atom.startswith("pf(") and atom.endswith(")"):
-            slots = [parse_sc_mask(tok, field) for tok in atom[3:-1].split(",")]
-            pairs = _slot_terms(field, slots, False, count).items()
+            pairs = _slot_terms(field, [parse_sc_mask(tok, field) for tok in atom[3:-1].split(",")], False, count)
+            if not terms:  # the first term's slot product seeds the running terms
+                terms = pairs
+                continue
+            pairs = pairs.items()
         else:
             raise FieldSyntaxError(f"bad form atom {atom!r}")
         for mask, c in pairs:
             terms[mask] = terms.get(mask, 0) + c
-    return GwElement(field, terms)
+    return GwElement._of(field, {m: c for m, c in terms.items() if c})

@@ -5,7 +5,9 @@ as a test oracle.
 builds one ``GwElement`` per term and scales it, and ``parse_invariant``
 sums its terms in the g-basis when every generator is a g one and in the
 f-basis otherwise, and converts the sum to the f-basis at the end, with
-one checked ``SymbolicInvariant`` per generator and per product.  The
+one checked ``SymbolicInvariant`` per generator and per product.  Like
+the library, it caps a term's eps exponent and, in mode W, its integer
+coefficient after each integer factor, then its total degree.  The
 library parses the same grammars straight to a {mask: count} dict and to
 one dict of packed f-coefficients, a product of generators read off its
 integer values on sums of Pfister forms; the tests compare the two,
@@ -16,6 +18,8 @@ import re
 
 from gwinv.fields import FieldSyntaxError, parse_int, parse_sc, sc_one
 from gwinv.invariants import (
+    MAX_COEFF_BITS,
+    MAX_EPS_EXPONENT,
     MAX_TOTAL_DEGREE,
     InvariantSyntaxError,
     SymbolicInvariant,
@@ -84,7 +88,7 @@ def parse_invariant(text, mode):
     ops = coeff_ops(mode)
     terms = []
     for sign, body in list(split_signed_sum(text, "invariant literal", InvariantSyntaxError)):
-        coeff = ops.from_int(sign)
+        coeff, eps = ops.from_int(sign), 0
         gens = []
         for factor in body.split("*"):
             factor = factor.strip()
@@ -97,10 +101,18 @@ def parse_invariant(text, mode):
                 continue
             m = _EPS_RE.match(factor)
             if m:
-                k = m.group(1) or "1"
-                coeff = coeff << parse_int(k, "eps exponent", InvariantSyntaxError)
+                k = parse_int(m.group(1) or "1", "eps exponent", InvariantSyntaxError)
+                coeff, eps = coeff << k, eps + k
                 continue
             coeff = ops.mul(coeff, ops.from_int(parse_int(factor, "factor", InvariantSyntaxError)))
+            if mode == "W" and (coeff >> eps).bit_length() > MAX_COEFF_BITS:  # the integer factors so far
+                raise InvariantSyntaxError(
+                    f"the coefficient of {body.strip()[:40]!r} exceeds the cap of {MAX_COEFF_BITS} bits"
+                )
+        if eps > MAX_EPS_EXPONENT:
+            raise InvariantSyntaxError(
+                f"the eps exponent of {body.strip()[:40]!r} exceeds the cap of {MAX_EPS_EXPONENT}"
+            )
         degree = sum(n * d for _, n, d in gens)
         if degree > MAX_TOTAL_DEGREE:
             raise InvariantSyntaxError(

@@ -390,6 +390,21 @@ class TestEval:
         assert code == EXIT_OK
         assert out.strip() == "<1,-t1>"
 
+    def test_requests_on_one_field_build_one_descriptor(self, capsys, monkeypatch):
+        """Every request on one --field text gets the descriptor the first
+        one built, so q's primality test runs once for all of them; a
+        request that fails to parse keeps it too."""
+        fields.parse_field.cache_clear()
+        built, post_init = [], fields.FieldDescriptor.__post_init__
+        monkeypatch.setattr(fields.FieldDescriptor, "__post_init__", lambda F: built.append(F) or post_init(F))
+        requests = [("f[1,1]", "pf(t1)"), ("f[1,2]-eps", "pf(u,t1)+pf(t1)"), ("f[2,1]", "pf(t1)"), ("f[1,1]", "pf(v)")]
+        codes = []
+        for mode in ("W", "H"):
+            for inv, form in requests:
+                codes.append(run(capsys, "eval", f"--inv={inv}", f"--form={form}", "--field=F1000000007((t1))", f"--mode={mode}")[0])
+        assert codes == [EXIT_OK, EXIT_OK, EXIT_MEMBERSHIP, EXIT_PARSE] * 2
+        assert len(built) == 1 and str(built[0]) == "F1000000007((t1))"
+
     @pytest.mark.cpu_budget
     def test_large_multiplier_over_real_tower(self, capsys):
         # f_t(k pf(t1)) = (1 + {t1} t)^k: C(k, 2) is odd and {t1}^2 = (-1)(t1)
@@ -909,6 +924,7 @@ class TestVerify:
     def test_field_is_parsed_once(self, capsys, monkeypatch):
         """The primality test of a large q, most of the command's CPU, runs
         once: the suite parses --field, and the command does not first."""
+        fields.parse_field.cache_clear()  # an earlier test may have parsed this text
         calls = []
         prime_power = fields._is_odd_prime_power
         monkeypatch.setattr(fields, "_is_odd_prime_power", lambda q: calls.append(q) or prime_power(q))

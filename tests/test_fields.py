@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from gwinv import fields
 from gwinv.fields import (
     MAX_FINITE_ORDER,
     FieldDescriptor,
@@ -119,7 +120,8 @@ class TestStoredConstants:
     @pytest.mark.parametrize("head", BASE_HEADS)
     def test_repr_equality_and_hash_are_those_of_the_init_fields(self, head, depth):
         text = head_tower(head, depth)
-        F, G = parse_field(text), parse_field(text)
+        F = parse_field(text)
+        G = FieldDescriptor(F.kind, F.q, F.vars)  # parse_field would hand back F itself
         assert F is not G
         assert repr(F) == repr(G) == f"FieldDescriptor(kind={F.kind!r}, q={F.q!r}, vars={F.vars!r})"
         assert F == G and not F != G and F == F
@@ -151,6 +153,42 @@ class TestStoredConstants:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(F, name, 1)
         assert dataclasses.replace(F, vars=("t1",)).depth == 1
+
+
+class TestDescriptorCache:
+    """``parse_field`` keeps one descriptor per text it has parsed, and no
+    error: a bad text is parsed, and rejected, every time."""
+
+    @pytest.fixture
+    def primality_tests(self, monkeypatch):
+        """The orders ``_is_odd_prime_power`` is asked about, from a cleared cache on."""
+        parse_field.cache_clear()
+        calls, prime_power = [], fields._is_odd_prime_power
+        monkeypatch.setattr(fields, "_is_odd_prime_power", lambda q: calls.append(q) or prime_power(q))
+        return calls
+
+    def test_two_parses_share_one_descriptor(self, primality_tests):
+        F = parse_field("F1000000007((t1))((t2))")
+        assert parse_field("F1000000007((t1))((t2))") is F
+        assert primality_tests == [1000000007]
+
+    def test_differing_texts_of_one_field_share_no_descriptor(self, primality_tests):
+        F, G = parse_field("F9((t1))"), parse_field(" F9((t1)) ")
+        assert F == G and F is not G and primality_tests == [9, 9]
+
+    @pytest.mark.parametrize(
+        "text, q",
+        [("F15((t1))", 15), ("F8", 8), ("F7((t1))((t1))", 7), ("F3((u))", 3), ("R((t1", None), (head_tower("F5", 7), 5)],
+    )
+    def test_a_bad_text_raises_on_every_parse(self, primality_tests, text, q):
+        messages = []
+        for _ in range(3):
+            with pytest.raises(FieldSyntaxError) as exc:
+                parse_field(text)
+            messages.append(str(exc.value))
+        assert len(set(messages)) == 1
+        assert primality_tests == ([q] * 3 if q else [])
+        assert parse_field.cache_info().currsize == 0
 
 
 class TestSquareClassGroup:

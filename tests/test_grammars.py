@@ -6,6 +6,7 @@ every text: the same result, or the same error."""
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -100,6 +101,68 @@ def _assert_same_parse(text, fields):
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 def test_parsers_match_literal_oracle(text):
     _assert_same_parse(text, ORACLE_FIELDS)
+
+
+BIG = "1" * 4301  # one digit past the interpreter's default int() limit
+
+# Edge cases of the two literal grammars: each text, with the start of what
+# the parser it is written for makes of it ("ok" when it parses), over FIELD
+# for a form and in mode W for an invariant.
+EDGE_FORMS = [
+    ("3*pf(t1)", "ok"),  # a leading coefficient
+    ("3* pf(t1)", "ok"),
+    ("3 * pf(t1)", "bad form atom"),  # spaces around '*'
+    ("3 *pf(t1)", "bad form atom"),
+    ("2*3*H", "bad form atom"),
+    ("*H", "bad form atom"),
+    ("\u0663*H", "ok"),  # a non-ASCII decimal digit
+    ("\u00b2*H", "bad form atom"),  # a digit that is not decimal
+    ("pf(t1,\nt2)", "bad form term"),  # a newline inside a term
+    ("2*\nH", "bad form term"),
+    ("pf(t1)+\nH", "ok"),  # one at a term's edge is stripped
+    ("H", "ok"),
+    ("10*H", "ok"),
+    ("0*H-H+H", "ok"),
+    ("diag(1,-1)", "ok"),
+    ("pf(-t1,-1)-diag(-u*t2)", "ok"),  # '-'-signed slots
+    ("pf(-)", "empty square-class literal"),
+    ("pf(x)", "unknown generator"),
+    ("diag(t1*t3)", "unknown generator"),
+    (BIG + "*H", "bad form coefficient"),
+]
+EDGE_INVARIANTS = [
+    ("3*f[1,2]", "ok"),  # a leading coefficient
+    (" 3 * eps * f[1,2] ", "ok"),  # spaces around '*'
+    ("f[1,\n2]", "bad factor"),  # a newline inside a factor
+    ("f[1,2]*\n3", "ok"),  # one at a factor's edge is stripped
+    ("-eps^2*g[2,1]*f[2,2]+2*g[2,3]-7", "ok"),
+    ("f[1," + BIG + "]", "bad index"),  # a 4,301-digit index
+    ("f[" + BIG[:300] + ",1]", "the total degree"),
+    ("eps^*f[1,1]", "bad factor 'eps^'"),
+    ("eps^" + BIG + "*f[1,1]", "bad eps exponent"),
+    ("eps^1000000*f[1,1]", "ok"),  # the eps cap
+    ("eps^600000*eps^400001*f[1,1]", "the eps exponent"),
+    ("eps^1000001*f[1,300]", "the eps exponent"),  # over two caps: the eps cap is reported
+    ("f[1,256]", "ok"),  # the degree cap
+    ("f[2,100]*f[2,29]", "the total degree"),
+    ("9" * 4000 + "*" + "9" * 800 + "*f[1,1]", "ok"),  # the W coefficient cap
+    ("9" * 4000 + "*" + "9" * 900 + "*f[1,1]*f[1,300]", "the coefficient"),  # reported at its factor
+    ("f[1,1]+f[2,1]", "mixed levels"),
+    ("f[0,1]", "the level n"),
+    ("3-eps", "an invariant needs"),
+]
+
+
+@pytest.mark.parametrize("text, want", EDGE_FORMS + EDGE_INVARIANTS, ids=lambda v: repr(v)[:30])
+def test_edge_literals_match_literal_oracle(text, want):
+    _assert_same_parse(text, ORACLE_FIELDS)
+    parse = (lambda t: parse_form(t, FIELD)) if (text, want) in EDGE_FORMS else (lambda t: parse_invariant(t, "W"))
+    try:
+        parse(text)
+        got = "ok"
+    except (FieldSyntaxError, InvariantSyntaxError) as exc:
+        got = str(exc)
+    assert got.startswith(want), got[:80]
 
 
 def test_eval_workload_literals_match_literal_oracle():
