@@ -180,9 +180,10 @@ def _gen_mask(field: FieldDescriptor, name: str) -> int:
         if field.kind != FINITE_ODD:
             raise FieldSyntaxError("'u' only exists over a finite base")
         return 1
-    if name not in field.vars:
-        raise FieldSyntaxError(f"unknown generator {name!r} over {field}")
-    return 1 << (field.base_bits + field.vars.index(name))
+    try:
+        return 1 << (field.base_bits + field.vars.index(name))
+    except ValueError:
+        raise FieldSyntaxError(f"unknown generator {name!r} over {field}") from None
 
 
 def minus_one_mask(field: FieldDescriptor) -> int:

@@ -1,20 +1,21 @@
 """Identity-suite verification harness.
 
-Each identity family is declared once, with ``@family(suite, key, ...)``.
-A sampled family is a case function ``(cfg, rng, F, target)`` that
-yields the ``(detail, expected, got)`` triples of one sampled case; a
-boolean identity yields ``(detail, True, <bool>)``.  A fixed family (no
-``count``) is a function ``(cfg, rng, fields)`` that walks a fixed table;
-only ``pi/kills-deep-lifts`` (depth-3 towers, not the run's fields) and
-``coh-ops/residue`` (the first tower of depth >= 1 over each base) draw.
+Each identity family is declared once, with ``@family(suite, key, ...)``,
+as a case function ``(cfg, rng, F, target)`` that yields the
+``(detail, expected, got)`` triples of one case; a boolean identity yields
+``(detail, True, <bool>)``.  A family that walks a fixed table is a
+field-free family of one case (the default ``count``); only
+``pi/kills-deep-lifts`` (depth-3 towers, not the run's fields) and
+``coh-ops/residue`` (the first tower of depth >= 1 over each base of the
+run's fields) of those draw.
 
 ``run_suite`` is the one driver.  It resolves ``fields`` from ``cfg.field``
 and walks a suite's families in declaration order, each on its own stream
 ``Random(f"{cfg.seed}/{suite}/{key}")`` (a ``str`` seed is hashed by
 SHA-512, not ``hash()``), so no family's cases depend on another's.  A
 ``per_target`` family is walked once per target of ``cfg``, W then H, and
-the target is also the value ring A(F) (``target.zero(F)``).  A sampled
-family has ``count(cfg)`` cases that cycle through the fields ``applies``
+the target is also the value ring A(F) (``target.zero(F)``).  A family
+has ``count(cfg)`` cases that cycle through the fields ``applies``
 accepts, none when no field does; ``applies=None`` makes it field-free
 (``F`` is None).  The tally is a machine-readable report::
 
@@ -24,7 +25,7 @@ A case passes when ``expected == got``.  Reports are deterministic functions
 of the configuration, including the seed.  A first failure carries both
 sides as text (``"true"``/``"false"`` for a boolean identity) and, built
 only then, the inputs ``suite/key: detail over F (mode, case i)``, without
-the parts a family has not got (a fixed family: ``suite/key: detail``).
+the field or mode a family has not got.
 """
 from __future__ import annotations
 
@@ -52,7 +53,6 @@ from .factorized import alt_factorizations, delta_t_eval, lemma_factor_check, ma
 from .fields import SquareClass, enumerate_sc, minus_one, parse_field, sc_one
 from .invariants import eval_g
 from .sampling import (
-    BASE_HEADS,
     rand_coeff,
     rand_diag,
     rand_gw,
@@ -68,7 +68,6 @@ from .series import build_h, build_x, catalan, cauchy, compose, even_odd_split, 
 from .witt import (
     GwElement,
     gpfister,
-    gw_equal,
     hat_lift,
     is_in_In,
     lambda_power_direct,
@@ -87,18 +86,13 @@ def _fields(cfg: RunConfig):
     return standard_fields()
 
 
-def _field_count(cfg: RunConfig) -> int:
-    """``len(_fields(cfg))`` unbuilt: one field, or each base kind at depths 0..2."""
-    return 1 if cfg.field is not None else 3 * len(BASE_HEADS)
-
-
 @dataclass(frozen=True)
 class Family:
     """One identity family of a suite; see the module docstring."""
 
     key: str
     run: Callable
-    count: Callable | None  # None: a fixed family
+    count: Callable
     per_target: bool
     applies: Callable | None  # None: a field-free family
 
@@ -107,11 +101,15 @@ def _every(F) -> bool:
     return True
 
 
+def _once(cfg) -> int:
+    return 1
+
+
 # suite name -> its families in declaration order
 SUITES: dict[str, list[Family]] = {}
 
 
-def family(suite: str, key: str, count=None, per_target: bool = False, applies=_every):
+def family(suite: str, key: str, count=_once, per_target: bool = False, applies=_every):
     """Register the decorated function as family ``key`` of ``suite``."""
 
     def register(run):
@@ -127,10 +125,6 @@ def _cases(name: str, cfg: RunConfig):
     fields = _fields(cfg)
     for fam in SUITES[name]:
         rng = Random(f"{cfg.seed}/{name}/{fam.key}")
-        if fam.count is None:
-            for detail, expected, got in fam.run(cfg, rng, fields):
-                yield (fam.key, detail, None, None, None), expected, got
-            continue
         applicable = [F for F in fields if fam.applies(F)] if fam.applies else [None]
         for target in cfg.targets() if fam.per_target else (None,):
             for i, F in zip(range(fam.count(cfg)), cycle(applicable)):
@@ -142,9 +136,7 @@ def _label(suite: str, key: str, detail: str, F, target, i) -> str:
     text = f"{suite}/{key}: {detail}"
     if F is not None:
         text += f" over {F}"
-    if i is not None:
-        text += f" ({target.mode}, case {i})" if target else f" (case {i})"
-    return text
+    return text + (f" ({target.mode}, case {i})" if target else f" (case {i})")
 
 
 def _elementary(factors: list, d: int, zero, one):
@@ -186,8 +178,8 @@ def _report(suite: str, cfg: RunConfig, cases) -> dict:
 # series
 
 
-@family("series", "compositional-inverse")
-def series_inverse(cfg, rng, fields):
+@family("series", "compositional-inverse", applies=None)
+def series_inverse(cfg, rng, F, target):
     D = cfg.prec
     t = [0, 1] + [0] * (D - 1)
     for n in range(1, 7):
@@ -198,8 +190,8 @@ def series_inverse(cfg, rng, fields):
         yield f"h_{n} integral, D={D}", True, all(isinstance(c, int) for c in h)
 
 
-@family("series", "parity-split")
-def series_parity_split(cfg, rng, fields):
+@family("series", "parity-split", applies=None)
+def series_parity_split(cfg, rng, F, target):
     D = cfg.prec
     t = [0, 1] + [0] * (D - 1)
     c = catalan(D)
@@ -225,8 +217,8 @@ def series_parity_split(cfg, rng, fields):
 
 # products whose factors both have constant term 1, so every a_d b_0 term
 # of ``cauchy`` is read, against closed forms
-@family("series", "unit-products")
-def series_unit_products(cfg, rng, fields):
+@family("series", "unit-products", applies=None)
+def series_unit_products(cfg, rng, F, target):
     D = cfg.prec
     one_minus_t = [1, -1] + [0] * (D - 1)
     yield f"(1 + x_1)(1 - t) = 1, D={D}", [1] + [0] * D, cauchy([1, *build_x(1, D)[1:]], one_minus_t)
@@ -239,8 +231,8 @@ def series_unit_products(cfg, rng, fields):
         yield f"binomial identity n={n}, D={D}", cauchy([1, 1 << n] + [0] * (D - 1), minus), plus
 
 
-@family("series", "pascal")
-def series_pascal(cfg, rng, fields):
+@family("series", "pascal", applies=None)
+def series_pascal(cfg, rng, F, target):
     for a in range(-20, 21):
         for b in range(-20, 21):
             yield (
@@ -255,14 +247,14 @@ def series_pascal(cfg, rng, fields):
 
 
 # samples counts pairs per base-kind family; each family has three depths
-@family("lambda", "exterior-powers", lambda cfg: max(1, cfg.samples // 3) * _field_count(cfg))
+@family("lambda", "exterior-powers", lambda cfg: max(1, cfg.samples // 3) * len(_fields(cfg)))
 def lambda_exterior_powers(cfg, rng, F, target):
     prec = 8
     x = rand_gw(rng, F, rng.randint(0, 4))
     y = rand_gw(rng, F, rng.randint(0, 4))
     sx = lambda_series(x, range(prec + 1))
-    yield "lambda^0 = 1", True, gw_equal(sx[0], GwElement.unit(F))
-    yield "lambda^1 = id", True, gw_equal(sx[1], x)
+    yield "lambda^0 = 1", GwElement.unit(F), sx[0]
+    yield "lambda^1 = id", x, sx[1]
     sy = lambda_series(y, range(prec + 1))
     sxy = lambda_series(x + y, range(prec + 1))
     for d in range(prec + 1):
@@ -271,31 +263,23 @@ def lambda_exterior_powers(cfg, rng, F, target):
         for k in range(d + 1):
             for (m1, c1), (m2, c2) in product(sx[k].terms.items(), sy[d - k].terms.items()):
                 rhs[m1 ^ m2] = rhs.get(m1 ^ m2, 0) + c1 * c2
-        yield f"lambda sum rule d={d}", True, gw_equal(sxy[d], GwElement(F, rhs))
+        yield f"lambda sum rule d={d}", GwElement(F, rhs), sxy[d]
     diag = rand_diag(rng, F, rng.randint(1, 5))
     for d, power in lambda_series(diag, range(4)).items():
-        yield f"series vs direct d={d}", True, gw_equal(power, lambda_power_direct(d, diag))
+        yield f"series vs direct d={d}", lambda_power_direct(d, diag), power
     a = rand_sc(rng, F)
     g = gpfister([a])
     for d, power in lambda_series(g, range(1, 6)).items():
-        yield f"lambda^{d} fixes <<{a}>>-hat", True, gw_equal(power, g)
+        yield f"lambda^{d} fixes <<{a}>>-hat", g, power
 
 
-@family("lambda", "pfister-squares")
-def lambda_pfister_squares(cfg, rng, fields):
+@family("lambda", "pfister-squares", applies=None)
+def lambda_pfister_squares(cfg, rng, F, target):
     for F in standard_fields():
         m1 = minus_one(F)
         for a in enumerate_sc(F):
-            yield (
-                f"pf(a,a) = pf(-1,a) over {F}, a={a}",
-                True,
-                gw_equal(pfister([a, a]), pfister([m1, a])),
-            )
-            yield (
-                f"pf(a,a) = 2 pf(a) over {F}, a={a}",
-                True,
-                gw_equal(pfister([a, a]), pfister([a]).scale(2)),
-            )
+            yield f"pf(a,a) = pf(-1,a) over {F}, a={a}", pfister([m1, a]), pfister([a, a])
+            yield f"pf(a,a) = 2 pf(a) over {F}, a={a}", pfister([a]).scale(2), pfister([a, a])
             yield (
                 f"gpf(1) = 0 over {F}" if a.is_one else f"dim gpf over {F}",
                 True,
@@ -306,7 +290,7 @@ def lambda_pfister_squares(cfg, rng, fields):
 @family(
     "lambda",
     "gw-relations",
-    lambda cfg: max(1, cfg.samples // (2 * _field_count(cfg))) * _field_count(cfg),
+    lambda cfg: max(1, cfg.samples // (2 * len(_fields(cfg)))) * len(_fields(cfg)),
 )
 def lambda_gw_relations(cfg, rng, F, target):
     q = rand_gw(rng, F, rng.randint(0, 5))
@@ -317,8 +301,8 @@ def lambda_gw_relations(cfg, rng, F, target):
     k = rng.randint(1, 2)
     left = q + GwElement.diag(a, -a).scale(k)
     right = q + GwElement.diag(sc_one(F), -sc_one(F)).scale(k)
-    yield "hyperbolic rewrite", True, gw_equal(left, right)
-    yield "<a,a> = 2<a>", True, gw_equal(GwElement.diag(a, a), GwElement.diag(a).scale(2))
+    yield "hyperbolic rewrite", right, left
+    yield "<a,a> = 2<a>", GwElement.diag(a).scale(2), GwElement.diag(a, a)
     qe = rand_in_In(rng, F, 1)
     lift = hat_lift(qe)
     yield "witt(hat(q)) = q", qe, witt_canonical(lift)
@@ -332,8 +316,8 @@ def lambda_gw_relations(cfg, rng, F, target):
 # divided powers
 
 
-@family("pi", "kills-pfister-lifts")
-def pi_kills_pfister_lifts(cfg, rng, fields):
+@family("pi", "kills-pfister-lifts", applies=None)
+def pi_kills_pfister_lifts(cfg, rng, F, target):
     d_hi = max(2, min(cfg.d_max, 5))
     for F in standard_fields():
         classes = enumerate_sc(F)
@@ -348,8 +332,8 @@ def pi_kills_pfister_lifts(cfg, rng, fields):
                     )
 
 
-@family("pi", "kills-deep-lifts")
-def pi_kills_deep_lifts(cfg, rng, fields):
+@family("pi", "kills-deep-lifts", applies=None)
+def pi_kills_deep_lifts(cfg, rng, F, target):
     d_hi = max(2, min(cfg.d_max, 5))
     deep = [F for F in standard_fields(3) if F.depth == 3]
     for F in deep:
@@ -372,10 +356,10 @@ def pi_divided_sum(cfg, rng, F, target):
     for g in lifts:
         total = total + g
     pis = eval_pi_coeffs(n, range(1, d_top + 1), total)
-    yield f"pi_{n}^1 = id on a sum of {r} lifts", True, gw_equal(pis[1], total)
+    yield f"pi_{n}^1 = id on a sum of {r} lifts", total, pis[1]
     for d in range(2, d_top + 1):
         sym = _elementary(lifts, d, GwElement.zero(F), GwElement.unit(F))
-        yield f"pi_{n}^{d} elementary symmetric, r={r}", True, gw_equal(pis[d], sym)
+        yield f"pi_{n}^{d} elementary symmetric, r={r}", sym, pis[d]
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +424,7 @@ def g_beyond_bound(cfg, rng, F, target):
 
 
 # the bound is attained over real-closed towers (depth 0 and 1)
-@family("g-bounds", "attained", lambda cfg: 1, per_target=True, applies=None)
+@family("g-bounds", "attained", per_target=True, applies=None)
 def g_attained(cfg, rng, F, target):
     for K in (parse_field("R"), parse_field("R((t1))")):
         q = -witt_canonical(pfister([minus_one(K)]))
@@ -456,8 +440,8 @@ def g_fixed_dim(cfg, rng, F, target):
 
 
 # f-boundedness fails over a real-closed base ...
-@family("g-bounds", "f-unbounded")
-def g_f_unbounded(cfg, rng, fields):
+@family("g-bounds", "f-unbounded", applies=None)
+def g_f_unbounded(cfg, rng, F, target):
     q_w = -witt_canonical(pfister([minus_one(parse_field("R"))]))
     for d in range(1, 9):
         yield (
@@ -596,8 +580,8 @@ def classify_disc_truncation(cfg, rng, F, target):
 # products
 
 
-@family("product", "binomial-parity")
-def product_binomial_parity(cfg, rng, fields):
+@family("product", "binomial-parity", applies=None)
+def product_binomial_parity(cfg, rng, F, target):
     for s in range(17):
         for t in range(17):
             for d in range(max(s, t), s + t + 1):
@@ -668,8 +652,8 @@ def restrict_pointwise(cfg, rng, F, target):
     yield f"n={n} d={d}", inv.evaluate(alpha, q), inv.evaluate(inv.restrict(alpha), q)
 
 
-@family("restrict", "level-1-in-H")
-def restrict_level_1_in_H(cfg, rng, fields):
+@family("restrict", "level-1-in-H", applies=None)
+def restrict_level_1_in_H(cfg, rng, F, target):
     for d in range(0, cfg.d_max + 1):
         got = inv.restrict(inv.SymbolicInvariant.generator(1, "H", "f", 2 * d))
         yield (
@@ -784,7 +768,7 @@ def fixed_dim_group_law(cfg, rng, F, target):
 
 
 # on the first field only
-@family("fixed-dim", "normalized", lambda cfg: 1, per_target=True)
+@family("fixed-dim", "normalized", per_target=True)
 def fixed_dim_normalized(cfg, rng, F, target):
     hyp = GwElement.diag(sc_one(F), -sc_one(F))
     for d in range(1, 5):
@@ -795,8 +779,8 @@ def fixed_dim_normalized(cfg, rng, F, target):
 # cohomology operations
 
 
-@family("coh-ops", "symbol-relations")
-def coh_symbol_relations(cfg, rng, fields):
+@family("coh-ops", "symbol-relations", applies=None)
+def coh_symbol_relations(cfg, rng, F, target):
     for F in standard_fields():
         classes = enumerate_sc(F)
         for a in classes:
@@ -829,12 +813,12 @@ def coh_e_n_additivity(cfg, rng, F, target):
     yield f"n={n}", e_n(q1, n) + e_n(q2, n), e_n(q1 + q2, n)
 
 
-@family("coh-ops", "residue")
-def coh_residue_symbols(cfg, rng, fields):
+@family("coh-ops", "residue", applies=None)
+def coh_residue_symbols(cfg, rng, F, target):
     towers = {}  # the first tower of depth >= 1 over each base
-    for F in fields:
-        if F.depth >= 1:
-            towers.setdefault((F.kind, F.q), F)
+    for K in _fields(cfg):
+        if K.depth >= 1:
+            towers.setdefault((K.kind, K.q), K)
     for F in towers.values():
         t_sym = symbol([SquareClass(F, F.top_bit)])
         for _ in range(3):

@@ -619,11 +619,8 @@ def parse_form(text: str, field: FieldDescriptor) -> GwElement:
         elif atom.startswith("diag(") and atom.endswith(")"):
             pairs = [(parse_sc_mask(tok, field), count) for tok in atom[5:-1].split(",")]
         elif atom.startswith("pf(") and atom.endswith(")"):
-            pairs = _slot_terms(field, [parse_sc_mask(tok, field) for tok in atom[3:-1].split(",")], False, count)
-            if not terms:  # the first term's slot product seeds the running terms
-                terms = pairs
-                continue
-            pairs = pairs.items()
+            slots = [parse_sc_mask(tok, field) for tok in atom[3:-1].split(",")]
+            pairs = _slot_terms(field, slots, False, count).items()
         else:
             raise FieldSyntaxError(f"bad form atom {atom!r}")
         for mask, c in pairs:

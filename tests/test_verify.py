@@ -2,6 +2,7 @@
 format honors its contract."""
 
 import importlib.util
+import inspect
 import json
 import re
 from dataclasses import replace
@@ -78,8 +79,9 @@ def test_known_modes_select_their_targets():
 
 @pytest.mark.parametrize("field", [None, "F1099511627689((t1))"])
 def test_a_run_builds_its_fields_once(monkeypatch, field):
-    """The count functions size a run without building a field: a run
-    parses --field once, or builds standard_fields() once."""
+    """A run tests the order of each finite field text it builds once,
+    however often its count functions and families build --field or
+    standard_fields(): one descriptor serves every parse of a text."""
     check, calls = fields._is_odd_prime_power, []
 
     def counted(q):
@@ -87,15 +89,13 @@ def test_a_run_builds_its_fields_once(monkeypatch, field):
         return check(q)
 
     monkeypatch.setattr(fields, "_is_odd_prime_power", counted)
+    fields.parse_field.cache_clear()
     cfg = RunConfig(field=field, samples=3)
-    assert verify._field_count(cfg) == len(verify._fields(cfg))
-    calls.clear()
     assert run_suite("lambda", cfg)["cases_failed"] == 0
     per_run = sorted(calls)
-    calls.clear()
-    verify._fields(cfg)
-    sampling.standard_fields()  # pfister-squares walks every standard field itself
-    assert per_run == sorted(calls)
+    # pfister-squares walks every standard field itself
+    built = [*verify._fields(cfg), *sampling.standard_fields()]
+    assert per_run == sorted({str(F): F.q for F in built if F.q is not None}.values())
 
 
 def test_residue_family_covers_every_base():
@@ -148,6 +148,10 @@ DRIVEN = [
     ("classify", "disc-truncation", None, False),
     ("g-bounds", "attained", None, True),
     ("delta1", "descent-well-defined", lambda F: True, True),
+    # families that walk a table of their own: one field-free case
+    ("series", "pascal", None, False),
+    ("pi", "kills-deep-lifts", None, False),
+    ("coh-ops", "residue", None, False),
 ]
 
 
@@ -167,6 +171,13 @@ def test_driven_families_carry_the_driver_coordinates(name, key, applies, per_ta
         assert F == fields[i % len(fields)]
     if key != "disc-truncation":  # the only family that may skip a draw
         assert set(seen) == {(target, i) for target in targets for i in range(fam.count(cfg))}
+
+
+def test_every_family_is_a_case_function():
+    """Every family has the one shape the driver calls, ``(cfg, rng, F, target)``."""
+    for families in SUITES.values():
+        for fam in families:
+            assert list(inspect.signature(fam.run).parameters) == ["cfg", "rng", "F", "target"], fam.key
 
 
 def test_descent_well_defined_catches_a_wrong_alternative(monkeypatch):
@@ -255,6 +266,7 @@ def test_lambda_unit_catches_a_wrong_degree_zero_read(monkeypatch):
     report = run_suite("lambda", RunConfig(samples=6))
     assert report["cases_failed"] > 0
     assert report["first_failure"]["inputs"].startswith("lambda/exterior-powers: lambda^0 = 1 over ")
+    assert report["first_failure"]["expected"] == "<1>"
 
 
 def test_lambda_fixed_points_catch_a_wrong_batched_read(monkeypatch):
@@ -419,11 +431,11 @@ def test_unknown_suite_rejected():
 
 def test_failure_reporting_shape():
     # feed failing cases to the driver's tally to pin the failure payload
-    cases = [(("key", "inputs text", None, None, None), 1, 2), (("key", "later", None, None, None), 3, 4)]
+    cases = [(("key", "inputs text", None, None, 0), 1, 2), (("key", "later", None, None, 1), 3, 4)]
     report = _report("demo", RunConfig(), cases)
     assert report["cases_failed"] == 2
     assert report["first_failure"] == {
-        "inputs": "demo/key: inputs text",
+        "inputs": "demo/key: inputs text (case 0)",
         "expected": "1",
         "got": "2",
     }
