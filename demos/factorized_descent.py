@@ -39,7 +39,7 @@ for alt in alts:
     print("  ", alt)
 print()
 
-alpha = SymbolicInvariant.generator(1, "H", "f", 2)
+alpha = SymbolicInvariant(1, "H", {2: 1})
 print("descent values {scalar} . f[1,2](cofactor), cohomology mode:")
 for alt in alts:
     print("  ", delta_t_eval(alt, alpha, 1))
@@ -48,7 +48,7 @@ assert len(vals) == 1
 print("all equal   [checked]")
 print()
 
-alpha_w = SymbolicInvariant.generator(1, "W", "f", 1)
+alpha_w = SymbolicInvariant(1, "W", {1: 1})
 print("same in Witt mode:", delta_t_eval(x, alpha_w, 1))
 print()
 

@@ -16,6 +16,7 @@ from gwinv.invariants import (
     SymbolicInvariant,
     evaluate,
     extract_coeffs,
+    from_g,
     g_coeffs,
     omega_t,
     parse_invariant,
@@ -37,35 +38,35 @@ def in_g(alpha):
 
 print("basis change is triangular unipotent:")
 for d in range(1, 6):
-    print(f"  g[2,{d}] =", SymbolicInvariant.generator(2, W, "g", d))
+    print(f"  g[2,{d}] =", from_g(2, W, {d: 1}))
 print()
 
 print("shifting: the plus shift steps the f-basis down one degree,")
 print("the minus shift expands with eps powers:")
-f3 = SymbolicInvariant.generator(1, W, "f", 3)
+f3 = SymbolicInvariant(1, W, {3: 1})
 print("  phi+ f[1,3] =", phi(f3, 1))
 print("  phi- f[1,3] =", phi(f3, -1))
 print()
 
 print("products follow the trinomial rule:")
-f1 = SymbolicInvariant.generator(1, W, "f", 1)
+f1 = SymbolicInvariant(1, W, {1: 1})
 print("  f[1,1] * f[1,1] =", product(f1, f1))
-u = SymbolicInvariant.generator(2, "H", "f", 3)
-v = SymbolicInvariant.generator(2, "H", "f", 5)
+u = SymbolicInvariant(2, "H", {3: 1})
+v = SymbolicInvariant(2, "H", {5: 1})
 print("  cohomology mode collapses to the bitwise-or term:")
 print("  f[2,3] * f[2,5] =", product(u, v), " (3|5 = 7, 3&5 = 1)")
 print()
 
 print("similitude operator on the g-basis:")
 for d in (3, 4):
-    g = SymbolicInvariant.generator(2, W, "g", d)
+    g = from_g(2, W, {d: 1})
     print(f"  psi g[2,{d}] =", in_g(psi_tilde(g)))
 print()
 
 print("restriction and descent:")
-print("  restrict f[1,4] (W):", restrict(SymbolicInvariant.generator(1, W, "f", 4)))
-print("  restrict f[1,4] (H):", restrict(SymbolicInvariant.generator(1, "H", "f", 4)))
-print("  descend f[3,2] one level:", omega_t(SymbolicInvariant.generator(3, W, "f", 2), 1))
+print("  restrict f[1,4] (W):", restrict(SymbolicInvariant(1, W, {4: 1})))
+print("  restrict f[1,4] (H):", restrict(SymbolicInvariant(1, "H", {4: 1})))
+print("  descend f[3,2] one level:", omega_t(SymbolicInvariant(3, W, {2: 1}), 1))
 print()
 
 print("classification read-out: iterated shifts evaluated at 0 recover")

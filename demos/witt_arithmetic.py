@@ -12,7 +12,6 @@ from gwinv.cohomology import coh_residue, e_n, symbol
 from gwinv.fields import parse_field, parse_sc
 from gwinv.witt import (
     GwElement,
-    gw_equal,
     hat_lift,
     is_in_In,
     lambda_power,
@@ -54,6 +53,6 @@ print()
 print("Grothendieck-Witt equality is dimension plus Witt class:")
 a = GwElement.diag(t1, t1)
 b = GwElement.diag(t1).scale(2)
-print(f"  <t1,t1> == 2<t1>        : {gw_equal(a, b)}")
-print(f"  <1,-1>  == <t1,-t1>     : {gw_equal(parse_form('H', F), parse_form('diag(t1,-t1)', F))}")
-print(f"  <1,-1>  == 0 (dim 2!)   : {gw_equal(parse_form('H', F), GwElement.zero(F))}")
+print(f"  <t1,t1> == 2<t1>        : {a == b}")
+print(f"  <1,-1>  == <t1,-t1>     : {parse_form('H', F) == parse_form('diag(t1,-t1)', F)}")
+print(f"  <1,-1>  == 0 (dim 2!)   : {parse_form('H', F) == GwElement.zero(F)}")

@@ -20,7 +20,7 @@ _EXPORTS = {
     "sampling": "",
     "series": "build_h build_x catalan even_odd_split ext_binom multinomial_C",
     "verify": "SUITES run_suite",
-    "witt": "GwElement WittClass gpfister gw_equal hat_lift is_in_In lambda_power parse_form pfister "
+    "witt": "GwElement WittClass gpfister hat_lift is_in_In lambda_power parse_form pfister "
     "second_residue witt_canonical",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -115,13 +115,6 @@ class SymbolicInvariant:
         self.n, self.mode, self.coeffs = n, mode, coeffs
         return self
 
-    @classmethod
-    def generator(cls, n: int, mode: str, family: str, d: int) -> "SymbolicInvariant":
-        """The degree-d generator f_n^d (family 'f') or g_n^d (family 'g')."""
-        if family not in ("f", "g"):
-            raise ValueError("family must be 'f' or 'g'")
-        return cls(n, mode, {d: 1}) if family == "f" else from_g(n, mode, {d: 1})
-
     @property
     def ops(self):
         return coeff_ops(self.mode)
@@ -375,7 +368,7 @@ def eval_g(n: int, d: int, q: WittClass, target: InvariantTarget):
     f-basis expansion (``from_g``).  A negative degree raises
     ``ValueError``."""
     _check_degree(d)
-    return evaluate(SymbolicInvariant.generator(n, target.mode, "g", d), q)
+    return evaluate(from_g(n, target.mode, {d: 1}), q)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from random import Random
 from typing import Callable
 
 from . import invariants as inv
-from .cohomology import CohClass, coh_residue, e_n, minus_one_power, symbol
+from .cohomology import CohClass, coh_residue, e_n, symbol
 from .divided import (
     H_TARGET,
     W_TARGET,
@@ -387,7 +387,7 @@ def f_axioms(cfg, rng, F, target):
         eval_f(n, d2, phi_w, target),
     )
     d3 = rng.randint(1, cfg.d_max)
-    want = target.eps_pow(F, n * (d3 - 1)) * target.symbol(slots)
+    want = target.times(target.symbol(slots), 1 << n * (d3 - 1))
     if d3 % 2:
         want = -want
     yield f"f_{n}^{d3}(-phi) formula", want, eval_f(n, d3, -phi_w, target)
@@ -537,8 +537,8 @@ def classify_pointwise_shift(cfg, rng, F, target):
     q = rand_in_In(rng, F, n, max_terms=1)
     slots = rand_pfister_slots(rng, F, n)
     phi_w = witt_canonical(pfister(slots))
-    for basis in ("f", "g"):
-        alpha = inv.SymbolicInvariant.generator(n, target.mode, basis, d)
+    for basis, make in (("f", inv.SymbolicInvariant), ("g", inv.from_g)):
+        alpha = make(n, target.mode, {d: 1})
         at_q = inv.evaluate(alpha, q)
         for sign, step in ((1, add), (-1, sub)):
             correction = target.symbol(slots) * inv.evaluate(inv.phi(alpha, sign), q)
@@ -607,10 +607,7 @@ def product_single_term(cfg, rng, F, target):
     n = rng.randint(1, cfg.n_max)
     s = rng.randint(0, 6)
     t = rng.randint(0, 6)
-    got = inv.product(
-        inv.SymbolicInvariant.generator(n, "H", "f", s),
-        inv.SymbolicInvariant.generator(n, "H", "f", t),
-    )
+    got = inv.product(inv.SymbolicInvariant(n, "H", {s: 1}), inv.SymbolicInvariant(n, "H", {t: 1}))
     want = inv.SymbolicInvariant(n, "H", {s | t: 1 << n * (s & t)})
     yield f"H product s={s} t={t} n={n}", True, got == want
 
@@ -647,7 +644,7 @@ def product_shift(cfg, rng, F, target):
 def restrict_pointwise(cfg, rng, F, target):
     n = rng.randint(1, min(cfg.n_max, 2))
     d = rng.randint(0, cfg.d_max)
-    alpha = inv.SymbolicInvariant.generator(n, target.mode, "f", d)
+    alpha = inv.SymbolicInvariant(n, target.mode, {d: 1})
     q = rand_in_In(rng, F, n + 1, max_terms=1)
     yield f"n={n} d={d}", inv.evaluate(alpha, q), inv.evaluate(inv.restrict(alpha), q)
 
@@ -655,20 +652,11 @@ def restrict_pointwise(cfg, rng, F, target):
 @family("restrict", "level-1-in-H", applies=None)
 def restrict_level_1_in_H(cfg, rng, F, target):
     for d in range(0, cfg.d_max + 1):
-        got = inv.restrict(inv.SymbolicInvariant.generator(1, "H", "f", 2 * d))
-        yield (
-            f"level-1 to level-2 H restriction at 2d={2 * d}",
-            True,
-            got == inv.SymbolicInvariant.generator(2, "H", "f", d),
-        )
+        got = inv.restrict(inv.SymbolicInvariant(1, "H", {2 * d: 1}))
+        yield f"level-1 to level-2 H restriction at 2d={2 * d}", True, got == inv.SymbolicInvariant(2, "H", {d: 1})
         if d >= 1:
-            yield (
-                f"odd-degree H restriction vanishes at {2 * d - 1}",
-                True,
-                not inv.restrict(
-                    inv.SymbolicInvariant.generator(1, "H", "f", 2 * d - 1)
-                ).coeffs,
-            )
+            odd = inv.restrict(inv.SymbolicInvariant(1, "H", {2 * d - 1: 1}))
+            yield f"odd-degree H restriction vanishes at {2 * d - 1}", True, not odd.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +667,7 @@ def restrict_level_1_in_H(cfg, rng, F, target):
 def simil_contract(cfg, rng, F, target):
     n = rng.randint(1, min(cfg.n_max, 2))
     d = rng.randint(0, cfg.d_max)
-    alpha = inv.SymbolicInvariant.generator(n, target.mode, "g", d)
+    alpha = inv.from_g(n, target.mode, {d: 1})
     q = rand_in_In(rng, F, n, max_terms=1)
     lam = rand_sc(rng, F)
     rhs = inv.evaluate(alpha, q) + target.symbol([lam]) * inv.evaluate(inv.psi_tilde(alpha), q)
@@ -708,7 +696,7 @@ def simil_scaled_pfister(cfg, rng, F, target):
     slots = rand_pfister_slots(rng, F, n)
     lam = rand_sc(rng, F)
     q = witt_canonical(pfister(slots)).scale_sq(lam)
-    want = target.eps_pow(F, n * (d - 1) - 1) * target.symbol([lam]) * target.symbol(slots)
+    want = target.times(target.symbol([lam]) * target.symbol(slots), 1 << n * (d - 1) - 1)
     if d % 2:
         want = -want
     yield f"n={n} d={d}", want, eval_f(n, d, q, target)
@@ -842,13 +830,13 @@ def coh_residue_symbols(cfg, rng, F, target):
 def coh_level_up(cfg, rng, F, target):
     n = rng.randint(1, min(cfg.n_max, 2))
     d = rng.randint(0, cfg.d_max)
-    alpha = inv.SymbolicInvariant.generator(n, "H", "f", d)
+    alpha = inv.SymbolicInvariant(n, "H", {d: 1})
     q = rand_in_In(rng, F, n, max_terms=1)
     phi_w = witt_canonical(pfister(rand_pfister_slots(rng, F, n + 1)))
     shifted = inv.evaluate(inv.shift(alpha, plus=2), q)
-    want = inv.evaluate(alpha, q) + minus_one_power(F, n - 1) * e_n(phi_w, n + 1) * shifted
+    want = inv.evaluate(alpha, q) + H_TARGET.times(e_n(phi_w, n + 1) * shifted, 1 << n - 1)
     yield f"Pfister correction n={n} d={d}", want, inv.evaluate(alpha, q + phi_w)
-    stable = inv.SymbolicInvariant.generator(n, "H", "f", 1)
+    stable = inv.SymbolicInvariant(n, "H", {1: 1})
     yield "stable invariant unchanged", inv.evaluate(stable, q), inv.evaluate(stable, q + phi_w)
 
 
@@ -882,7 +870,7 @@ def delta1_well_defined(cfg, rng, F, target):
     x = make_factorized([a], witt_canonical(cof), level + 1, terms=blocks)
     alts = alt_factorizations(x, budget=4, rng=rng)
     d = rng.randint(1, min(cfg.d_max, 4))
-    alpha = inv.SymbolicInvariant.generator(level, target.mode, "f", d)
+    alpha = inv.SymbolicInvariant(level, target.mode, {d: 1})
     base_val = delta_t_eval(x, alpha, 1)
     for alt in alts[1:]:
         yield f"level={level} d={d}", base_val, delta_t_eval(alt, alpha, 1)
@@ -898,7 +886,7 @@ def delta1_divisibility(cfg, rng, F, target):
     qp = rand_in_In(rng, F, n - t, max_terms=1)
     q = witt_canonical(pfister(slots)) * qp
     if is_in_In(q, n):
-        want = target.eps_pow(F, t * (d - 1)) * target.symbol(slots) * eval_f(n - t, d, qp, target)
+        want = target.times(target.symbol(slots) * eval_f(n - t, d, qp, target), 1 << t * (d - 1))
         yield f"n={n} t={t} d={d}", want, eval_f(n, d, q, target)
 
 
@@ -920,7 +908,7 @@ def delta1_factor_swap(cfg, rng, F, target):
 def delta1_descent_routes(cfg, rng, F, target):
     n = rng.randint(2, max(2, min(cfg.n_max, 3)))
     d = rng.randint(1, min(cfg.d_max, 4))
-    alpha = inv.SymbolicInvariant.generator(n, target.mode, "f", d)
+    alpha = inv.SymbolicInvariant(n, target.mode, {d: 1})
     c = rand_sc(rng, F)
     q = rand_in_In(rng, F, n, max_terms=1)
     x_w = witt_canonical(pfister([c])) * q

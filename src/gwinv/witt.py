@@ -22,9 +22,9 @@ Python call per pair.  Equality in GW is decided by the Z[G] terms
 first: GW(K) is a quotient of Z[K*/K*^2], so equal terms give equal
 elements.  Other pairs go through (dimension, Witt class), which
 determines an element uniquely.  Values are checked where they enter: in
-the public constructors, the parser, ``int_mul``, ``scale`` and
-``from_int``.  Library results are valid by closure, since each leaf
-table maps codes to codes, so they are built unchecked through ``_of``.
+the public constructors, the parser, ``int_mul`` and ``scale``.  Library
+results are valid by closure, since each leaf table maps codes to codes,
+so they are built unchecked through ``_of``.
 """
 
 from __future__ import annotations
@@ -123,10 +123,6 @@ class GwElement:
         return cls._of(field, {0: 1})
 
     @classmethod
-    def from_int(cls, field: FieldDescriptor, n: int) -> "GwElement":
-        return cls(field, {0: n})
-
-    @classmethod
     def diag(cls, *classes: SquareClass) -> "GwElement":
         if not classes:
             raise ValueError("a diagonal form needs at least one entry")
@@ -187,9 +183,13 @@ class GwElement:
         return all(c > 0 for c in self.terms.values())
 
     def __eq__(self, other) -> bool:
+        """Equality in GW.  Equal Z[G] terms decide it at once, since GW is
+        a quotient of Z[G]; otherwise equal dimensions and equal Witt
+        classes, compared leaf by leaf without building either class."""
         if not isinstance(other, GwElement):
             return NotImplemented
-        return gw_equal(self, other)
+        self._check(other)
+        return self.terms == other.terms or (self.dim == other.dim and _springer_leaves(self) == _springer_leaves(other))
 
     __hash__ = None
 
@@ -423,15 +423,6 @@ def _springer_leaves(x: GwElement) -> tuple:
         code = times(1, c)
         leaves[m >> bits] = add(leaves[m >> bits], flip(code) if m & bits else code)
     return tuple(leaves)
-
-
-def gw_equal(x: GwElement, y: GwElement) -> bool:
-    """Equality in GW.  Equal Z[G] terms decide it at once, since GW is a
-    quotient of Z[G]; otherwise equal dimensions and equal Witt classes,
-    compared leaf by leaf without building either class."""
-    if x.field != y.field:
-        raise FieldMismatchError("forms over different fields")
-    return x.terms == y.terms or (x.dim == y.dim and _springer_leaves(x) == _springer_leaves(y))
 
 
 def second_residue(q: WittClass) -> WittClass:

@@ -129,14 +129,14 @@ def parse_invariant(text, mode):
         raise InvariantSyntaxError(f"the level n must be >= 1, got {n}")
     bases = {b for _, gens in terms for b, _, _ in gens}
     basis = "g" if bases == {"g"} else "f"
-    total = {}
+    total, make = {}, {"f": SymbolicInvariant, "g": from_g}
     for coeff, gens in terms:
         if not gens:
             term = {0: coeff}
         else:
-            term = SymbolicInvariant.generator(n, mode, gens[0][0], gens[0][2])
+            term = make[gens[0][0]](n, mode, {gens[0][2]: 1})
             for b, _, d in gens[1:]:
-                term = product(term, SymbolicInvariant.generator(n, mode, b, d))
+                term = product(term, make[b](n, mode, {d: 1}))
             term = {d: ops.mul(coeff, c) for d, c in (g_coeffs(term) if basis == "g" else term.coeffs).items()}
         for d, c in term.items():
             total[d] = ops.add(total.get(d, 0), c)

@@ -32,7 +32,7 @@ def oracle_lambda_series(x, precision):
 
 def oracle_eval_pi_series(n, precision, x):
     lam = oracle_lambda_series(x, precision)
-    h_lift = [GwElement.from_int(x.field, c) for c in build_h(n, precision)]
+    h_lift = [GwElement(x.field, {0: c}) for c in build_h(n, precision)]
     return compose(gw_ring(x.field), lam, h_lift, precision + 1)
 
 
@@ -233,7 +233,7 @@ def test_no_degrees_give_no_coefficients(head, depth):
 @pytest.mark.parametrize("head, depth, text", CONTRACT_FORMS)
 def test_degree_order_and_repetition_do_not_change_a_coefficient(head, depth, text):
     x = parse_form(text, field(head, depth))
-    lift = witt.hat_lift(witt.witt_canonical(x - GwElement.from_int(x.field, x.dim)))
+    lift = witt.hat_lift(witt.witt_canonical(x - GwElement(x.field, {0: x.dim})))
     ascending = range(10)
     want_lambda = {d: c.terms for d, c in lambda_series(x, ascending).items()}
     want_pi = {d: c.terms for d, c in eval_pi_coeffs(2, ascending, lift).items()}

@@ -33,7 +33,7 @@ T1, T2 = parse_sc("t1", RTT), parse_sc("t2", RTT)
 
 
 def gen(n, mode, d):
-    return SymbolicInvariant.generator(n, mode, "f", d)
+    return SymbolicInvariant(n, mode, {d: 1})
 
 
 class TestMakeFactorized:
@@ -209,11 +209,7 @@ class TestDivisibility:
                 alpha = gen(n, target.mode, d)
                 from gwinv.divided import eval_f
 
-                want = (
-                    target.eps_pow(F, t * (d - 1))
-                    * target.symbol(slots)
-                    * eval_f(n - t, d, qp, target)
-                )
+                want = target.times(target.symbol(slots) * eval_f(n - t, d, qp, target), 1 << t * (d - 1))
                 assert eval_f(n, d, q, target) == want
                 # the symbolic descent operator computes the same thing
                 assert target.symbol(slots) * evaluate(

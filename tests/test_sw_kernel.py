@@ -52,7 +52,7 @@ def oracle_eval_fixed_dim(d, x, target, basis):
         if c == 0:
             continue
         sign = c if i % 2 == 0 else -c
-        out = out + target.times(target.eps_pow(x.field, d - i) * sw[i], ops.from_int(sign))
+        out = out + target.times(target.times(sw[i], 1 << d - i), ops.from_int(sign))
     return out
 
 

@@ -28,7 +28,6 @@ from gwinv.witt import (
     RenderLimitError,
     WittClass,
     gpfister,
-    gw_equal,
     hat_lift,
     is_in_In,
     lambda_power,
@@ -174,15 +173,13 @@ class TestScalarType:
         with pytest.raises(TypeError):
             GwElement.unit(F).scale(bad)
         with pytest.raises(TypeError):
-            GwElement.from_int(F, bad)
-        with pytest.raises(TypeError):
             GwElement(F, {0: bad})
 
     @pytest.mark.parametrize("head", ["C", "R", "F3", "F5"])
     def test_int_scalars_are_accepted(self, head):
         F = parse_field(head)
-        assert witt_one(F).int_mul(3) == witt_canonical(GwElement.from_int(F, 3))
-        assert GwElement.unit(F).scale(-2).terms == {0: -2} and GwElement.from_int(F, 0).is_formal_zero
+        assert witt_one(F).int_mul(3) == witt_canonical(GwElement(F, {0: 3}))
+        assert GwElement.unit(F).scale(-2).terms == {0: -2} and GwElement(F, {0: 0}).is_formal_zero
 
     def test_float_term_is_caught_before_canonical_form(self):
         # it fails where it enters, not at a later leaf check
@@ -212,27 +209,27 @@ class TestMaskCheck:
         top = (1 << F.num_gens) - 1
         q = GwElement(F, {top: 1, 0: 2})
         assert q.terms == {top: 1, 0: 2}
-        assert gw_equal(q, GwElement.diag(enumerate_sc(F)[top], sc_one(F), sc_one(F)))
+        assert q == GwElement.diag(enumerate_sc(F)[top], sc_one(F), sc_one(F))
 
 
 class TestGwEqual:
     def test_multiset_identity(self):
         a = parse_sc("t1", RT)
-        assert gw_equal(GwElement.diag(a, a), GwElement.diag(a).scale(2))
+        assert GwElement.diag(a, a) == GwElement.diag(a).scale(2)
 
     def test_signature_distinguishes(self):
         one = sc_one(R)
-        assert not gw_equal(GwElement.diag(one, one), GwElement.diag(one, -one))
+        assert GwElement.diag(one, one) != GwElement.diag(one, -one)
 
     def test_pfister_square_relation(self):
         for F in standard_fields(1):
             for a in enumerate_sc(F):
-                assert gw_equal(gpfister([a, a]), gpfister([minus_one(F), a]))
+                assert gpfister([a, a]) == gpfister([minus_one(F), a])
 
     def test_dim_matters(self):
         one = sc_one(R)
         hyp = GwElement.diag(one, -one)
-        assert not gw_equal(hyp, GwElement.zero(R))
+        assert hyp != GwElement.zero(R)
 
     @staticmethod
     def _pairs(rng, F):
@@ -256,7 +253,7 @@ class TestGwEqual:
         for F in standard_fields(2):
             for kind, x, y in self._pairs(rng, F):
                 oracle = x.dim == y.dim and witt_canonical(x) == witt_canonical(y)
-                assert gw_equal(x, y) == gw_equal(y, x) == oracle
+                assert (x == y) == (y == x) == oracle
                 same_terms = x.terms == y.terms
                 assert (same_terms, oracle) == {
                     "same terms": (True, True),
@@ -269,9 +266,9 @@ class TestGwEqual:
     def test_field_check_precedes_the_identity_test(self):
         # two formal zeros have identical (empty) terms over any fields
         with pytest.raises(FieldMismatchError):
-            gw_equal(GwElement.zero(R), GwElement.zero(F3T))
+            GwElement.zero(R) == GwElement.zero(F3T)
         with pytest.raises(FieldMismatchError):
-            gw_equal(GwElement.unit(RT), GwElement.unit(R))
+            GwElement.unit(RT) == GwElement.unit(R)
 
     @pytest.mark.parametrize(
         "call",
@@ -362,24 +359,24 @@ class TestLambdaPower:
     def test_rank_two_exterior_square(self):
         a, b = parse_sc("t1", RT), parse_sc("-1", RT)
         got = lambda_power(2, GwElement.diag(a, b))
-        assert gw_equal(got, GwElement.diag(a * b))
+        assert got == GwElement.diag(a * b)
 
     def test_degree_zero(self):
         x = rand_gw(random.Random(0), RT, 3)
-        assert gw_equal(lambda_power(0, x), GwElement.unit(RT))
+        assert lambda_power(0, x) == GwElement.unit(RT)
 
     def test_fixes_binary_pfister_lifts(self):
         for a in enumerate_sc(F3T):
             g = gpfister([a])
             for d in range(1, 6):
-                assert gw_equal(lambda_power(d, g), g)
+                assert lambda_power(d, g) == g
 
     def test_series_matches_direct_combinatorics(self):
         rng = random.Random(3)
         for F in standard_fields(2):
             x = rand_diag(rng, F, 5)
             for d in range(6):
-                assert gw_equal(lambda_power(d, x), lambda_power_direct(d, x))
+                assert lambda_power(d, x) == lambda_power_direct(d, x)
 
     def test_sum_rule_on_virtual_elements(self):
         rng = random.Random(5)
@@ -390,7 +387,7 @@ class TestLambdaPower:
                 rhs = GwElement.zero(RT)
                 for k in range(d + 1):
                     rhs = rhs + lambda_power(k, x) * lambda_power(d - k, y)
-                assert gw_equal(lambda_power(d, x + y), rhs)
+                assert lambda_power(d, x + y) == rhs
 
 
 class TestFiltration:
@@ -428,7 +425,7 @@ class TestHatLift:
         a = parse_sc("t1", RT)
         lift = hat_lift(witt_canonical(pfister([a])))
         assert lift.dim == 0
-        assert gw_equal(lift, gpfister([a]))
+        assert lift == gpfister([a])
 
     def test_zero(self):
         assert hat_lift(witt_zero(RT)).is_formal_zero
@@ -621,12 +618,12 @@ class TestFormGrammar:
 
     def test_diag(self):
         got = parse_form("diag(1,-t1)", RT)
-        assert gw_equal(got, pfister([parse_sc("t1", RT)]))
+        assert got == pfister([parse_sc("t1", RT)])
 
     def test_pf_and_sum(self):
         got = parse_form("pf(t1)+pf(-1)", RT)
         want = pfister([parse_sc("t1", RT)]) + pfister([parse_sc("-1", RT)])
-        assert gw_equal(got, want)
+        assert got == want
 
     def test_hyperbolic_and_coefficient(self):
         got = parse_form("2*H - diag(1,1)", R)
