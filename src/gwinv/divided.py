@@ -29,9 +29,11 @@ from .witt import (
     GwElement,
     MembershipError,
     WittClass,
+    _base,
     _check_degree,
+    _dense_lift,
+    character_kernel,
     character_series,
-    hat_lift,
     is_in_In,
     lambda_series,
     pfister,
@@ -143,21 +145,11 @@ def eval_pi_coeffs(n: int, degrees: Collection[int], x: GwElement) -> dict[int, 
     character kernel: the row of chi is (1 + h_n)^p (1 - h_n)^(dim x - p)
     with 2p = dim x + chi, which ((1 + h_n)/(1 - h_n))^(2^(n-1)) = 1 + 2^n t
     makes (1 + 2^n t)^(2p/2^n) (1 - h_n)^(dim x); the second factor is 1 in
-    dimension 0.  A negative degree raises ``ValueError``.
-
-    The formal zero, and a request for degree 0 alone, return without a
-    kernel pass.  The zero class lifts to the formal zero, and it is
-    common in evaluation traffic: 1,322 of the 3,600 in-I^n requests of
-    ``bench/run.py --workload eval`` have a formally zero lift, and that
-    workload ran 4.5% slower without this shortcut (2-core x86, Python
-    3.11.7)."""
+    dimension 0.  A negative degree raises ``ValueError``."""
     if n < 1:
         raise ValueError("the level n must be >= 1")
     _check_degree(min(degrees, default=0))
-    if x.is_formal_zero or not any(degrees):
-        one, zero = GwElement.unit(x.field), GwElement.zero(x.field)
-        return {d: zero if d else one for d in degrees}
-    dim, top = x.dim, max(degrees)
+    dim, top = x.dim, max(degrees, default=0)
     g = _power([1] + [-c for c in build_h(n, top)[1:]], dim) if dim else None
 
     def row(chi):
@@ -175,27 +167,37 @@ def eval_pi(n: int, d: int, x: GwElement) -> GwElement:
 # -- the f and g families on concrete Witt classes
 
 
-def _pi_of_lift(n: int, q: WittClass, degrees: Collection[int]) -> dict[int, GwElement]:
-    """The level-n divided powers of hat q at the nonzero ``degrees``, after
-    the level and membership checks of an evaluation, which run even when
-    no degree is read."""
+def _pi_of_lift(n: int, q: WittClass, degrees: Collection[int]) -> dict[int, list[int]]:
+    """The level-n divided powers of hat q at the nonzero ``degrees``, as
+    Z[G] vectors of 2^g counts by mask (``eval_pi_coeffs``' row in
+    dimension 0), after the level, membership and negative-degree checks,
+    in that order, which run even when no degree is read.  The zero class
+    (lifting to the formal zero, so every degree vanishes) and degree 0
+    alone give {} with no kernel pass: the zero class is 1,322 of the
+    3,600 in-I^n requests of ``bench/run.py --workload eval``, which ran
+    6.5% slower without this shortcut (2-core x86, Python 3.11.7)."""
     if n < 1:
         raise ValueError("the level n must be >= 1")
     if not is_in_In(q, n):
         raise MembershipError(f"class is not in I^{n}")
+    _check_degree(min(degrees, default=0))
     wanted = [d for d in degrees if d]
-    return eval_pi_coeffs(n, wanted, hat_lift(q)) if wanted else {}
+    if not wanted or q.is_zero:
+        return {}
+    top = max(wanted)
+    flat = character_kernel(_dense_lift(q), wanted, lambda chi: [*map(_binomial_row(n, chi, top).__getitem__, wanted)])
+    return {d: flat[j :: len(wanted)] for j, d in enumerate(wanted)}
 
 
 def eval_f_all(n: int, q: WittClass, target: InvariantTarget, degrees: Collection[int]) -> dict:
     """Values of the f-family members of the given degrees on q, keyed by
     degree: one divided-power pass computes only the requested degrees
-    (every degree up to D is ``range(D + 1)``)."""
-    pis = _pi_of_lift(n, q, degrees)
-    return {
-        d: target.value(witt_canonical(pis[d]) if d else witt_one(q.field), n * d)
-        for d in degrees
-    }
+    (every degree up to D is ``range(D + 1)``), and the base's Springer
+    fold turns each into leaves."""
+    F, fold = q.field, _base(q.field).fold
+    folded = {d: WittClass._of(F, fold(pi)) for d, pi in _pi_of_lift(n, q, degrees).items()}
+    zero = witt_zero(F)
+    return {d: target.value(folded.get(d, zero) if d else witt_one(F), n * d) for d in degrees}
 
 
 def eval_f(n: int, d: int, q: WittClass, target: InvariantTarget):
@@ -208,22 +210,20 @@ def eval_f_sum(n: int, q: WittClass, target: InvariantTarget, coeffs: dict):
     """The value on q of sum_d c_d f_n^d for the universal coefficients
     ``coeffs`` = {d: c_d}, ints (in mode H, F2-polynomials in eps with bit
     j the coefficient of eps^j).  The Witt projection is additive, so in
-    mode W the sum c_0<1> + sum_d c_d pi_d(hat q) is formed in GW and
-    canonicalized once; in mode H each degree goes through e_n and is
-    scaled by its coefficient.  The membership check runs first, even for
-    no degree."""
+    mode W the Z[G] vector c_0<1> + sum_d c_d pi_d(hat q) is formed from
+    the kernel's checked degrees and folded once; in mode H each degree
+    goes through e_n and is scaled by its coefficient.  The checks of
+    ``_pi_of_lift`` run first, even for no degree."""
     if target.mode == "H":
         fvals = eval_f_all(n, q, target, coeffs)
         out = target.zero(q.field)
         for d, c in coeffs.items():
             out = out + target.times(fvals[d], c)
         return out
-    terms = {0: coeffs.get(0, 0)}
+    total = [coeffs.get(0, 0)] + [0] * ((1 << q.field.num_gens) - 1)
     for d, pi in _pi_of_lift(n, q, coeffs).items():
-        c = coeffs[d]
-        for m, v in pi.terms.items():
-            terms[m] = terms.get(m, 0) + c * v
-    return witt_canonical(GwElement._of(q.field, {m: c for m, c in terms.items() if c}))
+        total = [t + coeffs[d] * v for t, v in zip(total, pi)]
+    return WittClass._of(q.field, _base(q.field).fold(total))
 
 
 # -- total Stiefel-Whitney-style maps on GW

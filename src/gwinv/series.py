@@ -4,7 +4,7 @@ A series is a plain list of integers, its coefficients in degrees 0..P;
 degrees above the truncation order P are unknown, not zero.  ``cauchy``
 multiplies two series and ``compose`` substitutes one into another by
 Horner's rule, each truncated to the shorter length.  Series with GW
-coefficients are not multiplied out in the library: ``witt.character_series``
+coefficients are not multiplied out in the library: ``witt.character_kernel``
 reduces a product prod (1 + a t)^c over the terms of a form (its
 exterior-power series, its Stiefel-Whitney-style series) to one integer
 series per character of the square-class group and transforms the values

@@ -8,23 +8,23 @@ ring the group ring W(K0)[(Z/2)^k]; a class is stored flat as its 2^k
 leaves, one integer code of W(K0) per variable mask (Z/2 over C, Z over R,
 Z/4 or F2[Z/2] over F_q by q mod 4).  A leaf operation is that of W(K0) on
 the codes, from one table per base kind, whose decoder to a small diagonal
-form serves rendering and the dimension-0 lift.  ``filtration_level`` reads
-the level and e off the superset sums c_S = sum_(v >= S) leaf_v, the
-coefficients of q in the monomials prod_(i in S) <<t_i>> up to signs that
-I^n (a group) and e (mod 2) ignore; ``character_series`` evaluates
-GW-coefficient series (the exterior-power series of ``lambda_series``, the
-Stiefel-Whitney-style series of ``divided.sw_coeffs``) under the
-characters of the square-class group and transforms the values back,
-every read degree in one inverse pass.  The superset sums and both
-character transforms run on one constant-geometry butterfly
-(``_butterfly``), told its stage count: two C-level maps a stage and no
-Python call per pair.  Equality in GW is decided by the Z[G] terms
-first: GW(K) is a quotient of Z[K*/K*^2], so equal terms give equal
-elements.  Other pairs go through (dimension, Witt class), which
-determines an element uniquely.  Values are checked where they enter: in
-the public constructors, the parser, ``int_mul`` and ``scale``.  Library
-results are valid by closure, since each leaf table maps codes to codes,
-so they are built unchecked through ``_of``.
+form serves rendering and both dimension-0 lifts, and whose ``fold`` turns
+a dense Z[G] vector into leaves.  ``filtration_level`` reads the level and
+e off the superset sums c_S = sum_(v >= S) leaf_v, the coefficients of q
+in the monomials prod_(i in S) <<t_i>> up to signs that I^n (a group) and
+e (mod 2) ignore.  ``character_kernel`` evaluates a GW-coefficient series
+at a dense Z[G] vector under the characters of the square-class group and
+transforms back every read degree in one checked inverse pass, to a flat
+vector that the f-family folds straight to leaves; ``character_series``
+gives each degree as a GW element.  The superset sums and both character
+transforms run on one constant-geometry butterfly (``_butterfly``), told its
+stage count: two C-level maps a stage and no Python call per pair.  Equality
+in GW is decided by the Z[G] terms first: GW(K) is a quotient of Z[K*/K*^2],
+so equal terms give equal elements.  Other pairs go through (dimension, Witt
+class), which determines an element uniquely.  Values are checked where they
+enter: in the public constructors, the parser, ``int_mul`` and ``scale``.
+Library results are valid by closure, since each leaf table maps codes to
+codes, so they are built unchecked through ``_of``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from operator import add, and_, mul, neg, or_, pos, sub, xor
 from typing import Collection, NoReturn
 
@@ -352,21 +352,25 @@ class WittClass:
 # nonzero codes, ``flip`` by <b> for the base generator b), then ``level``,
 # the largest n with a nonzero code in I^n (I = {0, 2} in Z/4 and
 # {0, <1,u>} in F2[<u>]), then ``forms``, a small nonnegative diagonal form
-# of the code's class as (base mask, count) pairs, and ``codes``, whether
-# a tuple holds only codes of the base: {0, 1} over C, 0..3 over F_q and
-# any int over R, each of type int (a bool or float equal to a code is not).
-_Base = namedtuple("_Base", "add neg times mul flip level forms codes")
+# of the code's class as (base mask, count) pairs, ``codes``, whether a
+# tuple holds only codes of the base: {0, 1} over C, 0..3 over F_q and any
+# int over R, each of type int (a bool or float equal to a code is not),
+# and ``fold``, the Springer leaves of a Z[G] vector of 2^g int counts by
+# mask: leaf v is the code of c_2v<1> + c_2v+1<b> over R and F_q.
+_Base = namedtuple("_Base", "add neg times mul flip level forms codes fold")
 _QUAD = _Base(
     xor, pos, lambda x, n: x if n & 1 else 0, and_, pos,
     lambda x: 0,
     ((), ((0, 1),)).__getitem__,
     lambda leaves, codes=frozenset((0, 1)): {int}.issuperset(map(type, leaves)) and codes.issuperset(leaves),
+    lambda c: tuple(map(and_, c, repeat(1))),
 )
 _REAL = _Base(
     add, neg, mul, mul, neg,
     lambda x: (x & -x).bit_length() - 1,
     lambda x: ((0, x),) if x > 0 else ((1, -x),) if x else (),
     lambda leaves: {int}.issuperset(map(type, leaves)),
+    lambda c: tuple(map(sub, c[::2], c[1::2])),
 )
 _FINITE_3 = _Base(
     lambda x, y: (x + y) & 3, lambda x: -x & 3, lambda x, n: x * n & 3,
@@ -374,6 +378,7 @@ _FINITE_3 = _Base(
     lambda x: 1 - (x & 1),
     ((), ((0, 1),), ((0, 1), (0, 1)), ((1, 1),)).__getitem__,
     lambda leaves, codes=frozenset(range(4)): {int}.issuperset(map(type, leaves)) and codes.issuperset(leaves),
+    lambda c: tuple(map(and_, map(sub, c[::2], c[1::2]), repeat(3))),
 )
 _FINITE_1 = _Base(
     xor, pos, lambda x, n: x if n & 1 else 0,
@@ -381,6 +386,7 @@ _FINITE_1 = _Base(
     lambda x: x >> 1 & x,
     ((), ((0, 1),), ((1, 1),), ((0, 1), (1, 1))).__getitem__,
     _FINITE_3.codes,
+    lambda c: tuple([e & 1 | o << 1 & 2 for e, o in zip(c[::2], c[1::2])]),
 )
 
 
@@ -447,6 +453,18 @@ def hat_lift(q: WittClass) -> GwElement:
     return GwElement._of(q.field, {m: c for m, c in terms.items() if c})
 
 
+def _dense_lift(q: WittClass) -> list[int]:
+    """``hat_lift(q)``'s terms as one list of 2^g counts indexed by mask,
+    for an even-dimensional q (unchecked)."""
+    lift = [0] * (1 << q.field.num_gens)
+    for m, c in _rep_terms(q):
+        lift[m] += c
+    half = sum(lift) // 2
+    lift[0] -= half
+    lift[minus_one_mask(q.field)] -= half
+    return lift
+
+
 def filtration_level(q: WittClass) -> tuple[int | None, frozenset]:
     """The largest n with q in I^n, None for the zero class (in every I^n),
     and the monomials (base exponent, variable mask) of e_n(q) at that n.
@@ -505,29 +523,30 @@ def _check_degree(d: int) -> None:
         raise ValueError(f"series degree {d} is negative")
 
 
-def character_series(x: GwElement, degrees: Collection[int], row) -> dict[int, GwElement]:
-    """The character kernel: the coefficients at ``degrees`` of a series
-    with GW coefficients that a ring map sends, under each character of
-    the square-class group, to an integer series fixed by the character's
-    value on x alone.  ``row(chi)`` returns that integer series at
-    ``degrees``, in order, for the value chi.
+def character_kernel(vector: list[int], degrees: Collection[int], row) -> list[int]:
+    """The coefficients at ``degrees`` of a series with GW coefficients
+    that a ring map sends, under each character of the square-class
+    group, to an integer series fixed by the character's value on the
+    element x alone.  x is given as ``vector``, its Z[G] terms as 2^g
+    counts indexed by mask; ``row(chi)`` returns the integer series at
+    ``degrees``, in order, for the value chi.  The result is flat: the
+    Z[G] terms of the j-th read degree's coefficient are at [j::D].
 
     GW(K) holds Z[G] for G = K*/K*^2 = (Z/2)^g, and each character
     chi_s(<m>) = (-1)^popcount(s & m) is a ring map Z[G] -> Z.  One
-    Walsh-Hadamard transform of x's coefficient vector gives its 2^g
-    character values; characters with equal values share one row.  The
-    rows are laid out degree by degree (the column-major concatenation of
-    the D read degrees' columns), and one g-stage pass of the same
-    transform over all D * 2^g values gives back 2^g times the Z[G] terms
-    of degree j's coefficient at [j::D]; every value is checked to divide
-    exactly.  Rows of a length other than D and a negative degree raise
-    ``ValueError``."""
+    Walsh-Hadamard transform of the vector gives x's 2^g character
+    values; characters with equal values share one row.  The rows are
+    laid out degree by degree (the column-major concatenation of the D
+    read degrees' columns), and one g-stage pass of the same transform
+    over all D * 2^g values gives back 2^g times the Z[G] terms of degree
+    j's coefficient at [j::D]; every value is checked to divide exactly,
+    so each read degree is checked before any caller combines them.  Rows
+    of a length other than D and a negative degree raise ``ValueError``."""
     _check_degree(min(degrees, default=0))
-    field = x.field
-    g = field.num_gens
+    g = len(vector).bit_length() - 1
     memo: dict[int, list[int]] = {}
     rows = []
-    for chi in _butterfly([x.terms.get(m, 0) for m in range(1 << g)], g, add, sub):
+    for chi in _butterfly(vector, g, add, sub):
         r = memo.get(chi)
         if r is None:
             r = memo[chi] = row(chi)
@@ -540,7 +559,13 @@ def character_series(x: GwElement, degrees: Collection[int], row) -> dict[int, G
     if reduce(or_, flat, 0) & low:
         v, d = next((v, d) for j, d in enumerate(degrees) for v in flat[j::n] if v & low)
         raise ConsistencyError(f"character sum {v} at degree {d} is not divisible by 2^{g}")
-    return {d: GwElement._of(field, {m: v >> g for m, v in enumerate(flat[j::n]) if v}) for j, d in enumerate(degrees)}
+    return [v >> g for v in flat]
+
+
+def character_series(x: GwElement, degrees: Collection[int], row) -> dict[int, GwElement]:
+    """``character_kernel`` on x's terms, each degree's coefficient a GW element."""
+    n, flat = len(degrees), character_kernel([x.terms.get(m, 0) for m in range(1 << x.field.num_gens)], degrees, row)
+    return {d: GwElement._of(x.field, {m: v for m, v in enumerate(flat[j::n]) if v}) for j, d in enumerate(degrees)}
 
 
 def lambda_series(x: GwElement, degrees: Collection[int]) -> dict[int, GwElement]:

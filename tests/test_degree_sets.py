@@ -151,12 +151,12 @@ def test_single_degree_matches_full_route(x, d, n):
 def test_kernel_computes_only_the_read_degrees(monkeypatch):
     asked = []
 
-    def spy(x, degrees, row):
+    def spy(vector, degrees, row):
         asked.append(list(degrees))
-        return kernel(x, degrees, row)
+        return kernel(vector, degrees, row)
 
-    kernel = divided.character_series
-    monkeypatch.setattr(divided, "character_series", spy)
+    kernel = divided.character_kernel
+    monkeypatch.setattr(divided, "character_kernel", spy)
     F = parse_field("R((t1))((t2))")
     q = witt_canonical(parse_form("pf(t1,t2) - pf(-1,t2)", F))
     for mode in TARGETS:

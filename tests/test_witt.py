@@ -159,6 +159,14 @@ class TestClosure:
             leaves = witt._springer_leaves(GwElement(F, terms))
             assert len(leaves) == 1 << F.depth and witt._base(F).codes(leaves)
 
+    @pytest.mark.parametrize("F", standard_fields(2), ids=str)
+    def test_folds_of_int_vectors_are_codes(self, F):
+        rng = random.Random(f"fold/{F}")
+        for _ in range(20):
+            vector = [rng.choice((0, 1, -1, 2, -3, 7, 10**20)) for _ in range(1 << F.num_gens)]
+            leaves = witt._base(F).fold(vector)
+            assert len(leaves) == 1 << F.depth and witt._base(F).codes(leaves)
+
 
 class TestScalarType:
     """A scalar or GW coefficient that is not an ``int`` (``bool`` among
